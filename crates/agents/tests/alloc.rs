@@ -3,15 +3,15 @@
 //! performs zero heap allocations once its scratch buffers have warmed up.
 //!
 //! This is the hard form of the control-phase batching contract: the
-//! per-world `StepScratch` (lead tables + NPC actuations), the batch's SoA
-//! lanes and command buffers, and the planner's reused `Path` must all
+//! per-world `StepScratch` (lead tables + NPC actuations), the batch's
+//! command buffers, and the planner's reused `Path` must all
 //! reach a fixed point. A counting `#[global_allocator]` wrapping the
 //! system allocator makes that an invariant instead of a benchmark hope;
 //! the counters are thread-local, so other test threads can't pollute the
 //! measurement.
 
 use drive_agents::behavior::{BehaviorConfig, BehaviorPlanner};
-use drive_sim::batch::{Precision, WorldBatch};
+use drive_sim::batch::WorldBatch;
 use drive_sim::scenario::Scenario;
 use drive_sim::vehicle::Actuation;
 use drive_sim::waypoints::Path;
@@ -72,9 +72,10 @@ fn control_step(
     wb.step(actions, outcomes);
 }
 
-fn run_case(precision: Precision) {
+#[test]
+fn steady_state_batch_step_and_plan_are_allocation_free_golden() {
     const BATCH: usize = 8;
-    let mut wb = WorldBatch::new(precision);
+    let mut wb = WorldBatch::new();
     let mut planners = Vec::new();
     let mut bufs = Vec::new();
     for slot in 0..BATCH as u64 {
@@ -88,8 +89,8 @@ fn run_case(precision: Precision) {
     let mut actions: Vec<Actuation> = Vec::with_capacity(BATCH);
     let mut outcomes = Vec::new();
 
-    // Warm-up: sizes the per-world step scratches, the batch's SoA lanes
-    // and command buffers, and every planner's waypoint buffer (including
+    // Warm-up: sizes the per-world step scratches, the batch's command
+    // buffers, and every planner's waypoint buffer (including
     // the lane-change variant, which shares the same fixed horizon).
     for _ in 0..30 {
         control_step(
@@ -114,16 +115,6 @@ fn run_case(precision: Precision) {
     let grew = allocs() - before;
     assert_eq!(
         grew, 0,
-        "steady-state step+plan loop ({precision:?}) allocated {grew} times across 10 iterations"
+        "steady-state step+plan loop allocated {grew} times across 10 iterations"
     );
-}
-
-#[test]
-fn steady_state_batch_step_and_plan_are_allocation_free_golden() {
-    run_case(Precision::Golden);
-}
-
-#[test]
-fn steady_state_batch_step_and_plan_are_allocation_free_fast() {
-    run_case(Precision::Fast);
 }

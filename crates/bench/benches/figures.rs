@@ -2,8 +2,8 @@
 //! paper at smoke scale against quick-trained artifacts, driven through
 //! the experiment registry — so the engine, every `Experiment` impl, and
 //! the manifest writer stay exercised on every bench run. For paper-scale
-//! numbers run the binaries (`cargo run --release -p repro-bench --bin
-//! repro_all`) against fully trained artifacts.
+//! numbers run `cargo run --release -p repro-bench --bin repro_bench --
+//! --all` against fully trained artifacts.
 
 use attack_core::pipeline::{prepare, PipelineConfig};
 use repro_bench::engine;

@@ -13,7 +13,7 @@
 
 use attack_core::adv_reward::AdvReward;
 use attack_core::budget::AttackBudget;
-use attack_core::fleet::{FleetEval, FleetPlan};
+use attack_core::fleet::FleetEval;
 use criterion::{black_box, BenchResult, Criterion};
 use drive_agents::behavior::{BehaviorConfig, BehaviorPlanner};
 use drive_agents::modular::{ModularAgent, ModularConfig};
@@ -28,7 +28,7 @@ use drive_serve::faults::FaultPlanConfig;
 use drive_serve::ladder::Rung;
 use drive_serve::pipeline::{DetectorStream, Pipeline};
 use drive_serve::sim::{self, SimConfig};
-use drive_sim::batch::{Precision, WorldBatch};
+use drive_sim::batch::WorldBatch;
 use drive_sim::geometry::{Obb, Vec2};
 use drive_sim::record::EpisodeRecord;
 use drive_sim::scenario::Scenario;
@@ -266,7 +266,7 @@ fn bench_fleet(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(1000 + i);
             Scenario::default().jittered(&mut rng)
         });
-        let mut batch = WorldBatch::from_scenarios(scenarios, Precision::Golden);
+        let mut batch = WorldBatch::from_scenarios(scenarios);
         let actions = vec![Actuation::new(0.0, 0.1); 128];
         let mut outcomes = Vec::new();
         let mut refill_seed = 0u64;
@@ -321,39 +321,26 @@ fn fleet_rows() -> Vec<BenchResult> {
         scenario: Scenario::default(),
     };
     let episodes = 192;
-    let timed = |plan: FleetPlan| {
+    let timed = |batch: usize| {
         let t0 = std::time::Instant::now();
-        let records = eval.run(episodes, 0, plan);
+        let records = eval.run(episodes, 0, batch);
         (
             t0.elapsed().as_nanos() as f64 / records.len() as f64,
             records.len() as u64,
         )
     };
-    let fast = |batch| FleetPlan {
-        batch,
-        precision: Precision::Fast,
-    };
     // Warm-up pass so neither comparator pays first-touch costs.
-    let _ = timed(FleetPlan::golden(128));
-    let (serial_ns, _) = timed(FleetPlan::golden(1));
-    let (golden_ns, n) = timed(FleetPlan::golden(128));
-    let (fast_ns, _) = timed(fast(128));
+    let _ = timed(128);
+    let (serial_ns, _) = timed(1);
+    let (golden_ns, n) = timed(128);
     for (name, ns) in [
-        ("fleet_episodes_per_sec", 1e9 / fast_ns),
         ("fleet_golden_episodes_per_sec", 1e9 / golden_ns),
         ("fleet_serial_episodes_per_sec", 1e9 / serial_ns),
-        ("fleet_speedup_vs_batch1", serial_ns / fast_ns),
         ("fleet_golden_speedup_vs_batch1", serial_ns / golden_ns),
     ] {
         println!("{name:<40} value {ns:>14.1}  ({n} n)");
     }
     vec![
-        BenchResult {
-            name: "fleet_ns_per_episode".to_string(),
-            median_ns: fast_ns,
-            mean_ns: fast_ns,
-            iters: n,
-        },
         BenchResult {
             name: "fleet_golden_ns_per_episode".to_string(),
             median_ns: golden_ns,
@@ -370,7 +357,7 @@ fn fleet_rows() -> Vec<BenchResult> {
 }
 
 /// Control-phase pseudo-row: nanoseconds of NPC control work per
-/// slot-step in a Golden batch-128 lockstep loop, read straight from the
+/// slot-step in a batch-128 lockstep loop, read straight from the
 /// per-phase fleet counters (`record_fleet_phases`) rather than a wall
 /// clock around the whole step. This isolates the SoA lead-table +
 /// `control_batched` cost from integration, outcome checks, and
@@ -383,7 +370,7 @@ fn control_phase_rows() -> Vec<BenchResult> {
         s.max_steps = 400;
         s
     });
-    let mut batch = WorldBatch::from_scenarios(scenarios, Precision::Golden);
+    let mut batch = WorldBatch::from_scenarios(scenarios);
     let actions = vec![Actuation::new(0.0, 0.1); 128];
     let mut outcomes = Vec::new();
     let mut refill_seed = 50_000u64;

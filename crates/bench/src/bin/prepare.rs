@@ -1,5 +1,5 @@
 //! Trains (or loads) every artifact of the paper and exits. Subsequent
-//! figure binaries then run instantly from the cache. Honors the shared
+//! `repro_bench` runs then load them from the cache. Honors the shared
 //! CLI flags (`--artifacts <dir>`, `--quick`).
 
 fn main() {

@@ -1,4 +1,5 @@
-//! Registry-dispatched command line shared by every bench binary.
+//! Registry-dispatched command line of the `repro_bench` binary (the
+//! `prepare` binary reuses its pipeline flags).
 //!
 //! All experiment logic lives behind the [`Experiment`](crate::Experiment)
 //! trait; this module only parses arguments, selects experiments from the
@@ -23,11 +24,7 @@
 //! * `--artifacts <dir>` — checkpoint directory (default `artifacts/`)
 //! * `--fleet <n>` — route fleet-capable evaluation cells through the
 //!   batched [`WorldBatch`](drive_sim::batch::WorldBatch) engine with `n`
-//!   episodes in lockstep (the f64 golden path is byte-identical to the
-//!   serial engine)
-//! * `--precision golden|f32` — integrator precision for fleet cells;
-//!   `f32` is the inference-only fast path and journals under its own
-//!   cell keys
+//!   episodes in lockstep (byte-identical to the serial engine)
 //! * `--perf-json <path>` — write per-phase throughput as JSON
 //! * `validate-manifest <path>` — re-check a manifest's file checksums
 //! * `bench-compare <current.json>` — diff a fresh `PERF_JSON` export from
@@ -77,8 +74,6 @@ pub struct CliArgs {
     pub perf_json: Option<PathBuf>,
     /// Fleet batch size (`None` = serial evaluation).
     pub fleet: Option<usize>,
-    /// Integrator precision for fleet-routed cells.
-    pub precision: drive_sim::batch::Precision,
     /// Manifest to validate instead of running experiments.
     pub validate_manifest: Option<PathBuf>,
     /// Fresh bench export to compare against the baseline.
@@ -253,14 +248,6 @@ impl CliArgs {
                         return Err(CliError::InvalidValue("--fleet".to_string(), raw.clone()));
                     }
                     out.fleet = Some(batch);
-                }
-                "--precision" => {
-                    let raw = it
-                        .next()
-                        .ok_or_else(|| CliError::MissingValue("--precision".to_string()))?;
-                    out.precision = drive_sim::batch::Precision::parse(raw).ok_or_else(|| {
-                        CliError::InvalidValue("--precision".to_string(), raw.clone())
-                    })?;
                 }
                 "validate-manifest" => {
                     out.validate_manifest = Some(value(&mut it, "validate-manifest")?)
@@ -482,13 +469,8 @@ pub fn run(args: &CliArgs) -> Result<(), CliError> {
     ctx.svg_dir = args.svg.clone();
     ctx.journal = journal;
     ctx.fleet = args.fleet;
-    ctx.precision = args.precision;
     if let Some(batch) = args.fleet {
-        eprintln!(
-            "[fleet] batched evaluation: {} episodes in lockstep, {} precision",
-            batch,
-            args.precision.label()
-        );
+        eprintln!("[fleet] batched evaluation: {batch} episodes in lockstep");
     }
     // The run directory a graceful interruption can be resumed from (only
     // meaningful while a journal is recording).
@@ -527,26 +509,6 @@ pub fn run(args: &CliArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Entry point for the per-figure binaries: parse the environment, default
-/// to `default_name` when nothing is selected, run, and map errors to exit
-/// codes.
-pub fn main_for(default_name: &str) -> i32 {
-    drive_core::shutdown::install();
-    match CliArgs::from_env() {
-        Ok(mut args) => {
-            if !args.selects_anything() {
-                if default_name == "all" {
-                    args.all = true;
-                } else {
-                    args.names.push(default_name.to_string());
-                }
-            }
-            dispatch(&args)
-        }
-        Err(e) => report_error(&e),
-    }
-}
-
 /// Entry point for the `repro_bench` multiplexer binary: with no selection
 /// at all, print usage plus the registry and exit 2. The `serve` and
 /// `loadgen` subcommands (the policy-serving layer) have their own flag
@@ -567,7 +529,7 @@ pub fn main_from_env() -> i32 {
         Ok(args) => {
             if !args.selects_anything() {
                 eprintln!(
-                    "usage: repro_bench [<experiment>...|--all|--filter <substr>|--list|validate-manifest <path>|bench-compare <current.json>]\n       [--smoke] [--quick] [--csv <dir>] [--svg <dir>] [--resume <dir>] [--no-journal]\n       [--artifacts <dir>] [--perf-json <path>] [--baseline <path>] [--tolerance <ratio>]\n       [--fleet <batch>] [--precision golden|f32]\n   or: repro_bench shard <dir> [--worker <id>] [--ttl-ms <n>] [--heartbeat-ms <n>] [<experiment>...|--all]\n       [--smoke] [--quick] [--artifacts <dir>] [--fleet <batch>] [--precision golden|f32]\n   or: repro_bench merge <dir> [--out <dir>] [--quick] [--artifacts <dir>] [--fleet <batch>] [--precision golden|f32]\n   or: repro_bench serve|loadgen [--requests <n>] [--qps <n>] [--seed <n>] [--workers <n>]\n       [--kills <n>] [--stalls <n>] [--corrupt-rate <f>] [--attack-at-us <n>] [--attack-delta <f>]\n       [--expect-no-sheds] [--expect-degraded] [--latency-json <path>] [--slo-p99-us <n>] [--qps-grid <a,b,...>]\n"
+                    "usage: repro_bench [<experiment>...|--all|--filter <substr>|--list|validate-manifest <path>|bench-compare <current.json>]\n       [--smoke] [--quick] [--csv <dir>] [--svg <dir>] [--resume <dir>] [--no-journal]\n       [--artifacts <dir>] [--perf-json <path>] [--baseline <path>] [--tolerance <ratio>]\n       [--fleet <batch>]\n   or: repro_bench shard <dir> [--worker <id>] [--ttl-ms <n>] [--heartbeat-ms <n>] [<experiment>...|--all]\n       [--smoke] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench merge <dir> [--out <dir>] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench serve|loadgen [--requests <n>] [--qps <n>] [--seed <n>] [--workers <n>]\n       [--kills <n>] [--stalls <n>] [--corrupt-rate <f>] [--attack-at-us <n>] [--attack-delta <f>]\n       [--expect-no-sheds] [--expect-degraded] [--latency-json <path>] [--slo-p99-us <n>] [--qps-grid <a,b,...>]\n"
                 );
                 eprint!("{}", Registry::list(Registry::all()));
                 return 2;
@@ -683,7 +645,7 @@ mod tests {
         assert_eq!(args.select().unwrap().len(), 5);
         let args = parse(&["--filter", "zzz"]);
         assert!(matches!(args.select(), Err(CliError::NoMatch(_))));
-        // Nothing selected: empty, so binaries can apply their default.
+        // Nothing selected: empty, so `repro_bench` prints its usage.
         let args = parse(&[]);
         assert!(args.select().unwrap().is_empty());
         assert!(!args.selects_anything());
@@ -756,27 +718,25 @@ mod tests {
     }
 
     #[test]
-    fn parses_fleet_and_precision() {
-        use drive_sim::batch::Precision;
-        let args = parse(&["--all", "--fleet", "64", "--precision", "f32"]);
+    fn parses_fleet() {
+        let args = parse(&["--all", "--fleet", "64"]);
         assert_eq!(args.fleet, Some(64));
-        assert_eq!(args.precision, Precision::Fast);
-        let args = parse(&["--all", "--precision", "golden"]);
-        assert!(args.fleet.is_none());
-        assert_eq!(args.precision, Precision::Golden);
-        // Default precision is the bit-exact golden path.
-        assert_eq!(parse(&["--all"]).precision, Precision::Golden);
+        assert!(parse(&["--all"]).fleet.is_none());
 
-        for bad in [
-            &["--fleet", "0"][..],
-            &["--fleet", "x"],
-            &["--precision", "f16"],
-        ] {
+        for bad in [&["--fleet", "0"][..], &["--fleet", "x"]] {
             let argv: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             let err = CliArgs::parse(&argv).expect_err(&argv.join(" "));
             assert!(matches!(err, CliError::InvalidValue(..)), "{err:?}");
             assert_eq!(exit_code(&err), 2);
         }
+        // The fleet has one semantics; there is no precision knob.
+        let argv: Vec<String> = ["--all", "--precision", "f32"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = CliArgs::parse(&argv).expect_err("--precision is not a flag");
+        assert!(matches!(err, CliError::UnknownFlag(..)), "{err:?}");
+        assert_eq!(exit_code(&err), 2);
         let dangling: Vec<String> = vec!["--fleet".into()];
         assert!(matches!(
             CliArgs::parse(&dangling),

@@ -9,8 +9,8 @@
 //! * [`Experiment`] — a named, self-describing unit of evaluation that
 //!   turns a [`RunContext`] into an [`ExperimentOutput`] (report text plus
 //!   CSV/SVG payloads).
-//! * [`Registry`] — the static table of all experiments; the CLI and every
-//!   binary dispatch through it (`--list`, `--filter`, `--all`), so adding
+//! * [`Registry`] — the static table of all experiments; the CLI
+//!   dispatches through it (`--list`, `--filter`, `--all`), so adding
 //!   an experiment is one module plus one registry line.
 //! * [`RunContext`] — everything a run needs, bundled: trained
 //!   [`Artifacts`], the [`Scale`], the hierarchical [`SeedTree`] all
@@ -35,7 +35,6 @@ use attack_core::pipeline::{Artifacts, PipelineConfig};
 use drive_metrics::export::Csv;
 use drive_metrics::report::Table;
 use drive_seed::{fnv1a_64, SeedTree};
-use drive_sim::batch::Precision;
 use std::any::Any;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -107,10 +106,6 @@ pub struct RunContext<'a> {
     /// victim/attacker pairing is fleet-steppable. `None` (the default)
     /// keeps every cell on the serial path.
     pub fleet: Option<usize>,
-    /// Numeric policy of fleet-stepped cells. [`Precision::Fast`] cells
-    /// are journaled under a distinct key so `f32` results can never
-    /// masquerade as golden ones.
-    pub precision: Precision,
     /// Sharded multi-process coordination ([`crate::shard`]): when set,
     /// every grid cell goes through the lease protocol — load a peer's
     /// published sidecar, claim-and-compute, or wait — instead of the
@@ -143,7 +138,6 @@ impl<'a> RunContext<'a> {
             svg_dir: None,
             journal: None,
             fleet: None,
-            precision: Precision::Golden,
             shard: None,
             missing_cells: None,
             cache: Mutex::new(HashMap::new()),

@@ -13,7 +13,6 @@ use drive_agents::e2e::E2eAgent;
 use drive_agents::modular::{ModularAgent, ModularConfig};
 use drive_agents::Agent;
 use drive_nn::gaussian::GaussianPolicy;
-use drive_sim::batch::Precision;
 use drive_sim::faults::{FaultInjector, FaultSchedule};
 use drive_sim::record::EpisodeRecord;
 use drive_sim::scenario::Scenario;
@@ -190,19 +189,12 @@ pub fn attacked_records_in(
         Some((_, SensorKind::Camera)) => "camera",
         Some((_, SensorKind::Imu)) => "imu",
     };
-    // Fleet-stepped Golden cells share the serial key (they are
-    // byte-identical — see `attack_core::fleet`); Fast (`f32`) cells get a
-    // distinct key so reduced-precision records can never be replayed into
-    // a golden run, or vice versa. Faulted cells carry per-step injector
+    // Fleet-stepped cells share the serial key (they are byte-identical —
+    // see `attack_core::fleet`). Faulted cells carry per-step injector
     // state that does not batch, so they stay on the serial path.
     let fleet_routable = ctx.fleet.is_some()
         && fleet_victim(kind, ctx.artifacts).is_some()
         && !cell.is_some_and(|c| c.has_faults());
-    let precision_tag = if fleet_routable && ctx.precision == Precision::Fast {
-        "|f32"
-    } else {
-        ""
-    };
     // Scenario-override cells key on the scenario's content hash (and its
     // fault schedule); the default scenario keeps the tagless legacy key.
     let scenario_tag = match cell {
@@ -219,25 +211,23 @@ pub fn attacked_records_in(
         }
     };
     let cell_label = format!(
-        "{}|{}|{}|eps={}|{}ep{}{}",
+        "{}|{}|{}|eps={}|{}ep{}",
         seeds.path(),
         kind.label(),
         sensor_name,
         budget.epsilon(),
         episodes,
-        precision_tag,
         scenario_tag
     );
     let cell_key = drive_seed::fnv1a_64(
         format!(
-            "cell|{}|{:016x}|{:?}|{}|{:016x}|{}{}{}",
+            "cell|{}|{:016x}|{:?}|{}|{:016x}|{}{}",
             seeds.path(),
             ctx.scale.seed,
             kind,
             sensor_name,
             budget.epsilon().to_bits(),
             episodes,
-            precision_tag,
             scenario_tag
         )
         .as_bytes(),
@@ -330,10 +320,9 @@ fn compute_cell(
     let fault_schedule = cell.and_then(|c| c.faults.filter(|f| !f.is_noop()));
     let adv = AdvReward::default();
     // Fleet fast path: plain-GaussianPolicy victims batch across episodes
-    // (one GEMM per layer per lockstep step). Golden precision is
-    // byte-identical to the serial loop below; a panicking fleet cell
-    // falls back to the serial path, whose per-episode retry machinery
-    // can isolate the bad episode.
+    // (one GEMM per layer per lockstep step), byte-identical to the serial
+    // loop below; a panicking fleet cell falls back to the serial path,
+    // whose per-episode retry machinery can isolate the bad episode.
     if fleet_routable {
         let (batch, victim) = (
             ctx.fleet.expect("fleet_routable checked"),
@@ -348,13 +337,9 @@ fn compute_cell(
             adv: AdvReward::default(),
             scenario: scenario.clone(),
         };
-        let plan = attack_core::fleet::FleetPlan {
-            batch,
-            precision: ctx.precision,
-        };
         let base_seed = seeds.child("episodes").seed();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eval.run(episodes, base_seed, plan)
+            eval.run(episodes, base_seed, batch)
         })) {
             Ok(records) => return (records, true),
             Err(payload) => {
@@ -447,18 +432,6 @@ impl Scale {
             seed: 10_000,
         }
     }
-
-    /// Picks the scale from CLI args (`--smoke`) or an env var
-    /// (`REPRO_SCALE=smoke`).
-    pub fn from_env() -> Self {
-        let smoke = std::env::args().any(|a| a == "--smoke")
-            || std::env::var("REPRO_SCALE").is_ok_and(|v| v == "smoke");
-        if smoke {
-            Scale::smoke()
-        } else {
-            Scale::paper()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -532,9 +505,8 @@ mod tests {
     }
 
     /// A fleet-routed context must produce the same records as the serial
-    /// path — byte-for-byte for Golden precision — for every routable
-    /// agent kind, and non-routable kinds must keep working (silently
-    /// staying serial).
+    /// path, byte-for-byte, for every routable agent kind, and non-routable
+    /// kinds must keep working (silently staying serial).
     #[test]
     fn fleet_context_matches_serial_records() {
         let (artifacts, config) = quick_setup();
@@ -569,54 +541,6 @@ mod tests {
             &seeds,
         );
         assert_eq!(fleet, serial);
-    }
-
-    /// Fast precision must journal under a different cell key than Golden
-    /// so `f32` records can never replay into a golden run.
-    #[test]
-    fn fast_precision_gets_distinct_cell_key() {
-        let (artifacts, config) = quick_setup();
-        let dir = std::env::temp_dir().join("repro-bench-fleet-key-test");
-        let base = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
-        let journal = std::sync::Arc::new(
-            crate::journal::JournalHandle::create(&dir, base.run_header()).unwrap(),
-        );
-        let mk = |precision| {
-            let mut ctx = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
-            ctx.fleet = Some(2);
-            ctx.precision = precision;
-            ctx.journal = Some(journal.clone());
-            ctx
-        };
-        let golden_ctx = mk(drive_sim::batch::Precision::Golden);
-        let seeds = golden_ctx.seeds.child("key-test");
-        let golden = attacked_records(
-            AgentKind::E2e,
-            None,
-            AttackBudget::ZERO,
-            &golden_ctx,
-            2,
-            &seeds,
-        );
-        assert_eq!(journal.cell_count(), 1);
-        // A Fast run against the same journal must NOT replay the golden
-        // cell: a distinct key forces a recompute, which journals a second
-        // cell. A key collision would short-circuit and leave the count at 1.
-        let fast_ctx = mk(drive_sim::batch::Precision::Fast);
-        let fast = attacked_records(
-            AgentKind::E2e,
-            None,
-            AttackBudget::ZERO,
-            &fast_ctx,
-            2,
-            &seeds,
-        );
-        assert_eq!(
-            journal.cell_count(),
-            2,
-            "Fast must journal under its own cell key"
-        );
-        assert_eq!(golden.len(), fast.len());
     }
 
     /// A scenario-override cell must (a) journal under its own key, (b)

@@ -5,8 +5,8 @@
 //! Each module of [`experiments`] regenerates one figure (or the baseline /
 //! ablations) from the trained [`attack_core::pipeline::Artifacts`]. All of
 //! them implement the [`engine::Experiment`] trait and register in
-//! [`engine::Registry`]; the CLI ([`cli`]) and every binary in `src/bin/`
-//! dispatch through the registry, and [`engine::execute`] emits a
+//! [`engine::Registry`]; the CLI ([`cli`]) behind the `repro_bench`
+//! binary dispatches through the registry, and [`engine::execute`] emits a
 //! [`manifest::Manifest`] next to each run's CSVs. The `figures` bench
 //! target runs the same engine at smoke scale under `cargo bench`;
 //! criterion micro-benches of the substrate live in the `perf` bench

@@ -54,9 +54,9 @@ pub struct MergeCli {
     pub dir: PathBuf,
     /// Where merged outputs land (`--out`, default `<dir>/merged`).
     pub out: PathBuf,
-    /// Standard pipeline flags (`--quick`, `--artifacts`, `--fleet`,
-    /// `--precision`); these must reproduce the workers' configuration
-    /// and are verified against the shard header.
+    /// Standard pipeline flags (`--quick`, `--artifacts`, `--fleet`);
+    /// these must reproduce the workers' configuration and are verified
+    /// against the shard header.
     pub cli: CliArgs,
 }
 
@@ -193,7 +193,6 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
     probe.journal = Some(Arc::clone(&journal));
     probe.missing_cells = Some(Arc::clone(&missing));
     probe.fleet = parsed.cli.fleet;
-    probe.precision = parsed.cli.precision;
     for exp in &experiments {
         let _ = exp.run(&probe);
     }
@@ -215,7 +214,6 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
     ctx.csv_dir = Some(parsed.out.clone());
     ctx.svg_dir = Some(parsed.out.clone());
     ctx.fleet = parsed.cli.fleet;
-    ctx.precision = parsed.cli.precision;
     for exp in &experiments {
         let outcome = engine::execute(*exp, &ctx)?;
         println!("{}", outcome.report);

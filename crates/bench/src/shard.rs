@@ -408,6 +408,7 @@ impl ShardState {
                 if attempt > 0 {
                     self.log("waited", label, &format!("{attempt} poll(s)"));
                 }
+                self.reap_lease(key, label);
                 self.log("loaded", label, "");
                 return records;
             }
@@ -452,6 +453,34 @@ impl ShardState {
                 self.config.backoff_seed ^ key,
             );
             attempt += 1;
+            std::thread::sleep(pause.max(Duration::from_millis(1)));
+        }
+    }
+
+    /// Clears the lease of a published cell. An owner killed between
+    /// publishing and releasing leaves its lease behind, and nobody would
+    /// ever steal it: every later visitor loads the sidecar instead. A
+    /// stale lease is taken through the tombstone arbiter (see
+    /// [`ShardState::take_stale`]), never unlinked outright. A fresh one is
+    /// left alone in an opportunistic sweep; the completing sweep waits it
+    /// out like a busy cell, on the same backoff, until its owner releases
+    /// it or its heartbeat stops and it goes stale.
+    fn reap_lease(&self, key: u64, label: &str) {
+        for attempt in 0.. {
+            if let Some(prev_owner) = self.take_stale(key) {
+                self.log("reaped", label, &format!("from {prev_owner}"));
+                return;
+            }
+            if self.opportunistic.load(Ordering::SeqCst)
+                || shutdown::requested()
+                || !self.lease_path(key).exists()
+            {
+                return;
+            }
+            let pause = self.backoff.backoff_for(
+                attempt.min(self.backoff.max_attempts),
+                self.config.backoff_seed ^ key,
+            );
             std::thread::sleep(pause.max(Duration::from_millis(1)));
         }
     }
@@ -509,33 +538,29 @@ impl ShardState {
         }
     }
 
-    /// Steals `key`'s lease if its heartbeat is older than the TTL. The
-    /// rename-to-tombstone is the atomic arbiter: of two racing
-    /// stealers exactly one `rename` succeeds, the loser re-polls.
-    fn try_steal(&self, key: u64, label: &str) -> bool {
+    /// Removes `key`'s lease if its heartbeat is older than the TTL and
+    /// returns its previous owner. The rename-to-tombstone is the atomic
+    /// arbiter: of two racing takers exactly one `rename` succeeds, and a
+    /// lease with a fresh heartbeat (a live owner) is never touched.
+    fn take_stale(&self, key: u64) -> Option<String> {
         let path = self.lease_path(key);
-        let stale = match std::fs::metadata(&path) {
-            Ok(meta) => meta
-                .modified()
-                .ok()
-                .and_then(|m| m.elapsed().ok())
-                .is_some_and(|age| age > self.config.ttl),
-            // Vanished between the failed create and here: the owner
-            // released it. Report busy; the next poll re-tries the
-            // create path.
-            Err(_) => false,
-        };
-        if !stale {
-            return false;
+        // A lease that vanished meanwhile was released by its owner.
+        let age = std::fs::metadata(&path)
+            .ok()?
+            .modified()
+            .ok()?
+            .elapsed()
+            .ok()?;
+        if age <= self.config.ttl {
+            return None;
         }
         let tomb = self
             .config
             .dir
             .join("leases")
             .join(format!("cell-{key:016x}.steal-{}", self.config.owner));
-        if std::fs::rename(&path, &tomb).is_err() {
-            return false; // another stealer won the rename
-        }
+        // Failure means another taker won the rename.
+        std::fs::rename(&path, &tomb).ok()?;
         let prev_owner = std::fs::read_to_string(&tomb)
             .ok()
             .and_then(|text| {
@@ -545,6 +570,16 @@ impl ShardState {
             })
             .unwrap_or_else(|| "(unreadable)".to_string());
         let _ = std::fs::remove_file(&tomb);
+        Some(prev_owner)
+    }
+
+    /// Steals `key`'s lease if its heartbeat is older than the TTL (see
+    /// [`ShardState::take_stale`]); a losing stealer re-polls.
+    fn try_steal(&self, key: u64, label: &str) -> bool {
+        let path = self.lease_path(key);
+        let Some(prev_owner) = self.take_stale(key) else {
+            return false;
+        };
         self.log("stolen", label, &format!("from {prev_owner}"));
         // The slot is free now, but a third worker may legitimately take
         // it first — stealing guarantees progress, not that *we* win.
@@ -864,7 +899,6 @@ pub fn run_worker(
             let mut ctx = RunContext::new(&artifacts, &config, scale);
             ctx.shard = Some(Arc::clone(&state));
             ctx.fleet = parsed.cli.fleet;
-            ctx.precision = parsed.cli.precision;
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(&ctx)));
             match outcome {
                 Ok(_) => eprintln!(
@@ -994,6 +1028,56 @@ mod tests {
         let recs3 = records(3);
         let got3 = b.run_cell(7, "cell-7x3", 3, move || (recs3.clone(), true));
         assert_eq!(got3.len(), 3);
+    }
+
+    /// Crash point between `publish` and the lease release: the sidecar is
+    /// on disk but the dead owner's lease is not. A loader reaps that lease
+    /// once its heartbeat is stale, and an opportunistic loader leaves a
+    /// fresh one (a live owner about to release it) alone.
+    #[test]
+    fn loader_reaps_stale_lease_of_published_cell() {
+        let dir = temp("repro-shard-reap");
+        let dead = state(&dir, "wa", DEFAULT_TTL);
+        let b = state(&dir, "wb", DEFAULT_TTL);
+        b.set_opportunistic(true);
+        let lease = |key: u64| dir.join("leases").join(format!("cell-{key:016x}.lease"));
+        for (key, age, reaped) in [(21, 2 * DEFAULT_TTL, true), (23, Duration::ZERO, false)] {
+            let label = format!("cell-{key}");
+            assert!(dead.try_acquire(key, &label));
+            dead.publish(key, &label, 4, &records(4)).unwrap();
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(lease(key))
+                .unwrap()
+                .set_modified(std::time::SystemTime::now() - age)
+                .unwrap();
+
+            let got = b.run_cell(key, &label, 4, || unreachable!("must load, not compute"));
+            assert_eq!(got, records(4));
+            assert_eq!(!lease(key).exists(), reaped, "{label}: age {age:?}");
+        }
+        assert_eq!(b.event_count("loaded"), 2);
+        assert_eq!(b.event_count("reaped"), 1);
+    }
+
+    /// The completing sweep does not leave a dead owner's fresh lease
+    /// behind: it waits until the heartbeat goes stale, then reaps it.
+    #[test]
+    fn completing_loader_waits_out_fresh_lease_of_published_cell() {
+        let dir = temp("repro-shard-reap-wait");
+        let ttl = Duration::from_millis(100);
+        let dead = state(&dir, "wa", ttl);
+        let b = state(&dir, "wb", ttl);
+        assert!(dead.try_acquire(25, "cell-25"));
+        dead.publish(25, "cell-25", 4, &records(4)).unwrap();
+
+        let got = b.run_cell(25, "cell-25", 4, || unreachable!("must load, not compute"));
+        assert_eq!(got, records(4));
+        assert!(!dir
+            .join("leases")
+            .join(format!("cell-{:016x}.lease", 25))
+            .exists());
+        assert_eq!(b.event_count("reaped"), 1);
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //!
 //! The serial harness spends most of an evaluated step inside two policy
 //! forward passes (victim + attacker) at batch size 1. [`FleetEval`] runs
-//! up to [`FleetPlan::batch`] episodes through one
-//! [`WorldBatch`], gathering every live observation into a
-//! staging matrix so each policy runs one GEMM per layer per control step
-//! (`drive_nn::batch::BatchPolicy`). Slots that finish are retired
+//! up to `batch` episodes through one [`WorldBatch`], gathering every
+//! live observation into a staging matrix so each policy runs one GEMM per
+//! layer per control step (`drive_nn::batch::BatchPolicy`). Slots that finish are retired
 //! immediately and the batch is refilled from the remaining seed grid, so
 //! occupancy stays high even though episodes end at different steps.
 //!
@@ -17,12 +16,10 @@
 //!   `drive_agents::runner::run_episode_with_faults` exactly;
 //! * deterministic batched inference is bit-identical to serial
 //!   `act_with` (tested in `drive-nn` and `drive-serve`);
-//! * under [`Precision::Golden`] the batch steps each world through the
-//!   serial engine verbatim.
+//! * the batch steps each world through the serial engine verbatim.
 //!
-//! So a Golden fleet cell produces byte-identical [`EpisodeRecord`]s to
-//! the serial loop (tested below), while [`Precision::Fast`] trades
-//! documented `f32` integration round-off for speed.
+//! So a fleet cell produces byte-identical [`EpisodeRecord`]s to the
+//! serial loop (tested below).
 
 use crate::adv_reward::AdvReward;
 use crate::budget::AttackBudget;
@@ -32,7 +29,7 @@ use drive_agents::reward::{RewardConfig, RewardShaper};
 use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::scratch::BatchActScratch;
-use drive_sim::batch::{Precision, WorldBatch};
+use drive_sim::batch::WorldBatch;
 use drive_sim::record::{EpisodeRecord, ATTACK_START_THRESHOLD};
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::{FeatureConfig, FeatureExtractor, ImuConfig};
@@ -42,31 +39,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How the fleet steps: lockstep slot capacity and numeric policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetPlan {
-    /// Maximum episodes in flight (observation matrix rows).
-    pub batch: usize,
-    /// Numeric policy of the underlying [`WorldBatch`].
-    pub precision: Precision,
-}
-
-impl FleetPlan {
-    /// A Golden (bit-exact) plan at the given batch size.
-    pub fn golden(batch: usize) -> Self {
-        FleetPlan {
-            batch,
-            precision: Precision::Golden,
-        }
-    }
-}
-
-impl Default for FleetPlan {
-    fn default() -> Self {
-        FleetPlan::golden(64)
-    }
-}
 
 /// One victim/attacker evaluation cell, fleet-steppable.
 ///
@@ -154,16 +126,16 @@ impl<'a> FleetEval<'a> {
     }
 
     /// Runs `episodes` attacked episodes with seeds `base_seed..`,
-    /// returning records in episode order — the same seed grid and record
-    /// contents as the serial
-    /// `attack_core::eval::run_attacked_episodes` loop.
+    /// at most `batch` in flight (observation matrix rows), returning
+    /// records in episode order — the same seed grid and record contents
+    /// as the serial `attack_core::eval::run_attacked_episodes` loop.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatches (same contracts as `E2eAgent::new`
-    /// and `LearnedAttacker::new`) or a zero-slot plan.
-    pub fn run(&self, episodes: usize, base_seed: u64, plan: FleetPlan) -> Vec<EpisodeRecord> {
-        assert!(plan.batch > 0, "fleet needs at least one slot");
+    /// and `LearnedAttacker::new`) or a zero `batch`.
+    pub fn run(&self, episodes: usize, base_seed: u64, batch: usize) -> Vec<EpisodeRecord> {
+        assert!(batch > 0, "fleet needs at least one slot");
         assert_eq!(
             self.victim.obs_dim(),
             self.features.observation_dim(),
@@ -189,11 +161,12 @@ impl<'a> FleetEval<'a> {
         });
 
         let mut results: Vec<Option<EpisodeRecord>> = (0..episodes).map(|_| None).collect();
-        let mut batch = WorldBatch::new(plan.precision);
+        let capacity = batch;
+        let mut batch = WorldBatch::new();
         let mut slots: Vec<Slot> = Vec::new();
         let mut next = 0usize;
         let refill = |batch: &mut WorldBatch, slots: &mut Vec<Slot>, next: &mut usize| {
-            while batch.len() < plan.batch && *next < episodes {
+            while batch.len() < capacity && *next < episodes {
                 let (world, slot) = self.spawn(*next, base_seed + *next as u64);
                 batch.push(world);
                 slots.push(slot);
@@ -214,7 +187,7 @@ impl<'a> FleetEval<'a> {
             // recorded by `WorldBatch::step` from its post-compaction
             // in-flight count, so a slot that retires and is refilled in
             // the same `compact` pass is counted exactly once.
-            drive_sim::perf::record_fleet_capacity(plan.batch as u64);
+            drive_sim::perf::record_fleet_capacity(capacity as u64);
             let n = batch.len();
 
             // Victim head: one staged forward pass over every live slot.
@@ -394,7 +367,7 @@ mod tests {
         for (attack, budget) in cases {
             let serial = serial_records(&v, attack, budget, 5, 9_000);
             for batch in [1usize, 2, 8] {
-                let fleet = fleet_eval(&v, attack, budget).run(5, 9_000, FleetPlan::golden(batch));
+                let fleet = fleet_eval(&v, attack, budget).run(5, 9_000, batch);
                 assert_eq!(
                     fleet, serial,
                     "fleet(batch={batch}) diverged from serial (budget {budget})"
@@ -403,62 +376,12 @@ mod tests {
         }
     }
 
-    /// Fast (`f32`) fleet: per-step actions stay close to Golden while
-    /// both paths run, and the cell-level summary metrics agree within a
-    /// documented epsilon. This is the accuracy contract for opting eval
-    /// sweeps into `--precision f32`.
-    #[test]
-    fn fast_fleet_bounded_divergence_from_golden() {
-        const STEP_DELTA_TOL: f64 = 2e-2; // per-step |perturbation| gap
-        const RETURN_TOL: f64 = 0.05; // relative, mean nominal return
-        let v = victim();
-        let cam = camera_attacker();
-        let eval = fleet_eval(
-            &v,
-            Some((&cam, SensorKind::Camera)),
-            AttackBudget::new(0.75),
-        );
-        let golden = eval.run(6, 1_700, FleetPlan::golden(4));
-        let fast = eval.run(
-            6,
-            1_700,
-            FleetPlan {
-                batch: 4,
-                precision: Precision::Fast,
-            },
-        );
-        for (g, f) in golden.iter().zip(&fast) {
-            // While both episodes are live the injected perturbations must
-            // track each other step by step.
-            for (dg, df) in g.perturbation.iter().zip(&f.perturbation) {
-                assert!(
-                    (dg - df).abs() < STEP_DELTA_TOL,
-                    "per-step attack delta diverged: {dg} vs {df}"
-                );
-            }
-        }
-        let mean = |rs: &[EpisodeRecord]| {
-            rs.iter().map(|r| r.nominal_return).sum::<f64>() / rs.len() as f64
-        };
-        let (mg, mf) = (mean(&golden), mean(&fast));
-        assert!(
-            (mg - mf).abs() <= RETURN_TOL * mg.abs().max(1.0),
-            "mean nominal return diverged: golden {mg} vs fast {mf}"
-        );
-        let steps = |rs: &[EpisodeRecord]| rs.iter().map(|r| r.steps).sum::<usize>();
-        let (sg, sf) = (steps(&golden) as f64, steps(&fast) as f64);
-        assert!(
-            (sg - sf).abs() <= 0.05 * sg,
-            "episode lengths diverged: golden {sg} vs fast {sf}"
-        );
-    }
-
     /// The fleet feeds the process-wide perf counters.
     #[test]
     fn fleet_run_records_perf_counters() {
         let t0 = drive_sim::perf::fleet();
         let v = victim();
-        let _ = fleet_eval(&v, None, AttackBudget::ZERO).run(2, 50, FleetPlan::golden(2));
+        let _ = fleet_eval(&v, None, AttackBudget::ZERO).run(2, 50, 2);
         let d = drive_sim::perf::fleet().since(&t0);
         assert!(d.batches > 0, "WorldBatch::step must record batches");
         assert!(d.capacity >= d.batches, "capacity recorded per iteration");

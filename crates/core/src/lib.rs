@@ -36,7 +36,7 @@ pub mod prelude {
         detection_agreement, DetectorConfig, DetectorSimplexAgent, PerturbationDetector,
     };
     pub use crate::eval::{run_attacked_episode, run_attacked_episodes};
-    pub use crate::fleet::{FleetEval, FleetPlan};
+    pub use crate::fleet::FleetEval;
     pub use crate::learned::LearnedAttacker;
     pub use crate::oracle::OracleAttacker;
     pub use crate::pipeline::{prepare, Artifacts, PipelineConfig};

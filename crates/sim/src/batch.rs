@@ -8,210 +8,15 @@
 //! which swap-removes them so the dense slot array never carries dead
 //! weight.
 //!
-//! Two precision paths share every decision branch with the serial engine:
-//!
-//! * [`Precision::Golden`] steps each slot through [`World::step`]
-//!   verbatim — bit-identical to a serial run by construction. The batched
-//!   win is inference amortization only.
-//! * [`Precision::Fast`] runs the control phase (NPC policies, Eq. (1)
-//!   smoothing, sanitize accounting) and the outcome phase (collision
-//!   detection, termination) through the same `f64` code as the serial
-//!   engine, but integrates the bicycle-model substeps in `f32` over a
-//!   structure-of-arrays scratch, loop-interchanged so the inner loop runs
-//!   across vehicles. State is written back as `f64` (an exact `f32 → f64`
-//!   widening, so the next control step sees exactly the integrator's
-//!   state). Divergence from Golden therefore comes from integration
-//!   round-off alone and is bounded by test
-//!   (`fast_path_tracks_golden_within_tolerance`).
-//!
-//! The Fast integrator requires uniform [`VehicleParams`] across the batch
-//! (every spawn site uses `VehicleParams::default()`); it asserts this and
-//! hoists the parameter set into scalar constants. NPC inertial histories
-//! are not reproduced by the Fast path (only the ego's feed the IMU
-//! sensor); they are cleared so stale samples can never leak.
+//! Each slot steps through the serial engine's own phases
+//! (`World::begin_step`, `World::integrate_step`, `World::conclude_step`),
+//! so a batch is bit-identical to serial runs by construction. The batched
+//! win is inference amortization only.
 
 use crate::scenario::Scenario;
-use crate::vehicle::{Actuation, InertialSample, VehicleParams};
+use crate::vehicle::Actuation;
 use crate::world::{StepOutcome, World};
 use std::time::Instant;
-
-/// Padding added to the conservative contact radius of the Fast outcome
-/// broad phase, far above any `f32` round-off at road coordinates.
-const BROAD_PAD: f64 = 0.5;
-
-/// Numeric policy for batched stepping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Bit-identical to the serial engine: per-slot `f64` stepping through
-    /// [`World::step`]. The default, and the only path allowed to feed
-    /// golden artifacts.
-    #[default]
-    Golden,
-    /// `f32` structure-of-arrays substep integration; `f64` decision
-    /// logic. Inference-only evaluation sweeps may opt in for speed.
-    Fast,
-}
-
-impl Precision {
-    /// Parses a CLI spelling (`golden` | `f32`).
-    pub fn parse(s: &str) -> Option<Precision> {
-        match s {
-            "golden" | "f64" => Some(Precision::Golden),
-            "fast" | "f32" => Some(Precision::Fast),
-            _ => None,
-        }
-    }
-
-    /// Canonical CLI spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            Precision::Golden => "golden",
-            Precision::Fast => "f32",
-        }
-    }
-}
-
-/// `f32` structure-of-arrays scratch for the Fast integrator.
-///
-/// Vehicles of all live slots are flattened egos-first: lanes
-/// `[0, live)` hold the egos (in slot order), then each slot's NPCs
-/// follow slot-major. Per-control-step constants (`thrust`, `tan δ`,
-/// `β`, `cos β`) are hoisted out of the substep loop because Eq. (1)
-/// fixes the steering angle for the whole control step.
-#[derive(Debug, Default)]
-struct FastLanes {
-    x: Vec<f32>,
-    y: Vec<f32>,
-    heading: Vec<f32>,
-    speed: Vec<f32>,
-    thrust: Vec<f32>,
-    tan_d: Vec<f32>,
-    beta: Vec<f32>,
-    cos_b: Vec<f32>,
-    /// Ego inertial samples, `[ego * substeps + s]`, three lanes.
-    acc_lon: Vec<f32>,
-    acc_lat: Vec<f32>,
-    yaw: Vec<f32>,
-}
-
-impl FastLanes {
-    fn clear(&mut self) {
-        self.x.clear();
-        self.y.clear();
-        self.heading.clear();
-        self.speed.clear();
-        self.thrust.clear();
-        self.tan_d.clear();
-        self.beta.clear();
-        self.cos_b.clear();
-    }
-
-    fn push_vehicle(&mut self, v: &crate::vehicle::Vehicle, delta: f64) {
-        self.x.push(v.pose.position.x as f32);
-        self.y.push(v.pose.position.y as f32);
-        self.heading.push(v.pose.heading as f32);
-        self.speed.push(v.speed as f32);
-        self.thrust.push(v.actuation.thrust as f32);
-        let tan_d = tan_fast(delta as f32);
-        self.tan_d.push(tan_d);
-        let p = &v.params;
-        let u = (p.lr / p.wheelbase()) as f32 * tan_d;
-        self.beta.push(atan_fast(u));
-        // cos(atan u) = 1/sqrt(1 + u^2): one hardware sqrt instead of a
-        // libm cosine.
-        self.cos_b.push(1.0 / (1.0 + u * u).sqrt());
-    }
-}
-
-/// Replica of [`crate::geometry::normalize_angle`] in `f32`.
-fn normalize_angle_f32(a: f32) -> f32 {
-    let two_pi = std::f32::consts::TAU;
-    // `fmod` is exact, so for |a| < 2π it returns `a` unchanged; skipping
-    // the libm call on that (overwhelmingly common) range is bit-identical
-    // and keeps it out of the per-substep integration loop.
-    let mut r = if a > -two_pi && a < two_pi {
-        a
-    } else {
-        a % two_pi
-    };
-    if r >= std::f32::consts::PI {
-        r -= two_pi;
-    } else if r < -std::f32::consts::PI {
-        r += two_pi;
-    }
-    r
-}
-
-/// Fast `f32` sine+cosine: quadrant reduction with a Cody-Waite split of
-/// π/2, then the classic Cephes minimax polynomials on `[-π/4, π/4]`
-/// (~1 ulp). The f32 path calls this once per vehicle per substep for the
-/// course rotation, where libm's `sinf`/`cosf` dominated the integrate
-/// phase; the Golden path never uses it, so the batch-vs-serial
-/// bit-identity contract is untouched. Accurate for the post-normalize
-/// angles this path produces (|x| ≲ π + max β); inputs far outside that
-/// range lose reduction precision.
-#[inline]
-fn sin_cos_poly(r: f32) -> (f32, f32) {
-    let z = r * r;
-    let s = ((-1.951_529_6e-4 * z + 8.332_161e-3) * z - 1.666_665_5e-1) * z * r + r;
-    let c =
-        (2.443_315_7e-5 * z - 1.388_731_6e-3) * z * z * z + 4.166_664_6e-2 * z * z - 0.5 * z + 1.0;
-    (s, c)
-}
-
-#[inline]
-fn sin_cos_fast(x: f32) -> (f32, f32) {
-    // Lane driving keeps |course| well under π/4 almost always, so the
-    // common case needs no reduction and no quadrant dispatch — one
-    // predictable branch.
-    if x.abs() <= std::f32::consts::FRAC_PI_4 {
-        return sin_cos_poly(x);
-    }
-    const PIO2_HI: f32 = 1.570_796_4;
-    const PIO2_LO: f32 = -4.371_139e-8;
-    let q = (x * std::f32::consts::FRAC_2_PI).round();
-    let r = (x - q * PIO2_HI) - q * PIO2_LO;
-    let (s, c) = sin_cos_poly(r);
-    match (q as i32) & 3 {
-        0 => (s, c),
-        1 => (c, -s),
-        2 => (-s, -c),
-        _ => (-c, s),
-    }
-}
-
-/// Fast `f32` tangent via [`sin_cos_fast`]; inherits its accuracy and
-/// range caveats (fine for steering angles, which are mechanically
-/// clamped well inside ±π/2).
-#[inline]
-fn tan_fast(x: f32) -> f32 {
-    let (s, c) = sin_cos_fast(x);
-    s / c
-}
-
-/// Fast `f32` arctangent: the Cephes range splits at tan(π/8) and
-/// tan(3π/8), then a degree-9 odd minimax polynomial (~1 ulp over the
-/// full real line). Used to stage the slip angle β on the f32 path.
-#[inline]
-fn atan_fast(x: f32) -> f32 {
-    let ax = x.abs();
-    let (base, t) = if ax > 2.414_213_5 {
-        (std::f32::consts::FRAC_PI_2, -1.0 / ax)
-    } else if ax > 0.414_213_56 {
-        (std::f32::consts::FRAC_PI_4, (ax - 1.0) / (ax + 1.0))
-    } else {
-        (0.0, ax)
-    };
-    let z = t * t;
-    let p =
-        (((8.053_744_6e-2 * z - 1.387_768_6e-1) * z + 1.997_771e-1) * z - 3.333_295e-1) * z * t + t;
-    let y = base + p;
-    if x < 0.0 {
-        -y
-    } else {
-        y
-    }
-}
 
 /// N episodes stepped in lockstep.
 ///
@@ -220,40 +25,24 @@ fn atan_fast(x: f32) -> f32 {
 /// place (re-reporting their terminal outcome, like the serial engine)
 /// until [`WorldBatch::compact`] swap-removes them; callers holding
 /// per-slot side state mirror the same swap-removes through the callback.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WorldBatch {
     worlds: Vec<World>,
-    precision: Precision,
-    lanes: FastLanes,
     /// Per-step scratch: dense indices of slots that passed `begin_step`.
     live: Vec<usize>,
     /// Per-step scratch: sanitized ego commands, parallel to `live`.
     ego_cmds: Vec<Actuation>,
-    /// The batch-wide vehicle parameter set, established and validated at
-    /// [`WorldBatch::push`] time on the Fast path (parameters are fixed at
-    /// spawn, so a per-push check makes the per-step asserts redundant).
-    uniform_params: Option<VehicleParams>,
 }
 
 impl WorldBatch {
     /// Creates an empty batch.
-    pub fn new(precision: Precision) -> Self {
-        WorldBatch {
-            worlds: Vec::new(),
-            precision,
-            lanes: FastLanes::default(),
-            live: Vec::new(),
-            ego_cmds: Vec::new(),
-            uniform_params: None,
-        }
+    pub fn new() -> Self {
+        WorldBatch::default()
     }
 
     /// Spawns a batch from scenarios (one fresh [`World`] per scenario).
-    pub fn from_scenarios<I: IntoIterator<Item = Scenario>>(
-        scenarios: I,
-        precision: Precision,
-    ) -> Self {
-        let mut b = WorldBatch::new(precision);
+    pub fn from_scenarios<I: IntoIterator<Item = Scenario>>(scenarios: I) -> Self {
+        let mut b = WorldBatch::new();
         for s in scenarios {
             b.push(World::new(s));
         }
@@ -261,35 +50,9 @@ impl WorldBatch {
     }
 
     /// Adds an episode; returns its dense slot index.
-    ///
-    /// # Panics
-    ///
-    /// On the Fast path, panics unless every vehicle in `world` shares the
-    /// batch's vehicle parameters (established by the first push).
     pub fn push(&mut self, world: World) -> usize {
-        if self.precision == Precision::Fast {
-            let p = self
-                .uniform_params
-                .get_or_insert_with(|| world.ego().params.clone());
-            assert_eq!(
-                *p,
-                world.ego().params,
-                "Fast path requires uniform vehicle parameters"
-            );
-            for npc in world.npcs() {
-                assert_eq!(
-                    *p, npc.vehicle.params,
-                    "Fast path requires uniform vehicle parameters"
-                );
-            }
-        }
         self.worlds.push(world);
         self.worlds.len() - 1
-    }
-
-    /// The numeric policy this batch steps under.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Live slots, dense.
@@ -311,27 +74,17 @@ impl WorldBatch {
     /// variation command for `worlds()[i]`; outcomes are written densely
     /// into `outcomes` (cleared first).
     ///
+    /// The step is sliced into per-phase loops over the slots (control,
+    /// integrate, outcome) so each phase is timed once per batch. Worlds
+    /// are independent, so phase-major iteration is bit-identical to the
+    /// slot-major [`World::step`] sequence.
+    ///
     /// # Panics
     ///
-    /// Panics if `actions.len() != len()`, and on the Fast path if vehicle
-    /// parameters are not uniform across the batch.
+    /// Panics if `actions.len() != len()`.
     pub fn step(&mut self, actions: &[Actuation], outcomes: &mut Vec<StepOutcome>) {
         assert_eq!(actions.len(), self.worlds.len(), "one action per slot");
         outcomes.clear();
-        match self.precision {
-            Precision::Golden => self.step_golden(actions, outcomes),
-            Precision::Fast => self.step_fast(actions, outcomes),
-        }
-        // Occupancy counts only slots that actually advanced this step;
-        // already-terminated slots merely re-report their outcome.
-        crate::perf::record_fleet_batch(self.live.len() as u64);
-    }
-
-    /// One Golden control step, sliced into per-phase loops over the
-    /// slots (control, integrate, outcome) so each phase is timed once
-    /// per batch. Worlds are independent, so phase-major iteration is
-    /// bit-identical to the slot-major [`World::step`] sequence.
-    fn step_golden(&mut self, actions: &[Actuation], outcomes: &mut Vec<StepOutcome>) {
         let t0 = Instant::now();
         self.live.clear();
         self.ego_cmds.clear();
@@ -364,180 +117,9 @@ impl WorldBatch {
             (t2 - t1).as_nanos() as u64,
             t2.elapsed().as_nanos() as u64,
         );
-    }
-
-    /// One Fast control step: shared `f64` control phase, `f32` SoA
-    /// integration, SoA broad phase + shared `f64` outcome phase.
-    fn step_fast(&mut self, actions: &[Actuation], outcomes: &mut Vec<StepOutcome>) {
-        let t0 = Instant::now();
-        // Phase 1 — control (`f64`, shared with serial): sanitize, NPC
-        // policies, Eq. (1) smoothing. Terminated slots re-report and skip
-        // integration, exactly like `World::step`. NPC controls stay in
-        // each world's step scratch — no per-step buffers are allocated.
-        self.live.clear();
-        self.lanes.clear();
-        // `outcomes` is filled with placeholders, then finalized in phase 3.
-        let mut dt = 0.0f64;
-        let mut substeps = 0usize;
-        for (i, w) in self.worlds.iter_mut().enumerate() {
-            match w.begin_step(actions[i]) {
-                Ok(ego_cmd) => {
-                    self.live.push(i);
-                    dt = w.scenario().dt;
-                    substeps = w.scenario().substeps;
-                    let delta = w.ego_mut().apply_variation(ego_cmd);
-                    self.lanes.push_vehicle(w.ego(), delta);
-                    outcomes.push(StepOutcome {
-                        step: 0,
-                        collision: None,
-                        termination: None,
-                        passed: 0,
-                    });
-                }
-                Err(done) => outcomes.push(done),
-            }
-        }
-        if self.live.is_empty() {
-            let done = Instant::now();
-            crate::perf::record_fleet_phases((done - t0).as_nanos() as u64, 0, 0);
-            return;
-        }
-        // NPC lanes, slot-major after the egos.
-        for &i in &self.live {
-            let w = &mut self.worlds[i];
-            for k in 0..w.npcs().len() {
-                let control = w.npc_controls()[k];
-                let npc = &mut w.npcs_mut()[k];
-                let delta = npc.vehicle.apply_variation(control);
-                self.lanes.push_vehicle(&npc.vehicle, delta);
-            }
-        }
-        let t1 = Instant::now();
-
-        // Phase 2 — `f32` SoA substep integration, vehicles innermost.
-        let p = self
-            .uniform_params
-            .clone()
-            .expect("push validated parameters for every slot");
-        let n_egos = self.live.len();
-        let n_vehicles = self.lanes.x.len();
-        let h = (dt / substeps as f64) as f32;
-        let max_accel = p.max_accel as f32;
-        let max_brake = p.max_brake as f32;
-        let drag = p.drag as f32;
-        let max_speed = p.max_speed as f32;
-        let max_lat_accel = p.max_lat_accel as f32;
-        let wheelbase = p.wheelbase() as f32;
-        self.lanes.acc_lon.resize(n_egos * substeps, 0.0);
-        self.lanes.acc_lat.resize(n_egos * substeps, 0.0);
-        self.lanes.yaw.resize(n_egos * substeps, 0.0);
-        for s in 0..substeps {
-            for v in 0..n_vehicles {
-                let thrust = self.lanes.thrust[v];
-                let drive = if thrust >= 0.0 {
-                    thrust * max_accel
-                } else {
-                    thrust * max_brake
-                };
-                let speed = self.lanes.speed[v];
-                let accel = drive - drag * speed;
-                let new_speed = (speed + accel * h).clamp(0.0, max_speed);
-                let realized_accel = (new_speed - speed) / h;
-                let speed = new_speed;
-                self.lanes.speed[v] = speed;
-
-                let beta = self.lanes.beta[v];
-                let mut yaw_rate = speed * self.lanes.cos_b[v] * self.lanes.tan_d[v] / wheelbase;
-                if speed > 0.1 {
-                    let cap = max_lat_accel / speed;
-                    yaw_rate = yaw_rate.clamp(-cap, cap);
-                }
-                let course = self.lanes.heading[v] + beta;
-                let ds = speed * h;
-                let (sin_c, cos_c) = sin_cos_fast(course);
-                self.lanes.x[v] += cos_c * ds;
-                self.lanes.y[v] += sin_c * ds;
-                self.lanes.heading[v] = normalize_angle_f32(self.lanes.heading[v] + yaw_rate * h);
-
-                if v < n_egos {
-                    let k = v * substeps + s;
-                    self.lanes.acc_lon[k] = realized_accel;
-                    self.lanes.acc_lat[k] = speed * yaw_rate;
-                    self.lanes.yaw[k] = yaw_rate;
-                }
-            }
-        }
-
-        let t2 = Instant::now();
-
-        // Phase 3 — SoA contact broad phase, scatter back (`f32 → f64` is
-        // exact), and conclude with the shared `f64` outcome phase. A slot
-        // whose ego is provably clear of every NPC (bounding circles) and
-        // of both barriers (worst-case taper corridor) skips the exact
-        // narrow phase, which could only return `None` for it.
-        let half_diag = 0.5 * p.length.hypot(p.width) + BROAD_PAD;
-        let contact_r2 = (2.0 * half_diag) * (2.0 * half_diag);
-        let mut lane = n_egos;
-        for (e, &i) in self.live.iter().enumerate() {
-            let w = &mut self.worlds[i];
-            let ego_x = self.lanes.x[e] as f64;
-            let ego_y = self.lanes.y[e] as f64;
-            let mut contact = false;
-            for v in lane..lane + w.npcs().len() {
-                let dx = self.lanes.x[v] as f64 - ego_x;
-                let dy = self.lanes.y[v] as f64 - ego_y;
-                if dx * dx + dy * dy <= contact_r2 {
-                    contact = true;
-                }
-            }
-            {
-                let road = &w.scenario().road;
-                // Barrier edges never move closer to the centerline than
-                // this across any topology taper.
-                let left_min = match road.topology {
-                    crate::road::RoadTopology::LaneDrop { .. } => {
-                        road.left_edge_y() - road.lane_width
-                    }
-                    _ => road.left_edge_y(),
-                };
-                if ego_y + half_diag >= left_min || ego_y - half_diag <= road.right_edge_y() {
-                    contact = true;
-                }
-            }
-            {
-                let ego = w.ego_mut();
-                ego.pose.position.x = self.lanes.x[e] as f64;
-                ego.pose.position.y = self.lanes.y[e] as f64;
-                ego.pose.heading = self.lanes.heading[e] as f64;
-                ego.speed = self.lanes.speed[e] as f64;
-                ego.inertial.clear();
-                for s in 0..substeps {
-                    let k = e * substeps + s;
-                    ego.inertial.push(InertialSample {
-                        accel_lon: self.lanes.acc_lon[k] as f64,
-                        accel_lat: self.lanes.acc_lat[k] as f64,
-                        yaw_rate: self.lanes.yaw[k] as f64,
-                    });
-                }
-            }
-            for npc in w.npcs_mut().iter_mut() {
-                let v = &mut npc.vehicle;
-                v.pose.position.x = self.lanes.x[lane] as f64;
-                v.pose.position.y = self.lanes.y[lane] as f64;
-                v.pose.heading = self.lanes.heading[lane] as f64;
-                v.speed = self.lanes.speed[lane] as f64;
-                // Only the ego's inertial history feeds a sensor; drop
-                // NPC samples rather than carry stale ones.
-                v.inertial.clear();
-                lane += 1;
-            }
-            outcomes[i] = w.conclude_step_pruned(contact);
-        }
-        crate::perf::record_fleet_phases(
-            (t1 - t0).as_nanos() as u64,
-            (t2 - t1).as_nanos() as u64,
-            t2.elapsed().as_nanos() as u64,
-        );
+        // Occupancy counts only slots that actually advanced this step;
+        // already-terminated slots merely re-report their outcome.
+        crate::perf::record_fleet_batch(self.live.len() as u64);
     }
 
     /// Swap-removes every finished slot, handing each to `retire` along
@@ -562,29 +144,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    /// The polynomial trig used by the f32 staging/integrate loops must
-    /// stay within a few f32 ulps of libm over the ranges those loops
-    /// produce (|course| <= pi + beta, |steer| <= max_steer, any slip
-    /// ratio for atan).
-    #[test]
-    fn fast_trig_matches_libm_within_ulps() {
-        let mut x = -4.0f32;
-        while x <= 4.0 {
-            let (s, c) = sin_cos_fast(x);
-            assert!((s - x.sin()).abs() < 4e-7, "sin({x}) = {s} vs {}", x.sin());
-            assert!((c - x.cos()).abs() < 4e-7, "cos({x}) = {c} vs {}", x.cos());
-            assert!((atan_fast(x) - x.atan()).abs() < 4e-7, "atan({x})");
-            x += 1e-3;
-        }
-        let mut d = -1.3f32;
-        while d <= 1.3 {
-            let t = tan_fast(d);
-            let rel = (t - d.tan()).abs() / d.tan().abs().max(1.0);
-            assert!(rel < 1e-6, "tan({d}) = {t} vs {}", d.tan());
-            d += 1e-3;
-        }
-    }
 
     /// Deterministic per-slot action scripts: every slot gets its own
     /// bounded pseudo-random command sequence, aggressive enough to force
@@ -665,7 +224,7 @@ mod tests {
             })
             .collect();
         // Batched run, mirrored through compact().
-        let mut wb = WorldBatch::new(Precision::Golden);
+        let mut wb = WorldBatch::new();
         for slot in 0..batch as u64 {
             wb.push(World::new(scenario_at(slot)));
         }
@@ -705,7 +264,7 @@ mod tests {
         for &batch in &[1usize, 2, 5, 23, 64, 128] {
             let serial: Vec<(Vec<[u64; 4]>, usize)> = (0..batch as u64).map(serial_trace).collect();
 
-            let mut wb = WorldBatch::new(Precision::Golden);
+            let mut wb = WorldBatch::new();
             for slot in 0..batch as u64 {
                 wb.push(World::new(scenario_for(slot)));
             }
@@ -755,78 +314,14 @@ mod tests {
         }
     }
 
-    /// Fast (`f32`) integration must track the Golden trajectory within a
-    /// tight absolute tolerance over a full episode. The bound below is
-    /// the documented epsilon: single-precision round-off accumulated over
-    /// `<= 180 steps x 5 substeps` of a bounded-curvature trajectory.
+    /// The batch must reuse the serial decision logic: sanitize accounting
+    /// and post-termination re-reporting behave exactly like `World::step`.
     #[test]
-    fn fast_path_tracks_golden_within_tolerance() {
-        const POS_TOL: f64 = 5e-2; // meters
-        const SPEED_TOL: f64 = 1e-2; // m/s
-        const HEADING_TOL: f64 = 2e-3; // radians
-        let batch = 8usize;
-        let mk = |precision| {
-            let mut wb = WorldBatch::new(precision);
-            for slot in 0..batch as u64 {
-                let mut s = Scenario::default().jittered(&mut StdRng::seed_from_u64(7 + slot));
-                s.max_steps = 120;
-                wb.push(World::new(s));
-            }
-            wb
-        };
-        let mut golden = mk(Precision::Golden);
-        let mut fast = mk(Precision::Fast);
-        let mut out_g = Vec::new();
-        let mut out_f = Vec::new();
-        let mut max_pos = 0.0f64;
-        for t in 0..120 {
-            if golden.is_empty() || fast.is_empty() {
-                break;
-            }
-            // Identical mild scripts on both batches (no compaction so the
-            // slot mapping stays the identity while both sides are live).
-            let actions: Vec<Actuation> = (0..golden.len())
-                .map(|i| {
-                    Actuation::new(
-                        0.25 * (((t + i) % 9) as f64 / 4.0 - 1.0),
-                        0.5 - 0.1 * ((t % 5) as f64),
-                    )
-                })
-                .collect();
-            golden.step(&actions, &mut out_g);
-            fast.step(&actions[..fast.len()], &mut out_f);
-            for (g, f) in golden.worlds().iter().zip(fast.worlds()) {
-                let ge = g.ego();
-                let fe = f.ego();
-                let dp = ((ge.pose.position.x - fe.pose.position.x).powi(2)
-                    + (ge.pose.position.y - fe.pose.position.y).powi(2))
-                .sqrt();
-                max_pos = max_pos.max(dp);
-                assert!(dp < POS_TOL, "step {t}: ego position diverged by {dp}");
-                assert!((ge.speed - fe.speed).abs() < SPEED_TOL);
-                assert!((ge.pose.heading - fe.pose.heading).abs() < HEADING_TOL);
-            }
-            if golden.worlds().iter().any(World::is_done)
-                || fast.worlds().iter().any(World::is_done)
-            {
-                // Once either path terminates a slot the finished side
-                // stops moving while the other may not (termination can
-                // land one step apart across precisions) — the state
-                // comparison is only meaningful while both are live.
-                break;
-            }
-        }
-        assert!(max_pos > 0.0, "paths must actually differ (f32 is lossy)");
-    }
-
-    /// Fast must reuse the serial decision logic: sanitize accounting and
-    /// post-termination re-reporting behave exactly like `World::step`.
-    #[test]
-    fn fast_path_shares_decision_logic() {
+    fn batch_shares_decision_logic() {
         let mut s = Scenario::default();
         s.npcs.clear();
         s.max_steps = 3;
-        let mut wb = WorldBatch::new(Precision::Fast);
+        let mut wb = WorldBatch::new();
         wb.push(World::new(s));
         let mut out = Vec::new();
         wb.step(
@@ -859,11 +354,11 @@ mod tests {
         assert_eq!(wb.worlds()[0].nonfinite_action_count(), 2);
     }
 
-    /// Ego inertial histories must be populated by the Fast path (the IMU
+    /// Ego inertial histories must be populated by the batch step (the IMU
     /// samples them every step).
     #[test]
-    fn fast_path_records_ego_inertial() {
-        let mut wb = WorldBatch::new(Precision::Fast);
+    fn batch_records_ego_inertial() {
+        let mut wb = WorldBatch::new();
         wb.push(World::new(Scenario::default()));
         let substeps = wb.worlds()[0].scenario().substeps;
         let mut out = Vec::new();
@@ -905,7 +400,7 @@ mod tests {
                 })
                 .collect();
 
-            let mut wb = WorldBatch::new(Precision::Golden);
+            let mut wb = WorldBatch::new();
             let mut scripts = Vec::new();
             for slot in 0..batch as u64 {
                 let scenario = mk_scenario(slot);
@@ -987,7 +482,7 @@ mod tests {
                 })
                 .collect();
 
-            let mut wb = WorldBatch::new(Precision::Golden);
+            let mut wb = WorldBatch::new();
             let mut scripts = Vec::new();
             for slot in 0..batch as u64 {
                 let scenario = mk_scenario(slot);
@@ -1022,16 +517,5 @@ mod tests {
             }
             proptest::prop_assert_eq!(retired, batch);
         }
-    }
-
-    #[test]
-    fn precision_parse_round_trips() {
-        assert_eq!(Precision::parse("golden"), Some(Precision::Golden));
-        assert_eq!(Precision::parse("f64"), Some(Precision::Golden));
-        assert_eq!(Precision::parse("f32"), Some(Precision::Fast));
-        assert_eq!(Precision::parse("fast"), Some(Precision::Fast));
-        assert_eq!(Precision::parse("f16"), None);
-        assert_eq!(Precision::Fast.label(), "f32");
-        assert_eq!(Precision::default(), Precision::Golden);
     }
 }

@@ -41,7 +41,7 @@ pub mod world;
 
 /// Commonly used items re-exported in one place.
 pub mod prelude {
-    pub use crate::batch::{Precision, WorldBatch};
+    pub use crate::batch::WorldBatch;
     pub use crate::faults::{
         FaultInjector, FaultKind, FaultSchedule, FaultSpec, FaultStats, FaultedCamera,
         FaultedFeatureExtractor, FaultedImu,

@@ -159,10 +159,9 @@ impl Vehicle {
     /// Applies the Eq. (1) first-order actuation retain to a variation
     /// command and returns the resulting steering angle `delta` (radians).
     ///
-    /// This is the control half of [`Vehicle::step`], split out so the
-    /// batched integrator in [`crate::batch`] shares the exact smoothing
-    /// arithmetic (clamp order included) with the serial path.
-    pub(crate) fn apply_variation(&mut self, variation: Actuation) -> f64 {
+    /// This is the control half of [`Vehicle::step`]: Eq. (1) fixes the
+    /// steering angle for the whole control step, before any substep.
+    fn apply_variation(&mut self, variation: Actuation) -> f64 {
         let p = self.params.clone();
         let eps = p.eps_mech;
         let nu = variation.steer.clamp(-eps, eps);

@@ -233,15 +233,12 @@ impl World {
     /// Control phase of [`World::step`]: sanitizes the command, re-reports
     /// termination (`Err`) for finished episodes, and computes the NPC
     /// controls against the pre-step state, leaving them in the step
-    /// scratch (readable via [`World::npc_controls`]). The caller must
-    /// then integrate the ego with the returned command and each NPC with
-    /// its control (either through [`World::integrate_step`] or the
-    /// batched replica in [`crate::batch`]) and finish with
-    /// [`World::conclude_step`].
+    /// scratch. The caller must then run [`World::integrate_step`] with the
+    /// returned command and finish with [`World::conclude_step`].
     ///
-    /// Shared by the serial engine and both `WorldBatch` precision paths so
-    /// every decision branch — sanitize accounting, post-termination
-    /// re-reporting, lead bookkeeping, NPC policy — has exactly one home.
+    /// Shared by the serial engine and `WorldBatch` so every decision
+    /// branch — sanitize accounting, post-termination re-reporting, lead
+    /// bookkeeping, NPC policy — has exactly one home.
     /// One lead table per world replaces the serial per-NPC `others` scan
     /// (bit-identical winners; see [`LeadTable`]), and all buffers are
     /// reused so the steady-state control phase is allocation-free.
@@ -302,38 +299,15 @@ impl World {
         self.scratch.npc_controls = controls;
     }
 
-    /// NPC controls computed by the last [`World::begin_step`], in NPC
-    /// index order (for the batched integrator's gather phase).
-    pub(crate) fn npc_controls(&self) -> &[Actuation] {
-        &self.scratch.npc_controls
-    }
-
     /// Outcome phase of [`World::step`]: advances the step counter, runs
     /// collision detection and the termination chain against the freshly
     /// integrated vehicle state. Only valid directly after a successful
-    /// [`World::begin_step`] followed by integration of every vehicle.
+    /// [`World::begin_step`] followed by [`World::integrate_step`].
     pub(crate) fn conclude_step(&mut self) -> StepOutcome {
-        self.conclude_step_pruned(true)
-    }
-
-    /// [`World::conclude_step`] with a batched broad-phase hint: a caller
-    /// that has proven from the SoA lanes that neither an NPC nor a
-    /// barrier can be in contact this step passes `contact_possible =
-    /// false` and skips the exact narrow phase (which would return
-    /// `None`). The hint must be conservative — debug builds verify it.
-    pub(crate) fn conclude_step_pruned(&mut self, contact_possible: bool) -> StepOutcome {
         let executed_step = self.step;
         self.step += 1;
 
-        let collision = if contact_possible {
-            self.detect_collision(executed_step)
-        } else {
-            debug_assert!(
-                self.detect_collision(executed_step).is_none(),
-                "broad-phase prune dropped a real contact"
-            );
-            None
-        };
+        let collision = self.detect_collision(executed_step);
         let termination = if let Some(c) = collision {
             Some(Termination::Collision(c))
         } else if self.step >= self.scenario.max_steps {
@@ -351,16 +325,6 @@ impl World {
             termination,
             passed: self.passed_count(),
         }
-    }
-
-    /// Mutable ego access for the batched integrator's scatter phase.
-    pub(crate) fn ego_mut(&mut self) -> &mut Vehicle {
-        &mut self.ego
-    }
-
-    /// Mutable NPC access for the batched integrator's scatter phase.
-    pub(crate) fn npcs_mut(&mut self) -> &mut [Npc] {
-        &mut self.npcs
     }
 
     /// Checks ego-vs-barrier and ego-vs-NPC contacts and classifies them.

@@ -9,7 +9,7 @@
 //! deltas (the in-crate tests can only assert monotonicity because they
 //! share the process with concurrently stepping tests).
 
-use drive_sim::batch::{Precision, WorldBatch};
+use drive_sim::batch::WorldBatch;
 use drive_sim::perf;
 use drive_sim::scenario::Scenario;
 use drive_sim::vehicle::Actuation;
@@ -26,7 +26,7 @@ fn world(max_steps: usize) -> World {
 #[test]
 fn occupancy_counts_only_advancing_slots_across_staggered_retirements() {
     let t0 = perf::fleet();
-    let mut wb = WorldBatch::new(Precision::Golden);
+    let mut wb = WorldBatch::new();
     wb.push(world(1));
     wb.push(world(3));
     let mut out = Vec::new();
