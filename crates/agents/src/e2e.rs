@@ -2,8 +2,8 @@
 //! observations directly to actuation variations (Section III-C).
 
 use crate::Agent;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
-use drive_nn::pnn::PnnPolicy;
 use drive_nn::scratch::ActScratch;
 use drive_sim::sensors::{FeatureConfig, FeatureExtractor};
 use drive_sim::vehicle::Actuation;
@@ -13,23 +13,19 @@ use rand::SeedableRng;
 
 /// Anything that maps an observation vector to a bounded action vector.
 ///
-/// Implemented for [`GaussianPolicy`] and [`PnnPolicy`]; the defense
-/// switcher in `attack-core` adds its own implementation.
+/// Implemented for [`GaussianPolicy`] (live weights, e.g. during
+/// training) and [`BatchPolicy`] (frozen, pre-packed weights — the
+/// evaluation path); the PNN defense switcher in `attack-core` adds its
+/// own implementation.
 pub trait Policy {
     /// Observation dimensionality this policy expects.
     fn obs_dim(&self) -> usize;
     /// Action dimensionality this policy produces.
     fn action_dim(&self) -> usize;
-    /// Computes an action in `[-1, 1]^action_dim`.
-    fn action(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32>;
 
-    /// Computes an action into a caller-provided buffer, optionally using
-    /// a reusable [`ActScratch`] to avoid per-step allocations.
-    ///
-    /// The default implementation falls back to the allocating
-    /// [`Policy::action`]; implementations with an allocation-free path
-    /// (e.g. [`GaussianPolicy`]) override it. Overrides must produce
-    /// bit-identical actions and identical RNG consumption to `action`.
+    /// Computes an action in `[-1, 1]^action_dim` into a caller-provided
+    /// buffer, using the reusable [`ActScratch`] so steady-state calls
+    /// allocate nothing.
     fn action_into(
         &self,
         obs: &[f32],
@@ -37,9 +33,20 @@ pub trait Policy {
         deterministic: bool,
         scratch: &mut ActScratch,
         out: &mut Vec<f32>,
-    ) {
-        let _ = scratch;
-        *out = self.action(obs, rng, deterministic);
+    );
+
+    /// Allocating convenience over [`Policy::action_into`]: identical
+    /// actions and RNG consumption.
+    fn action(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.action_into(
+            obs,
+            rng,
+            deterministic,
+            &mut ActScratch::default(),
+            &mut out,
+        );
+        out
     }
 }
 
@@ -49,9 +56,6 @@ impl Policy for GaussianPolicy {
     }
     fn action_dim(&self) -> usize {
         GaussianPolicy::action_dim(self)
-    }
-    fn action(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
-        self.act(obs, rng, deterministic)
     }
     fn action_into(
         &self,
@@ -66,15 +70,23 @@ impl Policy for GaussianPolicy {
     }
 }
 
-impl Policy for PnnPolicy {
+impl Policy for BatchPolicy {
     fn obs_dim(&self) -> usize {
-        PnnPolicy::obs_dim(self)
+        BatchPolicy::obs_dim(self)
     }
     fn action_dim(&self) -> usize {
-        PnnPolicy::action_dim(self)
+        BatchPolicy::action_dim(self)
     }
-    fn action(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
-        self.act(obs, rng, deterministic)
+    fn action_into(
+        &self,
+        obs: &[f32],
+        rng: &mut StdRng,
+        deterministic: bool,
+        scratch: &mut ActScratch,
+        out: &mut Vec<f32>,
+    ) {
+        out.clear();
+        out.extend_from_slice(self.act_with(obs, rng, deterministic, scratch));
     }
 }
 
@@ -86,6 +98,7 @@ pub struct E2eAgent<P: Policy> {
     rng: StdRng,
     deterministic: bool,
     scratch: ActScratch,
+    obs_buf: Vec<f32>,
     action_buf: Vec<f32>,
 }
 
@@ -114,6 +127,7 @@ impl<P: Policy> E2eAgent<P> {
             rng: StdRng::seed_from_u64(seed),
             deterministic,
             scratch: ActScratch::default(),
+            obs_buf: Vec::new(),
             action_buf: Vec::new(),
         }
     }
@@ -135,9 +149,9 @@ impl<P: Policy> Agent for E2eAgent<P> {
     }
 
     fn act(&mut self, world: &World) -> Actuation {
-        let obs = self.extractor.observe(world);
+        self.extractor.observe_into(world, &mut self.obs_buf);
         self.policy.action_into(
-            &obs,
+            &self.obs_buf,
             &mut self.rng,
             self.deterministic,
             &mut self.scratch,
@@ -185,6 +199,35 @@ mod tests {
             actions
         };
         assert_eq!(run(), run());
+    }
+
+    /// An agent on the packed frozen policy drives exactly the episode
+    /// the live-weight agent drives: every record field, in both the
+    /// deterministic and the sampled mode.
+    #[test]
+    fn packed_policy_episode_matches_live_policy_record_for_record() {
+        use crate::runner::run_episode;
+        let mut rng = StdRng::seed_from_u64(4);
+        let dim = FeatureConfig::default().observation_dim();
+        let live = GaussianPolicy::new(dim, &[128, 128], 2, &mut rng);
+        for deterministic in [true, false] {
+            let mut a = E2eAgent::new(live.clone(), FeatureConfig::default(), 7, deterministic);
+            let mut b = E2eAgent::new(
+                BatchPolicy::from(live.clone()),
+                FeatureConfig::default(),
+                7,
+                deterministic,
+            );
+            for seed in [3u64, 4] {
+                let want = run_episode(&mut a, &Scenario::default(), seed, None, |_, _, _| {});
+                let got = run_episode(&mut b, &Scenario::default(), seed, None, |_, _, _| {});
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "seed {seed} det={deterministic}"
+                );
+            }
+        }
     }
 
     #[test]

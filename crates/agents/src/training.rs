@@ -11,6 +11,7 @@ use crate::e2e::E2eAgent;
 use crate::modular::{ModularAgent, ModularConfig};
 use crate::runner::run_episodes;
 use crate::Agent;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::checkpoint::{self, CheckpointError, Reader};
 use drive_nn::gaussian::GaussianPolicy;
 use drive_rl::bc::{clone_policy, BcConfig, Demonstrations};
@@ -123,7 +124,8 @@ pub fn evaluate_policy(
     episodes: usize,
     base_seed: u64,
 ) -> (f64, f64) {
-    let mut agent = E2eAgent::new(policy.clone(), features.clone(), base_seed, true);
+    let frozen = BatchPolicy::from(policy.clone());
+    let mut agent = E2eAgent::new(frozen, features.clone(), base_seed, true);
     let records = run_episodes(&mut agent, scenario, episodes, base_seed);
     let n = episodes.max(1) as f64;
     let mean_return = records.iter().map(|r| r.nominal_return).sum::<f64>() / n;

@@ -1,18 +1,33 @@
-//! Regression test: the steady-state fleet control loop —
-//! `WorldBatch::step` plus `BehaviorPlanner::plan_into` for every slot —
-//! performs zero heap allocations once its scratch buffers have warmed up.
+//! Regression tests: hot loops perform zero heap allocations once their
+//! scratch buffers have warmed up.
 //!
-//! This is the hard form of the control-phase batching contract: the
-//! per-world `StepScratch` (lead tables + NPC actuations), the batch's
-//! command buffers, and the planner's reused `Path` must all
-//! reach a fixed point. A counting `#[global_allocator]` wrapping the
-//! system allocator makes that an invariant instead of a benchmark hope;
-//! the counters are thread-local, so other test threads can't pollute the
-//! measurement.
+//! - The steady-state fleet control loop — `WorldBatch::step` plus
+//!   `BehaviorPlanner::plan_into` for every slot. This is the hard form of
+//!   the control-phase batching contract: the per-world `StepScratch`
+//!   (lead tables + NPC actuations), the batch's command buffers, and the
+//!   planner's reused `Path` must all reach a fixed point.
+//! - Serial evaluation through pre-packed weights: the packed victim's
+//!   act, the learned attackers' deltas, and both columns of the PNN
+//!   switcher.
+//!
+//! A counting `#[global_allocator]` wrapping the system allocator makes
+//! that an invariant instead of a benchmark hope; the counters are
+//! thread-local, so other test threads can't pollute the measurement.
 
+use attack_core::budget::AttackBudget;
+use attack_core::defense::SimplexSwitcher;
+use attack_core::learned::LearnedAttacker;
+use attack_core::sensor::AttackerSensor;
 use drive_agents::behavior::{BehaviorConfig, BehaviorPlanner};
+use drive_agents::e2e::E2eAgent;
+use drive_agents::runner::SteerAttacker;
+use drive_agents::Agent;
+use drive_nn::batch::BatchPolicy;
+use drive_nn::gaussian::GaussianPolicy;
+use drive_nn::pnn::{PackedPnn, PnnInit, PnnPolicy};
 use drive_sim::batch::WorldBatch;
 use drive_sim::scenario::Scenario;
+use drive_sim::sensors::{FeatureConfig, ImuConfig};
 use drive_sim::vehicle::Actuation;
 use drive_sim::waypoints::Path;
 use drive_sim::world::World;
@@ -117,4 +132,100 @@ fn steady_state_batch_step_and_plan_are_allocation_free_golden() {
         grew, 0,
         "steady-state step+plan loop allocated {grew} times across 10 iterations"
     );
+}
+
+#[test]
+fn steady_state_packed_victim_attacker_and_switcher_are_allocation_free() {
+    let features = FeatureConfig::default();
+    let imu = ImuConfig::default();
+    let dim = features.observation_dim();
+    let mut rng = StdRng::seed_from_u64(0xA110C);
+    let victim = GaussianPolicy::new(dim, &[128, 128], 2, &mut rng);
+    let camera = GaussianPolicy::new(dim, &[128, 128], 1, &mut rng);
+    let imu_policy = GaussianPolicy::new(imu.observation_dim(), &[128, 128], 1, &mut rng);
+    let pnn = PackedPnn::from(PnnPolicy::new(victim.clone(), PnnInit::Random, &mut rng));
+
+    let mut agents: Vec<(&str, Box<dyn Agent>)> = vec![
+        (
+            "packed victim",
+            Box::new(E2eAgent::new(
+                BatchPolicy::from(victim),
+                features.clone(),
+                1,
+                true,
+            )),
+        ),
+        (
+            "switcher base column",
+            Box::new(E2eAgent::new(
+                SimplexSwitcher::new(pnn.clone(), 0.4, 0.2),
+                features.clone(),
+                1,
+                true,
+            )),
+        ),
+        (
+            "switcher hardened column",
+            Box::new(E2eAgent::new(
+                SimplexSwitcher::new(pnn, 0.4, 0.8),
+                features.clone(),
+                1,
+                true,
+            )),
+        ),
+    ];
+    let budget = AttackBudget::new(0.5);
+    let mut attackers = [
+        (
+            "camera attacker",
+            LearnedAttacker::new(camera, AttackerSensor::camera(features), budget, 1, true),
+        ),
+        (
+            "imu attacker",
+            LearnedAttacker::new(imu_policy, AttackerSensor::imu(imu, 1), budget, 1, true),
+        ),
+    ];
+
+    let mut world = World::new(Scenario::default());
+    for (_, agent) in &mut agents {
+        agent.reset(&world);
+    }
+    for (_, attacker) in &mut attackers {
+        attacker.reset(&world);
+    }
+    // Warm-up fills the feature stacks, the IMU window and every scratch
+    // buffer; the measured steps then only reuse them.
+    let mut grew = vec![0u64; agents.len() + attackers.len()];
+    for step in 0..40 {
+        let measure = step >= 30;
+        let mut command = Actuation::new(0.0, 0.0);
+        for (i, (_, agent)) in agents.iter_mut().enumerate() {
+            let before = allocs();
+            let a = agent.act(&world);
+            if measure {
+                grew[i] += allocs() - before;
+            }
+            if i == 0 {
+                command = a;
+            }
+        }
+        for (i, (_, attacker)) in attackers.iter_mut().enumerate() {
+            let before = allocs();
+            let delta = attacker.delta(&world);
+            if measure {
+                grew[agents.len() + i] += allocs() - before;
+            }
+            if i == 0 {
+                command = Actuation::new(command.steer + delta, command.thrust);
+            }
+        }
+        world.step(command);
+    }
+    let names = agents
+        .iter()
+        .map(|(n, _)| *n)
+        .chain(attackers.iter().map(|(n, _)| *n));
+    for (name, grew) in names.zip(grew) {
+        assert_eq!(grew, 0, "{name} allocated {grew} times across 10 steps");
+    }
 }

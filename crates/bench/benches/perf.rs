@@ -13,13 +13,18 @@
 
 use attack_core::adv_reward::AdvReward;
 use attack_core::budget::AttackBudget;
+use attack_core::defense::SimplexSwitcher;
 use attack_core::fleet::FleetEval;
 use criterion::{black_box, BenchResult, Criterion};
 use drive_agents::behavior::{BehaviorConfig, BehaviorPlanner};
+use drive_agents::e2e::Policy;
 use drive_agents::modular::{ModularAgent, ModularConfig};
 use drive_agents::Agent;
 use drive_nn::batch::BatchPolicy;
-use drive_nn::prelude::{randn_mat, ActScratch, Activation, GaussianPolicy, Mat, Mlp, Scratch};
+use drive_nn::prelude::{
+    randn_mat, ActScratch, Activation, GaussianPolicy, Mat, Mlp, PackedPnn, PnnInit, PnnPolicy,
+    Scratch,
+};
 use drive_nn::scratch::BatchActScratch;
 use drive_rl::replay::{Batch, ReplayBuffer, Transition};
 use drive_rl::sac::{Sac, SacConfig};
@@ -163,6 +168,27 @@ fn bench_policy_inference(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(0);
         let mut scratch = ActScratch::default();
         b.iter(|| black_box(policy.act_with(&obs, &mut rng, true, &mut scratch)[0]));
+    });
+    // The same single-row act through pre-packed weights — the serial
+    // evaluation path (`_scratch` above is its unpacked "before").
+    let packed = BatchPolicy::from(policy.clone());
+    c.bench_function("policy_inference_60d_packed", |b| {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut scratch = ActScratch::default();
+        b.iter(|| black_box(packed.act_with(&obs, &mut rng, true, &mut scratch)[0]));
+    });
+    // The PNN switcher's hardened column: both packed columns plus the
+    // laterals, one observation.
+    let pnn = PnnPolicy::new(policy.clone(), PnnInit::Random, &mut rng);
+    let switcher = SimplexSwitcher::new(PackedPnn::from(pnn), 0.2, 1.0);
+    c.bench_function("pnn_switcher_act_hardened", |b| {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut scratch = ActScratch::default();
+        let mut action = Vec::new();
+        b.iter(|| {
+            switcher.action_into(&obs, &mut rng, true, &mut scratch, &mut action);
+            black_box(action[0])
+        });
     });
 }
 

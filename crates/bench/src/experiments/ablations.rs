@@ -39,6 +39,8 @@ use drive_agents::e2e::E2eAgent;
 use drive_metrics::episode::CellSummary;
 use drive_metrics::export::Csv;
 use drive_metrics::report::{fmt_f, fmt_pct, Table};
+use drive_nn::batch::BatchPolicy;
+use drive_nn::pnn::PackedPnn;
 use drive_sim::faults::{FaultInjector, FaultSchedule};
 use std::sync::Arc;
 
@@ -103,11 +105,17 @@ fn compute(ctx: &RunContext) -> AblationResult {
     let adv = AdvReward::default();
     let budget = AttackBudget::new(1.0);
     let episodes = ctx.scale.box_episodes;
+    // Frozen policies, packed once for every arm; agents and per-episode
+    // attackers get O(1) clones.
+    let victim = BatchPolicy::from(artifacts.victim.clone());
+    let pnn = PackedPnn::from(artifacts.pnn.clone());
+    let camera_attacker = BatchPolicy::from(artifacts.camera_attacker.clone());
+    let imu_attacker = BatchPolicy::from(artifacts.imu_attacker.clone());
 
     // --- 1. Oracle vs learned camera attacker ---
     let mut attacker_arms = Vec::new();
     {
-        let mut agent = E2eAgent::new(artifacts.victim.clone(), config.features.clone(), 1, true);
+        let mut agent = E2eAgent::new(victim.clone(), config.features.clone(), 1, true);
         let records = run_attacked_episodes(
             &mut agent,
             |_| Some(OracleAttacker::new(budget)),
@@ -145,7 +153,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
     let sigmas = [0.0, 0.2, 0.4, 0.6];
     let switcher_arms = drive_par::par_map(&sigmas, |_, &sigma| {
         let mut agent = E2eAgent::new(
-            SimplexSwitcher::new(artifacts.pnn.clone(), sigma, sweep_budget.epsilon()),
+            SimplexSwitcher::new(pnn.clone(), sigma, sweep_budget.epsilon()),
             config.features.clone(),
             2,
             true,
@@ -154,7 +162,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
             &mut agent,
             |seed| {
                 Some(LearnedAttacker::new(
-                    artifacts.camera_attacker.clone(),
+                    camera_attacker.clone(),
                     AttackerSensor::camera(config.features.clone()),
                     sweep_budget,
                     seed,
@@ -179,12 +187,12 @@ fn compute(ctx: &RunContext) -> AblationResult {
         let mut imu_cfg = config.imu.clone();
         imu_cfg.accel_noise_std *= mult;
         imu_cfg.gyro_noise_std *= mult;
-        let mut agent = E2eAgent::new(artifacts.victim.clone(), config.features.clone(), 3, true);
+        let mut agent = E2eAgent::new(victim.clone(), config.features.clone(), 3, true);
         let records = run_attacked_episodes(
             &mut agent,
             |seed| {
                 Some(LearnedAttacker::new(
-                    artifacts.imu_attacker.clone(),
+                    imu_attacker.clone(),
                     AttackerSensor::imu(imu_cfg.clone(), seed),
                     budget,
                     seed,
@@ -212,7 +220,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
         let attack = |seed: u64| {
             (!b.is_zero()).then(|| {
                 LearnedAttacker::new(
-                    artifacts.camera_attacker.clone(),
+                    camera_attacker.clone(),
                     AttackerSensor::camera(config.features.clone()),
                     b,
                     seed,
@@ -221,7 +229,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
             })
         };
         let mut ideal = E2eAgent::new(
-            SimplexSwitcher::new(artifacts.pnn.clone(), 0.2, eps),
+            SimplexSwitcher::new(pnn.clone(), 0.2, eps),
             config.features.clone(),
             4,
             true,
@@ -240,7 +248,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
         };
 
         let mut detected = DetectorSimplexAgent::new(
-            artifacts.pnn.clone(),
+            pnn.clone(),
             0.2,
             config.features.clone(),
             DetectorConfig::default(),
@@ -274,12 +282,12 @@ fn compute(ctx: &RunContext) -> AblationResult {
         ("two-lane", drive_sim::scenario::Scenario::two_lane()),
     ];
     let transfer_arms = drive_par::par_map(&scenarios, |_, (label, scenario)| {
-        let mut agent = E2eAgent::new(artifacts.victim.clone(), config.features.clone(), 5, true);
+        let mut agent = E2eAgent::new(victim.clone(), config.features.clone(), 5, true);
         let records = run_attacked_episodes(
             &mut agent,
             |seed| {
                 Some(LearnedAttacker::new(
-                    artifacts.camera_attacker.clone(),
+                    camera_attacker.clone(),
                     AttackerSensor::camera(config.features.clone()),
                     budget,
                     seed,
@@ -363,7 +371,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
             let act_fault_seed = ep.child("act-faults").seed();
             let mut run_one = |attack_sensor: Option<SensorKind>| -> bool {
                 let mut agent = DetectorSimplexAgent::new(
-                    artifacts.pnn.clone(),
+                    pnn.clone(),
                     0.2,
                     config.features.clone(),
                     DetectorConfig::default(),
@@ -376,8 +384,8 @@ fn compute(ctx: &RunContext) -> AblationResult {
                         SensorKind::Imu => AttackerSensor::imu(config.imu.clone(), seed),
                     };
                     let policy = match sk {
-                        SensorKind::Camera => artifacts.camera_attacker.clone(),
-                        SensorKind::Imu => artifacts.imu_attacker.clone(),
+                        SensorKind::Camera => camera_attacker.clone(),
+                        SensorKind::Imu => imu_attacker.clone(),
                     };
                     LearnedAttacker::new(policy, sensor, budget, seed, true)
                 });

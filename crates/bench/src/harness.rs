@@ -12,7 +12,9 @@ use attack_core::sensor::{AttackerSensor, SensorKind};
 use drive_agents::e2e::E2eAgent;
 use drive_agents::modular::{ModularAgent, ModularConfig};
 use drive_agents::Agent;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
+use drive_nn::pnn::PackedPnn;
 use drive_sim::faults::{FaultInjector, FaultSchedule};
 use drive_sim::record::EpisodeRecord;
 use drive_sim::scenario::Scenario;
@@ -61,8 +63,10 @@ impl AgentKind {
 
 /// Builds a fresh agent of the given kind.
 ///
-/// The PNN agents' Simplex switcher is told the active `budget` (the
-/// paper's idealized budget-aware switcher).
+/// Learned agents run on frozen, pre-packed weights ([`BatchPolicy`] and
+/// the switcher's packed columns), packed here once per agent. The PNN
+/// agents' Simplex switcher is told the active `budget` (the paper's
+/// idealized budget-aware switcher).
 pub fn build_agent(
     kind: AgentKind,
     artifacts: &Artifacts,
@@ -74,31 +78,39 @@ pub fn build_agent(
     match kind {
         AgentKind::Modular => Box::new(ModularAgent::new(ModularConfig::default(), 1)),
         AgentKind::E2e => Box::new(E2eAgent::new(
-            artifacts.victim.clone(),
+            BatchPolicy::from(artifacts.victim.clone()),
             features,
             seed,
             true,
         )),
         AgentKind::AdvRhoSmall => Box::new(E2eAgent::new(
-            artifacts.adv_rho_small.clone(),
+            BatchPolicy::from(artifacts.adv_rho_small.clone()),
             features,
             seed,
             true,
         )),
         AgentKind::AdvRhoHalf => Box::new(E2eAgent::new(
-            artifacts.adv_rho_half.clone(),
+            BatchPolicy::from(artifacts.adv_rho_half.clone()),
             features,
             seed,
             true,
         )),
         AgentKind::PnnSigma02 => Box::new(E2eAgent::new(
-            SimplexSwitcher::new(artifacts.pnn.clone(), 0.2, budget.epsilon()),
+            SimplexSwitcher::new(
+                PackedPnn::from(artifacts.pnn.clone()),
+                0.2,
+                budget.epsilon(),
+            ),
             features,
             seed,
             true,
         )),
         AgentKind::PnnSigma04 => Box::new(E2eAgent::new(
-            SimplexSwitcher::new(artifacts.pnn.clone(), 0.4, budget.epsilon()),
+            SimplexSwitcher::new(
+                PackedPnn::from(artifacts.pnn.clone()),
+                0.4,
+                budget.epsilon(),
+            ),
             features,
             seed,
             true,
@@ -353,6 +365,11 @@ fn compute_cell(
         }
     }
     let mut agent = build_agent(kind, artifacts, config, budget, seeds.child("agent").seed());
+    // The attacker is packed once per cell; each episode gets an O(1)
+    // clone.
+    let attack = attack
+        .filter(|_| !budget.is_zero())
+        .map(|(policy, sensor_kind)| (BatchPolicy::from(policy.clone()), sensor_kind));
     // Episodes run through the hardened cell executor: one panicking
     // episode is retried with a fresh seed instead of aborting the whole
     // figure run. First attempts use `base + e` off the cell's episode
@@ -362,21 +379,12 @@ fn compute_cell(
         seeds.child("episodes").seed(),
         &ctx.resilience,
         |seed| {
-            let mut attacker = attack.and_then(|(policy, sensor_kind)| {
-                if budget.is_zero() {
-                    return None;
-                }
+            let mut attacker = attack.as_ref().map(|(policy, sensor_kind)| {
                 let sensor = match sensor_kind {
                     SensorKind::Camera => AttackerSensor::camera(config.features.clone()),
                     SensorKind::Imu => AttackerSensor::imu(config.imu.clone(), seed),
                 };
-                Some(LearnedAttacker::new(
-                    policy.clone(),
-                    sensor,
-                    budget,
-                    seed,
-                    true,
-                ))
+                LearnedAttacker::new(policy.clone(), sensor, budget, seed, true)
             });
             let mut faults = fault_schedule.map(|s| FaultInjector::for_episode(s, seed));
             run_attacked_episode_with_faults(

@@ -13,12 +13,13 @@ use attack_core::pipeline::{prepare, Artifacts, PipelineConfig};
 use repro_bench::engine::{self, Registry, RunContext};
 use repro_bench::harness::Scale;
 use repro_bench::journal::JournalHandle;
-use repro_bench::manifest::Manifest;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+
+mod common;
+use common::assert_outputs_match;
 
 /// One quick-trained artifact cache shared by every test in this file and
 /// by every subprocess (they load it instead of retraining).
@@ -58,34 +59,6 @@ fn run_cmd(run_dir: &Path, resume: bool) -> Command {
     cmd
 }
 
-/// Compares two finished run directories: the same set of CSV/SVG files
-/// with byte-identical contents, and manifests listing identical outputs
-/// (sizes + checksums). Wall-clock manifest fields are run-dependent and
-/// excluded; the `journal/` subdirectory is bookkeeping, not output.
-fn assert_outputs_match(golden: &Path, other: &Path) {
-    let mut names: Vec<String> = fs::read_dir(golden)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".csv") || n.ends_with(".svg") || n.ends_with(".manifest.json"))
-        .collect();
-    names.sort();
-    assert!(!names.is_empty(), "golden run produced no outputs");
-    for name in &names {
-        let g = golden.join(name);
-        let o = other.join(name);
-        if name.ends_with(".manifest.json") {
-            let gm = Manifest::load(&g).unwrap();
-            let om = Manifest::load(&o).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(gm.outputs, om.outputs, "{name}: output lists differ");
-            assert_eq!(gm.seed_root, om.seed_root, "{name}");
-        } else {
-            let gb = fs::read(&g).unwrap();
-            let ob = fs::read(&o).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(gb, ob, "{name}: bytes differ from the golden run");
-        }
-    }
-}
-
 #[test]
 fn killed_and_resumed_run_matches_golden_byte_for_byte() {
     setup(); // train the shared artifacts before any subprocess starts
@@ -106,10 +79,12 @@ fn killed_and_resumed_run_matches_golden_byte_for_byte() {
     assert!(status.success(), "clean journaled run failed: {status}");
     assert_outputs_match(&golden, &clean);
 
-    // Kill loop: SIGKILL the run at randomized delays, resuming each
-    // time. Delays are capped well below the remaining work, so the first
-    // three attempts are guaranteed to be genuine mid-flight kills.
+    // Kill loop: SIGKILL the run once it has journaled a randomized
+    // number (1..=3) of new cells since spawn, resuming each time. Kills
+    // trigger on progress, not on timers, so each one lands mid-flight
+    // however fast the host runs the grid.
     let killed = out_dir("killed");
+    let cells = killed.join("journal").join("cells");
     let mut kills = 0;
     let mut attempts = 0;
     let mut lcg: u64 = 0x5eed_cafe_f00d_beef;
@@ -119,27 +94,23 @@ fn killed_and_resumed_run_matches_golden_byte_for_byte() {
             attempts <= 12,
             "needed more than 12 attempts to land 3 kills"
         );
-        let mut child = run_cmd(&killed, attempts > 1).spawn().expect("spawn");
         lcg = lcg
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        let delay = 150 + (lcg >> 33) % 600; // 150..750 ms
-        std::thread::sleep(Duration::from_millis(delay));
-        match child.try_wait().expect("try_wait") {
-            None => {
-                child.kill().expect("SIGKILL");
-                child.wait().expect("reap");
-                kills += 1;
-            }
-            Some(status) => {
-                // Finished before the kill fired — only acceptable once
-                // three genuine kills have already happened.
-                assert!(status.success(), "early completion failed: {status}");
-                assert!(
-                    kills >= 3,
-                    "run completed after {delay}ms on attempt {attempts} with only {kills} kill(s)"
-                );
-            }
+        let target = common::cell_count(&cells) + 1 + (lcg >> 33) as usize % 3;
+        let mut child = [run_cmd(&killed, attempts > 1).spawn().expect("spawn")];
+        let progressed = common::await_cells(&mut child, &cells, target).is_ok();
+        // Finishing before the kill is only acceptable once three genuine
+        // kills have already happened.
+        if progressed && common::kill_and_reap(&mut child[0]) {
+            kills += 1;
+        } else {
+            let status = child[0].wait().expect("reap");
+            assert!(status.success(), "early completion failed: {status}");
+            assert!(
+                kills >= 3,
+                "run completed on attempt {attempts} with only {kills} kill(s)"
+            );
         }
     }
 
@@ -182,34 +153,38 @@ fn sigterm_drains_gracefully_and_resume_completes_byte_identical() {
         .expect("spawn golden run");
     assert!(status.success(), "golden run failed: {status}");
 
+    // SIGTERM once the run has journaled a new cell since spawn.
     let interrupted = out_dir("term-interrupted");
+    let cells = interrupted.join("journal").join("cells");
     let mut landed = false;
     let mut attempts = 0;
     while !landed {
         attempts += 1;
         assert!(attempts <= 8, "could not land a mid-run SIGTERM in 8 tries");
+        let target = common::cell_count(&cells) + 1;
         let mut cmd = run_cmd(&interrupted, attempts > 1);
         cmd.stderr(Stdio::piped());
-        let mut child = cmd.spawn().expect("spawn");
-        std::thread::sleep(Duration::from_millis(250));
-        match child.try_wait().expect("try_wait") {
-            None => {
-                sigterm(&child);
-                let output = child.wait_with_output().expect("reap");
-                assert_eq!(
-                    output.status.code(),
-                    Some(130),
-                    "graceful interruption exits 130 (status: {})",
-                    output.status
-                );
-                let stderr = String::from_utf8_lossy(&output.stderr);
-                assert!(
-                    stderr.contains("--resume"),
-                    "stderr hints at resumption:\n{stderr}"
-                );
-                landed = true;
-            }
-            Some(status) => assert!(status.success(), "early completion failed: {status}"),
+        let mut child = [cmd.spawn().expect("spawn")];
+        let progressed = common::await_cells(&mut child, &cells, target).is_ok();
+        let [child] = child;
+        if progressed {
+            sigterm(&child);
+            let output = child.wait_with_output().expect("reap");
+            assert_eq!(
+                output.status.code(),
+                Some(130),
+                "graceful interruption exits 130 (status: {})",
+                output.status
+            );
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(
+                stderr.contains("--resume"),
+                "stderr hints at resumption:\n{stderr}"
+            );
+            landed = true;
+        } else {
+            let status = child.wait_with_output().expect("reap").status;
+            assert!(status.success(), "early completion failed: {status}");
         }
     }
 

@@ -3,22 +3,24 @@
 //! Four `repro_bench shard` worker processes race the scenario-matrix
 //! grid in one shared directory while SIGKILLs land at randomized
 //! points; killed workers are replaced, stale leases are stolen, and
-//! `repro_bench merge` must assemble CSVs/SVGs/manifests byte-identical
-//! to an uninterrupted single-process golden run. The merge must also
-//! exit nonzero on an injected conflicting sidecar (naming both owners)
-//! and on a deleted (missing) cell. A separate test covers the polite
-//! path: SIGTERM drains a worker at a cell boundary, exits 130, and
-//! releases every held lease.
+//! `repro_bench merge` must assemble CSVs/manifests byte-identical to an
+//! uninterrupted single-process golden run. The merge must also exit
+//! nonzero on an injected conflicting sidecar (naming both owners) and on
+//! a deleted (missing) cell. A two-worker fig4 run checks that the merge
+//! rebuilds figure SVGs byte-identical too. A separate test covers the
+//! polite path: SIGTERM drains a worker at a cell boundary, exits 130,
+//! and releases every held lease.
 
 #![cfg(unix)]
 
 use attack_core::pipeline::{prepare, Artifacts, PipelineConfig};
-use repro_bench::manifest::Manifest;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
-use std::time::Duration;
+
+mod common;
+use common::assert_outputs_match;
 
 /// One quick-trained artifact cache shared by every test in this file and
 /// by every worker subprocess (they load it instead of retraining).
@@ -81,33 +83,6 @@ fn merge_cmd(dir: &Path, out: &Path) -> Command {
     cmd
 }
 
-/// Same outputs-match contract as the resume tests: identical CSV/SVG
-/// bytes, manifests listing identical outputs. Wall-clock fields are
-/// run-dependent and excluded.
-fn assert_outputs_match(golden: &Path, other: &Path) {
-    let mut names: Vec<String> = fs::read_dir(golden)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".csv") || n.ends_with(".svg") || n.ends_with(".manifest.json"))
-        .collect();
-    names.sort();
-    assert!(!names.is_empty(), "golden run produced no outputs");
-    for name in &names {
-        let g = golden.join(name);
-        let o = other.join(name);
-        if name.ends_with(".manifest.json") {
-            let gm = Manifest::load(&g).unwrap();
-            let om = Manifest::load(&o).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(gm.outputs, om.outputs, "{name}: output lists differ");
-            assert_eq!(gm.seed_root, om.seed_root, "{name}");
-        } else {
-            let gb = fs::read(&g).unwrap();
-            let ob = fs::read(&o).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(gb, ob, "{name}: bytes differ from the golden run");
-        }
-    }
-}
-
 #[test]
 fn kill_matrix_four_workers_merge_matches_single_process_golden() {
     setup();
@@ -130,9 +105,13 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
     assert!(status.success(), "golden run failed: {status}");
 
     // Kill matrix: keep a fleet of 4 workers on the shared directory,
-    // SIGKILL randomly chosen workers at randomized delays (respawning
-    // replacements), until at least 3 genuine kills have landed.
+    // SIGKILL randomly chosen workers (respawning replacements) once the
+    // fleet has published a randomized number (1..=3) of new cells since
+    // the last spawn, until at least 3 genuine kills have landed. Kills
+    // trigger on progress, not on timers, so they land mid-flight however
+    // fast the host runs the grid.
     let shared = out_dir("km-shared");
+    let cells = shared.join("cells");
     let mut fleet: Vec<Child> = Vec::new();
     let mut spawned = 0usize;
     let mut kills = 0usize;
@@ -145,6 +124,10 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
             attempts <= 16,
             "needed more than 16 attempts to land 3 kills"
         );
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let target = common::cell_count(&cells) + 1 + (lcg >> 33) as usize % 3;
         while fleet.len() < 4 {
             spawned += 1;
             fleet.push(
@@ -153,11 +136,7 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
                     .expect("spawn worker"),
             );
         }
-        lcg = lcg
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let delay = 150 + (lcg >> 33) % 450; // 150..600 ms
-        std::thread::sleep(Duration::from_millis(delay));
+        let _ = common::await_cells(&mut fleet, &cells, target);
         // Reap finished workers first: an exit 0 proves its completing
         // pass saw every cell published.
         let mut alive = Vec::new();
@@ -179,9 +158,11 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
             .wrapping_add(1442695040888963407);
         let victim = (lcg >> 33) as usize % fleet.len();
         let mut child = fleet.swap_remove(victim);
-        child.kill().expect("SIGKILL");
-        child.wait().expect("reap");
-        kills += 1;
+        if common::kill_and_reap(&mut child) {
+            kills += 1;
+        } else {
+            completed_ok = true;
+        }
     }
     // Let the survivors finish, then guarantee completion with one final
     // worker: it steals any stale leases the kills left behind, computes
@@ -301,6 +282,68 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
     );
 }
 
+/// `merge` rebuilds figure SVGs, not just CSVs, byte-identical to a
+/// single-process run: two workers split the fig4 smoke grid (the
+/// scenario matrix above writes no SVGs).
+#[test]
+fn merged_fig4_svgs_match_single_process_golden() {
+    let (_, config) = setup();
+    let fig4 = |cmd: &mut Command| {
+        cmd.arg("fig4")
+            .arg("--quick")
+            .arg("--smoke")
+            .arg("--artifacts")
+            .arg(&config.dir);
+    };
+    let golden = out_dir("fig4-golden");
+    let mut cmd = base_cmd();
+    fig4(&mut cmd);
+    let status = cmd
+        .arg("--csv")
+        .arg(&golden)
+        .arg("--svg")
+        .arg(&golden)
+        .arg("--no-journal")
+        .status()
+        .expect("spawn golden run");
+    assert!(status.success(), "golden run failed: {status}");
+    let svgs = fs::read_dir(&golden)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "svg"))
+        .count();
+    assert!(svgs > 0, "fig4 golden run wrote no SVGs");
+
+    let shared = out_dir("fig4-shared");
+    let workers: Vec<Child> = ["w1", "w2"]
+        .iter()
+        .map(|w| {
+            let mut cmd = base_cmd();
+            cmd.arg("shard").arg(&shared);
+            fig4(&mut cmd);
+            cmd.arg("--worker").arg(w).spawn().expect("spawn worker")
+        })
+        .collect();
+    for mut child in workers {
+        let status = child.wait().expect("reap worker");
+        assert!(status.success(), "worker failed: {status}");
+    }
+    let merged = out_dir("fig4-merged");
+    let status = base_cmd()
+        .arg("merge")
+        .arg(&shared)
+        .arg("--out")
+        .arg(&merged)
+        .arg("--quick")
+        .arg("--smoke")
+        .arg("--artifacts")
+        .arg(&config.dir)
+        .status()
+        .expect("spawn merge");
+    assert!(status.success(), "merge failed: {status}");
+    assert_outputs_match(&golden, &merged);
+}
+
 /// Sends a real SIGTERM (std's `Child::kill` is SIGKILL on unix).
 fn sigterm(child: &Child) {
     extern "C" {
@@ -318,11 +361,14 @@ fn sigterm(child: &Child) {
 fn sigterm_drains_shard_worker_and_releases_leases() {
     setup();
     let shared = out_dir("term-shared");
+    let cells = shared.join("cells");
     let mut landed = false;
     let mut attempts = 0;
     while !landed {
         attempts += 1;
         assert!(attempts <= 8, "could not land a mid-run SIGTERM in 8 tries");
+        // SIGTERM once the worker has published a new cell since spawn.
+        let target = common::cell_count(&cells) + 1;
         // Long TTL: released leases must come from the drain hook, not
         // from TTL expiry.
         let (_, config) = setup();
@@ -338,21 +384,22 @@ fn sigterm_drains_shard_worker_and_releases_leases() {
             .arg("--artifacts")
             .arg(&config.dir)
             .stderr(Stdio::piped());
-        let mut child = cmd.spawn().expect("spawn worker");
-        std::thread::sleep(Duration::from_millis(400));
-        match child.try_wait().expect("try_wait") {
-            None => {
-                sigterm(&child);
-                let output = child.wait_with_output().expect("reap");
-                assert_eq!(
-                    output.status.code(),
-                    Some(130),
-                    "graceful interruption exits 130 (status: {})",
-                    output.status
-                );
-                landed = true;
-            }
-            Some(status) => assert!(status.success(), "early completion failed: {status}"),
+        let mut child = [cmd.spawn().expect("spawn worker")];
+        let progressed = common::await_cells(&mut child, &cells, target).is_ok();
+        let [child] = child;
+        if progressed {
+            sigterm(&child);
+            let output = child.wait_with_output().expect("reap");
+            assert_eq!(
+                output.status.code(),
+                Some(130),
+                "graceful interruption exits 130 (status: {})",
+                output.status
+            );
+            landed = true;
+        } else {
+            let status = child.wait_with_output().expect("reap").status;
+            assert!(status.success(), "early completion failed: {status}");
         }
     }
     let leases: Vec<_> = fs::read_dir(shared.join("leases"))

@@ -4,17 +4,21 @@
 use attack_core::prelude::*;
 use drive_agents::prelude::*;
 use drive_metrics::prelude::*;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::checkpoint;
 use drive_sim::prelude::*;
 
 fn main() {
-    let victim = checkpoint::decode_policy(
-        &checkpoint::load_from_file("artifacts/victim_e2e.ckpt").expect("run prepare first"),
-    )
-    .unwrap();
+    let victim = BatchPolicy::from(
+        checkpoint::decode_policy(
+            &checkpoint::load_from_file("artifacts/victim_e2e.ckpt").expect("run prepare first"),
+        )
+        .unwrap(),
+    );
     let attacker = checkpoint::load_from_file("artifacts/attacker_camera.ckpt")
         .ok()
-        .and_then(|t| checkpoint::decode_policy(&t).ok());
+        .and_then(|t| checkpoint::decode_policy(&t).ok())
+        .map(BatchPolicy::from);
     let scenario = Scenario::default();
     let features = FeatureConfig::default();
     let adv = AdvReward::default();

@@ -20,8 +20,9 @@ use crate::sensor::AttackerSensor;
 use drive_agents::driving_env::DrivingEnv;
 use drive_agents::e2e::Policy;
 use drive_agents::runner::SteerAttacker;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
-use drive_nn::pnn::{PnnInit, PnnPolicy};
+use drive_nn::pnn::{PackedPnn, PnnInit, PnnPolicy};
 use drive_nn::scratch::ActScratch;
 use drive_rl::actor::Actor;
 use drive_rl::env::Env;
@@ -107,13 +108,16 @@ fn adversarial_train<A: Actor + Clone + Sync>(
 
     let mut episode_seed = config.seed.wrapping_mul(31337) + 1;
     let mut budget_rng = StdRng::seed_from_u64(SeedTree::root(config.seed).child("budget").seed());
+    // The attacker is frozen for the whole run: pack it once, clone per
+    // episode.
+    let attacker = BatchPolicy::from(attacker_policy.clone());
     let arm_episode = |env: &mut DrivingEnv, seed: u64, rng: &mut StdRng| -> Vec<f32> {
         let budget = sample_training_budget(config.rho, rng);
         if budget.is_zero() {
             env.set_attack(None);
         } else {
             let mut attacker = LearnedAttacker::new(
-                attacker_policy.clone(),
+                attacker.clone(),
                 AttackerSensor::camera(features.clone()),
                 budget,
                 seed,
@@ -127,7 +131,7 @@ fn adversarial_train<A: Actor + Clone + Sync>(
     };
 
     let mut best = sac.actor.clone();
-    let mut best_score = eval_actor(&best, attacker_policy, scenario, features, config);
+    let mut best_score = eval_actor(&best, &attacker, scenario, features, config);
 
     let mut obs = arm_episode(&mut env, episode_seed, &mut budget_rng);
     for step in 0..config.sac_steps {
@@ -150,7 +154,7 @@ fn adversarial_train<A: Actor + Clone + Sync>(
             sac.update(&buffer, &mut rng);
         }
         if config.eval_every > 0 && (step + 1) % config.eval_every == 0 {
-            let score = eval_actor(&sac.actor, attacker_policy, scenario, features, config);
+            let score = eval_actor(&sac.actor, &attacker, scenario, features, config);
             if score > best_score {
                 best_score = score;
                 best = sac.actor.clone();
@@ -169,7 +173,7 @@ fn adversarial_train<A: Actor + Clone + Sync>(
 /// cell carries weight `rho`, the attacked cells share `1 - rho`).
 fn eval_actor<A: Actor + Clone + Sync>(
     actor: &A,
-    attacker_policy: &GaussianPolicy,
+    attacker: &BatchPolicy,
     scenario: &Scenario,
     features: &FeatureConfig,
     config: &DefenseTrainConfig,
@@ -191,7 +195,7 @@ fn eval_actor<A: Actor + Clone + Sync>(
                 env.set_attack(None);
             } else {
                 let mut attacker = LearnedAttacker::new(
-                    attacker_policy.clone(),
+                    attacker.clone(),
                     AttackerSensor::camera(features.clone()),
                     budget,
                     seed,
@@ -262,10 +266,10 @@ pub fn train_pnn_defense(
 
 /// The Simplex-style switcher of Section VI-B: an idealized budget-aware
 /// selector between the original column (small/no attack) and the hardened
-/// column (large attack).
+/// column (large attack). Both columns run through pre-packed weights.
 #[derive(Debug, Clone)]
 pub struct SimplexSwitcher {
-    pnn: PnnPolicy,
+    pnn: PackedPnn,
     /// Switching threshold `sigma`.
     pub sigma: f64,
     /// The attack budget the switcher believes is active (idealized
@@ -276,8 +280,9 @@ pub struct SimplexSwitcher {
 
 impl SimplexSwitcher {
     /// Wraps a trained PNN with threshold `sigma`, believing budget
-    /// `epsilon` is active.
-    pub fn new(pnn: PnnPolicy, sigma: f64, epsilon: f64) -> Self {
+    /// `epsilon` is active. Pack the PNN once (`PackedPnn::from`) and hand
+    /// each switcher a clone; clones share the pack.
+    pub fn new(pnn: PackedPnn, sigma: f64, epsilon: f64) -> Self {
         SimplexSwitcher {
             pnn,
             sigma,
@@ -292,23 +297,16 @@ impl SimplexSwitcher {
 
     /// The underlying PNN.
     pub fn pnn(&self) -> &PnnPolicy {
-        &self.pnn
+        self.pnn.pnn()
     }
 }
 
 impl Policy for SimplexSwitcher {
     fn obs_dim(&self) -> usize {
-        self.pnn.obs_dim()
+        self.pnn().obs_dim()
     }
     fn action_dim(&self) -> usize {
-        self.pnn.action_dim()
-    }
-    fn action(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
-        if self.uses_hardened_column() {
-            self.pnn.act(obs, rng, deterministic)
-        } else {
-            self.pnn.base().act(obs, rng, deterministic)
-        }
+        self.pnn().action_dim()
     }
     fn action_into(
         &self,
@@ -318,13 +316,13 @@ impl Policy for SimplexSwitcher {
         scratch: &mut ActScratch,
         out: &mut Vec<f32>,
     ) {
-        if self.uses_hardened_column() {
-            // The PNN's lateral-connected forward has no scratch path yet.
-            *out = self.pnn.act(obs, rng, deterministic);
+        let action = if self.uses_hardened_column() {
+            self.pnn.act_with(obs, rng, deterministic, scratch)
         } else {
-            out.clear();
-            out.extend_from_slice(self.pnn.base().act_with(obs, rng, deterministic, scratch));
-        }
+            self.pnn.act_base_with(obs, rng, deterministic, scratch)
+        };
+        out.clear();
+        out.extend_from_slice(action);
     }
 }
 
@@ -353,7 +351,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let dim = FeatureConfig::default().observation_dim();
         let base = GaussianPolicy::new(dim, &[16], 2, &mut rng);
-        let pnn = PnnPolicy::new(base.clone(), PnnInit::Random, &mut rng);
+        let pnn = PackedPnn::from(PnnPolicy::new(base.clone(), PnnInit::Random, &mut rng));
         let obs = vec![0.1f32; dim];
 
         let low = SimplexSwitcher::new(pnn.clone(), 0.4, 0.2);
@@ -362,7 +360,7 @@ mod tests {
         let a_base = base.act(&obs, &mut StdRng::seed_from_u64(0), true);
         assert_eq!(a_low, a_base, "below threshold the base column acts");
 
-        let high = SimplexSwitcher::new(pnn.clone(), 0.4, 0.8);
+        let high = SimplexSwitcher::new(pnn, 0.4, 0.8);
         assert!(high.uses_hardened_column());
         let a_high = high.action(&obs, &mut StdRng::seed_from_u64(0), true);
         assert_ne!(a_high, a_base, "above threshold the hardened column acts");

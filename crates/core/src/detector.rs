@@ -21,7 +21,8 @@
 
 use crate::budget::AttackBudget;
 use drive_agents::Agent;
-use drive_nn::pnn::PnnPolicy;
+use drive_nn::pnn::PackedPnn;
+use drive_nn::scratch::ActScratch;
 use drive_sim::faults::FaultInjector;
 use drive_sim::sensors::{FeatureConfig, FeatureExtractor};
 use drive_sim::vehicle::Actuation;
@@ -111,10 +112,12 @@ impl PerturbationDetector {
 }
 
 /// The practical PNN simplex agent: switches to the hardened column when
-/// the *detected* perturbation exceeds `sigma`.
+/// the *detected* perturbation exceeds `sigma`. Both columns run through
+/// pre-packed weights.
 #[derive(Debug, Clone)]
 pub struct DetectorSimplexAgent {
-    pnn: PnnPolicy,
+    pnn: PackedPnn,
+    scratch: ActScratch,
     /// Switching threshold on the detected budget.
     pub sigma: f64,
     detector: PerturbationDetector,
@@ -131,8 +134,10 @@ pub struct DetectorSimplexAgent {
 
 impl DetectorSimplexAgent {
     /// Wraps a trained PNN with threshold `sigma` and a fresh detector.
+    /// Pack the PNN once (`PackedPnn::from`) and hand each agent a clone;
+    /// clones share the pack.
     pub fn new(
-        pnn: PnnPolicy,
+        pnn: PackedPnn,
         sigma: f64,
         features: FeatureConfig,
         detector: DetectorConfig,
@@ -140,6 +145,7 @@ impl DetectorSimplexAgent {
     ) -> Self {
         DetectorSimplexAgent {
             pnn,
+            scratch: ActScratch::default(),
             sigma,
             detector: PerturbationDetector::new(detector),
             extractor: FeatureExtractor::new(features),
@@ -216,9 +222,11 @@ impl Agent for DetectorSimplexAgent {
             self.hardened_steps += 1;
         }
         let a = if hardened {
-            self.pnn.act(&obs, &mut self.rng, true)
+            self.pnn
+                .act_with(&obs, &mut self.rng, true, &mut self.scratch)
         } else {
-            self.pnn.base().act(&obs, &mut self.rng, true)
+            self.pnn
+                .act_base_with(&obs, &mut self.rng, true, &mut self.scratch)
         };
         let actuation = Actuation::new(a[0] as f64, a[1] as f64);
         self.last_command = Some(actuation.steer);
@@ -245,7 +253,7 @@ mod tests {
     use crate::budget::AttackBudget;
     use crate::eval::run_attacked_episode;
     use drive_nn::gaussian::GaussianPolicy;
-    use drive_nn::pnn::PnnInit;
+    use drive_nn::pnn::{PnnInit, PnnPolicy};
     use drive_sim::scenario::Scenario;
 
     #[test]
@@ -293,7 +301,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let features = FeatureConfig::default();
         let base = GaussianPolicy::new(features.observation_dim(), &[16], 2, &mut rng);
-        let pnn = PnnPolicy::new(base, PnnInit::CopyBase, &mut rng);
+        let pnn = PackedPnn::from(PnnPolicy::new(base, PnnInit::CopyBase, &mut rng));
         let scenario = Scenario::default();
         let adv = AdvReward::default();
 
@@ -330,7 +338,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let features = FeatureConfig::default();
         let base = GaussianPolicy::new(features.observation_dim(), &[8], 2, &mut rng);
-        let pnn = PnnPolicy::new(base, PnnInit::CopyBase, &mut rng);
+        let pnn = PackedPnn::from(PnnPolicy::new(base, PnnInit::CopyBase, &mut rng));
         // NaN-poisoned observations: the drive-nn input guard must keep
         // the policy output finite and the episode must complete.
         let mut agent = DetectorSimplexAgent::new(pnn, 0.2, features, DetectorConfig::default(), 2)
@@ -347,7 +355,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let features = FeatureConfig::default();
         let base = GaussianPolicy::new(features.observation_dim(), &[8], 2, &mut rng);
-        let pnn = PnnPolicy::new(base, PnnInit::CopyBase, &mut rng);
+        let pnn = PackedPnn::from(PnnPolicy::new(base, PnnInit::CopyBase, &mut rng));
         let agent = DetectorSimplexAgent::new(pnn, 0.2, features, DetectorConfig::default(), 0);
         // Fresh agent estimates 0: agrees with a zero-budget truth.
         assert!(detection_agreement(&agent, AttackBudget::ZERO, 0.2));

@@ -1,13 +1,15 @@
 //! Fleet evaluation: many attacked episodes stepped in lockstep with
 //! batched policy inference.
 //!
-//! The serial harness spends most of an evaluated step inside two policy
-//! forward passes (victim + attacker) at batch size 1. [`FleetEval`] runs
-//! up to `batch` episodes through one [`WorldBatch`], gathering every
-//! live observation into a staging matrix so each policy runs one GEMM per
-//! layer per control step (`drive_nn::batch::BatchPolicy`). Slots that finish are retired
-//! immediately and the batch is refilled from the remaining seed grid, so
-//! occupancy stays high even though episodes end at different steps.
+//! The serial harness runs two policy forward passes (victim + attacker)
+//! per evaluated step, one row each through pre-packed weights.
+//! [`FleetEval`] runs up to `batch` episodes through one [`WorldBatch`],
+//! gathering every live observation into a staging matrix so each policy
+//! runs one GEMM per layer per control step (`drive_nn::batch::BatchPolicy`,
+//! the same frozen-policy type the serial path uses). Slots that finish
+//! are retired immediately and the batch is refilled from the remaining
+//! seed grid, so occupancy stays high even though episodes end at
+//! different steps.
 //!
 //! Equivalence to the serial path is structural, not approximate:
 //!

@@ -3,36 +3,47 @@
 use crate::budget::AttackBudget;
 use crate::sensor::AttackerSensor;
 use drive_agents::runner::SteerAttacker;
-use drive_nn::gaussian::GaussianPolicy;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::scratch::ActScratch;
 use drive_sim::world::World;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A trained camera- or IMU-based attacker.
+///
+/// The policy is frozen and pre-packed ([`BatchPolicy`]): pack it once per
+/// evaluation cell and hand each episode's attacker an O(1) clone. A
+/// plain `GaussianPolicy` is accepted too and packed on construction.
 #[derive(Debug, Clone)]
 pub struct LearnedAttacker {
-    policy: GaussianPolicy,
+    policy: BatchPolicy,
     sensor: AttackerSensor,
     budget: AttackBudget,
     rng: StdRng,
     deterministic: bool,
     scratch: ActScratch,
+    obs: Vec<f32>,
 }
 
 impl LearnedAttacker {
     /// Wraps a trained policy with its sensor and budget.
     ///
+    /// Pack once (`BatchPolicy::from`) and hand each attacker a clone;
+    /// clones share the pack. A plain `GaussianPolicy` is also accepted
+    /// and packed here, so callers that hold one (the repo benchmark's
+    /// layer probes build one attacker per episode) keep compiling.
+    ///
     /// # Panics
     ///
     /// Panics if the policy's dims do not match the sensor / 1-D action.
     pub fn new(
-        policy: GaussianPolicy,
+        policy: impl Into<BatchPolicy>,
         sensor: AttackerSensor,
         budget: AttackBudget,
         seed: u64,
         deterministic: bool,
     ) -> Self {
+        let policy = policy.into();
         assert_eq!(
             policy.obs_dim(),
             sensor.obs_dim(),
@@ -46,6 +57,7 @@ impl LearnedAttacker {
             rng: StdRng::seed_from_u64(seed),
             deterministic,
             scratch: ActScratch::default(),
+            obs: Vec::new(),
         }
     }
 
@@ -60,7 +72,7 @@ impl LearnedAttacker {
     }
 
     /// The wrapped policy.
-    pub fn policy(&self) -> &GaussianPolicy {
+    pub fn policy(&self) -> &BatchPolicy {
         &self.policy
     }
 }
@@ -71,11 +83,13 @@ impl SteerAttacker for LearnedAttacker {
     }
 
     fn delta(&mut self, world: &World) -> f64 {
-        let obs = self.sensor.observe(world);
-        let raw = self
-            .policy
-            .act_with(&obs, &mut self.rng, self.deterministic, &mut self.scratch)[0]
-            as f64;
+        self.sensor.observe_into(world, &mut self.obs);
+        let raw = self.policy.act_with(
+            &self.obs,
+            &mut self.rng,
+            self.deterministic,
+            &mut self.scratch,
+        )[0] as f64;
         self.budget.scale(raw)
     }
 }
@@ -83,6 +97,7 @@ impl SteerAttacker for LearnedAttacker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drive_nn::gaussian::GaussianPolicy;
     use drive_sim::scenario::Scenario;
     use drive_sim::sensors::FeatureConfig;
 

@@ -11,6 +11,7 @@ use crate::train::{train_camera_attacker, train_imu_attacker, AttackTrainConfig}
 use drive_agents::e2e::E2eAgent;
 use drive_agents::training::{train_victim, VictimTrainConfig};
 use drive_agents::Agent;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::checkpoint::{
     decode_pnn, decode_policy, encode_pnn, encode_policy, load_from_file, save_to_file,
 };
@@ -119,10 +120,11 @@ impl PipelineConfig {
         c
     }
 
-    /// Builds a fresh deterministic victim agent around a policy.
+    /// Builds a fresh deterministic victim agent around a policy, frozen
+    /// and pre-packed for evaluation.
     pub fn victim_agent(&self, policy: &GaussianPolicy, seed: u64) -> Box<dyn Agent> {
         Box::new(E2eAgent::new(
-            policy.clone(),
+            BatchPolicy::from(policy.clone()),
             self.features.clone(),
             seed,
             true,

@@ -15,6 +15,7 @@ use crate::learned::LearnedAttacker;
 use crate::oracle::OracleAttacker;
 use crate::sensor::{AttackerSensor, SensorKind};
 use drive_agents::Agent;
+use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_rl::bc::{clone_policy, BcConfig, Demonstrations};
 use drive_rl::env::Env;
@@ -163,6 +164,7 @@ pub fn evaluate_attack_policy(
 ) -> (f64, f64) {
     let adv = AdvReward::default();
     let mut agent = victim();
+    let policy = BatchPolicy::from(policy.clone());
     let records = run_attacked_episodes(
         agent.as_mut(),
         |seed| {

@@ -340,8 +340,8 @@ impl Mat {
     /// inside the tiled interior the bias seeds the output and the tile
     /// fold lands on top (`bias + acc` vs `acc + bias` — IEEE addition
     /// commutes bitwise), while remainder rows/columns and the small-batch
-    /// `nt_dot` path accumulate from zero and add the bias afterwards,
-    /// exactly as the unpacked pipeline does.
+    /// `nt_packed_sweep` path accumulate from zero and add the bias
+    /// afterwards, exactly as the unpacked pipeline does.
     ///
     /// # Panics
     ///
@@ -367,8 +367,7 @@ impl Mat {
         assert_eq!(bias.len(), other.rows, "bias length");
         out.resize(self.rows, other.rows);
         if self.rows < TILE {
-            nt_dot(self, other, out);
-            out.add_row_broadcast(bias);
+            nt_packed_sweep(self, other_t, bias, out);
             return;
         }
         let (m, n) = (self.rows, other.rows);
@@ -657,9 +656,10 @@ fn gemm_acc_row_tail(k: usize, n: usize, a_row: &[f32], b: &[f32], out_row: &mut
 
 /// Small-batch `self @ other^T`: direct dot products, single accumulator
 /// per element with the same fused ascending-order fold as [`gemm_acc`] —
-/// this is what keeps 1-row serial inference bit-identical to the wide
-/// batched path. Used when there are too few rows for the pack-and-tile
-/// path to pay for the transpose.
+/// this is what keeps 1-row inference on live weights (training
+/// rollouts, PNN training forwards) bit-identical to the wide batched
+/// path. Used when there are too few rows for the pack-and-tile path to
+/// pay for the transpose.
 fn nt_dot(a: &Mat, other: &Mat, out: &mut Mat) {
     for i in 0..a.rows {
         let a_row = a.row(i);
@@ -670,6 +670,63 @@ fn nt_dot(a: &Mat, other: &Mat, out: &mut Mat) {
             }
             out.data[i * other.rows + j] = acc;
         }
+    }
+}
+
+/// Column width of the widest register strip of [`nt_packed_sweep`]: 64
+/// accumulators (four 16-lane vectors) per broadcast input element.
+const STRIP: usize = 64;
+
+/// Small-batch `self @ other^T + bias` against the pre-packed `other^T`
+/// (`k x n`, row-major): each input element is broadcast across a strip
+/// of contiguous packed weights, so every strip lane is its own
+/// ascending-`k` fused chain and the loads are unit-stride. Columns walk
+/// in fixed-width strips of 64, then 4 and 1 (narrow policy heads), each
+/// held in registers. The bias lands after the fold, as in the unpacked
+/// `nt_dot` + `add_row_broadcast` pipeline, so outputs are bit-identical
+/// to it.
+fn nt_packed_sweep(a: &Mat, other_t: &Mat, bias: &[f32], out: &mut Mat) {
+    let n = other_t.cols;
+    for i in 0..a.rows {
+        let a_row = a.row(i);
+        let out_row = &mut out.data[i * n..(i + 1) * n];
+        let mut j = 0;
+        while j + STRIP <= n {
+            sweep_strip::<STRIP>(a_row, &other_t.data, n, j, bias, out_row);
+            j += STRIP;
+        }
+        while j + NTILE_NARROW <= n {
+            sweep_strip::<NTILE_NARROW>(a_row, &other_t.data, n, j, bias, out_row);
+            j += NTILE_NARROW;
+        }
+        while j < n {
+            sweep_strip::<1>(a_row, &other_t.data, n, j, bias, out_row);
+            j += 1;
+        }
+    }
+}
+
+/// One `W`-wide column strip `j..j + W` of [`nt_packed_sweep`]'s output
+/// row: `out[t] = (sum_p a_row[p] * other_t[p][j + t]) + bias[j + t]`,
+/// folded in ascending `p`.
+#[inline(always)]
+fn sweep_strip<const W: usize>(
+    a_row: &[f32],
+    other_t: &[f32],
+    n: usize,
+    j: usize,
+    bias: &[f32],
+    out_row: &mut [f32],
+) {
+    let mut acc = [0.0f32; W];
+    for (&x, w_row) in a_row.iter().zip(other_t.chunks_exact(n)) {
+        let wp: &[f32; W] = w_row[j..j + W].try_into().expect("W-wide strip");
+        for t in 0..W {
+            acc[t] = x.mul_add(wp[t], acc[t]);
+        }
+    }
+    for ((o, &c), &b) in out_row[j..j + W].iter_mut().zip(&acc).zip(&bias[j..j + W]) {
+        *o = c + b;
     }
 }
 
@@ -717,6 +774,22 @@ pub(crate) mod reference {
                 let mut acc = 0.0f32;
                 for p in 0..a.cols() {
                     acc += a.get(i, p) * b.get(j, p);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    /// `a @ b^T` with the fast kernels' per-element fold: ascending `k`,
+    /// one fused multiply-add per product, starting from zero.
+    pub fn matmul_nt_fused(a: &Mat, b: &Mat) -> Mat {
+        let mut out = Mat::zeros(a.rows(), b.rows());
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                let mut acc = 0.0f32;
+                for p in 0..a.cols() {
+                    acc = a.get(i, p).mul_add(b.get(j, p), acc);
                 }
                 out.set(i, j, acc);
             }
@@ -971,21 +1044,36 @@ mod tests {
         }
     }
 
+    /// Output widths at the edges of the single-row sweep's column
+    /// strips: [`NTILE_NARROW`] and [`STRIP`] multiples, their
+    /// neighbours, and widths that mix every strip size.
+    const EDGE_NS: [usize; 10] = [1, 2, 4, 15, 16, 17, 63, 64, 65, 129];
+    /// Input widths: tiny, odd, the observation and the hidden width.
+    const EDGE_KS: [usize; 4] = [1, 7, 60, 128];
+
     /// The pre-packed bias-fused product must be bit-identical to the
     /// unpacked pipeline (`matmul_nt_into` + `add_row_broadcast`) across
-    /// the kernel's regimes: small-batch `nt_dot` (m < TILE), the tiled
-    /// interior, and row/column remainders (m % TILE, n % NTILE, n < NTILE).
+    /// the kernel's regimes: the small-batch kernels (`nt_packed_sweep`
+    /// against `nt_dot`, m < TILE) at every strip edge, the
+    /// tiled interior, and row/column remainders (m % TILE, n % NTILE,
+    /// n < NTILE).
     #[test]
     fn prepacked_bias_matches_unpacked_pipeline_bit_exactly() {
-        for &(m, k, n) in &[
-            (1usize, 13usize, 7usize), // nt_dot path
-            (3, 60, 128),              // nt_dot path, wide
-            (4, 60, 128),              // pure tiled interior
-            (128, 60, 128),            // inference layer shape
-            (128, 128, 4),             // n < NTILE: all row-tail
-            (6, 17, 37),               // row and column remainders
-            (5, 1, 33),                // k = 1, column remainder
-        ] {
+        let mut shapes = vec![
+            (4usize, 60usize, 128usize), // pure tiled interior
+            (128, 60, 128),              // inference layer shape
+            (128, 128, 4),               // n < NTILE: all row-tail
+            (6, 17, 37),                 // row and column remainders
+            (5, 1, 33),                  // k = 1, column remainder
+        ];
+        for m in 1..TILE {
+            for k in EDGE_KS {
+                for n in EDGE_NS {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        for (m, k, n) in shapes {
             let a = Mat::from_vec(
                 m,
                 k,
@@ -1017,6 +1105,50 @@ mod tests {
                     w.to_bits(),
                     "({m}x{k}x{n})[{i}]: prepacked {g} vs unpacked {w}"
                 );
+            }
+        }
+    }
+
+    /// Rows of a single-row product equal the same rows computed inside a
+    /// tiled batch, bit for bit — packed and unpacked, at every strip
+    /// edge — and both equal the fused reference fold.
+    #[test]
+    fn small_batch_rows_match_tiled_batch_rows_bit_exactly() {
+        for k in EDGE_KS {
+            for n in EDGE_NS {
+                let wide = Mat::from_vec(
+                    9,
+                    k,
+                    (0..9 * k)
+                        .map(|i| ((i * 23) % 37) as f32 * 0.211 - 3.5)
+                        .collect(),
+                );
+                let b = Mat::from_vec(
+                    n,
+                    k,
+                    (0..n * k)
+                        .map(|i| ((i * 13) % 29) as f32 * -0.077 + 1.1)
+                        .collect(),
+                );
+                let bias: Vec<f32> = (0..n).map(|i| (i as f32) * 0.29 - 2.0).collect();
+                let mut bt = Mat::default();
+                b.transpose_into(&mut bt);
+                let mut batched = Mat::default();
+                wide.matmul_nt_prepacked_bias_into(&b, &bt, &bias, &mut batched);
+                for m in 1..TILE {
+                    let a = Mat::from_vec(m, k, wide.data()[..m * k].to_vec());
+                    let mut unpacked = Mat::default();
+                    a.matmul_nt_into(&b, &mut unpacked);
+                    let fused = reference::matmul_nt_fused(&a, &b);
+                    let mut packed = Mat::default();
+                    a.matmul_nt_prepacked_bias_into(&b, &bt, &bias, &mut packed);
+                    for (i, (u, f)) in unpacked.data().iter().zip(fused.data()).enumerate() {
+                        assert_eq!(u.to_bits(), f.to_bits(), "({m}x{k}x{n})[{i}] nt_dot");
+                    }
+                    for (i, (p, w)) in packed.data().iter().zip(batched.data()).enumerate() {
+                        assert_eq!(p.to_bits(), w.to_bits(), "({m}x{k}x{n})[{i}] packed");
+                    }
+                }
             }
         }
     }
@@ -1092,6 +1224,34 @@ mod tests {
                 let mut out = Mat::default();
                 a.matmul_nt_into_with(&b, &mut pack, &mut out);
                 assert_close(&out, &reference::matmul_nt(&a, &b), "matmul_nt");
+            }
+
+            /// Single-row products at the strip edges: the unpacked
+            /// `nt_dot` and the packed sweep both equal the
+            /// fused reference fold bit for bit (and so each other), and
+            /// stay within tolerance of the unfused naive loop.
+            #[test]
+            fn small_batch_nt_kernels_match_fused_reference(
+                (m, ki, ni) in (1usize..=3, 0usize..4, 0usize..10),
+                (sa, sb) in values(),
+            ) {
+                let (k, n) = (super::EDGE_KS[ki], super::EDGE_NS[ni]);
+                let a = mat(m, k, &sa);
+                let b = mat(n, k, &sb);
+                let fused = reference::matmul_nt_fused(&a, &b);
+                let mut pack = Mat::default();
+                let mut out = Mat::default();
+                a.matmul_nt_into_with(&b, &mut pack, &mut out);
+                assert_close(&out, &reference::matmul_nt(&a, &b), "nt_dot");
+                let zeros = vec![0.0f32; n];
+                let mut bt = Mat::default();
+                b.transpose_into(&mut bt);
+                let mut packed = Mat::default();
+                a.matmul_nt_prepacked_bias_into(&b, &bt, &zeros, &mut packed);
+                for ((&u, &p), &f) in out.data().iter().zip(packed.data()).zip(fused.data()) {
+                    prop_assert_eq!(u.to_bits(), f.to_bits());
+                    prop_assert_eq!(p.to_bits(), (f + 0.0).to_bits());
+                }
             }
 
             /// The packed TN accumulation matches the naive version on top

@@ -146,14 +146,7 @@ impl Mlp {
     /// they must be rebuilt if the weights change, so hold them only while
     /// the network is frozen (inference).
     pub fn pack_weights(&self) -> Vec<Mat> {
-        self.layers
-            .iter()
-            .map(|l| {
-                let mut t = Mat::default();
-                l.w.transpose_into(&mut t);
-                t
-            })
-            .collect()
+        pack_layers(&self.layers)
     }
 
     /// [`Mlp::forward_with`] against pre-packed transposed weights from
@@ -326,6 +319,20 @@ impl Mlp {
             a.polyak_from(b, tau);
         }
     }
+}
+
+/// Each layer's transposed weight matrix, in layer order — the pack
+/// behind [`Mlp::pack_weights`] and the progressive policy's packed
+/// columns.
+pub(crate) fn pack_layers(layers: &[Linear]) -> Vec<Mat> {
+    layers
+        .iter()
+        .map(|l| {
+            let mut t = Mat::default();
+            l.w.transpose_into(&mut t);
+            t
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -15,12 +15,17 @@
 //! then adapts to adversarial experience — the property that defeats
 //! catastrophic forgetting.
 
-use crate::gaussian::{head_backward, randn_mat, sample_head, GaussianPolicy, HeadSample};
+use crate::batch::act_prepacked;
+use crate::gaussian::{
+    act_head, head_backward, randn_mat, sample_head, GaussianPolicy, HeadSample,
+};
 use crate::linear::Linear;
 use crate::mat::Mat;
-use crate::mlp::MlpCache;
+use crate::mlp::{pack_layers, MlpCache};
+use crate::scratch::{ActScratch, Scratch};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How to initialize the second column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -122,11 +127,17 @@ impl PnnPolicy {
     }
 
     /// Forward pass through both columns, caching intermediates.
+    ///
+    /// Non-finite observation entries are zeroed once, before either
+    /// column sees them (the same guard as [`crate::mlp::Mlp::forward`]);
+    /// the cache keeps the sanitized input for the backward pass.
     pub fn forward_cached(&self, obs: &Mat) -> PnnCache {
-        let base = self.base.trunk().forward_cached(obs);
+        let mut input = obs.clone();
+        input.sanitize_nonfinite();
+        let base = self.base.trunk().forward_cached(&input);
         let n = self.column.len();
         let mut post2 = Vec::with_capacity(n);
-        let mut h = obs.clone();
+        let mut h = input.clone();
         for i in 0..n {
             let mut z = self.column[i].forward(&h);
             if i >= 1 {
@@ -136,11 +147,7 @@ impl PnnPolicy {
             h = act.forward(&z);
             post2.push(h.clone());
         }
-        PnnCache {
-            input: obs.clone(),
-            base,
-            post2,
-        }
+        PnnCache { input, base, post2 }
     }
 
     /// Raw column-2 output without caching.
@@ -282,6 +289,112 @@ impl PnnPolicy {
     }
 }
 
+/// A frozen [`PnnPolicy`] with both columns' transposed weights
+/// pre-packed, for allocation-free single-observation inference — the
+/// Simplex switcher's deployment path. Clones share the policy and the
+/// packs (O(1)).
+#[derive(Debug, Clone)]
+pub struct PackedPnn {
+    pnn: Arc<PnnPolicy>,
+    base: Arc<[Mat]>,
+    column: Arc<[Mat]>,
+    laterals: Arc<[Mat]>,
+}
+
+impl From<PnnPolicy> for PackedPnn {
+    /// Packs both columns and the laterals once.
+    fn from(pnn: PnnPolicy) -> Self {
+        PackedPnn {
+            base: pnn.base.trunk().pack_weights().into(),
+            column: pack_layers(&pnn.column).into(),
+            laterals: pack_layers(&pnn.laterals).into(),
+            pnn: Arc::new(pnn),
+        }
+    }
+}
+
+impl PackedPnn {
+    /// The wrapped policy.
+    pub fn pnn(&self) -> &PnnPolicy {
+        &self.pnn
+    }
+
+    /// Action of the hardened column 2. Bit-identical to
+    /// [`PnnPolicy::act`] in both modes, with the same RNG draws;
+    /// allocation-free once the scratch has warmed up.
+    pub fn act_with<'s, R: Rng>(
+        &self,
+        obs: &[f32],
+        rng: &mut R,
+        deterministic: bool,
+        s: &'s mut ActScratch,
+    ) -> &'s [f32] {
+        let ActScratch {
+            obs: x,
+            trunk: Scratch { a, b },
+            action,
+            hidden,
+            lateral,
+        } = s;
+        x.copy_from_row(obs);
+        x.sanitize_nonfinite();
+        let pnn = &*self.pnn;
+        let base = pnn.base.trunk();
+        let n = pnn.column.len();
+        // Column 1's hidden activations feed the laterals; its output
+        // layer only serves column 1's own action and is skipped here.
+        hidden.resize_with(n - 1, Mat::default);
+        for i in 0..n - 1 {
+            let (done, rest) = hidden.split_at_mut(i);
+            let src = if i == 0 { &*x } else { &done[i - 1] };
+            base.layers()[i].forward_prepacked_into(src, &self.base[i], &mut rest[0]);
+            base.activation(i).apply_inplace(&mut rest[0]);
+        }
+        // Column 2: `z = column(h) + lateral(base_h)`, in the add order of
+        // `forward_cached`.
+        let (mut h, mut z) = (a, b);
+        for i in 0..n {
+            let src = if i == 0 { &*x } else { &*h };
+            pnn.column[i].forward_prepacked_into(src, &self.column[i], z);
+            if i >= 1 {
+                pnn.laterals[i - 1].forward_prepacked_into(
+                    &hidden[i - 1],
+                    &self.laterals[i - 1],
+                    lateral,
+                );
+                z.add_assign(lateral);
+            }
+            base.activation(i).apply_inplace(z);
+            std::mem::swap(&mut h, &mut z);
+        }
+        // `PnnPolicy::sample` draws its noise before the forward pass;
+        // the forward draws nothing, so drawing in the head is the same
+        // stream.
+        act_head(h.row(0), pnn.action_dim, rng, deterministic, action);
+        action
+    }
+
+    /// Action of the frozen base column 1. Bit-identical to
+    /// `self.pnn().base().act_with(..)`, with the same RNG draws.
+    pub fn act_base_with<'s, R: Rng>(
+        &self,
+        obs: &[f32],
+        rng: &mut R,
+        deterministic: bool,
+        s: &'s mut ActScratch,
+    ) -> &'s [f32] {
+        act_prepacked(
+            self.pnn.base.trunk(),
+            &self.base,
+            self.pnn.action_dim,
+            obs,
+            rng,
+            deterministic,
+            s,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,6 +516,85 @@ mod tests {
         // Trainable = column (same size as base) + laterals (12*12 + 12 + 12*4 + 4).
         let lateral_params = 12 * 12 + 12 + 12 * 4 + 4;
         assert_eq!(count, base_params + lateral_params);
+    }
+
+    /// A trained-looking PNN at the deployed widths: random column and
+    /// laterals so both columns and every lateral carry signal.
+    fn deployed_pnn() -> PnnPolicy {
+        let mut rng = StdRng::seed_from_u64(12);
+        let base = GaussianPolicy::new(60, &[128, 128], 2, &mut rng);
+        PnnPolicy::new(base, PnnInit::Random, &mut rng)
+    }
+
+    fn obs_at(step: usize) -> Vec<f32> {
+        (0..60)
+            .map(|i| ((i * 5 + step * 11) as f32 * 0.21).cos() * 1.5)
+            .collect()
+    }
+
+    fn bits(a: &[f32]) -> Vec<u32> {
+        a.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The packed hardened-column act matches `PnnPolicy::act` bit for
+    /// bit in both modes, drawing the same RNG stream; the packed base
+    /// column matches the base policy's `act_with` likewise.
+    #[test]
+    fn packed_act_matches_act_and_rng_stream() {
+        let pnn = deployed_pnn();
+        let packed = PackedPnn::from(pnn.clone());
+        let mut s = ActScratch::default();
+        let mut plain = ActScratch::default();
+        for deterministic in [true, false] {
+            let (mut r1, mut r2) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+            for step in 0..6 {
+                let obs = obs_at(step);
+                let want = pnn.act(&obs, &mut r1, deterministic);
+                let got = packed.act_with(&obs, &mut r2, deterministic, &mut s);
+                assert_eq!(
+                    bits(got),
+                    bits(&want),
+                    "column 2 step {step} det={deterministic}"
+                );
+                let want = pnn
+                    .base()
+                    .act_with(&obs, &mut r1, deterministic, &mut plain);
+                let got = packed.act_base_with(&obs, &mut r2, deterministic, &mut s);
+                assert_eq!(
+                    bits(got),
+                    bits(want),
+                    "column 1 step {step} det={deterministic}"
+                );
+            }
+            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "RNG streams diverged");
+        }
+    }
+
+    /// One NaN feature must not collapse the hardened column: the action
+    /// equals that of the same observation with the entry zeroed, on the
+    /// allocating and the packed path alike.
+    #[test]
+    fn nan_observation_acts_like_zeroed_entry_in_both_columns() {
+        let pnn = deployed_pnn();
+        let packed = PackedPnn::from(pnn.clone());
+        let mut s = ActScratch::default();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut poisoned = obs_at(3);
+        poisoned[17] = f32::NAN;
+        let mut zeroed = poisoned.clone();
+        zeroed[17] = 0.0;
+        let want = pnn.act(&zeroed, &mut rng, true);
+        assert_ne!(bits(&want), bits(&pnn.act(&obs_at(3), &mut rng, true)));
+        assert_eq!(bits(&pnn.act(&poisoned, &mut rng, true)), bits(&want));
+        assert_eq!(
+            bits(packed.act_with(&poisoned, &mut rng, true, &mut s)),
+            bits(&want)
+        );
+        let base_want = pnn.base().act(&zeroed, &mut rng, true);
+        assert_eq!(
+            bits(packed.act_base_with(&poisoned, &mut rng, true, &mut s)),
+            bits(&base_want)
+        );
     }
 
     #[test]

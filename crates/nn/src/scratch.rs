@@ -23,12 +23,15 @@ pub struct Scratch {
 
 /// Workspace for a single-observation policy `act` call: the 1-row
 /// observation matrix, the trunk's ping-pong buffers, and the action
-/// output vector.
+/// output vector. A progressive (two-column) policy also keeps its base
+/// column's hidden activations and one lateral product here.
 #[derive(Debug, Clone, Default)]
 pub struct ActScratch {
     pub(crate) obs: Mat,
     pub(crate) trunk: Scratch,
     pub(crate) action: Vec<f32>,
+    pub(crate) hidden: Vec<Mat>,
+    pub(crate) lateral: Mat,
 }
 
 /// Workspace for a micro-batched deterministic `act` call: the

@@ -11,7 +11,9 @@
 use ad_action_attacks::attacks::defense::SimplexSwitcher;
 use ad_action_attacks::attacks::learned::LearnedAttacker;
 use ad_action_attacks::attacks::sensor::AttackerSensor;
+use ad_action_attacks::nn::batch::BatchPolicy;
 use ad_action_attacks::nn::checkpoint;
+use ad_action_attacks::nn::pnn::PackedPnn;
 use ad_action_attacks::prelude::*;
 
 fn summarize(label: &str, records: &[EpisodeRecord]) {
@@ -32,10 +34,12 @@ fn main() {
 
     let victim = checkpoint::load_from_file("artifacts/victim_e2e.ckpt")
         .ok()
-        .and_then(|t| checkpoint::decode_policy(&t).ok());
+        .and_then(|t| checkpoint::decode_policy(&t).ok())
+        .map(BatchPolicy::from);
     let attacker = checkpoint::load_from_file("artifacts/attacker_camera.ckpt")
         .ok()
-        .and_then(|t| checkpoint::decode_policy(&t).ok());
+        .and_then(|t| checkpoint::decode_policy(&t).ok())
+        .map(BatchPolicy::from);
     let pnn = checkpoint::load_from_file("artifacts/pnn_defense.ckpt")
         .ok()
         .and_then(|t| checkpoint::decode_pnn(&t).ok());
@@ -64,7 +68,7 @@ fn main() {
             );
             summarize("pi_ori (undefended)", &records);
 
-            let switcher = SimplexSwitcher::new(pnn, 0.2, budget.epsilon());
+            let switcher = SimplexSwitcher::new(PackedPnn::from(pnn), 0.2, budget.epsilon());
             let mut defended = E2eAgent::new(switcher, features.clone(), 0, true);
             let records = run_attacked_episodes(
                 &mut defended,
