@@ -22,8 +22,8 @@ use drive_agents::modular::{ModularAgent, ModularConfig};
 use drive_agents::Agent;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::prelude::{
-    randn_mat, ActScratch, Activation, GaussianPolicy, Mat, Mlp, PackedPnn, PnnInit, PnnPolicy,
-    Scratch,
+    randn_mat, ActScratch, Activation, GaussianPolicy, Linear, Mat, Mlp, PackedPnn, PnnInit,
+    PnnPolicy, Scratch,
 };
 use drive_nn::scratch::BatchActScratch;
 use drive_rl::replay::{Batch, ReplayBuffer, Transition};
@@ -137,6 +137,28 @@ fn bench_matmul_kernels(c: &mut Criterion) {
             black_box(acc.get(0, 0))
         });
     });
+    // The critic's layer-0 weight gradient at batch 128: `grad_out^T @ x`
+    // over the 62-wide (60 obs + 2 action) input, 30 columns of which fall
+    // outside the 32-wide strips.
+    let grad_out = randn_mat(128, 128, &mut rng);
+    let x = randn_mat(128, 62, &mut rng);
+    c.bench_function("gemm_128x128x62_tn_acc", |b| {
+        let mut acc = Mat::zeros(128, 62);
+        b.iter(|| {
+            acc.fill(0.0);
+            grad_out.matmul_tn_acc(&x, &mut acc);
+            black_box(acc.get(0, 0))
+        });
+    });
+    // A critic's 128 -> 1 output layer over a training batch.
+    let head = Linear::new(128, 1, &mut rng);
+    c.bench_function("critic_head_forward_batch128", |b| {
+        let mut y = Mat::default();
+        b.iter(|| {
+            head.forward_into(&grad_out, &mut y);
+            black_box(y.get(0, 0))
+        });
+    });
 }
 
 fn bench_mlp_forward_scratch(c: &mut Criterion) {
@@ -192,12 +214,12 @@ fn bench_policy_inference(c: &mut Criterion) {
     });
 }
 
-fn filled_buffer(dim: usize) -> ReplayBuffer {
-    let mut buffer = ReplayBuffer::new(10_000, dim, 2);
+fn filled_buffer(dim: usize, action_dim: usize) -> ReplayBuffer {
+    let mut buffer = ReplayBuffer::new(10_000, dim, action_dim);
     for i in 0..2000 {
         buffer.push(Transition {
             obs: vec![(i % 17) as f32 * 0.05; dim],
-            action: vec![0.1, -0.2],
+            action: [0.1, -0.2][..action_dim].to_vec(),
             reward: (i % 5) as f32,
             next_obs: vec![(i % 13) as f32 * 0.05; dim],
             terminal: i % 50 == 0,
@@ -209,7 +231,7 @@ fn filled_buffer(dim: usize) -> ReplayBuffer {
 fn bench_replay_sample(c: &mut Criterion) {
     c.bench_function("replay_sample_into_batch128", |b| {
         let dim = FeatureConfig::default().observation_dim();
-        let buffer = filled_buffer(dim);
+        let buffer = filled_buffer(dim, 2);
         let mut rng = StdRng::seed_from_u64(0);
         let mut batch = Batch::default();
         b.iter(|| {
@@ -219,14 +241,21 @@ fn bench_replay_sample(c: &mut Criterion) {
     });
 }
 
+/// SAC updates at the training shapes: the victim (2 actions) and a
+/// steering attacker (1 action), both 60 obs -> [128, 128] at batch 128.
 fn bench_sac_update(c: &mut Criterion) {
-    c.bench_function("sac_update_batch128", |b| {
-        let mut rng = StdRng::seed_from_u64(0);
-        let dim = FeatureConfig::default().observation_dim();
-        let mut sac = Sac::new(dim, 2, &[128, 128], SacConfig::default(), &mut rng);
-        let buffer = filled_buffer(dim);
-        b.iter(|| black_box(sac.update(&buffer, &mut rng)));
-    });
+    for (name, action_dim) in [
+        ("sac_update_batch128", 2),
+        ("sac_update_batch128_attacker", 1),
+    ] {
+        c.bench_function(name, |b| {
+            let mut rng = StdRng::seed_from_u64(0);
+            let dim = FeatureConfig::default().observation_dim();
+            let mut sac = Sac::new(dim, action_dim, &[128, 128], SacConfig::default(), &mut rng);
+            let buffer = filled_buffer(dim, action_dim);
+            b.iter(|| black_box(sac.update(&buffer, &mut rng)));
+        });
+    }
 }
 
 /// Micro-batched inference: the serving layer's hot path, batch-8 against

@@ -126,6 +126,7 @@ impl Adam {
                 params.len(),
                 "parameter layout changed between Adam steps"
             );
+            assert_eq!(grads.len(), params.len(), "gradient slice length");
             if c.grad_clip > 0.0 {
                 let norm = grads.iter().map(|g| g * g).sum::<f32>().sqrt();
                 if norm > c.grad_clip {
@@ -135,14 +136,19 @@ impl Adam {
                     }
                 }
             }
-            let (ms, vs) = (&mut m[idx], &mut v[idx]);
-            for i in 0..params.len() {
-                let g = grads[i];
-                ms[i] = c.beta1 * ms[i] + (1.0 - c.beta1) * g;
-                vs[i] = c.beta2 * vs[i] + (1.0 - c.beta2) * g * g;
-                let mhat = ms[i] / bias1;
-                let vhat = vs[i] / bias2;
-                params[i] -= c.lr * mhat / (vhat.sqrt() + c.eps);
+            // One zipped pass: no bounds checks, so the element-wise
+            // update vectorizes.
+            for (((p, &g), mi), vi) in params
+                .iter_mut()
+                .zip(grads.iter())
+                .zip(m[idx].iter_mut())
+                .zip(v[idx].iter_mut())
+            {
+                *mi = c.beta1 * *mi + (1.0 - c.beta1) * g;
+                *vi = c.beta2 * *vi + (1.0 - c.beta2) * g * g;
+                let mhat = *mi / bias1;
+                let vhat = *vi / bias2;
+                *p -= c.lr * mhat / (vhat.sqrt() + c.eps);
             }
             idx += 1;
         });

@@ -11,7 +11,7 @@
 use crate::activation::Activation;
 use crate::mat::Mat;
 use crate::mlp::{Mlp, MlpCache};
-use crate::scratch::{ActScratch, BatchActScratch, SampleBackScratch};
+use crate::scratch::{ActScratch, BatchActScratch, SampleBackScratch, Scratch};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -329,7 +329,7 @@ impl GaussianPolicy {
     /// [`GaussianPolicy::backward_sample`] through reusable buffers —
     /// allocation-free once the scratch has warmed up, with parameter
     /// gradients accumulating bit-identically. The observation gradient is
-    /// left in the scratch rather than returned (SAC never uses it).
+    /// not computed (SAC never uses it).
     pub fn backward_sample_with(
         &mut self,
         cache: &SampleCache,
@@ -339,12 +339,29 @@ impl GaussianPolicy {
     ) {
         let SampleBackScratch { grad_raw, trunk } = s;
         head_backward_into(&cache.head, grad_action, grad_logp, grad_raw);
-        self.trunk.backward_with(&cache.trunk, grad_raw, trunk);
+        self.trunk
+            .backward_params_with(&cache.trunk, grad_raw, trunk);
     }
 
     /// Backpropagates a gradient on the *deterministic* action `tanh(mean)`
-    /// (used for behaviour cloning). Returns the observation gradient.
+    /// into the trunk parameters and returns the observation gradient
+    /// (the state-space attack's signal).
     pub fn backward_mean(&mut self, obs: &Mat, grad_tanh_mean: &Mat) -> Mat {
+        let (trunk, grad_raw) = self.mean_head_grad(obs, grad_tanh_mean);
+        self.trunk.backward(&trunk, &grad_raw)
+    }
+
+    /// [`GaussianPolicy::backward_mean`] for behaviour cloning: the same
+    /// parameter gradients, bit for bit, without the observation gradient.
+    pub fn backward_mean_params(&mut self, obs: &Mat, grad_tanh_mean: &Mat) {
+        let (trunk, grad_raw) = self.mean_head_grad(obs, grad_tanh_mean);
+        self.trunk
+            .backward_params_with(&trunk, &grad_raw, &mut Scratch::default());
+    }
+
+    /// The trunk's forward cache at `obs` and the raw-head gradient of a
+    /// gradient on `tanh(mean)` (zero on the log-std half).
+    fn mean_head_grad(&self, obs: &Mat, grad_tanh_mean: &Mat) -> (MlpCache, Mat) {
         let trunk = self.trunk.forward_cached(obs);
         let (mean, _) = trunk.output().split_cols(self.action_dim);
         let batch = obs.rows();
@@ -356,8 +373,7 @@ impl GaussianPolicy {
             }
         }
         let grad_ls = Mat::zeros(batch, self.action_dim);
-        let grad_raw = grad_mean.hcat(&grad_ls);
-        self.trunk.backward(&trunk, &grad_raw)
+        (trunk, grad_mean.hcat(&grad_ls))
     }
 
     /// Convenience: act on a single observation.

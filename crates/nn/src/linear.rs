@@ -3,6 +3,13 @@
 use crate::mat::Mat;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+
+thread_local! {
+    /// Column-sum buffer behind [`Linear::accumulate_grads`]; its capacity
+    /// persists across calls, so steady-state training allocates nothing.
+    static COL_SUMS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A dense layer computing `y = x @ W^T + b`.
 ///
@@ -92,24 +99,33 @@ impl Linear {
         grad_in
     }
 
-    /// Backward pass writing the input gradient into a reusable buffer.
-    /// Parameter gradients accumulate exactly as in [`Linear::backward`]
-    /// (directly into `grad_w` via `matmul_tn_acc` — no temporary matrix).
+    /// Backward pass writing the input gradient into a reusable buffer:
+    /// accumulates the weight and bias gradients, then writes
+    /// `grad_in = grad_out @ W`.
     pub fn backward_into(&mut self, x: &Mat, grad_out: &Mat, grad_in: &mut Mat) {
-        // dW += grad_out^T @ x  (shape out x in)
+        self.accumulate_grads(x, grad_out);
+        self.input_grad_into(grad_out, grad_in);
+    }
+
+    /// The parameter half of the backward pass: `grad_w += grad_out^T @ x`
+    /// (directly into `grad_w` via `matmul_tn_acc` — no temporary matrix)
+    /// and `grad_b +=` the column sums of `grad_out`. Each column sum
+    /// starts at `0.0`, adds the batch rows in ascending order in a
+    /// reused thread-local buffer, then lands on `grad_b` in one add.
+    pub(crate) fn accumulate_grads(&mut self, x: &Mat, grad_out: &Mat) {
         grad_out.matmul_tn_acc(x, &mut self.grad_w);
-        // db += column sums of grad_out. Summed per column in ascending
-        // batch order into a register before one add into `grad_b` — same
-        // FP order as the `sum_rows` temporary this replaces, without its
-        // per-call allocation.
-        for (j, g) in self.grad_b.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for r in 0..grad_out.rows() {
-                s += grad_out.row(r)[j];
+        COL_SUMS.with(|sums| {
+            let sums = &mut *sums.borrow_mut();
+            grad_out.sum_rows_into(sums);
+            for (g, &s) in self.grad_b.iter_mut().zip(sums.iter()) {
+                *g += s;
             }
-            *g += s;
-        }
-        // dX = grad_out @ W
+        });
+    }
+
+    /// The input half of the backward pass: `grad_in = grad_out @ W`,
+    /// leaving the parameter gradients untouched.
+    pub(crate) fn input_grad_into(&self, grad_out: &Mat, grad_in: &mut Mat) {
         grad_out.matmul_into(&self.w, grad_in);
     }
 

@@ -166,10 +166,10 @@ impl Mat {
         out.resize(self.rows, other.cols);
         out.fill(0.0);
         gemm_acc(
+            Lhs::Rows(&self.data),
             self.rows,
             self.cols,
             other.cols,
-            &self.data,
             &other.data,
             &mut out.data,
         );
@@ -227,10 +227,10 @@ impl Mat {
         other.transpose_into(pack);
         out.fill(0.0);
         gemm_acc(
+            Lhs::Rows(&self.data),
             self.rows,
             self.cols,
             other.rows,
-            &self.data,
             &pack.data,
             &mut out.data,
         );
@@ -248,35 +248,22 @@ impl Mat {
         out
     }
 
-    /// `acc += self^T @ other` via a thread-local pack buffer — see
-    /// [`Mat::matmul_tn_acc_with`] for the caller-owned-scratch form.
-    /// Allocation-free once the thread's pack buffer has warmed up.
+    /// `acc += self^T @ other` — accumulates the weight-gradient product
+    /// (`grad_out^T @ x`) directly into an existing matrix such as
+    /// `grad_w`, with no temporary. The kernel reads `self^T` in place —
+    /// a tile's rows at batch step `p` are contiguous in row `p` of
+    /// `self` — so nothing is packed.
+    ///
+    /// Per output element the batch-row products accumulate in ascending
+    /// order into a register starting at `+0.0` before one add folds them
+    /// into `acc`, on every path, so the result is `acc + fold` bit for
+    /// bit whatever `acc` holds.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows != other.rows` or `acc` is not
     /// `self.cols x other.cols`.
     pub fn matmul_tn_acc(&self, other: &Mat, acc: &mut Mat) {
-        PACK.with(|p| self.matmul_tn_acc_with(other, &mut p.borrow_mut(), acc));
-    }
-
-    /// `acc += self^T @ other` — accumulates the weight-gradient product
-    /// directly into an existing matrix (e.g. `grad_w`), packing `self^T`
-    /// into the caller-owned `pack` scratch and reusing the register-tiled
-    /// kernel. Avoids the temporary that `add_assign(&a.matmul_tn(b))`
-    /// would allocate.
-    ///
-    /// Per output element the batch-row products accumulate in ascending
-    /// order into a register before one add folds them into `acc`, so the
-    /// result matches the naive loop bit-for-bit when `acc` starts at zero.
-    /// Outputs narrower than [`TILE`] rows skip the pack and use a direct
-    /// broadcast sweep with the same accumulation order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != other.rows` or `acc` is not
-    /// `self.cols x other.cols`.
-    pub fn matmul_tn_acc_with(&self, other: &Mat, pack: &mut Mat, acc: &mut Mat) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn dims: ({}x{})^T @ {}x{}",
@@ -287,27 +274,22 @@ impl Mat {
             (self.cols, other.cols),
             "matmul_tn_acc accumulator shape"
         );
-        if self.cols < TILE {
-            tn_broadcast(self, other, acc);
-            return;
-        }
-        self.transpose_into(pack);
         gemm_acc(
+            Lhs::Cols(&self.data),
             self.cols,
             self.rows,
             other.cols,
-            &pack.data,
             &other.data,
             &mut acc.data,
         );
     }
 
     /// Writes `self^T` into `out` (resized; reuses `out`'s buffer). This is
-    /// the pack step that lets the transposed products share the plain
-    /// row-major kernel. Walked in 32x32 blocks so the strided side stays
-    /// cache-resident — the naive row sweep thrashed one cache line per
-    /// element once the matrix outgrew L1 and cost more than the GEMM it
-    /// fed at inference shapes.
+    /// the pack step that lets the `self @ other^T` products share the
+    /// plain row-major kernel. Walked in 32x32 blocks so the strided side
+    /// stays cache-resident — the naive row sweep thrashed one cache line
+    /// per element once the matrix outgrew L1 and cost more than the GEMM
+    /// it fed at inference shapes.
     pub fn transpose_into(&self, out: &mut Mat) {
         out.resize(self.cols, self.rows);
         const BT: usize = 32;
@@ -337,11 +319,11 @@ impl Mat {
     /// amortize.
     ///
     /// Bit-identical to `matmul_nt_into` followed by `add_row_broadcast`:
-    /// inside the tiled interior the bias seeds the output and the tile
-    /// fold lands on top (`bias + acc` vs `acc + bias` — IEEE addition
-    /// commutes bitwise), while remainder rows/columns and the small-batch
-    /// `nt_packed_sweep` path accumulate from zero and add the bias
-    /// afterwards, exactly as the unpacked pipeline does.
+    /// the bias seeds the output and every tile's register fold lands on
+    /// top in one add (`bias + acc` vs `acc + bias` — IEEE addition
+    /// commutes bitwise), while the small-batch `nt_packed_sweep` path
+    /// adds the bias after the fold, exactly as the unpacked pipeline
+    /// does.
     ///
     /// # Panics
     ///
@@ -370,38 +352,17 @@ impl Mat {
             nt_packed_sweep(self, other_t, bias, out);
             return;
         }
-        let (m, n) = (self.rows, other.rows);
-        // Tiled interior: seed with the bias so the tile fold adds on top.
-        // Remainder rows/columns start at zero (the row-tail kernel folds
-        // products straight into the output, so a bias seed there would
-        // sit under the accumulation chain instead of on top of it) and
-        // get the bias in a second pass below. `j_main` is the column
-        // extent the wide + narrow tile tiers cover (see [`gemm_acc`]).
-        let i_main = m - m % TILE;
-        let j_wide = n - n % NTILE;
-        let j_main = j_wide + (n - j_wide) / NTILE_NARROW * NTILE_NARROW;
-        for r in 0..m {
-            let dst = &mut out.data[r * n..(r + 1) * n];
-            if r < i_main {
-                dst[..j_main].copy_from_slice(&bias[..j_main]);
-                dst[j_main..].iter_mut().for_each(|v| *v = 0.0);
-            } else {
-                dst.iter_mut().for_each(|v| *v = 0.0);
-            }
+        for r in 0..self.rows {
+            out.row_mut(r).copy_from_slice(bias);
         }
-        gemm_acc(m, self.cols, n, &self.data, &other_t.data, &mut out.data);
-        for r in 0..m {
-            let dst = &mut out.data[r * n..(r + 1) * n];
-            if r < i_main {
-                for (o, &b) in dst[j_main..].iter_mut().zip(&bias[j_main..]) {
-                    *o += b;
-                }
-            } else {
-                for (o, &b) in dst.iter_mut().zip(bias) {
-                    *o += b;
-                }
-            }
-        }
+        gemm_acc(
+            Lhs::Rows(&self.data),
+            self.rows,
+            self.cols,
+            other.rows,
+            &other_t.data,
+            &mut out.data,
+        );
     }
 
     /// Element-wise in-place map.
@@ -440,13 +401,22 @@ impl Mat {
 
     /// Sum over rows, returning a `cols`-length vector (bias gradients).
     pub fn sum_rows(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
+        let mut out = Vec::new();
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// [`Mat::sum_rows`] into a reusable buffer (resized and overwritten).
+    /// Each column starts at `0.0` and adds the rows in ascending order;
+    /// the sweep runs row by row, so every pass reads contiguous memory.
+    pub(crate) fn sum_rows_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(self.cols, 0.0);
         for r in 0..self.rows {
             for (o, &v) in out.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
         }
-        out
     }
 
     /// Horizontal concatenation `[self | other]`.
@@ -516,10 +486,10 @@ impl Default for Mat {
 pub const TILE: usize = 4;
 
 thread_local! {
-    /// Pack buffer behind the scratch-free [`Mat::matmul_nt_into`] /
-    /// [`Mat::matmul_tn_acc`] entry points. Thread-local so parallel
-    /// experiment workers never contend; its capacity persists across
-    /// calls, so steady-state packing allocates nothing.
+    /// Pack buffer behind the scratch-free [`Mat::matmul_nt_into`] entry
+    /// point. Thread-local so parallel experiment workers never contend;
+    /// its capacity persists across calls, so steady-state packing
+    /// allocates nothing.
     static PACK: RefCell<Mat> = const {
         RefCell::new(Mat {
             rows: 0,
@@ -527,130 +497,218 @@ thread_local! {
             data: Vec::new(),
         })
     };
+    /// The zero-padded remainder strip of [`gemm_acc`], reused the same way.
+    static PAD: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Column width of the GEMM micro-kernel (two 16-lane vectors per row).
 const NTILE: usize = 32;
 
-/// Column width of the narrow middle tier of [`gemm_acc`], covering
-/// outputs (and column remainders) too narrow for a full [`NTILE`] strip —
-/// e.g. the `(batch, 2*action_dim)` policy head. Without it those columns
-/// fall to the row-tail sweep, whose per-`k` store/reload of the output
-/// row serializes on store-forwarding latency (~6 cycles per step) and
-/// made the 4-wide head layer cost as much as the 128-wide hidden layer.
-const NTILE_NARROW: usize = 4;
+/// Widest output [`gemm_acc`] walks in tall [`TALL`]-row tiles — the
+/// critic heads (1 column) and policy heads (`2 * action_dim` ≤ 4). Also
+/// the narrow strip width of [`nt_packed_sweep`].
+const NARROW: usize = 4;
 
-/// `out += a @ b` for row-major `m x k` / `k x n` / `m x n` slices — the
-/// one hot GEMM kernel every matmul variant funnels into.
+/// Row height of the tall tile for outputs at most [`NARROW`] columns
+/// wide: sixteen independent accumulator chains per column, where a
+/// [`TILE`]-row tile would leave the FMA pipes waiting on four.
+const TALL: usize = 16;
+
+/// The left operand of [`gemm_acc`], logically `m x k`.
+#[derive(Clone, Copy)]
+enum Lhs<'a> {
+    /// Stored row-major as `m x k`.
+    Rows(&'a [f32]),
+    /// Stored row-major as `k x m` and read as its transpose in place: at
+    /// step `p` a tile's rows are contiguous in row `p` (the `grad_outᵀ`
+    /// of [`Mat::matmul_tn_acc`]), so the product needs no pack.
+    Cols(&'a [f32]),
+}
+
+impl Lhs<'_> {
+    fn len(self) -> usize {
+        match self {
+            Lhs::Rows(a) | Lhs::Cols(a) => a.len(),
+        }
+    }
+}
+
+/// `out += a @ b` for a logical `m x k` left operand (see [`Lhs`]) and
+/// row-major `k x n` / `m x n` slices — the one GEMM kernel every
+/// multi-row matmul variant funnels into.
 ///
-/// The output is walked in 4x32 tiles ([`TILE`] rows by [`NTILE`]
-/// columns); each tile keeps 128 independent register accumulators (eight
-/// 16-lane AVX-512 vectors when the target has them), so the per-element
-/// FP latency chain never serializes across tile lanes, and the inner
-/// loop is written as a zip over `b`'s rows with fixed-size
-/// `[f32; NTILE]` loads so the compiler can keep it branch- and
-/// bounds-check-free. Each element's products are folded in ascending-`k`
-/// order into its own accumulator with an explicit `f32::mul_add` — one
-/// rounding per product, the same on every ISA (hardware FMA where
-/// available, exact software fallback otherwise) — then one add folds the
-/// tile into `out`. Every kernel in this module uses the same fused
-/// ascending-`k` fold, which keeps results independent of tiling and
-/// batch width and bit-identical run to run. Shape checks are
-/// `debug_assert!` only — the public `Mat` methods have already validated
-/// dimensions.
-fn gemm_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+/// Every output element is produced by the same micro-kernel
+/// ([`Gemm::fold`]): its products fold in ascending-`k` order into a
+/// register accumulator that starts at `+0.0`, one explicit
+/// `f32::mul_add` per product (one rounding, the same on every ISA), and
+/// then one add lands the accumulator on `out`. Only the tile shape varies, never the fold, so
+/// results are independent of tiling and batch width and bit-identical
+/// run to run:
+///
+/// - rows walk in [`TILE`]-row tiles (or [`TALL`]-row ones when
+///   `n ≤` [`NARROW`]); the last `m mod 4` rows run as 1-row tiles;
+/// - columns walk in [`NTILE`]-wide strips read straight from `b`; the
+///   `n mod 32` columns left over are first copied into a zero-padded
+///   strip of 32 lanes ([`NARROW`] for narrow outputs) and run through
+///   the same micro-kernel, whose padding lanes are discarded.
+///
+/// Shape checks are `debug_assert!` only — the public `Mat` methods have
+/// already validated dimensions.
+fn gemm_acc(a: Lhs<'_>, m: usize, k: usize, n: usize, b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k, "gemm_acc: a is not m x k");
     debug_assert_eq!(b.len(), k * n, "gemm_acc: b is not k x n");
     debug_assert_eq!(out.len(), m * n, "gemm_acc: out is not m x n");
     if k == 0 || n == 0 {
         return;
     }
-    let mut i = 0;
-    while i + TILE <= m {
-        // Four A-row slices of exactly k elements: in-bounds by
-        // construction, so the zipped loads below need no checks.
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let a2 = &a[(i + 2) * k..(i + 3) * k];
-        let a3 = &a[(i + 3) * k..(i + 4) * k];
-        let mut j = 0;
-        while j + NTILE <= n {
-            let mut c0 = [0.0f32; NTILE];
-            let mut c1 = [0.0f32; NTILE];
-            let mut c2 = [0.0f32; NTILE];
-            let mut c3 = [0.0f32; NTILE];
-            for ((((brow, &x0), &x1), &x2), &x3) in
-                b.chunks_exact(n).zip(a0).zip(a1).zip(a2).zip(a3)
-            {
-                let bp: &[f32; NTILE] = brow[j..j + NTILE].try_into().expect("NTILE-wide strip");
-                for t in 0..NTILE {
-                    c0[t] = x0.mul_add(bp[t], c0[t]);
-                    c1[t] = x1.mul_add(bp[t], c1[t]);
-                    c2[t] = x2.mul_add(bp[t], c2[t]);
-                    c3[t] = x3.mul_add(bp[t], c3[t]);
-                }
+    let j_pad = n - n % NTILE;
+    let w = match n - j_pad {
+        0 => 0,
+        _ if n <= NARROW => NARROW,
+        _ => NTILE,
+    };
+    PAD.with(|pad| {
+        let pad = &mut *pad.borrow_mut();
+        if w > 0 {
+            pad.clear();
+            for brow in b.chunks_exact(n) {
+                pad.extend_from_slice(&brow[j_pad..]);
+                pad.resize(pad.len() + w - (n - j_pad), 0.0);
             }
-            for (r, acc) in [c0, c1, c2, c3].iter().enumerate() {
-                let dst = &mut out[(i + r) * n + j..(i + r) * n + j + NTILE];
+        }
+        let g = Gemm {
+            a,
+            m,
+            k,
+            n,
+            b,
+            pad,
+            w,
+        };
+        let mut i = 0;
+        if n <= NARROW {
+            while i + TALL <= m {
+                g.padded::<TALL, NARROW>(i, out);
+                i += TALL;
+            }
+        }
+        while i + TILE <= m {
+            g.row_block::<TILE>(i, out);
+            i += TILE;
+        }
+        while i < m {
+            g.row_block::<1>(i, out);
+            i += 1;
+        }
+    });
+}
+
+/// One [`gemm_acc`] call's operands, with the padded remainder strip
+/// (`k x w`; `w == 0` when `n` is a multiple of [`NTILE`]).
+struct Gemm<'a> {
+    a: Lhs<'a>,
+    m: usize,
+    k: usize,
+    n: usize,
+    b: &'a [f32],
+    pad: &'a [f32],
+    w: usize,
+}
+
+impl Gemm<'_> {
+    /// Output rows `i..i + R`, every column: the [`NTILE`] strips, then
+    /// the padded remainder.
+    #[inline(always)]
+    fn row_block<const R: usize>(&self, i: usize, out: &mut [f32]) {
+        let n = self.n;
+        let j_pad = n - n % NTILE;
+        let mut j = 0;
+        while j < j_pad {
+            // Full strips land through fixed-size rows: with every index
+            // constant, the inlined tile stays in registers.
+            let c = self.fold::<R, NTILE>(i, self.b, n, j);
+            for (r, cr) in c.iter().enumerate() {
+                let dst: &mut [f32; NTILE] = (&mut out[(i + r) * n + j..][..NTILE])
+                    .try_into()
+                    .expect("NTILE-wide strip");
                 for t in 0..NTILE {
-                    dst[t] += acc[t];
+                    dst[t] += cr[t];
                 }
             }
             j += NTILE;
         }
-        while j + NTILE_NARROW <= n {
-            let mut c0 = [0.0f32; NTILE_NARROW];
-            let mut c1 = [0.0f32; NTILE_NARROW];
-            let mut c2 = [0.0f32; NTILE_NARROW];
-            let mut c3 = [0.0f32; NTILE_NARROW];
-            for ((((brow, &x0), &x1), &x2), &x3) in
-                b.chunks_exact(n).zip(a0).zip(a1).zip(a2).zip(a3)
-            {
-                let bp: &[f32; NTILE_NARROW] =
-                    brow[j..j + NTILE_NARROW].try_into().expect("narrow strip");
-                for t in 0..NTILE_NARROW {
-                    c0[t] = x0.mul_add(bp[t], c0[t]);
-                    c1[t] = x1.mul_add(bp[t], c1[t]);
-                    c2[t] = x2.mul_add(bp[t], c2[t]);
-                    c3[t] = x3.mul_add(bp[t], c3[t]);
-                }
-            }
-            for (r, acc) in [c0, c1, c2, c3].iter().enumerate() {
-                let dst = &mut out[(i + r) * n + j..(i + r) * n + j + NTILE_NARROW];
-                for t in 0..NTILE_NARROW {
-                    dst[t] += acc[t];
-                }
-            }
-            j += NTILE_NARROW;
+        match self.w {
+            0 => {}
+            NARROW => self.padded::<R, NARROW>(i, out),
+            _ => self.padded::<R, NTILE>(i, out),
         }
-        if j < n {
-            for (r, a_row) in [a0, a1, a2, a3].iter().enumerate() {
-                gemm_acc_row_tail(k, n, a_row, b, &mut out[(i + r) * n..(i + r + 1) * n], j);
-            }
-        }
-        i += TILE;
     }
-    while i < m {
-        gemm_acc_row_tail(
-            k,
-            n,
-            &a[i * k..(i + 1) * k],
-            b,
-            &mut out[i * n..(i + 1) * n],
-            0,
-        );
-        i += 1;
-    }
-}
 
-/// Remainder path of [`gemm_acc`]: one output row, columns `j0..n`, as a
-/// plain i-k-j sweep with the same fused ascending-`k` accumulation order.
-fn gemm_acc_row_tail(k: usize, n: usize, a_row: &[f32], b: &[f32], out_row: &mut [f32], j0: usize) {
-    for (p, &av) in a_row.iter().enumerate().take(k) {
-        let b_row = &b[p * n + j0..(p + 1) * n];
-        for (o, &bv) in out_row[j0..].iter_mut().zip(b_row) {
-            *o = av.mul_add(bv, *o);
+    /// Rows `i..i + R` of the `n mod 32` remainder columns, folded over
+    /// the `W`-lane padded strip; only the real lanes land on `out`.
+    #[inline(always)]
+    fn padded<const R: usize, const W: usize>(&self, i: usize, out: &mut [f32]) {
+        let n = self.n;
+        let j_pad = n - n % NTILE;
+        let c = self.fold_out_of_line::<R, W>(i);
+        for (r, cr) in c.iter().enumerate() {
+            let dst = &mut out[(i + r) * n + j_pad..(i + r + 1) * n];
+            for (o, &acc) in dst.iter_mut().zip(cr) {
+                *o += acc;
+            }
         }
+    }
+
+    /// [`Gemm::fold`] over the padded strip, kept out of line so its
+    /// accumulators stay in registers: inlined, the variable-width
+    /// write-back in [`Gemm::padded`] would pin them to memory.
+    #[inline(never)]
+    fn fold_out_of_line<const R: usize, const W: usize>(&self, i: usize) -> [[f32; W]; R] {
+        self.fold::<R, W>(i, self.pad, W, 0)
+    }
+
+    /// The micro-kernel: an `R x W` register tile over rows `i..i + R` of
+    /// `a` and the `W`-lane strip at column `jb` of the row-major `k x ldb`
+    /// matrix `src` (`b` itself or the padded strip). Every lane folds its
+    /// products in ascending `k` from `+0.0`.
+    #[inline(always)]
+    fn fold<const R: usize, const W: usize>(
+        &self,
+        i: usize,
+        src: &[f32],
+        ldb: usize,
+        jb: usize,
+    ) -> [[f32; W]; R] {
+        let (m, k) = (self.m, self.k);
+        let mut c = [[0.0f32; W]; R];
+        match self.a {
+            Lhs::Rows(a) => {
+                // R row slices of exactly k elements: `p < k` keeps the
+                // loads below free of bounds checks.
+                let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..][..k]);
+                for (p, brow) in (0..k).zip(src.chunks_exact(ldb)) {
+                    let bp: &[f32; W] = brow[jb..jb + W].try_into().expect("W-wide strip");
+                    let xs: [f32; R] = std::array::from_fn(|r| rows[r][p]);
+                    for t in 0..W {
+                        for r in 0..R {
+                            c[r][t] = xs[r].mul_add(bp[t], c[r][t]);
+                        }
+                    }
+                }
+            }
+            Lhs::Cols(a) => {
+                for (arow, brow) in a.chunks_exact(m).zip(src.chunks_exact(ldb)) {
+                    let xs: &[f32; R] = arow[i..i + R].try_into().expect("R-row tile");
+                    let bp: &[f32; W] = brow[jb..jb + W].try_into().expect("W-wide strip");
+                    for t in 0..W {
+                        for r in 0..R {
+                            c[r][t] = xs[r].mul_add(bp[t], c[r][t]);
+                        }
+                    }
+                }
+            }
+        }
+        c
     }
 }
 
@@ -695,9 +753,9 @@ fn nt_packed_sweep(a: &Mat, other_t: &Mat, bias: &[f32], out: &mut Mat) {
             sweep_strip::<STRIP>(a_row, &other_t.data, n, j, bias, out_row);
             j += STRIP;
         }
-        while j + NTILE_NARROW <= n {
-            sweep_strip::<NTILE_NARROW>(a_row, &other_t.data, n, j, bias, out_row);
-            j += NTILE_NARROW;
+        while j + NARROW <= n {
+            sweep_strip::<NARROW>(a_row, &other_t.data, n, j, bias, out_row);
+            j += NARROW;
         }
         while j < n {
             sweep_strip::<1>(a_row, &other_t.data, n, j, bias, out_row);
@@ -730,35 +788,20 @@ fn sweep_strip<const W: usize>(
     }
 }
 
-/// Narrow-output `acc += self^T @ other`: fused ascending batch-row
-/// broadcast, used when the transposed output has fewer than [`TILE`]
-/// rows (e.g. the `(batch, 1)` critic-head gradients).
-fn tn_broadcast(a: &Mat, other: &Mat, acc: &mut Mat) {
-    for b in 0..a.rows {
-        let a_row = a.row(b);
-        let o_row = other.row(b);
-        for (i, &av) in a_row.iter().enumerate() {
-            let out_row = &mut acc.data[i * other.cols..(i + 1) * other.cols];
-            for (o, &g) in out_row.iter_mut().zip(o_row) {
-                *o = av.mul_add(g, *o);
-            }
-        }
-    }
-}
-
 /// Naive reference kernels the fast paths are property-tested against.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::Mat;
 
-    /// Textbook `a @ b` triple loop.
-    pub fn matmul(a: &Mat, b: &Mat) -> Mat {
+    /// `a @ b` with the fast kernels' per-element fold: ascending `k`, one
+    /// fused multiply-add per product, starting from zero.
+    pub fn matmul_fused(a: &Mat, b: &Mat) -> Mat {
         let mut out = Mat::zeros(a.rows(), b.cols());
         for i in 0..a.rows() {
             for j in 0..b.cols() {
                 let mut acc = 0.0f32;
                 for p in 0..a.cols() {
-                    acc += a.get(i, p) * b.get(p, j);
+                    acc = a.get(i, p).mul_add(b.get(p, j), acc);
                 }
                 out.set(i, j, acc);
             }
@@ -797,14 +840,16 @@ pub(crate) mod reference {
         out
     }
 
-    /// Textbook `acc + a^T @ b`.
-    pub fn matmul_tn_acc(a: &Mat, b: &Mat, acc: &Mat) -> Mat {
+    /// `acc + a^T @ b` with the fused fold: each element's products fold
+    /// from zero in ascending batch order, then one add lands the fold on
+    /// `acc`.
+    pub fn matmul_tn_acc_fused(a: &Mat, b: &Mat, acc: &Mat) -> Mat {
         let mut out = acc.clone();
         for i in 0..a.cols() {
             for j in 0..b.cols() {
                 let mut sum = 0.0f32;
                 for p in 0..a.rows() {
-                    sum += a.get(p, i) * b.get(p, j);
+                    sum = a.get(p, i).mul_add(b.get(p, j), sum);
                 }
                 out.set(i, j, out.get(i, j) + sum);
             }
@@ -987,20 +1032,13 @@ mod tests {
     }
 
     #[test]
-    fn with_variants_match_thread_local_pack_paths() {
+    fn with_variant_matches_thread_local_pack_path() {
         let a = Mat::from_vec(6, 5, (0..30).map(|i| (i as f32) * 0.3 - 4.0).collect());
         let b = Mat::from_vec(7, 5, (0..35).map(|i| (i as f32) * -0.17 + 2.0).collect());
         let mut pack = Mat::default();
         let mut out = Mat::default();
         a.matmul_nt_into_with(&b, &mut pack, &mut out);
         assert_eq!(out, a.matmul_nt(&b));
-
-        let g = Mat::from_vec(6, 4, (0..24).map(|i| (i as f32) * 0.09).collect());
-        let mut acc_with = Mat::zeros(5, 4);
-        let mut acc_tl = Mat::zeros(5, 4);
-        a.matmul_tn_acc_with(&g, &mut pack, &mut acc_with);
-        a.matmul_tn_acc(&g, &mut acc_tl);
-        assert_eq!(acc_with, acc_tl);
     }
 
     /// Repeated calls that reuse the same scratch buffers must be exactly
@@ -1031,7 +1069,7 @@ mod tests {
         a.matmul_nt_into_with(&bt, &mut pack, &mut nt_out);
         let nt_first = nt_out.clone();
         let mut acc = Mat::zeros(13, 6);
-        a.matmul_tn_acc_with(&nt_out, &mut pack, &mut acc);
+        a.matmul_tn_acc(&nt_out, &mut acc);
         let acc_first = acc.clone();
         for _ in 0..3 {
             a.matmul_into(&b, &mut out);
@@ -1039,13 +1077,13 @@ mod tests {
             a.matmul_nt_into_with(&bt, &mut pack, &mut nt_out);
             assert_eq!(nt_out, nt_first);
             acc.fill(0.0);
-            a.matmul_tn_acc_with(&nt_out, &mut pack, &mut acc);
+            a.matmul_tn_acc(&nt_out, &mut acc);
             assert_eq!(acc, acc_first);
         }
     }
 
     /// Output widths at the edges of the single-row sweep's column
-    /// strips: [`NTILE_NARROW`] and [`STRIP`] multiples, their
+    /// strips: [`NARROW`] and [`STRIP`] multiples, their
     /// neighbours, and widths that mix every strip size.
     const EDGE_NS: [usize; 10] = [1, 2, 4, 15, 16, 17, 63, 64, 65, 129];
     /// Input widths: tiny, odd, the observation and the hidden width.
@@ -1169,9 +1207,12 @@ mod tests {
     mod properties {
         use super::super::{reference, Mat};
         use proptest::prelude::*;
+        use proptest::strategy::Strategy;
+        use proptest::test_runner::TestCaseError;
+        use rand::rngs::StdRng;
+        use rand::Rng;
 
-        /// A random matrix with dimensions in `1..=96` — spans everything
-        /// from pure-remainder shapes to multi-tile interiors.
+        /// A random matrix cycling through the drawn seed values.
         fn mat(rows: usize, cols: usize, seed: &[f32]) -> Mat {
             let data = (0..rows * cols)
                 .map(|i| seed[i % seed.len()])
@@ -1179,8 +1220,27 @@ mod tests {
             Mat::from_vec(rows, cols, data)
         }
 
-        fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
-            (1usize..=96, 1usize..=96, 1usize..=96)
+        /// `(m, k, n)`: half the cases draw every dimension from `1..=96`
+        /// (pure-remainder shapes up to multi-tile interiors), the other
+        /// half a training shape — 128 output rows, any `k` up to 128, and
+        /// an output width from the heads (1, 2, 4), the observation and
+        /// critic inputs (60, 61, 62) or the hidden layer (128).
+        struct Dims;
+
+        impl Strategy for Dims {
+            type Value = (usize, usize, usize);
+            fn sample_value(&self, rng: &mut StdRng) -> Self::Value {
+                if rng.gen::<bool>() {
+                    (
+                        rng.gen_range(1..=96),
+                        rng.gen_range(1..=96),
+                        rng.gen_range(1..=96),
+                    )
+                } else {
+                    const NS: [usize; 7] = [1, 2, 4, 60, 61, 62, 128];
+                    (128, rng.gen_range(1..=128), NS[rng.gen_range(0..NS.len())])
+                }
+            }
         }
 
         fn values() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
@@ -1188,6 +1248,17 @@ mod tests {
                 proptest::collection::vec(-8.0f32..8.0, 7..=31),
                 proptest::collection::vec(-8.0f32..8.0, 7..=31),
             )
+        }
+
+        fn assert_bits(fast: &Mat, fused: &Mat, what: &str) -> Result<(), TestCaseError> {
+            prop_assert_eq!((fast.rows(), fast.cols()), (fused.rows(), fused.cols()));
+            for (i, (&f, &r)) in fast.data().iter().zip(fused.data()).enumerate() {
+                prop_assert!(
+                    f.to_bits() == r.to_bits(),
+                    "{what}[{i}]: fast {f} vs fused {r}"
+                );
+            }
+            Ok(())
         }
 
         fn assert_close(fast: &Mat, naive: &Mat, what: &str) {
@@ -1199,31 +1270,38 @@ mod tests {
         }
 
         proptest! {
-            /// The tiled kernel matches the naive triple loop. The fast
-            /// kernels fold per element in ascending-k order but with fused
-            /// multiply-adds (one rounding per product), so they agree with
-            /// the unfused naive loops within the 1e-4 relative tolerance
-            /// rather than bit-exactly; bit-identity across the fast paths
-            /// themselves is asserted separately.
+            /// The tiled kernel equals the fused reference fold bit for
+            /// bit — a kernel that reordered or split any element's sum
+            /// would fail here.
             #[test]
-            fn tiled_matmul_matches_naive((m, k, n) in dims(), (sa, sb) in values()) {
+            fn tiled_matmul_matches_fused_reference((m, k, n) in Dims, (sa, sb) in values()) {
                 let a = mat(m, k, &sa);
                 let b = mat(k, n, &sb);
                 let mut out = Mat::default();
                 a.matmul_into(&b, &mut out);
-                assert_close(&out, &reference::matmul(&a, &b), "matmul");
+                let fused = reference::matmul_fused(&a, &b);
+                assert_bits(&out, &fused, "matmul")?;
             }
 
-            /// The packed NT product matches the naive transposed product,
-            /// including the small-batch direct path (`m < TILE`).
+            /// The packed NT product — and its pre-packed, bias-fused form —
+            /// equals the fused reference fold bit for bit, including the
+            /// small-batch direct paths (`m < TILE`).
             #[test]
-            fn packed_matmul_nt_matches_naive((m, k, n) in dims(), (sa, sb) in values()) {
+            fn matmul_nt_matches_fused_reference((m, k, n) in Dims, (sa, sb) in values()) {
                 let a = mat(m, k, &sa);
                 let b = mat(n, k, &sb);
+                let fused = reference::matmul_nt_fused(&a, &b);
                 let mut pack = Mat::default();
                 let mut out = Mat::default();
                 a.matmul_nt_into_with(&b, &mut pack, &mut out);
-                assert_close(&out, &reference::matmul_nt(&a, &b), "matmul_nt");
+                assert_bits(&out, &fused, "matmul_nt")?;
+                let bias: Vec<f32> = (0..n).map(|j| sa[j % sa.len()] * 0.5).collect();
+                let mut biased = fused.clone();
+                biased.add_row_broadcast(&bias);
+                let mut bt = Mat::default();
+                b.transpose_into(&mut bt);
+                a.matmul_nt_prepacked_bias_into(&b, &bt, &bias, &mut out);
+                assert_bits(&out, &biased, "prepacked")?;
             }
 
             /// Single-row products at the strip edges: the unpacked
@@ -1254,17 +1332,17 @@ mod tests {
                 }
             }
 
-            /// The packed TN accumulation matches the naive version on top
-            /// of a non-zero accumulator.
+            /// The TN accumulation lands the fused fold on a non-zero
+            /// accumulator in one add, bit for bit, on every kernel path.
             #[test]
-            fn packed_matmul_tn_acc_matches_naive((m, k, n) in dims(), (sa, sb) in values()) {
+            fn matmul_tn_acc_matches_fused_reference((m, k, n) in Dims, (sa, sb) in values()) {
                 let a = mat(k, m, &sa);
                 let b = mat(k, n, &sb);
                 let base = mat(m, n, &sb);
-                let mut pack = Mat::default();
                 let mut acc = base.clone();
-                a.matmul_tn_acc_with(&b, &mut pack, &mut acc);
-                assert_close(&acc, &reference::matmul_tn_acc(&a, &b, &base), "matmul_tn_acc");
+                a.matmul_tn_acc(&b, &mut acc);
+                let fused = reference::matmul_tn_acc_fused(&a, &b, &base);
+                assert_bits(&acc, &fused, "matmul_tn_acc")?;
             }
         }
     }

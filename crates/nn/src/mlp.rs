@@ -14,6 +14,17 @@ pub struct Mlp {
     acts: Vec<Activation>,
 }
 
+/// Which gradients [`Mlp::backprop`] computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Grads {
+    ParamsAndInput,
+    /// Parameter gradients only: the first layer's input gradient is
+    /// skipped.
+    Params,
+    /// The input gradient only: no parameter gradient accumulates.
+    Input,
+}
+
 /// Forward-pass intermediates needed by [`Mlp::backward`].
 ///
 /// `post[i]` is the post-activation output of layer `i`; `post.last()` is the
@@ -243,6 +254,48 @@ impl Mlp {
         grad_out: &Mat,
         s: &'s mut Scratch,
     ) -> &'s Mat {
+        self.backprop(cache, grad_out, s, Grads::ParamsAndInput)
+    }
+
+    /// [`Mlp::backward_with`] for callers that only train: accumulates the
+    /// same parameter gradients, bit for bit, but skips the input
+    /// gradient of the first layer, which nothing would read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache does not match this network's depth.
+    pub fn backward_params_with(&mut self, cache: &MlpCache, grad_out: &Mat, s: &mut Scratch) {
+        self.backprop(cache, grad_out, s, Grads::Params);
+    }
+
+    /// The input gradient of [`Mlp::backward_with`], bit for bit, without
+    /// accumulating any parameter gradient (they are left untouched) —
+    /// for differentiating through a network that is not being trained
+    /// by this loss, such as SAC's critics under the actor objective.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache does not match this network's depth.
+    pub fn input_grad_with<'s>(
+        &mut self,
+        cache: &MlpCache,
+        grad_out: &Mat,
+        s: &'s mut Scratch,
+    ) -> &'s Mat {
+        self.backprop(cache, grad_out, s, Grads::Input)
+    }
+
+    /// The shared backward sweep: activation backward, then per layer
+    /// whichever of the parameter and input gradients `grads` asks for.
+    /// Returns the scratch half holding the last gradient written (the
+    /// input gradient unless `grads` is [`Grads::Params`]).
+    fn backprop<'s>(
+        &mut self,
+        cache: &MlpCache,
+        grad_out: &Mat,
+        s: &'s mut Scratch,
+        grads: Grads,
+    ) -> &'s Mat {
         assert_eq!(
             cache.post.len(),
             self.layers.len(),
@@ -262,13 +315,18 @@ impl Mlp {
                 (&mut *b, &mut *a)
             };
             self.acts[i].backward_inplace(&cache.post[i], g);
-            let input = if i == 0 {
-                &cache.input
-            } else {
-                &cache.post[i - 1]
-            };
-            self.layers[i].backward_into(input, g, next);
-            cur_is_a = !cur_is_a;
+            if grads != Grads::Input {
+                let input = if i == 0 {
+                    &cache.input
+                } else {
+                    &cache.post[i - 1]
+                };
+                self.layers[i].accumulate_grads(input, g);
+            }
+            if i > 0 || grads != Grads::Params {
+                self.layers[i].input_grad_into(g, next);
+                cur_is_a = !cur_is_a;
+            }
         }
         if cur_is_a {
             a
@@ -472,6 +530,35 @@ mod tests {
         let gi_scratch = b.backward_with(&cache, &grad_out, &mut s).clone();
         assert_eq!(gi_alloc, gi_scratch);
         assert_eq!(a, b, "accumulated gradients must match exactly");
+    }
+
+    /// The partial backward passes are bit-identical slices of the full
+    /// one: `backward_params_with` accumulates exactly its parameter
+    /// gradients, and `input_grad_with` returns exactly its input gradient
+    /// while leaving the parameter gradients as they were.
+    #[test]
+    fn partial_backward_passes_match_full_backward() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let x = Mat::from_vec(5, 4, (0..20).map(|_| rng.gen_range(-1.0..1.0)).collect());
+        let grad_out = Mat::from_vec(5, 3, (0..15).map(|_| rng.gen_range(-1.0..1.0)).collect());
+        let mut full = net();
+        let cache = full.forward_cached(&x);
+        full.zero_grad();
+        let gi_full = full.backward(&cache, &grad_out);
+
+        let mut params = net();
+        params.zero_grad();
+        params.backward_params_with(&cache, &grad_out, &mut Scratch::default());
+        assert_eq!(params, full, "parameter gradients must match exactly");
+
+        let mut input = net();
+        input.zero_grad();
+        let before = input.clone();
+        let gi = input
+            .input_grad_with(&cache, &grad_out, &mut Scratch::default())
+            .clone();
+        assert_eq!(gi, gi_full);
+        assert_eq!(input, before, "parameter gradients must be untouched");
     }
 
     #[test]

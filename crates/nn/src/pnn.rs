@@ -199,16 +199,14 @@ impl PnnPolicy {
             let act = self.base.trunk().activation(i);
             g = act.backward(&cache.post2[i], &g);
             if i >= 1 {
-                // Lateral branch: gradient into the adapter parameters; the
-                // base column is frozen so its own gradient is discarded.
-                let _ = self.laterals[i - 1].backward(&cache.base.hidden()[i - 1], &g);
-            }
-            let input = if i == 0 {
-                &cache.input
+                // Lateral branch: gradient into the adapter parameters only;
+                // the base column is frozen, so nothing flows past it.
+                self.laterals[i - 1].accumulate_grads(&cache.base.hidden()[i - 1], &g);
+                g = self.column[i].backward(&cache.post2[i - 1], &g);
             } else {
-                &cache.post2[i - 1]
-            };
-            g = self.column[i].backward(input, &g);
+                // The observations take no gradient.
+                self.column[0].accumulate_grads(&cache.input, &g);
+            }
         }
     }
 

@@ -131,7 +131,7 @@ pub fn clone_policy<R: Rng>(
         }
         last = loss;
         policy.trunk_mut().zero_grad();
-        policy.backward_mean(&obs, &grad);
+        policy.backward_mean_params(&obs, &grad);
         opt.step(|f| policy.trunk_mut().visit_params(f));
         crate::perf::record_updates(1);
     }

@@ -463,8 +463,8 @@ impl<A: Actor> Sac<A> {
         }
         self.q1.zero_grad();
         self.q2.zero_grad();
-        self.q1.backward_with(c1, g1, bw1);
-        self.q2.backward_with(c2, g2, bw2);
+        self.q1.backward_params_with(c1, g1, bw1);
+        self.q2.backward_params_with(c2, g2, bw2);
         self.opt_q1.step(|f| self.q1.visit_params(f));
         self.opt_q2.step(|f| self.q2.visit_params(f));
 
@@ -501,14 +501,10 @@ impl<A: Actor> Sac<A> {
                 *p2 = -1.0 / nf;
             }
         }
-        // Input gradients of the critics (their parameter grads from this
-        // pass are discarded below).
-        self.q1.zero_grad();
-        self.q2.zero_grad();
-        let gi1 = self.q1.backward_with(a1, pick1, bw1);
-        let gi2 = self.q2.backward_with(a2, pick2, bw2);
-        self.q1.zero_grad();
-        self.q2.zero_grad();
+        // Input gradients of the critics only: the actor objective does
+        // not train them, so no parameter gradient is accumulated.
+        let gi1 = self.q1.input_grad_with(a1, pick1, bw1);
+        let gi2 = self.q2.input_grad_with(a2, pick2, bw2);
         grad_action.resize(n, self.action_dim);
         for b in 0..n {
             let r1 = &gi1.row(b)[self.obs_dim..];

@@ -46,23 +46,31 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-#[test]
-fn update_batch_is_allocation_free_after_warmup() {
+/// Warms a learner of the given shape up on one fixed batch, then asserts
+/// that ten more `update_batch` calls allocate nothing.
+fn assert_update_batch_allocation_free(
+    obs_dim: usize,
+    action_dim: usize,
+    hidden: &[usize],
+    batch_size: usize,
+) {
     let mut rng = StdRng::seed_from_u64(42);
     // actor_delay 0 so the very first update already exercises the actor
     // and temperature paths (warming the Adam moment buffers too).
     let cfg = SacConfig {
-        batch_size: 32,
+        batch_size,
         actor_delay: 0,
         ..SacConfig::default()
     };
-    let mut sac = Sac::new(6, 2, &[16, 16], cfg, &mut rng);
+    let mut sac = Sac::new(obs_dim, action_dim, hidden, cfg, &mut rng);
 
-    let mut rb = ReplayBuffer::new(256, 6, 2);
+    let mut rb = ReplayBuffer::new(256, obs_dim, action_dim);
     for _ in 0..128 {
-        let obs: Vec<f32> = (0..6).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let action: Vec<f32> = (0..2).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let next_obs: Vec<f32> = (0..6).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let obs: Vec<f32> = (0..obs_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let action: Vec<f32> = (0..action_dim)
+            .map(|_| rng.gen_range(-1.0f32..1.0))
+            .collect();
+        let next_obs: Vec<f32> = (0..obs_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         rb.push(Transition {
             obs,
             action,
@@ -90,7 +98,29 @@ fn update_batch_is_allocation_free_after_warmup() {
     assert_eq!(
         after - before,
         0,
-        "Sac::update_batch allocated {} times across 10 warmed-up calls",
+        "Sac::update_batch ({obs_dim} obs, {action_dim} actions, {hidden:?}, batch \
+         {batch_size}) allocated {} times across 10 warmed-up calls",
         after - before
     );
+}
+
+#[test]
+fn update_batch_is_allocation_free_after_warmup() {
+    assert_update_batch_allocation_free(6, 2, &[16, 16], 32);
+}
+
+/// The victim's training shape: every kernel path a `train-tenth` update
+/// runs — 32-wide strips, the padded remainder strip (62-wide critic
+/// input, 60-wide observations), the tall tile of the 1- and 4-wide
+/// heads and the bias-gradient buffer — allocates nothing once warm.
+#[test]
+fn victim_shape_update_is_allocation_free() {
+    assert_update_batch_allocation_free(60, 2, &[128, 128], 128);
+}
+
+/// The steering attacker's shape: 1 action, so a 2-wide policy head and
+/// a 61-wide critic input.
+#[test]
+fn attacker_shape_update_is_allocation_free() {
+    assert_update_batch_allocation_free(60, 1, &[128, 128], 128);
 }
