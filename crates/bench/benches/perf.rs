@@ -44,7 +44,7 @@ use drive_sim::world::World;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use repro_bench::journal::RunHeader;
-use repro_bench::{merge, ShardConfig, ShardState};
+use repro_bench::{merge, JournalHandle};
 use std::sync::Arc;
 
 fn bench_world_step(c: &mut Criterion) {
@@ -461,10 +461,10 @@ fn control_phase_rows() -> Vec<BenchResult> {
     }]
 }
 
-/// The shard coordinator's per-cell overhead: one `O_EXCL` lease claim
-/// (create + checksummed body + fsync + progress row) followed by the
-/// owner-checked release (read-back + unlink). This is pure coordination
-/// cost a sharded worker pays on top of each cell's compute, so it must
+/// The run directory's per-cell coordination overhead: one exclusive
+/// lease claim (checksummed claim file + hard link + progress row)
+/// followed by the owner-checked release (read-back + unlink). Every journaled cell,
+/// single-process or sharded, pays this on top of its compute, so it must
 /// stay orders of magnitude below the cheapest cell.
 fn bench_lease_claim(c: &mut Criterion) {
     let dir = std::env::temp_dir().join("repro-bench-perf-lease");
@@ -475,8 +475,7 @@ fn bench_lease_claim(c: &mut Criterion) {
         box_episodes: 4,
         scatter_rounds: 1,
     };
-    let state =
-        ShardState::open(ShardConfig::new(&dir, "perf"), &header).expect("open shard state");
+    let state = JournalHandle::create(&dir, header).expect("open run directory");
     c.bench_function("lease_claim_ns", |b| {
         let mut key = 0u64;
         b.iter(|| {
@@ -505,8 +504,7 @@ fn shard_merge_rows() -> Vec<BenchResult> {
         box_episodes: 4,
         scatter_rounds: 1,
     };
-    let state =
-        ShardState::open(ShardConfig::new(&dir, "perf"), &header).expect("open shard state");
+    let state = JournalHandle::create(&dir, header).expect("open run directory");
     const CELLS: u64 = 432;
     const EPISODES: usize = 4;
     for key in 1..=CELLS {

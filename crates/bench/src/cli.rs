@@ -14,11 +14,11 @@
 //! * `--quick` — quick-trained artifacts (CI preset, not paper numbers)
 //! * `--csv <dir>` / `--svg <dir>` — write data/figure outputs (a
 //!   `<name>.manifest.json` with per-file checksums lands next to them)
-//! * `--resume <dir>` — re-open the crash-safety journal of a killed run
-//!   and continue it (`<dir>` doubles as the CSV dir unless `--csv` is
-//!   given); completed experiments are skipped, completed cells replay
-//!   from the journal, and the finished outputs are byte-identical to an
-//!   uninterrupted run
+//! * `--resume <dir>` — rejoin the crash-safety journal of a killed run
+//!   (same flags and experiment selection) and continue it (`<dir>`
+//!   doubles as the CSV dir unless `--csv` is given); completed
+//!   experiments are skipped, completed cells replay from the journal,
+//!   and the finished outputs are byte-identical to an uninterrupted run
 //! * `--no-journal` — disable the journal (it is on whenever a CSV or SVG
 //!   directory is set)
 //! * `--artifacts <dir>` — checkpoint directory (default `artifacts/`)
@@ -37,6 +37,7 @@
 use crate::benchcmp;
 use crate::engine::{self, Registry, RunContext};
 use crate::harness::Scale;
+use crate::journal::{JournalHandle, RunHeader, ShardHeader, DEFAULT_TTL, SOLO_WORKER};
 use crate::manifest::Manifest;
 use crate::perf::{PerfReport, ThroughputProbe};
 use attack_core::pipeline::{prepare, PipelineConfig};
@@ -430,20 +431,25 @@ pub fn run(args: &CliArgs) -> Result<(), CliError> {
     // verifies) the same files the killed run did.
     let csv_dir = args.csv.clone().or_else(|| args.resume.clone());
     // The journal is opened before artifact preparation: a run killed
-    // while still training leaves a (cell-less) journal behind, and
-    // resuming it re-enters training at the victim's own snapshot.
+    // while still training leaves a (cell-less) run directory behind, and
+    // resuming it re-enters training at the victim's own snapshot. A
+    // journaled run is the completing sweep of a one-worker shard in
+    // `<dir>/journal/`; `--resume` rejoins as the same worker.
     let journal = if args.no_journal {
         None
     } else if let Some(run_dir) = csv_dir.as_ref().or(args.svg.as_ref()) {
-        let header = crate::journal::RunHeader::for_run(&config, scale);
         let journal_dir = run_dir.join("journal");
-        let journal = if args.resume.is_some() {
-            crate::journal::JournalHandle::resume(&journal_dir, header)
-                .map_err(|e| CliError::Resume(e.to_string()))?
-        } else {
-            crate::journal::JournalHandle::create(&journal_dir, header)
-                .map_err(|e| CliError::Resume(e.to_string()))?
+        if args.resume.is_none() {
+            // A fresh run owns the directory: stale sidecars from an older,
+            // differently configured run must not survive.
+            let _ = std::fs::remove_dir_all(&journal_dir);
+        }
+        let header = ShardHeader {
+            run: RunHeader::for_run(&config, scale),
+            selection: experiments.iter().map(|e| e.name().to_string()).collect(),
         };
+        let journal = JournalHandle::join(&journal_dir, &header, SOLO_WORKER, DEFAULT_TTL)
+            .map_err(|e| CliError::Resume(e.to_string()))?;
         eprintln!(
             "[journal] {} at {}",
             if args.resume.is_some() {
@@ -529,7 +535,7 @@ pub fn main_from_env() -> i32 {
         Ok(args) => {
             if !args.selects_anything() {
                 eprintln!(
-                    "usage: repro_bench [<experiment>...|--all|--filter <substr>|--list|validate-manifest <path>|bench-compare <current.json>]\n       [--smoke] [--quick] [--csv <dir>] [--svg <dir>] [--resume <dir>] [--no-journal]\n       [--artifacts <dir>] [--perf-json <path>] [--baseline <path>] [--tolerance <ratio>]\n       [--fleet <batch>]\n   or: repro_bench shard <dir> [--worker <id>] [--ttl-ms <n>] [--heartbeat-ms <n>] [<experiment>...|--all]\n       [--smoke] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench merge <dir> [--out <dir>] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench serve|loadgen [--requests <n>] [--qps <n>] [--seed <n>] [--workers <n>]\n       [--kills <n>] [--stalls <n>] [--corrupt-rate <f>] [--attack-at-us <n>] [--attack-delta <f>]\n       [--expect-no-sheds] [--expect-degraded] [--latency-json <path>] [--slo-p99-us <n>] [--qps-grid <a,b,...>]\n"
+                    "usage: repro_bench [<experiment>...|--all|--filter <substr>|--list|validate-manifest <path>|bench-compare <current.json>]\n       [--smoke] [--quick] [--csv <dir>] [--svg <dir>] [--resume <dir>] [--no-journal]\n       [--artifacts <dir>] [--perf-json <path>] [--baseline <path>] [--tolerance <ratio>]\n       [--fleet <batch>]\n   or: repro_bench shard <dir> [--worker <id>] [--ttl-ms <n>] [<experiment>...|--all]\n       [--smoke] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench merge <dir> [--out <dir>] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench serve|loadgen [--requests <n>] [--qps <n>] [--seed <n>] [--workers <n>]\n       [--kills <n>] [--stalls <n>] [--corrupt-rate <f>] [--attack-at-us <n>] [--attack-delta <f>]\n       [--expect-no-sheds] [--expect-degraded] [--latency-json <path>] [--slo-p99-us <n>] [--qps-grid <a,b,...>]\n"
                 );
                 eprint!("{}", Registry::list(Registry::all()));
                 return 2;

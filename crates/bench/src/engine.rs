@@ -95,30 +95,22 @@ pub struct RunContext<'a> {
     pub csv_dir: Option<PathBuf>,
     /// Where SVG outputs land; `None` disables them.
     pub svg_dir: Option<PathBuf>,
-    /// Crash-safety journal ([`crate::journal`]): when set, completed
-    /// cells and experiments are logged as they finish, journaled cells
-    /// are replayed from their sidecars instead of re-simulated, and
-    /// already-completed experiments (with verified manifests) are
-    /// skipped. `None` (the default) runs without crash safety.
+    /// Crash-safety journal ([`crate::journal`]): this process's worker in
+    /// a run directory. When set, every grid cell goes through the lease
+    /// protocol — load a published sidecar, claim-and-compute-and-publish,
+    /// or wait — completed experiments are logged as they finish, and
+    /// already-completed experiments (with verified manifests) are skipped.
+    /// `None` (the default) runs without crash safety.
     pub journal: Option<Arc<crate::journal::JournalHandle>>,
     /// Lockstep fleet batch size for
     /// [`attacked_records`](crate::harness::attacked_records) cells whose
     /// victim/attacker pairing is fleet-steppable. `None` (the default)
     /// keeps every cell on the serial path.
     pub fleet: Option<usize>,
-    /// Sharded multi-process coordination ([`crate::shard`]): when set,
-    /// every grid cell goes through the lease protocol — load a peer's
-    /// published sidecar, claim-and-compute, or wait — instead of the
-    /// single-process journal path. Mutually exclusive with
-    /// [`RunContext::journal`] by construction (the shard worker driver
-    /// never sets both).
-    pub shard: Option<Arc<crate::shard::ShardState>>,
-    /// Strict-replay probe used by `repro_bench merge`: when set, a cell
-    /// that the journal cannot replay records its label here and yields
-    /// default-filled episodes instead of simulating, so one cheap pass
-    /// over the real experiment grid enumerates exactly which cells a
-    /// sharded run is still missing.
-    pub missing_cells: Option<Arc<Mutex<Vec<String>>>>,
+    /// Load-only replay used by `repro_bench merge` ([`crate::merge`]):
+    /// when set (and no journal is), every cell loads from the merged run
+    /// directory's verified sidecars instead of simulating.
+    pub replay: Option<Arc<crate::merge::Replay>>,
     cache: Mutex<HashMap<&'static str, Arc<dyn Any + Send + Sync>>>,
 }
 
@@ -138,8 +130,7 @@ impl<'a> RunContext<'a> {
             svg_dir: None,
             journal: None,
             fleet: None,
-            shard: None,
-            missing_cells: None,
+            replay: None,
             cache: Mutex::new(HashMap::new()),
         }
     }

@@ -191,11 +191,9 @@ pub fn attacked_records_in(
     seeds: &drive_seed::SeedTree,
     cell: Option<ScenarioCell<'_>>,
 ) -> Vec<EpisodeRecord> {
-    // Crash-safety fast path: a cell journaled by an earlier (killed) run
-    // replays from its sidecar. The key pins everything the records are a
-    // function of — the seed namespace, the run seed, and the cell's own
-    // coordinates — while the journal header pins the pipeline config the
-    // artifacts derive from.
+    // The journal key pins everything the records are a function of — the
+    // seed namespace, the run seed, and the cell's own coordinates — while
+    // the run header pins the pipeline config the artifacts derive from.
     let sensor_name = match attack {
         None => "none",
         Some((_, SensorKind::Camera)) => "camera",
@@ -244,12 +242,12 @@ pub fn attacked_records_in(
         )
         .as_bytes(),
     );
-    // Sharded multi-process path: the lease coordinator decides whether
-    // this worker loads a peer's published sidecar, computes the cell
-    // under an exclusive lease, or waits out (and eventually steals from)
-    // the current owner. It owns its own shutdown safe points.
-    if let Some(shard) = &ctx.shard {
-        return shard.run_cell(cell_key, &cell_label, episodes, || {
+    // Crash safety: a journaled cell, single-process or sharded, loads a
+    // published sidecar, or is computed under a lease and published, or
+    // waits for its current owner. The journal owns its own shutdown safe
+    // points.
+    if let Some(journal) = &ctx.journal {
+        return journal.run_cell(cell_key, &cell_label, episodes, || {
             compute_cell(
                 kind,
                 attack,
@@ -263,30 +261,17 @@ pub fn attacked_records_in(
             )
         });
     }
-    if let Some(journal) = &ctx.journal {
-        if let Some(records) = journal.load_cell(cell_key, episodes) {
-            return records;
-        }
+    // Merge replay: load-only, never simulates.
+    if let Some(replay) = &ctx.replay {
+        return replay.load(cell_key, &cell_label, episodes);
     }
-    // Merge probe: with a missing-cells collector installed, a cell the
-    // journal cannot replay is *recorded* rather than simulated (default
-    // episodes keep downstream aggregation well-formed), so one cheap
-    // pass enumerates a sharded run's gaps.
-    if let Some(missing) = &ctx.missing_cells {
-        missing
-            .lock()
-            .expect("missing-cells lock")
-            .push(cell_label.clone());
-        return vec![EpisodeRecord::default(); episodes];
-    }
-    // Graceful-shutdown safe point: between cells every completed cell is
-    // already journaled, so unwinding out here leaves a run the CLI can
-    // `--resume` to a byte-identical finish. The sentinel payload is
-    // caught by the top-level driver, never by the episode retry layer.
+    // Graceful-shutdown safe point between cells of an unjournaled run.
+    // The sentinel payload is caught by the top-level driver, never by the
+    // episode retry layer.
     if drive_core::shutdown::requested() {
         std::panic::panic_any(drive_core::shutdown::ShutdownRequested);
     }
-    let (records, clean) = compute_cell(
+    compute_cell(
         kind,
         attack,
         budget,
@@ -296,24 +281,14 @@ pub fn attacked_records_in(
         cell,
         fleet_routable,
         &cell_label,
-    );
-    // Journal only clean, complete cells: a cell with retried-out episodes
-    // is partial and must be recomputed on resume. Journal failures cost a
-    // recomputation later, never correctness — warn and continue.
-    if let Some(journal) = &ctx.journal {
-        if clean && records.len() == episodes {
-            if let Err(e) = journal.store_cell(cell_key, &cell_label, episodes, &records) {
-                eprintln!("warning: could not journal cell {cell_label}: {e}");
-            }
-        }
-    }
-    records
+    )
+    .0
 }
 
-/// The compute body of one cell, shared by the single-process and sharded
-/// paths: fleet fast path (with serial fallback on panic) or the hardened
-/// serial executor. Returns the records plus a clean flag (`true` when
-/// every episode succeeded), which gates journaling / sidecar publication.
+/// The compute body of one cell: fleet fast path (with serial fallback on
+/// panic) or the hardened serial executor. Returns the records plus a
+/// clean flag (`true` when every episode succeeded), which gates sidecar
+/// publication.
 #[allow(clippy::too_many_arguments)]
 fn compute_cell(
     kind: AgentKind,

@@ -1,21 +1,54 @@
-//! Crash-safe run journal: a write-ahead log of completed work.
+//! Crash-safe run directory: every journaled run, single-process or
+//! sharded, is a set of workers sharing one directory.
 //!
-//! A `repro_bench` run with a CSV directory keeps a journal under
-//! `<dir>/journal/`: an append-only WAL (`wal.bin`) of length-prefixed,
-//! FNV-checksummed records, a `cells/` directory of per-cell episode-record
-//! sidecars, and a flush-per-row `progress.csv` for humans watching a long
-//! run. Every completed grid cell (one `(agent, attack, budget)` evaluation
-//! in [`attacked_records`](crate::harness::attacked_records)) and every
-//! completed experiment (manifest written and verified) is journaled the
-//! moment it finishes.
+//! A `repro_bench` run with a CSV or SVG directory joins `<dir>/journal/`
+//! as the one worker [`SOLO_WORKER`], and `--resume <dir>` rejoins as that
+//! same worker. Any number of `repro_bench shard <dir>` processes join
+//! one directory under distinct worker ids ([`crate::shard`]), and
+//! `repro_bench merge` ([`crate::merge`]) assembles their results. All of
+//! them share one layout:
 //!
-//! `--resume <dir>` re-opens the journal: the WAL is scanned, a torn or
-//! corrupt tail (the record being appended when the process was killed) is
-//! truncated away, and the run replays — journaled cells load from their
-//! sidecars instead of re-simulating, journaled experiments with verified
-//! manifests are skipped outright. Because every cell is a pure function of
-//! its seed namespace, a resumed run produces byte-identical outputs to an
-//! uninterrupted one.
+//! * `shard.header` — the immutable run header ([`ShardHeader`]: seed,
+//!   config hash, scale, experiment selection), written once via atomic
+//!   rename. Every worker verifies it before touching anything else, so
+//!   two differently configured runs can never interleave in one
+//!   directory.
+//! * `leases/cell-<key>.lease` — one claim per in-flight cell, taken by
+//!   atomically and exclusively creating the file (a hard link that fails
+//!   if the lease exists). The body carries the owner id and an FNV
+//!   checksum; the file mtime is the owner's heartbeat, renewed by a
+//!   background thread while the worker runs.
+//! * `cells/cell-<key>-<owner>.ckpt` — completed, checksummed episode
+//!   sidecars, owner-tagged so the merge can attribute (and cross-check)
+//!   every result.
+//! * `workers/<owner>/wal.bin` — the worker's write-ahead log of completed
+//!   cells and experiments (format below); `workers/<owner>/progress.csv`
+//!   — its flush-per-row event log for humans watching a long run.
+//!
+//! Every grid cell goes through [`JournalHandle::run_cell`]: load a
+//! published sidecar if any worker already finished the cell, otherwise
+//! claim its lease and compute and publish it, otherwise wait for the
+//! current owner. Because every cell is a pure function of its seed
+//! namespace, a resumed or sharded run produces byte-identical outputs to
+//! an uninterrupted one.
+//!
+//! ## Crash safety and work stealing
+//!
+//! Sidecars are written via atomic rename, so there are no partials on
+//! disk, and a WAL record is appended only after its sidecar is durable.
+//! On (re)joining, the worker's WAL is scanned and a torn or corrupt tail
+//! (the record being appended when the process was killed) is truncated
+//! away. A worker that reaches a cell someone else holds waits on a
+//! seeded, jittered backoff ([`RetryPolicy::lease_contention`]); once the
+//! lease's heartbeat is older than the TTL, the waiter *steals* it: the
+//! lease is atomically renamed to a per-taker tombstone (of two racing
+//! takers, one `rename` wins), removed, and re-claimed exclusively. A
+//! lease that carries this worker's own id but is not held by this
+//! process belongs to a dead incarnation of the worker, and is reclaimed
+//! at once. A SIGKILL therefore costs latency, never correctness. If a
+//! slow owner was merely stalled and publishes too, both sidecars carry
+//! the same checksum (cells are deterministic); differing checksums are a
+//! hard merge error naming both owners.
 //!
 //! ## WAL format
 //!
@@ -24,18 +57,22 @@
 //! are single-line UTF-8:
 //!
 //! * `run <seed:016x> <config:016x> <box> <scatter>` — the run header
-//!   (always the first record); a resume with different flags is refused.
-//! * `cell <key:016x> <digest:016x> <episodes> <label>` — one completed
+//!   (always the first record).
+//! * `cell <key:016x> <digest:016x> <episodes> <label>` — one published
 //!   cell; `digest` checksums the sidecar's record text.
 //! * `exp <manifest_fnv:016x> <name>` — one completed experiment.
 
+use drive_core::retry::RetryPolicy;
+use drive_core::shutdown;
 use drive_metrics::export::CsvSink;
 use drive_seed::fnv1a_64;
 use drive_sim::record::{decode_records, encode_records, EpisodeRecord};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 /// Magic bytes at the start of every WAL file.
 pub const MAGIC: &[u8] = b"RBJRNL1\n";
@@ -43,16 +80,25 @@ pub const MAGIC: &[u8] = b"RBJRNL1\n";
 /// Bytes of frame overhead per record (length prefix + checksum).
 const FRAME_HEADER: usize = 4 + 8;
 
-/// Errors from journal creation, resume, or appends.
+/// Default lease TTL: a heartbeat older than this is stealable.
+pub const DEFAULT_TTL: Duration = Duration::from_secs(30);
+
+/// The worker id a single-process run joins its run directory under.
+pub const SOLO_WORKER: &str = "solo";
+
+/// First line of the shared `shard.header` file.
+const HEADER_MAGIC: &str = "shard-v1";
+
+/// Errors from joining a run directory or appending to a worker's WAL.
 #[derive(Debug)]
 pub enum JournalError {
     /// An underlying filesystem failure.
     Io(std::io::Error),
-    /// The journal on disk belongs to a run with different parameters
-    /// (seed, scale, or pipeline configuration).
+    /// The run directory belongs to a run with different parameters
+    /// (seed, scale, pipeline configuration or experiment selection).
     Incompatible(String),
-    /// The journal is structurally broken beyond tail truncation (bad
-    /// magic, missing or malformed header record).
+    /// The run directory is structurally broken beyond tail truncation
+    /// (bad magic, missing or malformed header).
     Corrupt(String),
 }
 
@@ -72,7 +118,7 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// The parameters a journal is pinned to: resuming with a different
+/// The parameters a run directory is pinned to: joining with a different
 /// header is refused rather than silently mixing two runs' results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunHeader {
@@ -103,9 +149,8 @@ impl RunHeader {
         }
     }
 
-    /// Renders the header as its single-line WAL record. Public so the
-    /// shard coordinator can reuse the exact same pinning format for its
-    /// shared-directory run header and per-worker WALs.
+    /// Renders the header as its single-line WAL record (also the run line
+    /// of `shard.header`).
     pub fn encode(&self) -> String {
         format!(
             "run {:016x} {:016x} {} {}",
@@ -133,6 +178,123 @@ impl RunHeader {
             box_episodes: parts[3].parse().map_err(|_| bad("box episodes"))?,
             scatter_rounds: parts[4].parse().map_err(|_| bad("scatter rounds"))?,
         })
+    }
+}
+
+/// The immutable header of a run directory: the [`RunHeader`] plus the
+/// experiment selection, so every worker provably runs the same grid.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardHeader {
+    /// Seed / config-hash / scale pinning.
+    pub run: RunHeader,
+    /// Registry names of the experiments in the run, in order (empty when
+    /// the run was opened without a selection).
+    pub selection: Vec<String>,
+}
+
+impl ShardHeader {
+    fn encode(&self) -> String {
+        let mut body = format!("{HEADER_MAGIC}\n{}\nsel", self.run.encode());
+        for name in &self.selection {
+            body.push(' ');
+            body.push_str(name);
+        }
+        body.push('\n');
+        let sum = fnv1a_64(body.as_bytes());
+        format!("{body}sum {sum:016x}\n")
+    }
+
+    fn decode(text: &str) -> Result<ShardHeader, String> {
+        let mut lines = text.lines();
+        if lines.next() != Some(HEADER_MAGIC) {
+            return Err(format!("not a {HEADER_MAGIC} header"));
+        }
+        let run_line = lines.next().ok_or("missing run line")?;
+        let run = RunHeader::decode(run_line).map_err(|e| e.to_string())?;
+        let sel_line = lines.next().ok_or("missing sel line")?;
+        let selection: Vec<String> = sel_line
+            .strip_prefix("sel")
+            .ok_or("missing sel line")?
+            .split_whitespace()
+            .map(str::to_string)
+            .collect();
+        let sum_line = lines.next().ok_or("missing sum line")?;
+        let recorded = sum_line
+            .strip_prefix("sum ")
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .ok_or("bad sum line")?;
+        let body_len = text.rfind("sum ").ok_or("bad sum line")?;
+        if fnv1a_64(&text.as_bytes()[..body_len]) != recorded {
+            return Err("header checksum mismatch".to_string());
+        }
+        Ok(ShardHeader { run, selection })
+    }
+
+    /// Publishes this header at `<dir>/shard.header` (atomic rename), or
+    /// verifies the one already there. The first worker to arrive writes
+    /// it; every later worker — and the merge — must match it exactly.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Incompatible`] when the directory already belongs to
+    /// a differently configured run, [`JournalError::Corrupt`] for an
+    /// unreadable header, [`JournalError::Io`] on I/O failure.
+    pub fn write_or_verify(&self, dir: &Path) -> Result<(), JournalError> {
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        let path = dir.join("shard.header");
+        if !path.exists() {
+            std::fs::create_dir_all(dir)?;
+            // Unique per writer: racing first writers (processes or threads)
+            // never share a temporary.
+            let tmp = dir.join(format!(
+                "shard.header.tmp-{}-{}",
+                std::process::id(),
+                TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::write(&tmp, self.encode())?;
+            std::fs::rename(&tmp, &path)?;
+        }
+        // Read back what actually landed: under a racing first write the
+        // rename winner is arbitrary, but all correctly configured workers
+        // write identical bytes, so any mismatch is a real conflict.
+        let on_disk = ShardHeader::load(dir)?;
+        if &on_disk != self {
+            return Err(JournalError::Incompatible(format!(
+                "{} belongs to a different run (on disk: seed {:016x}, config {:016x}, \
+                 scale {}x{}, sel [{}]; this run: seed {:016x}, config {:016x}, \
+                 scale {}x{}, sel [{}])",
+                path.display(),
+                on_disk.run.seed,
+                on_disk.run.config_hash,
+                on_disk.run.box_episodes,
+                on_disk.run.scatter_rounds,
+                on_disk.selection.join(" "),
+                self.run.seed,
+                self.run.config_hash,
+                self.run.box_episodes,
+                self.run.scatter_rounds,
+                self.selection.join(" "),
+            )));
+        }
+        Ok(())
+    }
+
+    /// Loads and verifies the header of an existing run directory.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] when the header is absent or unreadable,
+    /// [`JournalError::Corrupt`] when it fails to decode or verify.
+    pub fn load(dir: &Path) -> Result<ShardHeader, JournalError> {
+        let path = dir.join("shard.header");
+        let text = std::fs::read_to_string(&path).map_err(|e| {
+            JournalError::Io(std::io::Error::new(
+                e.kind(),
+                format!("cannot read {}: {e}", path.display()),
+            ))
+        })?;
+        ShardHeader::decode(&text)
+            .map_err(|e| JournalError::Corrupt(format!("{}: {e}", path.display())))
     }
 }
 
@@ -174,142 +336,194 @@ pub fn scan_frames(body: &[u8]) -> (Vec<String>, usize) {
     (records, pos)
 }
 
-#[derive(Debug, Clone, Copy)]
-struct CellEntry {
-    digest: u64,
-    episodes: usize,
+/// Whether `owner` is safe to embed in file names.
+pub fn valid_owner(owner: &str) -> bool {
+    !owner.is_empty()
+        && owner.len() <= 64
+        && owner
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
 }
 
-struct Inner {
+/// One worker's lease table: the `leases/` directory and the claims this
+/// process holds in it. Shared with the heartbeat thread. Every claim,
+/// renewal and release happens under the `held` lock, so "this worker's
+/// id but not in `held`" reliably means a dead incarnation's lease.
+struct Leases {
+    dir: PathBuf,
+    owner: String,
+    held: Mutex<HashSet<u64>>,
+}
+
+impl Leases {
+    fn path(&self, key: u64) -> PathBuf {
+        self.dir.join(format!("cell-{key:016x}.lease"))
+    }
+
+    /// The owner id recorded in a lease file (`None` when it is gone or
+    /// unreadable).
+    fn owner_of(path: &Path) -> Option<String> {
+        let text = std::fs::read_to_string(path).ok()?;
+        text.lines()
+            .next()?
+            .split_whitespace()
+            .nth(2)
+            .map(str::to_string)
+    }
+
+    fn is_ours(&self, key: u64) -> bool {
+        Self::owner_of(&self.path(key)).as_deref() == Some(self.owner.as_str())
+    }
+
+    /// Atomically creates `key`'s lease; `false` when it exists. The body is
+    /// written to this worker's private claim file and hard-linked into
+    /// place: `link(2)` fails if the lease exists (the exclusive arbiter),
+    /// and a lease never appears without its owner id, even when the
+    /// claimant is killed mid-claim — so a restarted worker always
+    /// recognises its own dead leases. A lease is not synced to disk: it
+    /// only coordinates live processes, and after a host crash every lease
+    /// is abandoned anyway.
+    fn create(&self, key: u64) -> bool {
+        let body = format!("lease {key:016x} {}\n", self.owner);
+        let sum = fnv1a_64(body.as_bytes());
+        let claim = self
+            .dir
+            .join(format!("cell-{key:016x}.claim-{}", self.owner));
+        let linked = std::fs::write(&claim, format!("{body}sum {sum:016x}\n"))
+            .and_then(|()| std::fs::hard_link(&claim, self.path(key)));
+        let _ = std::fs::remove_file(&claim);
+        match linked {
+            Ok(()) => true,
+            Err(e) => {
+                if e.kind() != std::io::ErrorKind::AlreadyExists {
+                    eprintln!(
+                        "warning: worker {} lease create failed for {key:016x}: {e}",
+                        self.owner
+                    );
+                }
+                false
+            }
+        }
+    }
+
+    /// One heartbeat pass: bump the mtime of every held lease. A lease
+    /// stolen out from under us belongs to the thief now: stop renewing
+    /// it, and never unlink it.
+    fn renew(&self) {
+        self.held.lock().expect("held lock").retain(|&key| {
+            let ours = self.is_ours(key);
+            if ours {
+                if let Ok(file) = std::fs::OpenOptions::new().write(true).open(self.path(key)) {
+                    let _ = file.set_modified(std::time::SystemTime::now());
+                }
+            }
+            ours
+        });
+    }
+}
+
+/// The heartbeat thread of one [`JournalHandle`]: renews its held leases
+/// every period. Dropping it stops and joins the thread at once.
+struct Heartbeat {
+    stop: mpsc::Sender<()>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Heartbeat {
+    fn spawn(leases: Arc<Leases>, period: Duration) -> Heartbeat {
+        let (stop, stopped) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
+                leases.renew();
+            }
+        });
+        Heartbeat {
+            stop,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Heartbeat {
+    fn drop(&mut self) {
+        let _ = self.stop.send(());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+const PROGRESS_HEADERS: [&str; 4] = ["event", "cell", "episodes", "detail"];
+
+/// A worker's WAL, the index recovered from it, and its progress log.
+struct WorkerLog {
     wal: std::fs::File,
-    cells: HashMap<u64, CellEntry>,
+    cells: HashSet<u64>,
     experiments: HashSet<String>,
     progress: CsvSink,
+    counts: BTreeMap<&'static str, u64>,
 }
 
-/// Handle to one run's journal; clone-free, shared via `Arc` in the
-/// [`RunContext`](crate::engine::RunContext). All appends go through an
-/// internal mutex, so experiments can journal from worker threads.
-pub struct JournalHandle {
-    dir: PathBuf,
-    header: RunHeader,
-    inner: Mutex<Inner>,
-}
-
-const PROGRESS_HEADERS: [&str; 4] = ["kind", "name", "episodes", "digest"];
-
-impl JournalHandle {
-    fn wal_path(dir: &Path) -> PathBuf {
-        dir.join("wal.bin")
-    }
-
-    fn cell_path(&self, key: u64) -> PathBuf {
-        self.dir.join("cells").join(format!("cell-{key:016x}.ckpt"))
-    }
-
-    /// Starts a fresh journal in `<dir>`, discarding any previous one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn create(dir: impl Into<PathBuf>, header: RunHeader) -> Result<Self, JournalError> {
-        let dir = dir.into();
-        // A fresh run owns the directory: stale sidecars from an older,
-        // differently-configured run must not survive next to the new WAL.
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(dir.join("cells"))?;
-        let mut wal = std::fs::File::create(Self::wal_path(&dir))?;
-        wal.write_all(MAGIC)?;
-        wal.write_all(&encode_frame(&header.encode()))?;
-        wal.sync_data()?;
-        let progress = CsvSink::create(dir.join("progress.csv"), PROGRESS_HEADERS)?;
-        Ok(JournalHandle {
-            dir,
-            header,
-            inner: Mutex::new(Inner {
-                wal,
-                cells: HashMap::new(),
-                experiments: HashSet::new(),
-                progress,
-            }),
-        })
-    }
-
-    /// Re-opens an existing journal, truncating any torn tail, and
-    /// verifies it belongs to a run with the same parameters. A missing
-    /// WAL (the previous run was killed before journal creation, or the
-    /// directory is new) falls back to [`JournalHandle::create`].
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Incompatible`] when the on-disk header differs from
-    /// `header`, [`JournalError::Corrupt`] for bad magic or a broken
-    /// header record, [`JournalError::Io`] for filesystem failures.
-    pub fn resume(dir: impl Into<PathBuf>, header: RunHeader) -> Result<Self, JournalError> {
-        let dir = dir.into();
-        let wal_path = Self::wal_path(&dir);
-        if !wal_path.exists() {
-            return Self::create(dir, header);
-        }
-        let bytes = std::fs::read(&wal_path)?;
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
+impl WorkerLog {
+    /// Opens the WAL in `worker_dir` (creating it if absent), recovers its
+    /// records, truncates a torn tail, and rebuilds `progress.csv` from
+    /// the recovered records.
+    fn open(worker_dir: &Path, header: &RunHeader) -> Result<WorkerLog, JournalError> {
+        let path = worker_dir.join("wal.bin");
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                // Written whole and renamed into place, so a WAL on disk
+                // always carries its header record.
+                let mut fresh = MAGIC.to_vec();
+                fresh.extend_from_slice(&encode_frame(&header.encode()));
+                let tmp = worker_dir.join("wal.bin.tmp");
+                let mut file = std::fs::File::create(&tmp)?;
+                file.write_all(&fresh)?;
+                file.sync_data()?;
+                std::fs::rename(&tmp, &path)?;
+                std::fs::File::open(worker_dir)?.sync_all()?;
+                fresh
+            }
+            Err(e) => return Err(e.into()),
+        };
+        if !bytes.starts_with(MAGIC) {
             return Err(JournalError::Corrupt(format!(
                 "{} does not start with the journal magic",
-                wal_path.display()
+                path.display()
             )));
         }
         let (records, valid_len) = scan_frames(&bytes[MAGIC.len()..]);
         let Some(header_line) = records.first() else {
             return Err(JournalError::Corrupt(format!(
                 "{} has no run header record",
-                wal_path.display()
+                path.display()
             )));
         };
-        let on_disk = RunHeader::decode(header_line)?;
-        if on_disk != header {
+        if RunHeader::decode(header_line)? != *header {
             return Err(JournalError::Incompatible(format!(
-                "journal was written by a different run \
-                 (on disk: seed {:016x}, config {:016x}, scale {}x{}; \
-                 this run: seed {:016x}, config {:016x}, scale {}x{}) — \
-                 rerun without --resume to start fresh",
-                on_disk.seed,
-                on_disk.config_hash,
-                on_disk.box_episodes,
-                on_disk.scatter_rounds,
-                header.seed,
-                header.config_hash,
-                header.box_episodes,
-                header.scatter_rounds,
+                "{} was written by a different run",
+                path.display()
             )));
         }
-        // The WAL is the source of truth; `progress.csv` is a derived,
-        // flush-per-row human log. A kill can leave the two out of step —
-        // a torn final CSV row (flushed mid-write), or a journaled cell
-        // whose progress row never flushed — so resume reconciles by
-        // rebuilding the CSV from the recovered WAL records rather than
-        // blindly appending after whatever tail the kill left behind.
-        let mut progress = CsvSink::create(dir.join("progress.csv"), PROGRESS_HEADERS)?;
-        let mut cells = HashMap::new();
+        // The WAL is the source of truth; `progress.csv` is a flush-per-row
+        // human log. A kill can leave the two out of step — a torn final
+        // CSV row, or a journaled cell whose row never flushed — so the
+        // log restarts from the recovered WAL records rather than
+        // appending after whatever tail the kill left behind.
+        let mut progress = CsvSink::create(worker_dir.join("progress.csv"), PROGRESS_HEADERS)?;
+        let mut cells = HashSet::new();
         let mut experiments = HashSet::new();
         for line in &records[1..] {
             let parts: Vec<&str> = line.split_whitespace().collect();
             match parts.first() {
                 Some(&"cell") if parts.len() >= 4 => {
-                    let (Ok(key), Ok(digest), Ok(episodes)) = (
-                        u64::from_str_radix(parts[1], 16),
-                        u64::from_str_radix(parts[2], 16),
-                        parts[3].parse::<usize>(),
-                    ) else {
-                        continue; // checksummed but unparseable: skip, recompute
+                    let Ok(key) = u64::from_str_radix(parts[1], 16) else {
+                        continue; // checksummed but unparseable: skip
                     };
-                    cells.insert(key, CellEntry { digest, episodes });
+                    cells.insert(key);
                     let label = parts[4..].join(" ");
-                    let _ = progress.row([
-                        "cell",
-                        &label,
-                        &episodes.to_string(),
-                        &format!("{digest:016x}"),
-                    ]);
+                    let _ = progress.row(["cell", &label, parts[3], parts[2]]);
                 }
                 Some(&"exp") if parts.len() >= 3 => {
                     let name = parts[2..].join(" ");
@@ -319,56 +533,170 @@ impl JournalHandle {
                 _ => {} // unknown record kind: forward compatibility
             }
         }
-        // Truncate the torn tail so subsequent appends start on a frame
-        // boundary.
+        // Truncate the torn tail so appends start on a frame boundary.
         let keep = MAGIC.len() + valid_len;
         if keep < bytes.len() {
             eprintln!(
                 "[resume] truncating {} torn byte(s) from {}",
                 bytes.len() - keep,
-                wal_path.display()
+                path.display()
             );
         }
-        let wal = std::fs::OpenOptions::new().write(true).open(&wal_path)?;
+        let wal = std::fs::OpenOptions::new().append(true).open(&path)?;
         wal.set_len(keep as u64)?;
-        let mut wal = wal;
-        use std::io::Seek as _;
-        wal.seek(std::io::SeekFrom::End(0))?;
-        std::fs::create_dir_all(dir.join("cells"))?;
-        Ok(JournalHandle {
-            dir,
-            header,
-            inner: Mutex::new(Inner {
-                wal,
-                cells,
-                experiments,
-                progress,
-            }),
+        Ok(WorkerLog {
+            wal,
+            cells,
+            experiments,
+            progress,
+            counts: BTreeMap::new(),
         })
     }
 
-    /// The header this journal is pinned to.
-    pub fn header(&self) -> RunHeader {
-        self.header
+    fn append(&mut self, payload: &str) -> std::io::Result<()> {
+        self.wal.write_all(&encode_frame(payload))?;
+        self.wal.sync_data()
     }
 
-    /// Number of journaled cells (test/observability hook).
+    /// One progress row, counted. A lost row costs observability, never
+    /// correctness, so write failures are ignored.
+    fn row(&mut self, event: &'static str, cell: &str, episodes: &str, detail: &str) {
+        *self.counts.entry(event).or_insert(0) += 1;
+        let _ = self.progress.row([event, cell, episodes, detail]);
+    }
+}
+
+/// One worker's membership in a run directory (see the module docs):
+/// its WAL and progress log, its leases and their heartbeat thread, and
+/// the load → claim → compute → publish → release path every journaled
+/// cell takes. Shared via `Arc` in the
+/// [`RunContext`](crate::engine::RunContext); all state sits behind
+/// internal locks, so cells can run on worker threads.
+pub struct JournalHandle {
+    dir: PathBuf,
+    ttl: Duration,
+    backoff: RetryPolicy,
+    /// Seed of this worker's contention-backoff jitter stream (derived
+    /// from the run's `SeedTree`, so waits are deterministic per worker
+    /// yet decorrelated across workers).
+    backoff_seed: u64,
+    opportunistic: AtomicBool,
+    leases: Arc<Leases>,
+    log: Mutex<WorkerLog>,
+    _heartbeat: Heartbeat,
+}
+
+/// A held lease, released on drop (so an unwinding cell — panic or
+/// graceful shutdown — frees its claim immediately).
+struct LeaseGuard<'a> {
+    journal: &'a JournalHandle,
+    key: u64,
+}
+
+impl Drop for LeaseGuard<'_> {
+    fn drop(&mut self) {
+        self.journal.release(self.key);
+    }
+}
+
+impl JournalHandle {
+    /// Joins the run directory `dir` as worker `worker`: publishes or
+    /// verifies `header`, re-opens the worker's WAL (torn tail truncated)
+    /// and starts the lease heartbeat.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Incompatible`] when the directory belongs to a
+    /// different run, [`JournalError::Corrupt`] for a bad header or WAL
+    /// magic, [`JournalError::Io`] for filesystem failures and invalid
+    /// worker ids.
+    pub fn join(
+        dir: impl Into<PathBuf>,
+        header: &ShardHeader,
+        worker: &str,
+        ttl: Duration,
+    ) -> Result<Self, JournalError> {
+        if !valid_owner(worker) {
+            return Err(JournalError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("invalid worker id '{worker}' (use [A-Za-z0-9._-], max 64 chars)"),
+            )));
+        }
+        let dir = dir.into();
+        header.write_or_verify(&dir)?;
+        std::fs::create_dir_all(dir.join("leases"))?;
+        std::fs::create_dir_all(dir.join("cells"))?;
+        let worker_dir = dir.join("workers").join(worker);
+        std::fs::create_dir_all(&worker_dir)?;
+        let log = WorkerLog::open(&worker_dir, &header.run)?;
+        let leases = Arc::new(Leases {
+            dir: dir.join("leases"),
+            owner: worker.to_string(),
+            held: Mutex::new(HashSet::new()),
+        });
+        Ok(JournalHandle {
+            ttl,
+            backoff: RetryPolicy::lease_contention(),
+            backoff_seed: drive_seed::SeedTree::root(header.run.seed)
+                .child("shard")
+                .child(worker)
+                .seed(),
+            opportunistic: AtomicBool::new(false),
+            // A tenth of the TTL, floored at 50 ms, so several renewals fit
+            // inside any steal window.
+            _heartbeat: Heartbeat::spawn(
+                Arc::clone(&leases),
+                (ttl / 10).max(Duration::from_millis(50)),
+            ),
+            leases,
+            log: Mutex::new(log),
+            dir,
+        })
+    }
+
+    /// Starts a fresh single-process run directory in `<dir>`, discarding
+    /// any previous one.
+    ///
+    /// # Errors
+    ///
+    /// See [`JournalHandle::join`].
+    pub fn create(dir: impl Into<PathBuf>, header: RunHeader) -> Result<Self, JournalError> {
+        let dir = dir.into();
+        let _ = std::fs::remove_dir_all(&dir);
+        Self::resume(dir, header)
+    }
+
+    /// Rejoins a single-process run directory as [`SOLO_WORKER`] (a fresh
+    /// one when `<dir>` is empty or absent), truncating any torn WAL tail.
+    ///
+    /// # Errors
+    ///
+    /// See [`JournalHandle::join`].
+    pub fn resume(dir: impl Into<PathBuf>, header: RunHeader) -> Result<Self, JournalError> {
+        let header = ShardHeader {
+            run: header,
+            selection: Vec::new(),
+        };
+        Self::join(dir, &header, SOLO_WORKER, DEFAULT_TTL)
+    }
+
+    /// This worker's id.
+    fn owner(&self) -> &str {
+        &self.leases.owner
+    }
+
+    /// Number of cells in this worker's WAL (test/observability hook).
     pub fn cell_count(&self) -> usize {
-        self.inner.lock().expect("journal lock").cells.len()
+        self.log.lock().expect("journal lock").cells.len()
     }
 
-    /// Whether `name` completed (manifest written) in a journaled run.
+    /// Whether `name` completed (manifest written) in this worker's WAL.
     pub fn experiment_done(&self, name: &str) -> bool {
-        self.inner
+        self.log
             .lock()
             .expect("journal lock")
             .experiments
             .contains(name)
-    }
-
-    fn append(inner: &mut Inner, payload: &str) -> std::io::Result<()> {
-        inner.wal.write_all(&encode_frame(payload))?;
-        inner.wal.sync_data()
     }
 
     /// Journals a completed experiment (its manifest checksum and name).
@@ -379,58 +707,260 @@ impl JournalHandle {
     /// failed journal append costs recomputation on resume, not
     /// correctness).
     pub fn record_experiment(&self, name: &str, manifest_fnv: u64) -> std::io::Result<()> {
-        let mut inner = self.inner.lock().expect("journal lock");
-        Self::append(&mut inner, &format!("exp {manifest_fnv:016x} {name}"))?;
-        inner.experiments.insert(name.to_string());
-        let _ = inner
-            .progress
-            .row(["experiment", name, "-", &format!("{manifest_fnv:016x}")]);
+        let mut log = self.log.lock().expect("journal lock");
+        let fnv = format!("{manifest_fnv:016x}");
+        log.append(&format!("exp {fnv} {name}"))?;
+        log.experiments.insert(name.to_string());
+        log.row("experiment", name, "-", &fnv);
         Ok(())
     }
 
-    /// Loads a journaled cell's records from its sidecar, or `None` if the
-    /// cell is not journaled, was journaled with a different episode
-    /// count, or its sidecar fails any integrity check — every failure
-    /// mode degrades to recomputing the cell.
-    pub fn load_cell(&self, key: u64, episodes: usize) -> Option<Vec<EpisodeRecord>> {
-        let entry = {
-            let inner = self.inner.lock().expect("journal lock");
-            inner.cells.get(&key).copied()?
-        };
-        if entry.episodes != episodes {
-            return None;
-        }
-        let path = self.cell_path(key);
-        let text = match drive_nn::checkpoint::load_from_file(&path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("[resume] journaled cell {key:016x} unreadable ({e}); recomputing");
-                return None;
+    /// Switches between the two sweep modes. Every worker traverses the
+    /// grid in the same order, so a worker that *waited* on every busy
+    /// cell would stay in lockstep behind whoever claimed the first cell
+    /// — N processes, single-process wall clock. Instead a `shard` worker
+    /// runs each experiment twice: an **opportunistic** pass (busy cells
+    /// are skipped with placeholder records, so workers divide the grid
+    /// ~evenly and compute in parallel; the pass's aggregate output is
+    /// discarded), then a **completing** pass in which every cell loads
+    /// from a published sidecar, is computed under a fresh claim, or is
+    /// block-waited on (steals included) until its owner publishes. A
+    /// single-process run is only the completing pass.
+    pub fn set_opportunistic(&self, on: bool) {
+        self.opportunistic.store(on, Ordering::SeqCst);
+    }
+
+    /// The `event=count` summary of this process's progress events, in
+    /// alphabetical order.
+    pub fn summary(&self) -> String {
+        let log = self.log.lock().expect("journal lock");
+        let parts: Vec<String> = log.counts.iter().map(|(e, n)| format!("{e}={n}")).collect();
+        parts.join(" ")
+    }
+
+    /// Count of one progress event kind (test/observability hook).
+    pub fn event_count(&self, event: &str) -> u64 {
+        let log = self.log.lock().expect("journal lock");
+        log.counts.get(event).copied().unwrap_or(0)
+    }
+
+    /// Number of leases currently held (test/observability hook).
+    pub fn held_count(&self) -> usize {
+        self.leases.held.lock().expect("held lock").len()
+    }
+
+    fn sidecar_path(&self, key: u64, owner: &str) -> PathBuf {
+        self.dir
+            .join("cells")
+            .join(format!("cell-{key:016x}-{owner}.ckpt"))
+    }
+
+    fn event(&self, event: &'static str, cell: &str, detail: &str) {
+        self.log
+            .lock()
+            .expect("journal lock")
+            .row(event, cell, "-", detail);
+    }
+
+    /// Runs one grid cell under the lease protocol: load a published
+    /// sidecar if any worker already finished it, otherwise claim the
+    /// cell (stealing an abandoned claim if needed) and compute it,
+    /// otherwise wait out the current owner on the jittered backoff — or,
+    /// in an opportunistic sweep (see
+    /// [`JournalHandle::set_opportunistic`]), return placeholder records
+    /// immediately so the worker moves on to unclaimed work. `compute`
+    /// returns the records plus a clean flag; only clean, complete cells
+    /// publish (a cell with retried-out episodes is partial and must be
+    /// recomputed), so placeholders can never leak into a sidecar.
+    pub fn run_cell(
+        &self,
+        key: u64,
+        label: &str,
+        episodes: usize,
+        compute: impl FnOnce() -> (Vec<EpisodeRecord>, bool),
+    ) -> Vec<EpisodeRecord> {
+        let mut attempt = 0usize;
+        loop {
+            if let Some(records) = self.load_cell(key, episodes) {
+                if attempt > 0 {
+                    self.event("waited", label, &format!("{attempt} poll(s)"));
+                }
+                self.reap_lease(key, label);
+                self.event("loaded", label, "");
+                return records;
             }
-        };
-        if fnv1a_64(text.as_bytes()) != entry.digest {
-            eprintln!("[resume] journaled cell {key:016x} digest mismatch; recomputing");
-            return None;
-        }
-        match decode_records(&text) {
-            Ok(records) if records.len() == episodes => Some(records),
-            Ok(records) => {
-                eprintln!(
-                    "[resume] journaled cell {key:016x} has {} record(s), expected {episodes}; recomputing",
-                    records.len()
-                );
-                None
+            // Graceful-shutdown safe point: between cells (and between
+            // polls of a contended cell) nothing is held, and every
+            // completed cell is already published.
+            if shutdown::requested() {
+                std::panic::panic_any(shutdown::ShutdownRequested);
             }
-            Err(e) => {
-                eprintln!("[resume] journaled cell {key:016x} undecodable ({e}); recomputing");
-                None
+            if self.try_acquire(key, label) {
+                let guard = LeaseGuard { journal: self, key };
+                let (records, clean) = compute();
+                if clean && records.len() == episodes {
+                    // A failed publish costs a recomputation later, never
+                    // correctness.
+                    if let Err(e) = self.store_cell(key, label, episodes, &records) {
+                        eprintln!(
+                            "warning: worker {} could not publish cell {label}: {e}",
+                            self.owner()
+                        );
+                    }
+                } else {
+                    eprintln!(
+                        "warning: worker {} leaves cell {label} unpublished \
+                         ({} of {episodes} episode(s), clean={clean})",
+                        self.owner(),
+                        records.len()
+                    );
+                }
+                drop(guard);
+                return records;
             }
+            // Contended. Opportunistic sweep: skip it — another worker
+            // owns it, our aggregate is discarded anyway, and there is
+            // unclaimed work further along the grid.
+            if self.opportunistic.load(Ordering::SeqCst) {
+                self.event("deferred", label, "");
+                return vec![EpisodeRecord::default(); episodes];
+            }
+            // Completing sweep: wait on this worker's deterministic jitter
+            // stream, decorrelated per cell so parked workers do not
+            // re-poll in lockstep.
+            std::thread::sleep(self.pause(attempt, key));
+            attempt += 1;
         }
     }
 
-    /// Journals a completed cell: writes the sidecar durably, then the WAL
-    /// record (sidecar-first ordering, so a journaled cell always has its
-    /// data), then a progress row.
+    fn pause(&self, attempt: usize, key: u64) -> Duration {
+        self.backoff
+            .backoff_for(
+                attempt.min(self.backoff.max_attempts),
+                self.backoff_seed ^ key,
+            )
+            .max(Duration::from_millis(1))
+    }
+
+    /// Clears the lease of a published cell. An owner killed between
+    /// publishing and releasing leaves its lease behind, and nobody would
+    /// ever steal it: every later visitor loads the sidecar instead. An
+    /// abandoned lease is taken through the tombstone arbiter (see
+    /// [`JournalHandle::take_abandoned`]), never unlinked outright. A live
+    /// one is left alone in an opportunistic sweep; the completing sweep
+    /// waits it out like a busy cell, on the same backoff, until its owner
+    /// releases it or its heartbeat stops and it goes stale.
+    fn reap_lease(&self, key: u64, label: &str) {
+        for attempt in 0.. {
+            let taken = {
+                let held = self.leases.held.lock().expect("held lock");
+                self.take_abandoned(key, &held)
+            };
+            if let Some(prev_owner) = taken {
+                self.event("reaped", label, &format!("from {prev_owner}"));
+                return;
+            }
+            if self.opportunistic.load(Ordering::SeqCst)
+                || shutdown::requested()
+                || !self.leases.path(key).exists()
+            {
+                return;
+            }
+            std::thread::sleep(self.pause(attempt, key));
+        }
+    }
+
+    /// Loads a published sidecar for `key`, whoever computed it, by exact
+    /// path: this worker's own first, then each worker's under `workers/`
+    /// (re-listed on every call, so workers that joined later count).
+    /// The checkpoint checksum is verified, the records decoded, and the
+    /// episode count checked; every failure — absent, corrupt, or a
+    /// different cell shape — degrades to `None`, i.e. recomputing.
+    pub fn load_cell(&self, key: u64, episodes: usize) -> Option<Vec<EpisodeRecord>> {
+        let load = |owner: &str| {
+            let text = drive_nn::checkpoint::load_from_file(self.sidecar_path(key, owner)).ok()?;
+            decode_records(&text)
+                .ok()
+                .filter(|records| records.len() == episodes)
+        };
+        if let Some(records) = load(self.owner()) {
+            return Some(records);
+        }
+        std::fs::read_dir(self.dir.join("workers"))
+            .ok()?
+            .flatten()
+            .filter_map(|entry| entry.file_name().into_string().ok())
+            .filter(|owner| owner != self.owner())
+            .find_map(|owner| load(&owner))
+    }
+
+    /// Tries to claim `key`: exclusive create first, then taking an
+    /// abandoned lease (see [`JournalHandle::take_abandoned`]). A cell that
+    /// another thread of this process holds is contended, never taken.
+    /// Public for the `lease_claim_ns` micro-bench; experiments go through
+    /// [`JournalHandle::run_cell`], which drives this internally.
+    pub fn try_acquire(&self, key: u64, label: &str) -> bool {
+        let mut held = self.leases.held.lock().expect("held lock");
+        if held.contains(&key) {
+            return false;
+        }
+        if !self.leases.create(key) {
+            let Some(prev_owner) = self.take_abandoned(key, &held) else {
+                return false;
+            };
+            let event = if prev_owner == self.owner() {
+                "reclaimed"
+            } else {
+                "stolen"
+            };
+            self.event(event, label, &format!("from {prev_owner}"));
+            // The slot is free now, but a third worker may legitimately
+            // take it first — stealing guarantees progress, not that *we*
+            // win.
+            if !self.leases.create(key) {
+                return false;
+            }
+        }
+        held.insert(key);
+        self.event("claimed", label, "");
+        true
+    }
+
+    /// Removes `key`'s lease if its owner is gone and returns that owner.
+    /// A lease is abandoned when its heartbeat is older than the TTL, or
+    /// when it carries this worker's id but is not in `held` (a dead
+    /// incarnation of this worker: ids are unique among live workers). The
+    /// rename-to-tombstone is the atomic arbiter: of two racing takers
+    /// exactly one `rename` succeeds.
+    fn take_abandoned(&self, key: u64, held: &HashSet<u64>) -> Option<String> {
+        let path = self.leases.path(key);
+        let dead_incarnation = !held.contains(&key) && self.leases.is_ours(key);
+        if !dead_incarnation {
+            // A lease that vanished meanwhile was released by its owner.
+            let age = std::fs::metadata(&path)
+                .ok()?
+                .modified()
+                .ok()?
+                .elapsed()
+                .ok()?;
+            if age <= self.ttl {
+                return None;
+            }
+        }
+        let tomb = self
+            .leases
+            .dir
+            .join(format!("cell-{key:016x}.steal-{}", self.owner()));
+        // Failure means another taker won the rename.
+        std::fs::rename(&path, &tomb).ok()?;
+        let prev_owner = Leases::owner_of(&tomb).unwrap_or_else(|| "(unreadable)".to_string());
+        let _ = std::fs::remove_file(&tomb);
+        Some(prev_owner)
+    }
+
+    /// Journals a completed cell: writes the owner-tagged sidecar durably,
+    /// then the WAL record (sidecar-first ordering, so a journaled cell
+    /// always has its data), then a progress row.
     ///
     /// # Errors
     ///
@@ -444,22 +974,48 @@ impl JournalHandle {
         records: &[EpisodeRecord],
     ) -> std::io::Result<()> {
         let text = encode_records(records);
-        let digest = fnv1a_64(text.as_bytes());
-        drive_nn::checkpoint::save_to_file(self.cell_path(key), &text)
+        let digest = format!("{:016x}", fnv1a_64(text.as_bytes()));
+        drive_nn::checkpoint::save_to_file(self.sidecar_path(key, self.owner()), &text)
             .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let mut inner = self.inner.lock().expect("journal lock");
-        Self::append(
-            &mut inner,
-            &format!("cell {key:016x} {digest:016x} {episodes} {label}"),
-        )?;
-        inner.cells.insert(key, CellEntry { digest, episodes });
-        let _ = inner.progress.row([
-            "cell",
-            label,
-            &episodes.to_string(),
-            &format!("{digest:016x}"),
-        ]);
+        let mut log = self.log.lock().expect("journal lock");
+        log.append(&format!("cell {key:016x} {digest} {episodes} {label}"))?;
+        log.cells.insert(key);
+        log.row("cell", label, &episodes.to_string(), &digest);
         Ok(())
+    }
+
+    /// Releases `key` if this worker still owns it (a thief may have
+    /// taken a stalled lease; unlinking someone else's claim would let a
+    /// third worker double-acquire).
+    pub fn release(&self, key: u64) {
+        let mut held = self.leases.held.lock().expect("held lock");
+        held.remove(&key);
+        if self.leases.is_ours(key) {
+            let _ = std::fs::remove_file(self.leases.path(key));
+        }
+    }
+
+    /// Releases every held lease (graceful-shutdown drain and end-of-run
+    /// cleanup).
+    pub fn release_all(&self) {
+        let keys: Vec<u64> = self
+            .leases
+            .held
+            .lock()
+            .expect("held lock")
+            .iter()
+            .copied()
+            .collect();
+        for key in keys {
+            self.release(key);
+            self.event("released", &format!("{key:016x}"), "drain");
+        }
+    }
+
+    /// One heartbeat pass (the heartbeat thread runs the same pass every
+    /// TTL/10; also callable directly from tests).
+    pub fn renew_held(&self) {
+        self.leases.renew();
     }
 }
 
@@ -467,7 +1023,8 @@ impl std::fmt::Debug for JournalHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JournalHandle")
             .field("dir", &self.dir)
-            .field("header", &self.header)
+            .field("owner", &self.leases.owner)
+            .field("ttl", &self.ttl)
             .finish_non_exhaustive()
     }
 }
@@ -475,7 +1032,6 @@ impl std::fmt::Debug for JournalHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drive_sim::record::EpisodeRecord;
 
     fn header() -> RunHeader {
         RunHeader {
@@ -501,6 +1057,23 @@ mod tests {
         let dir = std::env::temp_dir().join(name);
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn solo(dir: &Path) -> PathBuf {
+        dir.join("workers").join(SOLO_WORKER)
+    }
+
+    /// Worker `owner` joining `dir` with the given lease TTL.
+    fn worker(dir: &Path, owner: &str, ttl: Duration) -> JournalHandle {
+        let header = ShardHeader {
+            run: header(),
+            selection: Vec::new(),
+        };
+        JournalHandle::join(dir, &header, owner, ttl).unwrap()
+    }
+
+    fn lease(dir: &Path, key: u64) -> PathBuf {
+        dir.join("leases").join(format!("cell-{key:016x}.lease"))
     }
 
     #[test]
@@ -551,7 +1124,7 @@ mod tests {
         let j = JournalHandle::resume(&dir, header()).unwrap();
         assert_eq!(j.cell_count(), 2);
         // progress.csv survives with one row per event plus the header.
-        let progress = std::fs::read_to_string(dir.join("progress.csv")).unwrap();
+        let progress = std::fs::read_to_string(solo(&dir).join("progress.csv")).unwrap();
         assert_eq!(progress.lines().count(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -564,7 +1137,7 @@ mod tests {
         j.store_cell(2, "b", 4, &records(4)).unwrap();
         drop(j);
         // Simulate a kill mid-append: chop bytes off the WAL tail.
-        let wal = dir.join("wal.bin");
+        let wal = solo(&dir).join("wal.bin");
         let mut bytes = std::fs::read(&wal).unwrap();
         let full = bytes.len();
         bytes.truncate(full - 5);
@@ -595,7 +1168,7 @@ mod tests {
         // A kill mid-flush can tear the final CSV row while the WAL record
         // survived (WAL is appended first). Simulate the torn row, plus an
         // extra garbage row the WAL knows nothing about.
-        let progress_path = dir.join("progress.csv");
+        let progress_path = solo(&dir).join("progress.csv");
         let full = std::fs::read_to_string(&progress_path).unwrap();
         let torn = format!("{}cell,cell-c,4,deadbe", full.trim_end_matches('\n'));
         std::fs::write(&progress_path, torn).unwrap();
@@ -634,7 +1207,7 @@ mod tests {
             }
             other => panic!("expected Incompatible, got {other:?}"),
         }
-        std::fs::write(dir.join("wal.bin"), b"not a journal at all").unwrap();
+        std::fs::write(solo(&dir).join("wal.bin"), b"not a journal at all").unwrap();
         assert!(matches!(
             JournalHandle::resume(&dir, header()),
             Err(JournalError::Corrupt(_))
@@ -647,7 +1220,7 @@ mod tests {
         let dir = temp("repro-bench-journal-fresh");
         let j = JournalHandle::resume(&dir, header()).unwrap();
         assert_eq!(j.cell_count(), 0);
-        assert!(dir.join("wal.bin").exists());
+        assert!(solo(&dir).join("wal.bin").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -656,7 +1229,9 @@ mod tests {
         let dir = temp("repro-bench-journal-tamper");
         let j = JournalHandle::create(&dir, header()).unwrap();
         j.store_cell(7, "x", 4, &records(4)).unwrap();
-        let sidecar = dir.join("cells").join(format!("cell-{:016x}.ckpt", 7));
+        let sidecar = dir
+            .join("cells")
+            .join(format!("cell-{:016x}-{SOLO_WORKER}.ckpt", 7));
         // Deleting the sidecar: journaled but unreadable -> None.
         std::fs::remove_file(&sidecar).unwrap();
         assert!(j.load_cell(7, 4).is_none());
@@ -673,5 +1248,351 @@ mod tests {
         assert_eq!(j.cell_count(), 0);
         assert!(j.load_cell(1, 4).is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shard_header_round_trips_and_rejects_tampering() {
+        let h = ShardHeader {
+            run: header(),
+            selection: vec!["fig4".into(), "scenario-matrix".into()],
+        };
+        let text = h.encode();
+        assert_eq!(ShardHeader::decode(&text).unwrap(), h);
+        let tampered = text.replace("fig4", "fig5");
+        assert!(ShardHeader::decode(&tampered)
+            .unwrap_err()
+            .contains("checksum"));
+        assert!(ShardHeader::decode("nonsense").is_err());
+    }
+
+    #[test]
+    fn shard_header_write_once_then_verify() {
+        let dir = temp("repro-shard-header");
+        let h = ShardHeader {
+            run: header(),
+            selection: vec!["fig4".into()],
+        };
+        h.write_or_verify(&dir).unwrap();
+        h.write_or_verify(&dir).unwrap();
+        assert_eq!(ShardHeader::load(&dir).unwrap(), h);
+        let other = ShardHeader {
+            run: RunHeader {
+                seed: 9,
+                ..header()
+            },
+            selection: vec!["fig4".into()],
+        };
+        let err = other.write_or_verify(&dir).unwrap_err().to_string();
+        assert!(err.contains("different run"), "{err}");
+    }
+
+    #[test]
+    fn first_worker_computes_second_loads() {
+        let dir = temp("repro-shard-basic");
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        let b = worker(&dir, "wb", DEFAULT_TTL);
+        let recs = records(4);
+        let expected = recs.clone();
+        let got = a.run_cell(7, "cell-7", 4, move || (recs, true));
+        assert_eq!(got, expected);
+        assert_eq!(a.event_count("cell"), 1);
+        assert_eq!(a.held_count(), 0, "lease released after publish");
+        assert!(!lease(&dir, 7).exists());
+
+        // Worker B never computes: the published sidecar satisfies it.
+        let loaded = b.run_cell(7, "cell-7", 4, || unreachable!("must load, not compute"));
+        assert_eq!(loaded, expected);
+        assert_eq!(b.event_count("loaded"), 1);
+
+        // An episode-count mismatch is a different cell shape: recompute.
+        let recs3 = records(3);
+        let got3 = b.run_cell(7, "cell-7x3", 3, move || (recs3.clone(), true));
+        assert_eq!(got3.len(), 3);
+    }
+
+    /// Lookups go by exact path over the workers listed at lookup time: a
+    /// sidecar published by a worker that joined after this one opened
+    /// still loads.
+    #[test]
+    fn sidecar_of_a_later_joiner_loads() {
+        let dir = temp("repro-journal-late-joiner");
+        let early = worker(&dir, "early", DEFAULT_TTL);
+        assert!(early.load_cell(5, 4).is_none());
+        let late = worker(&dir, "late", DEFAULT_TTL);
+        late.store_cell(5, "cell-5", 4, &records(4)).unwrap();
+        assert_eq!(early.load_cell(5, 4), Some(records(4)));
+        assert!(early.load_cell(5, 3).is_none(), "episode-count mismatch");
+    }
+
+    /// A worker re-opened under the same id takes over the fresh lease its
+    /// killed incarnation left behind at once, instead of waiting out the
+    /// TTL; a lease another thread of this process holds is not taken.
+    #[test]
+    fn restarted_worker_reclaims_its_own_dead_lease_at_once() {
+        let dir = temp("repro-journal-reclaim");
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        assert!(a.try_acquire(19, "cell-19"));
+        drop(a); // killed: the lease stays behind with a fresh heartbeat
+        assert!(lease(&dir, 19).exists());
+
+        let b = worker(&dir, "wa", DEFAULT_TTL);
+        assert!(b.try_acquire(19, "cell-19"), "own dead lease is reclaimed");
+        assert_eq!(b.event_count("reclaimed"), 1);
+        assert!(!b.try_acquire(19, "cell-19"), "a held lease stays held");
+        // Another worker still sees a live, fresh lease.
+        let other = worker(&dir, "wb", DEFAULT_TTL);
+        assert!(!other.try_acquire(19, "cell-19"));
+        b.release(19);
+        assert!(!lease(&dir, 19).exists());
+        // A claim file left by a kill before its link never blocks a claim.
+        std::fs::write(
+            dir.join("leases").join("cell-000000000000001d.claim-wa"),
+            "lea",
+        )
+        .unwrap();
+        assert!(b.try_acquire(29, "cell-29"));
+    }
+
+    /// Dropping a handle stops and joins its heartbeat thread, which is
+    /// the last holder of the shared lease table once it exits.
+    #[test]
+    fn dropped_handle_joins_its_heartbeat_thread() {
+        let dir = temp("repro-journal-heartbeat-drop");
+        let j = worker(&dir, "wa", DEFAULT_TTL);
+        let leases = Arc::downgrade(&j.leases);
+        assert_eq!(leases.strong_count(), 2, "handle + heartbeat thread");
+        let t0 = std::time::Instant::now();
+        drop(j);
+        assert!(leases.upgrade().is_none(), "heartbeat thread has exited");
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "drop wakes the thread instead of waiting out its 3 s period"
+        );
+    }
+
+    /// Crash point between publish and the lease release: the sidecar is
+    /// on disk but the dead owner's lease is not. A loader reaps that lease
+    /// once its heartbeat is stale, and an opportunistic loader leaves a
+    /// fresh one (a live owner about to release it) alone.
+    #[test]
+    fn loader_reaps_stale_lease_of_published_cell() {
+        let dir = temp("repro-shard-reap");
+        let dead = worker(&dir, "wa", DEFAULT_TTL);
+        let b = worker(&dir, "wb", DEFAULT_TTL);
+        b.set_opportunistic(true);
+        for (key, age, reaped) in [(21, 2 * DEFAULT_TTL, true), (23, Duration::ZERO, false)] {
+            let label = format!("cell-{key}");
+            assert!(dead.try_acquire(key, &label));
+            dead.store_cell(key, &label, 4, &records(4)).unwrap();
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(lease(&dir, key))
+                .unwrap()
+                .set_modified(std::time::SystemTime::now() - age)
+                .unwrap();
+
+            let got = b.run_cell(key, &label, 4, || unreachable!("must load, not compute"));
+            assert_eq!(got, records(4));
+            assert_eq!(!lease(&dir, key).exists(), reaped, "{label}: age {age:?}");
+        }
+        assert_eq!(b.event_count("loaded"), 2);
+        assert_eq!(b.event_count("reaped"), 1);
+    }
+
+    /// The completing sweep does not leave a dead owner's fresh lease
+    /// behind: it waits until the heartbeat goes stale, then reaps it.
+    #[test]
+    fn completing_loader_waits_out_fresh_lease_of_published_cell() {
+        let dir = temp("repro-shard-reap-wait");
+        let ttl = Duration::from_millis(100);
+        let dead = worker(&dir, "wa", DEFAULT_TTL);
+        let b = worker(&dir, "wb", ttl);
+        assert!(dead.try_acquire(25, "cell-25"));
+        dead.store_cell(25, "cell-25", 4, &records(4)).unwrap();
+
+        let got = b.run_cell(25, "cell-25", 4, || unreachable!("must load, not compute"));
+        assert_eq!(got, records(4));
+        assert!(!lease(&dir, 25).exists());
+        assert_eq!(b.event_count("reaped"), 1);
+    }
+
+    #[test]
+    fn unclean_cells_do_not_publish() {
+        let dir = temp("repro-shard-unclean");
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        let recs = records(4);
+        let _ = a.run_cell(9, "cell-9", 4, move || (recs, false));
+        assert_eq!(a.event_count("cell"), 0);
+        assert!(a.load_cell(9, 4).is_none());
+        // The lease was still released, so another worker can claim it.
+        let b = worker(&dir, "wb", DEFAULT_TTL);
+        let recs = records(4);
+        let got = b.run_cell(9, "cell-9", 4, move || (recs, true));
+        assert_eq!(got.len(), 4);
+        assert_eq!(b.event_count("cell"), 1);
+    }
+
+    #[test]
+    fn stale_heartbeat_is_stolen_fresh_is_not() {
+        let dir = temp("repro-shard-steal");
+        let ttl = Duration::from_millis(100);
+        // A's own heartbeat period (TTL/10 = 3 s) outlasts the test: to B,
+        // whose TTL is 100 ms, A is a stalled owner.
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        let b = worker(&dir, "wb", ttl);
+        // A claims and then "dies" (no heartbeat, never releases).
+        assert!(a.try_acquire(11, "cell-11"));
+        // Fresh heartbeat: B cannot steal yet.
+        assert!(!b.try_acquire(11, "cell-11"));
+        // Age the heartbeat past the TTL and B steals.
+        std::thread::sleep(Duration::from_millis(150));
+        assert!(
+            b.try_acquire(11, "cell-11"),
+            "stale lease must be stealable"
+        );
+        assert_eq!(b.event_count("stolen"), 1);
+        // The lease now belongs to B: A's owner-checked release must not
+        // unlink it.
+        a.release(11);
+        assert!(lease(&dir, 11).exists());
+        // And A's heartbeat must not resurrect it as A's.
+        a.renew_held();
+        assert_eq!(a.held_count(), 0);
+        b.release(11);
+        assert!(!lease(&dir, 11).exists());
+    }
+
+    #[test]
+    fn heartbeat_renewal_prevents_stealing() {
+        let dir = temp("repro-shard-heartbeat");
+        let ttl = Duration::from_millis(120);
+        let a = worker(&dir, "wa", ttl);
+        let b = worker(&dir, "wb", ttl);
+        assert!(a.try_acquire(13, "cell-13"));
+        for _ in 0..4 {
+            std::thread::sleep(Duration::from_millis(60));
+            a.renew_held();
+            assert!(
+                !b.try_acquire(13, "cell-13"),
+                "a renewed lease must never be stolen"
+            );
+        }
+    }
+
+    #[test]
+    fn steal_race_has_exactly_one_winner() {
+        let dir = temp("repro-shard-steal-race");
+        // A's heartbeat period (3 s) outlasts the test; the thieves' TTL
+        // is 50 ms.
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        assert!(a.try_acquire(17, "cell-17"));
+        std::thread::sleep(Duration::from_millis(80));
+        // Two stealers race the same stale lease; the exclusive link + the tombstone
+        // rename guarantee exactly one winner per round.
+        let dir2 = dir.clone();
+        let winners: Vec<bool> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|i| {
+                    let dir = dir2.clone();
+                    scope.spawn(move || {
+                        let s = worker(&dir, &format!("thief{i}"), Duration::from_millis(50));
+                        s.try_acquire(17, "cell-17")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(
+            winners.iter().filter(|&&w| w).count(),
+            1,
+            "exactly one stealer must win: {winners:?}"
+        );
+    }
+
+    /// N contending workers never double-acquire. Every round, all workers
+    /// race for the same fresh key; exactly one may hold it — counted over
+    /// many seeded rounds.
+    #[test]
+    fn contending_workers_never_double_acquire() {
+        let dir = temp("repro-shard-contention-prop");
+        const WORKERS: usize = 6;
+        const ROUNDS: u64 = 25;
+        for round in 0..ROUNDS {
+            let key = 1000 + round;
+            let acquired: Vec<bool> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..WORKERS)
+                    .map(|i| {
+                        let dir = dir.clone();
+                        scope.spawn(move || {
+                            let s = worker(&dir, &format!("w{i}"), DEFAULT_TTL);
+                            s.try_acquire(key, "prop-cell")
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(
+                acquired.iter().filter(|&&a| a).count(),
+                1,
+                "round {round}: exactly one winner, got {acquired:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn opportunistic_sweep_defers_busy_cells_and_computes_free_ones() {
+        let dir = temp("repro-shard-opportunistic");
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        let b = worker(&dir, "wb", DEFAULT_TTL);
+        assert!(a.try_acquire(31, "cell-31"));
+        b.set_opportunistic(true);
+        // Busy cell: skipped with placeholders instead of waiting.
+        let got = b.run_cell(31, "cell-31", 4, || unreachable!("busy cell must defer"));
+        assert_eq!(got, vec![EpisodeRecord::default(); 4]);
+        assert_eq!(b.event_count("deferred"), 1);
+        assert_eq!(b.event_count("cell"), 0, "placeholders never publish");
+        // Unclaimed cell: computed and published as normal.
+        let recs = records(4);
+        let expected = recs.clone();
+        let got = b.run_cell(32, "cell-32", 4, move || (recs, true));
+        assert_eq!(got, expected);
+        assert_eq!(b.event_count("cell"), 1);
+        // Completing mode sees the published result, not the placeholder.
+        b.set_opportunistic(false);
+        let reloaded = b.run_cell(32, "cell-32", 4, || unreachable!("must load"));
+        assert_eq!(reloaded, expected);
+        a.release(31);
+    }
+
+    #[test]
+    fn shutdown_latch_releases_held_leases_via_run_cell() {
+        let dir = temp("repro-shard-shutdown");
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        // A cell whose compute latches shutdown mid-flight: the unwind
+        // must release the lease on the way out.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            a.run_cell(21, "cell-21", 4, || {
+                shutdown::trigger();
+                std::panic::panic_any(shutdown::ShutdownRequested)
+            })
+        }));
+        shutdown::clear_for_test();
+        assert!(result.is_err());
+        assert_eq!(a.held_count(), 0, "unwinding compute releases the lease");
+        assert!(!lease(&dir, 21).exists(), "lease file removed on unwind");
+        // And a latched shutdown observed while *waiting* unwinds too.
+        let b = worker(&dir, "wb", DEFAULT_TTL);
+        assert!(b.try_acquire(22, "cell-22"));
+        shutdown::trigger();
+        let waiting = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            a.run_cell(22, "cell-22", 4, || (records(4), true))
+        }));
+        shutdown::clear_for_test();
+        assert!(waiting.is_err(), "waiter must honor the shutdown latch");
+        // Drain path: release_all frees everything still held.
+        assert!(a.try_acquire(23, "cell-23"));
+        a.release_all();
+        assert_eq!(a.held_count(), 0);
+        assert!(!lease(&dir, 23).exists());
     }
 }

@@ -31,9 +31,8 @@ pub mod shard;
 pub use benchcmp::{compare_files, BenchDelta, BenchStatus, Comparison};
 pub use engine::{execute, EngineRun, Experiment, ExperimentOutput, Registry, RunContext};
 pub use harness::{attacked_records, build_agent, AgentKind, Scale};
-pub use journal::{JournalError, JournalHandle, RunHeader};
+pub use journal::{JournalError, JournalHandle, RunHeader, ShardHeader};
 pub use loadgen::{find_max_qps, run_loadgen, LoadgenConfig, LoadgenReport, LogicalStats};
 pub use manifest::{Manifest, OutputEntry};
 pub use perf::{PerfReport, PerfSample, ThroughputProbe};
 pub use resilience::{run_cell, CellOutcome, ResilienceConfig};
-pub use shard::{ShardConfig, ShardHeader, ShardState};

@@ -1,32 +1,32 @@
-//! `repro_bench merge`: verify and assemble a sharded run.
+//! `repro_bench merge`: verify and assemble a run directory.
 //!
-//! The merge is the read side of [`crate::shard`]: it never simulates.
-//! It (1) loads the shard header and re-derives the run parameters, (2)
+//! The merge is the read side of [`crate::journal`]: it never simulates.
+//! It (1) loads the run header and re-derives the run parameters, (2)
 //! verifies the checkpoint checksum of **every** published sidecar, (3)
 //! groups sidecars by cell key — two sidecars for one key with the same
 //! record digest are a benign duplicate (cells are deterministic; a
 //! stalled worker and its thief both finishing is expected), while
-//! *different* digests are a hard error naming both owners, (4) builds a
-//! merged single-process journal from the winning sidecars, (5) replays
-//! the real experiment grid against that journal in a strict probe pass
-//! that enumerates any cell no worker published (nonzero exit, every gap
-//! listed), and (6) replays once more with output sinks attached,
-//! producing CSVs, SVGs, and manifests **byte-identical** to an
-//! uninterrupted single-process run — cell ordering is defined by the
-//! grid and the seed namespace, not by which worker finished first.
+//! *different* digests are a hard error naming both owners, (4) replays
+//! the real experiment grid straight from the verified sidecars in a
+//! strict probe pass that enumerates any cell no worker published
+//! (nonzero exit, every gap listed), and (5) replays once more with output
+//! sinks attached, producing CSVs, SVGs, and manifests **byte-identical**
+//! to an uninterrupted single-process run — cell ordering is defined by
+//! the grid and the seed namespace, not by which worker finished first.
+//! A single-process run's `<dir>/journal/` is a one-worker run directory,
+//! so it merges the same way.
 
 use crate::cli::{CliArgs, CliError};
 use crate::engine::{self, Registry, RunContext};
 use crate::harness::Scale;
-use crate::journal::{scan_frames, JournalHandle, RunHeader, MAGIC};
-use crate::shard::ShardHeader;
+use crate::journal::{scan_frames, RunHeader, ShardHeader, MAGIC};
 use drive_seed::fnv1a_64;
 use drive_sim::record::{decode_records, encode_records, EpisodeRecord};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// One verified, decoded sidecar from the shard's `cells/` area.
+/// One verified, decoded sidecar from the run directory's `cells/` area.
 #[derive(Debug)]
 struct Sidecar {
     owner: String,
@@ -35,7 +35,7 @@ struct Sidecar {
     records: Vec<EpisodeRecord>,
 }
 
-/// Everything scanned out of a shard directory.
+/// Everything scanned out of a run directory.
 #[derive(Debug, Default)]
 struct ShardScan {
     /// Verified sidecars grouped by cell key (insertion order: sorted
@@ -45,6 +45,37 @@ struct ShardScan {
     labels: BTreeMap<u64, (String, usize)>,
     /// Worker ids that contributed a WAL.
     workers: Vec<String>,
+}
+
+/// The merge's load-only replay source: the records of every verified
+/// sidecar, by cell key. Installed as
+/// [`RunContext::replay`](crate::engine::RunContext), it serves every
+/// cell of the grid without simulating, and records the cells it cannot
+/// serve, so one cheap pass over the real experiment grid enumerates
+/// exactly which cells a run is still missing.
+#[derive(Debug)]
+pub struct Replay {
+    cells: BTreeMap<u64, Vec<EpisodeRecord>>,
+    missing: Mutex<Vec<String>>,
+}
+
+impl Replay {
+    /// The published records of cell `key`. A cell with no sidecar (or
+    /// one of a different episode count) has its `label` recorded as
+    /// missing and replays as default-filled episodes, which keeps
+    /// downstream aggregation well-formed.
+    pub fn load(&self, key: u64, label: &str, episodes: usize) -> Vec<EpisodeRecord> {
+        match self.cells.get(&key) {
+            Some(records) if records.len() == episodes => records.clone(),
+            _ => {
+                self.missing
+                    .lock()
+                    .expect("missing-cells lock")
+                    .push(label.to_string());
+                vec![EpisodeRecord::default(); episodes]
+            }
+        }
+    }
 }
 
 /// Parsed `repro_bench merge` command line.
@@ -113,7 +144,7 @@ pub fn main(args: &[String]) -> i32 {
     }
 }
 
-/// Runs the full merge (see the module docs for the six stages).
+/// Runs the full merge (see the module docs for the five stages).
 ///
 /// # Errors
 ///
@@ -122,7 +153,7 @@ pub fn main(args: &[String]) -> i32 {
 /// cells — and [`CliError::Io`] for output-sink failures. All exit
 /// nonzero through [`crate::cli::exit_code`].
 pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
-    let header = ShardHeader::load(&parsed.dir).map_err(CliError::Resume)?;
+    let header = ShardHeader::load(&parsed.dir).map_err(|e| CliError::Resume(e.to_string()))?;
     let config = parsed.cli.pipeline_config();
     let scale = Scale {
         box_episodes: header.run.box_episodes,
@@ -163,41 +194,27 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
         scan.workers.len(),
         duplicates
     );
+    let cells = scan.cells.len();
+    let replay = Arc::new(Replay {
+        cells: scan
+            .cells
+            .into_iter()
+            .map(|(key, mut sidecars)| (key, sidecars.swap_remove(0).records))
+            .collect(),
+        missing: Mutex::new(Vec::new()),
+    });
 
-    // Assemble the merged journal from the winning sidecars. The journal
-    // replays by key, so store order is irrelevant to the outputs; keys
-    // are iterated sorted anyway for deterministic progress rows.
-    std::fs::create_dir_all(&parsed.out)?;
-    let journal = Arc::new(
-        JournalHandle::create(parsed.out.join("journal"), header.run)
-            .map_err(|e| CliError::Resume(e.to_string()))?,
-    );
-    for (key, sidecars) in &scan.cells {
-        let winner = &sidecars[0];
-        let label = scan
-            .labels
-            .get(key)
-            .map(|(label, _)| label.clone())
-            .unwrap_or_else(|| format!("(recovered from {})", winner.file));
-        journal
-            .store_cell(*key, &label, winner.records.len(), &winner.records)
-            .map_err(CliError::Io)?;
-    }
-
-    // Probe pass: replay the real grid with a missing-cells collector —
-    // no sinks, no simulation. Any cell the journal cannot serve is a
-    // gap some worker still owes the run.
+    // Probe pass: replay the real grid with no sinks. Any cell the
+    // sidecars cannot serve is a gap some worker still owes the run.
     let artifacts = attack_core::pipeline::prepare(&config);
-    let missing = Arc::new(Mutex::new(Vec::new()));
     let mut probe = RunContext::new(&artifacts, &config, scale);
-    probe.journal = Some(Arc::clone(&journal));
-    probe.missing_cells = Some(Arc::clone(&missing));
+    probe.replay = Some(Arc::clone(&replay));
     probe.fleet = parsed.cli.fleet;
     for exp in &experiments {
         let _ = exp.run(&probe);
     }
     drop(probe);
-    let missing: Vec<String> = std::mem::take(&mut *missing.lock().expect("missing-cells lock"));
+    let missing = std::mem::take(&mut *replay.missing.lock().expect("missing-cells lock"));
     if !missing.is_empty() {
         return Err(CliError::Resume(format!(
             "{} cell(s) have no published sidecar — the shard is incomplete:\n  {}",
@@ -207,10 +224,11 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
     }
 
     // Final pass: replay once more with sinks attached. Fresh context
-    // (fresh memo), same journal; every cell loads from its sidecar, so
-    // the outputs are byte-identical to a single-process run.
+    // (fresh memo), same sidecars; every cell loads, so the outputs are
+    // byte-identical to a single-process run.
+    std::fs::create_dir_all(&parsed.out)?;
     let mut ctx = RunContext::new(&artifacts, &config, scale);
-    ctx.journal = Some(Arc::clone(&journal));
+    ctx.replay = Some(replay);
     ctx.csv_dir = Some(parsed.out.clone());
     ctx.svg_dir = Some(parsed.out.clone());
     ctx.fleet = parsed.cli.fleet;
@@ -224,7 +242,7 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
     eprintln!(
         "[merge] assembled {} experiment(s) from {} cell(s) into {}",
         experiments.len(),
-        scan.cells.len(),
+        cells,
         parsed.out.display()
     );
     Ok(())
@@ -249,9 +267,9 @@ pub fn verify_shard(dir: &Path) -> Result<usize, String> {
 fn scan_shard(dir: &Path) -> Result<ShardScan, String> {
     let mut scan = ShardScan::default();
 
-    // Per-worker WALs: labels and episode counts for the merged journal's
-    // progress rows. A missing or torn WAL only loses labels, never
-    // results — the sidecars are the ground truth.
+    // Per-worker WALs: cell labels for conflict reports. A missing or torn
+    // WAL only loses labels, never results — the sidecars are the ground
+    // truth.
     let workers_dir = dir.join("workers");
     let mut worker_dirs: Vec<PathBuf> = match std::fs::read_dir(&workers_dir) {
         Ok(entries) => entries.flatten().map(|e| e.path()).collect(),
@@ -316,7 +334,7 @@ fn scan_shard(dir: &Path) -> Result<ShardScan, String> {
         let records = decode_records(&text)
             .map_err(|e| format!("sidecar {} does not decode: {e}", path.display()))?;
         // Canonical digest: re-encode the decoded records, exactly what
-        // the publisher and the merged journal hash.
+        // the publisher hashes.
         let digest = fnv1a_64(encode_records(&records).as_bytes());
         scan.cells.entry(key).or_default().push(Sidecar {
             owner: owner.to_string(),
@@ -359,7 +377,7 @@ fn find_conflicts(scan: &ShardScan) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{ShardConfig, ShardState};
+    use crate::journal::{JournalHandle, DEFAULT_TTL};
 
     fn temp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(name);
@@ -388,10 +406,14 @@ mod tests {
     }
 
     fn publish(dir: &Path, owner: &str, key: u64, recs: &[EpisodeRecord]) {
-        let state = ShardState::open(ShardConfig::new(dir, owner), &header()).unwrap();
+        let header = ShardHeader {
+            run: header(),
+            selection: Vec::new(),
+        };
+        let worker = JournalHandle::join(dir, &header, owner, DEFAULT_TTL).unwrap();
         let recs = recs.to_vec();
         let n = recs.len();
-        let got = state.run_cell(key, &format!("cell-{key}"), n, move || (recs, true));
+        let got = worker.run_cell(key, &format!("cell-{key}"), n, move || (recs, true));
         assert_eq!(got.len(), n);
     }
 

@@ -4,7 +4,9 @@
 //! never panic.
 
 use proptest::prelude::*;
-use repro_bench::journal::{encode_frame, scan_frames, JournalHandle, RunHeader, MAGIC};
+use repro_bench::journal::{
+    encode_frame, scan_frames, JournalHandle, RunHeader, MAGIC, SOLO_WORKER,
+};
 use std::path::PathBuf;
 
 /// Deterministic synthetic payloads, shaped like real journal records.
@@ -101,7 +103,7 @@ proptest! {
         // Kill: truncate the WAL anywhere past the magic + header frame
         // (cutting into the header is a hard Corrupt error by design,
         // covered by the unit tests).
-        let wal = dir.join("wal.bin");
+        let wal = dir.join("workers").join(SOLO_WORKER).join("wal.bin");
         let bytes = std::fs::read(&wal).unwrap();
         let h = header();
         let header_line = format!(

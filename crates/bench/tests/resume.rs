@@ -12,7 +12,7 @@
 use attack_core::pipeline::{prepare, Artifacts, PipelineConfig};
 use repro_bench::engine::{self, Registry, RunContext};
 use repro_bench::harness::Scale;
-use repro_bench::journal::JournalHandle;
+use repro_bench::journal::{JournalHandle, SOLO_WORKER};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -121,8 +121,9 @@ fn killed_and_resumed_run_matches_golden_byte_for_byte() {
 
     // The journal did its job: the WAL and flush-per-row progress log are
     // in place, with the experiment completions recorded.
-    assert!(killed.join("journal").join("wal.bin").exists());
-    let progress = fs::read_to_string(killed.join("journal").join("progress.csv")).unwrap();
+    let worker = killed.join("journal").join("workers").join(SOLO_WORKER);
+    assert!(worker.join("wal.bin").exists());
+    let progress = fs::read_to_string(worker.join("progress.csv")).unwrap();
     assert!(
         progress.lines().any(|l| l.starts_with("experiment,")),
         "progress.csv records experiment completions:\n{progress}"

@@ -7,7 +7,8 @@
 //! uninterrupted single-process golden run. The merge must also exit
 //! nonzero on an injected conflicting sidecar (naming both owners) and on
 //! a deleted (missing) cell. A two-worker fig4 run checks that the merge
-//! rebuilds figure SVGs byte-identical too. A separate test covers the
+//! rebuilds figure SVGs byte-identical too, and a single-process
+//! journaled fig4 run merges the same way. A separate test covers the
 //! polite path: SIGTERM drains a worker at a cell boundary, exits 130,
 //! and releases every held lease.
 
@@ -342,6 +343,46 @@ fn merged_fig4_svgs_match_single_process_golden() {
         .expect("spawn merge");
     assert!(status.success(), "merge failed: {status}");
     assert_outputs_match(&golden, &merged);
+}
+
+/// One layout serves both run modes: a single-process journaled run's
+/// `<dir>/journal/` is a one-worker run directory, so `merge` assembles
+/// it into outputs byte-identical to the ones the run itself wrote.
+#[test]
+fn single_process_journal_merges_like_a_shard() {
+    let (_, config) = setup();
+    let fig4 = |cmd: &mut Command| {
+        cmd.arg("fig4")
+            .arg("--quick")
+            .arg("--smoke")
+            .arg("--artifacts")
+            .arg(&config.dir);
+    };
+    let run = out_dir("solo-run");
+    let mut cmd = base_cmd();
+    fig4(&mut cmd);
+    let status = cmd
+        .arg("--csv")
+        .arg(&run)
+        .arg("--svg")
+        .arg(&run)
+        .status()
+        .expect("spawn journaled run");
+    assert!(status.success(), "journaled run failed: {status}");
+
+    let merged = out_dir("solo-merged");
+    let mut cmd = base_cmd();
+    cmd.arg("merge")
+        .arg(run.join("journal"))
+        .arg("--out")
+        .arg(&merged);
+    fig4(&mut cmd);
+    let status = cmd.status().expect("spawn merge");
+    assert!(
+        status.success(),
+        "merge of a single-process journal: {status}"
+    );
+    assert_outputs_match(&run, &merged);
 }
 
 /// Sends a real SIGTERM (std's `Child::kill` is SIGKILL on unix).

@@ -13,51 +13,10 @@
 //! and embedders can drive the drain path without real signals.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::Once;
 
 static REQUESTED: AtomicBool = AtomicBool::new(false);
 static INSTALL: Once = Once::new();
-
-/// A registered drain callback (boxed so hooks of any closure type share
-/// one list).
-type DrainHook = Box<dyn FnOnce() + Send>;
-
-/// Cleanup callbacks run by [`drain`] when a latched shutdown unwinds to
-/// the top-level driver. Signal handlers cannot run arbitrary code
-/// (async-signal-safety), so hooks execute cooperatively, on the normal
-/// control path, exactly once each.
-static DRAIN_HOOKS: OnceLock<Mutex<Vec<DrainHook>>> = OnceLock::new();
-
-fn hooks() -> &'static Mutex<Vec<DrainHook>> {
-    DRAIN_HOOKS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Registers a cleanup hook to run when the process drains after a
-/// latched SIGTERM/SIGINT (see [`drain`]). Used by holders of shared
-/// on-disk state — the shard coordinator registers one that releases its
-/// held cell leases, so a politely-killed worker never forces peers to
-/// wait out the lease TTL.
-///
-/// Hooks run in registration order, at most once; registering after a
-/// drain runs the hook only on a subsequent [`drain`] call.
-pub fn register_drain(hook: impl FnOnce() + Send + 'static) {
-    hooks()
-        .lock()
-        .expect("drain hooks lock")
-        .push(Box::new(hook));
-}
-
-/// Runs (and consumes) every registered drain hook. Called by top-level
-/// drivers after catching the [`ShutdownRequested`] unwind — idempotent,
-/// since each hook is taken out of the registry before it runs.
-pub fn drain() {
-    // Take the hooks out under the lock, run them outside it: a hook may
-    // itself register further hooks without deadlocking.
-    let pending: Vec<_> = std::mem::take(&mut *hooks().lock().expect("drain hooks lock"));
-    for hook in pending {
-        hook();
-    }
-}
 
 /// Panic payload used to unwind out of deep work loops once shutdown is
 /// requested. Layers that `catch_unwind` for *fault isolation* (retry,
@@ -146,30 +105,5 @@ mod tests {
     fn install_is_idempotent() {
         install();
         install();
-    }
-
-    #[test]
-    fn drain_hooks_run_once_in_order() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..3 {
-            let log = log.clone();
-            register_drain(move || log.lock().unwrap().push(i));
-        }
-        drain();
-        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2]);
-        // Consumed: a second drain is a no-op for already-run hooks.
-        drain();
-        assert_eq!(log.lock().unwrap().len(), 3);
-        // A hook registered later runs on the next drain only.
-        let count = Arc::new(AtomicUsize::new(0));
-        let c = count.clone();
-        register_drain(move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        drain();
-        drain();
-        assert_eq!(count.load(Ordering::SeqCst), 1);
     }
 }

@@ -13,7 +13,6 @@ pub mod agg;
 pub mod episode;
 pub mod export;
 pub mod histo;
-pub mod progress;
 pub mod report;
 pub mod svg;
 pub mod windows;
@@ -26,7 +25,6 @@ pub mod prelude {
     };
     pub use crate::export::{Csv, CsvSink};
     pub use crate::histo::LatencyHistogram;
-    pub use crate::progress::WorkerProgress;
     pub use crate::report::{fmt_f, fmt_pct, Table};
     pub use crate::svg::{bar_chart_svg, box_plot_svg, scatter_svg, write_svg};
     pub use crate::windows::{effort_windows, fig8_windows, EffortWindow};
