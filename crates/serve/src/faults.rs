@@ -143,11 +143,6 @@ impl FaultPlan {
     pub fn corruption_injector(&self, stream: u64) -> FaultInjector {
         FaultInjector::for_episode(&self.corruption, stream)
     }
-
-    /// Total scheduled worker faults.
-    pub fn worker_fault_count(&self) -> usize {
-        self.per_worker.iter().map(Vec::len).sum()
-    }
 }
 
 /// Consumes one worker's fault timeline in time order.
@@ -168,11 +163,6 @@ impl FaultCursor {
             None
         }
     }
-
-    /// Faults not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.faults.len() - self.next
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +180,7 @@ mod tests {
         let a = FaultPlan::seeded(42, 3, 1_000_000, &cfg);
         let b = FaultPlan::seeded(42, 3, 1_000_000, &cfg);
         assert_eq!(a, b);
-        assert_eq!(a.worker_fault_count(), 7);
+        assert_eq!(a.per_worker.iter().map(Vec::len).sum::<usize>(), 7);
         for worker in &a.per_worker {
             for pair in worker.windows(2) {
                 assert!(pair[0].at_us() <= pair[1].at_us(), "sorted per worker");
@@ -240,7 +230,7 @@ mod tests {
                 dur_us: 50
             })
         );
-        assert_eq!(cur.remaining(), 0);
+        assert_eq!(cur.due(u64::MAX), None, "drained");
         // Out-of-range worker index yields an empty cursor.
         assert_eq!(plan.cursor(9).due(u64::MAX), None);
     }
@@ -248,7 +238,7 @@ mod tests {
     #[test]
     fn none_plan_never_fires() {
         let plan = FaultPlan::none(4);
-        assert_eq!(plan.worker_fault_count(), 0);
+        assert!(plan.per_worker.iter().all(Vec::is_empty));
         assert!(plan.corruption.is_noop());
         let mut inj = plan.corruption_injector(0);
         inj.begin_step();

@@ -173,11 +173,6 @@ impl Ladder {
         self.rung
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &LadderConfig {
-        &self.config
-    }
-
     /// Every movement so far, in order.
     pub fn transitions(&self) -> &[Transition] {
         &self.transitions

@@ -9,8 +9,8 @@
 //! stack, built around three ideas:
 //!
 //! * **Micro-batching** — concurrent observation requests are held for a
-//!   short deadline window and answered by one tiled-GEMM pass
-//!   (`GaussianPolicy::act_batch_with`), which is bit-identical to
+//!   short deadline window and answered by one GEMM pass through the
+//!   pre-packed `BatchPolicy::act_batch`, which is bit-identical to
 //!   serial inference, so batching is purely a throughput lever.
 //! * **Typed outcomes** — every request resolves exactly once as served,
 //!   degraded, shed, or timed out ([`request::Outcome`]); counters
@@ -20,13 +20,15 @@
 //!   PID fallback ([`ladder`]), trading capability for guaranteed
 //!   latency, and climbs back with hysteresis.
 //!
-//! Two execution engines share the same [`pipeline::Pipeline`] core: a
-//! real multi-threaded server ([`server::Server`]) with bounded queues,
-//! worker respawn, and graceful drain, and a virtual-time simulator
-//! ([`sim`]) whose reports are byte-identical at a fixed seed — the
-//! deterministic twin used by tests and CI gating. Faults (worker
-//! kills/stalls, observation corruption) are seeded plans ([`faults`])
-//! reusing `drive_sim::faults`.
+//! Two execution engines make every dispatch and completion decision
+//! (faults, expiry, outcomes, ladder, PID resets) through one
+//! [`scheduler::Scheduler`] and run batches through one
+//! [`pipeline::Pipeline`] per worker: a real multi-threaded server
+//! ([`server::Server`]) with bounded queues, worker respawn, and graceful
+//! drain, and a virtual-time simulator ([`sim`]) whose reports are
+//! byte-identical at a fixed seed — the deterministic twin used by tests
+//! and CI gating. Faults (worker kills/stalls, observation corruption)
+//! are seeded plans ([`faults`]) reusing `drive_sim::faults`.
 
 pub mod config;
 pub mod faults;
@@ -35,6 +37,7 @@ pub mod pipeline;
 pub mod queue;
 pub mod report;
 pub mod request;
+pub mod scheduler;
 pub mod server;
 pub mod sim;
 

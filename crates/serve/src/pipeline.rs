@@ -3,8 +3,8 @@
 //!
 //! One [`Pipeline`] owns the worker-local pieces needed to turn a batch
 //! of observations into actions at any ladder rung: the micro-batched
-//! policy entry ([`BatchPolicy`], the same weight-prepacked batched head
-//! the fleet evaluation engine uses), the PID fallback, and
+//! policy entry ([`BatchPolicy::act_batch`], the same weight-prepacked
+//! batched head the fleet evaluation engine uses), the PID fallback, and
 //! an optional mid-flight observation corruptor. The perturbation
 //! detector is deliberately *not* worker-local: it watches the vehicle's
 //! single realized-action stream, so the engine owns one
@@ -12,9 +12,9 @@
 //! simulator) and lends it to whichever worker is serving the
 //! [`Rung::Full`] rung.
 //!
-//! Keeping this logic in one place is what lets the simulator's
-//! byte-identical runs vouch for the threaded server's behaviour — both
-//! call exactly this code; only the clock and the threads differ.
+//! Which rung a batch runs at, and when the PID is reset, is decided by
+//! [`crate::scheduler::Scheduler`]; both engines build their pipelines
+//! through it and call exactly this code to run a batch.
 
 use crate::config::ServeConfig;
 use crate::ladder::Rung;
@@ -46,8 +46,6 @@ pub struct BatchResult {
 pub struct PipelineStats {
     /// Batches processed.
     pub batches: u64,
-    /// Requests processed (any rung).
-    pub processed: u64,
     /// Observation frames containing at least one non-finite value when
     /// they reached inference.
     pub nonfinite_frames: u64,
@@ -59,7 +57,6 @@ impl PipelineStats {
     /// Folds another worker's totals into this one (retiring a pipeline).
     pub fn absorb(&mut self, other: &PipelineStats) {
         self.batches += other.batches;
-        self.processed += other.processed;
         self.nonfinite_frames += other.nonfinite_frames;
         self.max_batch = self.max_batch.max(other.max_batch);
     }
@@ -115,11 +112,6 @@ impl DetectorStream {
         if let Some(last) = actions.last() {
             self.last_cmd_steer = Some(last.steer);
         }
-    }
-
-    /// The current estimated attack budget.
-    pub fn estimated_budget(&self) -> f64 {
-        self.detector.estimated_budget()
     }
 }
 
@@ -197,7 +189,6 @@ impl Pipeline {
             }
         }
         self.stats.batches += 1;
-        self.stats.processed += obs.len() as u64;
         self.stats.max_batch = self.stats.max_batch.max(obs.len());
         self.stats.nonfinite_frames += obs
             .iter()
@@ -426,19 +417,16 @@ mod tests {
     fn stats_absorb_folds_totals() {
         let mut a = PipelineStats {
             batches: 2,
-            processed: 5,
             nonfinite_frames: 1,
             max_batch: 3,
         };
         let b = PipelineStats {
             batches: 1,
-            processed: 9,
             nonfinite_frames: 0,
             max_batch: 7,
         };
         a.absorb(&b);
         assert_eq!(a.batches, 3);
-        assert_eq!(a.processed, 14);
         assert_eq!(a.max_batch, 7);
     }
 }

@@ -8,7 +8,7 @@ use drive_metrics::histo::LatencyHistogram;
 /// distribution of answered requests, the ladder's transition log, and
 /// resilience totals. [`ServeReport::render`] is all-integer text, so a
 /// fixed-seed simulator run reproduces it byte for byte.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeReport {
     /// Request accounting (reconciled at drain).
     pub counters: Counters,

@@ -92,14 +92,6 @@ impl Outcome {
         }
     }
 
-    /// The produced action, when one exists.
-    pub fn action(&self) -> Option<Actuation> {
-        match self {
-            Outcome::Served { action, .. } | Outcome::Degraded { action, .. } => Some(*action),
-            _ => None,
-        }
-    }
-
     /// Enqueue-to-response latency for answered requests, µs.
     pub fn latency_us(&self) -> Option<u64> {
         match self {
@@ -262,12 +254,10 @@ mod tests {
         };
         assert_eq!(served.kind(), OutcomeKind::Served);
         assert_eq!(served.latency_us(), Some(42));
-        assert_eq!(served.action().unwrap().steer, 0.5);
         let shed = Outcome::Shed {
             reason: ShedReason::QueueFull,
         };
         assert_eq!(shed.kind(), OutcomeKind::Shed);
-        assert_eq!(shed.action(), None);
         assert_eq!(shed.latency_us(), None);
     }
 

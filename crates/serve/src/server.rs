@@ -1,8 +1,12 @@
 //! The real multi-threaded inference server.
 //!
-//! Worker threads pop micro-batches from one [`BoundedQueue`], run the
-//! shared [`Pipeline`] core, and resolve each request's [`ResponseSlot`]
-//! exactly once. A supervisor thread watches for dead workers (injected
+//! Worker threads pop micro-batches from one [`BoundedQueue`], take every
+//! dispatch and completion decision through the one [`Scheduler`] the
+//! simulator also drives (behind one lock), run their own [`Pipeline`],
+//! and resolve each request's [`ResponseSlot`] exactly once. The
+//! [`DetectorStream`] has its own lock, held across full-rung inference so
+//! each batch's frames and commands reach the detector as one pair without
+//! stalling every client's accounting for the length of an inference. A supervisor thread watches for dead workers (injected
 //! kills, or any panic caught in the batch path) and respawns them after
 //! rescuing the in-flight batch back onto the queue front — no request is
 //! ever silently lost to a crash. Clients block on their slot with a
@@ -11,22 +15,23 @@
 //!
 //! The slot is the exactly-once point: whichever side resolves first
 //! (worker answer, client timeout, admission shed) records the outcome
-//! into the shared counters; the loser's resolution is a no-op. At
+//! into the scheduler's books; the loser's resolution is a no-op. At
 //! [`Server::shutdown`] the queue closes, workers drain what remains, and
 //! the merged [`ServeReport`] is returned.
 
 use crate::config::ServeConfig;
-use crate::faults::{FaultCursor, FaultPlan, WorkerFault};
-use crate::ladder::{Ladder, Pressure, Rung};
-use crate::pipeline::{DetectorStream, Pipeline, PipelineStats};
+use crate::faults::FaultPlan;
+use crate::ladder::Rung;
+use crate::pipeline::{DetectorStream, Pipeline};
 use crate::queue::{BoundedQueue, PushError};
 use crate::report::ServeReport;
-use crate::request::{Counters, Outcome, Request, ShedReason};
-use drive_metrics::histo::LatencyHistogram;
+use crate::request::{Outcome, Request, ShedReason};
+use crate::scheduler::{Dispatch, Scheduler};
 use drive_nn::gaussian::GaussianPolicy;
+use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -46,17 +51,10 @@ impl ResponseSlot {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Outcome>> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
     /// Installs `outcome` if the slot is still open. Returns whether this
     /// call won the race (and therefore owns the counting).
     fn resolve(&self, outcome: Outcome) -> bool {
-        let mut g = self.lock();
+        let mut g = guarded(&self.state);
         if g.is_some() {
             return false;
         }
@@ -69,7 +67,7 @@ impl ResponseSlot {
     /// Blocks up to `timeout` for a resolution.
     fn wait(&self, timeout: Duration) -> Option<Outcome> {
         let deadline = Instant::now() + timeout;
-        let mut g = self.lock();
+        let mut g = guarded(&self.state);
         while g.is_none() {
             let now = Instant::now();
             if now >= deadline {
@@ -90,37 +88,24 @@ struct QueuedRequest {
     slot: Arc<ResponseSlot>,
 }
 
+impl Borrow<Request> for QueuedRequest {
+    fn borrow(&self) -> &Request {
+        &self.req
+    }
+}
+
 struct Shared {
     config: ServeConfig,
-    policy: Arc<GaussianPolicy>,
-    plan: FaultPlan,
     queue: BoundedQueue<QueuedRequest>,
     epoch: Instant,
     next_id: AtomicU64,
-    counters: Mutex<Counters>,
-    latency: Mutex<LatencyHistogram>,
-    ladder: Mutex<Ladder>,
-    rung: AtomicU8,
+    sched: Mutex<Scheduler>,
     detector: Mutex<DetectorStream>,
-    cursors: Mutex<Vec<FaultCursor>>,
-    stalls: AtomicU32,
     closing: AtomicBool,
 }
 
-fn rung_to_u8(r: Rung) -> u8 {
-    match r {
-        Rung::Full => 0,
-        Rung::NoDetector => 1,
-        Rung::Fallback => 2,
-    }
-}
-
-fn rung_from_u8(v: u8) -> Rung {
-    match v {
-        0 => Rung::Full,
-        1 => Rung::NoDetector,
-        _ => Rung::Fallback,
-    }
+fn guarded<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
@@ -128,27 +113,17 @@ impl Shared {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
-    fn rung(&self) -> Rung {
-        rung_from_u8(self.rung.load(Ordering::Acquire))
+    fn sched(&self) -> MutexGuard<'_, Scheduler> {
+        guarded(&self.sched)
     }
 
-    fn guarded<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-        match m.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
-    /// The exactly-once counting point: whoever wins the slot records the
-    /// outcome; losers change nothing.
+    /// The exactly-once counting point for client-side resolutions:
+    /// whoever wins the slot records the outcome; losers change nothing.
     fn resolve_counted(&self, slot: &ResponseSlot, outcome: Outcome) -> bool {
         if !slot.resolve(outcome.clone()) {
             return false;
         }
-        if let Some(l) = outcome.latency_us() {
-            Self::guarded(&self.latency).record(l);
-        }
-        Self::guarded(&self.counters).record(&outcome);
+        self.sched().record(&outcome);
         true
     }
 }
@@ -158,199 +133,94 @@ enum WorkerExit {
     Killed,
 }
 
-struct WorkerOut {
-    exit: WorkerExit,
-    stats: PipelineStats,
-    corrupted: u64,
-}
-
-fn worker_main(shared: Arc<Shared>, slot_idx: usize, generation: u32) -> WorkerOut {
-    let stream_id = slot_idx as u64 * 1_000 + u64::from(generation);
-    let mut pipeline = Pipeline::new(
-        Arc::clone(&shared.policy),
-        &shared.config,
-        Some(shared.plan.corruption_injector(stream_id)),
-    );
-    let mut my_rung = shared.rung();
-    let out = |exit: WorkerExit, p: &Pipeline| WorkerOut {
-        exit,
-        stats: *p.stats(),
-        corrupted: p.corrupted_values(),
-    };
-    loop {
+fn worker_main(shared: Arc<Shared>, slot: usize, mut pipeline: Pipeline) -> WorkerExit {
+    // A worker's outcome wins only if the client has not claimed it first.
+    let resolve = |q: &QueuedRequest, o: &Outcome| q.slot.resolve(o.clone());
+    let exit = loop {
         let Some(batch) = shared.queue.pop_batch(
             shared.config.max_batch,
             Duration::from_millis(20),
             Duration::from_micros(shared.config.batch_window_us),
         ) else {
-            return out(WorkerExit::Drained, &pipeline); // drain complete
+            break WorkerExit::Drained; // drain complete
         };
         if batch.is_empty() {
             continue;
         }
         let now = shared.now_us();
-        let fault = Shared::guarded(&shared.cursors)[slot_idx].due(now);
-        match fault {
-            Some(WorkerFault::Kill { .. }) => {
-                // Die "mid-service": the supervisor rescues the batch via
-                // the queue front and respawns this slot.
-                shared.queue.requeue_front(batch);
-                return out(WorkerExit::Killed, &pipeline);
-            }
-            Some(WorkerFault::Stall { dur_us, .. }) => {
-                shared.stalls.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_micros(dur_us));
-            }
-            None => {}
-        }
-
-        let rung = shared.rung();
-        if rung != my_rung {
-            pipeline.on_rung_change(rung);
-            my_rung = rung;
+        let verdict = shared.sched().dispatch(slot, now, &mut pipeline);
+        let Dispatch::Serve { start_us, rung, .. } = verdict else {
+            // Die "mid-service": the supervisor rescues the batch via
+            // the queue front and respawns this slot.
+            shared.queue.requeue_front(batch);
+            break WorkerExit::Killed;
+        };
+        if start_us > now {
+            std::thread::sleep(Duration::from_micros(start_us - now));
         }
 
         // Expire what aged out while queued.
         let now = shared.now_us();
-        let mut misses = 0u32;
-        let mut live = Vec::with_capacity(batch.len());
-        for q in batch {
-            if q.req.expires_at_us() < now {
-                if shared.resolve_counted(
-                    &q.slot,
-                    Outcome::TimedOut {
-                        waited_us: now.saturating_sub(q.req.enqueued_at_us),
-                    },
-                ) {
-                    misses += 1;
-                }
-            } else {
-                live.push(q);
-            }
-        }
+        let depth = shared.queue.len();
+        let live = shared.sched().expire(slot, now, depth, batch, resolve);
         if live.is_empty() {
-            let next = Shared::guarded(&shared.ladder).observe(
-                now,
-                Pressure {
-                    queue_depth: shared.queue.len(),
-                    queue_capacity: shared.config.queue_capacity,
-                    deadline_misses: misses,
-                    alarm: false,
-                },
-            );
-            shared.rung.store(rung_to_u8(next), Ordering::Release);
             continue;
         }
 
         let mut obs: Vec<Vec<f32>> = live.iter().map(|q| q.req.obs.clone()).collect();
         let processed = catch_unwind(AssertUnwindSafe(|| {
             if rung == Rung::Full {
-                let mut stream = Shared::guarded(&shared.detector);
+                let mut stream = guarded(&shared.detector);
                 pipeline.process(rung, &mut obs, Some(&mut stream))
             } else {
                 pipeline.process(rung, &mut obs, None)
             }
         }));
-        let result = match processed {
-            Ok(r) => r,
-            Err(_) => {
-                // A genuine panic in the batch path: rescue the batch and
-                // let the supervisor replace this worker (the pipeline
-                // state is suspect after unwinding through it).
-                shared.queue.requeue_front(live);
-                return out(WorkerExit::Killed, &pipeline);
-            }
+        let Ok(result) = processed else {
+            // A genuine panic in the batch path: rescue the batch and
+            // let the supervisor replace this worker (the pipeline
+            // state is suspect after unwinding through it).
+            shared.queue.requeue_front(live);
+            break WorkerExit::Killed;
         };
 
         let finish = shared.now_us();
-        for (q, action) in live.iter().zip(&result.actions) {
-            let latency_us = finish.saturating_sub(q.req.enqueued_at_us);
-            let outcome = if rung == Rung::Full {
-                Outcome::Served {
-                    action: *action,
-                    latency_us,
-                }
-            } else {
-                Outcome::Degraded {
-                    rung,
-                    action: *action,
-                    latency_us,
-                }
-            };
-            shared.resolve_counted(&q.slot, outcome);
-        }
-        let next = Shared::guarded(&shared.ladder).observe(
-            finish,
-            Pressure {
-                queue_depth: shared.queue.len(),
-                queue_capacity: shared.config.queue_capacity,
-                deadline_misses: misses,
-                alarm: result.alarm,
-            },
-        );
-        shared.rung.store(rung_to_u8(next), Ordering::Release);
-        if next != my_rung {
-            pipeline.on_rung_change(next);
-            my_rung = next;
-        }
-    }
+        let depth = shared.queue.len();
+        shared
+            .sched()
+            .complete(slot, finish, depth, &live, &result, resolve);
+    };
+    shared.sched().retire(&pipeline);
+    exit
 }
 
-struct SupervisorOut {
-    respawns: u32,
-    stats: PipelineStats,
-    corrupted: u64,
-}
-
-fn supervisor_main(
-    shared: Arc<Shared>,
-    mut slots: Vec<Option<JoinHandle<WorkerOut>>>,
-    mut generations: Vec<u32>,
-) -> SupervisorOut {
-    let mut respawns = 0u32;
-    let mut stats = PipelineStats::default();
-    let mut corrupted = 0u64;
+fn supervisor_main(shared: Arc<Shared>, mut slots: Vec<Option<JoinHandle<WorkerExit>>>) {
     loop {
         let closing = shared.closing.load(Ordering::Acquire);
-        for i in 0..slots.len() {
-            let finished = slots[i].as_ref().is_some_and(JoinHandle::is_finished);
-            if !finished {
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if !slot.as_ref().is_some_and(JoinHandle::is_finished) {
                 continue;
             }
-            let handle = slots[i].take().expect("checked above");
-            let exit = match handle.join() {
-                Ok(o) => {
-                    stats.absorb(&o.stats);
-                    corrupted += o.corrupted;
-                    o.exit
-                }
-                // A panic that escaped the worker's own catch (should not
-                // happen): treat as a kill; its stats are lost but its
-                // batch was either resolved or still queued.
-                Err(_) => WorkerExit::Killed,
-            };
-            let respawn = match exit {
-                WorkerExit::Drained => false,
-                // Respawn unless the drain is effectively over; a killed
-                // worker's rescued batch still needs someone to run it.
-                WorkerExit::Killed => !(closing && shared.queue.is_empty()),
-            };
-            if respawn {
-                respawns += 1;
-                generations[i] += 1;
+            // A panic that escaped the worker's own catch (should not
+            // happen) counts as a kill; its stats are lost but its batch
+            // was either resolved or still queued.
+            let exit = slot
+                .take()
+                .expect("checked above")
+                .join()
+                .unwrap_or(WorkerExit::Killed);
+            // Respawn unless the drain is effectively over; a killed
+            // worker's rescued batch still needs someone to run it.
+            if matches!(exit, WorkerExit::Killed) && !(closing && shared.queue.is_empty()) {
+                let pipeline = shared.sched().respawn(i);
                 let shared2 = Arc::clone(&shared);
-                let generation = generations[i];
-                slots[i] = Some(std::thread::spawn(move || {
-                    worker_main(shared2, i, generation)
+                *slot = Some(std::thread::spawn(move || {
+                    worker_main(shared2, i, pipeline)
                 }));
             }
         }
         if closing && slots.iter().all(Option::is_none) {
-            return SupervisorOut {
-                respawns,
-                stats,
-                corrupted,
-            };
+            return;
         }
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -370,7 +240,7 @@ impl ServerHandle {
     pub fn request(&self, obs: Vec<f32>) -> Outcome {
         let shared = &self.shared;
         let enqueued_at_us = shared.now_us();
-        Shared::guarded(&shared.counters).submitted += 1;
+        shared.sched().submit();
         let slot = Arc::new(ResponseSlot::new());
         let queued = QueuedRequest {
             req: Request {
@@ -406,23 +276,13 @@ impl ServerHandle {
                 .expect("slot lost the race, so it is resolved")
         }
     }
-
-    /// Current queue depth (for load generators spawning on backpressure).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
-    }
-
-    /// The rung currently serving.
-    pub fn rung(&self) -> Rung {
-        self.shared.rung()
-    }
 }
 
 /// The running service: worker threads, a supervisor, and the shared
 /// state. Create with [`Server::start`], stop with [`Server::shutdown`].
 pub struct Server {
     shared: Arc<Shared>,
-    supervisor: Option<JoinHandle<SupervisorOut>>,
+    supervisor: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -439,34 +299,29 @@ impl Server {
             policy.obs_dim() > crate::pipeline::STEER_FEATURE,
             "serving at the full rung needs the steer-readback feature"
         );
-        let workers = config.workers;
-        let cursors = (0..workers).map(|w| plan.cursor(w)).collect();
+        let sched = Scheduler::new(policy, config.clone(), plan);
+        let pipelines: Vec<Pipeline> = (0..config.workers).map(|i| sched.pipeline(i)).collect();
         let shared = Arc::new(Shared {
             detector: Mutex::new(DetectorStream::new(&config)),
-            ladder: Mutex::new(Ladder::new(config.ladder)),
             queue: BoundedQueue::new(config.queue_capacity),
-            rung: AtomicU8::new(rung_to_u8(Rung::Full)),
-            counters: Mutex::new(Counters::default()),
-            latency: Mutex::new(LatencyHistogram::new()),
-            cursors: Mutex::new(cursors),
-            stalls: AtomicU32::new(0),
+            sched: Mutex::new(sched),
             closing: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
             epoch: Instant::now(),
             config,
-            policy,
-            plan,
         });
-        let slots = (0..workers)
-            .map(|i| {
+        let slots = pipelines
+            .into_iter()
+            .enumerate()
+            .map(|(i, pipeline)| {
                 let shared2 = Arc::clone(&shared);
-                Some(std::thread::spawn(move || worker_main(shared2, i, 0)))
+                Some(std::thread::spawn(move || {
+                    worker_main(shared2, i, pipeline)
+                }))
             })
             .collect();
-        let generations = vec![0u32; workers];
         let sup_shared = Arc::clone(&shared);
-        let supervisor =
-            std::thread::spawn(move || supervisor_main(sup_shared, slots, generations));
+        let supervisor = std::thread::spawn(move || supervisor_main(sup_shared, slots));
         Server {
             shared,
             supervisor: Some(supervisor),
@@ -488,32 +343,20 @@ impl Server {
     pub fn shutdown(mut self) -> ServeReport {
         self.shared.closing.store(true, Ordering::Release);
         self.shared.queue.close();
-        let sup = self
-            .supervisor
+        self.supervisor
             .take()
             .expect("shutdown consumes the server")
             .join()
             .expect("supervisor never panics");
-        let shared = &self.shared;
-        let transitions = Shared::guarded(&shared.ladder).transitions().to_vec();
-        ServeReport {
-            counters: *Shared::guarded(&shared.counters),
-            latency: Shared::guarded(&shared.latency).clone(),
-            transitions,
-            respawns: sup.respawns,
-            stalls: shared.stalls.load(Ordering::Relaxed),
-            corrupted_values: sup.corrupted,
-            nonfinite_frames: sup.stats.nonfinite_frames,
-            batches: sup.stats.batches,
-            max_batch: sup.stats.max_batch,
-        }
+        self.shared.sched().report()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::OutcomeKind;
+    use crate::faults::WorkerFault;
+    use crate::request::{Counters, OutcomeKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -2,13 +2,12 @@
 //!
 //! The threaded server ([`crate::server`]) is faithful but nondeterministic:
 //! thread scheduling decides batch composition. This module is its
-//! deterministic twin — the same [`Pipeline`], [`Ladder`], fault plans, and
-//! outcome accounting driven by an integer-microsecond event loop instead of
-//! threads, so a fixed seed reproduces the whole run **byte for byte**
-//! (compare [`ServeReport::render`] strings). CI gates on that property: the
-//! simulator proves the control logic (admission, batching, expiry, ladder,
-//! fault recovery) is correct, and the threaded server reuses the proven
-//! logic verbatim.
+//! deterministic twin: the same [`Scheduler`] decisions and [`Pipeline`]
+//! driven by an integer-microsecond event loop instead of threads, so a
+//! fixed seed reproduces the whole run **byte for byte** (compare
+//! [`ServeReport::render`] strings). It keeps only what depends on its
+//! clock: arrivals, batch-window formation, the [`CostModel`] and the
+//! closed-loop steering readback.
 //!
 //! The request stream is closed-loop: each observation's steering readback
 //! (`obs[STEER_FEATURE]`) follows the vehicle's Eq. (1) actuator lag around
@@ -18,12 +17,12 @@
 //! detector and dropping the ladder to the fallback rung.
 
 use crate::config::ServeConfig;
-use crate::faults::{FaultPlan, FaultPlanConfig, WorkerFault};
-use crate::ladder::{Ladder, Pressure, Rung};
-use crate::pipeline::{DetectorStream, Pipeline, PipelineStats, STEER_FEATURE};
+use crate::faults::{FaultPlan, FaultPlanConfig};
+use crate::ladder::Rung;
+use crate::pipeline::{DetectorStream, Pipeline, STEER_FEATURE};
 use crate::report::ServeReport;
-use crate::request::{Counters, Outcome, Request, ShedReason};
-use drive_metrics::histo::LatencyHistogram;
+use crate::request::{Outcome, Request, ShedReason};
+use crate::scheduler::{Dispatch, Scheduler};
 use drive_nn::gaussian::GaussianPolicy;
 use drive_seed::{splitmix64, SeedTree};
 use std::collections::VecDeque;
@@ -117,9 +116,7 @@ impl Default for SimConfig {
 
 struct VirtualWorker {
     free_at_us: u64,
-    cursor: crate::faults::FaultCursor,
     pipeline: Pipeline,
-    generation: u32,
 }
 
 /// Runs the simulator to completion and returns the reconciled report.
@@ -176,40 +173,24 @@ pub fn run_sim(policy: &Arc<GaussianPolicy>, config: &SimConfig) -> ServeReport 
             .collect()
     };
 
-    let make_pipeline = |worker: usize, generation: u32| {
-        let stream = worker as u64 * 1_000 + u64::from(generation);
-        Pipeline::new(
-            Arc::clone(policy),
-            &config.serve,
-            Some(plan.corruption_injector(stream)),
-        )
-    };
+    let mut sched = Scheduler::new(Arc::clone(policy), config.serve.clone(), plan);
     let mut workers: Vec<VirtualWorker> = (0..config.serve.workers)
         .map(|w| VirtualWorker {
             free_at_us: 0,
-            cursor: plan.cursor(w),
-            pipeline: make_pipeline(w, 0),
-            generation: 0,
+            pipeline: sched.pipeline(w),
         })
         .collect();
 
     let mut queue: VecDeque<Request> = VecDeque::new();
     let mut next_arr = 0usize;
-    let mut counters = Counters::default();
-    let mut latency = LatencyHistogram::new();
-    let mut ladder = Ladder::new(config.serve.ladder);
     let mut stream = DetectorStream::new(&config.serve);
-    let mut retired = PipelineStats::default();
-    let mut corrupted_retired = 0u64;
-    let mut respawns = 0u32;
-    let mut stalls = 0u32;
 
     macro_rules! admit {
         ($realized:expr) => {{
             let at = arrivals[next_arr];
-            counters.submitted += 1;
+            sched.submit();
             if queue.len() >= config.serve.queue_capacity {
-                counters.record(&Outcome::Shed {
+                sched.record(&Outcome::Shed {
                     reason: ShedReason::QueueFull,
                 });
             } else {
@@ -224,7 +205,7 @@ pub fn run_sim(policy: &Arc<GaussianPolicy>, config: &SimConfig) -> ServeReport 
         }};
     }
 
-    'outer: loop {
+    loop {
         // The worker that frees up first serves the next batch.
         let w = (0..workers.len())
             .min_by_key(|&i| workers[i].free_at_us)
@@ -265,27 +246,18 @@ pub fn run_sim(policy: &Arc<GaussianPolicy>, config: &SimConfig) -> ServeReport 
             }
         }
 
-        // Worker faults strike at dispatch time.
-        let mut t_d = close;
-        while let Some(fault) = workers[w].cursor.due(t_d) {
-            match fault {
-                WorkerFault::Kill { .. } => {
-                    // The batch was not yet taken: nothing is lost, the
-                    // queue just ages while the worker respawns.
-                    respawns += 1;
-                    retired.absorb(workers[w].pipeline.stats());
-                    corrupted_retired += workers[w].pipeline.corrupted_values();
-                    workers[w].generation += 1;
-                    workers[w].pipeline = make_pipeline(w, workers[w].generation);
-                    workers[w].free_at_us = t_d + config.cost.respawn_us;
-                    continue 'outer;
-                }
-                WorkerFault::Stall { dur_us, .. } => {
-                    stalls += 1;
-                    t_d += dur_us;
-                }
+        // Worker faults strike at dispatch time. A killed worker has not
+        // taken the batch: nothing is lost, the queue just ages while the
+        // worker respawns.
+        let (t_d, rung) = match sched.dispatch(w, close, &mut workers[w].pipeline) {
+            Dispatch::Killed { at_us } => {
+                sched.retire(&workers[w].pipeline);
+                workers[w].pipeline = sched.respawn(w);
+                workers[w].free_at_us = at_us + config.cost.respawn_us;
+                continue;
             }
-        }
+            Dispatch::Serve { start_us, rung, .. } => (start_us, rung),
+        };
         while next_arr < n && arrivals[next_arr] <= t_d {
             admit!(realized_steer);
         }
@@ -299,65 +271,26 @@ pub fn run_sim(policy: &Arc<GaussianPolicy>, config: &SimConfig) -> ServeReport 
         {
             batch.push(queue.pop_front().expect("front checked"));
         }
-        let mut misses = 0u32;
-        batch.retain(|r| {
-            if r.expires_at_us() < t_d {
-                counters.record(&Outcome::TimedOut {
-                    waited_us: t_d - r.enqueued_at_us,
-                });
-                misses += 1;
-                false
-            } else {
-                true
-            }
-        });
+        let batch = sched.expire(w, t_d, queue.len(), batch, |_, _| true);
         if batch.is_empty() {
             workers[w].free_at_us = t_d;
-            let next = ladder.observe(
-                t_d,
-                Pressure {
-                    queue_depth: queue.len(),
-                    queue_capacity: config.serve.queue_capacity,
-                    deadline_misses: misses,
-                    alarm: false,
-                },
-            );
-            for vw in &mut workers {
-                vw.pipeline.on_rung_change(next);
-            }
             continue;
         }
 
-        let rung = ladder.rung();
         let mut obs: Vec<Vec<f32>> = batch.iter().map(|r| r.obs.clone()).collect();
         let detector = (rung == Rung::Full).then_some(&mut stream);
         let result = workers[w].pipeline.process(rung, &mut obs, detector);
         let finish = t_d + config.cost.service_us(rung, batch.len());
         workers[w].free_at_us = finish;
 
+        // Closed loop: the vehicle realizes each (possibly attacked)
+        // command through the Eq. (1) actuator lag; the next generated
+        // observations carry this readback.
         let attack_delta = match config.attack {
             Some(a) if finish >= a.start_us => a.delta,
             _ => 0.0,
         };
-        for (req, action) in batch.iter().zip(&result.actions) {
-            let latency_us = finish - req.enqueued_at_us;
-            latency.record(latency_us);
-            let outcome = if rung == Rung::Full {
-                Outcome::Served {
-                    action: *action,
-                    latency_us,
-                }
-            } else {
-                Outcome::Degraded {
-                    rung,
-                    action: *action,
-                    latency_us,
-                }
-            };
-            counters.record(&outcome);
-            // Closed loop: the vehicle realizes the (possibly attacked)
-            // command through the Eq. (1) actuator lag; the next generated
-            // observations carry this readback.
+        for action in &result.actions {
             realized_steer = (1.0 - alpha) * (action.steer + attack_delta) + alpha * realized_steer;
         }
 
@@ -367,42 +300,18 @@ pub fn run_sim(policy: &Arc<GaussianPolicy>, config: &SimConfig) -> ServeReport 
         while next_arr < n && arrivals[next_arr] <= finish {
             admit!(realized_steer);
         }
-        let next = ladder.observe(
-            finish,
-            Pressure {
-                queue_depth: queue.len(),
-                queue_capacity: config.serve.queue_capacity,
-                deadline_misses: misses,
-                alarm: result.alarm,
-            },
-        );
-        if next != rung {
-            for vw in &mut workers {
-                vw.pipeline.on_rung_change(next);
-            }
-        }
+        sched.complete(w, finish, queue.len(), &batch, &result, |_, _| true);
     }
 
-    let mut stats = retired;
-    let mut corrupted = corrupted_retired;
     for vw in &workers {
-        stats.absorb(vw.pipeline.stats());
-        corrupted += vw.pipeline.corrupted_values();
+        sched.retire(&vw.pipeline);
     }
-    counters
+    let report = sched.report();
+    report
+        .counters
         .reconcile()
         .expect("simulator broke the exactly-once outcome invariant");
-    ServeReport {
-        counters,
-        latency,
-        transitions: ladder.transitions().to_vec(),
-        respawns,
-        stalls,
-        corrupted_values: corrupted,
-        nonfinite_frames: stats.nonfinite_frames,
-        batches: stats.batches,
-        max_batch: stats.max_batch,
-    }
+    report
 }
 
 /// Finds the highest candidate QPS the simulated service sustains at an SLO:
