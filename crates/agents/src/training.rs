@@ -12,20 +12,19 @@ use crate::modular::{ModularAgent, ModularConfig};
 use crate::runner::run_episodes;
 use crate::Agent;
 use drive_nn::batch::BatchPolicy;
-use drive_nn::checkpoint::{self, CheckpointError, Reader};
 use drive_nn::gaussian::GaussianPolicy;
 use drive_rl::bc::{clone_policy, BcConfig, Demonstrations};
 use drive_rl::env::Env;
-use drive_rl::replay::{ReplayBuffer, Transition};
 use drive_rl::sac::{Sac, SacConfig};
-use drive_seed::{fnv1a_64, SeedTree, StreamPos};
+use drive_rl::train::{refine, Schedule, Snapshots};
+use drive_seed::SeedTree;
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::{FeatureConfig, FeatureExtractor};
 use drive_sim::world::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Configuration of the victim training pipeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -165,107 +164,9 @@ pub fn train_victim(
     refine_with_sac(policy, scenario, features, config)
 }
 
-/// Version tag of the victim-refinement snapshot file.
-const VICTIM_SNAPSHOT_VERSION: &str = "v1";
-
-/// Mid-refinement state of [`refine_with_sac`]: the learner, the replay
-/// buffer, the best-checkpoint pair, and the exact RNG stream position.
-/// Like [`drive_rl::snapshot::TrainSnapshot`], it is only taken at episode
-/// boundaries so the environment re-derives from the episode seed.
-struct VictimSnapshot {
-    step: usize,
-    episode_seed: u64,
-    config_hash: u64,
-    best_score: f64,
-    rng: StreamPos,
-    best: GaussianPolicy,
-    sac: Sac,
-    buffer: ReplayBuffer,
-}
-
-impl VictimSnapshot {
-    fn encode(&self) -> String {
-        let mut buf = String::new();
-        buf.push_str(&format!("victim-sac {VICTIM_SNAPSHOT_VERSION}\n"));
-        buf.push_str(&format!(
-            "meta {} {} {:016x} {}\n",
-            self.step, self.episode_seed, self.config_hash, self.best_score
-        ));
-        buf.push_str(&format!("rng {}\n", self.rng.to_hex()));
-        checkpoint::encode_policy_into(&mut buf, &self.best);
-        self.sac.encode_state_into(&mut buf);
-        self.buffer.encode_into(&mut buf);
-        buf
-    }
-
-    fn decode(text: &str, sac_config: SacConfig) -> Result<Self, CheckpointError> {
-        let parse_err = CheckpointError::Parse;
-        let mut r = Reader::new(text);
-        let args = r.expect_tag("victim-sac")?;
-        let version = *args
-            .first()
-            .ok_or_else(|| parse_err("victim-sac tag needs a version".into()))?;
-        if version != VICTIM_SNAPSHOT_VERSION {
-            return Err(CheckpointError::Version {
-                found: version.to_string(),
-                expected: VICTIM_SNAPSHOT_VERSION,
-            });
-        }
-        let meta = r.expect_tag("meta")?;
-        if meta.len() != 4 {
-            return Err(parse_err(
-                "meta needs '<step> <episode_seed> <config_hash> <best_score>'".into(),
-            ));
-        }
-        let step: usize = meta[0]
-            .parse()
-            .map_err(|_| parse_err(format!("bad step '{}'", meta[0])))?;
-        let episode_seed: u64 = meta[1]
-            .parse()
-            .map_err(|_| parse_err(format!("bad episode seed '{}'", meta[1])))?;
-        let config_hash = u64::from_str_radix(meta[2], 16)
-            .map_err(|_| parse_err(format!("bad config hash '{}'", meta[2])))?;
-        let best_score: f64 = meta[3]
-            .parse()
-            .map_err(|_| parse_err(format!("bad best score '{}'", meta[3])))?;
-        let rng_args = r.expect_tag("rng")?;
-        let rng = StreamPos::from_hex(
-            rng_args
-                .first()
-                .ok_or_else(|| parse_err("rng tag needs a position".into()))?,
-        )
-        .map_err(CheckpointError::Parse)?;
-        let best = checkpoint::decode_policy_from(&mut r)?;
-        let sac = Sac::decode_state_from(&mut r, sac_config)?;
-        let buffer = ReplayBuffer::decode_from(&mut r)?;
-        Ok(VictimSnapshot {
-            step,
-            episode_seed,
-            config_hash,
-            best_score,
-            rng,
-            best,
-            sac,
-            buffer,
-        })
-    }
-
-    fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        checkpoint::save_to_file(path, &self.encode())
-    }
-
-    fn load(path: &Path, sac_config: SacConfig) -> Result<Self, CheckpointError> {
-        Self::decode(&checkpoint::load_from_file(path)?, sac_config)
-    }
-}
-
-/// SAC refinement with best-checkpoint selection.
-///
-/// When [`VictimTrainConfig::snapshot_path`] is set, the loop writes
-/// durable crash-recovery snapshots at episode boundaries (at least
-/// [`VictimTrainConfig::snapshot_every`] env steps apart) and resumes from
-/// a matching snapshot on restart, reproducing the uninterrupted run
-/// bit-exactly. The snapshot file is removed when refinement completes.
+/// Best-checkpoint SAC refinement through [`refine`], with crash-recovery
+/// snapshots at [`VictimTrainConfig::snapshot_path`] (when set) at least
+/// [`VictimTrainConfig::snapshot_every`] env steps apart.
 fn refine_with_sac(
     policy: GaussianPolicy,
     scenario: &Scenario,
@@ -273,121 +174,38 @@ fn refine_with_sac(
     config: &VictimTrainConfig,
 ) -> GaussianPolicy {
     let mut rng = StdRng::seed_from_u64(SeedTree::root(config.seed).child("victim-sac").seed());
-    let eval_seed = 90_000 + config.seed;
-    let mut best = policy.clone();
-    let (mut best_score, _) =
-        evaluate_policy(&best, scenario, features, config.eval_episodes, eval_seed);
-
     let sac_config = SacConfig {
         init_alpha: 0.02,
         actor_delay: 1000,
         batch_size: 128,
         ..SacConfig::default()
     };
-    let mut sac = Sac::with_actor(policy, &config.hidden, sac_config, &mut rng);
+    let sac = Sac::with_actor(policy, &config.hidden, sac_config, &mut rng);
     let mut env = DrivingEnv::new(scenario.clone(), features.clone());
-    let mut buffer = ReplayBuffer::new(100_000, env.obs_dim(), env.action_dim());
-
-    // The hash pins a snapshot to this exact training setup; the snapshot
-    // path itself is excluded so relocating the run directory does not
-    // invalidate an otherwise-identical snapshot.
+    // The snapshot path itself is not part of the setup, so relocating
+    // the run directory does not invalidate an otherwise-identical
+    // snapshot.
     let hashed_config = VictimTrainConfig {
         snapshot_path: None,
         ..config.clone()
     };
-    let config_hash = fnv1a_64(format!("{hashed_config:?}|{scenario:?}|{features:?}").as_bytes());
-    let mut start_step = 0usize;
-    let mut last_snapshot_step = 0usize;
-    let mut episode_seed = config.seed.wrapping_mul(1000) + 1;
-    if let Some(path) = &config.snapshot_path {
-        if path.exists() {
-            match VictimSnapshot::load(path, sac_config) {
-                Ok(snap) if snap.config_hash == config_hash && snap.step <= config.sac_steps => {
-                    rng = snap.rng.restore();
-                    best = snap.best;
-                    best_score = snap.best_score;
-                    sac = snap.sac;
-                    buffer = snap.buffer;
-                    episode_seed = snap.episode_seed;
-                    start_step = snap.step;
-                    last_snapshot_step = snap.step;
-                }
-                Ok(_) => eprintln!(
-                    "[victim] ignoring snapshot {}: different training setup",
-                    path.display()
-                ),
-                Err(e) => eprintln!(
-                    "[victim] ignoring unreadable snapshot {}: {e}",
-                    path.display()
-                ),
-            }
-        }
-    }
-    let mut obs = env.reset(episode_seed);
-
-    for step in start_step..config.sac_steps {
-        let action = sac.act(&obs, &mut rng, false);
-        let s = env.step(&action);
-        buffer.push(Transition {
-            obs: std::mem::take(&mut obs),
-            action,
-            reward: s.reward,
-            next_obs: s.obs.clone(),
-            terminal: s.done,
-        });
-        let finished = s.finished();
-        obs = s.obs;
-        if finished {
-            episode_seed += 1;
-            obs = env.reset(episode_seed);
-        }
-        if buffer.len() >= 1000 && step % config.update_every.max(1) == 0 {
-            sac.update(&buffer, &mut rng);
-        }
-        if (step + 1) % config.eval_every == 0 {
-            let (score, _) = evaluate_policy(
-                &sac.actor,
-                scenario,
-                features,
-                config.eval_episodes,
-                eval_seed,
-            );
-            if score > best_score {
-                best_score = score;
-                best = sac.actor.clone();
-            }
-        }
-        // Snapshot at episode boundaries only, after this step's RNG draws.
-        if finished {
-            if let Some(path) = &config.snapshot_path {
-                let done = step + 1;
-                if done < config.sac_steps
-                    && done - last_snapshot_step >= config.snapshot_every.max(1)
-                {
-                    let snap = VictimSnapshot {
-                        step: done,
-                        episode_seed,
-                        config_hash,
-                        best_score,
-                        rng: StreamPos::capture(&rng),
-                        best: best.clone(),
-                        sac: sac.clone(),
-                        buffer: buffer.clone(),
-                    };
-                    match snap.save(path) {
-                        Ok(()) => last_snapshot_step = done,
-                        Err(e) => {
-                            eprintln!("[victim] snapshot write to {} failed: {e}", path.display())
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if let Some(path) = &config.snapshot_path {
-        let _ = std::fs::remove_file(path);
-    }
-    best
+    let schedule = Schedule {
+        stage: "victim",
+        steps: config.sac_steps,
+        update_every: config.update_every,
+        eval_every: config.eval_every,
+        first_episode: config.seed.wrapping_mul(1000) + 1,
+        snapshots: config.snapshot_path.as_deref().map(|path| Snapshots {
+            path,
+            every: config.snapshot_every,
+            setup: format!("{hashed_config:?}|{scenario:?}|{features:?}"),
+        }),
+    };
+    let eval_seed = 90_000 + config.seed;
+    let eval = |p: &GaussianPolicy| {
+        evaluate_policy(p, scenario, features, config.eval_episodes, eval_seed).0
+    };
+    refine(sac, &mut env, rng, &schedule, Env::reset, eval).actor
 }
 
 #[cfg(test)]
@@ -427,51 +245,6 @@ mod tests {
         let (ret, passed) = evaluate_policy(&policy, &scenario, &features, 5, 777);
         assert!(ret > 100.0, "mean return {ret}");
         assert!(passed >= 4.0, "mean passed {passed}");
-    }
-
-    #[test]
-    fn victim_snapshot_encode_decode_round_trips() {
-        let features = quick_features();
-        let mut rng = StdRng::seed_from_u64(9);
-        let sac_config = SacConfig {
-            batch_size: 8,
-            ..SacConfig::default()
-        };
-        let policy = GaussianPolicy::new(features.observation_dim(), &[8], 2, &mut rng);
-        let sac = Sac::with_actor(policy.clone(), &[8], sac_config, &mut rng);
-        let mut buffer = ReplayBuffer::new(64, features.observation_dim(), 2);
-        buffer.push(Transition {
-            obs: vec![0.1; features.observation_dim()],
-            action: vec![0.2, -0.3],
-            reward: 1.5,
-            next_obs: vec![0.2; features.observation_dim()],
-            terminal: false,
-        });
-        let snap = VictimSnapshot {
-            step: 777,
-            episode_seed: 12,
-            config_hash: 0xabcd,
-            best_score: 321.5,
-            rng: StreamPos::capture(&rng),
-            best: policy,
-            sac,
-            buffer,
-        };
-        let back = VictimSnapshot::decode(&snap.encode(), sac_config).expect("round trip");
-        assert_eq!(back.step, snap.step);
-        assert_eq!(back.episode_seed, snap.episode_seed);
-        assert_eq!(back.config_hash, snap.config_hash);
-        assert_eq!(back.best_score, snap.best_score);
-        assert_eq!(back.rng, snap.rng);
-        assert_eq!(back.buffer.len(), snap.buffer.len());
-        let obs = drive_nn::mat::Mat::from_row(&vec![0.05; features.observation_dim()]);
-        assert_eq!(back.best.mean_action(&obs), snap.best.mean_action(&obs));
-        // A stale version is a typed error, not garbage weights.
-        let tampered = snap.encode().replacen("victim-sac v1", "victim-sac v0", 1);
-        assert!(matches!(
-            VictimSnapshot::decode(&tampered, sac_config),
-            Err(CheckpointError::Version { .. })
-        ));
     }
 
     #[test]

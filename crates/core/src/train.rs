@@ -19,8 +19,8 @@ use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_rl::bc::{clone_policy, BcConfig, Demonstrations};
 use drive_rl::env::Env;
-use drive_rl::replay::{ReplayBuffer, Transition};
 use drive_rl::sac::{Sac, SacConfig};
+use drive_rl::train::{refine, Schedule};
 use drive_seed::SeedTree;
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::{FeatureConfig, ImuConfig};
@@ -313,15 +313,12 @@ fn refine_attacker(
         )
         .0
     };
-    let mut best = policy.clone();
-    let mut best_score = eval(&best);
-
     let sac_config = SacConfig {
         init_alpha: 0.05,
         batch_size: 128,
         ..SacConfig::default()
     };
-    let mut sac = Sac::with_actor(policy, &config.hidden, sac_config, &mut rng);
+    let sac = Sac::with_actor(policy, &config.hidden, sac_config, &mut rng);
     let mut env = AttackEnv::new(
         scenario.clone(),
         victim(),
@@ -330,38 +327,16 @@ fn refine_attacker(
         AdvReward::default(),
     );
     env.set_teacher(teacher);
-    let mut buffer = ReplayBuffer::new(100_000, env.obs_dim(), env.action_dim());
-
-    let mut episode_seed = config.seed.wrapping_mul(7777) + 1;
-    let mut obs = env.reset(episode_seed);
-    for step in 0..config.sac_steps {
-        let action = sac.act(&obs, &mut rng, false);
-        let s = env.step(&action);
-        buffer.push(Transition {
-            obs: std::mem::take(&mut obs),
-            action,
-            reward: s.reward,
-            next_obs: s.obs.clone(),
-            terminal: s.done,
-        });
-        let finished = s.finished();
-        obs = s.obs;
-        if finished {
-            episode_seed += 1;
-            obs = env.reset(episode_seed);
-        }
-        if buffer.len() >= 1000 && step % config.update_every.max(1) == 0 {
-            sac.update(&buffer, &mut rng);
-        }
-        if (step + 1) % config.eval_every == 0 {
-            let score = eval(&sac.actor);
-            if score > best_score {
-                best_score = score;
-                best = sac.actor.clone();
-            }
-        }
-    }
-    best
+    let stage = format!("attacker_{kind}");
+    let schedule = Schedule {
+        stage: &stage,
+        steps: config.sac_steps,
+        update_every: config.update_every,
+        eval_every: config.eval_every,
+        first_episode: config.seed.wrapping_mul(7777) + 1,
+        snapshots: None,
+    };
+    refine(sac, &mut env, rng, &schedule, Env::reset, eval).actor
 }
 
 #[cfg(test)]

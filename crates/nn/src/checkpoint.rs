@@ -481,18 +481,23 @@ pub fn decode_adam_from(r: &mut Reader<'_>) -> Result<crate::adam::Adam, Checkpo
 /// Serializes a [`PnnPolicy`].
 pub fn encode_pnn(p: &PnnPolicy) -> String {
     let mut buf = String::new();
+    encode_pnn_into(&mut buf, p);
+    buf
+}
+
+/// Appends a [`PnnPolicy`] section to a larger checkpoint buffer.
+pub fn encode_pnn_into(buf: &mut String, p: &PnnPolicy) {
     buf.push_str(&format!("pnn {}\n", p.action_dim()));
-    encode_policy_into(&mut buf, p.base());
+    encode_policy_into(buf, p.base());
     let (column, laterals) = p.parts();
     buf.push_str(&format!("column {}\n", column.len()));
     for l in column {
-        encode_linear(&mut buf, l);
+        encode_linear(buf, l);
     }
     buf.push_str(&format!("laterals {}\n", laterals.len()));
     for l in laterals {
-        encode_linear(&mut buf, l);
+        encode_linear(buf, l);
     }
-    buf
 }
 
 /// Parses a [`PnnPolicy`].
@@ -501,14 +506,23 @@ pub fn encode_pnn(p: &PnnPolicy) -> String {
 ///
 /// Returns [`CheckpointError::Parse`] on structural mismatch.
 pub fn decode_pnn(text: &str) -> Result<PnnPolicy, CheckpointError> {
-    let mut r = Reader::new(text);
+    decode_pnn_from(&mut Reader::new(text))
+}
+
+/// Parses one [`PnnPolicy`] section from a reader positioned at its `pnn`
+/// tag.
+///
+/// # Errors
+///
+/// Returns [`CheckpointError::Parse`] on structural mismatch.
+pub fn decode_pnn_from(r: &mut Reader<'_>) -> Result<PnnPolicy, CheckpointError> {
     let args = r.expect_tag("pnn")?;
     let _action_dim: usize = args
         .first()
         .ok_or_else(|| parse_err("pnn tag needs action dim"))?
         .parse()
         .map_err(|_| parse_err("bad action dim"))?;
-    let base = decode_policy_from(&mut r)?;
+    let base = decode_policy_from(r)?;
     let cargs = r.expect_tag("column")?;
     let ncol: usize = cargs
         .first()
@@ -517,7 +531,7 @@ pub fn decode_pnn(text: &str) -> Result<PnnPolicy, CheckpointError> {
         .map_err(|_| parse_err("bad column count"))?;
     let mut column = Vec::with_capacity(ncol);
     for _ in 0..ncol {
-        column.push(decode_linear(&mut r)?);
+        column.push(decode_linear(r)?);
     }
     let largs = r.expect_tag("laterals")?;
     let nlat: usize = largs
@@ -527,7 +541,7 @@ pub fn decode_pnn(text: &str) -> Result<PnnPolicy, CheckpointError> {
         .map_err(|_| parse_err("bad laterals count"))?;
     let mut laterals = Vec::with_capacity(nlat);
     for _ in 0..nlat {
-        laterals.push(decode_linear(&mut r)?);
+        laterals.push(decode_linear(r)?);
     }
     let mut rng = StdRng::seed_from_u64(0);
     let mut p = PnnPolicy::new(base, PnnInit::CopyBase, &mut rng);
@@ -583,12 +597,16 @@ pub fn save_to_file(path: impl AsRef<Path>, text: &str) -> Result<(), Checkpoint
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    let mut body = text.to_string();
-    if !body.ends_with('\n') {
-        body.push('\n');
-    }
-    let sum = fnv1a64(body.as_bytes());
-    body.push_str(&format!("{CHECKSUM_TAG}{sum:016x}\n"));
+    // The body is written as is, then the checksum line: a large body
+    // (a training snapshot) is never copied.
+    let owned;
+    let body = if text.ends_with('\n') {
+        text
+    } else {
+        owned = format!("{text}\n");
+        &owned
+    };
+    let checksum_line = format!("{CHECKSUM_TAG}{:016x}\n", fnv1a64(body.as_bytes()));
     let file_name = path.file_name().ok_or_else(|| {
         CheckpointError::Io(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
@@ -599,7 +617,11 @@ pub fn save_to_file(path: impl AsRef<Path>, text: &str) -> Result<(), Checkpoint
     {
         use std::io::Write as _;
         let mut f = fs::File::create(&tmp)?;
-        if let Err(e) = f.write_all(body.as_bytes()).and_then(|()| f.sync_data()) {
+        if let Err(e) = f
+            .write_all(body.as_bytes())
+            .and_then(|()| f.write_all(checksum_line.as_bytes()))
+            .and_then(|()| f.sync_data())
+        {
             drop(f);
             let _ = fs::remove_file(&tmp);
             return Err(CheckpointError::Io(e));

@@ -8,6 +8,7 @@
 //! learner covers victim training, attacker training, adversarial
 //! fine-tuning, and PNN column training.
 
+use drive_nn::checkpoint::{self, CheckpointError, Reader};
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::mat::Mat;
 use drive_nn::pnn::PnnPolicy;
@@ -81,6 +82,16 @@ pub trait Actor {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32]));
     /// Single-observation action (deterministic or sampled).
     fn act(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32>;
+    /// Appends the weights as a checkpoint section (training snapshots).
+    fn encode_into(&self, buf: &mut String);
+    /// Parses one section written by [`Actor::encode_into`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckpointError::Parse`] on structural mismatch.
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CheckpointError>
+    where
+        Self: Sized;
 }
 
 impl Actor for GaussianPolicy {
@@ -120,6 +131,12 @@ impl Actor for GaussianPolicy {
     fn act(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
         GaussianPolicy::act(self, obs, rng, deterministic)
     }
+    fn encode_into(&self, buf: &mut String) {
+        checkpoint::encode_policy_into(buf, self);
+    }
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        checkpoint::decode_policy_from(r)
+    }
 }
 
 impl Actor for PnnPolicy {
@@ -145,6 +162,12 @@ impl Actor for PnnPolicy {
     }
     fn act(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
         PnnPolicy::act(self, obs, rng, deterministic)
+    }
+    fn encode_into(&self, buf: &mut String) {
+        checkpoint::encode_pnn_into(buf, self);
+    }
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        checkpoint::decode_pnn_from(r)
     }
 }
 

@@ -6,8 +6,10 @@
 //! [`env::Env`] trait implemented by both the driving task and the attacker
 //! task, a uniform [`replay::ReplayBuffer`], the full [`sac::Sac`] learner
 //! (twin critics, Polyak targets, automatic entropy temperature), behaviour
-//! cloning ([`bc`]) for privileged warm starts, and training/evaluation
-//! loops ([`train`]).
+//! cloning ([`bc`]) for privileged warm starts, and [`train::refine`], the
+//! one SAC refinement loop that the victim, both attackers and both
+//! defenses run. Its loss watchdog and crash-recovery snapshots
+//! ([`snapshot`]) therefore guard every training stage.
 //!
 //! ```
 //! use drive_rl::prelude::*;
@@ -36,9 +38,7 @@ pub mod prelude {
     pub use crate::env::{rollout, Env, EnvStep};
     pub use crate::replay::{Batch, ReplayBuffer, Transition};
     pub use crate::sac::{Sac, SacConfig, SacLosses};
-    pub use crate::snapshot::{SnapshotConfig, TrainSnapshot};
+    pub use crate::snapshot::TrainSnapshot;
     pub use crate::stats::{Ema, RunningStats};
-    pub use crate::train::{
-        evaluate, train_sac, train_sac_resumable, EvalStats, TrainConfig, TrainStats,
-    };
+    pub use crate::train::{refine, Refined, Schedule, Snapshots};
 }

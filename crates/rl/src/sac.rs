@@ -179,7 +179,9 @@ impl Sac<GaussianPolicy> {
         let actor = GaussianPolicy::new(obs_dim, hidden, action_dim, rng);
         Self::with_actor(actor, hidden, config, rng)
     }
+}
 
+impl<A: Actor> Sac<A> {
     /// Appends the learner's full state — actor, both critics and targets,
     /// all four optimizers, the entropy temperature, and the update counter
     /// — as a versioned checkpoint section. The scratch workspaces carry no
@@ -190,7 +192,7 @@ impl Sac<GaussianPolicy> {
             "sac-state {SAC_STATE_VERSION} {} {} {}\n",
             self.updates, self.target_entropy, self.log_alpha[0]
         ));
-        checkpoint::encode_policy_into(buf, &self.actor);
+        self.actor.encode_into(buf);
         checkpoint::encode_mlp_into(buf, &self.q1);
         checkpoint::encode_mlp_into(buf, &self.q2);
         checkpoint::encode_mlp_into(buf, &self.q1_target);
@@ -240,7 +242,7 @@ impl Sac<GaussianPolicy> {
         let log_alpha: f32 = args[3]
             .parse()
             .map_err(|_| parse_err(format!("bad log alpha '{}'", args[3])))?;
-        let actor = checkpoint::decode_policy_from(r)?;
+        let actor = A::decode_from(r)?;
         let q1 = checkpoint::decode_mlp_from(r)?;
         let q2 = checkpoint::decode_mlp_from(r)?;
         let q1_target = checkpoint::decode_mlp_from(r)?;
@@ -277,9 +279,7 @@ impl Sac<GaussianPolicy> {
             update_scratch: UpdateScratch::default(),
         })
     }
-}
 
-impl<A: Actor> Sac<A> {
     /// Creates a learner around an existing (e.g. behaviour-cloned or
     /// progressive) actor.
     pub fn with_actor(
@@ -768,7 +768,7 @@ mod tests {
         let mut buf = String::new();
         sac.encode_state_into(&mut buf);
         let mut r = Reader::new(&buf);
-        let mut back = Sac::decode_state_from(&mut r, *sac.config()).expect("round trip");
+        let mut back: Sac = Sac::decode_state_from(&mut r, *sac.config()).expect("round trip");
         assert_eq!(back.updates(), sac.updates());
         assert_eq!(back.alpha(), sac.alpha());
         // Same RNG stream from here on: both learners must stay identical.
@@ -795,7 +795,7 @@ mod tests {
         sac.encode_state_into(&mut buf);
         let tampered = buf.replacen("sac-state v1", "sac-state v9", 1);
         let mut r = Reader::new(&tampered);
-        match Sac::decode_state_from(&mut r, SacConfig::default()) {
+        match Sac::<GaussianPolicy>::decode_state_from(&mut r, SacConfig::default()) {
             Err(CheckpointError::Version { found, .. }) => assert_eq!(found, "v9"),
             other => panic!("expected Version error, got {other:?}"),
         }

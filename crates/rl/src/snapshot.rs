@@ -1,112 +1,77 @@
-//! Crash-recovery snapshots for SAC training loops.
+//! Crash-recovery snapshots of the SAC refinement loop.
 //!
-//! A [`TrainSnapshot`] captures everything a training run needs to continue
-//! bit-exactly after a kill: the learner (networks + optimizers), the loss
-//! watchdog's last healthy copy, the replay buffer, the streaming
-//! statistics, and — crucially — the *position* of the RNG stream
-//! ([`StreamPos`]), not just its seed. Snapshots are only taken at episode
-//! boundaries, so the environment itself never needs serializing: resuming
-//! replays `env.reset(episode_seed)` and lands in the exact state the
-//! original run was in.
-//!
-//! The on-disk format reuses the drive-nn checkpoint grammar (tagged text
-//! sections, trailing FNV checksum, atomic durable writes), so a torn or
-//! tampered snapshot surfaces as a typed error and the loop falls back to
-//! training from scratch instead of resuming from garbage.
+//! A [`TrainSnapshot`] holds everything [`crate::train::refine`] needs to
+//! continue bit-exactly after a kill: the learner with its optimizers, the
+//! watchdog's healthy copy and counters, the best actor so far, the replay
+//! buffer and the RNG stream *position* ([`StreamPos`]). It is taken at
+//! episode boundaries, so the environment re-derives from the episode
+//! seed. Files use the drive-nn checkpoint grammar (tagged text sections,
+//! trailing checksum, atomic durable writes via
+//! [`checkpoint::save_to_file`]); a torn, stale-format or foreign snapshot
+//! loads as a typed [`CheckpointError`].
 
+use crate::actor::Actor;
 use crate::replay::ReplayBuffer;
-use crate::sac::{Sac, SacConfig, SacLosses};
-use crate::stats::RunningStats;
-use crate::train::TrainStats;
+use crate::sac::{Sac, SacConfig};
 use drive_nn::checkpoint::{self, CheckpointError, Reader};
 use drive_seed::StreamPos;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Version tag of the training-snapshot file format.
-const SNAPSHOT_VERSION: &str = "v1";
+/// Version tag of the training-snapshot file format. `v1` files (and the
+/// older `victim-sac v1` files) are rejected with a typed error.
+const SNAPSHOT_VERSION: &str = "v2";
 
-/// Where and how often a training loop snapshots itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotConfig {
-    /// Snapshot file path (parent directories are created as needed).
-    pub path: PathBuf,
-    /// Minimum environment steps between snapshots. Snapshots are taken at
-    /// the first episode boundary at least this many steps after the last
-    /// one, so larger values trade recovery granularity for I/O.
-    pub every_steps: usize,
-}
-
-/// A complete mid-training state, restorable to a bit-identical run.
+/// A complete mid-refinement state, restorable to a bit-identical run.
 #[derive(Debug, Clone)]
-pub struct TrainSnapshot {
-    /// Environment steps already executed (the resume loop starts here).
+pub struct TrainSnapshot<A: Actor> {
+    /// Environment steps already executed (the resumed loop starts here).
     pub step: usize,
-    /// Seed of the episode the resumed loop must `reset` into.
+    /// Seed of the episode the resumed loop must reset into.
     pub episode_seed: u64,
-    /// Hash of the training configuration and environment shapes; a resume
-    /// with a different configuration must ignore the snapshot.
+    /// Hash of the training setup; a run with another setup ignores the
+    /// snapshot.
     pub config_hash: u64,
     /// Exact RNG stream position at the snapshot point.
     pub rng: StreamPos,
     /// Healthy updates seen by the loss watchdog.
     pub healthy_updates: usize,
-    /// Accumulated training statistics.
-    pub stats: TrainStats,
+    /// Watchdog rollbacks so far.
+    pub rollbacks: usize,
+    /// The best actor selected so far and its evaluation score (`None`
+    /// when the run does no best-actor selection).
+    pub best: Option<(A, f64)>,
     /// The learner.
-    pub sac: Sac,
+    pub sac: Sac<A>,
     /// The loss watchdog's last healthy learner copy, if one exists.
-    pub last_good: Option<Sac>,
+    pub last_good: Option<Sac<A>>,
     /// The replay buffer, including its eviction cursor.
     pub buffer: ReplayBuffer,
 }
 
-fn write_usizes(buf: &mut String, values: &[usize]) {
-    for chunk in values.chunks(16) {
-        let mut first = true;
-        for v in chunk {
-            if !first {
-                buf.push(' ');
-            }
-            buf.push_str(&v.to_string());
-            first = false;
-        }
-        buf.push('\n');
-    }
-    if values.is_empty() {
-        buf.push('\n');
-    }
-}
-
-impl TrainSnapshot {
+impl<A: Actor> TrainSnapshot<A> {
     /// Serializes the snapshot to checkpoint text.
     pub fn encode(&self) -> String {
-        let mut buf = String::new();
-        buf.push_str(&format!("train-snapshot {SNAPSHOT_VERSION}\n"));
-        buf.push_str(&format!(
-            "meta {} {} {:016x} {}\n",
-            self.step, self.episode_seed, self.config_hash, self.healthy_updates
-        ));
-        buf.push_str(&format!("rng {}\n", self.rng.to_hex()));
-        buf.push_str(&format!(
-            "stats {} {}\n",
-            self.stats.steps, self.stats.rollbacks
-        ));
-        let (n, mean, m2, min, max) = self.stats.return_stats.raw_parts();
-        buf.push_str(&format!("running {n} {mean} {m2} {min} {max}\n"));
-        let l = self.stats.last_losses;
-        buf.push_str(&format!(
-            "losses {} {} {} {} {}\n",
-            l.q1_loss, l.q2_loss, l.actor_loss, l.alpha, l.entropy
-        ));
-        buf.push_str(&format!("returns {}\n", self.stats.episode_returns.len()));
-        checkpoint::encode_floats(&mut buf, &self.stats.episode_returns);
-        buf.push_str(&format!("lengths {}\n", self.stats.episode_lengths.len()));
-        write_usizes(&mut buf, &self.stats.episode_lengths);
+        let mut buf = format!(
+            "train-snapshot {SNAPSHOT_VERSION}\nmeta {} {} {:016x} {} {}\nrng {}\n",
+            self.step,
+            self.episode_seed,
+            self.config_hash,
+            self.healthy_updates,
+            self.rollbacks,
+            self.rng.to_hex()
+        );
+        match &self.best {
+            Some((actor, score)) => {
+                buf.push_str(&format!("best 1 {score}\n"));
+                actor.encode_into(&mut buf);
+            }
+            None => buf.push_str("best 0\n"),
+        }
         self.sac.encode_state_into(&mut buf);
         match &self.last_good {
-            Some(snapshot) => {
+            Some(sac) => {
                 buf.push_str("last_good 1\n");
-                snapshot.encode_state_into(&mut buf);
+                sac.encode_state_into(&mut buf);
             }
             None => buf.push_str("last_good 0\n"),
         }
@@ -115,14 +80,14 @@ impl TrainSnapshot {
     }
 
     /// Parses a snapshot. The SAC hyper-parameters are supplied by the
-    /// caller (they are part of the code/config, not the state) and checked
-    /// indirectly through [`TrainSnapshot::config_hash`].
+    /// caller (they are part of the code/config, not the state) and pinned
+    /// through [`TrainSnapshot::config_hash`].
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Version`] for files written by a
     /// different format revision, [`CheckpointError::Parse`] on any
-    /// structural mismatch.
+    /// structural mismatch (a truncated file, another file type).
     pub fn decode(text: &str, sac_config: SacConfig) -> Result<Self, CheckpointError> {
         let parse_err = CheckpointError::Parse;
         let mut r = Reader::new(text);
@@ -137,22 +102,18 @@ impl TrainSnapshot {
             });
         }
         let meta = r.expect_tag("meta")?;
-        if meta.len() != 4 {
+        let [step, episode_seed, hash, healthy_updates, rollbacks] = meta[..] else {
             return Err(parse_err(
-                "meta needs '<step> <episode_seed> <config_hash> <healthy_updates>'".into(),
+                "meta needs '<step> <episode_seed> <config_hash> <healthy_updates> <rollbacks>'"
+                    .into(),
             ));
-        }
-        let step: usize = meta[0]
-            .parse()
-            .map_err(|_| parse_err(format!("bad step '{}'", meta[0])))?;
-        let episode_seed: u64 = meta[1]
-            .parse()
-            .map_err(|_| parse_err(format!("bad episode seed '{}'", meta[1])))?;
-        let config_hash = u64::from_str_radix(meta[2], 16)
-            .map_err(|_| parse_err(format!("bad config hash '{}'", meta[2])))?;
-        let healthy_updates: usize = meta[3]
-            .parse()
-            .map_err(|_| parse_err(format!("bad healthy-update count '{}'", meta[3])))?;
+        };
+        let int = |tok: &str| {
+            tok.parse::<u64>()
+                .map_err(|_| parse_err(format!("bad meta field '{tok}'")))
+        };
+        let config_hash = u64::from_str_radix(hash, 16)
+            .map_err(|_| parse_err(format!("bad config hash '{hash}'")))?;
         let rng_args = r.expect_tag("rng")?;
         let rng = StreamPos::from_hex(
             rng_args
@@ -160,124 +121,69 @@ impl TrainSnapshot {
                 .ok_or_else(|| parse_err("rng tag needs a position".into()))?,
         )
         .map_err(CheckpointError::Parse)?;
-        let stats_args = r.expect_tag("stats")?;
-        if stats_args.len() != 2 {
-            return Err(parse_err("stats needs '<steps> <rollbacks>'".into()));
-        }
-        let steps: usize = stats_args[0]
-            .parse()
-            .map_err(|_| parse_err(format!("bad step count '{}'", stats_args[0])))?;
-        let rollbacks: usize = stats_args[1]
-            .parse()
-            .map_err(|_| parse_err(format!("bad rollback count '{}'", stats_args[1])))?;
-        let run_args = r.expect_tag("running")?;
-        if run_args.len() != 5 {
-            return Err(parse_err(
-                "running needs '<n> <mean> <m2> <min> <max>'".into(),
-            ));
-        }
-        let n: u64 = run_args[0]
-            .parse()
-            .map_err(|_| parse_err(format!("bad sample count '{}'", run_args[0])))?;
-        let mut f64s = [0.0f64; 4];
-        for (dst, tok) in f64s.iter_mut().zip(&run_args[1..5]) {
-            *dst = tok
-                .parse()
-                .map_err(|_| parse_err(format!("bad running statistic '{tok}'")))?;
-        }
-        let return_stats = RunningStats::from_raw_parts(n, f64s[0], f64s[1], f64s[2], f64s[3]);
-        let loss_args = r.expect_tag("losses")?;
-        if loss_args.len() != 5 {
-            return Err(parse_err("losses needs 5 values".into()));
-        }
-        let mut f32s = [0.0f32; 5];
-        for (dst, tok) in f32s.iter_mut().zip(&loss_args) {
-            *dst = tok
-                .parse()
-                .map_err(|_| parse_err(format!("bad loss '{tok}'")))?;
-        }
-        let last_losses = SacLosses {
-            q1_loss: f32s[0],
-            q2_loss: f32s[1],
-            actor_loss: f32s[2],
-            alpha: f32s[3],
-            entropy: f32s[4],
-        };
-        let ret_args = r.expect_tag("returns")?;
-        let nret: usize = ret_args
-            .first()
-            .ok_or_else(|| parse_err("returns tag needs a count".into()))?
-            .parse()
-            .map_err(|_| parse_err("bad return count".into()))?;
-        let episode_returns = r.floats(nret)?;
-        let len_args = r.expect_tag("lengths")?;
-        let nlen: usize = len_args
-            .first()
-            .ok_or_else(|| parse_err("lengths tag needs a count".into()))?
-            .parse()
-            .map_err(|_| parse_err("bad length count".into()))?;
-        let episode_lengths = r.usizes(nlen)?;
-        let sac = Sac::decode_state_from(&mut r, sac_config)?;
-        let lg_args = r.expect_tag("last_good")?;
-        let last_good = match lg_args.first() {
-            Some(&"1") => Some(Sac::decode_state_from(&mut r, sac_config)?),
-            Some(&"0") => None,
-            other => {
-                return Err(parse_err(format!(
-                    "last_good must be 0 or 1, found {other:?}"
-                )))
+        let best = match r.expect_tag("best")?[..] {
+            ["1", score] => {
+                let score = score
+                    .parse()
+                    .map_err(|_| parse_err(format!("bad best score '{score}'")))?;
+                Some((A::decode_from(&mut r)?, score))
             }
+            ["0"] => None,
+            _ => return Err(parse_err("best needs '0' or '1 <score>'".into())),
+        };
+        let sac = Sac::decode_state_from(&mut r, sac_config)?;
+        let last_good = match r.expect_tag("last_good")?[..] {
+            ["1"] => Some(Sac::decode_state_from(&mut r, sac_config)?),
+            ["0"] => None,
+            _ => return Err(parse_err("last_good must be 0 or 1".into())),
         };
         let buffer = ReplayBuffer::decode_from(&mut r)?;
         Ok(TrainSnapshot {
-            step,
-            episode_seed,
+            step: int(step)? as usize,
+            episode_seed: int(episode_seed)?,
             config_hash,
             rng,
-            healthy_updates,
-            stats: TrainStats {
-                episode_returns,
-                episode_lengths,
-                last_losses,
-                steps,
-                return_stats,
-                rollbacks,
-            },
+            healthy_updates: int(healthy_updates)? as usize,
+            rollbacks: int(rollbacks)? as usize,
+            best,
             sac,
             last_good,
             buffer,
         })
     }
 
-    /// Writes the snapshot atomically and durably (temp file + fsync +
-    /// rename + parent-directory fsync, trailing checksum line).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        checkpoint::save_to_file(path, &self.encode())
-    }
-
-    /// Loads and verifies a snapshot file.
+    /// Loads the snapshot at `path` if it belongs to the run whose setup
+    /// hashes to `config_hash`.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; returns [`CheckpointError::Corrupt`] on a
-    /// checksum mismatch and the decode errors described on
-    /// [`TrainSnapshot::decode`].
-    pub fn load(path: impl AsRef<Path>, sac_config: SacConfig) -> Result<Self, CheckpointError> {
-        Self::decode(&checkpoint::load_from_file(path)?, sac_config)
+    /// checksum mismatch, the decode errors of [`TrainSnapshot::decode`],
+    /// and [`CheckpointError::Parse`] for a snapshot of another setup.
+    pub fn load(
+        path: impl AsRef<Path>,
+        sac_config: SacConfig,
+        config_hash: u64,
+    ) -> Result<Self, CheckpointError> {
+        let snap = Self::decode(&checkpoint::load_from_file(path)?, sac_config)?;
+        if snap.config_hash != config_hash {
+            return Err(CheckpointError::Parse(format!(
+                "snapshot of another training setup (config hash {:016x}, this run {config_hash:016x})",
+                snap.config_hash
+            )));
+        }
+        Ok(snap)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drive_nn::gaussian::GaussianPolicy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn sample_snapshot() -> (TrainSnapshot, SacConfig) {
+    fn sample_snapshot() -> (TrainSnapshot<GaussianPolicy>, SacConfig) {
         let mut rng = StdRng::seed_from_u64(21);
         let config = SacConfig {
             batch_size: 8,
@@ -295,29 +201,14 @@ mod tests {
                 terminal: i % 4 == 0,
             });
         }
-        let mut return_stats = RunningStats::new();
-        return_stats.push(-3.5);
-        return_stats.push(1.25);
         let snap = TrainSnapshot {
             step: 123,
             episode_seed: 9,
             config_hash: 0xdead_beef_cafe_f00d,
             rng: StreamPos::capture(&StdRng::seed_from_u64(5)),
             healthy_updates: 7,
-            stats: TrainStats {
-                episode_returns: vec![-3.5, 1.25],
-                episode_lengths: vec![40, 83],
-                last_losses: SacLosses {
-                    q1_loss: 0.5,
-                    q2_loss: 0.25,
-                    actor_loss: -1.5,
-                    alpha: 0.1,
-                    entropy: 0.9,
-                },
-                steps: 123,
-                return_stats,
-                rollbacks: 1,
-            },
+            rollbacks: 1,
+            best: Some((sac.actor.clone(), 321.5)),
             sac: sac.clone(),
             last_good: Some(sac),
             buffer,
@@ -329,32 +220,25 @@ mod tests {
     fn encode_decode_round_trips_every_field() {
         let (snap, config) = sample_snapshot();
         let text = snap.encode();
-        let back = TrainSnapshot::decode(&text, config).expect("round trip");
+        let back = TrainSnapshot::<GaussianPolicy>::decode(&text, config).expect("round trip");
         assert_eq!(back.step, snap.step);
         assert_eq!(back.episode_seed, snap.episode_seed);
         assert_eq!(back.config_hash, snap.config_hash);
         assert_eq!(back.rng, snap.rng);
         assert_eq!(back.healthy_updates, snap.healthy_updates);
-        assert_eq!(back.stats.episode_returns, snap.stats.episode_returns);
-        assert_eq!(back.stats.episode_lengths, snap.stats.episode_lengths);
-        assert_eq!(back.stats.last_losses, snap.stats.last_losses);
-        assert_eq!(back.stats.steps, snap.stats.steps);
-        assert_eq!(back.stats.rollbacks, snap.stats.rollbacks);
-        assert_eq!(
-            back.stats.return_stats.raw_parts(),
-            snap.stats.return_stats.raw_parts()
-        );
+        assert_eq!(back.rollbacks, snap.rollbacks);
+        assert_eq!(back.best.as_ref().map(|b| b.1), Some(321.5));
         assert!(back.last_good.is_some());
         assert_eq!(back.buffer.len(), snap.buffer.len());
-        // Empty-stats extremes (min = inf, max = -inf) survive the text
-        // round trip too.
-        let mut empty = snap.clone();
-        empty.stats.return_stats = RunningStats::new();
-        let back = TrainSnapshot::decode(&empty.encode(), config).expect("inf round trip");
-        assert_eq!(
-            back.stats.return_stats.raw_parts(),
-            empty.stats.return_stats.raw_parts()
-        );
+        // The text form is canonical: re-encoding reproduces it exactly.
+        assert_eq!(back.encode(), text);
+        let bare = TrainSnapshot {
+            best: None,
+            last_good: None,
+            ..snap
+        };
+        let back = TrainSnapshot::<GaussianPolicy>::decode(&bare.encode(), config).expect("bare");
+        assert!(back.best.is_none() && back.last_good.is_none());
     }
 
     #[test]
@@ -363,14 +247,20 @@ mod tests {
         let dir = std::env::temp_dir().join("drive-rl-snapshot-test");
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("train.snap");
-        snap.save(&path).expect("save");
-        let back = TrainSnapshot::load(&path, config).expect("load");
+        checkpoint::save_to_file(&path, &snap.encode()).expect("save");
+        let back =
+            TrainSnapshot::<GaussianPolicy>::load(&path, config, snap.config_hash).expect("load");
         assert_eq!(back.step, snap.step);
+        // Another setup's hash is a typed error, not a silent resume.
+        assert!(matches!(
+            TrainSnapshot::<GaussianPolicy>::load(&path, config, 1),
+            Err(CheckpointError::Parse(_))
+        ));
         // Corrupting a byte turns the load into a typed Corrupt error.
         let raw = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, raw.replacen("meta", "mata", 1)).unwrap();
         assert!(matches!(
-            TrainSnapshot::load(&path, config),
+            TrainSnapshot::<GaussianPolicy>::load(&path, config, snap.config_hash),
             Err(CheckpointError::Corrupt { .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -381,9 +271,9 @@ mod tests {
         let (snap, config) = sample_snapshot();
         let text = snap
             .encode()
-            .replacen("train-snapshot v1", "train-snapshot v0", 1);
-        match TrainSnapshot::decode(&text, config) {
-            Err(CheckpointError::Version { found, .. }) => assert_eq!(found, "v0"),
+            .replacen("train-snapshot v2", "train-snapshot v1", 1);
+        match TrainSnapshot::<GaussianPolicy>::decode(&text, config) {
+            Err(CheckpointError::Version { found, .. }) => assert_eq!(found, "v1"),
             other => panic!("expected Version error, got {other:?}"),
         }
     }
