@@ -138,8 +138,8 @@ fn bench_matmul_kernels(c: &mut Criterion) {
         });
     });
     // The critic's layer-0 weight gradient at batch 128: `grad_out^T @ x`
-    // over the 62-wide (60 obs + 2 action) input, 30 columns of which fall
-    // outside the 32-wide strips.
+    // over the 62-wide (60 obs + 2 action) input: a padded remainder strip
+    // only (64-lane strips) or 30 columns of one (32-lane strips).
     let grad_out = randn_mat(128, 128, &mut rng);
     let x = randn_mat(128, 62, &mut rng);
     c.bench_function("gemm_128x128x62_tn_acc", |b| {
@@ -157,6 +157,15 @@ fn bench_matmul_kernels(c: &mut Criterion) {
         b.iter(|| {
             head.forward_into(&grad_out, &mut y);
             black_box(y.get(0, 0))
+        });
+    });
+    // The weight pack behind every training forward of a hidden layer.
+    let w = randn_mat(128, 128, &mut rng);
+    c.bench_function("transpose_128x128", |b| {
+        let mut t = Mat::default();
+        b.iter(|| {
+            w.transpose_into(&mut t);
+            black_box(t.get(0, 0))
         });
     });
 }

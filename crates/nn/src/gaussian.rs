@@ -11,7 +11,7 @@
 use crate::activation::Activation;
 use crate::mat::Mat;
 use crate::mlp::{Mlp, MlpCache};
-use crate::scratch::{ActScratch, BatchActScratch, SampleBackScratch, Scratch};
+use crate::scratch::{ActScratch, BatchActScratch, SampleBackScratch};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -347,33 +347,17 @@ impl GaussianPolicy {
     /// into the trunk parameters and returns the observation gradient
     /// (the state-space attack's signal).
     pub fn backward_mean(&mut self, obs: &Mat, grad_tanh_mean: &Mat) -> Mat {
-        let (trunk, grad_raw) = self.mean_head_grad(obs, grad_tanh_mean);
-        self.trunk.backward(&trunk, &grad_raw)
-    }
-
-    /// [`GaussianPolicy::backward_mean`] for behaviour cloning: the same
-    /// parameter gradients, bit for bit, without the observation gradient.
-    pub fn backward_mean_params(&mut self, obs: &Mat, grad_tanh_mean: &Mat) {
-        let (trunk, grad_raw) = self.mean_head_grad(obs, grad_tanh_mean);
-        self.trunk
-            .backward_params_with(&trunk, &grad_raw, &mut Scratch::default());
-    }
-
-    /// The trunk's forward cache at `obs` and the raw-head gradient of a
-    /// gradient on `tanh(mean)` (zero on the log-std half).
-    fn mean_head_grad(&self, obs: &Mat, grad_tanh_mean: &Mat) -> (MlpCache, Mat) {
         let trunk = self.trunk.forward_cached(obs);
-        let (mean, _) = trunk.output().split_cols(self.action_dim);
-        let batch = obs.rows();
-        let mut grad_mean = Mat::zeros(batch, self.action_dim);
-        for b in 0..batch {
+        let raw = trunk.output();
+        // Zero on the log-std half.
+        let mut grad_raw = Mat::zeros(raw.rows(), raw.cols());
+        for b in 0..raw.rows() {
             for i in 0..self.action_dim {
-                let t = mean.get(b, i).tanh();
-                grad_mean.set(b, i, grad_tanh_mean.get(b, i) * (1.0 - t * t));
+                let t = raw.get(b, i).tanh();
+                grad_raw.set(b, i, grad_tanh_mean.get(b, i) * (1.0 - t * t));
             }
         }
-        let grad_ls = Mat::zeros(batch, self.action_dim);
-        (trunk, grad_mean.hcat(&grad_ls))
+        self.trunk.backward(&trunk, &grad_raw)
     }
 
     /// Convenience: act on a single observation.

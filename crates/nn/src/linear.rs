@@ -129,6 +129,33 @@ impl Linear {
         grad_out.matmul_into(&self.w, grad_in);
     }
 
+    /// The last `tail` columns of [`Linear::input_grad_into`], bit for
+    /// bit: those weight columns are copied into `w_tail` (`out x tail`)
+    /// and `grad_in = grad_out @ w_tail` folds every element exactly as
+    /// the full product does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tail` is zero or exceeds `in_dim()`.
+    pub(crate) fn input_grad_tail_into(
+        &self,
+        grad_out: &Mat,
+        tail: usize,
+        w_tail: &mut Mat,
+        grad_in: &mut Mat,
+    ) {
+        let skip = self.in_dim() - tail;
+        w_tail.resize(self.out_dim(), tail);
+        for (dst, src) in w_tail
+            .data_mut()
+            .chunks_exact_mut(tail)
+            .zip(self.w.data().chunks_exact(self.in_dim()))
+        {
+            dst.copy_from_slice(&src[skip..]);
+        }
+        grad_out.matmul_into(w_tail, grad_in);
+    }
+
     /// Clears accumulated gradients.
     pub fn zero_grad(&mut self) {
         self.grad_w.map_inplace(|_| 0.0);

@@ -286,28 +286,33 @@ impl Mat {
 
     /// Writes `self^T` into `out` (resized; reuses `out`'s buffer). This is
     /// the pack step that lets the `self @ other^T` products share the
-    /// plain row-major kernel. Walked in 32x32 blocks so the strided side
-    /// stays cache-resident — the naive row sweep thrashed one cache line
-    /// per element once the matrix outgrew L1 and cost more than the GEMM
-    /// it fed at inference shapes.
+    /// plain row-major kernel. Walked in strips of 16 source rows: each
+    /// source column of a strip becomes one contiguous 16-float run of
+    /// `out` (a cache line), read from 16 row streams that stay
+    /// cache-resident across the sweep. The last `rows mod 16` rows are
+    /// copied element by element.
     pub fn transpose_into(&self, out: &mut Mat) {
+        const STRIP: usize = 16;
         out.resize(self.cols, self.rows);
-        const BT: usize = 32;
+        let (rows, cols) = (self.rows, self.cols);
         let mut rb = 0;
-        while rb < self.rows {
-            let rend = (rb + BT).min(self.rows);
-            let mut cb = 0;
-            while cb < self.cols {
-                let cend = (cb + BT).min(self.cols);
-                for r in rb..rend {
-                    let row = &self.data[r * self.cols..(r + 1) * self.cols];
-                    for (c, &v) in row.iter().enumerate().take(cend).skip(cb) {
-                        out.data[c * self.rows + r] = v;
-                    }
+        while rb + STRIP <= rows {
+            let src: [&[f32]; STRIP] =
+                std::array::from_fn(|r| &self.data[(rb + r) * cols..][..cols]);
+            for (c, dst) in out.data.chunks_exact_mut(rows).enumerate() {
+                let dst: &mut [f32; STRIP] = (&mut dst[rb..rb + STRIP])
+                    .try_into()
+                    .expect("STRIP-wide run");
+                for r in 0..STRIP {
+                    dst[r] = src[r][c];
                 }
-                cb = cend;
             }
-            rb = rend;
+            rb += STRIP;
+        }
+        for r in rb..rows {
+            for (c, &v) in self.row(r).iter().enumerate() {
+                out.data[c * rows + r] = v;
+            }
         }
     }
 
@@ -481,9 +486,23 @@ impl Default for Mat {
     }
 }
 
-/// Row height of the register-blocked GEMM output tile (also the
-/// minimum operand extent for the pack-and-tile paths to pay off).
+/// Row height of the smallest multi-row GEMM tile (also the minimum
+/// operand extent for the pack-and-tile paths to pay off).
 pub const TILE: usize = 4;
+
+/// Whether the target has 512-bit vectors. The target's `avx512f`
+/// feature fixes it at compile time; it picks the interior tile shape
+/// and nothing else.
+const WIDE: bool = cfg!(target_feature = "avx512f");
+
+/// Row height of the interior GEMM tile. A 6 × 64 tile keeps 24 of
+/// AVX-512's 32 vector registers as accumulators; narrower vector units
+/// keep 4 × 32, which a 6 × 64 tile would spill.
+const MR: usize = if WIDE { 6 } else { TILE };
+
+/// Column width of the GEMM micro-kernel: four 16-lane vectors per row on
+/// AVX-512, two otherwise.
+const NTILE: usize = if WIDE { 64 } else { 32 };
 
 thread_local! {
     /// Pack buffer behind the scratch-free [`Mat::matmul_nt_into`] entry
@@ -501,9 +520,6 @@ thread_local! {
     static PAD: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Column width of the GEMM micro-kernel (two 16-lane vectors per row).
-const NTILE: usize = 32;
-
 /// Widest output [`gemm_acc`] walks in tall [`TALL`]-row tiles — the
 /// critic heads (1 column) and policy heads (`2 * action_dim` ≤ 4). Also
 /// the narrow strip width of [`nt_packed_sweep`].
@@ -511,7 +527,7 @@ const NARROW: usize = 4;
 
 /// Row height of the tall tile for outputs at most [`NARROW`] columns
 /// wide: sixteen independent accumulator chains per column, where a
-/// [`TILE`]-row tile would leave the FMA pipes waiting on four.
+/// few-row tile would leave the FMA pipes waiting on a handful.
 const TALL: usize = 16;
 
 /// The left operand of [`gemm_acc`], logically `m x k`.
@@ -545,12 +561,12 @@ impl Lhs<'_> {
 /// results are independent of tiling and batch width and bit-identical
 /// run to run:
 ///
-/// - rows walk in [`TILE`]-row tiles (or [`TALL`]-row ones when
-///   `n ≤` [`NARROW`]); the last `m mod 4` rows run as 1-row tiles;
+/// - rows walk in [`MR`]-row tiles (after [`TALL`]-row ones when
+///   `n ≤` [`NARROW`]), then [`TILE`]-row tiles, then 1-row tiles;
 /// - columns walk in [`NTILE`]-wide strips read straight from `b`; the
-///   `n mod 32` columns left over are first copied into a zero-padded
-///   strip of 32 lanes ([`NARROW`] for narrow outputs) and run through
-///   the same micro-kernel, whose padding lanes are discarded.
+///   `n mod NTILE` columns left over are first copied into a zero-padded
+///   strip of [`NTILE`] lanes ([`NARROW`] for narrow outputs) and run
+///   through the same micro-kernel, whose padding lanes are discarded.
 ///
 /// Shape checks are `debug_assert!` only — the public `Mat` methods have
 /// already validated dimensions.
@@ -592,6 +608,11 @@ fn gemm_acc(a: Lhs<'_>, m: usize, k: usize, n: usize, b: &[f32], out: &mut [f32]
                 i += TALL;
             }
         }
+        while i + MR <= m {
+            g.row_block::<MR>(i, out);
+            i += MR;
+        }
+        // Empty when `MR == TILE`.
         while i + TILE <= m {
             g.row_block::<TILE>(i, out);
             i += TILE;
@@ -644,27 +665,34 @@ impl Gemm<'_> {
         }
     }
 
-    /// Rows `i..i + R` of the `n mod 32` remainder columns, folded over
+    /// Rows `i..i + R` of the `n mod NTILE` remainder columns, folded over
     /// the `W`-lane padded strip; only the real lanes land on `out`.
+    ///
+    /// The real lanes are staged through a `W`-wide copy of the output so
+    /// the tile lands as in [`Gemm::row_block`], with constant indices,
+    /// and its accumulators stay in registers. Landing it on `out`
+    /// directly, whose width varies, pins the tile to memory; so does
+    /// returning the fold from an out-of-line call, for a 6 × 64 tile.
     #[inline(always)]
     fn padded<const R: usize, const W: usize>(&self, i: usize, out: &mut [f32]) {
         let n = self.n;
         let j_pad = n - n % NTILE;
-        let c = self.fold_out_of_line::<R, W>(i);
-        for (r, cr) in c.iter().enumerate() {
-            let dst = &mut out[(i + r) * n + j_pad..(i + r + 1) * n];
-            for (o, &acc) in dst.iter_mut().zip(cr) {
-                *o += acc;
+        let c = self.fold::<R, W>(i, self.pad, W, 0);
+        let mut staged = [[0.0f32; W]; R];
+        for (r, st) in staged.iter_mut().enumerate() {
+            let dst = &out[(i + r) * n + j_pad..(i + r + 1) * n];
+            st[..dst.len()].copy_from_slice(dst);
+        }
+        for (st, cr) in staged.iter_mut().zip(&c) {
+            for t in 0..W {
+                st[t] += cr[t];
             }
         }
-    }
-
-    /// [`Gemm::fold`] over the padded strip, kept out of line so its
-    /// accumulators stay in registers: inlined, the variable-width
-    /// write-back in [`Gemm::padded`] would pin them to memory.
-    #[inline(never)]
-    fn fold_out_of_line<const R: usize, const W: usize>(&self, i: usize) -> [[f32; W]; R] {
-        self.fold::<R, W>(i, self.pad, W, 0)
+        for (r, st) in staged.iter().enumerate() {
+            let dst = &mut out[(i + r) * n + j_pad..(i + r + 1) * n];
+            let width = dst.len();
+            dst.copy_from_slice(&st[..width]);
+        }
     }
 
     /// The micro-kernel: an `R x W` register tile over rows `i..i + R` of
@@ -1222,9 +1250,12 @@ mod tests {
 
         /// `(m, k, n)`: half the cases draw every dimension from `1..=96`
         /// (pure-remainder shapes up to multi-tile interiors), the other
-        /// half a training shape — 128 output rows, any `k` up to 128, and
-        /// an output width from the heads (1, 2, 4), the observation and
-        /// critic inputs (60, 61, 62) or the hidden layer (128).
+        /// half a training or tile-edge shape — any `k` up to 128, an
+        /// output height from the training batch (128) or around the
+        /// tile heights (6 × 64 interior, 4-row and 1-row tails), and an
+        /// output width from the heads (1, 2, 4), the observation and
+        /// critic inputs (60, 61, 62), the hidden layer (128) or around
+        /// the 64-lane strip edges.
         struct Dims;
 
         impl Strategy for Dims {
@@ -1237,8 +1268,13 @@ mod tests {
                         rng.gen_range(1..=96),
                     )
                 } else {
-                    const NS: [usize; 7] = [1, 2, 4, 60, 61, 62, 128];
-                    (128, rng.gen_range(1..=128), NS[rng.gen_range(0..NS.len())])
+                    const MS: [usize; 6] = [6, 7, 12, 64, 127, 128];
+                    const NS: [usize; 12] = [1, 2, 4, 60, 61, 62, 63, 64, 65, 127, 128, 129];
+                    (
+                        MS[rng.gen_range(0..MS.len())],
+                        rng.gen_range(1..=128),
+                        NS[rng.gen_range(0..NS.len())],
+                    )
                 }
             }
         }
@@ -1329,6 +1365,21 @@ mod tests {
                 for ((&u, &p), &f) in out.data().iter().zip(packed.data()).zip(fused.data()) {
                     prop_assert_eq!(u.to_bits(), f.to_bits());
                     prop_assert_eq!(p.to_bits(), (f + 0.0).to_bits());
+                }
+            }
+
+            /// The strip transpose equals the naive element loop, into a
+            /// dirty, mis-shaped buffer; every element is distinct.
+            #[test]
+            fn transpose_into_matches_naive_loop((rows, cols) in (1usize..=96, 1usize..=96)) {
+                let a = Mat::from_vec(rows, cols, (0..rows * cols).map(|i| i as f32).collect());
+                let mut t = Mat::from_vec(1, 2, vec![9.9, -9.9]);
+                a.transpose_into(&mut t);
+                prop_assert_eq!((t.rows(), t.cols()), (cols, rows));
+                for r in 0..rows {
+                    for c in 0..cols {
+                        prop_assert_eq!(t.get(c, r).to_bits(), a.get(r, c).to_bits());
+                    }
                 }
             }
 

@@ -23,6 +23,8 @@ enum Grads {
     Params,
     /// The input gradient only: no parameter gradient accumulates.
     Input,
+    /// Neither: the sweep stops at the first layer's output gradient.
+    Hidden,
 }
 
 /// Forward-pass intermediates needed by [`Mlp::backward`].
@@ -254,7 +256,8 @@ impl Mlp {
         grad_out: &Mat,
         s: &'s mut Scratch,
     ) -> &'s Mat {
-        self.backprop(cache, grad_out, s, Grads::ParamsAndInput)
+        let in_a = self.backprop(cache, grad_out, s, Grads::ParamsAndInput);
+        s.half(in_a)
     }
 
     /// [`Mlp::backward_with`] for callers that only train: accumulates the
@@ -271,7 +274,7 @@ impl Mlp {
     /// The input gradient of [`Mlp::backward_with`], bit for bit, without
     /// accumulating any parameter gradient (they are left untouched) —
     /// for differentiating through a network that is not being trained
-    /// by this loss, such as SAC's critics under the actor objective.
+    /// by this loss.
     ///
     /// # Panics
     ///
@@ -282,20 +285,50 @@ impl Mlp {
         grad_out: &Mat,
         s: &'s mut Scratch,
     ) -> &'s Mat {
-        self.backprop(cache, grad_out, s, Grads::Input)
+        let in_a = self.backprop(cache, grad_out, s, Grads::Input);
+        s.half(in_a)
+    }
+
+    /// The last `tail` columns of [`Mlp::input_grad_with`], bit for bit,
+    /// written into `out` (resized and overwritten): the first layer
+    /// multiplies only the matching `tail` weight columns, so the other
+    /// input columns cost nothing. SAC's actor objective needs the
+    /// critics' gradient in the action columns of their `[obs | action]`
+    /// input and nothing else. Parameter gradients are left untouched;
+    /// allocation-free once `s` and `out` have warmed up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache does not match this network's depth, or if
+    /// `tail` is zero or exceeds the input width.
+    pub fn input_grad_tail_with(
+        &mut self,
+        cache: &MlpCache,
+        grad_out: &Mat,
+        tail: usize,
+        s: &mut Scratch,
+        out: &mut Mat,
+    ) {
+        let in_a = self.backprop(cache, grad_out, s, Grads::Hidden);
+        let (g, w_tail) = if in_a {
+            (&s.a, &mut s.b)
+        } else {
+            (&s.b, &mut s.a)
+        };
+        self.layers[0].input_grad_tail_into(g, tail, w_tail, out);
     }
 
     /// The shared backward sweep: activation backward, then per layer
     /// whichever of the parameter and input gradients `grads` asks for.
-    /// Returns the scratch half holding the last gradient written (the
-    /// input gradient unless `grads` is [`Grads::Params`]).
-    fn backprop<'s>(
+    /// Returns whether the last gradient written (the input gradient
+    /// unless `grads` stops short of it) is in `s.a`.
+    fn backprop(
         &mut self,
         cache: &MlpCache,
         grad_out: &Mat,
-        s: &'s mut Scratch,
+        s: &mut Scratch,
         grads: Grads,
-    ) -> &'s Mat {
+    ) -> bool {
         assert_eq!(
             cache.post.len(),
             self.layers.len(),
@@ -307,6 +340,8 @@ impl Mlp {
         // gradient below it; zeroing the entry just skips that sample's
         // contribution.
         a.sanitize_nonfinite();
+        let params = matches!(grads, Grads::ParamsAndInput | Grads::Params);
+        let first_input = matches!(grads, Grads::ParamsAndInput | Grads::Input);
         let mut cur_is_a = true;
         for i in (0..self.layers.len()).rev() {
             let (g, next) = if cur_is_a {
@@ -315,7 +350,7 @@ impl Mlp {
                 (&mut *b, &mut *a)
             };
             self.acts[i].backward_inplace(&cache.post[i], g);
-            if grads != Grads::Input {
+            if params {
                 let input = if i == 0 {
                     &cache.input
                 } else {
@@ -323,16 +358,12 @@ impl Mlp {
                 };
                 self.layers[i].accumulate_grads(input, g);
             }
-            if i > 0 || grads != Grads::Params {
+            if i > 0 || first_input {
                 self.layers[i].input_grad_into(g, next);
                 cur_is_a = !cur_is_a;
             }
         }
-        if cur_is_a {
-            a
-        } else {
-            b
-        }
+        cur_is_a
     }
 
     /// Clears all accumulated gradients.
@@ -559,6 +590,60 @@ mod tests {
             .clone();
         assert_eq!(gi, gi_full);
         assert_eq!(input, before, "parameter gradients must be untouched");
+    }
+
+    /// The tail input gradient is exactly the last columns of the full
+    /// one, at a critic's shape (2 action columns of a 62-wide input, the
+    /// 128-row training batch) and at every tail width of a small net.
+    #[test]
+    fn input_grad_tail_matches_last_columns_of_full_input_grad() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let critic = Mlp::new(
+            &[62, 128, 128, 1],
+            Activation::Relu,
+            Activation::Identity,
+            &mut rng,
+        );
+        let cases = [
+            (critic, 128usize, vec![2usize]),
+            (net(), 5, vec![1, 2, 3, 4]),
+        ];
+        for (mut n, batch, tails) in cases {
+            let in_dim = n.in_dim();
+            let x = Mat::from_vec(
+                batch,
+                in_dim,
+                (0..batch * in_dim)
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect(),
+            );
+            let out_dim = n.out_dim();
+            let grad_out = Mat::from_vec(
+                batch,
+                out_dim,
+                (0..batch * out_dim)
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect(),
+            );
+            let cache = n.forward_cached(&x);
+            let full = n
+                .input_grad_with(&cache, &grad_out, &mut Scratch::default())
+                .clone();
+            let before = n.clone();
+            let mut s = Scratch::default();
+            let mut tail_grad = Mat::from_vec(1, 1, vec![9.9]); // dirty
+            for tail in tails {
+                n.input_grad_tail_with(&cache, &grad_out, tail, &mut s, &mut tail_grad);
+                assert_eq!((tail_grad.rows(), tail_grad.cols()), (batch, tail));
+                for b in 0..batch {
+                    for (t, &g) in tail_grad.row(b).iter().enumerate() {
+                        let want = full.get(b, in_dim - tail + t);
+                        assert_eq!(g.to_bits(), want.to_bits(), "tail {tail} [{b}, {t}]");
+                    }
+                }
+            }
+            assert_eq!(n, before, "parameter gradients must be untouched");
+        }
     }
 
     #[test]

@@ -21,6 +21,17 @@ pub struct Scratch {
     pub(crate) b: Mat,
 }
 
+impl Scratch {
+    /// The `a` half if `a`, else the `b` half.
+    pub(crate) fn half(&self, a: bool) -> &Mat {
+        if a {
+            &self.a
+        } else {
+            &self.b
+        }
+    }
+}
+
 /// Workspace for a single-observation policy `act` call: the 1-row
 /// observation matrix, the trunk's ping-pong buffers, and the action
 /// output vector. A progressive (two-column) policy also keeps its base

@@ -10,6 +10,8 @@
 use drive_nn::adam::Adam;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::mat::Mat;
+use drive_nn::mlp::MlpCache;
+use drive_nn::scratch::Scratch;
 use rand::Rng;
 
 /// A demonstration dataset of observation/action pairs.
@@ -55,17 +57,32 @@ impl Demonstrations {
     ///
     /// Panics if the dataset is empty.
     pub fn sample_batch<R: Rng>(&self, batch: usize, rng: &mut R) -> (Mat, Mat) {
+        let (mut o, mut a) = (Mat::default(), Mat::default());
+        self.sample_batch_into(batch, rng, &mut o, &mut a);
+        (o, a)
+    }
+
+    /// [`Demonstrations::sample_batch`] into reusable matrices (resized and
+    /// overwritten), with the same RNG draws: one index per row, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset is empty.
+    pub fn sample_batch_into<R: Rng>(
+        &self,
+        batch: usize,
+        rng: &mut R,
+        obs: &mut Mat,
+        actions: &mut Mat,
+    ) {
         assert!(!self.is_empty(), "cannot sample an empty dataset");
-        let od = self.obs[0].len();
-        let ad = self.actions[0].len();
-        let mut o = Mat::zeros(batch, od);
-        let mut a = Mat::zeros(batch, ad);
+        obs.resize(batch, self.obs[0].len());
+        actions.resize(batch, self.actions[0].len());
         for b in 0..batch {
             let i = rng.gen_range(0..self.len());
-            o.row_mut(b).copy_from_slice(&self.obs[i]);
-            a.row_mut(b).copy_from_slice(&self.actions[i]);
+            obs.row_mut(b).copy_from_slice(&self.obs[i]);
+            actions.row_mut(b).copy_from_slice(&self.actions[i]);
         }
-        (o, a)
     }
 }
 
@@ -102,40 +119,86 @@ pub fn clone_policy<R: Rng>(
     config: BcConfig,
     rng: &mut R,
 ) -> f32 {
-    assert!(!demos.is_empty(), "behaviour cloning needs demonstrations");
-    assert_eq!(demos.obs[0].len(), policy.obs_dim(), "obs dim mismatch");
-    assert_eq!(
-        demos.actions[0].len(),
-        policy.action_dim(),
-        "action dim mismatch"
-    );
-    let mut opt = Adam::with_lr(config.lr);
+    let mut cloner = Cloner::new(config);
     let mut last = f32::INFINITY;
     for _ in 0..config.steps {
-        let (obs, target) = demos.sample_batch(config.batch_size, rng);
-        let pred = policy.mean_action(&obs);
-        let n = config.batch_size as f32;
-        let mut grad = Mat::zeros(pred.rows(), pred.cols());
-        let mut loss = 0.0;
-        for b in 0..pred.rows() {
-            for ((g, &p), &t) in grad
-                .row_mut(b)
-                .iter_mut()
-                .zip(pred.row(b))
-                .zip(target.row(b))
-            {
-                let e = p - t;
-                loss += e * e / n;
-                *g = 2.0 * e / n;
-            }
-        }
-        last = loss;
-        policy.trunk_mut().zero_grad();
-        policy.backward_mean_params(&obs, &grad);
-        opt.step(|f| policy.trunk_mut().visit_params(f));
-        crate::perf::record_updates(1);
+        last = cloner.step(policy, demos, rng);
     }
     last
+}
+
+/// The behaviour-cloning learner behind [`clone_policy`]: its optimizer
+/// plus every buffer a step needs (mini-batch, forward cache, head
+/// gradient, backward scratch), so steps after the first allocate
+/// nothing.
+#[derive(Debug, Clone)]
+pub struct Cloner {
+    batch_size: usize,
+    opt: Adam,
+    obs: Mat,
+    target: Mat,
+    trunk: MlpCache,
+    grad: Mat,
+    scratch: Scratch,
+}
+
+impl Cloner {
+    /// A fresh learner (Adam at `config.lr`, batches of
+    /// `config.batch_size`; `config.steps` is the caller's loop bound).
+    pub fn new(config: BcConfig) -> Self {
+        Cloner {
+            batch_size: config.batch_size,
+            opt: Adam::with_lr(config.lr),
+            obs: Mat::default(),
+            target: Mat::default(),
+            trunk: MlpCache::default(),
+            grad: Mat::default(),
+            scratch: Scratch::default(),
+        }
+    }
+
+    /// One gradient step on a fresh mini-batch; returns its loss. A single
+    /// trunk forward serves both the prediction and the backward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `demos` is empty or dims mismatch the policy.
+    pub fn step<R: Rng>(
+        &mut self,
+        policy: &mut GaussianPolicy,
+        demos: &Demonstrations,
+        rng: &mut R,
+    ) -> f32 {
+        assert!(!demos.is_empty(), "behaviour cloning needs demonstrations");
+        assert_eq!(demos.obs[0].len(), policy.obs_dim(), "obs dim mismatch");
+        let ad = policy.action_dim();
+        assert_eq!(demos.actions[0].len(), ad, "action dim mismatch");
+        demos.sample_batch_into(self.batch_size, rng, &mut self.obs, &mut self.target);
+        policy
+            .trunk()
+            .forward_cached_into(&self.obs, &mut self.trunk);
+        let raw = self.trunk.output();
+        let n = self.batch_size as f32;
+        self.grad.resize(raw.rows(), raw.cols());
+        let mut loss = 0.0;
+        for b in 0..raw.rows() {
+            // d(loss)/d(mean) through tanh; the log-std half gets none.
+            let (g_mean, g_log_std) = self.grad.row_mut(b).split_at_mut(ad);
+            for ((g, &m), &t) in g_mean.iter_mut().zip(raw.row(b)).zip(self.target.row(b)) {
+                let p = m.tanh();
+                let e = p - t;
+                loss += e * e / n;
+                *g = 2.0 * e / n * (1.0 - p * p);
+            }
+            g_log_std.fill(0.0);
+        }
+        let trunk = policy.trunk_mut();
+        trunk.zero_grad();
+        trunk.backward_params_with(&self.trunk, &self.grad, &mut self.scratch);
+        self.opt.step(|f| trunk.visit_params(f));
+        crate::perf::record_updates(1);
+        loss
+    }
 }
 
 #[cfg(test)]
@@ -172,6 +235,72 @@ mod tests {
             let a = policy.act(&[x, 0.0], &mut rng, true)[0];
             assert!((a + x).abs() < 0.15, "x {x} a {a}");
         }
+    }
+
+    /// Every parameter of the trunk, as bits.
+    fn param_bits(policy: &GaussianPolicy) -> Vec<u32> {
+        let mut bits = Vec::new();
+        for l in policy.trunk().layers() {
+            bits.extend(l.w.data().iter().chain(&l.b).map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    /// The one-forward step trains the same policy, bit for bit, as the
+    /// two-forward loop it replaced: `mean_action` for the prediction,
+    /// then `backward_mean`, whose own forward recomputes the trunk.
+    #[test]
+    fn one_forward_step_matches_two_forward_path() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut demos = Demonstrations::new();
+        for _ in 0..300 {
+            let obs: Vec<f32> = (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let act = vec![obs[0].clamp(-1.0, 1.0), -obs[1] * 0.5];
+            demos.push(obs, act);
+        }
+        let config = BcConfig {
+            steps: 25,
+            batch_size: 32,
+            lr: 3e-3,
+        };
+        let start = GaussianPolicy::new(6, &[16, 16], 2, &mut rng);
+        let start_bits = param_bits(&start);
+
+        let mut fast = start.clone();
+        let mut fast_rng = StdRng::seed_from_u64(9);
+        let fast_loss = clone_policy(&mut fast, &demos, config, &mut fast_rng);
+
+        let mut slow = start;
+        let mut slow_rng = StdRng::seed_from_u64(9);
+        let mut opt = Adam::with_lr(config.lr);
+        let n = config.batch_size as f32;
+        let mut slow_loss = f32::INFINITY;
+        for _ in 0..config.steps {
+            let (obs, target) = demos.sample_batch(config.batch_size, &mut slow_rng);
+            let pred = slow.mean_action(&obs);
+            let mut grad = Mat::zeros(pred.rows(), pred.cols());
+            let mut loss = 0.0;
+            for b in 0..pred.rows() {
+                for i in 0..pred.cols() {
+                    let e = pred.get(b, i) - target.get(b, i);
+                    loss += e * e / n;
+                    grad.set(b, i, 2.0 * e / n);
+                }
+            }
+            slow_loss = loss;
+            slow.trunk_mut().zero_grad();
+            slow.backward_mean(&obs, &grad);
+            opt.step(|f| slow.trunk_mut().visit_params(f));
+        }
+
+        assert_eq!(fast_loss.to_bits(), slow_loss.to_bits());
+        assert_eq!(param_bits(&fast), param_bits(&slow));
+        assert_ne!(param_bits(&fast), start_bits, "training moved the weights");
+        assert_eq!(
+            fast_rng.gen::<u64>(),
+            slow_rng.gen::<u64>(),
+            "same RNG draws"
+        );
     }
 
     #[test]

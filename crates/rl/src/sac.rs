@@ -99,6 +99,7 @@ struct UpdateScratch<S> {
     pick1: Mat,
     pick2: Mat,
     grad_action: Mat,
+    grad_action2: Mat,
     grad_logp: Vec<f32>,
     bw1: Scratch,
     bw2: Scratch,
@@ -128,6 +129,7 @@ impl<S> Default for UpdateScratch<S> {
             pick1: Mat::default(),
             pick2: Mat::default(),
             grad_action: Mat::default(),
+            grad_action2: Mat::default(),
             grad_logp: Vec::new(),
             bw1: Scratch::default(),
             bw2: Scratch::default(),
@@ -408,6 +410,7 @@ impl<A: Actor> Sac<A> {
             pick1,
             pick2,
             grad_action,
+            grad_action2,
             grad_logp,
             bw1,
             bw2,
@@ -501,18 +504,14 @@ impl<A: Actor> Sac<A> {
                 *p2 = -1.0 / nf;
             }
         }
-        // Input gradients of the critics only: the actor objective does
-        // not train them, so no parameter gradient is accumulated.
-        let gi1 = self.q1.input_grad_with(a1, pick1, bw1);
-        let gi2 = self.q2.input_grad_with(a2, pick2, bw2);
-        grad_action.resize(n, self.action_dim);
-        for b in 0..n {
-            let r1 = &gi1.row(b)[self.obs_dim..];
-            let r2 = &gi2.row(b)[self.obs_dim..];
-            for ((g, &x1), &x2) in grad_action.row_mut(b).iter_mut().zip(r1).zip(r2) {
-                *g = x1 + x2;
-            }
-        }
+        // The critics' input gradients in the action columns only: the
+        // actor objective does not train the critics, and nothing reads
+        // the observation columns.
+        self.q1
+            .input_grad_tail_with(a1, pick1, self.action_dim, bw1, grad_action);
+        self.q2
+            .input_grad_tail_with(a2, pick2, self.action_dim, bw2, grad_action2);
+        grad_action.add_assign(grad_action2);
         let mean_logp = pi.log_prob().iter().sum::<f32>() / nf;
         if !actor_frozen {
             grad_logp.clear();

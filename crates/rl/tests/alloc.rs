@@ -1,13 +1,16 @@
-//! Regression test: `Sac::update_batch` performs zero heap allocations
-//! once its persistent scratches have warmed up.
+//! Regression test: `Sac::update_batch` and the behaviour-cloning step
+//! `Cloner::step` perform zero heap allocations once their persistent
+//! scratches have warmed up.
 //!
-//! The whole point of `UpdateScratch` (and the `_into`/`_with` kernel
-//! variants under it) is that steady-state SAC training never touches the
-//! allocator. A counting `#[global_allocator]` wrapping the system
+//! The whole point of `UpdateScratch`, the `Cloner` buffers (and the
+//! `_into`/`_with` kernel variants under them) is that steady-state
+//! training never touches the allocator. A counting `#[global_allocator]` wrapping the system
 //! allocator makes that a hard invariant instead of a benchmark hope: the
 //! counters are thread-local, so other test threads can't pollute the
 //! measurement.
 
+use drive_nn::gaussian::GaussianPolicy;
+use drive_rl::bc::{BcConfig, Cloner, Demonstrations};
 use drive_rl::replay::{Batch, ReplayBuffer, Transition};
 use drive_rl::sac::{Sac, SacConfig};
 use rand::rngs::StdRng;
@@ -123,4 +126,37 @@ fn victim_shape_update_is_allocation_free() {
 #[test]
 fn attacker_shape_update_is_allocation_free() {
     assert_update_batch_allocation_free(60, 1, &[128, 128], 128);
+}
+
+/// Behaviour cloning at the victim's training shape (60 obs, 2 actions,
+/// [128, 128], batch 128): mini-batch sampling, the one trunk forward,
+/// the head gradient, the backward pass and the Adam step all allocate
+/// nothing once warm.
+#[test]
+fn bc_step_is_allocation_free_after_warmup() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut demos = Demonstrations::new();
+    for _ in 0..512 {
+        let obs: Vec<f32> = (0..60).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let action: Vec<f32> = (0..2).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        demos.push(obs, action);
+    }
+    let mut policy = GaussianPolicy::new(60, &[128, 128], 2, &mut rng);
+    let mut cloner = Cloner::new(BcConfig::default());
+    // The first step sizes every buffer and creates the Adam moments; a
+    // second catches stragglers.
+    cloner.step(&mut policy, &demos, &mut rng);
+    cloner.step(&mut policy, &demos, &mut rng);
+
+    let before = allocs();
+    for _ in 0..10 {
+        assert!(cloner.step(&mut policy, &demos, &mut rng).is_finite());
+    }
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "Cloner::step allocated {} times across 10 warmed-up steps",
+        after - before
+    );
 }

@@ -162,7 +162,7 @@ impl Vehicle {
     /// This is the control half of [`Vehicle::step`]: Eq. (1) fixes the
     /// steering angle for the whole control step, before any substep.
     fn apply_variation(&mut self, variation: Actuation) -> f64 {
-        let p = self.params.clone();
+        let p = &self.params;
         let eps = p.eps_mech;
         let nu = variation.steer.clamp(-eps, eps);
         let gamma = variation.thrust.clamp(-eps, eps);
@@ -191,25 +191,30 @@ impl Vehicle {
         assert!(dt > 0.0, "dt must be positive");
         assert!(substeps > 0, "need at least one substep");
         let delta = self.apply_variation(variation);
-        let p = self.params.clone();
+        let p = &self.params;
         let h = dt / substeps as f64;
+        // The steering angle and thrust are fixed for the whole control
+        // step, so what depends on them alone is computed once, from the
+        // same inputs and with the same libm calls as every substep would.
+        let drive = if self.actuation.thrust >= 0.0 {
+            self.actuation.thrust * p.max_accel
+        } else {
+            self.actuation.thrust * p.max_brake
+        };
+        let tan_delta = delta.tan();
+        // Kinematic bicycle with slip angle beta at the CoG.
+        let beta = (p.lr / p.wheelbase() * tan_delta).atan();
+        let cos_beta = beta.cos();
         self.inertial.clear();
         for _ in 0..substeps {
-            let drive = if self.actuation.thrust >= 0.0 {
-                self.actuation.thrust * p.max_accel
-            } else {
-                self.actuation.thrust * p.max_brake
-            };
             let accel = drive - p.drag * self.speed;
             let new_speed = (self.speed + accel * h).clamp(0.0, p.max_speed);
             let realized_accel = (new_speed - self.speed) / h;
             self.speed = new_speed;
 
-            // Kinematic bicycle with slip angle beta at the CoG, with the
-            // yaw rate saturated by the tire-friction lateral-acceleration
-            // limit (|v * yaw_rate| <= max_lat_accel).
-            let beta = (p.lr / p.wheelbase() * delta.tan()).atan();
-            let mut yaw_rate = self.speed * beta.cos() * delta.tan() / p.wheelbase();
+            // The yaw rate is saturated by the tire-friction
+            // lateral-acceleration limit (|v * yaw_rate| <= max_lat_accel).
+            let mut yaw_rate = self.speed * cos_beta * tan_delta / p.wheelbase();
             if self.speed > 0.1 {
                 let cap = p.max_lat_accel / self.speed;
                 yaw_rate = yaw_rate.clamp(-cap, cap);
