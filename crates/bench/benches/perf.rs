@@ -200,16 +200,17 @@ fn bench_policy_inference(c: &mut Criterion) {
         let mut scratch = ActScratch::default();
         b.iter(|| black_box(policy.act_with(&obs, &mut rng, true, &mut scratch)[0]));
     });
-    // The same single-row act through pre-packed weights — the serial
-    // evaluation path (`_scratch` above is its unpacked "before").
+    // The same single-row act through the shared frozen handle — the
+    // serial evaluation path. Its layers pack on the first act, as the
+    // live policy's above do.
     let packed = BatchPolicy::from(policy.clone());
     c.bench_function("policy_inference_60d_packed", |b| {
         let mut rng = StdRng::seed_from_u64(0);
         let mut scratch = ActScratch::default();
         b.iter(|| black_box(packed.act_with(&obs, &mut rng, true, &mut scratch)[0]));
     });
-    // The PNN switcher's hardened column: both packed columns plus the
-    // laterals, one observation.
+    // The PNN switcher's hardened column: column 1's hidden layers,
+    // column 2 and the laterals, one observation.
     let pnn = PnnPolicy::new(policy.clone(), PnnInit::Random, &mut rng);
     let switcher = SimplexSwitcher::new(PackedPnn::from(pnn), 0.2, 1.0);
     c.bench_function("pnn_switcher_act_hardened", |b| {

@@ -63,8 +63,8 @@ impl AgentKind {
 
 /// Builds a fresh agent of the given kind.
 ///
-/// Learned agents run on frozen, pre-packed weights ([`BatchPolicy`] and
-/// the switcher's packed columns), packed here once per agent. The PNN
+/// Learned agents run on frozen weights ([`BatchPolicy`] and the
+/// switcher's [`PackedPnn`]), wrapped here once per agent. The PNN
 /// agents' Simplex switcher is told the active `budget` (the paper's
 /// idealized budget-aware switcher).
 pub fn build_agent(

@@ -166,13 +166,14 @@ fn eval_actor<A: Actor + Clone + Sync>(
             StdRng::seed_from_u64(SeedTree::root(config.seed).child("pnn-dataset").seed());
         let budget = AttackBudget::new(eps);
         let mut env = DrivingEnv::new(scenario.clone(), features.clone());
+        let mut scratch = ActScratch::default();
         let mut total = 0.0;
         for e in 0..config.eval_episodes {
             let seed = 40_000 + config.seed + e as u64;
             let mut obs = arm_and_reset(&mut env, attacker, scenario, features, budget, seed);
             loop {
-                let a = actor.act(&obs, &mut rng, true);
-                let s = env.step(&a);
+                let a = actor.act_with(&obs, &mut rng, true, &mut scratch);
+                let s = env.step(a);
                 total += s.reward as f64;
                 let finished = s.finished();
                 obs = s.obs;

@@ -11,9 +11,10 @@ use rand::SeedableRng;
 
 /// A trained camera- or IMU-based attacker.
 ///
-/// The policy is frozen and pre-packed ([`BatchPolicy`]): pack it once per
-/// evaluation cell and hand each episode's attacker an O(1) clone. A
-/// plain `GaussianPolicy` is accepted too and packed on construction.
+/// The policy is frozen ([`BatchPolicy`]): wrap it once per evaluation
+/// cell and hand each episode's attacker an O(1) clone, so its layers pack
+/// once for all of them. A plain `GaussianPolicy` is accepted too and
+/// wrapped on construction.
 #[derive(Debug, Clone)]
 pub struct LearnedAttacker {
     policy: BatchPolicy,
@@ -28,9 +29,9 @@ pub struct LearnedAttacker {
 impl LearnedAttacker {
     /// Wraps a trained policy with its sensor and budget.
     ///
-    /// Pack once (`BatchPolicy::from`) and hand each attacker a clone;
-    /// clones share the pack. A plain `GaussianPolicy` is also accepted
-    /// and packed here, so callers that hold one (the repo benchmark's
+    /// Wrap once (`BatchPolicy::from`) and hand each attacker a clone;
+    /// clones share the packs. A plain `GaussianPolicy` is also accepted
+    /// and wrapped here, so callers that hold one (the repo benchmark's
     /// layer probes build one attacker per episode) keep compiling.
     ///
     /// # Panics

@@ -128,13 +128,7 @@ impl Adam {
             );
             assert_eq!(grads.len(), params.len(), "gradient slice length");
             if c.grad_clip > 0.0 {
-                let norm = grads.iter().map(|g| g * g).sum::<f32>().sqrt();
-                if norm > c.grad_clip {
-                    let scale = c.grad_clip / norm;
-                    for g in grads.iter_mut() {
-                        *g *= scale;
-                    }
-                }
+                clip_slice(grads, c.grad_clip);
             }
             // One zipped pass: no bounds checks, so the element-wise
             // update vectorizes.
@@ -153,6 +147,53 @@ impl Adam {
             idx += 1;
         });
     }
+}
+
+/// Scales `grads` down to norm `clip` when their norm exceeds it. The
+/// norm is the square root of a sequential `f32` sum of squares — a
+/// latency-bound chain, so it runs only when [`clip_cannot_fire`] cannot
+/// rule the clip out. The result is bit-identical to running it always.
+fn clip_slice(grads: &mut [f32], clip: f32) {
+    if clip_cannot_fire(grads, clip) {
+        return;
+    }
+    let norm = grads.iter().map(|g| g * g).sum::<f32>().sqrt();
+    if norm > clip {
+        let scale = clip / norm;
+        for g in grads.iter_mut() {
+            *g *= scale;
+        }
+    }
+}
+
+/// Whether the clip norm of [`clip_slice`] is provably at most `clip`,
+/// from a lane-parallel `f64` sum `s` of the same `f32` squares.
+///
+/// The chain's `n - 1` rounded additions of non-negative terms stay
+/// within `S · (1 + γ)` of the exact sum `S`, where
+/// `γₙ = n·u / (1 − n·u)` and `u = 2⁻²⁴`; using `γₙ` rather than `γₙ₋₁`
+/// leaves a margin of about `u` that covers the `f64` rounding of `s` and
+/// of this test for any slice shorter than 2²⁴ elements. So
+/// `s · (1 + γₙ) < clip²` (exact in `f64`) puts the chain's sum below
+/// `clip²`, and its correctly rounded square root at most `clip`. NaN, ∞
+/// and overflowing squares fail the test and fall back to the chain.
+fn clip_cannot_fire(grads: &[f32], clip: f32) -> bool {
+    const LANES: usize = 8;
+    if grads.len() >= 1 << 24 {
+        return false;
+    }
+    let mut acc = [0.0f64; LANES];
+    let chunks = grads.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (a, &g) in acc.iter_mut().zip(chunk) {
+            *a += f64::from(g * g);
+        }
+    }
+    let s = acc.iter().sum::<f64>() + tail.iter().map(|&g| f64::from(g * g)).sum::<f64>();
+    let nu = grads.len() as f64 * f64::from(f32::EPSILON) / 2.0;
+    let gamma = nu / (1.0 - nu);
+    s * (1.0 + gamma) < f64::from(clip) * f64::from(clip)
 }
 
 #[cfg(test)]
@@ -285,6 +326,117 @@ mod tests {
         let mut p2 = vec![1.0f32, 2.0];
         let mut g2 = vec![1.0f32, 2.0];
         adam.step(|f| f(&mut p2, &mut g2));
+    }
+
+    /// The reference clip: always the chain.
+    fn chain_clip(grads: &mut [f32], clip: f32) {
+        let norm = grads.iter().map(|g| g * g).sum::<f32>().sqrt();
+        if norm > clip {
+            let scale = clip / norm;
+            for g in grads.iter_mut() {
+                *g *= scale;
+            }
+        }
+    }
+
+    fn assert_clip_matches_chain(grads: &[f32], clip: f32, what: &str) {
+        let (mut fast, mut slow) = (grads.to_vec(), grads.to_vec());
+        clip_slice(&mut fast, clip);
+        chain_clip(&mut slow, clip);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast), bits(&slow), "{what} (len {})", grads.len());
+        if clip_cannot_fire(grads, clip) {
+            let norm = grads.iter().map(|g| g * g).sum::<f32>().sqrt();
+            assert!(norm <= clip, "{what}: proof passed but the chain clips");
+        }
+    }
+
+    /// At every length from 1 to 16 384, slices scaled to land just
+    /// below, on and just above the clip bound (as the chain measures
+    /// it), and far on either side, clip exactly as the chain does.
+    #[test]
+    fn clip_matches_chain_around_the_bound_at_every_length() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let base: Vec<f32> = (0..16_384).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let clip = 10.0f32;
+        let mut scaled = Vec::with_capacity(base.len());
+        let mut fired = [0usize; 2];
+        for n in 1..=base.len() {
+            let prefix = &base[..n];
+            let norm = prefix.iter().map(|g| g * g).sum::<f32>().sqrt();
+            let offsets: &[f32] = if n <= 256 || n % 97 == 0 || n == base.len() {
+                &[-1e-3, -1e-6, -2e-7, -6e-8, 0.0, 6e-8, 2e-7, 1e-6, 1e-3, 1e3]
+            } else {
+                &[-6e-8, 0.0, 6e-8]
+            };
+            for &d in offsets {
+                let scale = clip / norm * (1.0 + d);
+                scaled.clear();
+                scaled.extend(prefix.iter().map(|g| g * scale));
+                assert_clip_matches_chain(&scaled, clip, &format!("offset {d}"));
+                fired[usize::from(clip_cannot_fire(&scaled, clip))] += 1;
+            }
+        }
+        assert!(fired[0] > 0 && fired[1] > 0, "both branches ran: {fired:?}");
+    }
+
+    /// Non-finite, overflowing, subnormal and empty slices take the chain
+    /// (or provably need no clip) and clip exactly as it does.
+    #[test]
+    fn clip_matches_chain_on_special_values() {
+        let clip = 10.0f32;
+        let tiny = f32::from_bits(1); // the smallest subnormal
+        let cases: Vec<(&str, Vec<f32>)> = vec![
+            ("empty", vec![]),
+            ("single at the bound", vec![clip]),
+            ("single just above", vec![clip.next_up()]),
+            ("single just below", vec![clip.next_down()]),
+            ("NaN", vec![1.0, f32::NAN, 2.0]),
+            ("+inf", vec![1.0, f32::INFINITY]),
+            ("-inf", vec![f32::NEG_INFINITY, 0.5, 0.5]),
+            ("square overflows f32", vec![1e20, 1.0]),
+            ("sum overflows f32", vec![1.5e19; 4]),
+            ("subnormals", vec![tiny; 33]),
+            ("subnormal squares", vec![1e-30; 9]),
+            ("mixed subnormal", vec![tiny, 3.0, -tiny, 4.0]),
+            ("zeros", vec![0.0; 17]),
+            ("negative zeros", vec![-0.0; 5]),
+        ];
+        for (what, grads) in cases {
+            assert_clip_matches_chain(&grads, clip, what);
+        }
+    }
+
+    /// A whole Adam step with the proof equals one with the chain always
+    /// run, across clip settings that never, sometimes and always fire.
+    #[test]
+    fn step_matches_the_chain_step() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for clip in [0.5f32, 10.0, 1e6] {
+            let config = AdamConfig {
+                grad_clip: clip,
+                ..AdamConfig::default()
+            };
+            let mut adam = Adam::new(config);
+            let mut reference = Adam::new(AdamConfig {
+                grad_clip: 0.0,
+                ..config
+            });
+            let mut pa: Vec<f32> = (0..300).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut pb = pa.clone();
+            for step in 0..20 {
+                let scale = 0.01 * (1 << (step % 12)) as f32;
+                let g: Vec<f32> = (0..300).map(|_| rng.gen_range(-scale..scale)).collect();
+                let mut ga = g.clone();
+                adam.step(|f| f(&mut pa, &mut ga));
+                // The reference clips by the chain, then steps unclipped.
+                let mut gb = g;
+                chain_clip(&mut gb, clip);
+                reference.step(|f| f(&mut pb, &mut gb));
+                assert_eq!(ga, gb, "clip {clip} step {step}: gradients");
+                assert_eq!(pa, pb, "clip {clip} step {step}: parameters");
+            }
+        }
     }
 
     use rand::Rng;

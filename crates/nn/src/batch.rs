@@ -1,16 +1,17 @@
-//! Frozen-policy inference through pre-packed weights, at every batch
-//! size.
+//! Frozen-policy inference at every batch size.
 //!
 //! [`BatchPolicy`] is the one frozen-policy type shared by serial
 //! evaluation (the end-to-end victims and learned attackers, one
 //! observation per control step), the fleet simulation driver and the
-//! serving layer (`drive-serve` micro-batching). It packs the trunk's
-//! transposed weights once, so each forward pass is a single bias-fused
-//! product per layer with no per-call transpose: a broadcast sweep over
+//! serving layer (`drive-serve` micro-batching). It is a shared handle on
+//! a [`GaussianPolicy`] whose layers hold their own transposed-weight
+//! packs (see [`crate::linear::Linear`]): the first forward through any
+//! clone packs them once, and every later pass is a single bias-fused
+//! product per layer with no per-call transpose — a broadcast sweep over
 //! the packs for fewer than [`crate::mat::TILE`] rows, the register-tiled
 //! GEMM above. Outputs are bit-identical to [`GaussianPolicy::act_with`]
-//! and [`GaussianPolicy::act_batch_with`] — packing and batching change
-//! throughput, never numerics.
+//! and [`GaussianPolicy::act_batch_with`] — batching changes throughput,
+//! never numerics.
 //!
 //! Three call styles cover the consumers:
 //! - [`BatchPolicy::act_with`]: one observation, deterministic or sampled
@@ -20,27 +21,21 @@
 //!   serving layer's shape — requests arrive as independent vectors).
 //! - [`BatchPolicy::stage`] + [`BatchPolicy::infer_staged`]: write rows
 //!   directly into the staging matrix (the fleet driver's shape — the
-//!   feature extractor writes each live episode's observation in place,
-//!   no intermediate copy).
+//!   feature extractor writes each live episode's observation in place).
 
-use crate::gaussian::{act_head, squash_mean_rows, stage_obs_rows, GaussianPolicy};
+use crate::gaussian::GaussianPolicy;
 use crate::mat::Mat;
-use crate::mlp::Mlp;
 use crate::scratch::{ActScratch, BatchActScratch};
 use rand::Rng;
 use std::sync::Arc;
 
-/// A frozen [`GaussianPolicy`] with pre-packed weights.
-///
-/// The packs are a pure layout cache over the shared policy: the `Arc`
-/// guarantees the weights cannot mutate while this wrapper is alive, so
-/// the packs never go stale. Both the policy and the packs sit behind an
-/// `Arc`, so a clone costs O(1) — callers pack once per evaluation cell
-/// and hand clones to per-episode agents and attackers.
+/// A frozen [`GaussianPolicy`] behind an `Arc`: the weights cannot change
+/// while any handle is alive, so the layers' packs never go stale, and a
+/// clone costs O(1) and shares them. Callers wrap a policy once per
+/// evaluation cell and hand clones to per-episode agents and attackers.
 #[derive(Debug, Clone)]
 pub struct BatchPolicy {
     policy: Arc<GaussianPolicy>,
-    packs: Arc<[Mat]>,
 }
 
 impl From<GaussianPolicy> for BatchPolicy {
@@ -50,10 +45,9 @@ impl From<GaussianPolicy> for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// Packs the policy's transposed weights once.
+    /// Wraps a shared policy; its layers pack on the first forward.
     pub fn new(policy: Arc<GaussianPolicy>) -> Self {
-        let packs = policy.trunk().pack_weights().into();
-        BatchPolicy { policy, packs }
+        BatchPolicy { policy }
     }
 
     /// The wrapped policy.
@@ -71,10 +65,9 @@ impl BatchPolicy {
         self.policy.action_dim()
     }
 
-    /// Single-observation action through the packs, with the scratch's
-    /// reusable buffers: `tanh(mean)` when `deterministic`, otherwise a
-    /// sample. Bit-identical to [`GaussianPolicy::act_with`] in both
-    /// modes, with the same RNG draws, and allocation-free once the
+    /// Single-observation action with the scratch's reusable buffers:
+    /// `tanh(mean)` when `deterministic`, otherwise a sample.
+    /// [`GaussianPolicy::act_with`] itself, so allocation-free once the
     /// scratch has warmed up.
     pub fn act_with<'s, R: Rng>(
         &self,
@@ -83,15 +76,7 @@ impl BatchPolicy {
         deterministic: bool,
         s: &'s mut ActScratch,
     ) -> &'s [f32] {
-        act_prepacked(
-            self.policy.trunk(),
-            &self.packs,
-            self.action_dim(),
-            obs,
-            rng,
-            deterministic,
-            s,
-        )
+        self.policy.act_with(obs, rng, deterministic, s)
     }
 
     /// Resizes the scratch's staging matrix to `(batch, obs_dim)` and
@@ -107,56 +92,19 @@ impl BatchPolicy {
     /// the `(batch, action_dim)` matrix of `tanh(mean)` actions. Row `b`
     /// is bit-identical to serial `act_with(row_b, .., true, ..)`.
     pub fn infer_staged<'s>(&self, s: &'s mut BatchActScratch) -> &'s Mat {
-        let BatchActScratch {
-            obs: obs_m,
-            trunk,
-            actions,
-        } = s;
-        debug_assert_eq!(obs_m.cols(), self.obs_dim(), "stage() before infer");
-        let raw = self
-            .policy
-            .trunk()
-            .forward_prepacked_with(&self.packs, obs_m, trunk);
-        squash_mean_rows(raw, self.action_dim(), actions);
-        actions
+        debug_assert_eq!(s.obs.cols(), self.obs_dim(), "stage() before infer");
+        self.policy.infer_staged(s)
     }
 
-    /// Gather-style batched inference: stacks `obs` into the staging
-    /// matrix and runs [`BatchPolicy::infer_staged`]. Bit-identical to
-    /// [`GaussianPolicy::act_batch_with`] while skipping its per-call
-    /// weight packs.
+    /// Gather-style batched inference: [`GaussianPolicy::act_batch_with`]
+    /// on the shared policy.
     ///
     /// # Panics
     ///
     /// Panics if any observation slice is not `obs_dim` long.
     pub fn act_batch<'s>(&self, obs: &[&[f32]], s: &'s mut BatchActScratch) -> &'s Mat {
-        stage_obs_rows(obs, self.obs_dim(), &mut s.obs);
-        self.infer_staged(s)
+        self.policy.act_batch_with(obs, s)
     }
-}
-
-/// Single-observation act of a Gaussian-headed `trunk` through its packs
-/// (from [`Mlp::pack_weights`]) — shared by [`BatchPolicy::act_with`] and
-/// the progressive policy's base column.
-pub(crate) fn act_prepacked<'s, R: Rng>(
-    trunk: &Mlp,
-    packs: &[Mat],
-    action_dim: usize,
-    obs: &[f32],
-    rng: &mut R,
-    deterministic: bool,
-    s: &'s mut ActScratch,
-) -> &'s [f32] {
-    let ActScratch {
-        obs: obs_m,
-        trunk: bufs,
-        action,
-        ..
-    } = s;
-    obs_m.copy_from_row(obs);
-    let raw = trunk.forward_prepacked_with(packs, obs_m, bufs);
-    act_head(raw.row(0), action_dim, rng, deterministic, action);
-    action
 }
 
 #[cfg(test)]
@@ -171,31 +119,31 @@ mod tests {
         Arc::new(GaussianPolicy::new(4, &[16], 2, &mut rng))
     }
 
-    /// The pre-packed batch path must match the unpacked
-    /// `act_batch_with` BIT-FOR-BIT across batch sizes on both sides of
-    /// the GEMM row-tile boundary, sharing one scratch across growing and
-    /// shrinking batches.
+    /// Every row of a batched pass (the tiled GEMM from four rows up)
+    /// matches the serial single-row act (the broadcast sweep) BIT-FOR-BIT
+    /// across batch sizes on both sides of the GEMM row-tile boundary,
+    /// sharing one scratch across growing and shrinking batches.
     #[test]
-    fn batch_policy_bit_identical_to_act_batch_with() {
+    fn batch_rows_bit_identical_to_serial_acts() {
         let p = policy();
         let bp = BatchPolicy::new(p.clone());
-        let mut packed_s = BatchActScratch::default();
-        let mut plain_s = BatchActScratch::default();
+        let mut batch_s = BatchActScratch::default();
+        let mut serial_s = ActScratch::default();
         let mut rng = StdRng::seed_from_u64(11);
         for &batch in &[1usize, 3, 4, 5, 9, 64, 2] {
             let obs: Vec<Vec<f32>> = (0..batch)
                 .map(|_| (0..4).map(|_| randn_f32(&mut rng) * 2.0).collect())
                 .collect();
             let refs: Vec<&[f32]> = obs.iter().map(Vec::as_slice).collect();
-            let packed = bp.act_batch(&refs, &mut packed_s);
-            let plain = p.act_batch_with(&refs, &mut plain_s);
-            assert_eq!((packed.rows(), packed.cols()), (batch, 2));
-            for b in 0..batch {
-                for (i, (&got, &want)) in packed.row(b).iter().zip(plain.row(b)).enumerate() {
+            let batched = bp.act_batch(&refs, &mut batch_s);
+            assert_eq!((batched.rows(), batched.cols()), (batch, 2));
+            for (b, o) in obs.iter().enumerate() {
+                let serial = p.act_with(o, &mut rng, true, &mut serial_s);
+                for (i, (&got, &want)) in batched.row(b).iter().zip(serial).enumerate() {
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
-                        "batch {batch} row {b} dim {i}: packed {got} vs plain {want}"
+                        "batch {batch} row {b} dim {i}: batched {got} vs serial {want}"
                     );
                 }
             }
@@ -259,12 +207,22 @@ mod tests {
         }
     }
 
+    /// A frozen policy packs once per `Arc`: not before its first
+    /// forward, and a forward through one clone packs every clone.
     #[test]
     fn clones_share_the_packs() {
         let bp = BatchPolicy::new(policy());
         let twin = bp.clone();
-        assert!(Arc::ptr_eq(&bp.packs, &twin.packs));
         assert!(Arc::ptr_eq(bp.policy(), twin.policy()));
+        let packed = |b: &BatchPolicy| b.policy().trunk().layers().iter().all(|l| l.is_packed());
+        assert!(!packed(&twin), "no forward, no pack");
+        bp.act_with(
+            &[0.1; 4],
+            &mut StdRng::seed_from_u64(0),
+            true,
+            &mut ActScratch::default(),
+        );
+        assert!(packed(&twin));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::error::Error;
 use std::fmt;
+use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
@@ -204,7 +205,7 @@ fn write_floats(buf: &mut String, values: &[f32]) {
             if !first {
                 buf.push(' ');
             }
-            buf.push_str(&format!("{v}"));
+            let _ = write!(buf, "{v}");
             first = false;
         }
         buf.push('\n');
@@ -216,7 +217,7 @@ fn write_floats(buf: &mut String, values: &[f32]) {
 
 fn encode_linear(buf: &mut String, l: &Linear) {
     buf.push_str(&format!("linear {} {}\n", l.out_dim(), l.in_dim()));
-    write_floats(buf, l.w.data());
+    write_floats(buf, l.w().data());
     write_floats(buf, &l.b);
 }
 
@@ -232,11 +233,7 @@ fn decode_linear(r: &mut Reader<'_>) -> Result<Linear, CheckpointError> {
     }
     let w = r.floats(out * inp)?;
     let b = r.floats(out)?;
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut l = Linear::new(inp, out, &mut rng);
-    l.w = Mat::from_vec(out, inp, w);
-    l.b = b;
-    Ok(l)
+    Ok(Linear::from_parts(Mat::from_vec(out, inp, w), b))
 }
 
 fn act_name(a: Activation) -> &'static str {
@@ -688,6 +685,43 @@ mod tests {
         let back = decode_mlp(&text)?;
         let x = Mat::from_vec(2, 3, vec![0.3, -0.2, 0.9, 1.5, -0.4, 0.0]);
         assert_eq!(net.forward(&x), back.forward(&x));
+        Ok(())
+    }
+
+    /// A network trained past its first packs decodes into unpacked
+    /// layers whose forward passes equal the source's bit for bit, at one
+    /// row and at a batch.
+    #[test]
+    fn decoded_network_starts_unpacked_and_forwards_like_the_source() -> Result<(), CheckpointError>
+    {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut net = Mlp::new(
+            &[60, 128, 4],
+            Activation::Relu,
+            Activation::Identity,
+            &mut rng,
+        );
+        let x = randn_mat(9, 60, &mut rng);
+        let mut adam = crate::adam::Adam::with_lr(0.01);
+        for _ in 0..3 {
+            let cache = net.forward_cached(&x);
+            net.zero_grad();
+            net.backward(&cache, &randn_mat(9, 4, &mut rng));
+            adam.step(|f| net.visit_params(f));
+        }
+        let back = decode_mlp(&encode_mlp(&net))?;
+        assert!(back.layers().iter().all(|l| !l.is_packed()));
+        let bits = |m: &Mat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for rows in [1, 9] {
+            let xr = randn_mat(rows, 60, &mut rng);
+            assert_eq!(
+                bits(&back.forward(&xr)),
+                bits(&net.forward(&xr)),
+                "{rows} rows"
+            );
+        }
+        net.zero_grad();
+        assert_eq!(back, net, "equality ignores the packs");
         Ok(())
     }
 

@@ -412,20 +412,37 @@ impl GaussianPolicy {
     ///
     /// Panics if any observation slice is not `obs_dim` long.
     pub fn act_batch_with<'s>(&self, obs: &[&[f32]], s: &'s mut BatchActScratch) -> &'s Mat {
+        s.obs.resize(obs.len(), self.obs_dim());
+        for (b, o) in obs.iter().enumerate() {
+            s.obs.row_mut(b).copy_from_slice(o);
+        }
+        self.infer_staged(s)
+    }
+
+    /// The forward half of [`GaussianPolicy::act_batch_with`], over the
+    /// observation rows already staged in `s.obs` (see
+    /// [`crate::batch::BatchPolicy::stage`]): one trunk forward, then
+    /// `tanh(mean)` of every row.
+    pub(crate) fn infer_staged<'s>(&self, s: &'s mut BatchActScratch) -> &'s Mat {
         let BatchActScratch {
-            obs: obs_m,
+            obs,
             trunk,
             actions,
         } = s;
-        stage_obs_rows(obs, self.obs_dim(), obs_m);
-        let raw = self.trunk.forward_with(obs_m, trunk);
-        squash_mean_rows(raw, self.action_dim, actions);
+        let raw = self.trunk.forward_with(obs, trunk);
+        actions.resize(raw.rows(), self.action_dim);
+        for b in 0..raw.rows() {
+            let mean = &raw.row(b)[..self.action_dim];
+            for (a, m) in actions.row_mut(b).iter_mut().zip(mean) {
+                *a = m.tanh();
+            }
+        }
         actions
     }
 }
 
 /// The single-observation action head behind every `act_with` entry point
-/// (plain, pre-packed and progressive policies): writes `tanh(mean)` into
+/// (plain and progressive policies): writes `tanh(mean)` into
 /// `action` when `deterministic`, otherwise a sample
 /// `tanh(mean + exp(log_std) * n)` with `log_std` clamped as in
 /// [`sample_head`] and one standard normal draw `n` per action element in
@@ -447,35 +464,6 @@ pub(crate) fn act_head<R: Rng>(
             let ls = raw[action_dim + i].clamp(LOG_STD_MIN, LOG_STD_MAX);
             let n = randn_f32(rng);
             action.push((mean + ls.exp() * n).tanh());
-        }
-    }
-}
-
-/// Gathers observation slices into the `(batch, obs_dim)` staging matrix —
-/// the one gather implementation behind [`GaussianPolicy::act_batch_with`]
-/// and [`crate::batch::BatchPolicy`] (the serving layer and the fleet
-/// driver must not grow separate copies of this plumbing).
-///
-/// # Panics
-///
-/// Panics if any observation slice is not `obs_dim` long.
-pub(crate) fn stage_obs_rows(obs: &[&[f32]], obs_dim: usize, obs_m: &mut Mat) {
-    obs_m.resize(obs.len(), obs_dim);
-    for (b, o) in obs.iter().enumerate() {
-        obs_m.row_mut(b).copy_from_slice(o);
-    }
-}
-
-/// Extracts the deterministic action `tanh(mean)` from every row of a raw
-/// trunk output `(batch, 2 * action_dim)` — the shared scatter half of the
-/// batched-inference entry points.
-pub(crate) fn squash_mean_rows(raw: &Mat, action_dim: usize, actions: &mut Mat) {
-    let batch = raw.rows();
-    actions.resize(batch, action_dim);
-    for b in 0..batch {
-        let raw_row = raw.row(b);
-        for (a, m) in actions.row_mut(b).iter_mut().zip(&raw_row[..action_dim]) {
-            *a = m.tanh();
         }
     }
 }
@@ -568,10 +556,10 @@ mod tests {
         for layer_idx in 0..2 {
             for &(r, c) in &[(0usize, 0usize), (1, 1)] {
                 let mut pp = p.clone();
-                let v = pp.trunk().layers()[layer_idx].w.get(r, c);
-                pp.trunk_mut().layers_mut()[layer_idx].w.set(r, c, v + eps);
+                let v = pp.trunk().layers()[layer_idx].w().get(r, c);
+                pp.trunk_mut().layers_mut()[layer_idx].edit_w(|w| w.set(r, c, v + eps));
                 let up = loss(&pp);
-                pp.trunk_mut().layers_mut()[layer_idx].w.set(r, c, v - eps);
+                pp.trunk_mut().layers_mut()[layer_idx].edit_w(|w| w.set(r, c, v - eps));
                 let down = loss(&pp);
                 let fd = (up - down) / (2.0 * eps);
                 let got = p.trunk().layers()[layer_idx].grad_w.get(r, c);
@@ -594,10 +582,10 @@ mod tests {
         p.backward_mean(&obs, &grad);
         let eps = 1e-2f32;
         let mut pp = p.clone();
-        let v = pp.trunk().layers()[0].w.get(0, 0);
-        pp.trunk_mut().layers_mut()[0].w.set(0, 0, v + eps);
+        let v = pp.trunk().layers()[0].w().get(0, 0);
+        pp.trunk_mut().layers_mut()[0].edit_w(|w| w.set(0, 0, v + eps));
         let up = loss(&pp);
-        pp.trunk_mut().layers_mut()[0].w.set(0, 0, v - eps);
+        pp.trunk_mut().layers_mut()[0].edit_w(|w| w.set(0, 0, v - eps));
         let down = loss(&pp);
         let fd = (up - down) / (2.0 * eps);
         let got = p.trunk().layers()[0].grad_w.get(0, 0);

@@ -4,6 +4,7 @@ use crate::mat::Mat;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Column-sum buffer behind [`Linear::accumulate_grads`]; its capacity
@@ -16,16 +17,50 @@ thread_local! {
 /// Gradients accumulate into `grad_w` / `grad_b` across
 /// [`Linear::backward`] calls until [`Linear::zero_grad`] is called, matching
 /// the usual deep-learning training loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The layer owns `W^T`, its *pack*: the layout every forward pass
+/// multiplies against. The pack is built on the layer's first forward
+/// (through `&self`, so a frozen network behind an `Arc` packs once for
+/// all its users) and every `&mut` method that changes `W` rewrites an
+/// existing pack in place, so a warm training loop never allocates one.
+/// Clones and decoded layers start unpacked, and equality and serde
+/// ignore the pack — it is a pure function of `W`.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Linear {
-    /// Weights, shape `(out, in)`.
-    pub w: Mat,
+    /// Weights, shape `(out, in)`. Private so that no write can leave the
+    /// pack stale; see [`Linear::edit_w`].
+    w: Mat,
     /// Bias, length `out`.
     pub b: Vec<f32>,
     /// Accumulated weight gradients, shape `(out, in)`.
     pub grad_w: Mat,
     /// Accumulated bias gradients, length `out`.
     pub grad_b: Vec<f32>,
+    /// `w` transposed, `(in, out)`, once a forward pass has needed it.
+    #[serde(skip)]
+    pack: OnceLock<Mat>,
+}
+
+impl Clone for Linear {
+    /// Clones the parameters and gradients; the clone starts unpacked.
+    fn clone(&self) -> Self {
+        Linear {
+            w: self.w.clone(),
+            b: self.b.clone(),
+            grad_w: self.grad_w.clone(),
+            grad_b: self.grad_b.clone(),
+            pack: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for Linear {
+    fn eq(&self, other: &Self) -> bool {
+        self.w == other.w
+            && self.b == other.b
+            && self.grad_w == other.grad_w
+            && self.grad_b == other.grad_b
+    }
 }
 
 impl Linear {
@@ -37,11 +72,24 @@ impl Linear {
         let data = (0..in_dim * out_dim)
             .map(|_| rng.gen_range(-k..=k))
             .collect();
+        Linear::from_parts(Mat::from_vec(out_dim, in_dim, data), vec![0.0; out_dim])
+    }
+
+    /// A layer with the given weights `(out, in)` and bias (length `out`),
+    /// zero gradients and no pack (checkpoint decoding).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bias length is not `w.rows()` or `w` is empty.
+    pub fn from_parts(w: Mat, b: Vec<f32>) -> Self {
+        assert!(w.rows() > 0 && w.cols() > 0, "layer dims must be positive");
+        assert_eq!(b.len(), w.rows(), "bias length must match the output dim");
         Linear {
-            w: Mat::from_vec(out_dim, in_dim, data),
-            b: vec![0.0; out_dim],
-            grad_w: Mat::zeros(out_dim, in_dim),
-            grad_b: vec![0.0; out_dim],
+            grad_w: Mat::zeros(w.rows(), w.cols()),
+            grad_b: vec![0.0; w.rows()],
+            w,
+            b,
+            pack: OnceLock::new(),
         }
     }
 
@@ -53,6 +101,41 @@ impl Linear {
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
         self.w.rows()
+    }
+
+    /// The weights, shape `(out, in)`.
+    pub fn w(&self) -> &Mat {
+        &self.w
+    }
+
+    /// Weight surgery: applies `edit` to the weights, then rewrites the
+    /// pack if one exists.
+    pub fn edit_w(&mut self, edit: impl FnOnce(&mut Mat)) {
+        edit(&mut self.w);
+        self.refresh_pack();
+    }
+
+    /// The pack, built on first use.
+    fn pack(&self) -> &Mat {
+        self.pack.get_or_init(|| {
+            let mut t = Mat::default();
+            self.w.transpose_into(&mut t);
+            t
+        })
+    }
+
+    /// Rewrites an existing pack from the current weights, in place; an
+    /// unpacked layer stays unpacked.
+    fn refresh_pack(&mut self) {
+        if let Some(t) = self.pack.get_mut() {
+            self.w.transpose_into(t);
+        }
+    }
+
+    /// Whether a forward pass has built the pack.
+    #[cfg(test)]
+    pub(crate) fn is_packed(&self) -> bool {
+        self.pack.get().is_some()
     }
 
     /// Forward pass: `x @ W^T + b`.
@@ -67,27 +150,15 @@ impl Linear {
     }
 
     /// Forward pass into a reusable output buffer (allocation-free
-    /// [`Linear::forward`] once the buffer has warmed up).
+    /// [`Linear::forward`] once the buffer and the pack have warmed up):
+    /// one bias-fused product against the pack — the broadcast sweep for
+    /// fewer than [`crate::mat::TILE`] rows, the register-tiled GEMM above.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != in_dim()`.
     pub fn forward_into(&self, x: &Mat, y: &mut Mat) {
-        x.matmul_nt_into(&self.w, y);
-        y.add_row_broadcast(&self.b);
-    }
-
-    /// Forward pass against a caller-supplied pre-packed transpose of the
-    /// weights (`wt` must be `self.w` transposed — see
-    /// [`crate::mlp::Mlp::pack_weights`]). Bit-identical to
-    /// [`Linear::forward_into`] while skipping the per-call transpose pack
-    /// — the wide-batch inference fast path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != in_dim()` or `wt` is not `w` transposed.
-    pub fn forward_prepacked_into(&self, x: &Mat, wt: &Mat, y: &mut Mat) {
-        x.matmul_nt_prepacked_bias_into(&self.w, wt, &self.b, y);
+        x.matmul_nt_prepacked_bias_into(&self.w, self.pack(), &self.b, y);
     }
 
     /// Backward pass. `x` must be the input that produced `grad_out`'s
@@ -163,9 +234,10 @@ impl Linear {
     }
 
     /// Visits `(params, grads)` slices in a deterministic order, for
-    /// optimizers.
+    /// optimizers; the pack is rewritten after the weight slice.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         f(self.w.data_mut(), self.grad_w.data_mut());
+        self.refresh_pack();
         f(&mut self.b, &mut self.grad_b);
     }
 
@@ -182,8 +254,9 @@ impl Linear {
     pub fn copy_params_from(&mut self, other: &Linear) {
         assert_eq!(self.w.rows(), other.w.rows());
         assert_eq!(self.w.cols(), other.w.cols());
-        self.w = other.w.clone();
-        self.b = other.b.clone();
+        self.w.copy_from(&other.w);
+        self.b.copy_from_slice(&other.b);
+        self.refresh_pack();
     }
 
     /// Polyak update: `theta <- tau * other + (1 - tau) * theta`.
@@ -200,6 +273,7 @@ impl Linear {
         for (t, s) in self.b.iter_mut().zip(&other.b) {
             *t = tau * s + (1.0 - tau) * *t;
         }
+        self.refresh_pack();
     }
 }
 
@@ -242,9 +316,9 @@ mod tests {
         for &(r, c) in &[(0usize, 0usize), (1, 2), (0, 1)] {
             let mut lp = l.clone();
             let v = lp.w.get(r, c);
-            lp.w.set(r, c, v + eps);
+            lp.edit_w(|w| w.set(r, c, v + eps));
             let up = loss(&lp, &x);
-            lp.w.set(r, c, v - eps);
+            lp.edit_w(|w| w.set(r, c, v - eps));
             let down = loss(&lp, &x);
             let fd = (up - down) / (2.0 * eps);
             let got = l.grad_w.get(r, c);
@@ -310,5 +384,97 @@ mod tests {
         let mut r1 = StdRng::seed_from_u64(5);
         let mut r2 = StdRng::seed_from_u64(5);
         assert_eq!(Linear::new(4, 4, &mut r1), Linear::new(4, 4, &mut r2));
+    }
+
+    fn rand_mat(rows: usize, cols: usize, rng: &mut StdRng) -> Mat {
+        let data = (0..rows * cols).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        Mat::from_vec(rows, cols, data)
+    }
+
+    fn bits(m: &Mat) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Shapes covering every strip of the packed sweep (64, 4 and 1
+    /// columns) and the tiled GEMM's remainders.
+    const SHAPES: [(usize, usize); 5] = [(3, 2), (60, 128), (128, 128), (128, 4), (62, 1)];
+
+    /// After every `&mut` path that changes the weights, after a clone
+    /// and after rebuilding from parts (checkpoint decoding), a forward
+    /// pass equals that of a fresh, never-packed layer bit for bit, at
+    /// one row (the packed sweep) and at seven (the GEMM).
+    #[test]
+    fn pack_follows_every_weight_change() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for (inp, out) in SHAPES {
+            let xs = [rand_mat(1, inp, &mut rng), rand_mat(7, inp, &mut rng)];
+            let check = |l: &Linear, what: &str| {
+                let fresh = Linear::from_parts(l.w.clone(), l.b.clone());
+                for x in &xs {
+                    assert_eq!(
+                        bits(&l.forward(x)),
+                        bits(&fresh.forward(x)),
+                        "{inp}->{out} after {what}, {} rows",
+                        x.rows()
+                    );
+                }
+                assert!(l.is_packed());
+            };
+            let mut l = Linear::new(inp, out, &mut rng);
+            let other = Linear::new(inp, out, &mut rng);
+            check(&l, "first forward");
+            let g = rand_mat(7, out, &mut rng);
+            let mut adam = crate::adam::Adam::with_lr(0.05);
+            for step in 0..3 {
+                l.zero_grad();
+                l.accumulate_grads(&xs[1], &g);
+                adam.step(|f| l.visit_params(f));
+                check(&l, &format!("Adam step {step}"));
+            }
+            l.polyak_from(&other, 0.3);
+            check(&l, "polyak_from");
+            l.copy_params_from(&other);
+            check(&l, "copy_params_from");
+            l.edit_w(|w| w.set(0, 0, 0.75));
+            check(&l, "edit_w");
+            let twin = l.clone();
+            assert!(!twin.is_packed(), "clones start unpacked");
+            assert_eq!(twin, l, "equality ignores the pack");
+            check(&twin, "clone");
+            let decoded = Linear::from_parts(l.w.clone(), l.b.clone());
+            assert!(!decoded.is_packed(), "decoded layers start unpacked");
+            check(&decoded, "from_parts");
+        }
+    }
+
+    /// A single-row forward on live weights (a training rollout's act)
+    /// is the fused reference dot product plus the bias, bit for bit.
+    #[test]
+    fn single_row_forward_matches_fused_reference() {
+        let mut rng = StdRng::seed_from_u64(10);
+        for (inp, out) in SHAPES {
+            let mut l = Linear::new(inp, out, &mut rng);
+            l.b = (0..out).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            for _ in 0..3 {
+                let x = rand_mat(1, inp, &mut rng);
+                let want = crate::mat::reference::matmul_nt_fused(&x, &l.w);
+                let got = l.forward(&x);
+                for (j, (&g, &w)) in got.row(0).iter().zip(want.row(0)).enumerate() {
+                    assert_eq!(g.to_bits(), (w + l.b[j]).to_bits(), "{inp}->{out} col {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn never_forwarded_layers_stay_unpacked() {
+        let mut l = layer();
+        let other = layer();
+        l.visit_params(&mut |_, _| {});
+        l.polyak_from(&other, 0.5);
+        l.copy_params_from(&other);
+        assert!(!l.is_packed());
+        l.forward(&Mat::zeros(1, 3));
+        assert!(l.is_packed());
     }
 }

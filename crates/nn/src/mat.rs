@@ -317,11 +317,9 @@ impl Mat {
     }
 
     /// `self @ other^T + bias` (row broadcast) with a caller-supplied
-    /// pre-packed transpose of `other` — the inference fast path behind
-    /// [`crate::batch::BatchPolicy`]. `other_t` must be `other^T` (pack it
-    /// once with [`Mat::transpose_into`] while the weights are frozen);
-    /// skipping the per-call pack is what makes wide batched inference
-    /// amortize.
+    /// pre-packed transpose of `other` — every layer's forward pass (see
+    /// [`crate::linear::Linear`], which keeps `other^T` as its pack).
+    /// `other_t` must be `other^T` (see [`Mat::transpose_into`]).
     ///
     /// Bit-identical to `matmul_nt_into` followed by `add_row_broadcast`:
     /// the bias seeds the output and every tile's register fold lands on
@@ -741,11 +739,11 @@ impl Gemm<'_> {
 }
 
 /// Small-batch `self @ other^T`: direct dot products, single accumulator
-/// per element with the same fused ascending-order fold as [`gemm_acc`] —
-/// this is what keeps 1-row inference on live weights (training
-/// rollouts, PNN training forwards) bit-identical to the wide batched
-/// path. Used when there are too few rows for the pack-and-tile path to
-/// pay for the transpose.
+/// per element with the same fused ascending-order fold as [`gemm_acc`],
+/// so it is bit-identical to the wide batched path. Used by
+/// [`Mat::matmul_nt_into_with`] when there are too few rows for the
+/// pack-and-tile path to pay for the transpose; layers never take it,
+/// since they keep their own pack (see [`crate::linear::Linear`]).
 fn nt_dot(a: &Mat, other: &Mat, out: &mut Mat) {
     for i in 0..a.rows {
         let a_row = a.row(i);

@@ -154,55 +154,6 @@ impl Mlp {
         }
     }
 
-    /// Packs every layer's transposed weights once, for
-    /// [`Mlp::forward_prepacked_with`]. The packs are a pure layout cache:
-    /// they must be rebuilt if the weights change, so hold them only while
-    /// the network is frozen (inference).
-    pub fn pack_weights(&self) -> Vec<Mat> {
-        pack_layers(&self.layers)
-    }
-
-    /// [`Mlp::forward_with`] against pre-packed transposed weights from
-    /// [`Mlp::pack_weights`] — skips the per-call weight transpose that
-    /// dominates wide-batch inference. The input is sanitized in place
-    /// (callers own the staged matrix on this path) and outputs are
-    /// bit-identical to [`Mlp::forward_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packs` does not match the layer count.
-    pub fn forward_prepacked_with<'s>(
-        &self,
-        packs: &[Mat],
-        x: &mut Mat,
-        s: &'s mut Scratch,
-    ) -> &'s Mat {
-        assert_eq!(packs.len(), self.layers.len(), "pack count");
-        x.sanitize_nonfinite();
-        let Scratch { a, b } = s;
-        // Layer 0 reads the caller's staged input; later layers ping-pong
-        // between the scratch pair. `out_in_b` tracks where the most
-        // recent output landed.
-        let mut out_in_b = false;
-        for (i, (layer, act)) in self.layers.iter().zip(&self.acts).enumerate() {
-            let (src, dst) = if i == 0 {
-                (&*x, &mut *b)
-            } else if out_in_b {
-                (&*b, &mut *a)
-            } else {
-                (&*a, &mut *b)
-            };
-            layer.forward_prepacked_into(src, &packs[i], dst);
-            act.apply_inplace(dst);
-            out_in_b = i == 0 || !out_in_b;
-        }
-        if out_in_b {
-            b
-        } else {
-            a
-        }
-    }
-
     /// Forward pass that records intermediates for [`Mlp::backward`].
     ///
     /// Applies the same non-finite input guard as [`Mlp::forward`]; the
@@ -410,20 +361,6 @@ impl Mlp {
     }
 }
 
-/// Each layer's transposed weight matrix, in layer order — the pack
-/// behind [`Mlp::pack_weights`] and the progressive policy's packed
-/// columns.
-pub(crate) fn pack_layers(layers: &[Linear]) -> Vec<Mat> {
-    layers
-        .iter()
-        .map(|l| {
-            let mut t = Mat::default();
-            l.w.transpose_into(&mut t);
-            t
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,10 +426,10 @@ mod tests {
         for layer_idx in 0..2 {
             for &(r, c) in &[(0usize, 0usize), (1, 1)] {
                 let mut np = n.clone();
-                let v = np.layers[layer_idx].w.get(r, c);
-                np.layers[layer_idx].w.set(r, c, v + eps);
+                let v = np.layers[layer_idx].w().get(r, c);
+                np.layers[layer_idx].edit_w(|w| w.set(r, c, v + eps));
                 let up = loss(&np, &x);
-                np.layers[layer_idx].w.set(r, c, v - eps);
+                np.layers[layer_idx].edit_w(|w| w.set(r, c, v - eps));
                 let down = loss(&np, &x);
                 let fd = (up - down) / (2.0 * eps);
                 let got = n.layers[layer_idx].grad_w.get(r, c);

@@ -15,14 +15,12 @@
 //! then adapts to adversarial experience — the property that defeats
 //! catastrophic forgetting.
 
-use crate::batch::act_prepacked;
 use crate::gaussian::{
     act_head, head_backward, randn_mat, sample_head, GaussianPolicy, HeadSample,
 };
 use crate::linear::Linear;
 use crate::mat::Mat;
-use crate::mlp::{pack_layers, MlpCache};
-use crate::scratch::{ActScratch, Scratch};
+use crate::scratch::ActScratch;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -50,7 +48,8 @@ pub struct PnnPolicy {
 #[derive(Debug, Clone)]
 pub struct PnnCache {
     input: Mat,
-    base: MlpCache,
+    /// Column 1's hidden activations (the laterals' inputs).
+    base: Vec<Mat>,
     post2: Vec<Mat>,
 }
 
@@ -99,7 +98,7 @@ impl PnnPolicy {
             .collect();
         if init == PnnInit::CopyBase {
             for lat in &mut laterals {
-                lat.w.map_inplace(|_| 0.0);
+                lat.edit_w(|w| w.map_inplace(|_| 0.0));
                 lat.b.iter_mut().for_each(|b| *b = 0.0);
             }
         }
@@ -134,20 +133,39 @@ impl PnnPolicy {
     pub fn forward_cached(&self, obs: &Mat) -> PnnCache {
         let mut input = obs.clone();
         input.sanitize_nonfinite();
-        let base = self.base.trunk().forward_cached(&input);
-        let n = self.column.len();
-        let mut post2 = Vec::with_capacity(n);
-        let mut h = input.clone();
-        for i in 0..n {
-            let mut z = self.column[i].forward(&h);
-            if i >= 1 {
-                z.add_assign(&self.laterals[i - 1].forward(&base.hidden()[i - 1]));
-            }
-            let act = self.base.trunk().activation(i);
-            h = act.forward(&z);
-            post2.push(h.clone());
-        }
+        let (mut base, mut post2) = (Vec::new(), Vec::new());
+        self.forward_into(&input, &mut base, &mut post2, &mut Mat::default());
         PnnCache { input, base, post2 }
+    }
+
+    /// The one forward pass of both columns, from the sanitized input `x`:
+    /// column 1's hidden activations into `base` (its output layer only
+    /// serves column 1's own action and is skipped), then column 2's
+    /// post-activations into `post`, each layer
+    /// `f(column(h2) + lateral(h1))` with `lateral` holding one lateral
+    /// product at a time. Allocation-free once the buffers have warmed up.
+    fn forward_into(&self, x: &Mat, base: &mut Vec<Mat>, post: &mut Vec<Mat>, lateral: &mut Mat) {
+        let trunk = self.base.trunk();
+        let n = self.column.len();
+        base.resize_with(n - 1, Mat::default);
+        for i in 0..n - 1 {
+            let (done, rest) = base.split_at_mut(i);
+            let src = if i == 0 { x } else { &done[i - 1] };
+            trunk.layers()[i].forward_into(src, &mut rest[0]);
+            trunk.activation(i).apply_inplace(&mut rest[0]);
+        }
+        post.resize_with(n, Mat::default);
+        for i in 0..n {
+            let (done, rest) = post.split_at_mut(i);
+            let src = if i == 0 { x } else { &done[i - 1] };
+            let z = &mut rest[0];
+            self.column[i].forward_into(src, z);
+            if i >= 1 {
+                self.laterals[i - 1].forward_into(&base[i - 1], lateral);
+                z.add_assign(lateral);
+            }
+            trunk.activation(i).apply_inplace(z);
+        }
     }
 
     /// Raw column-2 output without caching.
@@ -201,7 +219,7 @@ impl PnnPolicy {
             if i >= 1 {
                 // Lateral branch: gradient into the adapter parameters only;
                 // the base column is frozen, so nothing flows past it.
-                self.laterals[i - 1].accumulate_grads(&cache.base.hidden()[i - 1], &g);
+                self.laterals[i - 1].accumulate_grads(&cache.base[i - 1], &g);
                 g = self.column[i].backward(&cache.post2[i - 1], &g);
             } else {
                 // The observations take no gradient.
@@ -278,48 +296,16 @@ impl PnnPolicy {
 
     /// Convenience: act on a single observation through column 2.
     pub fn act<R: Rng>(&self, obs: &[f32], rng: &mut R, deterministic: bool) -> Vec<f32> {
-        let m = Mat::from_row(obs);
-        if deterministic {
-            self.mean_action(&m).row(0).to_vec()
-        } else {
-            self.sample(&m, rng).head.actions.row(0).to_vec()
-        }
-    }
-}
-
-/// A frozen [`PnnPolicy`] with both columns' transposed weights
-/// pre-packed, for allocation-free single-observation inference — the
-/// Simplex switcher's deployment path. Clones share the policy and the
-/// packs (O(1)).
-#[derive(Debug, Clone)]
-pub struct PackedPnn {
-    pnn: Arc<PnnPolicy>,
-    base: Arc<[Mat]>,
-    column: Arc<[Mat]>,
-    laterals: Arc<[Mat]>,
-}
-
-impl From<PnnPolicy> for PackedPnn {
-    /// Packs both columns and the laterals once.
-    fn from(pnn: PnnPolicy) -> Self {
-        PackedPnn {
-            base: pnn.base.trunk().pack_weights().into(),
-            column: pack_layers(&pnn.column).into(),
-            laterals: pack_layers(&pnn.laterals).into(),
-            pnn: Arc::new(pnn),
-        }
-    }
-}
-
-impl PackedPnn {
-    /// The wrapped policy.
-    pub fn pnn(&self) -> &PnnPolicy {
-        &self.pnn
+        let mut s = ActScratch::default();
+        self.act_with(obs, rng, deterministic, &mut s);
+        s.action
     }
 
-    /// Action of the hardened column 2. Bit-identical to
-    /// [`PnnPolicy::act`] in both modes, with the same RNG draws;
-    /// allocation-free once the scratch has warmed up.
+    /// Allocation-free [`PnnPolicy::act`] through the scratch's reusable
+    /// buffers: `tanh(mean)` of column 2 when `deterministic`, otherwise a
+    /// sample. Bit-identical to [`PnnPolicy::mean_action`] and
+    /// [`PnnPolicy::sample`] on the 1-row observation, with the same RNG
+    /// draws.
     pub fn act_with<'s, R: Rng>(
         &self,
         obs: &[f32],
@@ -329,51 +315,57 @@ impl PackedPnn {
     ) -> &'s [f32] {
         let ActScratch {
             obs: x,
-            trunk: Scratch { a, b },
             action,
             hidden,
+            column,
             lateral,
+            ..
         } = s;
         x.copy_from_row(obs);
         x.sanitize_nonfinite();
-        let pnn = &*self.pnn;
-        let base = pnn.base.trunk();
-        let n = pnn.column.len();
-        // Column 1's hidden activations feed the laterals; its output
-        // layer only serves column 1's own action and is skipped here.
-        hidden.resize_with(n - 1, Mat::default);
-        for i in 0..n - 1 {
-            let (done, rest) = hidden.split_at_mut(i);
-            let src = if i == 0 { &*x } else { &done[i - 1] };
-            base.layers()[i].forward_prepacked_into(src, &self.base[i], &mut rest[0]);
-            base.activation(i).apply_inplace(&mut rest[0]);
-        }
-        // Column 2: `z = column(h) + lateral(base_h)`, in the add order of
-        // `forward_cached`.
-        let (mut h, mut z) = (a, b);
-        for i in 0..n {
-            let src = if i == 0 { &*x } else { &*h };
-            pnn.column[i].forward_prepacked_into(src, &self.column[i], z);
-            if i >= 1 {
-                pnn.laterals[i - 1].forward_prepacked_into(
-                    &hidden[i - 1],
-                    &self.laterals[i - 1],
-                    lateral,
-                );
-                z.add_assign(lateral);
-            }
-            base.activation(i).apply_inplace(z);
-            std::mem::swap(&mut h, &mut z);
-        }
-        // `PnnPolicy::sample` draws its noise before the forward pass;
-        // the forward draws nothing, so drawing in the head is the same
-        // stream.
-        act_head(h.row(0), pnn.action_dim, rng, deterministic, action);
+        self.forward_into(x, hidden, column, lateral);
+        // `sample` draws its noise before the forward pass; the forward
+        // draws nothing, so drawing in the head is the same stream.
+        let raw = column.last().expect("column is non-empty");
+        act_head(raw.row(0), self.action_dim, rng, deterministic, action);
         action
     }
+}
 
-    /// Action of the frozen base column 1. Bit-identical to
-    /// `self.pnn().base().act_with(..)`, with the same RNG draws.
+/// A frozen [`PnnPolicy`] behind an `Arc`, for single-observation
+/// inference — the Simplex switcher's deployment path. The first act
+/// through any clone packs both columns' layers; clones share the policy
+/// and its packs (O(1)).
+#[derive(Debug, Clone)]
+pub struct PackedPnn {
+    pnn: Arc<PnnPolicy>,
+}
+
+impl From<PnnPolicy> for PackedPnn {
+    fn from(pnn: PnnPolicy) -> Self {
+        PackedPnn { pnn: Arc::new(pnn) }
+    }
+}
+
+impl PackedPnn {
+    /// The wrapped policy.
+    pub fn pnn(&self) -> &PnnPolicy {
+        &self.pnn
+    }
+
+    /// Action of the hardened column 2: [`PnnPolicy::act_with`].
+    pub fn act_with<'s, R: Rng>(
+        &self,
+        obs: &[f32],
+        rng: &mut R,
+        deterministic: bool,
+        s: &'s mut ActScratch,
+    ) -> &'s [f32] {
+        self.pnn.act_with(obs, rng, deterministic, s)
+    }
+
+    /// Action of the frozen base column 1: the base policy's
+    /// [`GaussianPolicy::act_with`].
     pub fn act_base_with<'s, R: Rng>(
         &self,
         obs: &[f32],
@@ -381,15 +373,7 @@ impl PackedPnn {
         deterministic: bool,
         s: &'s mut ActScratch,
     ) -> &'s [f32] {
-        act_prepacked(
-            self.pnn.base.trunk(),
-            &self.base,
-            self.pnn.action_dim,
-            obs,
-            rng,
-            deterministic,
-            s,
-        )
+        self.pnn.base.act_with(obs, rng, deterministic, s)
     }
 }
 
@@ -473,10 +457,10 @@ mod tests {
         // Column weight check.
         for layer_idx in [0usize, 2] {
             let mut pp = pnn.clone();
-            let v = pp.column[layer_idx].w.get(0, 0);
-            pp.column[layer_idx].w.set(0, 0, v + eps);
+            let v = pp.column[layer_idx].w().get(0, 0);
+            pp.column[layer_idx].edit_w(|w| w.set(0, 0, v + eps));
             let up = loss(&pp);
-            pp.column[layer_idx].w.set(0, 0, v - eps);
+            pp.column[layer_idx].edit_w(|w| w.set(0, 0, v - eps));
             let down = loss(&pp);
             let fd = (up - down) / (2.0 * eps);
             let got = pnn.column[layer_idx].grad_w.get(0, 0);
@@ -488,10 +472,10 @@ mod tests {
         // Lateral weight check.
         for lat_idx in [0usize, 1] {
             let mut pp = pnn.clone();
-            let v = pp.laterals[lat_idx].w.get(0, 0);
-            pp.laterals[lat_idx].w.set(0, 0, v + eps);
+            let v = pp.laterals[lat_idx].w().get(0, 0);
+            pp.laterals[lat_idx].edit_w(|w| w.set(0, 0, v + eps));
             let up = loss(&pp);
-            pp.laterals[lat_idx].w.set(0, 0, v - eps);
+            pp.laterals[lat_idx].edit_w(|w| w.set(0, 0, v - eps));
             let down = loss(&pp);
             let fd = (up - down) / (2.0 * eps);
             let got = pnn.laterals[lat_idx].grad_w.get(0, 0);
@@ -534,11 +518,13 @@ mod tests {
         a.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The packed hardened-column act matches `PnnPolicy::act` bit for
-    /// bit in both modes, drawing the same RNG stream; the packed base
-    /// column matches the base policy's `act_with` likewise.
+    /// The single-observation column-2 act matches the cached forward
+    /// pass (`mean_action`, and `sample` with its head) bit for bit in
+    /// both modes, drawing the same RNG stream; the packed wrapper's base
+    /// column matches the base policy's `act_with` likewise, and a
+    /// second packed handle shares the packs the first one built.
     #[test]
-    fn packed_act_matches_act_and_rng_stream() {
+    fn act_with_matches_cached_forward_and_rng_stream() {
         let pnn = deployed_pnn();
         let packed = PackedPnn::from(pnn.clone());
         let mut s = ActScratch::default();
@@ -547,11 +533,16 @@ mod tests {
             let (mut r1, mut r2) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
             for step in 0..6 {
                 let obs = obs_at(step);
-                let want = pnn.act(&obs, &mut r1, deterministic);
+                let m = Mat::from_row(&obs);
+                let want = if deterministic {
+                    pnn.mean_action(&m)
+                } else {
+                    pnn.sample(&m, &mut r1).head.actions
+                };
                 let got = packed.act_with(&obs, &mut r2, deterministic, &mut s);
                 assert_eq!(
                     bits(got),
-                    bits(&want),
+                    bits(want.row(0)),
                     "column 2 step {step} det={deterministic}"
                 );
                 let want = pnn
@@ -566,6 +557,28 @@ mod tests {
             }
             assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "RNG streams diverged");
         }
+        let twin = packed.clone();
+        let (column, laterals) = twin.pnn().parts();
+        assert!(column.iter().chain(laterals).all(Linear::is_packed));
+        assert!(twin
+            .pnn()
+            .base()
+            .trunk()
+            .layers()
+            .iter()
+            .all(Linear::is_packed));
+    }
+
+    /// The cached forward pass leaves column 1's output layer alone: the
+    /// laterals read only its hidden activations.
+    #[test]
+    fn forward_cached_skips_the_base_output_layer() {
+        let pnn = deployed_pnn();
+        let cache = pnn.forward_cached(&Mat::from_row(&obs_at(1)));
+        assert_eq!(cache.base.len(), 2);
+        let layers = pnn.base().trunk().layers();
+        assert!(layers[..2].iter().all(Linear::is_packed));
+        assert!(!layers[2].is_packed(), "column 1's output layer never ran");
     }
 
     /// One NaN feature must not collapse the hardened column: the action

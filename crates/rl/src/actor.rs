@@ -12,7 +12,7 @@ use drive_nn::checkpoint::{self, CheckpointError, Reader};
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::mat::Mat;
 use drive_nn::pnn::PnnPolicy;
-use drive_nn::scratch::SampleBackScratch;
+use drive_nn::scratch::{ActScratch, SampleBackScratch};
 use rand::rngs::StdRng;
 
 /// A sampled batch: actions in `[-1,1]` and their log-probabilities, plus
@@ -80,8 +80,21 @@ pub trait Actor {
     fn zero_grad(&mut self);
     /// Visits `(params, grads)` slices of the trainable parameters.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32]));
-    /// Single-observation action (deterministic or sampled).
-    fn act(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32>;
+    /// Single-observation action (deterministic or sampled) through a
+    /// reusable workspace; allocation-free once the scratch has warmed up.
+    fn act_with<'s>(
+        &self,
+        obs: &[f32],
+        rng: &mut StdRng,
+        deterministic: bool,
+        scratch: &'s mut ActScratch,
+    ) -> &'s [f32];
+    /// Allocating convenience over [`Actor::act_with`]: identical actions
+    /// and RNG draws.
+    fn act(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
+        self.act_with(obs, rng, deterministic, &mut ActScratch::default())
+            .to_vec()
+    }
     /// Appends the weights as a checkpoint section (training snapshots).
     fn encode_into(&self, buf: &mut String);
     /// Parses one section written by [`Actor::encode_into`].
@@ -128,8 +141,14 @@ impl Actor for GaussianPolicy {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         self.trunk_mut().visit_params(f);
     }
-    fn act(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
-        GaussianPolicy::act(self, obs, rng, deterministic)
+    fn act_with<'s>(
+        &self,
+        obs: &[f32],
+        rng: &mut StdRng,
+        deterministic: bool,
+        scratch: &'s mut ActScratch,
+    ) -> &'s [f32] {
+        GaussianPolicy::act_with(self, obs, rng, deterministic, scratch)
     }
     fn encode_into(&self, buf: &mut String) {
         checkpoint::encode_policy_into(buf, self);
@@ -160,8 +179,14 @@ impl Actor for PnnPolicy {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         PnnPolicy::visit_params(self, f);
     }
-    fn act(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
-        PnnPolicy::act(self, obs, rng, deterministic)
+    fn act_with<'s>(
+        &self,
+        obs: &[f32],
+        rng: &mut StdRng,
+        deterministic: bool,
+        scratch: &'s mut ActScratch,
+    ) -> &'s [f32] {
+        PnnPolicy::act_with(self, obs, rng, deterministic, scratch)
     }
     fn encode_into(&self, buf: &mut String) {
         checkpoint::encode_pnn_into(buf, self);

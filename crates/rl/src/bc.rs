@@ -241,7 +241,7 @@ mod tests {
     fn param_bits(policy: &GaussianPolicy) -> Vec<u32> {
         let mut bits = Vec::new();
         for l in policy.trunk().layers() {
-            bits.extend(l.w.data().iter().chain(&l.b).map(|v| v.to_bits()));
+            bits.extend(l.w().data().iter().chain(&l.b).map(|v| v.to_bits()));
         }
         bits
     }

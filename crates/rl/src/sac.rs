@@ -504,16 +504,16 @@ impl<A: Actor> Sac<A> {
                 *p2 = -1.0 / nf;
             }
         }
-        // The critics' input gradients in the action columns only: the
-        // actor objective does not train the critics, and nothing reads
-        // the observation columns.
-        self.q1
-            .input_grad_tail_with(a1, pick1, self.action_dim, bw1, grad_action);
-        self.q2
-            .input_grad_tail_with(a2, pick2, self.action_dim, bw2, grad_action2);
-        grad_action.add_assign(grad_action2);
         let mean_logp = pi.log_prob().iter().sum::<f32>() / nf;
         if !actor_frozen {
+            // The critics' input gradients in the action columns only:
+            // the actor objective does not train the critics, and nothing
+            // reads the observation columns.
+            self.q1
+                .input_grad_tail_with(a1, pick1, self.action_dim, bw1, grad_action);
+            self.q2
+                .input_grad_tail_with(a2, pick2, self.action_dim, bw2, grad_action2);
+            grad_action.add_assign(grad_action2);
             grad_logp.clear();
             grad_logp.resize(n, alpha / nf);
             self.actor.zero_grad();

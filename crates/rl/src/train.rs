@@ -13,6 +13,7 @@ use crate::replay::{ReplayBuffer, Transition};
 use crate::sac::{Sac, SacLosses};
 use crate::snapshot::TrainSnapshot;
 use drive_nn::checkpoint;
+use drive_nn::scratch::ActScratch;
 use drive_seed::{fnv1a_64, StreamPos};
 use rand::rngs::StdRng;
 use std::path::Path;
@@ -153,9 +154,14 @@ where
     };
     let mut last_snapshot = st.step;
     let mut obs = reset(env, st.episode_seed);
+    let mut act_scratch = ActScratch::default();
 
     for step in st.step..steps {
-        let action = st.sac.act(&obs, &mut rng, false);
+        let action = st
+            .sac
+            .actor
+            .act_with(&obs, &mut rng, false, &mut act_scratch)
+            .to_vec();
         let s = env.step(&action);
         st.buffer.push(Transition {
             obs: std::mem::take(&mut obs),

@@ -8,6 +8,7 @@
 
 use crate::world::{CollisionEvent, CollisionKind, Termination};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Perturbations below this magnitude do not count as the start of an
 /// attack attempt (learned policies emit tiny non-zero means even when
@@ -183,7 +184,7 @@ fn write_f64s(buf: &mut String, values: &[f64]) {
             if !first {
                 buf.push(' ');
             }
-            buf.push_str(&format!("{v}"));
+            let _ = write!(buf, "{v}");
             first = false;
         }
         buf.push('\n');
