@@ -8,7 +8,6 @@
 //! shaped reward (Section III-C) and by the trajectory-deviation metric of
 //! Fig. 5 / Fig. 7.
 
-use drive_sim::geometry::Vec2;
 use drive_sim::road::Road;
 use drive_sim::waypoints::{lane_change_path_into, lane_keep_path_into, Path};
 use drive_sim::world::World;
@@ -424,25 +423,6 @@ impl BehaviorPlanner {
         }
         desired
     }
-
-    /// Reference point used by deviation metrics: the lateral center of the
-    /// current plan at the ego's longitudinal position.
-    pub fn reference_point(&self, world: &World) -> Vec2 {
-        let path = self.clone().plan_readonly(world);
-        let proj = path.project(world.ego().pose.position, world.ego().pose.heading);
-        let wp = path.waypoints()[proj.index];
-        wp.position
-    }
-
-    /// A plan that does not mutate decision state (for metrics).
-    fn plan_readonly(mut self, world: &World) -> Path {
-        self.plan(world)
-    }
-}
-
-/// Convenience: which lane index is leftmost for a road.
-pub fn leftmost_lane(road: &Road) -> usize {
-    road.num_lanes - 1
 }
 
 #[cfg(test)]

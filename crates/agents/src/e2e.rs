@@ -136,11 +136,6 @@ impl<P: Policy> E2eAgent<P> {
     pub fn policy(&self) -> &P {
         &self.policy
     }
-
-    /// Consumes the agent, returning the policy.
-    pub fn into_policy(self) -> P {
-        self.policy
-    }
 }
 
 impl<P: Policy> Agent for E2eAgent<P> {

@@ -122,13 +122,6 @@ fn bench_matmul_kernels(c: &mut Criterion) {
             black_box(out.get(0, 0))
         });
     });
-    c.bench_function("matmul_nt_64x64_into_reused", |b| {
-        let mut out = Mat::zeros(64, 64);
-        b.iter(|| {
-            a.matmul_nt_into(&bm, &mut out);
-            black_box(out.get(0, 0))
-        });
-    });
     c.bench_function("matmul_tn_acc_64x64", |b| {
         let mut acc = Mat::zeros(64, 64);
         b.iter(|| {
@@ -327,11 +320,11 @@ fn bench_planner_plan(c: &mut Criterion) {
 /// through the shared `BatchPolicy` head.
 fn bench_fleet(c: &mut Criterion) {
     c.bench_function("fleet_step_batch128", |b| {
-        let scenarios = (0..128u64).map(|i| {
+        let mut batch = WorldBatch::new();
+        for i in 0..128u64 {
             let mut rng = StdRng::seed_from_u64(1000 + i);
-            Scenario::default().jittered(&mut rng)
-        });
-        let mut batch = WorldBatch::from_scenarios(scenarios);
+            batch.push(World::new(Scenario::default().jittered(&mut rng)));
+        }
         let actions = vec![Actuation::new(0.0, 0.1); 128];
         let mut outcomes = Vec::new();
         let mut refill_seed = 0u64;
@@ -429,13 +422,13 @@ fn fleet_rows() -> Vec<BenchResult> {
 /// inference, so a regression in the batched control kernels cannot hide
 /// behind improvements elsewhere in the step.
 fn control_phase_rows() -> Vec<BenchResult> {
-    let scenarios = (0..128u64).map(|i| {
+    let mut batch = WorldBatch::new();
+    for i in 0..128u64 {
         let mut rng = StdRng::seed_from_u64(5000 + i);
         let mut s = Scenario::default().jittered(&mut rng);
         s.max_steps = 400;
-        s
-    });
-    let mut batch = WorldBatch::from_scenarios(scenarios);
+        batch.push(World::new(s));
+    }
     let actions = vec![Actuation::new(0.0, 0.1); 128];
     let mut outcomes = Vec::new();
     let mut refill_seed = 50_000u64;

@@ -22,10 +22,10 @@
 //!   experiment, not by execution order.
 //!
 //! [`execute`] runs one experiment end to end: pin the worker count, run,
-//! write CSV/SVG outputs (atomically), and emit a
-//! [`Manifest`](crate::manifest::Manifest) recording the seed namespace,
-//! config hash, throughput, and an FNV-1a checksum of every written file —
-//! enough to re-derive (and verify) any figure from the manifest alone.
+//! write CSV/SVG outputs (atomically), and emit a [`Manifest`] recording
+//! the seed namespace, config hash, throughput, and an FNV-1a checksum of
+//! every written file — enough to re-derive (and verify) any figure from
+//! the manifest alone.
 
 use crate::harness::Scale;
 use crate::manifest::{Manifest, OutputEntry};

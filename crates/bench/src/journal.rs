@@ -738,14 +738,16 @@ impl JournalHandle {
         parts.join(" ")
     }
 
-    /// Count of one progress event kind (test/observability hook).
-    pub fn event_count(&self, event: &str) -> u64 {
+    /// Count of one progress event kind.
+    #[cfg(test)]
+    fn event_count(&self, event: &str) -> u64 {
         let log = self.log.lock().expect("journal lock");
         log.counts.get(event).copied().unwrap_or(0)
     }
 
-    /// Number of leases currently held (test/observability hook).
-    pub fn held_count(&self) -> usize {
+    /// Number of leases currently held.
+    #[cfg(test)]
+    fn held_count(&self) -> usize {
         self.leases.held.lock().expect("held lock").len()
     }
 
@@ -895,7 +897,7 @@ impl JournalHandle {
     }
 
     /// Tries to claim `key`: exclusive create first, then taking an
-    /// abandoned lease (see [`JournalHandle::take_abandoned`]). A cell that
+    /// abandoned lease (through the tombstone arbiter). A cell that
     /// another thread of this process holds is contended, never taken.
     /// Public for the `lease_claim_ns` micro-bench; experiments go through
     /// [`JournalHandle::run_cell`], which drives this internally.
@@ -1012,9 +1014,9 @@ impl JournalHandle {
         }
     }
 
-    /// One heartbeat pass (the heartbeat thread runs the same pass every
-    /// TTL/10; also callable directly from tests).
-    pub fn renew_held(&self) {
+    /// One heartbeat pass, as the heartbeat thread runs every TTL/10.
+    #[cfg(test)]
+    fn renew_held(&self) {
         self.leases.renew();
     }
 }

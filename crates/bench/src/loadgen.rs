@@ -76,7 +76,8 @@ pub struct LogicalStats {
 
 impl LogicalStats {
     /// Requests that got an actuation back.
-    pub fn answered(&self) -> u64 {
+    #[cfg(test)]
+    fn answered(&self) -> u64 {
         self.served + self.degraded
     }
 

@@ -8,7 +8,7 @@
 //! and checksums ([`Manifest::verify`]).
 //!
 //! The workspace has no JSON dependency, so both the emitter and the
-//! parser are hand-rolled (shared with bench-compare in [`crate::json`]).
+//! parser are hand-rolled (shared with bench-compare in `crate::json`).
 //! 64-bit values that may exceed the f64-exact integer range (seeds,
 //! hashes, checksums) are serialized as hex strings to survive any JSON
 //! reader.

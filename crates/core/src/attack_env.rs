@@ -107,11 +107,6 @@ impl AttackEnv {
         self.teacher = teacher;
     }
 
-    /// Changes the attack budget (applies from the next step).
-    pub fn set_budget(&mut self, budget: AttackBudget) {
-        self.budget = budget;
-    }
-
     /// The record of the episode in progress (or just finished), with the
     /// cumulative adversarial reward filled in.
     pub fn record(&self) -> EpisodeRecord {

@@ -80,80 +80,12 @@ where
         .collect()
 }
 
-/// Parallel [`run_attacked_episodes`]: runs the same seed grid across
-/// worker threads, building a **fresh agent per episode** via
-/// `make_agent`.
-///
-/// Because each episode gets a fresh agent and a fresh attacker, the
-/// results are identical to the serial loop whenever the agent's
-/// episode-start `reset` fully reinitializes it (true for the repo's
-/// agents: evaluation policies act deterministically, so their RNGs are
-/// never drawn). Records come back in seed order for any worker count —
-/// see `drive_par::par_map`.
-pub fn par_run_attacked_episodes<G, A, F>(
-    make_agent: G,
-    make_attacker: F,
-    adv: &AdvReward,
-    scenario: &Scenario,
-    episodes: usize,
-    base_seed: u64,
-) -> Vec<EpisodeRecord>
-where
-    G: Fn(u64) -> Box<dyn Agent> + Sync,
-    A: SteerAttacker,
-    F: Fn(u64) -> Option<A> + Sync,
-{
-    let seeds: Vec<u64> = (0..episodes).map(|e| base_seed + e as u64).collect();
-    drive_par::par_map(&seeds, |_, &seed| {
-        let mut agent = make_agent(seed);
-        let mut attacker = make_attacker(seed);
-        run_attacked_episode(
-            agent.as_mut(),
-            attacker.as_mut().map(|a| a as &mut dyn SteerAttacker),
-            adv,
-            scenario,
-            seed,
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::budget::AttackBudget;
     use crate::oracle::OracleAttacker;
     use drive_agents::modular::{ModularAgent, ModularConfig};
-
-    /// The parallel factory-based runner must reproduce the serial
-    /// shared-agent loop byte-for-byte (the agents reset fully between
-    /// episodes, so fresh-per-episode agents are equivalent).
-    #[test]
-    fn par_episodes_match_serial_episodes() {
-        let adv = AdvReward::default();
-        let scenario = Scenario::default();
-        let mut agent = ModularAgent::new(ModularConfig::default(), 1);
-        let serial = run_attacked_episodes(
-            &mut agent,
-            |_| Some(OracleAttacker::new(AttackBudget::new(0.5))),
-            &adv,
-            &scenario,
-            4,
-            300,
-        );
-        for workers in [1usize, 3] {
-            let par = drive_par::with_jobs(workers, || {
-                par_run_attacked_episodes(
-                    |_| Box::new(ModularAgent::new(ModularConfig::default(), 1)) as Box<dyn Agent>,
-                    |_| Some(OracleAttacker::new(AttackBudget::new(0.5))),
-                    &adv,
-                    &scenario,
-                    4,
-                    300,
-                )
-            });
-            assert_eq!(par, serial, "workers={workers}");
-        }
-    }
 
     #[test]
     fn nominal_episode_has_negative_adv_return_and_no_attack() {

@@ -62,11 +62,6 @@ impl LearnedAttacker {
         }
     }
 
-    /// Changes the deployment budget.
-    pub fn set_budget(&mut self, budget: AttackBudget) {
-        self.budget = budget;
-    }
-
     /// The current budget.
     pub fn budget(&self) -> AttackBudget {
         self.budget

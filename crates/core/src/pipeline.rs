@@ -14,6 +14,7 @@ use drive_agents::Agent;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::checkpoint::{
     decode_pnn, decode_policy, encode_pnn, encode_policy, load_from_file, save_to_file,
+    CheckpointError,
 };
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::pnn::PnnPolicy;
@@ -132,18 +133,36 @@ impl PipelineConfig {
     }
 }
 
+/// Loads and decodes a cached artifact: `Ok(None)` when no file exists
+/// yet, the typed error when one exists but does not load (a checksum
+/// mismatch, a parse failure, an unreadable file).
+fn load_cached<T>(
+    path: &Path,
+    decode: impl Fn(&str) -> Result<T, CheckpointError>,
+) -> Result<Option<T>, CheckpointError> {
+    match load_from_file(path) {
+        Ok(text) => decode(&text).map(Some),
+        Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// The artifact at `path`, trained (and saved) when it does not load. A
+/// missing file trains quietly; any other load failure is reported with
+/// its path and error first, since retraining overwrites the file.
 fn cached<T>(
     path: &Path,
-    decode: impl Fn(&str) -> Option<T>,
+    decode: impl Fn(&str) -> Result<T, CheckpointError>,
     encode: impl Fn(&T) -> String,
     train: impl FnOnce() -> T,
 ) -> T {
-    if let Ok(text) = load_from_file(path) {
-        if let Some(v) = decode(&text) {
+    match load_cached(path, decode) {
+        Ok(Some(v)) => {
             eprintln!("[pipeline] loaded {}", path.display());
             return v;
         }
-        eprintln!("[pipeline] failed to parse {}, retraining", path.display());
+        Ok(None) => {}
+        Err(e) => eprintln!("[pipeline] cannot load {}: {e}; retraining", path.display()),
     }
     let t0 = std::time::Instant::now();
     let v = train();
@@ -163,12 +182,9 @@ pub fn prepare(config: &PipelineConfig) -> Artifacts {
     let dir = &config.dir;
     let policy_cache = |name: &str, train: &mut dyn FnMut() -> GaussianPolicy| {
         let mut train = Some(train);
-        cached(
-            &dir.join(name),
-            |t| decode_policy(t).ok(),
-            encode_policy,
-            || (train.take().expect("train called once"))(),
-        )
+        cached(&dir.join(name), decode_policy, encode_policy, || {
+            (train.take().expect("train called once"))()
+        })
     };
 
     let victim = policy_cache("victim_e2e.ckpt", &mut || {
@@ -221,7 +237,7 @@ pub fn prepare(config: &PipelineConfig) -> Artifacts {
 
     let pnn = cached(
         &dir.join("pnn_defense.ckpt"),
-        |t| decode_pnn(t).ok(),
+        decode_pnn,
         encode_pnn,
         || {
             train_pnn_defense(
@@ -268,6 +284,35 @@ mod tests {
             a1.camera_attacker.obs_dim(),
             config.features.observation_dim()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cached checkpoint with one flipped byte is reported as corrupt
+    /// (and so retrained), never loaded; a missing one is just absent.
+    #[test]
+    fn flipped_byte_in_a_cached_checkpoint_reports_corrupt() {
+        let dir = std::env::temp_dir().join("attack-core-pipeline-corrupt-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = PipelineConfig::quick(&dir);
+        let artifacts = prepare(&config);
+        let path = dir.join("victim_e2e.ckpt");
+        assert!(matches!(load_cached(&path, decode_policy), Ok(Some(_))));
+
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.iter().position(|&b| b == b'.').expect("a float");
+        bytes[at] = b'5';
+        std::fs::write(&path, &bytes).unwrap();
+        match load_cached(&path, decode_policy) {
+            Err(CheckpointError::Corrupt { expected, found }) => assert_ne!(expected, found),
+            other => panic!("expected Corrupt, got {:?}", other.map(|o| o.is_some())),
+        }
+        // Retraining rewrites the file with the same deterministic weights.
+        let again = prepare(&config);
+        assert_eq!(again.victim, artifacts.victim);
+        assert!(matches!(load_cached(&path, decode_policy), Ok(Some(_))));
+
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(load_cached(&path, decode_policy), Ok(None)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

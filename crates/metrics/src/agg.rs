@@ -43,11 +43,6 @@ impl BoxStats {
             n: samples.len(),
         }
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 impl std::fmt::Display for BoxStats {
@@ -110,7 +105,6 @@ mod tests {
         assert_eq!(s.q1, 2.0);
         assert_eq!(s.q3, 4.0);
         assert_eq!(s.mean, 3.0);
-        assert_eq!(s.iqr(), 2.0);
         assert_eq!(s.n, 5);
     }
 

@@ -163,28 +163,6 @@ impl CsvSink {
         })
     }
 
-    /// Opens `path` for appending if it already exists (a resumed run keeps
-    /// its earlier rows), or creates it with the header line otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn append_or_create<S: Into<String>, I: IntoIterator<Item = S>>(
-        path: impl AsRef<Path>,
-        headers: I,
-    ) -> std::io::Result<Self> {
-        let path = path.as_ref();
-        let headers: Vec<String> = headers.into_iter().map(Into::into).collect();
-        if path.exists() {
-            let file = std::fs::OpenOptions::new().append(true).open(path)?;
-            return Ok(CsvSink {
-                file,
-                columns: headers.len(),
-            });
-        }
-        Self::create(path, headers)
-    }
-
     /// Appends one row and flushes it to the file immediately.
     ///
     /// # Panics
@@ -266,7 +244,7 @@ mod tests {
     }
 
     #[test]
-    fn sink_flushes_each_row_and_resumes_appending() {
+    fn sink_flushes_each_row_and_create_truncates() {
         let dir = std::env::temp_dir().join("drive-metrics-sink-test");
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("progress.csv");
@@ -280,13 +258,6 @@ mod tests {
             "step,label\n1,plain\n2,\"has,comma\"\n"
         );
         drop(sink);
-        // Re-opening appends after the existing rows instead of truncating.
-        let mut resumed = CsvSink::append_or_create(&path, ["step", "label"]).unwrap();
-        resumed.row(["3", "after-resume"]).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "step,label\n1,plain\n2,\"has,comma\"\n3,after-resume\n"
-        );
         // A fresh `create` truncates back to just the header.
         let sink = CsvSink::create(&path, ["step", "label"]).unwrap();
         drop(sink);

@@ -11,9 +11,7 @@ use crate::gaussian::GaussianPolicy;
 use crate::linear::Linear;
 use crate::mat::Mat;
 use crate::mlp::Mlp;
-use crate::pnn::{PnnInit, PnnPolicy};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::pnn::PnnPolicy;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -89,6 +87,9 @@ fn parse_err(msg: impl Into<String>) -> CheckpointError {
 pub struct Reader<'a> {
     lines: std::str::Lines<'a>,
     line_no: usize,
+    /// Most values the whole text can hold (each needs a digit and a
+    /// separator): the bound on preallocating for a count it declares.
+    max_values: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -97,6 +98,7 @@ impl<'a> Reader<'a> {
         Reader {
             lines: text.lines(),
             line_no: 0,
+            max_values: text.len() / 2 + 1,
         }
     }
 
@@ -144,7 +146,9 @@ impl<'a> Reader<'a> {
     /// Returns [`CheckpointError::Parse`] on a malformed float or a count
     /// mismatch.
     pub fn floats(&mut self, n: usize) -> Result<Vec<f32>, CheckpointError> {
-        let mut out = Vec::with_capacity(n);
+        // `n` comes from the file: a corrupt count fails on the data
+        // instead of aborting the process on an impossible allocation.
+        let mut out = Vec::with_capacity(n.min(self.max_values));
         while out.len() < n {
             let line = self.next_line()?;
             for tok in line.split_whitespace() {
@@ -162,43 +166,12 @@ impl<'a> Reader<'a> {
         }
         Ok(out)
     }
-
-    /// Reads exactly `n` whitespace-separated `usize` values spanning as
-    /// many lines as needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Parse`] on a malformed integer or a count
-    /// mismatch.
-    pub fn usizes(&mut self, n: usize) -> Result<Vec<usize>, CheckpointError> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let line = self.next_line()?;
-            for tok in line.split_whitespace() {
-                let v: usize = tok.parse().map_err(|_| {
-                    parse_err(format!("line {}: bad integer '{tok}'", self.line_no))
-                })?;
-                out.push(v);
-            }
-        }
-        if out.len() != n {
-            return Err(parse_err(format!(
-                "expected {n} integers, found {}",
-                out.len()
-            )));
-        }
-        Ok(out)
-    }
 }
 
 /// Writes a whitespace-separated `f32` block in the format [`Reader::floats`]
 /// reads back. Rust's shortest round-trip `{}` formatting guarantees the
 /// parsed values are bit-identical to the originals.
 pub fn encode_floats(buf: &mut String, values: &[f32]) {
-    write_floats(buf, values);
-}
-
-fn write_floats(buf: &mut String, values: &[f32]) {
     for chunk in values.chunks(16) {
         let mut first = true;
         for v in chunk {
@@ -217,8 +190,8 @@ fn write_floats(buf: &mut String, values: &[f32]) {
 
 fn encode_linear(buf: &mut String, l: &Linear) {
     buf.push_str(&format!("linear {} {}\n", l.out_dim(), l.in_dim()));
-    write_floats(buf, l.w().data());
-    write_floats(buf, &l.b);
+    encode_floats(buf, l.w().data());
+    encode_floats(buf, &l.b);
 }
 
 fn decode_linear(r: &mut Reader<'_>) -> Result<Linear, CheckpointError> {
@@ -231,7 +204,10 @@ fn decode_linear(r: &mut Reader<'_>) -> Result<Linear, CheckpointError> {
     if out == 0 || inp == 0 {
         return Err(parse_err("linear dims must be positive"));
     }
-    let w = r.floats(out * inp)?;
+    let len = out
+        .checked_mul(inp)
+        .ok_or_else(|| parse_err("linear dims overflow"))?;
+    let w = r.floats(len)?;
     let b = r.floats(out)?;
     Ok(Linear::from_parts(Mat::from_vec(out, inp, w), b))
 }
@@ -253,13 +229,6 @@ fn act_from_name(s: &str) -> Result<Activation, CheckpointError> {
     }
 }
 
-/// Serializes an [`Mlp`] to checkpoint text.
-pub fn encode_mlp(net: &Mlp) -> String {
-    let mut buf = String::new();
-    encode_mlp_into(&mut buf, net);
-    buf
-}
-
 /// Appends an [`Mlp`] section to a larger checkpoint buffer.
 pub fn encode_mlp_into(buf: &mut String, net: &Mlp) {
     buf.push_str(&format!("mlp {}\n", net.num_layers()));
@@ -267,16 +236,6 @@ pub fn encode_mlp_into(buf: &mut String, net: &Mlp) {
         buf.push_str(&format!("act {}\n", act_name(net.activation(i))));
         encode_linear(buf, l);
     }
-}
-
-/// Parses an [`Mlp`] from checkpoint text.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Parse`] on any structural mismatch.
-pub fn decode_mlp(text: &str) -> Result<Mlp, CheckpointError> {
-    let mut r = Reader::new(text);
-    decode_mlp_from(&mut r)
 }
 
 /// Parses one [`Mlp`] section from a reader positioned at its `mlp` tag.
@@ -291,49 +250,16 @@ pub fn decode_mlp_from(r: &mut Reader<'_>) -> Result<Mlp, CheckpointError> {
         .ok_or_else(|| parse_err("mlp tag needs layer count"))?
         .parse()
         .map_err(|_| parse_err("bad layer count"))?;
-    if n == 0 {
-        return Err(parse_err("mlp needs at least one layer"));
-    }
-    let mut sizes = Vec::with_capacity(n + 1);
-    let mut layers = Vec::with_capacity(n);
-    let mut acts = Vec::with_capacity(n);
-    for i in 0..n {
+    let mut layers = Vec::new();
+    let mut acts = Vec::new();
+    for _ in 0..n {
         let a = r.expect_tag("act")?;
         acts.push(act_from_name(
             a.first().ok_or_else(|| parse_err("act needs a name"))?,
         )?);
-        let l = decode_linear(r)?;
-        if i == 0 {
-            sizes.push(l.in_dim());
-        } else if l.in_dim() != sizes[sizes.len() - 1] {
-            return Err(parse_err(format!(
-                "layer {i} input dim {} does not chain with previous output {}",
-                l.in_dim(),
-                sizes[sizes.len() - 1]
-            )));
-        }
-        sizes.push(l.out_dim());
-        layers.push(l);
+        layers.push(decode_linear(r)?);
     }
-    // Rebuild through the public constructor, then overwrite weights.
-    let mut rng = StdRng::seed_from_u64(0);
-    let hidden_act = acts[0];
-    // n >= 1 was checked above, so the last activation exists.
-    let out_act = acts[n - 1];
-    let mut net = Mlp::new(&sizes, hidden_act, out_act, &mut rng);
-    // Fix up any mixed activation patterns beyond (hidden.., out).
-    for (i, l) in net.layers_mut().iter_mut().enumerate() {
-        l.copy_params_from(&layers[i]);
-    }
-    for (i, a) in acts.iter().enumerate() {
-        if net.activation(i) != *a {
-            return Err(parse_err(format!(
-                "layer {i} activation pattern {:?} unsupported (expected uniform hidden + output)",
-                a
-            )));
-        }
-    }
-    Ok(net)
+    Mlp::from_parts(layers, acts).map_err(CheckpointError::Parse)
 }
 
 /// Serializes a [`GaussianPolicy`].
@@ -373,22 +299,7 @@ pub fn decode_policy_from(r: &mut Reader<'_>) -> Result<GaussianPolicy, Checkpoi
         .parse()
         .map_err(|_| parse_err("bad action dim"))?;
     let trunk = decode_mlp_from(r)?;
-    if trunk.out_dim() != 2 * action_dim {
-        return Err(parse_err(format!(
-            "trunk output {} does not match 2 * action_dim {}",
-            trunk.out_dim(),
-            2 * action_dim
-        )));
-    }
-    // Rebuild a policy with matching architecture, then copy the trunk.
-    let hidden: Vec<usize> = trunk.layers()[..trunk.num_layers() - 1]
-        .iter()
-        .map(Linear::out_dim)
-        .collect();
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut p = GaussianPolicy::new(trunk.in_dim(), &hidden, action_dim, &mut rng);
-    p.trunk_mut().copy_params_from(&trunk);
-    Ok(p)
+    GaussianPolicy::from_trunk(trunk, action_dim).map_err(CheckpointError::Parse)
 }
 
 /// Version tag of the Adam optimizer section.
@@ -412,8 +323,8 @@ pub fn encode_adam_into(buf: &mut String, opt: &crate::adam::Adam) {
     ));
     for (ms, vs) in m.iter().zip(v) {
         buf.push_str(&format!("slice {}\n", ms.len()));
-        write_floats(buf, ms);
-        write_floats(buf, vs);
+        encode_floats(buf, ms);
+        encode_floats(buf, vs);
     }
 }
 
@@ -460,8 +371,8 @@ pub fn decode_adam_from(r: &mut Reader<'_>) -> Result<crate::adam::Adam, Checkpo
         eps: floats[3],
         grad_clip: floats[4],
     };
-    let mut m = Vec::with_capacity(slices);
-    let mut v = Vec::with_capacity(slices);
+    let mut m = Vec::new();
+    let mut v = Vec::new();
     for _ in 0..slices {
         let sargs = r.expect_tag("slice")?;
         let len: usize = sargs
@@ -514,19 +425,25 @@ pub fn decode_pnn(text: &str) -> Result<PnnPolicy, CheckpointError> {
 /// Returns [`CheckpointError::Parse`] on structural mismatch.
 pub fn decode_pnn_from(r: &mut Reader<'_>) -> Result<PnnPolicy, CheckpointError> {
     let args = r.expect_tag("pnn")?;
-    let _action_dim: usize = args
+    let action_dim: usize = args
         .first()
         .ok_or_else(|| parse_err("pnn tag needs action dim"))?
         .parse()
         .map_err(|_| parse_err("bad action dim"))?;
     let base = decode_policy_from(r)?;
+    if base.action_dim() != action_dim {
+        return Err(parse_err(format!(
+            "pnn action dim {action_dim} does not match its base policy's {}",
+            base.action_dim()
+        )));
+    }
     let cargs = r.expect_tag("column")?;
     let ncol: usize = cargs
         .first()
         .ok_or_else(|| parse_err("column tag needs count"))?
         .parse()
         .map_err(|_| parse_err("bad column count"))?;
-    let mut column = Vec::with_capacity(ncol);
+    let mut column = Vec::new();
     for _ in 0..ncol {
         column.push(decode_linear(r)?);
     }
@@ -536,15 +453,11 @@ pub fn decode_pnn_from(r: &mut Reader<'_>) -> Result<PnnPolicy, CheckpointError>
         .ok_or_else(|| parse_err("laterals tag needs count"))?
         .parse()
         .map_err(|_| parse_err("bad laterals count"))?;
-    let mut laterals = Vec::with_capacity(nlat);
+    let mut laterals = Vec::new();
     for _ in 0..nlat {
         laterals.push(decode_linear(r)?);
     }
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut p = PnnPolicy::new(base, PnnInit::CopyBase, &mut rng);
-    p.set_parts(column, laterals)
-        .map_err(CheckpointError::Parse)?;
-    Ok(p)
+    PnnPolicy::from_parts(base, column, laterals).map_err(CheckpointError::Parse)
 }
 
 /// FNV-1a 64-bit hash — the integrity checksum appended to saved files.
@@ -676,6 +589,16 @@ mod tests {
     use crate::gaussian::randn_mat;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn encode_mlp(net: &Mlp) -> String {
+        let mut buf = String::new();
+        encode_mlp_into(&mut buf, net);
+        buf
+    }
+
+    fn decode_mlp(text: &str) -> Result<Mlp, CheckpointError> {
+        decode_mlp_from(&mut Reader::new(text))
+    }
 
     #[test]
     fn mlp_round_trip() -> Result<(), CheckpointError> {
@@ -890,16 +813,6 @@ mod tests {
     }
 
     #[test]
-    fn reader_usizes_parse_and_reject() {
-        let mut r = Reader::new("1 2 3\n4 5\n");
-        assert_eq!(r.usizes(5).unwrap(), vec![1, 2, 3, 4, 5]);
-        let mut r = Reader::new("1 x 3\n");
-        assert!(r.usizes(3).is_err());
-        let mut r = Reader::new("1 2 3 4\n");
-        assert!(r.usizes(3).is_err(), "over-count must error");
-    }
-
-    #[test]
     fn corrupted_text_errors_cleanly() {
         assert!(decode_mlp("garbage").is_err());
         assert!(decode_policy("policy x\n").is_err());
@@ -923,5 +836,54 @@ mod tests {
             found: 2,
         };
         assert!(format!("{corrupt}").contains("corrupt checkpoint"));
+    }
+
+    /// A policy is ReLU hidden layers and an identity output; a trunk
+    /// that says otherwise is rejected, not loaded as a ReLU policy.
+    #[test]
+    fn policy_trunk_with_foreign_activation_is_rejected() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let text = encode_policy(&GaussianPolicy::new(3, &[8], 1, &mut rng));
+        for (from, to) in [("act relu", "act tanh"), ("act identity", "act relu")] {
+            match decode_policy(&text.replacen(from, to, 1)) {
+                Err(CheckpointError::Parse(msg)) => assert!(msg.contains("activation"), "{msg}"),
+                other => panic!("{from} -> {to}: expected Parse, got {other:?}"),
+            }
+        }
+    }
+
+    /// The `pnn` tag's action dim must match the base policy it wraps,
+    /// and the column and laterals must fit that base.
+    #[test]
+    fn pnn_with_mismatched_parts_is_rejected() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let base = GaussianPolicy::new(4, &[8, 8], 1, &mut rng);
+        let text = encode_pnn(&PnnPolicy::new(base, crate::pnn::PnnInit::Random, &mut rng));
+        let tampered = [
+            text.replacen("pnn 1\n", "pnn 2\n", 1),
+            text.replacen("laterals 2\n", "laterals 1\n", 1),
+        ];
+        for bad in tampered {
+            match decode_pnn(&bad) {
+                Err(CheckpointError::Parse(_)) => {}
+                other => panic!("expected Parse, got {other:?}"),
+            }
+        }
+    }
+
+    /// Dimensions whose product overflows, or whose float count the file
+    /// cannot back, fail as parse errors instead of panicking or
+    /// aborting on the allocation.
+    #[test]
+    fn impossible_dims_are_parse_errors() {
+        for text in [
+            "mlp 1\nact relu\nlinear 4294967296 4294967296\n",
+            "mlp 1\nact relu\nlinear 4294967295 4294967295\n1 2\n",
+        ] {
+            match decode_mlp(text) {
+                Err(CheckpointError::Parse(_)) => {}
+                other => panic!("expected Parse, got {other:?}"),
+            }
+        }
     }
 }

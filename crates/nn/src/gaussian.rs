@@ -254,6 +254,39 @@ impl GaussianPolicy {
         }
     }
 
+    /// Wraps a trunk with the architecture [`GaussianPolicy::new`]
+    /// builds (ReLU hidden layers, an identity output of width
+    /// `2 * action_dim`), as a checkpoint decodes it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first mismatch: an output width other
+    /// than `2 * action_dim` (or a zero `action_dim`), or a layer whose
+    /// activation differs from that architecture's.
+    pub fn from_trunk(trunk: Mlp, action_dim: usize) -> Result<Self, String> {
+        if action_dim == 0 || action_dim.checked_mul(2) != Some(trunk.out_dim()) {
+            return Err(format!(
+                "trunk output {} does not match 2 * action_dim {action_dim}",
+                trunk.out_dim()
+            ));
+        }
+        let last = trunk.num_layers() - 1;
+        for i in 0..=last {
+            let want = if i == last {
+                Activation::Identity
+            } else {
+                Activation::Relu
+            };
+            if trunk.activation(i) != want {
+                return Err(format!(
+                    "trunk layer {i} activation {:?}, a policy needs {want:?}",
+                    trunk.activation(i)
+                ));
+            }
+        }
+        Ok(GaussianPolicy { trunk, action_dim })
+    }
+
     /// Observation dimensionality.
     pub fn obs_dim(&self) -> usize {
         self.trunk.in_dim()

@@ -132,21 +132,10 @@ impl Mat {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self @ other` — standard matrix product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Mat) -> Mat {
-        let mut out = Mat::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
     /// `self @ other` written into `out` (resized and overwritten) —
     /// allocation-free when `out`'s buffer is already large enough.
     ///
-    /// Backed by the register-tiled kernel ([`gemm_acc`]): independent
+    /// Backed by the register-tiled kernel (`gemm_acc`): independent
     /// accumulators per output tile break the FP latency chain while every
     /// output element still folds its products in ascending-`k` order with
     /// one fused multiply-add per product, so results are independent of
@@ -173,79 +162,6 @@ impl Mat {
             &other.data,
             &mut out.data,
         );
-    }
-
-    /// `self @ other^T` — product with the transpose of `other`, the common
-    /// shape for `x @ W^T` linear layers without materializing a transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.cols`.
-    pub fn matmul_nt(&self, other: &Mat) -> Mat {
-        let mut out = Mat::zeros(self.rows, other.rows);
-        self.matmul_nt_into(other, &mut out);
-        out
-    }
-
-    /// `self @ other^T` written into `out` via a thread-local pack buffer —
-    /// see [`Mat::matmul_nt_into_with`] for the caller-owned-scratch form.
-    /// Allocation-free once the thread's pack buffer has warmed up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.cols`.
-    pub fn matmul_nt_into(&self, other: &Mat, out: &mut Mat) {
-        PACK.with(|p| self.matmul_nt_into_with(other, &mut p.borrow_mut(), out));
-    }
-
-    /// `self @ other^T` written into `out` (resized and overwritten),
-    /// packing `other^T` into the caller-owned `pack` scratch so the one
-    /// register-tiled row-major kernel does all the work. The transposed
-    /// dot-product loop this replaces was latency-bound on a single
-    /// accumulator chain (~3x slower than the plain layout at 64x64).
-    ///
-    /// Per output element the products still accumulate in ascending
-    /// shared-dimension order, so results are bit-identical to the explicit
-    /// `self @ transpose(other)` product. Batches of fewer than [`TILE`]
-    /// rows skip the pack (it cannot amortize) and use a direct dot-product
-    /// sweep with the same accumulation order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.cols`.
-    pub fn matmul_nt_into_with(&self, other: &Mat, pack: &mut Mat, out: &mut Mat) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_nt dims: {}x{} @ ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        out.resize(self.rows, other.rows);
-        if self.rows < TILE {
-            nt_dot(self, other, out);
-            return;
-        }
-        other.transpose_into(pack);
-        out.fill(0.0);
-        gemm_acc(
-            Lhs::Rows(&self.data),
-            self.rows,
-            self.cols,
-            other.rows,
-            &pack.data,
-            &mut out.data,
-        );
-    }
-
-    /// `self^T @ other` — used for weight-gradient accumulation
-    /// (`x^T @ grad_out`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != other.rows`.
-    pub fn matmul_tn(&self, other: &Mat) -> Mat {
-        let mut out = Mat::zeros(self.cols, other.cols);
-        self.matmul_tn_acc(other, &mut out);
-        out
     }
 
     /// `acc += self^T @ other` — accumulates the weight-gradient product
@@ -321,12 +237,13 @@ impl Mat {
     /// [`crate::linear::Linear`], which keeps `other^T` as its pack).
     /// `other_t` must be `other^T` (see [`Mat::transpose_into`]).
     ///
-    /// Bit-identical to `matmul_nt_into` followed by `add_row_broadcast`:
-    /// the bias seeds the output and every tile's register fold lands on
-    /// top in one add (`bias + acc` vs `acc + bias` — IEEE addition
-    /// commutes bitwise), while the small-batch `nt_packed_sweep` path
-    /// adds the bias after the fold, exactly as the unpacked pipeline
-    /// does.
+    /// Each output element is its products folded in ascending shared
+    /// order, one fused multiply-add each, starting from zero, plus the
+    /// bias in one add: the tiled path seeds the output with the bias and
+    /// lands every tile's register fold on top (`bias + acc` vs
+    /// `acc + bias` — IEEE addition commutes bitwise), while the
+    /// small-batch `nt_packed_sweep` path adds the bias after the fold.
+    /// So results are independent of batch size and tiling.
     ///
     /// # Panics
     ///
@@ -387,30 +304,8 @@ impl Mat {
         }
     }
 
-    /// Adds `row` to every row of the matrix (bias broadcast).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != self.cols`.
-    pub fn add_row_broadcast(&mut self, row: &[f32]) {
-        assert_eq!(row.len(), self.cols);
-        for r in 0..self.rows {
-            let dst = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (d, &b) in dst.iter_mut().zip(row) {
-                *d += b;
-            }
-        }
-    }
-
-    /// Sum over rows, returning a `cols`-length vector (bias gradients).
-    pub fn sum_rows(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// [`Mat::sum_rows`] into a reusable buffer (resized and overwritten).
-    /// Each column starts at `0.0` and adds the rows in ascending order;
+    /// Sum over rows (bias gradients) into a reusable `cols`-length buffer
+    /// (resized and overwritten). Each column starts at `0.0` and adds the rows in ascending order;
     /// the sweep runs row by row, so every pass reads contiguous memory.
     pub(crate) fn sum_rows_into(&self, out: &mut Vec<f32>) {
         out.clear();
@@ -422,20 +317,9 @@ impl Mat {
         }
     }
 
-    /// Horizontal concatenation `[self | other]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if row counts differ.
-    pub fn hcat(&self, other: &Mat) -> Mat {
-        let mut out = Mat::default();
-        self.hcat_into(other, &mut out);
-        out
-    }
-
     /// Horizontal concatenation `[self | other]` written into `out`
-    /// (resized and overwritten) — allocation-free [`Mat::hcat`] once the
-    /// buffer has warmed up.
+    /// (resized and overwritten) — allocation-free once the buffer has
+    /// warmed up.
     ///
     /// # Panics
     ///
@@ -503,18 +387,9 @@ const MR: usize = if WIDE { 6 } else { TILE };
 const NTILE: usize = if WIDE { 64 } else { 32 };
 
 thread_local! {
-    /// Pack buffer behind the scratch-free [`Mat::matmul_nt_into`] entry
-    /// point. Thread-local so parallel experiment workers never contend;
-    /// its capacity persists across calls, so steady-state packing
-    /// allocates nothing.
-    static PACK: RefCell<Mat> = const {
-        RefCell::new(Mat {
-            rows: 0,
-            cols: 0,
-            data: Vec::new(),
-        })
-    };
-    /// The zero-padded remainder strip of [`gemm_acc`], reused the same way.
+    /// The zero-padded remainder strip of [`gemm_acc`]. Thread-local so
+    /// parallel experiment workers never contend; its capacity persists
+    /// across calls, so steady-state padding allocates nothing.
     static PAD: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -738,25 +613,6 @@ impl Gemm<'_> {
     }
 }
 
-/// Small-batch `self @ other^T`: direct dot products, single accumulator
-/// per element with the same fused ascending-order fold as [`gemm_acc`],
-/// so it is bit-identical to the wide batched path. Used by
-/// [`Mat::matmul_nt_into_with`] when there are too few rows for the
-/// pack-and-tile path to pay for the transpose; layers never take it,
-/// since they keep their own pack (see [`crate::linear::Linear`]).
-fn nt_dot(a: &Mat, other: &Mat, out: &mut Mat) {
-    for i in 0..a.rows {
-        let a_row = a.row(i);
-        for j in 0..other.rows {
-            let mut acc = 0.0f32;
-            for (x, y) in a_row.iter().zip(other.row(j)) {
-                acc = x.mul_add(*y, acc);
-            }
-            out.data[i * other.rows + j] = acc;
-        }
-    }
-}
-
 /// Column width of the widest register strip of [`nt_packed_sweep`]: 64
 /// accumulators (four 16-lane vectors) per broadcast input element.
 const STRIP: usize = 64;
@@ -766,9 +622,8 @@ const STRIP: usize = 64;
 /// of contiguous packed weights, so every strip lane is its own
 /// ascending-`k` fused chain and the loads are unit-stride. Columns walk
 /// in fixed-width strips of 64, then 4 and 1 (narrow policy heads), each
-/// held in registers. The bias lands after the fold, as in the unpacked
-/// `nt_dot` + `add_row_broadcast` pipeline, so outputs are bit-identical
-/// to it.
+/// held in registers. The bias lands after the fold, so outputs are
+/// bit-identical to the tiled path's.
 fn nt_packed_sweep(a: &Mat, other_t: &Mat, bias: &[f32], out: &mut Mat) {
     let n = other_t.cols;
     for i in 0..a.rows {
@@ -866,6 +721,18 @@ pub(crate) mod reference {
         out
     }
 
+    /// [`matmul_nt_fused`] plus `bias` on every row, in one add per
+    /// element after the fold.
+    pub fn matmul_nt_bias_fused(a: &Mat, b: &Mat, bias: &[f32]) -> Mat {
+        let mut out = matmul_nt_fused(a, b);
+        for r in 0..out.rows() {
+            for (o, &c) in out.row_mut(r).iter_mut().zip(bias) {
+                *o += c;
+            }
+        }
+        out
+    }
+
     /// `acc + a^T @ b` with the fused fold: each element's products fold
     /// from zero in ascending batch order, then one add lands the fold on
     /// `acc`.
@@ -888,16 +755,37 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
 
+    fn matmul(a: &Mat, b: &Mat) -> Mat {
+        let mut out = Mat::default();
+        a.matmul_into(b, &mut out);
+        out
+    }
+
+    fn matmul_tn(a: &Mat, b: &Mat) -> Mat {
+        let mut acc = Mat::zeros(a.cols(), b.cols());
+        a.matmul_tn_acc(b, &mut acc);
+        acc
+    }
+
+    /// `a @ b^T + bias` through a fresh pack of `b^T`.
+    fn prepacked(a: &Mat, b: &Mat, bias: &[f32]) -> Mat {
+        let mut bt = Mat::default();
+        b.transpose_into(&mut bt);
+        let mut out = Mat::default();
+        a.matmul_nt_prepacked_bias_into(b, &bt, bias, &mut out);
+        out
+    }
+
     #[test]
     fn matmul_known_values() {
         let a = Mat::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Mat::from_vec(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
+        let c = matmul(&a, &b);
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
 
     #[test]
-    fn matmul_nt_equals_explicit_transpose() {
+    fn prepacked_nt_equals_explicit_transpose() {
         let a = Mat::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Mat::from_vec(4, 3, (0..12).map(|i| i as f32).collect());
         let bt = {
@@ -909,7 +797,7 @@ mod tests {
             }
             t
         };
-        assert_eq!(a.matmul_nt(&b), a.matmul(&bt));
+        assert_eq!(prepacked(&a, &b, &[0.0; 4]), matmul(&a, &bt));
     }
 
     #[test]
@@ -925,21 +813,23 @@ mod tests {
             }
             t
         };
-        assert_eq!(a.matmul_tn(&b), at.matmul(&b));
+        assert_eq!(matmul_tn(&a, &b), matmul(&at, &b));
     }
 
     #[test]
-    fn broadcast_and_sum_rows_are_inverse_ish() {
-        let mut m = Mat::zeros(3, 2);
-        m.add_row_broadcast(&[1.0, -2.0]);
-        assert_eq!(m.sum_rows(), vec![3.0, -6.0]);
+    fn sum_rows_into_sums_columns_into_a_dirty_buffer() {
+        let m = Mat::from_vec(3, 2, vec![1.0, -2.0, 1.0, -2.0, 1.0, -2.0]);
+        let mut out = vec![9.9; 5];
+        m.sum_rows_into(&mut out);
+        assert_eq!(out, vec![3.0, -6.0]);
     }
 
     #[test]
     fn hcat_and_split_round_trip() {
         let a = Mat::from_vec(2, 2, vec![1., 2., 3., 4.]);
         let b = Mat::from_vec(2, 1, vec![5., 6.]);
-        let c = a.hcat(&b);
+        let mut c = Mat::default();
+        a.hcat_into(&b, &mut c);
         assert_eq!(c.cols(), 3);
         assert_eq!(c.row(0), &[1., 2., 5.]);
         let (l, r) = c.split_cols(2);
@@ -959,7 +849,7 @@ mod tests {
     fn matmul_shape_mismatch_panics() {
         let a = Mat::zeros(2, 3);
         let b = Mat::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = matmul(&a, &b);
     }
 
     #[test]
@@ -976,12 +866,12 @@ mod tests {
     fn matmul_propagates_nan_through_zero_coefficients() {
         let a = Mat::from_vec(1, 2, vec![0.0, 1.0]);
         let b = Mat::from_vec(2, 1, vec![f32::NAN, 2.0]);
-        let mut c = a.matmul(&b);
+        let mut c = matmul(&a, &b);
         assert!(c.get(0, 0).is_nan(), "0.0 * NaN must propagate in matmul");
 
         let t = Mat::from_vec(2, 1, vec![0.0, 1.0]);
         let g = Mat::from_vec(2, 1, vec![f32::NAN, 3.0]);
-        let d = t.matmul_tn(&g);
+        let d = matmul_tn(&t, &g);
         assert!(
             d.get(0, 0).is_nan(),
             "0.0 * NaN must propagate in matmul_tn"
@@ -993,26 +883,29 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_match_allocating_kernels_after_reuse() {
+    fn into_variants_overwrite_dirty_buffers() {
         let a = Mat::from_vec(3, 5, (0..15).map(|i| (i as f32) * 0.37 - 2.0).collect());
         let b = Mat::from_vec(5, 4, (0..20).map(|i| (i as f32) * -0.21 + 1.5).collect());
-        let bt = Mat::from_vec(4, 5, (0..20).map(|i| (i as f32) * 0.11).collect());
+        let w = Mat::from_vec(4, 5, (0..20).map(|i| (i as f32) * 0.11).collect());
+        let mut wt = Mat::default();
+        w.transpose_into(&mut wt);
+        let bias = [0.5, -0.25, 0.0, 1.0];
 
         // Deliberately mis-shaped, dirty scratch buffers: `_into` must
         // resize and fully overwrite them.
         let mut out = Mat::from_vec(1, 2, vec![9.9, -9.9]);
         a.matmul_into(&b, &mut out);
-        assert_eq!(out, a.matmul(&b));
+        assert_eq!(out, reference::matmul_fused(&a, &b));
 
-        a.matmul_nt_into(&bt, &mut out);
-        assert_eq!(out, a.matmul_nt(&bt));
+        a.matmul_nt_prepacked_bias_into(&w, &wt, &bias, &mut out);
+        assert_eq!(out, reference::matmul_nt_bias_fused(&a, &w, &bias));
     }
 
     #[test]
     fn matmul_tn_acc_accumulates_on_top() {
         let a = Mat::from_vec(3, 2, (0..6).map(|i| i as f32).collect());
         let g = Mat::from_vec(3, 4, (0..12).map(|i| (i as f32) * 0.5).collect());
-        let mut acc = a.matmul_tn(&g);
+        let mut acc = matmul_tn(&a, &g);
         let once = acc.clone();
         a.matmul_tn_acc(&g, &mut acc);
         for (twice, one) in acc.data().iter().zip(once.data()) {
@@ -1049,22 +942,12 @@ mod tests {
     }
 
     #[test]
-    fn hcat_into_matches_hcat_on_dirty_buffer() {
+    fn hcat_into_overwrites_a_dirty_buffer() {
         let a = Mat::from_vec(2, 2, vec![1., 2., 3., 4.]);
         let b = Mat::from_vec(2, 1, vec![5., 6.]);
         let mut out = Mat::from_vec(3, 3, vec![7.0; 9]);
         a.hcat_into(&b, &mut out);
-        assert_eq!(out, a.hcat(&b));
-    }
-
-    #[test]
-    fn with_variant_matches_thread_local_pack_path() {
-        let a = Mat::from_vec(6, 5, (0..30).map(|i| (i as f32) * 0.3 - 4.0).collect());
-        let b = Mat::from_vec(7, 5, (0..35).map(|i| (i as f32) * -0.17 + 2.0).collect());
-        let mut pack = Mat::default();
-        let mut out = Mat::default();
-        a.matmul_nt_into_with(&b, &mut pack, &mut out);
-        assert_eq!(out, a.matmul_nt(&b));
+        assert_eq!(out, Mat::from_vec(2, 3, vec![1., 2., 5., 3., 4., 6.]));
     }
 
     /// Repeated calls that reuse the same scratch buffers must be exactly
@@ -1087,12 +970,12 @@ mod tests {
             b.transpose_into(&mut t);
             t
         };
-        let mut pack = Mat::default();
+        let bias = vec![0.0f32; 6];
         let mut out = Mat::default();
         a.matmul_into(&b, &mut out);
         let first = out.clone();
         let mut nt_out = Mat::default();
-        a.matmul_nt_into_with(&bt, &mut pack, &mut nt_out);
+        a.matmul_nt_prepacked_bias_into(&bt, &b, &bias, &mut nt_out);
         let nt_first = nt_out.clone();
         let mut acc = Mat::zeros(13, 6);
         a.matmul_tn_acc(&nt_out, &mut acc);
@@ -1100,7 +983,7 @@ mod tests {
         for _ in 0..3 {
             a.matmul_into(&b, &mut out);
             assert_eq!(out, first);
-            a.matmul_nt_into_with(&bt, &mut pack, &mut nt_out);
+            a.matmul_nt_prepacked_bias_into(&bt, &b, &bias, &mut nt_out);
             assert_eq!(nt_out, nt_first);
             acc.fill(0.0);
             a.matmul_tn_acc(&nt_out, &mut acc);
@@ -1116,13 +999,12 @@ mod tests {
     const EDGE_KS: [usize; 4] = [1, 7, 60, 128];
 
     /// The pre-packed bias-fused product must be bit-identical to the
-    /// unpacked pipeline (`matmul_nt_into` + `add_row_broadcast`) across
-    /// the kernel's regimes: the small-batch kernels (`nt_packed_sweep`
-    /// against `nt_dot`, m < TILE) at every strip edge, the
-    /// tiled interior, and row/column remainders (m % TILE, n % NTILE,
-    /// n < NTILE).
+    /// fused reference fold plus the bias across the kernel's regimes:
+    /// the small-batch sweep (`nt_packed_sweep`, m < TILE) at every strip
+    /// edge, the tiled interior, and row/column remainders (m % TILE,
+    /// n % NTILE, n < NTILE).
     #[test]
-    fn prepacked_bias_matches_unpacked_pipeline_bit_exactly() {
+    fn prepacked_bias_matches_fused_reference_bit_exactly() {
         let mut shapes = vec![
             (4usize, 60usize, 128usize), // pure tiled interior
             (128, 60, 128),              // inference layer shape
@@ -1156,9 +1038,7 @@ mod tests {
             let mut bt = Mat::default();
             b.transpose_into(&mut bt);
 
-            let mut want = Mat::default();
-            a.matmul_nt_into(&b, &mut want);
-            want.add_row_broadcast(&bias);
+            let want = reference::matmul_nt_bias_fused(&a, &b, &bias);
 
             let mut got = Mat::from_vec(1, 2, vec![9.9, -9.9]); // dirty scratch
             a.matmul_nt_prepacked_bias_into(&b, &bt, &bias, &mut got);
@@ -1167,15 +1047,15 @@ mod tests {
                 assert_eq!(
                     g.to_bits(),
                     w.to_bits(),
-                    "({m}x{k}x{n})[{i}]: prepacked {g} vs unpacked {w}"
+                    "({m}x{k}x{n})[{i}]: prepacked {g} vs reference {w}"
                 );
             }
         }
     }
 
     /// Rows of a single-row product equal the same rows computed inside a
-    /// tiled batch, bit for bit — packed and unpacked, at every strip
-    /// edge — and both equal the fused reference fold.
+    /// tiled batch, bit for bit, at every strip edge, and both equal the
+    /// fused reference fold plus the bias.
     #[test]
     fn small_batch_rows_match_tiled_batch_rows_bit_exactly() {
         for k in EDGE_KS {
@@ -1201,13 +1081,11 @@ mod tests {
                 wide.matmul_nt_prepacked_bias_into(&b, &bt, &bias, &mut batched);
                 for m in 1..TILE {
                     let a = Mat::from_vec(m, k, wide.data()[..m * k].to_vec());
-                    let mut unpacked = Mat::default();
-                    a.matmul_nt_into(&b, &mut unpacked);
-                    let fused = reference::matmul_nt_fused(&a, &b);
+                    let fused = reference::matmul_nt_bias_fused(&a, &b, &bias);
                     let mut packed = Mat::default();
                     a.matmul_nt_prepacked_bias_into(&b, &bt, &bias, &mut packed);
-                    for (i, (u, f)) in unpacked.data().iter().zip(fused.data()).enumerate() {
-                        assert_eq!(u.to_bits(), f.to_bits(), "({m}x{k}x{n})[{i}] nt_dot");
+                    for (i, (p, f)) in packed.data().iter().zip(fused.data()).enumerate() {
+                        assert_eq!(p.to_bits(), f.to_bits(), "({m}x{k}x{n})[{i}] fused");
                     }
                     for (i, (p, w)) in packed.data().iter().zip(batched.data()).enumerate() {
                         assert_eq!(p.to_bits(), w.to_bits(), "({m}x{k}x{n})[{i}] packed");
@@ -1317,31 +1195,21 @@ mod tests {
                 assert_bits(&out, &fused, "matmul")?;
             }
 
-            /// The packed NT product — and its pre-packed, bias-fused form —
-            /// equals the fused reference fold bit for bit, including the
-            /// small-batch direct paths (`m < TILE`).
+            /// The pre-packed, bias-fused NT product equals the fused
+            /// reference fold plus the bias bit for bit, including the
+            /// small-batch direct path (`m < TILE`).
             #[test]
             fn matmul_nt_matches_fused_reference((m, k, n) in Dims, (sa, sb) in values()) {
                 let a = mat(m, k, &sa);
                 let b = mat(n, k, &sb);
-                let fused = reference::matmul_nt_fused(&a, &b);
-                let mut pack = Mat::default();
-                let mut out = Mat::default();
-                a.matmul_nt_into_with(&b, &mut pack, &mut out);
-                assert_bits(&out, &fused, "matmul_nt")?;
                 let bias: Vec<f32> = (0..n).map(|j| sa[j % sa.len()] * 0.5).collect();
-                let mut biased = fused.clone();
-                biased.add_row_broadcast(&bias);
-                let mut bt = Mat::default();
-                b.transpose_into(&mut bt);
-                a.matmul_nt_prepacked_bias_into(&b, &bt, &bias, &mut out);
-                assert_bits(&out, &biased, "prepacked")?;
+                let biased = reference::matmul_nt_bias_fused(&a, &b, &bias);
+                assert_bits(&super::prepacked(&a, &b, &bias), &biased, "prepacked")?;
             }
 
-            /// Single-row products at the strip edges: the unpacked
-            /// `nt_dot` and the packed sweep both equal the
-            /// fused reference fold bit for bit (and so each other), and
-            /// stay within tolerance of the unfused naive loop.
+            /// Single-row products at the strip edges: the packed sweep
+            /// equals the fused reference fold bit for bit and stays within
+            /// tolerance of the unfused naive loop.
             #[test]
             fn small_batch_nt_kernels_match_fused_reference(
                 (m, ki, ni) in (1usize..=3, 0usize..4, 0usize..10),
@@ -1351,17 +1219,9 @@ mod tests {
                 let a = mat(m, k, &sa);
                 let b = mat(n, k, &sb);
                 let fused = reference::matmul_nt_fused(&a, &b);
-                let mut pack = Mat::default();
-                let mut out = Mat::default();
-                a.matmul_nt_into_with(&b, &mut pack, &mut out);
-                assert_close(&out, &reference::matmul_nt(&a, &b), "nt_dot");
-                let zeros = vec![0.0f32; n];
-                let mut bt = Mat::default();
-                b.transpose_into(&mut bt);
-                let mut packed = Mat::default();
-                a.matmul_nt_prepacked_bias_into(&b, &bt, &zeros, &mut packed);
-                for ((&u, &p), &f) in out.data().iter().zip(packed.data()).zip(fused.data()) {
-                    prop_assert_eq!(u.to_bits(), f.to_bits());
+                let packed = super::prepacked(&a, &b, &vec![0.0f32; n]);
+                assert_close(&packed, &reference::matmul_nt(&a, &b), "packed");
+                for (&p, &f) in packed.data().iter().zip(fused.data()) {
                     prop_assert_eq!(p.to_bits(), (f + 0.0).to_bits());
                 }
             }

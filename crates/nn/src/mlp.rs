@@ -21,8 +21,6 @@ enum Grads {
     /// Parameter gradients only: the first layer's input gradient is
     /// skipped.
     Params,
-    /// The input gradient only: no parameter gradient accumulates.
-    Input,
     /// Neither: the sweep stops at the first layer's output gradient.
     Hidden,
 }
@@ -82,6 +80,38 @@ impl Mlp {
         Mlp { layers, acts }
     }
 
+    /// Builds an MLP from its layers and one activation per layer, as a
+    /// checkpoint decodes them.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first mismatch: no layers, an
+    /// activation count that differs from the layer count, or a layer
+    /// whose input width does not chain with the previous output.
+    pub fn from_parts(layers: Vec<Linear>, acts: Vec<Activation>) -> Result<Self, String> {
+        if layers.is_empty() {
+            return Err("an MLP needs at least one layer".into());
+        }
+        if acts.len() != layers.len() {
+            return Err(format!(
+                "{} activations for {} layers",
+                acts.len(),
+                layers.len()
+            ));
+        }
+        for (i, pair) in layers.windows(2).enumerate() {
+            if pair[1].in_dim() != pair[0].out_dim() {
+                return Err(format!(
+                    "layer {} input dim {} does not chain with previous output {}",
+                    i + 1,
+                    pair[1].in_dim(),
+                    pair[0].out_dim()
+                ));
+            }
+        }
+        Ok(Mlp { layers, acts })
+    }
+
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.layers[0].in_dim()
@@ -102,11 +132,9 @@ impl Mlp {
         &self.layers
     }
 
-    /// Mutable access to the layers.
-    ///
-    /// Prefer [`Mlp::visit_params`] for optimization; this exists for weight
-    /// surgery (checkpoint loading, tests, PNN column grafts).
-    pub fn layers_mut(&mut self) -> &mut [Linear] {
+    /// Mutable access to the layers, for weight surgery in tests.
+    #[cfg(test)]
+    pub(crate) fn layers_mut(&mut self) -> &mut [Linear] {
         &mut self.layers
     }
 
@@ -222,26 +250,8 @@ impl Mlp {
         self.backprop(cache, grad_out, s, Grads::Params);
     }
 
-    /// The input gradient of [`Mlp::backward_with`], bit for bit, without
-    /// accumulating any parameter gradient (they are left untouched) —
-    /// for differentiating through a network that is not being trained
-    /// by this loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache does not match this network's depth.
-    pub fn input_grad_with<'s>(
-        &mut self,
-        cache: &MlpCache,
-        grad_out: &Mat,
-        s: &'s mut Scratch,
-    ) -> &'s Mat {
-        let in_a = self.backprop(cache, grad_out, s, Grads::Input);
-        s.half(in_a)
-    }
-
-    /// The last `tail` columns of [`Mlp::input_grad_with`], bit for bit,
-    /// written into `out` (resized and overwritten): the first layer
+    /// The last `tail` columns of [`Mlp::backward_with`]'s input gradient,
+    /// bit for bit, written into `out` (resized and overwritten): the first layer
     /// multiplies only the matching `tail` weight columns, so the other
     /// input columns cost nothing. SAC's actor objective needs the
     /// critics' gradient in the action columns of their `[obs | action]`
@@ -292,7 +302,7 @@ impl Mlp {
         // contribution.
         a.sanitize_nonfinite();
         let params = matches!(grads, Grads::ParamsAndInput | Grads::Params);
-        let first_input = matches!(grads, Grads::ParamsAndInput | Grads::Input);
+        let first_input = grads == Grads::ParamsAndInput;
         let mut cur_is_a = true;
         for i in (0..self.layers.len()).rev() {
             let (g, next) = if cur_is_a {
@@ -500,10 +510,8 @@ mod tests {
         assert_eq!(a, b, "accumulated gradients must match exactly");
     }
 
-    /// The partial backward passes are bit-identical slices of the full
-    /// one: `backward_params_with` accumulates exactly its parameter
-    /// gradients, and `input_grad_with` returns exactly its input gradient
-    /// while leaving the parameter gradients as they were.
+    /// `backward_params_with` accumulates exactly the full backward pass's
+    /// parameter gradients.
     #[test]
     fn partial_backward_passes_match_full_backward() {
         let mut rng = StdRng::seed_from_u64(4);
@@ -512,26 +520,19 @@ mod tests {
         let mut full = net();
         let cache = full.forward_cached(&x);
         full.zero_grad();
-        let gi_full = full.backward(&cache, &grad_out);
+        full.backward(&cache, &grad_out);
 
         let mut params = net();
         params.zero_grad();
         params.backward_params_with(&cache, &grad_out, &mut Scratch::default());
         assert_eq!(params, full, "parameter gradients must match exactly");
-
-        let mut input = net();
-        input.zero_grad();
-        let before = input.clone();
-        let gi = input
-            .input_grad_with(&cache, &grad_out, &mut Scratch::default())
-            .clone();
-        assert_eq!(gi, gi_full);
-        assert_eq!(input, before, "parameter gradients must be untouched");
     }
 
     /// The tail input gradient is exactly the last columns of the full
-    /// one, at a critic's shape (2 action columns of a 62-wide input, the
-    /// 128-row training batch) and at every tail width of a small net.
+    /// backward pass's, at a critic's shape (2 action columns of a 62-wide
+    /// input, the 128-row training batch) and at every tail width of a
+    /// small net, the whole input included, while the parameter gradients
+    /// stay as they were.
     #[test]
     fn input_grad_tail_matches_last_columns_of_full_input_grad() {
         let mut rng = StdRng::seed_from_u64(5);
@@ -563,9 +564,7 @@ mod tests {
                     .collect(),
             );
             let cache = n.forward_cached(&x);
-            let full = n
-                .input_grad_with(&cache, &grad_out, &mut Scratch::default())
-                .clone();
+            let full = n.clone().backward(&cache, &grad_out);
             let before = n.clone();
             let mut s = Scratch::default();
             let mut tail_grad = Mat::from_vec(1, 1, vec![9.9]); // dirty

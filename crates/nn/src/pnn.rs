@@ -110,6 +110,54 @@ impl PnnPolicy {
         }
     }
 
+    /// Assembles a PNN from a frozen base and the trainable parts `new`
+    /// would have built for it, as a checkpoint decodes them: one column
+    /// layer per base trunk layer, shaped like it, and one lateral per
+    /// adjacent pair of trunk layers, mapping the first one's output to
+    /// the second one's.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first count or shape mismatch.
+    pub fn from_parts(
+        base: GaussianPolicy,
+        column: Vec<Linear>,
+        laterals: Vec<Linear>,
+    ) -> Result<Self, String> {
+        let layers = base.trunk().layers();
+        if column.len() != layers.len() {
+            return Err(format!(
+                "column depth {} != expected {}",
+                column.len(),
+                layers.len()
+            ));
+        }
+        if laterals.len() != layers.len() - 1 {
+            return Err(format!(
+                "lateral count {} != expected {}",
+                laterals.len(),
+                layers.len() - 1
+            ));
+        }
+        for (i, (c, l)) in column.iter().zip(layers).enumerate() {
+            if (c.in_dim(), c.out_dim()) != (l.in_dim(), l.out_dim()) {
+                return Err(format!("column layer {i} shape mismatch"));
+            }
+        }
+        for (i, (lat, pair)) in laterals.iter().zip(layers.windows(2)).enumerate() {
+            if (lat.in_dim(), lat.out_dim()) != (pair[0].out_dim(), pair[1].out_dim()) {
+                return Err(format!("lateral {i} shape mismatch"));
+            }
+        }
+        let action_dim = base.action_dim();
+        Ok(PnnPolicy {
+            base,
+            column,
+            laterals,
+            action_dim,
+        })
+    }
+
     /// The frozen base policy (column 1).
     pub fn base(&self) -> &GaussianPolicy {
         &self.base
@@ -257,41 +305,6 @@ impl PnnPolicy {
     /// The trainable parts `(column, laterals)` — used by checkpointing.
     pub fn parts(&self) -> (&[Linear], &[Linear]) {
         (&self.column, &self.laterals)
-    }
-
-    /// Replaces the trainable parts wholesale (checkpoint loading).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first shape mismatch.
-    pub fn set_parts(&mut self, column: Vec<Linear>, laterals: Vec<Linear>) -> Result<(), String> {
-        if column.len() != self.column.len() {
-            return Err(format!(
-                "column depth {} != expected {}",
-                column.len(),
-                self.column.len()
-            ));
-        }
-        if laterals.len() != self.laterals.len() {
-            return Err(format!(
-                "lateral count {} != expected {}",
-                laterals.len(),
-                self.laterals.len()
-            ));
-        }
-        for (i, (new, old)) in column.iter().zip(&self.column).enumerate() {
-            if new.in_dim() != old.in_dim() || new.out_dim() != old.out_dim() {
-                return Err(format!("column layer {i} shape mismatch"));
-            }
-        }
-        for (i, (new, old)) in laterals.iter().zip(&self.laterals).enumerate() {
-            if new.in_dim() != old.in_dim() || new.out_dim() != old.out_dim() {
-                return Err(format!("lateral {i} shape mismatch"));
-            }
-        }
-        self.column = column;
-        self.laterals = laterals;
-        Ok(())
     }
 
     /// Convenience: act on a single observation through column 2.

@@ -342,13 +342,6 @@ impl<A: Actor> Sac<A> {
         self.action_dim
     }
 
-    /// Q-value of critic 1 for a single `(obs, action)` pair — exposed for
-    /// diagnostics and tests.
-    pub fn q1_value(&self, obs: &[f32], action: &[f32]) -> f32 {
-        let x = Mat::from_row(obs).hcat(&Mat::from_row(action));
-        self.q1.forward(&x).get(0, 0)
-    }
-
     /// Acts on a single observation (stochastic unless `deterministic`).
     pub fn act(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
         self.actor.act(obs, rng, deterministic)
@@ -377,7 +370,7 @@ impl<A: Actor> Sac<A> {
 
     /// Performs one gradient update on a pre-sampled batch.
     ///
-    /// Every intermediate lives in a persistent [`UpdateScratch`], so after
+    /// Every intermediate lives in a persistent `UpdateScratch`, so after
     /// the first call at a given batch size this performs zero heap
     /// allocations (see `crates/rl/tests/alloc.rs`).
     pub fn update_batch(&mut self, batch: &Batch, rng: &mut StdRng) -> SacLosses {
@@ -699,7 +692,8 @@ mod tests {
         for _ in 0..400 {
             sac.update(&rb, &mut rng);
         }
-        let q = sac.q1_value(&[0.0], &[0.0]);
+        // Critic 1 at the one `[obs | action]` input.
+        let q = sac.q1.forward(&Mat::from_row(&[0.0, 0.0])).get(0, 0);
         assert!((q - 1.0).abs() < 0.4, "terminal Q should be ~1, got {q}");
     }
 

@@ -75,24 +75,6 @@ impl RunningStats {
         (self.n > 0).then_some(self.max)
     }
 
-    /// The raw accumulator fields `(n, mean, m2, min, max)`, for
-    /// checkpointing. Pair with [`RunningStats::from_raw_parts`].
-    pub fn raw_parts(&self) -> (u64, f64, f64, f64, f64) {
-        (self.n, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Rebuilds an accumulator from fields captured with
-    /// [`RunningStats::raw_parts`].
-    pub fn from_raw_parts(n: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        RunningStats {
-            n,
-            mean,
-            m2,
-            min,
-            max,
-        }
-    }
-
     /// Merges another accumulator into this one (parallel Welford).
     pub fn merge(&mut self, other: &RunningStats) {
         if other.n == 0 {

@@ -13,7 +13,6 @@
 //! so a batch is bit-identical to serial runs by construction. The batched
 //! win is inference amortization only.
 
-use crate::scenario::Scenario;
 use crate::vehicle::Actuation;
 use crate::world::{StepOutcome, World};
 use std::time::Instant;
@@ -38,15 +37,6 @@ impl WorldBatch {
     /// Creates an empty batch.
     pub fn new() -> Self {
         WorldBatch::default()
-    }
-
-    /// Spawns a batch from scenarios (one fresh [`World`] per scenario).
-    pub fn from_scenarios<I: IntoIterator<Item = Scenario>>(scenarios: I) -> Self {
-        let mut b = WorldBatch::new();
-        for s in scenarios {
-            b.push(World::new(s));
-        }
-        b
     }
 
     /// Adds an episode; returns its dense slot index.
@@ -142,6 +132,7 @@ impl WorldBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

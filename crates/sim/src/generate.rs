@@ -12,7 +12,6 @@
 use crate::faults::FaultSchedule;
 use crate::road::Road;
 use crate::scenario::{NpcSpawn, Scenario, ScenarioSpec};
-use crate::vehicle::VehicleParams;
 use drive_seed::SeedTree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -252,20 +251,10 @@ pub fn generate(axes: ScenarioAxes, node: &SeedTree) -> GeneratedScenario {
     GeneratedScenario { spec, faults, axes }
 }
 
-/// Sanity floor used by tests: the tightest generator gap must exceed a
-/// car length plus twice the default spawn jitter.
-pub fn min_generator_gap() -> f64 {
-    TrafficDensity::Dense.gap_band().0
-}
-
-/// The corresponding safety requirement.
-pub fn min_required_gap() -> f64 {
-    VehicleParams::default().length + 2.0 * Scenario::default().spawn_jitter_x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vehicle::VehicleParams;
     use crate::world::World;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -289,9 +278,13 @@ mod tests {
         out
     }
 
+    /// The tightest generator gap exceeds a car length plus twice the
+    /// default spawn jitter.
     #[test]
     fn generator_gaps_cover_jitter() {
-        assert!(min_generator_gap() > min_required_gap());
+        let tightest = TrafficDensity::Dense.gap_band().0;
+        let required = VehicleParams::default().length + 2.0 * Scenario::default().spawn_jitter_x;
+        assert!(tightest > required);
     }
 
     #[test]

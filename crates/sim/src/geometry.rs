@@ -98,11 +98,6 @@ impl Vec2 {
     pub fn angle(self) -> f64 {
         self.y.atan2(self.x)
     }
-
-    /// Component-wise linear interpolation: `self * (1 - t) + other * t`.
-    pub fn lerp(self, other: Vec2, t: f64) -> Vec2 {
-        self * (1.0 - t) + other * t
-    }
 }
 
 impl Add for Vec2 {
@@ -372,15 +367,6 @@ mod tests {
         assert_eq!(Vec2::ZERO.normalize_or_x(), Vec2::new(1.0, 0.0));
         let n = Vec2::new(0.0, -3.0).try_normalize().unwrap();
         assert!((n.y + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn vec2_lerp_endpoints() {
-        let a = Vec2::new(1.0, 1.0);
-        let b = Vec2::new(5.0, -3.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec2::new(3.0, -1.0));
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod render;
 pub mod road;
 pub mod scenario;
 pub mod sensors;
-pub mod trace;
 pub mod vehicle;
 pub mod waypoints;
 pub mod world;
@@ -58,7 +57,6 @@ pub mod prelude {
     pub use crate::sensors::{
         FeatureConfig, FeatureExtractor, Imu, ImuConfig, SemanticCamera, SemanticClass,
     };
-    pub use crate::trace::{EpisodeTrace, StepTrace, VehicleSnapshot};
     pub use crate::vehicle::{Actuation, Vehicle, VehicleParams};
     pub use crate::waypoints::{
         lane_change_path, lane_keep_path, route_path, Path, PathProjection, Waypoint,

@@ -335,7 +335,8 @@ impl Npc {
     }
 
     /// This NPC summarized as a [`LeadInfo`] for other vehicles' controllers.
-    pub fn lead_info(&self, road: &Road) -> LeadInfo {
+    #[cfg(test)]
+    fn lead_info(&self, road: &Road) -> LeadInfo {
         LeadInfo {
             x: self.vehicle.pose.position.x,
             lane: road.lane_index_at(self.vehicle.pose.position.x, self.vehicle.pose.position.y),
@@ -607,17 +608,5 @@ mod tests {
         }
         assert_eq!(table.entries.capacity(), cap);
         assert_eq!(table.entries.len(), npcs.len() + 1);
-    }
-
-    #[test]
-    fn lead_info_reports_current_lane() {
-        let road = Road::default();
-        let mut npc = npc_at(&road, 2, 10.0, 6.0);
-        let info = npc.lead_info(&road);
-        assert_eq!(info.lane, 2);
-        assert_eq!(info.x, 10.0);
-        // Drift into lane 1 and the reported lane follows.
-        npc.vehicle.pose.position.y = road.lane_center_y(1);
-        assert_eq!(npc.lead_info(&road).lane, 1);
     }
 }

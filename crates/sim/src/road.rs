@@ -345,20 +345,6 @@ impl Road {
         let (right, left) = self.edge_ys_at(p.x);
         p.y > right && p.y < left && p.x >= 0.0 && p.x <= self.length
     }
-
-    /// Signed distance from `y` to the nearest barrier face at the road's
-    /// nominal (straight) cross-section; positive while on the road,
-    /// negative once past the edge.
-    pub fn distance_to_nearest_edge(&self, y: f64) -> f64 {
-        (self.left_edge_y() - y).min(y - self.right_edge_y())
-    }
-
-    /// Signed distance from `(x, y)` to the nearest barrier face at that
-    /// longitudinal position.
-    pub fn distance_to_nearest_edge_at(&self, x: f64, y: f64) -> f64 {
-        let (right, left) = self.edge_ys_at(x);
-        (left - y).min(y - right)
-    }
 }
 
 #[cfg(test)]
@@ -418,14 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_distance_sign() {
-        let r = Road::default();
-        assert!(r.distance_to_nearest_edge(0.0) > 5.0);
-        assert!(r.distance_to_nearest_edge(5.25) <= 1e-12);
-        assert!(r.distance_to_nearest_edge(6.0) < 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one lane")]
     fn zero_lane_road_rejected() {
         let _ = Road::new(0, 3.5, 100.0);
@@ -438,10 +416,6 @@ mod tests {
             let (right, left) = r.edge_ys_at(x);
             assert_eq!(right, r.right_edge_y());
             assert_eq!(left, r.left_edge_y());
-            assert_eq!(
-                r.distance_to_nearest_edge_at(x, 1.3),
-                r.distance_to_nearest_edge(1.3)
-            );
             for y in [-8.0, -2.0, 0.0, 2.0, 8.0] {
                 assert_eq!(r.lane_index_at(x, y), r.lane_of(y));
             }

@@ -244,11 +244,6 @@ impl ScenarioSpec {
         ScenarioSpec::new(name, scenario).expect("preset scenario must validate")
     }
 
-    /// The paper's freeway overtaking scenario (`Scenario::default`).
-    pub fn freeway() -> Self {
-        ScenarioSpec::preset("freeway", Scenario::default())
-    }
-
     /// Eight NPCs with tighter spacing on the default freeway.
     pub fn dense_traffic() -> Self {
         let npcs = [
@@ -399,18 +394,6 @@ impl ScenarioSpec {
             },
         )
     }
-
-    /// Every named preset, in a stable order.
-    pub fn all_presets() -> Vec<ScenarioSpec> {
-        vec![
-            ScenarioSpec::freeway(),
-            ScenarioSpec::dense_traffic(),
-            ScenarioSpec::sparse_traffic(),
-            ScenarioSpec::two_lane(),
-            ScenarioSpec::on_ramp_merge(),
-            ScenarioSpec::lane_drop(),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -509,13 +492,17 @@ mod tests {
             *ScenarioSpec::sparse_traffic().scenario()
         );
         assert_eq!(Scenario::two_lane(), *ScenarioSpec::two_lane().scenario());
-        assert_eq!(Scenario::default(), *ScenarioSpec::freeway().scenario());
     }
 
     #[test]
     fn all_presets_validate_with_distinct_fingerprints() {
-        let presets = ScenarioSpec::all_presets();
-        assert!(presets.len() >= 6);
+        let presets = [
+            ScenarioSpec::dense_traffic(),
+            ScenarioSpec::sparse_traffic(),
+            ScenarioSpec::two_lane(),
+            ScenarioSpec::on_ramp_merge(),
+            ScenarioSpec::lane_drop(),
+        ];
         let mut fps: Vec<u64> = presets.iter().map(ScenarioSpec::fingerprint).collect();
         fps.sort_unstable();
         fps.dedup();

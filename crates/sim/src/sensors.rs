@@ -144,7 +144,8 @@ impl FeatureExtractor {
     }
 
     /// Computes a single un-stacked frame.
-    pub fn extract_frame(&self, world: &World) -> Vec<f32> {
+    #[cfg(test)]
+    fn extract_frame(&self, world: &World) -> Vec<f32> {
         let mut npcs = Vec::new();
         let mut out = Vec::new();
         extract_frame_into(&self.config, world, &mut npcs, &mut out);
