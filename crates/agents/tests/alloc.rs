@@ -24,7 +24,8 @@ use drive_agents::runner::SteerAttacker;
 use drive_agents::Agent;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
-use drive_nn::pnn::{PackedPnn, PnnInit, PnnPolicy};
+use drive_nn::linear::Linear;
+use drive_nn::pnn::{PackedPnn, PnnPolicy};
 use drive_sim::batch::WorldBatch;
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::{FeatureConfig, ImuConfig};
@@ -62,6 +63,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// A PNN whose column and laterals are all fresh random draws from
+/// `rng`, column first: unlike `PnnPolicy::new`'s, its laterals are
+/// non-zero.
+fn random_pnn<R: rand::Rng>(base: GaussianPolicy, rng: &mut R) -> PnnPolicy {
+    let layers = base.trunk().layers();
+    let column = layers
+        .iter()
+        .map(|l| Linear::new(l.in_dim(), l.out_dim(), rng))
+        .collect();
+    let laterals = layers
+        .windows(2)
+        .map(|w| Linear::new(w[0].out_dim(), w[1].out_dim(), rng))
+        .collect();
+    PnnPolicy::from_parts(base, column, laterals).expect("shapes follow the base")
+}
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
@@ -143,7 +160,7 @@ fn steady_state_packed_victim_attacker_and_switcher_are_allocation_free() {
     let victim = GaussianPolicy::new(dim, &[128, 128], 2, &mut rng);
     let camera = GaussianPolicy::new(dim, &[128, 128], 1, &mut rng);
     let imu_policy = GaussianPolicy::new(imu.observation_dim(), &[128, 128], 1, &mut rng);
-    let pnn = PackedPnn::from(PnnPolicy::new(victim.clone(), PnnInit::Random, &mut rng));
+    let pnn = PackedPnn::from(random_pnn(victim.clone(), &mut rng));
 
     let mut agents: Vec<(&str, Box<dyn Agent>)> = vec![
         (

@@ -22,8 +22,8 @@ use drive_agents::modular::{ModularAgent, ModularConfig};
 use drive_agents::Agent;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::prelude::{
-    randn_mat, ActScratch, Activation, GaussianPolicy, Linear, Mat, Mlp, PackedPnn, PnnInit,
-    PnnPolicy, Scratch,
+    randn_mat, ActScratch, Activation, GaussianPolicy, Linear, Mat, Mlp, PackedPnn, PnnPolicy,
+    Scratch,
 };
 use drive_nn::scratch::BatchActScratch;
 use drive_rl::replay::{Batch, ReplayBuffer, Transition};
@@ -46,6 +46,22 @@ use rand::SeedableRng;
 use repro_bench::journal::RunHeader;
 use repro_bench::{merge, JournalHandle};
 use std::sync::Arc;
+
+/// A PNN whose column and laterals are all fresh random draws from
+/// `rng`, column first: unlike `PnnPolicy::new`'s, its laterals are
+/// non-zero.
+fn random_pnn<R: rand::Rng>(base: GaussianPolicy, rng: &mut R) -> PnnPolicy {
+    let layers = base.trunk().layers();
+    let column = layers
+        .iter()
+        .map(|l| Linear::new(l.in_dim(), l.out_dim(), rng))
+        .collect();
+    let laterals = layers
+        .windows(2)
+        .map(|w| Linear::new(w[0].out_dim(), w[1].out_dim(), rng))
+        .collect();
+    PnnPolicy::from_parts(base, column, laterals).expect("shapes follow the base")
+}
 
 fn bench_world_step(c: &mut Criterion) {
     c.bench_function("world_step", |b| {
@@ -204,7 +220,7 @@ fn bench_policy_inference(c: &mut Criterion) {
     });
     // The PNN switcher's hardened column: column 1's hidden layers,
     // column 2 and the laterals, one observation.
-    let pnn = PnnPolicy::new(policy.clone(), PnnInit::Random, &mut rng);
+    let pnn = random_pnn(policy.clone(), &mut rng);
     let switcher = SimplexSwitcher::new(PackedPnn::from(pnn), 0.2, 1.0);
     c.bench_function("pnn_switcher_act_hardened", |b| {
         let mut rng = StdRng::seed_from_u64(0);

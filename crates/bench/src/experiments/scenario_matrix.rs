@@ -20,7 +20,7 @@ use attack_core::sensor::SensorKind;
 use drive_metrics::episode::CellSummary;
 use drive_metrics::export::Csv;
 use drive_metrics::report::{fmt_f, fmt_pct, Table};
-use drive_seed::fnv1a_64;
+use drive_seed::fnv1a_64_fmt;
 use drive_sim::generate::{
     generate, GeneratedScenario, ScenarioAxes, SpeedMix, TopologyKind, TrafficDensity,
 };
@@ -173,7 +173,7 @@ pub fn run(ctx: &RunContext) -> Arc<ScenarioMatrixResult> {
                 agent,
                 sensor,
                 summary: CellSummary::from_records(&records),
-                records_checksum: fnv1a_64(format!("{records:?}").as_bytes()),
+                records_checksum: fnv1a_64_fmt(format_args!("{records:?}")),
             }
         });
         ScenarioMatrixResult {
@@ -399,6 +399,31 @@ mod tests {
         }
         let again = generate_matrix(&ns);
         assert_eq!(scenarios, again, "generation must be deterministic");
+    }
+
+    /// The per-cell checksum streams the records' debug text through the
+    /// hash; it must equal the hash of the built `String`, special floats
+    /// (whose debug forms are `NaN`, `-0.0`, `inf`, `-inf`) included.
+    #[test]
+    fn streamed_records_checksum_equals_the_string_path() {
+        use drive_sim::record::EpisodeRecord;
+        let records = vec![
+            EpisodeRecord {
+                steps: 3,
+                dt: 0.1,
+                nominal_return: f64::NAN,
+                adv_return: -0.0,
+                deviation: vec![f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e-310],
+                perturbation: vec![f64::from_bits(0x7ff8_0000_0000_0001), 0.5],
+                attack_start: Some(1),
+                ..EpisodeRecord::default()
+            },
+            EpisodeRecord::default(),
+        ];
+        assert_eq!(
+            fnv1a_64_fmt(format_args!("{records:?}")),
+            drive_seed::fnv1a_64(format!("{records:?}").as_bytes())
+        );
     }
 
     /// End-to-end smoke: a reduced sweep over the full grid produces one

@@ -214,7 +214,7 @@ pub fn attacked_records_in(
                 None => String::new(),
                 Some(f) => format!(
                     "|flt={:016x}",
-                    drive_seed::fnv1a_64(format!("{f:?}").as_bytes())
+                    drive_seed::fnv1a_64_fmt(format_args!("{f:?}"))
                 ),
             };
             format!("|scn={:016x}{}", c.fingerprint, fault_tag)

@@ -16,11 +16,12 @@
 //! * `leases/cell-<key>.lease` — one claim per in-flight cell, taken by
 //!   atomically and exclusively creating the file (a hard link that fails
 //!   if the lease exists). The body carries the owner id and an FNV
-//!   checksum; the file mtime is the owner's heartbeat, renewed by a
-//!   background thread while the worker runs.
+//!   checksum; the file mtime is the owner's heartbeat, renewed by the
+//!   worker's background thread while the worker runs.
 //! * `cells/cell-<key>-<owner>.ckpt` — completed, checksummed episode
-//!   sidecars, owner-tagged so the merge can attribute (and cross-check)
-//!   every result.
+//!   sidecars (`records v2` text, every float as its bit pattern in hex,
+//!   then a `checksum` line), owner-tagged so the merge can attribute
+//!   (and cross-check) every result.
 //! * `workers/<owner>/wal.bin` — the worker's write-ahead log of completed
 //!   cells and experiments (format below); `workers/<owner>/progress.csv`
 //!   — its flush-per-row event log for humans watching a long run.
@@ -35,7 +36,8 @@
 //! ## Crash safety and work stealing
 //!
 //! Sidecars are written via atomic rename, so there are no partials on
-//! disk, and a WAL record is appended only after its sidecar is durable.
+//! disk, and a WAL record is appended only after its sidecar is durable
+//! (see *Publishing*).
 //! On (re)joining, the worker's WAL is scanned and a torn or corrupt tail
 //! (the record being appended when the process was killed) is truncated
 //! away. A worker that reaches a cell someone else holds waits on a
@@ -50,6 +52,40 @@
 //! the same checksum (cells are deterministic); differing checksums are a
 //! hard merge error naming both owners.
 //!
+//! ## Publishing
+//!
+//! A compute thread never waits on the disk for a clean cell: `run_cell`
+//! encodes the records, writes them (with their one FNV hash as the
+//! `checksum` line) to the sidecar's temporary without syncing, queues
+//! the cell for the worker's one background thread (the same thread that
+//! renews the leases) and returns the records at once. The cell's lease
+//! stays held until the cell is durable. The thread group-commits
+//! whatever is queued, in this order:
+//!
+//! 1. each sidecar temporary `fdatasync`ed;
+//! 2. every temporary renamed into place, then one `cells/` fsync;
+//! 3. one WAL write carrying every record's frame (the sidecar's hash is
+//!    the record's digest), then one `fdatasync`;
+//! 4. the progress rows, then the lease releases.
+//!
+//! So "sidecar durable → WAL record → lease released" holds per cell,
+//! and a batch of *n* cells costs *n* + 2 syncs instead of 3*n*. Renewals
+//! run between sidecar writes, so a large batch never outlasts a
+//! heartbeat period. At most `MAX_QUEUED` (32) cells wait; a compute thread
+//! that finds the queue full waits for room. The queue holds file handles,
+//! not record text, so publishing off the compute threads costs no memory.
+//! A key requested again while it is queued or being committed waits for
+//! that publish in process and then loads, never recomputes.
+//!
+//! Everything that reports or builds on the journal's contents first
+//! waits for the queue to drain (a *flush*): [`JournalHandle::record_experiment`]
+//! (an `exp` record never precedes its cells), [`JournalHandle::cell_count`],
+//! [`JournalHandle::summary`], [`JournalHandle::release_all`] (the
+//! shard's end-of-run and SIGTERM drain), `run_cell`'s graceful-shutdown
+//! safe point, and dropping the handle, which publishes what is still
+//! queued before it stops the thread. [`JournalHandle::store_cell`]
+//! publishes one cell synchronously through the same commit.
+//!
 //! ## WAL format
 //!
 //! The file starts with the magic bytes [`MAGIC`]. Each record is framed as
@@ -59,20 +95,22 @@
 //! * `run <seed:016x> <config:016x> <box> <scatter>` — the run header
 //!   (always the first record).
 //! * `cell <key:016x> <digest:016x> <episodes> <label>` — one published
-//!   cell; `digest` checksums the sidecar's record text.
+//!   cell; `digest` is the FNV-1a of the sidecar's record text, the value
+//!   its `checksum` line records.
 //! * `exp <manifest_fnv:016x> <name>` — one completed experiment.
 
 use drive_core::retry::RetryPolicy;
 use drive_core::shutdown;
 use drive_metrics::export::CsvSink;
+use drive_nn::checkpoint::Staged;
 use drive_seed::fnv1a_64;
 use drive_sim::record::{decode_records, encode_records, EpisodeRecord};
 use std::collections::{BTreeMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Magic bytes at the start of every WAL file.
 pub const MAGIC: &[u8] = b"RBJRNL1\n";
@@ -346,9 +384,9 @@ pub fn valid_owner(owner: &str) -> bool {
 }
 
 /// One worker's lease table: the `leases/` directory and the claims this
-/// process holds in it. Shared with the heartbeat thread. Every claim,
-/// renewal and release happens under the `held` lock, so "this worker's
-/// id but not in `held`" reliably means a dead incarnation's lease.
+/// process holds in it. Every claim, renewal and release happens under the
+/// `held` lock, so "this worker's id but not in `held`" reliably means a
+/// dead incarnation's lease.
 struct Leases {
     dir: PathBuf,
     owner: String,
@@ -420,44 +458,23 @@ impl Leases {
             ours
         });
     }
-}
 
-/// The heartbeat thread of one [`JournalHandle`]: renews its held leases
-/// every period. Dropping it stops and joins the thread at once.
-struct Heartbeat {
-    stop: mpsc::Sender<()>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Heartbeat {
-    fn spawn(leases: Arc<Leases>, period: Duration) -> Heartbeat {
-        let (stop, stopped) = mpsc::channel();
-        let thread = std::thread::spawn(move || {
-            while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
-                leases.renew();
-            }
-        });
-        Heartbeat {
-            stop,
-            thread: Some(thread),
-        }
-    }
-}
-
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        let _ = self.stop.send(());
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
+    /// Releases `key` if this worker still owns it (a thief may have
+    /// taken a stalled lease; unlinking someone else's claim would let a
+    /// third worker double-acquire).
+    fn release(&self, key: u64) {
+        let mut held = self.held.lock().expect("held lock");
+        held.remove(&key);
+        if self.is_ours(key) {
+            let _ = std::fs::remove_file(self.path(key));
         }
     }
 }
 
 const PROGRESS_HEADERS: [&str; 4] = ["event", "cell", "episodes", "detail"];
 
-/// A worker's WAL, the index recovered from it, and its progress log.
+/// A worker's index recovered from its WAL, and its progress log.
 struct WorkerLog {
-    wal: std::fs::File,
     cells: HashSet<u64>,
     experiments: HashSet<String>,
     progress: CsvSink,
@@ -467,8 +484,12 @@ struct WorkerLog {
 impl WorkerLog {
     /// Opens the WAL in `worker_dir` (creating it if absent), recovers its
     /// records, truncates a torn tail, and rebuilds `progress.csv` from
-    /// the recovered records.
-    fn open(worker_dir: &Path, header: &RunHeader) -> Result<WorkerLog, JournalError> {
+    /// the recovered records. Returns the WAL, positioned for appends, and
+    /// the log.
+    fn open(
+        worker_dir: &Path,
+        header: &RunHeader,
+    ) -> Result<(std::fs::File, WorkerLog), JournalError> {
         let path = worker_dir.join("wal.bin");
         let bytes = match std::fs::read(&path) {
             Ok(bytes) => bytes,
@@ -544,18 +565,13 @@ impl WorkerLog {
         }
         let wal = std::fs::OpenOptions::new().append(true).open(&path)?;
         wal.set_len(keep as u64)?;
-        Ok(WorkerLog {
-            wal,
+        let log = WorkerLog {
             cells,
             experiments,
             progress,
             counts: BTreeMap::new(),
-        })
-    }
-
-    fn append(&mut self, payload: &str) -> std::io::Result<()> {
-        self.wal.write_all(&encode_frame(payload))?;
-        self.wal.sync_data()
+        };
+        Ok((wal, log))
     }
 
     /// One progress row, counted. A lost row costs observability, never
@@ -566,14 +582,216 @@ impl WorkerLog {
     }
 }
 
+/// Appends `payloads` to the WAL as one write of all their frames, then
+/// one `fdatasync`.
+fn append_frames<'a>(
+    wal: &Mutex<std::fs::File>,
+    payloads: impl IntoIterator<Item = &'a str>,
+) -> std::io::Result<()> {
+    let mut bytes = Vec::new();
+    for payload in payloads {
+        bytes.extend_from_slice(&encode_frame(payload));
+    }
+    let mut wal = wal.lock().expect("wal lock");
+    wal.write_all(&bytes)?;
+    wal.sync_data()
+}
+
+/// Most cells one worker queues for publication before
+/// [`JournalHandle::run_cell`] waits for the publisher. A queued cell is
+/// its written, unsynced sidecar temporary and that file's open handle,
+/// so the bound limits open files and unsynced data, not memory.
+const MAX_QUEUED: usize = 32;
+
+/// One completed cell on its way to disk: its sidecar is written to the
+/// temporary, not yet synced or renamed into place.
+struct Publication {
+    key: u64,
+    label: String,
+    episodes: usize,
+    sidecar: Staged,
+    /// Whether this worker holds the cell's lease, to be released once the
+    /// cell is durable.
+    release: bool,
+}
+
+/// The cells handed from the compute threads to the publisher.
+#[derive(Default)]
+struct Outbox {
+    /// Waiting for the publisher, oldest first.
+    queued: Vec<Publication>,
+    /// Keys of the batch the publisher is committing.
+    publishing: Vec<u64>,
+    /// Set when the handle drops: publish what is queued, then exit.
+    stop: bool,
+    /// Holds queued cells back until unset or `stop`; only tests set it,
+    /// to observe cells pending.
+    paused: bool,
+}
+
+impl Outbox {
+    /// Whether `key` is queued or being committed.
+    fn pending(&self, key: u64) -> bool {
+        self.publishing.contains(&key) || self.queued.iter().any(|p| p.key == key)
+    }
+
+    fn idle(&self) -> bool {
+        self.queued.is_empty() && self.publishing.is_empty()
+    }
+
+    /// Whether the publisher should take the queue now.
+    fn ready(&self) -> bool {
+        !self.queued.is_empty() && (!self.paused || self.stop)
+    }
+}
+
+/// The state a [`JournalHandle`] shares with its background thread.
+struct Shared {
+    dir: PathBuf,
+    leases: Leases,
+    /// The WAL, positioned at its end. Appends serialize here, so an
+    /// `fdatasync` never holds up the progress log.
+    wal: Mutex<std::fs::File>,
+    log: Mutex<WorkerLog>,
+    outbox: Mutex<Outbox>,
+    /// Signalled on every change to `outbox`.
+    changed: Condvar,
+}
+
+impl Shared {
+    fn sidecar_path(&self, key: u64, owner: &str) -> PathBuf {
+        self.dir
+            .join("cells")
+            .join(format!("cell-{key:016x}-{owner}.ckpt"))
+    }
+
+    /// Publishes `batch` as one group commit, then releases the leases it
+    /// carries (published or not: a failed publish costs a recomputation,
+    /// never correctness). `between_writes` runs after each sidecar sync.
+    fn publish(
+        &self,
+        batch: &[Publication],
+        between_writes: &mut dyn FnMut(),
+    ) -> std::io::Result<()> {
+        let committed = self.commit(batch, between_writes);
+        for p in batch.iter().filter(|p| p.release) {
+            self.leases.release(p.key);
+        }
+        committed
+    }
+
+    /// Makes `batch` durable in crash-safe order: each sidecar temporary
+    /// synced, all renamed into place, one `cells/` fsync; then one WAL
+    /// append carrying every record; then the progress rows. A crash
+    /// anywhere leaves each cell either journaled with its sidecar on
+    /// disk, or not journaled at all.
+    fn commit(
+        &self,
+        batch: &[Publication],
+        between_writes: &mut dyn FnMut(),
+    ) -> std::io::Result<()> {
+        let mut sidecars = || -> std::io::Result<()> {
+            for p in batch {
+                p.sidecar.file.sync_data()?;
+                between_writes();
+            }
+            for p in batch {
+                let path = self.sidecar_path(p.key, &self.leases.owner);
+                std::fs::rename(&p.sidecar.path, path)?;
+            }
+            drive_nn::checkpoint::sync_dir(self.dir.join("cells"))
+        };
+        if let Err(e) = sidecars() {
+            for p in batch {
+                let _ = std::fs::remove_file(&p.sidecar.path);
+            }
+            return Err(e);
+        }
+        let records: Vec<String> = batch
+            .iter()
+            .map(|p| {
+                format!(
+                    "cell {:016x} {:016x} {} {}",
+                    p.key, p.sidecar.checksum, p.episodes, p.label
+                )
+            })
+            .collect();
+        append_frames(&self.wal, records.iter().map(String::as_str))?;
+        let mut log = self.log.lock().expect("journal lock");
+        for p in batch {
+            log.cells.insert(p.key);
+            let digest = format!("{:016x}", p.sidecar.checksum);
+            log.row("cell", &p.label, &p.episodes.to_string(), &digest);
+        }
+        Ok(())
+    }
+
+    /// Blocks until the publisher has a batch for this worker (`Some`, empty
+    /// when only a lease renewal is due at `renew_at`), or has been stopped
+    /// with nothing left to publish (`None`).
+    fn next_batch(&self, renew_at: Instant) -> Option<Vec<Publication>> {
+        let mut outbox = self.outbox.lock().expect("outbox lock");
+        loop {
+            if outbox.ready() {
+                let batch = std::mem::take(&mut outbox.queued);
+                outbox.publishing = batch.iter().map(|p| p.key).collect();
+                self.changed.notify_all(); // the queue has room again
+                return Some(batch);
+            }
+            if outbox.stop {
+                return None;
+            }
+            let now = Instant::now();
+            if now >= renew_at {
+                return Some(Vec::new());
+            }
+            outbox = self
+                .changed
+                .wait_timeout(outbox, renew_at - now)
+                .expect("outbox lock")
+                .0;
+        }
+    }
+
+    /// The background thread's loop: renews the held leases every `period`
+    /// and group-commits whatever the compute threads queued, renewing
+    /// between sidecar writes so a large batch never starves the
+    /// heartbeat.
+    fn run_publisher(&self, period: Duration) {
+        let renew_at = std::cell::Cell::new(Instant::now() + period);
+        let mut renew_if_due = || {
+            if Instant::now() >= renew_at.get() {
+                self.leases.renew();
+                renew_at.set(Instant::now() + period);
+            }
+        };
+        while let Some(batch) = self.next_batch(renew_at.get()) {
+            renew_if_due();
+            if batch.is_empty() {
+                continue;
+            }
+            if let Err(e) = self.publish(&batch, &mut renew_if_due) {
+                let labels: Vec<&str> = batch.iter().map(|p| p.label.as_str()).collect();
+                eprintln!(
+                    "warning: worker {} could not publish cell(s) {}: {e}",
+                    self.leases.owner,
+                    labels.join(", ")
+                );
+            }
+            let mut outbox = self.outbox.lock().expect("outbox lock");
+            outbox.publishing.clear();
+            self.changed.notify_all();
+        }
+    }
+}
+
 /// One worker's membership in a run directory (see the module docs):
-/// its WAL and progress log, its leases and their heartbeat thread, and
-/// the load → claim → compute → publish → release path every journaled
-/// cell takes. Shared via `Arc` in the
-/// [`RunContext`](crate::engine::RunContext); all state sits behind
+/// its WAL and progress log, its leases, the background thread that
+/// renews them and publishes cells, and the load → claim → compute →
+/// publish → release path every journaled cell takes. Shared via `Arc` in
+/// the [`RunContext`](crate::engine::RunContext); all state sits behind
 /// internal locks, so cells can run on worker threads.
 pub struct JournalHandle {
-    dir: PathBuf,
     ttl: Duration,
     backoff: RetryPolicy,
     /// Seed of this worker's contention-backoff jitter stream (derived
@@ -581,9 +799,22 @@ pub struct JournalHandle {
     /// yet decorrelated across workers).
     backoff_seed: u64,
     opportunistic: AtomicBool,
-    leases: Arc<Leases>,
-    log: Mutex<WorkerLog>,
-    _heartbeat: Heartbeat,
+    shared: Arc<Shared>,
+    /// The background thread: renews the held leases and publishes
+    /// completed cells ([`Shared::run_publisher`]).
+    publisher: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for JournalHandle {
+    /// Publishes whatever is still queued, then stops and joins the
+    /// background thread.
+    fn drop(&mut self) {
+        self.outbox().stop = true;
+        self.shared.changed.notify_all();
+        if let Some(thread) = self.publisher.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 /// A held lease, released on drop (so an unwinding cell — panic or
@@ -602,7 +833,7 @@ impl Drop for LeaseGuard<'_> {
 impl JournalHandle {
     /// Joins the run directory `dir` as worker `worker`: publishes or
     /// verifies `header`, re-opens the worker's WAL (torn tail truncated)
-    /// and starts the lease heartbeat.
+    /// and starts the background thread.
     ///
     /// # Errors
     ///
@@ -628,11 +859,18 @@ impl JournalHandle {
         std::fs::create_dir_all(dir.join("cells"))?;
         let worker_dir = dir.join("workers").join(worker);
         std::fs::create_dir_all(&worker_dir)?;
-        let log = WorkerLog::open(&worker_dir, &header.run)?;
-        let leases = Arc::new(Leases {
-            dir: dir.join("leases"),
-            owner: worker.to_string(),
-            held: Mutex::new(HashSet::new()),
+        let (wal, log) = WorkerLog::open(&worker_dir, &header.run)?;
+        let shared = Arc::new(Shared {
+            leases: Leases {
+                dir: dir.join("leases"),
+                owner: worker.to_string(),
+                held: Mutex::new(HashSet::new()),
+            },
+            wal: Mutex::new(wal),
+            log: Mutex::new(log),
+            outbox: Mutex::new(Outbox::default()),
+            changed: Condvar::new(),
+            dir,
         });
         Ok(JournalHandle {
             ttl,
@@ -642,15 +880,14 @@ impl JournalHandle {
                 .child(worker)
                 .seed(),
             opportunistic: AtomicBool::new(false),
-            // A tenth of the TTL, floored at 50 ms, so several renewals fit
-            // inside any steal window.
-            _heartbeat: Heartbeat::spawn(
-                Arc::clone(&leases),
-                (ttl / 10).max(Duration::from_millis(50)),
-            ),
-            leases,
-            log: Mutex::new(log),
-            dir,
+            publisher: Some({
+                let shared = Arc::clone(&shared);
+                // A tenth of the TTL, floored at 50 ms, so several
+                // renewals fit inside any steal window.
+                let period = (ttl / 10).max(Duration::from_millis(50));
+                std::thread::spawn(move || shared.run_publisher(period))
+            }),
+            shared,
         })
     }
 
@@ -682,24 +919,42 @@ impl JournalHandle {
 
     /// This worker's id.
     fn owner(&self) -> &str {
-        &self.leases.owner
+        &self.shared.leases.owner
     }
 
-    /// Number of cells in this worker's WAL (test/observability hook).
+    fn log(&self) -> std::sync::MutexGuard<'_, WorkerLog> {
+        self.shared.log.lock().expect("journal lock")
+    }
+
+    fn outbox(&self) -> std::sync::MutexGuard<'_, Outbox> {
+        self.shared.outbox.lock().expect("outbox lock")
+    }
+
+    /// Blocks until every cell handed to the publisher is durable and its
+    /// lease released: the barrier before anything that reports or builds
+    /// on the journal's contents.
+    fn flush(&self) {
+        let mut outbox = self.outbox();
+        while !outbox.idle() {
+            outbox = self.shared.changed.wait(outbox).expect("outbox lock");
+        }
+    }
+
+    /// Number of cells in this worker's WAL, once every pending cell is
+    /// published (test/observability hook).
     pub fn cell_count(&self) -> usize {
-        self.log.lock().expect("journal lock").cells.len()
+        self.flush();
+        self.log().cells.len()
     }
 
     /// Whether `name` completed (manifest written) in this worker's WAL.
     pub fn experiment_done(&self, name: &str) -> bool {
-        self.log
-            .lock()
-            .expect("journal lock")
-            .experiments
-            .contains(name)
+        self.log().experiments.contains(name)
     }
 
-    /// Journals a completed experiment (its manifest checksum and name).
+    /// Journals a completed experiment (its manifest checksum and name),
+    /// after every pending cell is published: an `exp` record never
+    /// precedes its cells' records.
     ///
     /// # Errors
     ///
@@ -707,9 +962,10 @@ impl JournalHandle {
     /// failed journal append costs recomputation on resume, not
     /// correctness).
     pub fn record_experiment(&self, name: &str, manifest_fnv: u64) -> std::io::Result<()> {
-        let mut log = self.log.lock().expect("journal lock");
+        self.flush();
         let fnv = format!("{manifest_fnv:016x}");
-        log.append(&format!("exp {fnv} {name}"))?;
+        append_frames(&self.shared.wal, [format!("exp {fnv} {name}").as_str()])?;
+        let mut log = self.log();
         log.experiments.insert(name.to_string());
         log.row("experiment", name, "-", &fnv);
         Ok(())
@@ -731,37 +987,32 @@ impl JournalHandle {
     }
 
     /// The `event=count` summary of this process's progress events, in
-    /// alphabetical order.
+    /// alphabetical order, once every pending cell is published.
     pub fn summary(&self) -> String {
-        let log = self.log.lock().expect("journal lock");
+        self.flush();
+        let log = self.log();
         let parts: Vec<String> = log.counts.iter().map(|(e, n)| format!("{e}={n}")).collect();
         parts.join(" ")
     }
 
-    /// Count of one progress event kind.
+    /// Count of one progress event kind, once every pending cell is
+    /// published.
     #[cfg(test)]
     fn event_count(&self, event: &str) -> u64 {
-        let log = self.log.lock().expect("journal lock");
-        log.counts.get(event).copied().unwrap_or(0)
+        self.flush();
+        self.log().counts.get(event).copied().unwrap_or(0)
     }
 
-    /// Number of leases currently held.
+    /// Number of leases currently held, once every pending cell is
+    /// published.
     #[cfg(test)]
     fn held_count(&self) -> usize {
-        self.leases.held.lock().expect("held lock").len()
-    }
-
-    fn sidecar_path(&self, key: u64, owner: &str) -> PathBuf {
-        self.dir
-            .join("cells")
-            .join(format!("cell-{key:016x}-{owner}.ckpt"))
+        self.flush();
+        self.shared.leases.held.lock().expect("held lock").len()
     }
 
     fn event(&self, event: &'static str, cell: &str, detail: &str) {
-        self.log
-            .lock()
-            .expect("journal lock")
-            .row(event, cell, "-", detail);
+        self.log().row(event, cell, "-", detail);
     }
 
     /// Runs one grid cell under the lease protocol: load a published
@@ -773,7 +1024,9 @@ impl JournalHandle {
     /// immediately so the worker moves on to unclaimed work. `compute`
     /// returns the records plus a clean flag; only clean, complete cells
     /// publish (a cell with retried-out episodes is partial and must be
-    /// recomputed), so placeholders can never leak into a sidecar.
+    /// recomputed), so placeholders can never leak into a sidecar. A
+    /// clean cell is handed to the background thread, which publishes it
+    /// and then releases its lease; the records return at once.
     pub fn run_cell(
         &self,
         key: u64,
@@ -792,22 +1045,35 @@ impl JournalHandle {
                 return records;
             }
             // Graceful-shutdown safe point: between cells (and between
-            // polls of a contended cell) nothing is held, and every
-            // completed cell is already published.
+            // polls of a contended cell) nothing is held, and once the
+            // publisher drains, every completed cell is published.
             if shutdown::requested() {
+                self.flush();
                 std::panic::panic_any(shutdown::ShutdownRequested);
             }
             if self.try_acquire(key, label) {
                 let guard = LeaseGuard { journal: self, key };
                 let (records, clean) = compute();
                 if clean && records.len() == episodes {
-                    // A failed publish costs a recomputation later, never
-                    // correctness.
-                    if let Err(e) = self.store_cell(key, label, episodes, &records) {
-                        eprintln!(
+                    match self.stage(key, &records) {
+                        Ok(sidecar) => {
+                            // The publisher owns the lease from here and
+                            // releases it once the cell is durable.
+                            std::mem::forget(guard);
+                            self.enqueue(Publication {
+                                key,
+                                label: label.to_string(),
+                                episodes,
+                                sidecar,
+                                release: true,
+                            });
+                        }
+                        // A failed publish costs a recomputation later,
+                        // never correctness.
+                        Err(e) => eprintln!(
                             "warning: worker {} could not publish cell {label}: {e}",
                             self.owner()
-                        );
+                        ),
                     }
                 } else {
                     eprintln!(
@@ -816,8 +1082,8 @@ impl JournalHandle {
                         self.owner(),
                         records.len()
                     );
+                    drop(guard);
                 }
-                drop(guard);
                 return records;
             }
             // Contended. Opportunistic sweep: skip it — another worker
@@ -832,6 +1098,31 @@ impl JournalHandle {
             // re-poll in lockstep.
             std::thread::sleep(self.pause(attempt, key));
             attempt += 1;
+        }
+    }
+
+    /// Writes `records`' sidecar text to its temporary, unsynced.
+    fn stage(&self, key: u64, records: &[EpisodeRecord]) -> std::io::Result<Staged> {
+        let path = self.shared.sidecar_path(key, self.owner());
+        drive_nn::checkpoint::stage(&path, &encode_records(records))
+            .map_err(|e| std::io::Error::other(e.to_string()))
+    }
+
+    /// Queues `p` for the publisher, waiting while the queue is full.
+    fn enqueue(&self, p: Publication) {
+        let mut outbox = self.outbox();
+        while outbox.queued.len() >= MAX_QUEUED {
+            outbox = self.shared.changed.wait(outbox).expect("outbox lock");
+        }
+        outbox.queued.push(p);
+        self.shared.changed.notify_all();
+    }
+
+    /// Blocks while `key` is queued or being committed by this process.
+    fn await_published(&self, key: u64) {
+        let mut outbox = self.outbox();
+        while outbox.pending(key) {
+            outbox = self.shared.changed.wait(outbox).expect("outbox lock");
         }
     }
 
@@ -853,9 +1144,10 @@ impl JournalHandle {
     /// waits it out like a busy cell, on the same backoff, until its owner
     /// releases it or its heartbeat stops and it goes stale.
     fn reap_lease(&self, key: u64, label: &str) {
+        let leases = &self.shared.leases;
         for attempt in 0.. {
             let taken = {
-                let held = self.leases.held.lock().expect("held lock");
+                let held = leases.held.lock().expect("held lock");
                 self.take_abandoned(key, &held)
             };
             if let Some(prev_owner) = taken {
@@ -864,7 +1156,7 @@ impl JournalHandle {
             }
             if self.opportunistic.load(Ordering::SeqCst)
                 || shutdown::requested()
-                || !self.leases.path(key).exists()
+                || !leases.path(key).exists()
             {
                 return;
             }
@@ -876,11 +1168,15 @@ impl JournalHandle {
     /// path: this worker's own first, then each worker's under `workers/`
     /// (re-listed on every call, so workers that joined later count).
     /// The checkpoint checksum is verified, the records decoded, and the
-    /// episode count checked; every failure — absent, corrupt, or a
-    /// different cell shape — degrades to `None`, i.e. recomputing.
+    /// episode count checked; every failure — absent, corrupt, another
+    /// record format version, or a different cell shape — degrades to
+    /// `None`, i.e. recomputing. A cell this process is still publishing
+    /// is waited for, so it loads as soon as its batch lands.
     pub fn load_cell(&self, key: u64, episodes: usize) -> Option<Vec<EpisodeRecord>> {
+        self.await_published(key);
         let load = |owner: &str| {
-            let text = drive_nn::checkpoint::load_from_file(self.sidecar_path(key, owner)).ok()?;
+            let path = self.shared.sidecar_path(key, owner);
+            let text = drive_nn::checkpoint::load_from_file(path).ok()?;
             decode_records(&text)
                 .ok()
                 .filter(|records| records.len() == episodes)
@@ -888,7 +1184,7 @@ impl JournalHandle {
         if let Some(records) = load(self.owner()) {
             return Some(records);
         }
-        std::fs::read_dir(self.dir.join("workers"))
+        std::fs::read_dir(self.shared.dir.join("workers"))
             .ok()?
             .flatten()
             .filter_map(|entry| entry.file_name().into_string().ok())
@@ -902,11 +1198,12 @@ impl JournalHandle {
     /// Public for the `lease_claim_ns` micro-bench; experiments go through
     /// [`JournalHandle::run_cell`], which drives this internally.
     pub fn try_acquire(&self, key: u64, label: &str) -> bool {
-        let mut held = self.leases.held.lock().expect("held lock");
+        let leases = &self.shared.leases;
+        let mut held = leases.held.lock().expect("held lock");
         if held.contains(&key) {
             return false;
         }
-        if !self.leases.create(key) {
+        if !leases.create(key) {
             let Some(prev_owner) = self.take_abandoned(key, &held) else {
                 return false;
             };
@@ -919,7 +1216,7 @@ impl JournalHandle {
             // The slot is free now, but a third worker may legitimately
             // take it first — stealing guarantees progress, not that *we*
             // win.
-            if !self.leases.create(key) {
+            if !leases.create(key) {
                 return false;
             }
         }
@@ -935,8 +1232,9 @@ impl JournalHandle {
     /// rename-to-tombstone is the atomic arbiter: of two racing takers
     /// exactly one `rename` succeeds.
     fn take_abandoned(&self, key: u64, held: &HashSet<u64>) -> Option<String> {
-        let path = self.leases.path(key);
-        let dead_incarnation = !held.contains(&key) && self.leases.is_ours(key);
+        let leases = &self.shared.leases;
+        let path = leases.path(key);
+        let dead_incarnation = !held.contains(&key) && leases.is_ours(key);
         if !dead_incarnation {
             // A lease that vanished meanwhile was released by its owner.
             let age = std::fs::metadata(&path)
@@ -949,8 +1247,7 @@ impl JournalHandle {
                 return None;
             }
         }
-        let tomb = self
-            .leases
+        let tomb = leases
             .dir
             .join(format!("cell-{key:016x}.steal-{}", self.owner()));
         // Failure means another taker won the rename.
@@ -960,9 +1257,11 @@ impl JournalHandle {
         Some(prev_owner)
     }
 
-    /// Journals a completed cell: writes the owner-tagged sidecar durably,
+    /// Journals a completed cell synchronously, as a one-cell batch
+    /// through the publisher's commit: the owner-tagged sidecar durably,
     /// then the WAL record (sidecar-first ordering, so a journaled cell
-    /// always has its data), then a progress row.
+    /// always has its data), then a progress row. A lease on the cell is
+    /// left as it is.
     ///
     /// # Errors
     ///
@@ -975,32 +1274,29 @@ impl JournalHandle {
         episodes: usize,
         records: &[EpisodeRecord],
     ) -> std::io::Result<()> {
-        let text = encode_records(records);
-        let digest = format!("{:016x}", fnv1a_64(text.as_bytes()));
-        drive_nn::checkpoint::save_to_file(self.sidecar_path(key, self.owner()), &text)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let mut log = self.log.lock().expect("journal lock");
-        log.append(&format!("cell {key:016x} {digest} {episodes} {label}"))?;
-        log.cells.insert(key);
-        log.row("cell", label, &episodes.to_string(), &digest);
-        Ok(())
+        let cell = Publication {
+            key,
+            label: label.to_string(),
+            episodes,
+            sidecar: self.stage(key, records)?,
+            release: false,
+        };
+        self.shared.publish(&[cell], &mut || {})
     }
 
     /// Releases `key` if this worker still owns it (a thief may have
     /// taken a stalled lease; unlinking someone else's claim would let a
     /// third worker double-acquire).
     pub fn release(&self, key: u64) {
-        let mut held = self.leases.held.lock().expect("held lock");
-        held.remove(&key);
-        if self.leases.is_ours(key) {
-            let _ = std::fs::remove_file(self.leases.path(key));
-        }
+        self.shared.leases.release(key);
     }
 
-    /// Releases every held lease (graceful-shutdown drain and end-of-run
-    /// cleanup).
+    /// Publishes every pending cell, then releases every lease still held
+    /// (graceful-shutdown drain and end-of-run cleanup).
     pub fn release_all(&self) {
+        self.flush();
         let keys: Vec<u64> = self
+            .shared
             .leases
             .held
             .lock()
@@ -1014,18 +1310,18 @@ impl JournalHandle {
         }
     }
 
-    /// One heartbeat pass, as the heartbeat thread runs every TTL/10.
+    /// One heartbeat pass, as the background thread runs every TTL/10.
     #[cfg(test)]
     fn renew_held(&self) {
-        self.leases.renew();
+        self.shared.leases.renew();
     }
 }
 
 impl std::fmt::Debug for JournalHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JournalHandle")
-            .field("dir", &self.dir)
-            .field("owner", &self.leases.owner)
+            .field("dir", &self.shared.dir)
+            .field("owner", &self.owner())
             .field("ttl", &self.ttl)
             .finish_non_exhaustive()
     }
@@ -1237,6 +1533,20 @@ mod tests {
         // Deleting the sidecar: journaled but unreadable -> None.
         std::fs::remove_file(&sidecar).unwrap();
         assert!(j.load_cell(7, 4).is_none());
+        // A checksummed sidecar an older build wrote in `records v1`
+        // does not load, and `run_cell` recomputes the cell over it.
+        let v1 = "records v1 1\nrec 4 0.1 0 0 0 0\nterm none\ncoll none\n\
+                  astart none\ndev 0\npert 0\n";
+        drive_nn::checkpoint::save_to_file(&sidecar, v1).unwrap();
+        assert!(j.load_cell(7, 1).is_none());
+        let computed = std::cell::Cell::new(false);
+        let got = j.run_cell(7, "x", 1, || {
+            computed.set(true);
+            (records(1), true)
+        });
+        assert!(computed.get(), "a v1 sidecar is recomputed");
+        assert_eq!(got, records(1));
+        assert_eq!(j.load_cell(7, 1), Some(records(1)), "republished as v2");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1355,21 +1665,192 @@ mod tests {
         assert!(b.try_acquire(29, "cell-29"));
     }
 
-    /// Dropping a handle stops and joins its heartbeat thread, which is
-    /// the last holder of the shared lease table once it exits.
+    /// Dropping a handle stops and joins its background thread, which is
+    /// the last holder of the shared state once it exits.
     #[test]
-    fn dropped_handle_joins_its_heartbeat_thread() {
+    fn dropped_handle_joins_its_background_thread() {
         let dir = temp("repro-journal-heartbeat-drop");
         let j = worker(&dir, "wa", DEFAULT_TTL);
-        let leases = Arc::downgrade(&j.leases);
-        assert_eq!(leases.strong_count(), 2, "handle + heartbeat thread");
+        let shared = Arc::downgrade(&j.shared);
+        assert_eq!(shared.strong_count(), 2, "handle + background thread");
         let t0 = std::time::Instant::now();
         drop(j);
-        assert!(leases.upgrade().is_none(), "heartbeat thread has exited");
+        assert!(shared.upgrade().is_none(), "background thread has exited");
         assert!(
             t0.elapsed() < Duration::from_secs(1),
             "drop wakes the thread instead of waiting out its 3 s period"
         );
+    }
+
+    impl JournalHandle {
+        /// Holds queued cells back from the publisher (or lets them go).
+        fn pause_publisher(&self, on: bool) {
+            self.outbox().paused = on;
+            self.shared.changed.notify_all();
+        }
+    }
+
+    /// Every record of `owner`'s WAL, in order.
+    fn wal_records(dir: &Path, owner: &str) -> Vec<String> {
+        let bytes = std::fs::read(dir.join("workers").join(owner).join("wal.bin")).unwrap();
+        scan_frames(&bytes[MAGIC.len()..]).0
+    }
+
+    /// The `cell` records of `owner`'s WAL, as `(key, digest)` hex pairs.
+    fn wal_cells(dir: &Path, owner: &str) -> Vec<(String, String)> {
+        wal_records(dir, owner)
+            .iter()
+            .filter_map(|line| {
+                let parts: Vec<&str> = line.split_whitespace().collect();
+                (parts[0] == "cell").then(|| (parts[1].to_string(), parts[2].to_string()))
+            })
+            .collect()
+    }
+
+    /// While a cell waits for the publisher it is invisible to every other
+    /// worker: its lease is held and no sidecar exists, so a second handle
+    /// on the directory can neither claim nor load it. Once the publish
+    /// lands, that handle loads the very records the first one returned.
+    #[test]
+    fn second_handle_waits_for_the_first_handles_publish() {
+        let dir = temp("repro-journal-pending-second-handle");
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        let b = worker(&dir, "wb", DEFAULT_TTL);
+        a.pause_publisher(true);
+        let returned = a.run_cell(41, "cell-41", 4, || (records(4), true));
+        assert_eq!(returned, records(4), "records return before the publish");
+        assert!(
+            lease(&dir, 41).exists(),
+            "the lease stays held until durable"
+        );
+        assert!(b.load_cell(41, 4).is_none());
+        assert!(!b.try_acquire(41, "cell-41"));
+        b.set_opportunistic(true);
+        let deferred = b.run_cell(41, "cell-41", 4, || unreachable!("a owns the cell"));
+        assert_eq!(deferred, vec![EpisodeRecord::default(); 4]);
+        assert!(wal_cells(&dir, "wa").is_empty());
+
+        a.pause_publisher(false);
+        a.flush();
+        assert!(!lease(&dir, 41).exists(), "released once durable");
+        assert_eq!(wal_cells(&dir, "wa").len(), 1);
+        assert_eq!(b.load_cell(41, 4), Some(returned.clone()));
+        b.set_opportunistic(false);
+        let loaded = b.run_cell(41, "cell-41", 4, || unreachable!("must load"));
+        assert_eq!(loaded, returned);
+    }
+
+    /// A key requested again while its publish is pending is waited on in
+    /// process, never recomputed; and dropping a handle publishes what is
+    /// still queued.
+    #[test]
+    fn pending_cell_is_waited_on_in_process_and_drop_publishes_it() {
+        let dir = temp("repro-journal-pending-reuse");
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        a.pause_publisher(true);
+        a.run_cell(43, "cell-43", 4, || (records(4), true));
+        let again = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| a.run_cell(43, "cell-43", 4, || unreachable!("pending")));
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!waiter.is_finished(), "waits while the cell is queued");
+            a.pause_publisher(false);
+            waiter.join().unwrap()
+        });
+        assert_eq!(again, records(4));
+        assert_eq!(a.event_count("loaded"), 1);
+
+        a.pause_publisher(true);
+        a.run_cell(44, "cell-44", 4, || (records(4), true));
+        drop(a);
+        assert!(!lease(&dir, 44).exists());
+        let reopened = worker(&dir, "wa", DEFAULT_TTL);
+        assert_eq!(reopened.cell_count(), 2);
+        assert_eq!(reopened.load_cell(44, 4), Some(records(4)));
+    }
+
+    /// `record_experiment` waits for the pending cells: an `exp` record
+    /// never precedes the records of the cells computed before it.
+    #[test]
+    fn experiment_record_follows_its_pending_cells() {
+        let dir = temp("repro-journal-exp-after-cells");
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        a.pause_publisher(true);
+        a.run_cell(61, "cell-61", 4, || (records(4), true));
+        std::thread::scope(|scope| {
+            let exp = scope.spawn(|| a.record_experiment("fig4", 0xfeed).unwrap());
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!exp.is_finished(), "the exp record waits for the cell");
+            a.pause_publisher(false);
+            exp.join().unwrap();
+        });
+        let kinds: Vec<String> = wal_records(&dir, "wa")
+            .iter()
+            .map(|r| r.split_whitespace().next().unwrap().to_string())
+            .collect();
+        assert_eq!(kinds, ["run", "cell", "exp"]);
+    }
+
+    /// The drain a SIGTERM runs (`release_all`, and the flush at
+    /// `run_cell`'s shutdown safe point) publishes the pending cells
+    /// before it releases their leases: a lease is never gone while its
+    /// cell is neither on disk nor in the WAL.
+    #[test]
+    fn sigterm_drain_publishes_pending_cells_before_releasing_leases() {
+        let _latch = latch_lock();
+        let dir = temp("repro-journal-drain-order");
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        a.pause_publisher(true);
+        for key in [51, 52] {
+            a.run_cell(key, &format!("cell-{key}"), 4, || (records(4), true));
+        }
+        let held = || lease(&dir, 51).exists() && lease(&dir, 52).exists();
+        std::thread::scope(|scope| {
+            let drain = scope.spawn(|| a.release_all());
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!drain.is_finished(), "the drain waits for the publish");
+            assert!(held());
+            assert!(wal_cells(&dir, "wa").is_empty());
+            // Hold the WAL append back: the sidecars land first, and the
+            // leases stay held until the WAL records land too. (Observed
+            // with the lock held, asserted once it is released, so a
+            // failure cannot strand the drain.)
+            let wal = a.shared.wal.lock().unwrap();
+            a.pause_publisher(false);
+            let sidecars = [51, 52].map(|key| a.shared.sidecar_path(key, "wa"));
+            let landed = || sidecars.iter().all(|p| p.exists());
+            let t0 = std::time::Instant::now();
+            while !landed() && t0.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let observed = (landed(), held(), wal_cells(&dir, "wa").is_empty());
+            drop(wal);
+            drain.join().unwrap();
+            assert_eq!(
+                observed,
+                (true, true, true),
+                "(sidecars landed, leases held, no WAL record) while the WAL append waits"
+            );
+        });
+        let journaled = wal_cells(&dir, "wa");
+        assert_eq!(journaled.len(), 2);
+        for (key, digest) in &journaled {
+            let key = u64::from_str_radix(key, 16).unwrap();
+            assert!(!lease(&dir, key).exists());
+            let sidecar = a.shared.sidecar_path(key, "wa");
+            let text = drive_nn::checkpoint::load_from_file(sidecar).unwrap();
+            assert_eq!(&format!("{:016x}", fnv1a_64(text.as_bytes())), digest);
+        }
+
+        // The shutdown safe point flushes before it unwinds.
+        a.run_cell(53, "cell-53", 4, || (records(4), true));
+        shutdown::trigger();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            a.run_cell(54, "cell-54", 4, || unreachable!("shutdown requested"))
+        }));
+        shutdown::clear_for_test();
+        assert!(unwound.is_err());
+        assert_eq!(wal_cells(&dir, "wa").len(), 3, "cell 53 published first");
+        assert!(!lease(&dir, 53).exists());
     }
 
     /// Crash point between publish and the lease release: the sidecar is
@@ -1566,8 +2047,16 @@ mod tests {
         a.release(31);
     }
 
+    /// Serializes the tests that set the process-wide shutdown latch, so
+    /// one never unwinds the other's cells.
+    fn latch_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LATCH: Mutex<()> = Mutex::new(());
+        LATCH.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn shutdown_latch_releases_held_leases_via_run_cell() {
+        let _latch = latch_lock();
         let dir = temp("repro-shard-shutdown");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         // A cell whose compute latches shutdown mid-flight: the unwind

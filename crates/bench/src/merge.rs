@@ -21,7 +21,7 @@ use crate::engine::{self, Registry, RunContext};
 use crate::harness::Scale;
 use crate::journal::{scan_frames, RunHeader, ShardHeader, MAGIC};
 use drive_seed::fnv1a_64;
-use drive_sim::record::{decode_records, encode_records, EpisodeRecord};
+use drive_sim::record::{decode_records, EpisodeRecord};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -333,9 +333,9 @@ fn scan_shard(dir: &Path) -> Result<ShardScan, String> {
             .map_err(|e| format!("sidecar {} fails verification: {e}", path.display()))?;
         let records = decode_records(&text)
             .map_err(|e| format!("sidecar {} does not decode: {e}", path.display()))?;
-        // Canonical digest: re-encode the decoded records, exactly what
-        // the publisher hashes.
-        let digest = fnv1a_64(encode_records(&records).as_bytes());
+        // The digest the publisher journals: the hash of the sidecar's
+        // text, which `records v2` makes a function of the records' bits.
+        let digest = fnv1a_64(text.as_bytes());
         scan.cells.entry(key).or_default().push(Sidecar {
             owner: owner.to_string(),
             file: name,
@@ -378,6 +378,7 @@ fn find_conflicts(scan: &ShardScan) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::journal::{JournalHandle, DEFAULT_TTL};
+    use drive_sim::record::encode_records;
 
     fn temp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(name);

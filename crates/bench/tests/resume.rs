@@ -12,7 +12,7 @@
 use attack_core::pipeline::{prepare, Artifacts, PipelineConfig};
 use repro_bench::engine::{self, Registry, RunContext};
 use repro_bench::harness::Scale;
-use repro_bench::journal::{JournalHandle, SOLO_WORKER};
+use repro_bench::journal::{scan_frames, JournalHandle, MAGIC, SOLO_WORKER};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -104,6 +104,7 @@ fn killed_and_resumed_run_matches_golden_byte_for_byte() {
         // kills have already happened.
         if progressed && common::kill_and_reap(&mut child[0]) {
             kills += 1;
+            assert_journaled_cells_have_sidecars(&killed.join("journal"));
         } else {
             let status = child[0].wait().expect("reap");
             assert!(status.success(), "early completion failed: {status}");
@@ -128,6 +129,36 @@ fn killed_and_resumed_run_matches_golden_byte_for_byte() {
         progress.lines().any(|l| l.starts_with("experiment,")),
         "progress.csv records experiment completions:\n{progress}"
     );
+}
+
+/// The durability order a SIGKILL must not break: every `cell` record in
+/// the killed worker's WAL has a sidecar on disk that verifies and hashes
+/// to the record's digest, because a sidecar is durable before its record
+/// is written. (A torn final frame is no record: the scan stops there.)
+fn assert_journaled_cells_have_sidecars(journal: &Path) {
+    let wal = fs::read(journal.join("workers").join(SOLO_WORKER).join("wal.bin")).unwrap();
+    assert!(wal.starts_with(MAGIC), "the WAL keeps its magic");
+    let (records, _) = scan_frames(&wal[MAGIC.len()..]);
+    for record in &records[1..] {
+        let parts: Vec<&str> = record.split_whitespace().collect();
+        if parts[0] != "cell" {
+            continue;
+        }
+        let sidecar = journal
+            .join("cells")
+            .join(format!("cell-{}-{SOLO_WORKER}.ckpt", parts[1]));
+        let text = drive_nn::checkpoint::load_from_file(&sidecar)
+            .unwrap_or_else(|e| panic!("journaled cell {}: {e}", parts[1]));
+        assert_eq!(
+            format!("{:016x}", drive_seed::fnv1a_64(text.as_bytes())),
+            parts[2],
+            "journaled cell {}: the sidecar hashes to the WAL digest",
+            parts[1]
+        );
+        let episodes: usize = parts[3].parse().unwrap();
+        let decoded = drive_sim::record::decode_records(&text).unwrap();
+        assert_eq!(decoded.len(), episodes, "journaled cell {}", parts[1]);
+    }
 }
 
 /// Sends a real SIGTERM (std's `Child::kill` is SIGKILL on unix).

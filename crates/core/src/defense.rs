@@ -22,7 +22,7 @@ use drive_agents::e2e::Policy;
 use drive_agents::runner::SteerAttacker;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
-use drive_nn::pnn::{PackedPnn, PnnInit, PnnPolicy};
+use drive_nn::pnn::{PackedPnn, PnnPolicy};
 use drive_nn::scratch::ActScratch;
 use drive_rl::actor::Actor;
 use drive_rl::env::Env;
@@ -226,7 +226,7 @@ pub fn train_pnn_defense(
     config: &DefenseTrainConfig,
 ) -> PnnPolicy {
     let mut rng = StdRng::seed_from_u64(SeedTree::root(config.seed).child("pnn-sac").seed());
-    let pnn = PnnPolicy::new(original.clone(), PnnInit::CopyBase, &mut rng);
+    let pnn = PnnPolicy::new(original.clone(), &mut rng);
     adversarial_train("pnn", pnn, attacker_policy, scenario, features, config)
 }
 
@@ -296,6 +296,22 @@ impl Policy for SimplexSwitcher {
 mod tests {
     use super::*;
 
+    /// A PNN whose column and laterals are all fresh random draws from
+    /// `rng`, column first: unlike `PnnPolicy::new`'s, its laterals are
+    /// non-zero.
+    fn random_pnn<R: rand::Rng>(base: GaussianPolicy, rng: &mut R) -> PnnPolicy {
+        let layers = base.trunk().layers();
+        let column = layers
+            .iter()
+            .map(|l| drive_nn::linear::Linear::new(l.in_dim(), l.out_dim(), rng))
+            .collect();
+        let laterals = layers
+            .windows(2)
+            .map(|w| drive_nn::linear::Linear::new(w[0].out_dim(), w[1].out_dim(), rng))
+            .collect();
+        PnnPolicy::from_parts(base, column, laterals).expect("shapes follow the base")
+    }
+
     #[test]
     fn budget_sampler_respects_rho() {
         let mut rng = StdRng::seed_from_u64(0);
@@ -317,7 +333,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let dim = FeatureConfig::default().observation_dim();
         let base = GaussianPolicy::new(dim, &[16], 2, &mut rng);
-        let pnn = PackedPnn::from(PnnPolicy::new(base.clone(), PnnInit::Random, &mut rng));
+        let pnn = PackedPnn::from(random_pnn(base.clone(), &mut rng));
         let obs = vec![0.1f32; dim];
 
         let low = SimplexSwitcher::new(pnn.clone(), 0.4, 0.2);

@@ -253,7 +253,7 @@ mod tests {
     use crate::budget::AttackBudget;
     use crate::eval::run_attacked_episode;
     use drive_nn::gaussian::GaussianPolicy;
-    use drive_nn::pnn::{PnnInit, PnnPolicy};
+    use drive_nn::pnn::PnnPolicy;
     use drive_sim::scenario::Scenario;
 
     #[test]
@@ -301,7 +301,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let features = FeatureConfig::default();
         let base = GaussianPolicy::new(features.observation_dim(), &[16], 2, &mut rng);
-        let pnn = PackedPnn::from(PnnPolicy::new(base, PnnInit::CopyBase, &mut rng));
+        let pnn = PackedPnn::from(PnnPolicy::new(base, &mut rng));
         let scenario = Scenario::default();
         let adv = AdvReward::default();
 
@@ -338,7 +338,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let features = FeatureConfig::default();
         let base = GaussianPolicy::new(features.observation_dim(), &[8], 2, &mut rng);
-        let pnn = PackedPnn::from(PnnPolicy::new(base, PnnInit::CopyBase, &mut rng));
+        let pnn = PackedPnn::from(PnnPolicy::new(base, &mut rng));
         // NaN-poisoned observations: the drive-nn input guard must keep
         // the policy output finite and the episode must complete.
         let mut agent = DetectorSimplexAgent::new(pnn, 0.2, features, DetectorConfig::default(), 2)
@@ -355,7 +355,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let features = FeatureConfig::default();
         let base = GaussianPolicy::new(features.observation_dim(), &[8], 2, &mut rng);
-        let pnn = PackedPnn::from(PnnPolicy::new(base, PnnInit::CopyBase, &mut rng));
+        let pnn = PackedPnn::from(PnnPolicy::new(base, &mut rng));
         let agent = DetectorSimplexAgent::new(pnn, 0.2, features, DetectorConfig::default(), 0);
         // Fresh agent estimates 0: agrees with a zero-budget truth.
         assert!(detection_agreement(&agent, AttackBudget::ZERO, 0.2));

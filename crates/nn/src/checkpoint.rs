@@ -16,7 +16,7 @@ use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Errors produced when parsing a checkpoint.
 #[derive(Debug)]
@@ -507,37 +507,12 @@ pub fn save_to_file(path: impl AsRef<Path>, text: &str) -> Result<(), Checkpoint
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    // The body is written as is, then the checksum line: a large body
-    // (a training snapshot) is never copied.
-    let owned;
-    let body = if text.ends_with('\n') {
-        text
-    } else {
-        owned = format!("{text}\n");
-        &owned
-    };
-    let checksum_line = format!("{CHECKSUM_TAG}{:016x}\n", fnv1a64(body.as_bytes()));
-    let file_name = path.file_name().ok_or_else(|| {
-        CheckpointError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "checkpoint path has no file name",
-        ))
-    })?;
-    let tmp = path.with_file_name(format!("{}.tmp", file_name.to_string_lossy()));
-    {
-        use std::io::Write as _;
-        let mut f = fs::File::create(&tmp)?;
-        if let Err(e) = f
-            .write_all(body.as_bytes())
-            .and_then(|()| f.write_all(checksum_line.as_bytes()))
-            .and_then(|()| f.sync_data())
-        {
-            drop(f);
-            let _ = fs::remove_file(&tmp);
-            return Err(CheckpointError::Io(e));
-        }
+    let staged = stage(path, text)?;
+    if let Err(e) = staged.file.sync_data() {
+        let _ = fs::remove_file(&staged.path);
+        return Err(CheckpointError::Io(e));
     }
-    fs::rename(&tmp, path)?;
+    fs::rename(&staged.path, path)?;
     if let Some(parent) = path.parent() {
         // A bare file name has an empty parent; the entry lives in the
         // current directory.
@@ -549,6 +524,65 @@ pub fn save_to_file(path: impl AsRef<Path>, text: &str) -> Result<(), Checkpoint
         sync_dir(parent)?;
     }
     Ok(())
+}
+
+/// A checkpoint written to its temporary sibling but not yet synced or
+/// renamed into place (see [`stage`]).
+#[derive(Debug)]
+pub struct Staged {
+    /// The temporary, `<name>.tmp` next to the final path.
+    pub path: PathBuf,
+    /// The temporary, still open: `sync_data` on it makes the text
+    /// durable.
+    pub file: fs::File,
+    /// The FNV-1a hash of the newline-terminated text, as the checksum
+    /// line records it.
+    pub checksum: u64,
+}
+
+/// The first half of [`save_to_file`]: writes `text` and its `checksum`
+/// line to `path`'s temporary sibling, unsynced. A caller that publishes
+/// several files syncs each temporary, renames each into place, and then
+/// syncs their directory once.
+///
+/// # Errors
+///
+/// Propagates I/O errors; a temporary that could not be written whole is
+/// removed.
+pub fn stage(path: &Path, text: &str) -> Result<Staged, CheckpointError> {
+    // The body is written as is, then the checksum line: a large body
+    // (a training snapshot) is never copied.
+    let owned;
+    let body = if text.ends_with('\n') {
+        text
+    } else {
+        owned = format!("{text}\n");
+        &owned
+    };
+    let checksum = fnv1a64(body.as_bytes());
+    let checksum_line = format!("{CHECKSUM_TAG}{checksum:016x}\n");
+    let file_name = path.file_name().ok_or_else(|| {
+        CheckpointError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "checkpoint path has no file name",
+        ))
+    })?;
+    let tmp = path.with_file_name(format!("{}.tmp", file_name.to_string_lossy()));
+    use std::io::Write as _;
+    let mut file = fs::File::create(&tmp)?;
+    if let Err(e) = file
+        .write_all(body.as_bytes())
+        .and_then(|()| file.write_all(checksum_line.as_bytes()))
+    {
+        drop(file);
+        let _ = fs::remove_file(&tmp);
+        return Err(CheckpointError::Io(e));
+    }
+    Ok(Staged {
+        path: tmp,
+        file,
+        checksum,
+    })
 }
 
 /// Reads checkpoint text from a file, verifying and stripping the trailing
@@ -589,6 +623,22 @@ mod tests {
     use crate::gaussian::randn_mat;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A PNN whose column and laterals are all fresh random draws from
+    /// `rng`, column first: unlike `PnnPolicy::new`'s, its laterals are
+    /// non-zero.
+    fn random_pnn<R: rand::Rng>(base: GaussianPolicy, rng: &mut R) -> PnnPolicy {
+        let layers = base.trunk().layers();
+        let column = layers
+            .iter()
+            .map(|l| Linear::new(l.in_dim(), l.out_dim(), rng))
+            .collect();
+        let laterals = layers
+            .windows(2)
+            .map(|w| Linear::new(w[0].out_dim(), w[1].out_dim(), rng))
+            .collect();
+        PnnPolicy::from_parts(base, column, laterals).expect("shapes follow the base")
+    }
 
     fn encode_mlp(net: &Mlp) -> String {
         let mut buf = String::new();
@@ -666,7 +716,7 @@ mod tests {
     fn pnn_round_trip() -> Result<(), CheckpointError> {
         let mut rng = StdRng::seed_from_u64(3);
         let base = GaussianPolicy::new(4, &[8, 8], 1, &mut rng);
-        let pnn = PnnPolicy::new(base, crate::pnn::PnnInit::Random, &mut rng);
+        let pnn = random_pnn(base, &mut rng);
         let back = decode_pnn(&encode_pnn(&pnn))?;
         let obs = Mat::from_vec(2, 4, (0..8).map(|i| (i as f32 * 0.2).cos()).collect());
         assert_eq!(pnn.mean_action(&obs), back.mean_action(&obs));
@@ -858,7 +908,7 @@ mod tests {
     fn pnn_with_mismatched_parts_is_rejected() {
         let mut rng = StdRng::seed_from_u64(10);
         let base = GaussianPolicy::new(4, &[8, 8], 1, &mut rng);
-        let text = encode_pnn(&PnnPolicy::new(base, crate::pnn::PnnInit::Random, &mut rng));
+        let text = encode_pnn(&random_pnn(base, &mut rng));
         let tampered = [
             text.replacen("pnn 1\n", "pnn 2\n", 1),
             text.replacen("laterals 2\n", "laterals 1\n", 1),

@@ -25,16 +25,6 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// How to initialize the second column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PnnInit {
-    /// Copy the base column's weights and zero the laterals: the PNN starts
-    /// as an exact functional copy of the base policy.
-    CopyBase,
-    /// Fresh random column and laterals.
-    Random,
-}
-
 /// Two-column progressive policy with a tanh-Gaussian head on column 2.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PnnPolicy {
@@ -81,26 +71,22 @@ impl PnnSampleCache {
 }
 
 impl PnnPolicy {
-    /// Wraps a frozen base policy with a new trainable column.
-    pub fn new<R: Rng>(base: GaussianPolicy, init: PnnInit, rng: &mut R) -> Self {
+    /// Wraps a frozen base policy with a new trainable column: a copy of
+    /// the base column's weights, with zero laterals, so the PNN starts as
+    /// an exact functional copy of the base policy. The laterals are
+    /// drawn from `rng` before they are zeroed, which keeps the caller's
+    /// random stream where training expects it.
+    pub fn new<R: Rng>(base: GaussianPolicy, rng: &mut R) -> Self {
         let action_dim = base.action_dim();
         let layers = base.trunk().layers();
-        let column: Vec<Linear> = match init {
-            PnnInit::CopyBase => layers.to_vec(),
-            PnnInit::Random => layers
-                .iter()
-                .map(|l| Linear::new(l.in_dim(), l.out_dim(), rng))
-                .collect(),
-        };
+        let column = layers.to_vec();
         let mut laterals: Vec<Linear> = layers
             .windows(2)
             .map(|w| Linear::new(w[0].out_dim(), w[1].out_dim(), rng))
             .collect();
-        if init == PnnInit::CopyBase {
-            for lat in &mut laterals {
-                lat.edit_w(|w| w.map_inplace(|_| 0.0));
-                lat.b.iter_mut().for_each(|b| *b = 0.0);
-            }
+        for lat in &mut laterals {
+            lat.edit_w(|w| w.map_inplace(|_| 0.0));
+            lat.b.iter_mut().for_each(|b| *b = 0.0);
         }
         PnnPolicy {
             base,
@@ -396,6 +382,22 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A PNN whose column and laterals are all fresh random draws from
+    /// `rng`, column first: unlike `PnnPolicy::new`'s, its laterals are
+    /// non-zero.
+    fn random_pnn<R: rand::Rng>(base: GaussianPolicy, rng: &mut R) -> PnnPolicy {
+        let layers = base.trunk().layers();
+        let column = layers
+            .iter()
+            .map(|l| Linear::new(l.in_dim(), l.out_dim(), rng))
+            .collect();
+        let laterals = layers
+            .windows(2)
+            .map(|w| Linear::new(w[0].out_dim(), w[1].out_dim(), rng))
+            .collect();
+        PnnPolicy::from_parts(base, column, laterals).expect("shapes follow the base")
+    }
+
     fn base() -> GaussianPolicy {
         let mut rng = StdRng::seed_from_u64(21);
         GaussianPolicy::new(5, &[12, 12], 2, &mut rng)
@@ -405,7 +407,7 @@ mod tests {
     fn copy_base_init_is_functionally_identical() {
         let b = base();
         let mut rng = StdRng::seed_from_u64(1);
-        let pnn = PnnPolicy::new(b.clone(), PnnInit::CopyBase, &mut rng);
+        let pnn = PnnPolicy::new(b.clone(), &mut rng);
         let obs = Mat::from_vec(3, 5, (0..15).map(|i| (i as f32) * 0.1 - 0.7).collect());
         assert_eq!(pnn.mean_action(&obs), b.mean_action(&obs));
         // Same noise → same sample.
@@ -420,7 +422,7 @@ mod tests {
     fn random_init_differs_from_base() {
         let b = base();
         let mut rng = StdRng::seed_from_u64(2);
-        let pnn = PnnPolicy::new(b.clone(), PnnInit::Random, &mut rng);
+        let pnn = random_pnn(b.clone(), &mut rng);
         let obs = Mat::from_vec(1, 5, vec![0.1; 5]);
         assert_ne!(pnn.mean_action(&obs), b.mean_action(&obs));
     }
@@ -429,7 +431,7 @@ mod tests {
     fn training_column_leaves_base_untouched() {
         let b = base();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut pnn = PnnPolicy::new(b.clone(), PnnInit::CopyBase, &mut rng);
+        let mut pnn = PnnPolicy::new(b.clone(), &mut rng);
         let obs = Mat::from_vec(4, 5, (0..20).map(|i| (i as f32 * 0.07).sin()).collect());
         // A few gradient steps pushing actions toward +1.
         let mut adam = crate::adam::Adam::with_lr(0.01);
@@ -457,7 +459,7 @@ mod tests {
     fn backward_matches_finite_differences() {
         let b = base();
         let mut rng = StdRng::seed_from_u64(4);
-        let mut pnn = PnnPolicy::new(b, PnnInit::Random, &mut rng);
+        let mut pnn = random_pnn(b, &mut rng);
         let obs = Mat::from_vec(2, 5, (0..10).map(|i| (i as f32 * 0.3).cos()).collect());
         // Loss = sum of raw outputs.
         let cache = pnn.forward_cached(&obs);
@@ -504,7 +506,7 @@ mod tests {
         let b = base();
         let base_params = b.trunk().param_count();
         let mut rng = StdRng::seed_from_u64(5);
-        let mut pnn = PnnPolicy::new(b, PnnInit::CopyBase, &mut rng);
+        let mut pnn = PnnPolicy::new(b, &mut rng);
         let mut count = 0;
         pnn.visit_params(&mut |p, _| count += p.len());
         assert_eq!(count, pnn.param_count());
@@ -518,7 +520,7 @@ mod tests {
     fn deployed_pnn() -> PnnPolicy {
         let mut rng = StdRng::seed_from_u64(12);
         let base = GaussianPolicy::new(60, &[128, 128], 2, &mut rng);
-        PnnPolicy::new(base, PnnInit::Random, &mut rng)
+        random_pnn(base, &mut rng)
     }
 
     fn obs_at(step: usize) -> Vec<f32> {
@@ -624,7 +626,7 @@ mod tests {
     #[test]
     fn act_is_bounded() {
         let mut rng = StdRng::seed_from_u64(6);
-        let pnn = PnnPolicy::new(base(), PnnInit::Random, &mut rng);
+        let pnn = random_pnn(base(), &mut rng);
         for _ in 0..10 {
             let a = pnn.act(&[0.5; 5], &mut rng, false);
             assert!(a.iter().all(|v| (-1.0..=1.0).contains(v)));

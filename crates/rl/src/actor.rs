@@ -199,7 +199,6 @@ impl Actor for PnnPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drive_nn::pnn::PnnInit;
     use rand::SeedableRng;
 
     #[test]
@@ -224,7 +223,7 @@ mod tests {
     fn pnn_policy_satisfies_actor() {
         let mut rng = StdRng::seed_from_u64(1);
         let base = GaussianPolicy::new(3, &[8], 1, &mut rng);
-        let p = PnnPolicy::new(base, PnnInit::CopyBase, &mut rng);
+        let p = PnnPolicy::new(base, &mut rng);
         let obs = Mat::from_vec(1, 3, vec![0.2; 3]);
         let s = Actor::sample(&p, &obs, &mut rng);
         assert_eq!(s.actions().cols(), 1);

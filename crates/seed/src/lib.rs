@@ -52,12 +52,38 @@ pub fn splitmix64(x: u64) -> u64 {
 #[inline]
 #[must_use]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_64_extend(FNV_OFFSET, bytes)
+}
+
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[inline]
+fn fnv1a_64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// [`fnv1a_64`] of the text `args` formats to, streamed through the hash
+/// as it is formatted instead of built as a `String` first: the same
+/// bytes, so the same hash. `fnv1a_64_fmt(format_args!("{x:?}"))` equals
+/// `fnv1a_64(format!("{x:?}").as_bytes())`.
+#[must_use]
+pub fn fnv1a_64_fmt(args: std::fmt::Arguments<'_>) -> u64 {
+    struct Sink(u64);
+    impl std::fmt::Write for Sink {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 = fnv1a_64_extend(self.0, s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut sink = Sink(FNV_OFFSET);
+    // `Sink` never fails, so neither does formatting into it.
+    let _ = std::fmt::Write::write_fmt(&mut sink, args);
+    sink.0
 }
 
 /// A node in a hierarchical seed-derivation tree.

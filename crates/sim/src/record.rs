@@ -120,7 +120,30 @@ impl EpisodeRecord {
 }
 
 /// Version tag of the [`encode_records`] text format.
-const RECORDS_VERSION: &str = "v1";
+const RECORDS_VERSION: &str = "v2";
+
+/// Why a records block failed to decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecordsError {
+    /// The block is in a format version this build does not read (the
+    /// version tag it carries).
+    Version(String),
+    /// A structural defect: a missing or unexpected tag, a bad number, a
+    /// count mismatch, or truncation.
+    Malformed(String),
+}
+
+impl std::fmt::Display for RecordsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecordsError::Version(v) => write!(
+                f,
+                "unsupported record format version '{v}' (this build reads '{RECORDS_VERSION}')"
+            ),
+            RecordsError::Malformed(msg) => f.write_str(msg),
+        }
+    }
+}
 
 fn kind_name(k: CollisionKind) -> &'static str {
     match k {
@@ -175,17 +198,30 @@ fn parse_collision(args: &[&str]) -> Result<CollisionEvent, String> {
     })
 }
 
+/// Appends `v`'s bit pattern as lowercase hex without leading zeros
+/// (`0.0` is `0`, `1.0` is `3ff0000000000000`): exact for every value,
+/// NaN payloads and `-0.0` included, with no float formatting.
+fn push_f64(buf: &mut String, v: f64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let bits = v.to_bits();
+    let nibbles = (16 - bits.leading_zeros() as usize / 4).max(1);
+    for i in (0..nibbles).rev() {
+        buf.push(DIGITS[(bits >> (4 * i)) as usize & 0xf] as char);
+    }
+}
+
+/// Parses a [`push_f64`] token back to the identical value.
+fn parse_f64(tok: &str) -> Option<f64> {
+    u64::from_str_radix(tok, 16).ok().map(f64::from_bits)
+}
+
 fn write_f64s(buf: &mut String, values: &[f64]) {
-    // `{}` formatting produces the shortest round-trip representation, so
-    // the parsed values are bit-identical to the originals.
     for chunk in values.chunks(8) {
-        let mut first = true;
-        for v in chunk {
-            if !first {
+        for (i, &v) in chunk.iter().enumerate() {
+            if i > 0 {
                 buf.push(' ');
             }
-            let _ = write!(buf, "{v}");
-            first = false;
+            push_f64(buf, v);
         }
         buf.push('\n');
     }
@@ -231,13 +267,12 @@ impl<'a> Cursor<'a> {
     }
 
     fn f64s(&mut self, n: usize) -> Result<Vec<f64>, String> {
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(1 << 16));
         while out.len() < n {
             let line = self.next()?;
             for tok in line.split_whitespace() {
-                let v: f64 = tok
-                    .parse()
-                    .map_err(|_| format!("line {}: bad float '{tok}'", self.line_no))?;
+                let v = parse_f64(tok)
+                    .ok_or_else(|| format!("line {}: bad float '{tok}'", self.line_no))?;
                 out.push(v);
             }
         }
@@ -251,15 +286,24 @@ impl<'a> Cursor<'a> {
 /// Serializes a slice of records to a versioned plain-text block that
 /// [`decode_records`] parses back bit-identically — the payload format of
 /// the bench journal's per-cell sidecar files, so a resumed run replays
-/// exactly the records the killed run computed.
+/// exactly the records the killed run computed. Every `f64` is written as
+/// its bit pattern in hex, so the text is a function of the bits alone.
 pub fn encode_records(records: &[EpisodeRecord]) -> String {
-    let mut buf = String::new();
-    buf.push_str(&format!("records {RECORDS_VERSION} {}\n", records.len()));
+    // About 17 bytes per float plus a few short lines per record.
+    let floats: usize = records
+        .iter()
+        .map(|r| r.deviation.len() + r.perturbation.len())
+        .sum();
+    let mut buf = String::with_capacity(17 * floats + 128 * records.len() + 32);
+    let _ = writeln!(buf, "records {RECORDS_VERSION} {}", records.len());
     for r in records {
-        buf.push_str(&format!(
-            "rec {} {} {} {} {} {}\n",
-            r.steps, r.dt, r.passed, r.nominal_return, r.adv_return, r.nonfinite_actions
-        ));
+        let _ = write!(buf, "rec {} ", r.steps);
+        push_f64(&mut buf, r.dt);
+        let _ = write!(buf, " {} ", r.passed);
+        push_f64(&mut buf, r.nominal_return);
+        buf.push(' ');
+        push_f64(&mut buf, r.adv_return);
+        let _ = writeln!(buf, " {}", r.nonfinite_actions);
         match &r.termination {
             None => buf.push_str("term none\n"),
             Some(Termination::TimeLimit) => buf.push_str("term time\n"),
@@ -282,9 +326,9 @@ pub fn encode_records(records: &[EpisodeRecord]) -> String {
             None => buf.push_str("astart none\n"),
             Some(s) => buf.push_str(&format!("astart {s}\n")),
         }
-        buf.push_str(&format!("dev {}\n", r.deviation.len()));
+        let _ = writeln!(buf, "dev {}", r.deviation.len());
         write_f64s(&mut buf, &r.deviation);
-        buf.push_str(&format!("pert {}\n", r.perturbation.len()));
+        let _ = writeln!(buf, "pert {}", r.perturbation.len());
         write_f64s(&mut buf, &r.perturbation);
     }
     buf
@@ -294,101 +338,101 @@ pub fn encode_records(records: &[EpisodeRecord]) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message on a version mismatch or any structural defect; the
-/// caller (the bench journal) treats any error as "recompute this cell".
-pub fn decode_records(text: &str) -> Result<Vec<EpisodeRecord>, String> {
+/// [`RecordsError::Version`] for a block of another format version (an
+/// older build's `v1` sidecar, say), [`RecordsError::Malformed`] for any
+/// structural defect; the caller (the bench journal) treats either as
+/// "recompute this cell".
+pub fn decode_records(text: &str) -> Result<Vec<EpisodeRecord>, RecordsError> {
     let mut c = Cursor::new(text);
-    let args = c.tag("records")?;
+    let args = c.tag("records").map_err(RecordsError::Malformed)?;
     if args.len() != 2 {
-        return Err("records tag needs '<version> <count>'".to_string());
+        return Err(RecordsError::Malformed(
+            "records tag needs '<version> <count>'".to_string(),
+        ));
     }
     if args[0] != RECORDS_VERSION {
-        return Err(format!(
-            "unsupported record format version '{}' (this build reads '{RECORDS_VERSION}')",
-            args[0]
-        ));
+        return Err(RecordsError::Version(args[0].to_string()));
     }
     let count: usize = args[1]
         .parse()
-        .map_err(|_| format!("bad record count '{}'", args[1]))?;
-    let mut out = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let rec_args = c.tag("rec")?;
-        if rec_args.len() != 6 {
-            return Err(format!(
-                "rec needs '<steps> <dt> <passed> <nominal> <adv> <nonfinite>', got {rec_args:?}"
-            ));
-        }
-        let steps: usize = rec_args[0]
-            .parse()
-            .map_err(|_| format!("bad steps '{}'", rec_args[0]))?;
-        let dt: f64 = rec_args[1]
-            .parse()
-            .map_err(|_| format!("bad dt '{}'", rec_args[1]))?;
-        let passed: usize = rec_args[2]
-            .parse()
-            .map_err(|_| format!("bad passed '{}'", rec_args[2]))?;
-        let nominal_return: f64 = rec_args[3]
-            .parse()
-            .map_err(|_| format!("bad nominal return '{}'", rec_args[3]))?;
-        let adv_return: f64 = rec_args[4]
-            .parse()
-            .map_err(|_| format!("bad adversarial return '{}'", rec_args[4]))?;
-        let nonfinite_actions: usize = rec_args[5]
-            .parse()
-            .map_err(|_| format!("bad non-finite count '{}'", rec_args[5]))?;
-        let term_args = c.tag("term")?;
-        let termination = match term_args.first() {
-            Some(&"none") => None,
-            Some(&"time") => Some(Termination::TimeLimit),
-            Some(&"road") => Some(Termination::RoadEnd),
-            Some(&"coll") => Some(Termination::Collision(parse_collision(&term_args[1..])?)),
-            other => return Err(format!("bad termination {other:?}")),
-        };
-        let coll_args = c.tag("coll")?;
-        let collision = match coll_args.first() {
-            Some(&"none") => None,
-            Some(_) => Some(parse_collision(&coll_args)?),
-            None => return Err("coll tag needs a value".to_string()),
-        };
-        let astart_args = c.tag("astart")?;
-        let attack_start = match astart_args.first() {
-            Some(&"none") => None,
-            Some(tok) => Some(
-                tok.parse()
-                    .map_err(|_| format!("bad attack start '{tok}'"))?,
-            ),
-            None => return Err("astart tag needs a value".to_string()),
-        };
-        let dev_args = c.tag("dev")?;
-        let ndev: usize = dev_args
-            .first()
-            .ok_or("dev tag needs a count")?
-            .parse()
-            .map_err(|_| "bad deviation count".to_string())?;
-        let deviation = c.f64s(ndev)?;
-        let pert_args = c.tag("pert")?;
-        let npert: usize = pert_args
-            .first()
-            .ok_or("pert tag needs a count")?
-            .parse()
-            .map_err(|_| "bad perturbation count".to_string())?;
-        let perturbation = c.f64s(npert)?;
-        out.push(EpisodeRecord {
-            steps,
-            dt,
-            termination,
-            collision,
-            passed,
-            nominal_return,
-            adv_return,
-            deviation,
-            perturbation,
-            attack_start,
-            nonfinite_actions,
-        });
+        .map_err(|_| RecordsError::Malformed(format!("bad record count '{}'", args[1])))?;
+    (0..count)
+        .map(|_| decode_record(&mut c))
+        .collect::<Result<_, _>>()
+        .map_err(RecordsError::Malformed)
+}
+
+fn decode_record(c: &mut Cursor<'_>) -> Result<EpisodeRecord, String> {
+    let rec_args = c.tag("rec")?;
+    if rec_args.len() != 6 {
+        return Err(format!(
+            "rec needs '<steps> <dt> <passed> <nominal> <adv> <nonfinite>', got {rec_args:?}"
+        ));
     }
-    Ok(out)
+    let float = |i: usize, what: &str| {
+        parse_f64(rec_args[i]).ok_or_else(|| format!("bad {what} '{}'", rec_args[i]))
+    };
+    let count = |i: usize, what: &str| {
+        rec_args[i]
+            .parse::<usize>()
+            .map_err(|_| format!("bad {what} '{}'", rec_args[i]))
+    };
+    let steps = count(0, "steps")?;
+    let dt = float(1, "dt")?;
+    let passed = count(2, "passed")?;
+    let nominal_return = float(3, "nominal return")?;
+    let adv_return = float(4, "adversarial return")?;
+    let nonfinite_actions = count(5, "non-finite count")?;
+    let term_args = c.tag("term")?;
+    let termination = match term_args.first() {
+        Some(&"none") => None,
+        Some(&"time") => Some(Termination::TimeLimit),
+        Some(&"road") => Some(Termination::RoadEnd),
+        Some(&"coll") => Some(Termination::Collision(parse_collision(&term_args[1..])?)),
+        other => return Err(format!("bad termination {other:?}")),
+    };
+    let coll_args = c.tag("coll")?;
+    let collision = match coll_args.first() {
+        Some(&"none") => None,
+        Some(_) => Some(parse_collision(&coll_args)?),
+        None => return Err("coll tag needs a value".to_string()),
+    };
+    let astart_args = c.tag("astart")?;
+    let attack_start = match astart_args.first() {
+        Some(&"none") => None,
+        Some(tok) => Some(
+            tok.parse()
+                .map_err(|_| format!("bad attack start '{tok}'"))?,
+        ),
+        None => return Err("astart tag needs a value".to_string()),
+    };
+    let dev_args = c.tag("dev")?;
+    let ndev: usize = dev_args
+        .first()
+        .ok_or("dev tag needs a count")?
+        .parse()
+        .map_err(|_| "bad deviation count".to_string())?;
+    let deviation = c.f64s(ndev)?;
+    let pert_args = c.tag("pert")?;
+    let npert: usize = pert_args
+        .first()
+        .ok_or("pert tag needs a count")?
+        .parse()
+        .map_err(|_| "bad perturbation count".to_string())?;
+    let perturbation = c.f64s(npert)?;
+    Ok(EpisodeRecord {
+        steps,
+        dt,
+        termination,
+        collision,
+        passed,
+        nominal_return,
+        adv_return,
+        deviation,
+        perturbation,
+        attack_start,
+        nonfinite_actions,
+    })
 }
 
 #[cfg(test)]
@@ -468,15 +512,81 @@ mod tests {
     #[test]
     fn codec_rejects_malformed_input_without_panicking() {
         assert!(decode_records("").is_err());
-        assert!(decode_records("records v0 1").is_err(), "version mismatch");
-        assert!(decode_records("records v1 not-a-number").is_err());
+        assert_eq!(
+            decode_records("records v0 1"),
+            Err(RecordsError::Version("v0".into()))
+        );
+        assert!(matches!(
+            decode_records("records v2 not-a-number"),
+            Err(RecordsError::Malformed(_))
+        ));
         // Truncated mid-record.
         let text = encode_records(&[rec(), rec()]);
         let cut = &text[..text.len() / 2];
-        assert!(decode_records(cut).is_err());
+        assert!(matches!(
+            decode_records(cut),
+            Err(RecordsError::Malformed(_))
+        ));
         // Corrupted collision kind.
         let bad = text.replacen("side", "frontal", 1);
         assert!(decode_records(&bad).is_err());
+        // A float token that is not a 64-bit pattern.
+        let bad = text.replacen("3fb999999999999a", "3fb999999999999a0", 1);
+        assert!(matches!(
+            decode_records(&bad),
+            Err(RecordsError::Malformed(_))
+        ));
+    }
+
+    /// `v2` stores every float as its bit pattern, so values that decimal
+    /// formatting mangles or canonicalizes come back with identical bits.
+    #[test]
+    fn v2_round_trips_special_floats_bit_exactly() {
+        let specials = [
+            f64::from_bits(0x7ff8_0000_0000_0001), // quiet NaN with a payload
+            f64::from_bits(0xfff0_0000_dead_beef), // negative signalling NaN
+            f64::NAN,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            -f64::from_bits(1),      // smallest negative subnormal
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::EPSILON,
+        ];
+        let records = vec![EpisodeRecord {
+            dt: -0.0,
+            nominal_return: f64::from_bits(0x7ff8_0000_0000_0001),
+            adv_return: f64::NEG_INFINITY,
+            deviation: specials.to_vec(),
+            perturbation: specials.iter().rev().copied().collect(),
+            ..rec()
+        }];
+        let text = encode_records(&records);
+        let back = decode_records(&text).expect("decode");
+        let bits = |r: &EpisodeRecord| -> Vec<u64> {
+            [r.dt, r.nominal_return, r.adv_return]
+                .iter()
+                .chain(&r.deviation)
+                .chain(&r.perturbation)
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&back[0]), bits(&records[0]));
+        assert_eq!(encode_records(&back), text);
+        assert!(text.contains("\ndev 11\n7ff8000000000001 fff00000deadbeef"));
+    }
+
+    /// A sidecar an older build wrote in `v1` (decimal floats) is refused
+    /// with the typed version error, never misread or panicked on.
+    #[test]
+    fn v1_text_gets_the_typed_version_error() {
+        let v1 = "records v1 1\nrec 4 0.1 0 0 0 0\nterm none\ncoll none\n\
+                  astart none\ndev 1\n0.5\npert 0\n";
+        let err = decode_records(v1).unwrap_err();
+        assert_eq!(err, RecordsError::Version("v1".into()));
+        assert!(err.to_string().contains("this build reads 'v2'"), "{err}");
     }
 
     #[test]

@@ -142,14 +142,14 @@ fn checkpoint_round_trip_preserves_behavior() {
 #[test]
 fn pnn_switcher_drives_both_columns() {
     use ad_action_attacks::attacks::defense::SimplexSwitcher;
-    use ad_action_attacks::nn::pnn::{PackedPnn, PnnInit, PnnPolicy};
+    use ad_action_attacks::nn::pnn::{PackedPnn, PnnPolicy};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     let features = FeatureConfig::default();
     let mut rng = StdRng::seed_from_u64(4);
     let base = GaussianPolicy::new(features.observation_dim(), &[32], 2, &mut rng);
-    let pnn = PackedPnn::from(PnnPolicy::new(base, PnnInit::CopyBase, &mut rng));
+    let pnn = PackedPnn::from(PnnPolicy::new(base, &mut rng));
     let scenario = Scenario::default();
 
     for eps in [0.1, 0.9] {
