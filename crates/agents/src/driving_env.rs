@@ -8,7 +8,6 @@
 
 use crate::reward::{RewardConfig, RewardShaper};
 use drive_rl::env::{Env, EnvStep};
-use drive_sim::record::EpisodeRecord;
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::{FeatureConfig, FeatureExtractor};
 use drive_sim::vehicle::Actuation;
@@ -27,7 +26,6 @@ pub struct DrivingEnv {
     extractor: FeatureExtractor,
     shaper: RewardShaper,
     attack: Option<SteerAttack>,
-    record: EpisodeRecord,
 }
 
 impl std::fmt::Debug for DrivingEnv {
@@ -56,23 +54,12 @@ impl DrivingEnv {
             scenario,
             features,
             attack: None,
-            record: EpisodeRecord::default(),
         }
     }
 
     /// Installs (or removes) a steering attack applied to every future step.
     pub fn set_attack(&mut self, attack: Option<SteerAttack>) {
         self.attack = attack;
-    }
-
-    /// The current world (read access for attack closures' bookkeeping).
-    pub fn world(&self) -> &World {
-        &self.world
-    }
-
-    /// The record of the episode in progress (or just finished).
-    pub fn record(&self) -> &EpisodeRecord {
-        &self.record
     }
 }
 
@@ -91,10 +78,6 @@ impl Env for DrivingEnv {
         self.world = World::new(episode);
         self.extractor.reset();
         self.shaper.reset(&self.world);
-        self.record = EpisodeRecord {
-            dt: self.world.scenario().dt,
-            ..EpisodeRecord::default()
-        };
         self.extractor.observe(&self.world)
     }
 
@@ -111,20 +94,6 @@ impl Env for DrivingEnv {
         let actuation = Actuation::new(action[0] as f64 + delta, action[1] as f64);
         let outcome = self.world.step(actuation);
         let reward = self.shaper.step(&self.world, &outcome) as f32;
-
-        self.record.steps += 1;
-        self.record.nominal_return += reward as f64;
-        self.record.deviation.push(self.shaper.last_deviation());
-        self.record.perturbation.push(delta.abs());
-        if delta.abs() > drive_sim::record::ATTACK_START_THRESHOLD
-            && self.record.attack_start.is_none()
-        {
-            self.record.attack_start = Some(outcome.step);
-        }
-        self.record.passed = outcome.passed;
-        self.record.collision = outcome.collision;
-        self.record.termination = outcome.termination;
-
         let done = matches!(
             outcome.termination,
             Some(Termination::Collision(_)) | Some(Termination::RoadEnd)
@@ -165,17 +134,30 @@ mod tests {
         let (ret, len) = rollout(&mut e, |_| vec![0.0, -1.0], 7);
         assert_eq!(len, Scenario::default().max_steps);
         assert!(ret.is_finite());
-        assert!(e.record().collision.is_none());
+        // Survived: the last step is a time-limit truncation, not a
+        // collision (which would end the episode as `done`).
+        let _ = e.reset(7);
+        let last = (0..len).map(|_| e.step(&[0.0, -1.0])).last().unwrap();
+        assert!(last.truncated && !last.done);
     }
 
     #[test]
-    fn attack_closure_is_applied_and_recorded() {
-        let mut e = env();
-        e.set_attack(Some(Box::new(|_| 0.5)));
-        let _ = e.reset(3);
-        let _ = e.step(&[0.0, 0.0]);
-        assert_eq!(e.record().attack_start, Some(0));
-        assert!((e.record().attack_effort() - 0.5).abs() < 1e-9);
+    fn attack_closure_shifts_the_steering_command() {
+        // An attacked step is the unattacked step with the perturbation
+        // added to the steering command.
+        let mut attacked = env();
+        attacked.set_attack(Some(Box::new(|_| 0.5)));
+        let (mut shifted, mut plain) = (env(), env());
+        for e in [&mut attacked, &mut shifted, &mut plain] {
+            let _ = e.reset(3);
+        }
+        for _ in 0..5 {
+            let a = attacked.step(&[0.0, 0.0]);
+            let s = shifted.step(&[0.5, 0.0]);
+            let p = plain.step(&[0.0, 0.0]);
+            assert_eq!((&a.obs, a.reward), (&s.obs, s.reward));
+            assert_ne!(a.obs, p.obs, "the attack moves the ego");
+        }
     }
 
     #[test]

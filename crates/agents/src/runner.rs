@@ -4,7 +4,7 @@
 use crate::reward::{RewardConfig, RewardShaper};
 use crate::Agent;
 use drive_sim::faults::FaultInjector;
-use drive_sim::record::EpisodeRecord;
+use drive_sim::record::{EpisodeRecord, ATTACK_START_THRESHOLD};
 use drive_sim::scenario::Scenario;
 use drive_sim::vehicle::Actuation;
 use drive_sim::world::{StepOutcome, World};
@@ -24,19 +24,83 @@ pub trait SteerAttacker {
     fn delta(&mut self, world: &World) -> f64;
 }
 
+/// Per-episode bookkeeping: everything an [`EpisodeRecord`] holds,
+/// filled one world step at a time. The serial runner and the lockstep
+/// fleet (`attack_core::fleet`) both tally through it, so their records
+/// agree by construction.
+#[derive(Debug, Clone)]
+pub struct EpisodeTally {
+    shaper: RewardShaper,
+    record: EpisodeRecord,
+}
+
+impl EpisodeTally {
+    /// Starts the tally of the episode `world` is about to run: the
+    /// reward shaper tracks the ego's starting lane.
+    pub fn new(world: &World) -> Self {
+        let mut shaper = RewardShaper::new(
+            RewardConfig::default(),
+            crate::behavior::BehaviorConfig::default(),
+            world.scenario().road.lane_of(world.ego().pose.position.y),
+        );
+        shaper.reset(world);
+        EpisodeTally {
+            shaper,
+            record: EpisodeRecord {
+                dt: world.scenario().dt,
+                ..EpisodeRecord::default()
+            },
+        }
+    }
+
+    /// Records one step: the post-step world, its outcome and the
+    /// injected steering perturbation `delta`.
+    pub fn step(&mut self, world: &World, outcome: &StepOutcome, delta: f64) {
+        let reward = self.shaper.step(world, outcome);
+        let record = &mut self.record;
+        record.steps += 1;
+        record.nominal_return += reward;
+        record.deviation.push(self.shaper.last_deviation());
+        record.perturbation.push(delta.abs());
+        if delta.abs() > ATTACK_START_THRESHOLD && record.attack_start.is_none() {
+            record.attack_start = Some(outcome.step);
+        }
+        record.passed = outcome.passed;
+        record.collision = outcome.collision;
+        record.termination = outcome.termination;
+    }
+
+    /// The finished record, with the world's non-finite command count and
+    /// the episode's cumulative adversarial reward.
+    pub fn finish(mut self, world: &World, adv_return: f64) -> EpisodeRecord {
+        self.record.nonfinite_actions = world.nonfinite_action_count();
+        self.record.adv_return = adv_return;
+        self.record
+    }
+}
+
 /// Runs one episode and returns its record.
 ///
 /// `on_step` is invoked after every world step with the post-step world,
-/// the outcome, and the injected perturbation — attack harnesses use it to
-/// accumulate the adversarial reward.
+/// the outcome, and the injected perturbation.
 pub fn run_episode(
     agent: &mut dyn Agent,
     scenario: &Scenario,
     seed: u64,
     attacker: Option<&mut dyn SteerAttacker>,
-    on_step: impl FnMut(&World, &StepOutcome, f64),
+    mut on_step: impl FnMut(&World, &StepOutcome, f64),
 ) -> EpisodeRecord {
-    run_episode_with_faults(agent, scenario, seed, attacker, None, on_step)
+    run_episode_with_faults(
+        agent,
+        scenario,
+        seed,
+        attacker,
+        None,
+        |world, outcome, delta| {
+            on_step(world, outcome, delta);
+            0.0
+        },
+    )
 }
 
 /// Runs one episode with an optional actuation-side fault injector in the
@@ -47,6 +111,11 @@ pub fn run_episode(
 /// not share one injector instance between the runner and a sensor
 /// wrapper.
 ///
+/// `adv_reward` is invoked after every world step with the post-step
+/// world, the outcome, and the injected perturbation; what it returns
+/// sums into the record's `adv_return` (attack harnesses score the
+/// adversarial reward there; observers return 0).
+///
 /// With `faults: None` (or a no-op schedule) this is bit-identical to
 /// [`run_episode`].
 pub fn run_episode_with_faults(
@@ -55,7 +124,7 @@ pub fn run_episode_with_faults(
     seed: u64,
     mut attacker: Option<&mut dyn SteerAttacker>,
     mut faults: Option<&mut FaultInjector>,
-    mut on_step: impl FnMut(&World, &StepOutcome, f64),
+    mut adv_reward: impl FnMut(&World, &StepOutcome, f64) -> f64,
 ) -> EpisodeRecord {
     let episode_scenario = {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -66,17 +135,8 @@ pub fn run_episode_with_faults(
     if let Some(atk) = attacker.as_deref_mut() {
         atk.reset(&world);
     }
-    let mut shaper = RewardShaper::new(
-        RewardConfig::default(),
-        crate::behavior::BehaviorConfig::default(),
-        world.scenario().road.lane_of(world.ego().pose.position.y),
-    );
-    shaper.reset(&world);
-
-    let mut record = EpisodeRecord {
-        dt: world.scenario().dt,
-        ..EpisodeRecord::default()
-    };
+    let mut tally = EpisodeTally::new(&world);
+    let mut adv_return = 0.0;
 
     while !world.is_done() {
         let nominal = agent.act(&world);
@@ -93,23 +153,10 @@ pub fn run_episode_with_faults(
             None => perturbed,
         };
         let outcome = world.step(realized);
-        let reward = shaper.step(&world, &outcome);
-
-        record.steps += 1;
-        record.nominal_return += reward;
-        record.deviation.push(shaper.last_deviation());
-        record.perturbation.push(delta.abs());
-        if delta.abs() > drive_sim::record::ATTACK_START_THRESHOLD && record.attack_start.is_none()
-        {
-            record.attack_start = Some(outcome.step);
-        }
-        record.passed = outcome.passed;
-        record.collision = outcome.collision;
-        record.termination = outcome.termination;
-        on_step(&world, &outcome, delta);
+        tally.step(&world, &outcome, delta);
+        adv_return += adv_reward(&world, &outcome, delta);
     }
-    record.nonfinite_actions = world.nonfinite_action_count();
-    record
+    tally.finish(&world, adv_return)
 }
 
 /// Runs `episodes` episodes with seeds `base_seed..`, returning all records.
@@ -184,7 +231,7 @@ mod tests {
         let clean = run_episode(&mut a1, &scenario, 5, None, |_, _, _| {});
         let mut inj = FaultInjector::new(&FaultSchedule::benign(0.0, 123));
         let faulted =
-            run_episode_with_faults(&mut a2, &scenario, 5, None, Some(&mut inj), |_, _, _| {});
+            run_episode_with_faults(&mut a2, &scenario, 5, None, Some(&mut inj), |_, _, _| 0.0);
         assert_eq!(clean, faulted);
     }
 
@@ -197,8 +244,8 @@ mod tests {
         let mut a2 = ModularAgent::new(ModularConfig::default(), 1);
         let mut i1 = FaultInjector::for_episode(&schedule, 9);
         let mut i2 = FaultInjector::for_episode(&schedule, 9);
-        let r1 = run_episode_with_faults(&mut a1, &scenario, 9, None, Some(&mut i1), |_, _, _| {});
-        let r2 = run_episode_with_faults(&mut a2, &scenario, 9, None, Some(&mut i2), |_, _, _| {});
+        let r1 = run_episode_with_faults(&mut a1, &scenario, 9, None, Some(&mut i1), |_, _, _| 0.0);
+        let r2 = run_episode_with_faults(&mut a2, &scenario, 9, None, Some(&mut i2), |_, _, _| 0.0);
         assert_eq!(r1, r2);
     }
 

@@ -8,9 +8,8 @@
 //! * `--list` — print the experiment registry and exit
 //! * `--filter <substr>` — run every experiment whose name matches
 //! * `--all` — run the whole registry in order
-//! * `--smoke` (or `REPRO_SCALE=smoke`) — reduced evaluation scale
-//! * `--scale <smoke|paper>` — explicit evaluation scale (`paper`
-//!   overrides `REPRO_SCALE=smoke`)
+//! * `--scale <smoke|paper>` — evaluation scale (default `paper`;
+//!   `smoke` is the reduced scale)
 //! * `--quick` — quick-trained artifacts (CI preset, not paper numbers)
 //! * `--csv <dir>` / `--svg <dir>` — write data/figure outputs (a
 //!   `<name>.manifest.json` with per-file checksums lands next to them)
@@ -56,11 +55,8 @@ pub struct CliArgs {
     pub all: bool,
     /// Use the quick-training pipeline preset.
     pub quick: bool,
-    /// Use the reduced evaluation scale.
-    pub smoke: bool,
-    /// Explicit `--scale paper`: forces the paper scale even when
-    /// `REPRO_SCALE=smoke` is set in the environment.
-    pub paper: bool,
+    /// Evaluation scale (`--scale smoke|paper`).
+    pub scale: Scale,
     /// CSV output directory.
     pub csv: Option<PathBuf>,
     /// SVG output directory.
@@ -203,27 +199,19 @@ impl CliArgs {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--list" => out.list = true,
-                // `all` predates `--all` as a positional name; keep both.
-                "--all" | "all" => out.all = true,
+                "--all" => out.all = true,
                 "--quick" => out.quick = true,
-                "--smoke" => out.smoke = true,
                 "--scale" => {
                     let raw = it
                         .next()
                         .ok_or_else(|| CliError::MissingValue("--scale".to_string()))?;
-                    match raw.as_str() {
-                        "smoke" => {
-                            out.smoke = true;
-                            out.paper = false;
-                        }
-                        "paper" => {
-                            out.paper = true;
-                            out.smoke = false;
-                        }
+                    out.scale = match raw.as_str() {
+                        "smoke" => Scale::smoke(),
+                        "paper" => Scale::paper(),
                         _ => {
                             return Err(CliError::InvalidValue("--scale".to_string(), raw.clone()))
                         }
-                    }
+                    };
                 }
                 "--filter" => {
                     out.filter = Some(
@@ -316,19 +304,6 @@ impl CliArgs {
         }
     }
 
-    /// The evaluation scale (`--scale smoke|paper`, `--smoke`, or
-    /// `REPRO_SCALE=smoke` env; an explicit `--scale paper` wins).
-    pub fn scale(&self) -> Scale {
-        if self.paper {
-            return Scale::paper();
-        }
-        if self.smoke || std::env::var("REPRO_SCALE").is_ok_and(|v| v == "smoke") {
-            Scale::smoke()
-        } else {
-            Scale::paper()
-        }
-    }
-
     /// Resolves the experiments to run from the registry.
     ///
     /// # Errors
@@ -418,7 +393,7 @@ pub fn run(args: &CliArgs) -> Result<(), CliError> {
     }
     let experiments = args.select()?;
     let config = args.pipeline_config();
-    let scale = args.scale();
+    let scale = args.scale;
     eprintln!(
         "artifacts dir: {} | scale: {} episodes/cell, {} rounds/budget",
         config.dir.display(),
@@ -535,7 +510,7 @@ pub fn main_from_env() -> i32 {
         Ok(args) => {
             if !args.selects_anything() {
                 eprintln!(
-                    "usage: repro_bench [<experiment>...|--all|--filter <substr>|--list|validate-manifest <path>|bench-compare <current.json>]\n       [--smoke] [--quick] [--csv <dir>] [--svg <dir>] [--resume <dir>] [--no-journal]\n       [--artifacts <dir>] [--perf-json <path>] [--baseline <path>] [--tolerance <ratio>]\n       [--fleet <batch>]\n   or: repro_bench shard <dir> [--worker <id>] [--ttl-ms <n>] [<experiment>...|--all]\n       [--smoke] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench merge <dir> [--out <dir>] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench serve|loadgen [--requests <n>] [--qps <n>] [--seed <n>] [--workers <n>]\n       [--kills <n>] [--stalls <n>] [--corrupt-rate <f>] [--attack-at-us <n>] [--attack-delta <f>]\n       [--expect-no-sheds] [--expect-degraded] [--latency-json <path>] [--slo-p99-us <n>] [--qps-grid <a,b,...>]\n"
+                    "usage: repro_bench [<experiment>...|--all|--filter <substr>|--list|validate-manifest <path>|bench-compare <current.json>]\n       [--scale smoke|paper] [--quick] [--csv <dir>] [--svg <dir>] [--resume <dir>] [--no-journal]\n       [--artifacts <dir>] [--perf-json <path>] [--baseline <path>] [--tolerance <ratio>]\n       [--fleet <batch>]\n   or: repro_bench shard <dir> [--worker <id>] [--ttl-ms <n>] [<experiment>...|--all]\n       [--scale smoke|paper] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench merge <dir> [--out <dir>] [--quick] [--artifacts <dir>] [--fleet <batch>]\n   or: repro_bench serve|loadgen [--requests <n>] [--qps <n>] [--seed <n>] [--workers <n>]\n       [--kills <n>] [--stalls <n>] [--corrupt-rate <f>] [--attack-at-us <n>] [--attack-delta <f>]\n       [--expect-no-sheds] [--expect-degraded] [--latency-json <path>] [--slo-p99-us <n>] [--qps-grid <a,b,...>]\n"
                 );
                 eprint!("{}", Registry::list(Registry::all()));
                 return 2;
@@ -570,7 +545,8 @@ mod tests {
     fn parses_flags_and_names() {
         let args = parse(&[
             "fig4",
-            "--smoke",
+            "--scale",
+            "smoke",
             "--quick",
             "--csv",
             "/tmp/c",
@@ -583,7 +559,7 @@ mod tests {
             "fig5",
         ]);
         assert_eq!(args.names, ["fig4", "fig5"]);
-        assert!(args.smoke && args.quick);
+        assert!(args.scale == Scale::smoke() && args.quick);
         assert_eq!(args.csv.as_deref(), Some(Path::new("/tmp/c")));
         assert_eq!(args.svg.as_deref(), Some(Path::new("/tmp/s")));
         assert_eq!(args.artifacts.as_deref(), Some(Path::new("/tmp/a")));
@@ -594,15 +570,14 @@ mod tests {
 
     #[test]
     fn parses_scale_flag() {
+        assert_eq!(parse(&["scenario-matrix"]).scale, Scale::paper());
         let args = parse(&["scenario-matrix", "--scale", "smoke"]);
-        assert!(args.smoke && !args.paper);
-        assert_eq!(args.scale(), Scale::smoke());
+        assert_eq!(args.scale, Scale::smoke());
         let args = parse(&["scenario-matrix", "--scale", "paper"]);
-        assert!(args.paper && !args.smoke);
-        assert_eq!(args.scale(), Scale::paper());
+        assert_eq!(args.scale, Scale::paper());
         // Last flag wins.
-        let args = parse(&["--smoke", "--scale", "paper"]);
-        assert_eq!(args.scale(), Scale::paper());
+        let args = parse(&["--scale", "smoke", "--scale", "paper"]);
+        assert_eq!(args.scale, Scale::paper());
         let bad: Vec<String> = vec!["--scale".into(), "huge".into()];
         assert!(matches!(
             CliArgs::parse(&bad),
@@ -617,11 +592,12 @@ mod tests {
 
     #[test]
     fn parse_rejects_unknown_and_dangling_flags() {
-        let all: Vec<String> = vec!["--frobnicate".into()];
-        assert!(matches!(
-            CliArgs::parse(&all),
-            Err(CliError::UnknownFlag(_))
-        ));
+        // `--smoke` is spelled `--scale smoke`.
+        for flag in ["--frobnicate", "--smoke"] {
+            let err = CliArgs::parse(&[flag.to_string()]).expect_err(flag);
+            assert!(matches!(err, CliError::UnknownFlag(_)), "{err:?}");
+            assert_eq!(exit_code(&err), 2);
+        }
         let dangling: Vec<String> = vec!["--csv".into()];
         assert!(matches!(
             CliArgs::parse(&dangling),
@@ -647,6 +623,9 @@ mod tests {
     fn all_and_filter_select_from_registry() {
         let args = parse(&["--all"]);
         assert_eq!(args.select().unwrap().len(), Registry::all().len());
+        // `all` is not a positional alias of `--all`.
+        let err = parse(&["all"]).select().err().expect("no experiment 'all'");
+        assert!(matches!(err, CliError::UnknownExperiment(_)), "{err:?}");
         let args = parse(&["--filter", "fig"]);
         assert_eq!(args.select().unwrap().len(), 5);
         let args = parse(&["--filter", "zzz"]);
@@ -666,11 +645,6 @@ mod tests {
         let bare = CliError::Interrupted(None);
         assert_eq!(exit_code(&bare), 130);
         assert!(bare.to_string().contains("no journal"), "{bare}");
-    }
-
-    #[test]
-    fn scale_follows_smoke_flag() {
-        assert_eq!(parse(&["--smoke"]).scale(), Scale::smoke());
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! * [`RunContext`] — everything a run needs, bundled: trained
 //!   [`Artifacts`], the [`Scale`], the hierarchical [`SeedTree`] all
 //!   stochastic streams derive from, the pinned [`drive_par::Executor`],
-//!   resilience/fault knobs, and the output sinks. A result memo lets
-//!   derived experiments (Fig. 8) reuse upstream sweeps (Fig. 5/7) without
-//!   recomputation — and guarantees a standalone run and an `--all` run
+//!   and the output sinks. A result memo lets derived experiments
+//!   (Fig. 8) reuse upstream sweeps (Fig. 5/7) without recomputation — and guarantees a standalone run and an `--all` run
 //!   produce byte-identical outputs, because seeds are namespaced by
 //!   experiment, not by execution order.
 //!
@@ -30,7 +29,6 @@
 use crate::harness::Scale;
 use crate::manifest::{Manifest, OutputEntry};
 use crate::perf::{PerfSample, ThroughputProbe};
-use crate::resilience::ResilienceConfig;
 use attack_core::pipeline::{Artifacts, PipelineConfig};
 use drive_metrics::export::Csv;
 use drive_metrics::report::Table;
@@ -69,7 +67,7 @@ pub trait Experiment: Sync {
 }
 
 /// Shared state for one engine invocation: artifacts, scale, seeds,
-/// executor, resilience knobs, and output sinks.
+/// executor, and output sinks.
 ///
 /// The context also carries a type-erased result memo keyed by experiment
 /// name ([`RunContext::memo`]); experiment modules route their computation
@@ -86,11 +84,6 @@ pub struct RunContext<'a> {
     pub seeds: SeedTree,
     /// Worker-count handle; [`execute`] pins it for the whole run.
     pub executor: drive_par::Executor,
-    /// Per-cell retry/watchdog knobs used by
-    /// [`attacked_records`](crate::harness::attacked_records).
-    pub resilience: ResilienceConfig,
-    /// Benign fault-schedule intensities swept by ablation arm 7.
-    pub fault_intensities: Vec<f64>,
     /// Where CSV outputs (and the manifest) land; `None` disables them.
     pub csv_dir: Option<PathBuf>,
     /// Where SVG outputs land; `None` disables them.
@@ -116,7 +109,7 @@ pub struct RunContext<'a> {
 
 impl<'a> RunContext<'a> {
     /// A context with default knobs: seeds rooted at `scale.seed`, the
-    /// ambient worker count, default resilience, no output sinks.
+    /// ambient worker count, no output sinks.
     pub fn new(artifacts: &'a Artifacts, config: &'a PipelineConfig, scale: Scale) -> Self {
         RunContext {
             artifacts,
@@ -124,8 +117,6 @@ impl<'a> RunContext<'a> {
             scale,
             seeds: SeedTree::root(scale.seed),
             executor: drive_par::Executor::current(),
-            resilience: ResilienceConfig::default(),
-            fault_intensities: vec![0.0, 0.5, 1.0],
             csv_dir: None,
             svg_dir: None,
             journal: None,

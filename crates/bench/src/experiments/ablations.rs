@@ -73,6 +73,9 @@ pub struct AblationResult {
     pub fault_detector_arms: Vec<FaultDetectorCell>,
 }
 
+/// Benign fault-schedule intensities swept by ablation 7.
+const FAULT_INTENSITIES: [f64; 3] = [0.0, 0.5, 1.0];
+
 /// One fault-intensity row of ablation 7: how often the residual detector
 /// fires (hardened column engages at least once) with and without a real
 /// attack in the loop.
@@ -359,8 +362,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
     // episode: with latching on, `hardened_fraction() > 0` means the
     // detector fired at least once.
     let fault_ns = ns.child("fault-detector");
-    let intensities = ctx.fault_intensities.clone();
-    let fault_detector_arms = drive_par::par_map(&intensities, |_, &intensity| {
+    let fault_detector_arms = drive_par::par_map(&FAULT_INTENSITIES, |_, &intensity| {
         let arm = fault_ns.child(format!("{intensity:.1}"));
         let schedule = FaultSchedule::benign(intensity, arm.child("schedule").seed());
         let mut fired = [0usize; 3]; // benign, camera, imu
@@ -379,10 +381,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
                 )
                 .with_observation_faults(FaultInjector::for_episode(&schedule, seed));
                 let mut attacker = attack_sensor.map(|sk| {
-                    let sensor = match sk {
-                        SensorKind::Camera => AttackerSensor::camera(config.features.clone()),
-                        SensorKind::Imu => AttackerSensor::imu(config.imu.clone(), seed),
-                    };
+                    let sensor = AttackerSensor::new(sk, &config.features, &config.imu, seed);
                     let policy = match sk {
                         SensorKind::Camera => camera_attacker.clone(),
                         SensorKind::Imu => imu_attacker.clone(),

@@ -269,7 +269,7 @@ pub fn attacked_records_in(
     // The sentinel payload is caught by the top-level driver, never by the
     // episode retry layer.
     if drive_core::shutdown::requested() {
-        std::panic::panic_any(drive_core::shutdown::ShutdownRequested);
+        std::panic::resume_unwind(Box::new(drive_core::shutdown::ShutdownRequested));
     }
     compute_cell(
         kind,
@@ -345,20 +345,14 @@ fn compute_cell(
     let attack = attack
         .filter(|_| !budget.is_zero())
         .map(|(policy, sensor_kind)| (BatchPolicy::from(policy.clone()), sensor_kind));
-    // Episodes run through the hardened cell executor: one panicking
+    // Episodes run behind per-episode panic isolation: one panicking
     // episode is retried with a fresh seed instead of aborting the whole
     // figure run. First attempts use `base + e` off the cell's episode
     // namespace, so healthy cells stay deterministic for any worker count.
-    let outcome = crate::resilience::run_cell(
-        episodes,
-        seeds.child("episodes").seed(),
-        &ctx.resilience,
-        |seed| {
+    let (records, failures) =
+        crate::resilience::run_cell(episodes, seeds.child("episodes").seed(), |seed| {
             let mut attacker = attack.as_ref().map(|(policy, sensor_kind)| {
-                let sensor = match sensor_kind {
-                    SensorKind::Camera => AttackerSensor::camera(config.features.clone()),
-                    SensorKind::Imu => AttackerSensor::imu(config.imu.clone(), seed),
-                };
+                let sensor = AttackerSensor::new(*sensor_kind, &config.features, &config.imu, seed);
                 LearnedAttacker::new(policy.clone(), sensor, budget, seed, true)
             });
             let mut faults = fault_schedule.map(|s| FaultInjector::for_episode(s, seed));
@@ -372,21 +366,23 @@ fn compute_cell(
                 seed,
                 faults.as_mut(),
             )
-        },
-    );
-    if !outcome.failures.is_empty() {
+        });
+    if !failures.is_empty() {
         eprintln!(
-            "warning: {}/{} episode(s) failed after retries ({} agent); continuing with partial results",
-            outcome.failures.len(),
-            episodes,
-            kind.label(),
+            "warning: {}/{episodes} episode(s) of cell {cell_label} failed all {} attempts; continuing with partial results",
+            failures.len(),
+            crate::resilience::ATTEMPTS,
         );
+        for failure in &failures {
+            eprintln!("  {failure}");
+        }
     }
-    let clean = outcome.failures.is_empty();
-    (outcome.into_records(), clean)
+    let clean = failures.is_empty();
+    (records, clean)
 }
 
-/// Experiment scale: the paper's episode counts or a fast smoke preset.
+/// Experiment scale: the paper's episode counts (the default) or a fast
+/// smoke preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Episodes per box-plot cell (paper: 30).
@@ -414,6 +410,12 @@ impl Scale {
             scatter_rounds: 2,
             seed: 10_000,
         }
+    }
+}
+
+impl Default for Scale {
+    fn default() -> Self {
+        Scale::paper()
     }
 }
 

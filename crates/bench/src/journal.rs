@@ -1049,7 +1049,7 @@ impl JournalHandle {
             // publisher drains, every completed cell is published.
             if shutdown::requested() {
                 self.flush();
-                std::panic::panic_any(shutdown::ShutdownRequested);
+                std::panic::resume_unwind(Box::new(shutdown::ShutdownRequested));
             }
             if self.try_acquire(key, label) {
                 let guard = LeaseGuard { journal: self, key };

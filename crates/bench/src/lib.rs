@@ -35,4 +35,3 @@ pub use journal::{JournalError, JournalHandle, RunHeader, ShardHeader};
 pub use loadgen::{find_max_qps, run_loadgen, LoadgenConfig, LoadgenReport, LogicalStats};
 pub use manifest::{Manifest, OutputEntry};
 pub use perf::{PerfReport, PerfSample, ThroughputProbe};
-pub use resilience::{run_cell, CellOutcome, ResilienceConfig};

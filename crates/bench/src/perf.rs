@@ -7,6 +7,7 @@
 //! them to JSON (written by `--perf-json <path>`; the criterion bench
 //! target writes the same schema to `BENCH_perf.json`).
 
+use crate::json::json_string;
 use drive_sim::perf::FleetCounters;
 use std::io::Write as _;
 use std::path::Path;
@@ -190,25 +191,6 @@ impl PerfReport {
         }
         out
     }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

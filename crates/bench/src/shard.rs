@@ -129,7 +129,7 @@ pub fn run_worker(
     experiments: &[&'static dyn Experiment],
 ) -> Result<(), CliError> {
     let config = parsed.cli.pipeline_config();
-    let scale = parsed.cli.scale();
+    let scale = parsed.cli.scale;
     eprintln!(
         "[shard] worker {} joining {} ({} experiment(s), ttl {:?})",
         parsed.worker,
@@ -210,7 +210,8 @@ mod tests {
             "--ttl-ms",
             "2000",
             "--quick",
-            "--smoke",
+            "--scale",
+            "smoke",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -220,7 +221,7 @@ mod tests {
         assert_eq!(parsed.worker, "w1");
         assert_eq!(parsed.ttl, Duration::from_millis(2000));
         assert_eq!(parsed.cli.names, ["fig4"]);
-        assert!(parsed.cli.quick && parsed.cli.smoke);
+        assert!(parsed.cli.quick && parsed.cli.scale == crate::harness::Scale::smoke());
 
         // No selection → --all; no dir → usage error; bad ids rejected.
         let bare: Vec<String> = vec!["/tmp/shared".into()];

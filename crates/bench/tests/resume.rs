@@ -41,7 +41,7 @@ fn out_dir(name: &str) -> PathBuf {
 }
 
 /// The full `--all` run against the shared artifacts. Paper evaluation
-/// scale (no `--smoke`): a multi-second window, so randomized kills land
+/// scale (the default): a multi-second window, so randomized kills land
 /// mid-evaluation.
 fn run_cmd(run_dir: &Path, resume: bool) -> Command {
     let (_, config) = setup();
@@ -54,7 +54,6 @@ fn run_cmd(run_dir: &Path, resume: bool) -> Command {
     }
     cmd.arg("--svg").arg(run_dir);
     cmd.arg("--artifacts").arg(&config.dir);
-    cmd.env_remove("REPRO_SCALE");
     cmd.stdout(Stdio::null()).stderr(Stdio::null());
     cmd
 }
@@ -171,8 +170,9 @@ fn sigterm(child: &std::process::Child) {
     assert_eq!(rc, 0, "kill(pid, SIGTERM) failed");
 }
 
-/// A polite SIGTERM mid-run must exit 130 with a `--resume` hint after
-/// draining at a cell boundary, and the resumed run must finish
+/// A polite SIGTERM mid-run must exit 130 with a `--resume` hint (and no
+/// panic messages) after draining at a cell boundary, and the resumed run
+/// must finish
 /// byte-identical to an uninterrupted golden run.
 #[cfg(unix)]
 #[test]
@@ -212,6 +212,12 @@ fn sigterm_drains_gracefully_and_resume_completes_byte_identical() {
             assert!(
                 stderr.contains("--resume"),
                 "stderr hints at resumption:\n{stderr}"
+            );
+            // The drain unwinds quietly: no panic message per cell buries
+            // the hint.
+            assert!(
+                !stderr.contains("panicked at"),
+                "the drain printed panic messages:\n{stderr}"
             );
             landed = true;
         } else {
@@ -307,7 +313,6 @@ fn incompatible_resume_is_refused_by_the_cli_binary() {
         .arg(&dir)
         .arg("--artifacts")
         .arg(&config.dir)
-        .env_remove("REPRO_SCALE")
         .output()
         .expect("spawn");
     assert_eq!(

@@ -45,7 +45,6 @@ fn out_dir(name: &str) -> PathBuf {
 fn base_cmd() -> Command {
     let (_, config) = setup();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro_bench"));
-    cmd.env_remove("REPRO_SCALE");
     cmd.stdout(Stdio::null()).stderr(Stdio::null());
     // Every subcommand below shares the pipeline flags; paper evaluation
     // scale over quick artifacts gives a multi-second window for kills.
@@ -292,7 +291,8 @@ fn merged_fig4_svgs_match_single_process_golden() {
     let fig4 = |cmd: &mut Command| {
         cmd.arg("fig4")
             .arg("--quick")
-            .arg("--smoke")
+            .arg("--scale")
+            .arg("smoke")
             .arg("--artifacts")
             .arg(&config.dir);
     };
@@ -336,7 +336,8 @@ fn merged_fig4_svgs_match_single_process_golden() {
         .arg("--out")
         .arg(&merged)
         .arg("--quick")
-        .arg("--smoke")
+        .arg("--scale")
+        .arg("smoke")
         .arg("--artifacts")
         .arg(&config.dir)
         .status()
@@ -354,7 +355,8 @@ fn single_process_journal_merges_like_a_shard() {
     let fig4 = |cmd: &mut Command| {
         cmd.arg("fig4")
             .arg("--quick")
-            .arg("--smoke")
+            .arg("--scale")
+            .arg("smoke")
             .arg("--artifacts")
             .arg(&config.dir);
     };

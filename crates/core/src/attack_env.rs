@@ -13,7 +13,6 @@ use crate::sensor::AttackerSensor;
 use drive_agents::Agent;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_rl::env::{Env, EnvStep};
-use drive_sim::record::EpisodeRecord;
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::FeatureConfig;
 use drive_sim::vehicle::Actuation;
@@ -65,8 +64,6 @@ pub struct AttackEnv {
     adv: AdvReward,
     teacher: Option<Teacher>,
     world: World,
-    record: EpisodeRecord,
-    adv_return: f64,
 }
 
 impl std::fmt::Debug for AttackEnv {
@@ -97,27 +94,12 @@ impl AttackEnv {
             adv,
             teacher: None,
             world,
-            record: EpisodeRecord::default(),
-            adv_return: 0.0,
         }
     }
 
     /// Installs a camera teacher (IMU learning-from-teacher training).
     pub fn set_teacher(&mut self, teacher: Option<Teacher>) {
         self.teacher = teacher;
-    }
-
-    /// The record of the episode in progress (or just finished), with the
-    /// cumulative adversarial reward filled in.
-    pub fn record(&self) -> EpisodeRecord {
-        let mut r = self.record.clone();
-        r.adv_return = self.adv_return;
-        r
-    }
-
-    /// The current world (diagnostics).
-    pub fn world(&self) -> &World {
-        &self.world
     }
 }
 
@@ -139,11 +121,6 @@ impl Env for AttackEnv {
         if let Some(t) = self.teacher.as_mut() {
             t.reset(&self.world);
         }
-        self.record = EpisodeRecord {
-            dt: self.world.scenario().dt,
-            ..EpisodeRecord::default()
-        };
-        self.adv_return = 0.0;
         self.sensor.observe(&self.world)
     }
 
@@ -168,18 +145,6 @@ impl Env for AttackEnv {
             Some(td) => self.adv.step_with_teacher(&self.world, &outcome, delta, td),
             None => self.adv.step(&self.world, &outcome, delta),
         };
-        self.adv_return += reward;
-
-        self.record.steps += 1;
-        self.record.perturbation.push(delta.abs());
-        if delta.abs() > drive_sim::record::ATTACK_START_THRESHOLD
-            && self.record.attack_start.is_none()
-        {
-            self.record.attack_start = Some(outcome.step);
-        }
-        self.record.passed = outcome.passed;
-        self.record.collision = outcome.collision;
-        self.record.termination = outcome.termination;
 
         if let Some(t) = self.teacher.as_mut() {
             t.after_step(&self.world);
@@ -223,43 +188,45 @@ mod tests {
         assert_eq!(obs.len(), e.obs_dim());
     }
 
+    /// Steps a fresh episode with a constant raw action to its end:
+    /// (adversarial return, steps, first observation, last step).
+    fn run(budget: f64, seed: u64, raw: f32) -> (f32, usize, Vec<f32>, EnvStep) {
+        let mut e = env(budget);
+        let _ = e.reset(seed);
+        let first = e.step(&[raw]);
+        let (mut total, mut steps, obs) = (first.reward, 1, first.obs.clone());
+        let mut last = first;
+        while !last.finished() {
+            last = e.step(&[raw]);
+            total += last.reward;
+            steps += 1;
+        }
+        (total, steps, obs, last)
+    }
+
     #[test]
     fn zero_budget_attack_is_nominal_driving() {
-        let mut e = env(0.0);
-        let _ = e.reset(1);
-        let mut total = 0.0;
-        loop {
-            let s = e.step(&[1.0]);
-            total += s.reward;
-            if s.finished() {
-                break;
-            }
-        }
-        let rec = e.record();
-        assert!(rec.collision.is_none(), "modular agent drives clean");
+        let (total, steps, _, last) = run(0.0, 1, 1.0);
+        assert!(last.truncated && !last.done, "modular agent drives clean");
         // Nominal case: cumulative adversarial reward is ... not positive.
         // (Slightly positive per-step r_e2n can accrue during overtakes, but
         // without a side collision the attacker earns no collision bonus.)
         assert!(total < 15.0, "adv return {total}");
-        assert_eq!(rec.attack_effort(), 0.0);
+        // A zero budget scales every raw action to no perturbation.
+        let (total_idle, steps_idle, _, last_idle) = run(0.0, 1, 0.0);
+        assert_eq!(
+            (total, steps, &last.obs),
+            (total_idle, steps_idle, &last_idle.obs)
+        );
     }
 
     #[test]
     fn constant_full_push_disturbs_the_victim() {
-        let mut e = env(1.0);
-        let _ = e.reset(2);
-        let mut steps = 0;
-        loop {
-            let s = e.step(&[1.0]);
-            steps += 1;
-            if s.finished() {
-                break;
-            }
-        }
-        let rec = e.record();
-        assert!((rec.attack_effort() - 1.0).abs() < 1e-9);
-        assert_eq!(rec.attack_start, Some(0));
-        assert!(steps <= 180);
+        let (_, steps, first, last) = run(1.0, 2, 1.0);
+        let (_, nominal_steps, nominal_first, _) = run(0.0, 2, 1.0);
+        assert_ne!(first, nominal_first, "the push acts from the first step");
+        assert!(last.done, "the full push ends the episode early");
+        assert!(steps < nominal_steps);
     }
 
     #[test]

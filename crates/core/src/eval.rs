@@ -33,19 +33,14 @@ pub fn run_attacked_episode_with_faults(
     seed: u64,
     faults: Option<&mut FaultInjector>,
 ) -> EpisodeRecord {
-    let mut adv_return = 0.0;
-    let mut record = run_episode_with_faults(
+    run_episode_with_faults(
         agent,
         scenario,
         seed,
         attacker,
         faults,
-        |world, outcome, delta| {
-            adv_return += adv.step(world, outcome, delta);
-        },
-    );
-    record.adv_return = adv_return;
-    record
+        |world, outcome, delta| adv.step(world, outcome, delta),
+    )
 }
 
 /// Runs `episodes` attacked episodes with seeds `base_seed..`.

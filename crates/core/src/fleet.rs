@@ -14,8 +14,9 @@
 //! Equivalence to the serial path is structural, not approximate:
 //!
 //! * the per-episode setup (scenario jitter, fresh feature extractor,
-//!   fresh attacker sensor, reward shaper) mirrors
-//!   `drive_agents::runner::run_episode_with_faults` exactly;
+//!   fresh attacker sensor) mirrors
+//!   `drive_agents::runner::run_episode_with_faults`, and both fill their
+//!   records through the one [`EpisodeTally`];
 //! * deterministic batched inference is bit-identical to serial
 //!   `act_with` (tested in `drive-nn` and `drive-serve`);
 //! * the batch steps each world through the serial engine verbatim.
@@ -26,13 +27,12 @@
 use crate::adv_reward::AdvReward;
 use crate::budget::AttackBudget;
 use crate::sensor::{AttackerSensor, SensorKind};
-use drive_agents::behavior::BehaviorConfig;
-use drive_agents::reward::{RewardConfig, RewardShaper};
+use drive_agents::runner::EpisodeTally;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::scratch::BatchActScratch;
 use drive_sim::batch::WorldBatch;
-use drive_sim::record::{EpisodeRecord, ATTACK_START_THRESHOLD};
+use drive_sim::record::EpisodeRecord;
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::{FeatureConfig, FeatureExtractor, ImuConfig};
 use drive_sim::vehicle::Actuation;
@@ -74,8 +74,7 @@ struct Slot {
     episode: usize,
     extractor: FeatureExtractor,
     sensor: Option<AttackerSensor>,
-    shaper: RewardShaper,
-    record: EpisodeRecord,
+    tally: EpisodeTally,
     adv_return: f64,
     delta: f64,
 }
@@ -96,31 +95,18 @@ impl<'a> FleetEval<'a> {
             if self.budget.is_zero() {
                 return None;
             }
-            let mut s = match kind {
-                SensorKind::Camera => AttackerSensor::camera(self.features.clone()),
-                SensorKind::Imu => AttackerSensor::imu(self.imu.clone(), seed),
-            };
+            let mut s = AttackerSensor::new(kind, &self.features, &self.imu, seed);
             s.reset();
             Some(s)
         });
-        let mut shaper = RewardShaper::new(
-            RewardConfig::default(),
-            BehaviorConfig::default(),
-            world.scenario().road.lane_of(world.ego().pose.position.y),
-        );
-        shaper.reset(&world);
-        let record = EpisodeRecord {
-            dt: world.scenario().dt,
-            ..EpisodeRecord::default()
-        };
+        let tally = EpisodeTally::new(&world);
         (
             world,
             Slot {
                 episode,
                 extractor,
                 sensor,
-                shaper,
-                record,
+                tally,
                 adv_return: 0.0,
                 delta: 0.0,
             },
@@ -235,29 +221,17 @@ impl<'a> FleetEval<'a> {
             }
             batch.step(&actions, &mut outcomes);
 
-            // Per-slot record bookkeeping, verbatim from the serial runner.
+            // Per-slot bookkeeping, in the serial runner's order.
             for (i, slot) in slots.iter_mut().enumerate() {
                 let world = &batch.worlds()[i];
                 let outcome = &outcomes[i];
-                let reward = slot.shaper.step(world, outcome);
-                slot.record.steps += 1;
-                slot.record.nominal_return += reward;
-                slot.record.deviation.push(slot.shaper.last_deviation());
-                slot.record.perturbation.push(slot.delta.abs());
-                if slot.delta.abs() > ATTACK_START_THRESHOLD && slot.record.attack_start.is_none() {
-                    slot.record.attack_start = Some(outcome.step);
-                }
-                slot.record.passed = outcome.passed;
-                slot.record.collision = outcome.collision;
-                slot.record.termination = outcome.termination;
+                slot.tally.step(world, outcome, slot.delta);
                 slot.adv_return += self.adv.step(world, outcome, slot.delta);
             }
 
             batch.compact(|dense, world| {
-                let mut slot = slots.swap_remove(dense);
-                slot.record.nonfinite_actions = world.nonfinite_action_count();
-                slot.record.adv_return = slot.adv_return;
-                results[slot.episode] = Some(slot.record);
+                let slot = slots.swap_remove(dense);
+                results[slot.episode] = Some(slot.tally.finish(&world, slot.adv_return));
             });
             refill(&mut batch, &mut slots, &mut next);
         }
@@ -315,10 +289,12 @@ mod tests {
                     if budget.is_zero() {
                         return None;
                     }
-                    let sensor = match kind {
-                        SensorKind::Camera => AttackerSensor::camera(FeatureConfig::default()),
-                        SensorKind::Imu => AttackerSensor::imu(ImuConfig::default(), seed),
-                    };
+                    let sensor = AttackerSensor::new(
+                        kind,
+                        &FeatureConfig::default(),
+                        &ImuConfig::default(),
+                        seed,
+                    );
                     Some(LearnedAttacker::new(
                         policy.clone(),
                         sensor,

@@ -49,6 +49,15 @@ pub enum AttackerSensor {
 }
 
 impl AttackerSensor {
+    /// Creates a sensor of `kind`: a camera over `features`, or an IMU
+    /// over `imu` whose noise stream is seeded with `seed`.
+    pub fn new(kind: SensorKind, features: &FeatureConfig, imu: &ImuConfig, seed: u64) -> Self {
+        match kind {
+            SensorKind::Camera => AttackerSensor::camera(features.clone()),
+            SensorKind::Imu => AttackerSensor::imu(imu.clone(), seed),
+        }
+    }
+
     /// Creates a camera sensor with the given feature configuration.
     pub fn camera(features: FeatureConfig) -> Self {
         AttackerSensor::Camera(FeatureExtractor::new(features))

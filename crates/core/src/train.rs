@@ -168,10 +168,7 @@ pub fn evaluate_attack_policy(
     let records = run_attacked_episodes(
         agent.as_mut(),
         |seed| {
-            let s = match sensor {
-                SensorKind::Camera => AttackerSensor::camera(features.clone()),
-                SensorKind::Imu => AttackerSensor::imu(imu.clone(), seed),
-            };
+            let s = AttackerSensor::new(sensor, features, imu, seed);
             Some(LearnedAttacker::new(policy.clone(), s, budget, seed, true))
         },
         &adv,

@@ -19,9 +19,11 @@ static REQUESTED: AtomicBool = AtomicBool::new(false);
 static INSTALL: Once = Once::new();
 
 /// Panic payload used to unwind out of deep work loops once shutdown is
-/// requested. Layers that `catch_unwind` for *fault isolation* (retry,
-/// resilience) must not treat this as a recoverable failure; the
-/// top-level driver catches it and exits cleanly.
+/// requested. Raise it with `std::panic::resume_unwind`, which skips the
+/// panic hook, so a drain prints no panic message per unwound cell.
+/// Layers that `catch_unwind` for *fault isolation* (retry, resilience)
+/// must not treat this as a recoverable failure; the top-level driver
+/// catches it and exits cleanly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShutdownRequested;
 

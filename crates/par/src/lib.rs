@@ -18,8 +18,11 @@
 //! workers drain, the payload from the **lowest-index** panicking item is
 //! re-raised. That keeps panic behaviour scheduling-independent too, and
 //! composes with callers that wrap items in their own `catch_unwind`
-//! (e.g. `repro_bench::resilience::run_cell`, which retries failed
-//! episodes inside a cell before the panic would ever reach this layer).
+//! (e.g. `repro_bench::resilience::run_cell`, which retries a panicking
+//! episode inside a cell before the panic would ever reach this layer).
+//! The re-raise is a `resume_unwind`, so it does not run the panic hook
+//! again: a payload raised quietly (the harness's shutdown sentinel)
+//! stays quiet.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

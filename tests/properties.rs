@@ -279,7 +279,7 @@ proptest! {
         let clean = run_episode(&mut a, &scenario, seed, None, |_, _, _| {});
         let mut inj = FaultInjector::new(&FaultSchedule::benign(0.0, fault_seed));
         let faulted =
-            run_episode_with_faults(&mut b, &scenario, seed, None, Some(&mut inj), |_, _, _| {});
+            run_episode_with_faults(&mut b, &scenario, seed, None, Some(&mut inj), |_, _, _| 0.0);
         prop_assert_eq!(clean, faulted);
         prop_assert_eq!(inj.stats().corrupted_values, 0);
     }
@@ -318,6 +318,7 @@ proptest! {
                         delta,
                     ];
                     steps.push((kinematics.map(f64::to_bits), outcome.collision));
+                    0.0
                 },
             );
             (record, steps)
