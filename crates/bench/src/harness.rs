@@ -18,6 +18,7 @@ use drive_nn::pnn::PackedPnn;
 use drive_sim::faults::{FaultInjector, FaultSchedule};
 use drive_sim::record::EpisodeRecord;
 use drive_sim::scenario::Scenario;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The driving agents evaluated across the figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -285,10 +286,20 @@ pub fn attacked_records_in(
     .0
 }
 
-/// The compute body of one cell: fleet fast path (with serial fallback on
-/// panic) or the hardened serial executor. Returns the records plus a
-/// clean flag (`true` when every episode succeeded), which gates sidecar
-/// publication.
+/// Fleet cells that panicked and were recomputed on the serial path,
+/// process-wide.
+static FLEET_FALLBACKS: AtomicU64 = AtomicU64::new(0);
+
+/// How many fleet cells have fallen back to the serial path in this
+/// process (reported per phase as `fleet.fallbacks`).
+pub fn fleet_fallbacks() -> u64 {
+    FLEET_FALLBACKS.load(Ordering::Relaxed)
+}
+
+/// The compute body of one cell: fleet fast path (with a counted serial
+/// fallback on panic; a hard failure under `cfg(test)`) or the hardened
+/// serial executor. Returns the records plus a clean flag (`true` when
+/// every episode succeeded), which gates sidecar publication.
 #[allow(clippy::too_many_arguments)]
 fn compute_cell(
     kind: AgentKind,
@@ -335,6 +346,12 @@ fn compute_cell(
                 if payload.is::<drive_core::shutdown::ShutdownRequested>() {
                     std::panic::resume_unwind(payload);
                 }
+                // A fleet panic is a defect the serial retry would hide
+                // from tests; in a run it is counted and reported.
+                if cfg!(test) {
+                    std::panic::resume_unwind(payload);
+                }
+                FLEET_FALLBACKS.fetch_add(1, Ordering::Relaxed);
                 eprintln!("warning: fleet cell {cell_label} panicked; retrying on the serial path");
             }
         }
@@ -526,6 +543,27 @@ mod tests {
             &seeds,
         );
         assert_eq!(fleet, serial);
+    }
+
+    /// Under test a panicking fleet cell is a hard failure: the fleet's
+    /// own panic reaches the caller instead of a silent serial retry.
+    #[test]
+    #[should_panic(expected = "attack policy obs dim must match its sensor")]
+    fn fleet_panic_is_a_hard_failure_in_tests() {
+        let (artifacts, config) = quick_setup();
+        let mut ctx = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
+        ctx.fleet = Some(2);
+        let seeds = ctx.seeds.child("fleet-panic-test");
+        // The IMU attacker's policy behind a camera sensor.
+        let attack = Some((&artifacts.imu_attacker, SensorKind::Camera));
+        attacked_records(
+            AgentKind::E2e,
+            attack,
+            AttackBudget::new(0.5),
+            &ctx,
+            1,
+            &seeds,
+        );
     }
 
     /// A scenario-override cell must (a) journal under its own key, (b)

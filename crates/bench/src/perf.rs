@@ -27,9 +27,17 @@ pub struct PerfSample {
     /// Batched-fleet counter deltas for the phase (all zero when the
     /// phase ran serially).
     pub fleet: FleetCounters,
+    /// Fleet cells of the phase that panicked and were recomputed on the
+    /// serial path ([`crate::harness::fleet_fallbacks`]).
+    pub fleet_fallbacks: u64,
 }
 
 impl PerfSample {
+    /// Whether the phase used the batched fleet, or tried to.
+    fn fleet_ran(&self) -> bool {
+        self.fleet.batches > 0 || self.fleet_fallbacks > 0
+    }
+
     /// Simulation steps per second (0 for an instantaneous phase).
     pub fn steps_per_sec(&self) -> f64 {
         if self.wall_secs > 0.0 {
@@ -59,6 +67,7 @@ pub struct ThroughputProbe {
     steps0: u64,
     updates0: u64,
     fleet0: FleetCounters,
+    fallbacks0: u64,
 }
 
 impl ThroughputProbe {
@@ -69,6 +78,7 @@ impl ThroughputProbe {
             steps0: drive_sim::perf::steps(),
             updates0: drive_rl::perf::updates(),
             fleet0: drive_sim::perf::fleet(),
+            fallbacks0: crate::harness::fleet_fallbacks(),
         }
     }
 
@@ -80,6 +90,7 @@ impl ThroughputProbe {
             steps: drive_sim::perf::steps().saturating_sub(self.steps0),
             updates: drive_rl::perf::updates().saturating_sub(self.updates0),
             fleet: drive_sim::perf::fleet().since(&self.fleet0),
+            fleet_fallbacks: crate::harness::fleet_fallbacks().saturating_sub(self.fallbacks0),
         }
     }
 }
@@ -115,11 +126,12 @@ impl PerfReport {
         out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
         out.push_str("  \"phases\": [\n");
         for (i, s) in self.samples.iter().enumerate() {
-            // Fleet counters only appear for phases that actually used the
-            // batched engine, keeping serial-run exports unchanged.
-            let fleet = if s.fleet.batches > 0 {
+            // Fleet counters only appear for phases that used the batched
+            // engine or fell back from it, keeping serial-run exports
+            // unchanged.
+            let fleet = if s.fleet_ran() {
                 format!(
-                    ", \"fleet\": {{\"batches\": {}, \"episode_steps\": {}, \"episodes_in_flight\": {:.1}, \"occupancy\": {:.3}, \"infer_calls\": {}, \"infer_rows\": {}, \"infer_ns_per_row\": {:.1}, \"control_ns_per_step\": {:.1}, \"integrate_ns_per_step\": {:.1}, \"outcome_ns_per_step\": {:.1}}}",
+                    ", \"fleet\": {{\"batches\": {}, \"episode_steps\": {}, \"episodes_in_flight\": {:.1}, \"occupancy\": {:.3}, \"infer_calls\": {}, \"infer_rows\": {}, \"infer_ns_per_row\": {:.1}, \"control_ns_per_step\": {:.1}, \"integrate_ns_per_step\": {:.1}, \"outcome_ns_per_step\": {:.1}, \"fallbacks\": {}}}",
                     s.fleet.batches,
                     s.fleet.slot_steps,
                     s.fleet.episodes_in_flight(),
@@ -130,6 +142,7 @@ impl PerfReport {
                     s.fleet.control_ns_per_slot_step(),
                     s.fleet.integrate_ns_per_slot_step(),
                     s.fleet.outcome_ns_per_slot_step(),
+                    s.fleet_fallbacks,
                 )
             } else {
                 String::new()
@@ -172,13 +185,14 @@ impl PerfReport {
                 s.steps_per_sec(),
                 s.updates_per_sec()
             ));
-            if s.fleet.batches > 0 {
+            if s.fleet_ran() {
                 out.push_str(&format!(
-                    "[perf] {:<12} fleet: {:.1} episodes in flight, {:.0}% occupancy, {:.0} ns/inference\n",
+                    "[perf] {:<12} fleet: {:.1} episodes in flight, {:.0}% occupancy, {:.0} ns/inference, {} serial fallback(s)\n",
                     "", // continuation line, aligned under the phase label
                     s.fleet.episodes_in_flight(),
                     s.fleet.occupancy() * 100.0,
-                    s.fleet.infer_ns_per_row()
+                    s.fleet.infer_ns_per_row(),
+                    s.fleet_fallbacks
                 ));
                 out.push_str(&format!(
                     "[perf] {:<12} phases: {:.0} control / {:.0} integrate / {:.0} outcome ns per slot-step\n",
@@ -285,6 +299,7 @@ mod tests {
                 integrate_ns: 1_600_000,
                 outcome_ns: 400_000,
             },
+            fleet_fallbacks: 2,
         }
     }
 
@@ -308,6 +323,22 @@ mod tests {
         assert!(json.contains("\"control_ns_per_step\": 800.0"), "{json}");
         assert!(json.contains("\"integrate_ns_per_step\": 400.0"), "{json}");
         assert!(json.contains("\"outcome_ns_per_step\": 100.0"), "{json}");
+        assert!(json.contains("\"fallbacks\": 2"), "{json}");
+    }
+
+    /// A fleet phase whose every cell fell back still reports the fleet
+    /// block, so the fallbacks are never silent.
+    #[test]
+    fn fallbacks_alone_show_the_fleet_block() {
+        let mut r = PerfReport::new();
+        r.push(PerfSample {
+            label: "fig4".into(),
+            wall_secs: 1.0,
+            fleet_fallbacks: 3,
+            ..PerfSample::default()
+        });
+        assert!(r.to_json().contains("\"fallbacks\": 3"));
+        assert!(r.summary().contains("3 serial fallback(s)"));
     }
 
     #[test]
@@ -317,7 +348,10 @@ mod tests {
         let text = r.summary();
         assert!(text.contains("fleet: 80.0 episodes in flight"), "{text}");
         assert!(text.contains("62% occupancy"), "{text}");
-        assert!(text.contains("500 ns/inference"), "{text}");
+        assert!(
+            text.contains("500 ns/inference, 2 serial fallback(s)"),
+            "{text}"
+        );
         assert!(
             text.contains("phases: 800 control / 400 integrate / 100 outcome ns per slot-step"),
             "{text}"

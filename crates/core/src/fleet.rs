@@ -14,9 +14,12 @@
 //! Equivalence to the serial path is structural, not approximate:
 //!
 //! * the per-episode setup (scenario jitter, fresh feature extractor,
-//!   fresh attacker sensor) mirrors
+//!   fresh IMU attacker sensor) mirrors
 //!   `drive_agents::runner::run_episode_with_faults`, and both fill their
 //!   records through the one [`EpisodeTally`];
+//! * a camera attacker's extractor would share the victim's
+//!   [`FeatureConfig`] and per-episode history, so its observation rows
+//!   are the victim's, staged once for both policies;
 //! * deterministic batched inference is bit-identical to serial
 //!   `act_with` (tested in `drive-nn` and `drive-serve`);
 //! * the batch steps each world through the serial engine verbatim.
@@ -73,7 +76,8 @@ pub struct FleetEval<'a> {
 struct Slot {
     episode: usize,
     extractor: FeatureExtractor,
-    sensor: Option<AttackerSensor>,
+    /// The IMU attacker's sensor; a camera attacker reads `extractor`'s rows.
+    imu: Option<AttackerSensor>,
     tally: EpisodeTally,
     adv_return: f64,
     delta: f64,
@@ -86,26 +90,26 @@ impl<'a> FleetEval<'a> {
             self.scenario.jittered(&mut rng)
         };
         let world = World::new(scenario);
-        // Fresh extractor == `E2eAgent::reset`; building the sensor anew
-        // and resetting it == `LearnedAttacker::{new, reset}` (the IMU
+        // Fresh extractor == `E2eAgent::reset`; building the IMU sensor
+        // anew and resetting it == `LearnedAttacker::{new, reset}` (the
         // reset advances its noise stream — the serial runner resets once
         // at episode start, so the fleet must too).
         let extractor = FeatureExtractor::new(self.features.clone());
-        let sensor = self.attack.and_then(|(_, kind)| {
-            if self.budget.is_zero() {
-                return None;
+        let imu = match self.attack {
+            Some((_, SensorKind::Imu)) if !self.budget.is_zero() => {
+                let mut s = AttackerSensor::imu(self.imu.clone(), seed);
+                s.reset();
+                Some(s)
             }
-            let mut s = AttackerSensor::new(kind, &self.features, &self.imu, seed);
-            s.reset();
-            Some(s)
-        });
+            _ => None,
+        };
         let tally = EpisodeTally::new(&world);
         (
             world,
             Slot {
                 episode,
                 extractor,
-                sensor,
+                imu,
                 tally,
                 adv_return: 0.0,
                 delta: 0.0,
@@ -145,7 +149,7 @@ impl<'a> FleetEval<'a> {
                 "attack policy obs dim must match its sensor"
             );
             assert_eq!(policy.action_dim(), 1, "attack action is 1-D");
-            Some(BatchPolicy::new(Arc::new(policy.clone())))
+            Some((BatchPolicy::new(Arc::new(policy.clone())), kind))
         });
 
         let mut results: Vec<Option<EpisodeRecord>> = (0..episodes).map(|_| None).collect();
@@ -179,11 +183,19 @@ impl<'a> FleetEval<'a> {
             let n = batch.len();
 
             // Victim head: one staged forward pass over every live slot.
+            // A camera attacker stages the same rows.
             let stage = victim.stage(n, &mut victim_scratch);
+            let mut camera_stage = match &attacker {
+                Some((abp, SensorKind::Camera)) => Some(abp.stage(n, &mut attacker_scratch)),
+                _ => None,
+            };
             for (i, slot) in slots.iter_mut().enumerate() {
                 slot.extractor
                     .observe_into(&batch.worlds()[i], &mut obs_buf);
                 stage.row_mut(i).copy_from_slice(&obs_buf);
+                if let Some(camera) = camera_stage.as_mut() {
+                    camera.row_mut(i).copy_from_slice(&obs_buf);
+                }
             }
             let t0 = Instant::now();
             let acts = victim.infer_staged(&mut victim_scratch);
@@ -196,12 +208,14 @@ impl<'a> FleetEval<'a> {
 
             // Attacker head, when attacking: same shape, 1-D output
             // scaled by the budget (`LearnedAttacker::delta`).
-            if let Some(abp) = &attacker {
-                let stage = abp.stage(n, &mut attacker_scratch);
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    let sensor = slot.sensor.as_mut().expect("attacking cell has sensors");
-                    sensor.observe_into(&batch.worlds()[i], &mut obs_buf);
-                    stage.row_mut(i).copy_from_slice(&obs_buf);
+            if let Some((abp, kind)) = &attacker {
+                if *kind == SensorKind::Imu {
+                    let stage = abp.stage(n, &mut attacker_scratch);
+                    for (i, slot) in slots.iter_mut().enumerate() {
+                        let imu = slot.imu.as_mut().expect("IMU attack has sensors");
+                        imu.observe_into(&batch.worlds()[i], &mut obs_buf);
+                        stage.row_mut(i).copy_from_slice(&obs_buf);
+                    }
                 }
                 let t0 = Instant::now();
                 let raw = abp.infer_staged(&mut attacker_scratch);

@@ -146,25 +146,44 @@ impl<'a> Reader<'a> {
     /// Returns [`CheckpointError::Parse`] on a malformed float or a count
     /// mismatch.
     pub fn floats(&mut self, n: usize) -> Result<Vec<f32>, CheckpointError> {
-        // `n` comes from the file: a corrupt count fails on the data
-        // instead of aborting the process on an impossible allocation.
-        let mut out = Vec::with_capacity(n.min(self.max_values));
-        while out.len() < n {
+        let mut out = vec![0.0; self.backed(n)?];
+        self.floats_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// `n`, when the whole text could hold `n` values: a count read from a
+    /// corrupt file fails here instead of aborting the process on an
+    /// impossible allocation.
+    fn backed(&self, n: usize) -> Result<usize, CheckpointError> {
+        if n > self.max_values {
+            return Err(parse_err(format!(
+                "expected {n} floats, but the checkpoint holds at most {}",
+                self.max_values
+            )));
+        }
+        Ok(n)
+    }
+
+    /// [`Reader::floats`] for `out.len()` values, written into `out`.
+    fn floats_into(&mut self, out: &mut [f32]) -> Result<(), CheckpointError> {
+        let n = out.len();
+        let mut found = 0;
+        while found < n {
             let line = self.next_line()?;
             for tok in line.split_whitespace() {
                 let v: f32 = tok
                     .parse()
                     .map_err(|_| parse_err(format!("line {}: bad float '{tok}'", self.line_no)))?;
-                out.push(v);
+                if let Some(slot) = out.get_mut(found) {
+                    *slot = v;
+                }
+                found += 1;
             }
         }
-        if out.len() != n {
-            return Err(parse_err(format!(
-                "expected {n} floats, found {}",
-                out.len()
-            )));
+        if found != n {
+            return Err(parse_err(format!("expected {n} floats, found {found}")));
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -207,9 +226,12 @@ fn decode_linear(r: &mut Reader<'_>) -> Result<Linear, CheckpointError> {
     let len = out
         .checked_mul(inp)
         .ok_or_else(|| parse_err("linear dims overflow"))?;
-    let w = r.floats(len)?;
+    // Parsed straight into the layer's aligned storage.
+    r.backed(len)?;
+    let mut w = Mat::zeros(out, inp);
+    r.floats_into(w.data_mut())?;
     let b = r.floats(out)?;
-    Ok(Linear::from_parts(Mat::from_vec(out, inp, w), b))
+    Ok(Linear::from_parts(w, b))
 }
 
 fn act_name(a: Activation) -> &'static str {

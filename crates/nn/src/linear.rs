@@ -132,10 +132,16 @@ impl Linear {
         }
     }
 
+    /// The pack, if a forward pass has built it.
+    #[cfg(test)]
+    pub(crate) fn built_pack(&self) -> Option<&Mat> {
+        self.pack.get()
+    }
+
     /// Whether a forward pass has built the pack.
     #[cfg(test)]
     pub(crate) fn is_packed(&self) -> bool {
-        self.pack.get().is_some()
+        self.built_pack().is_some()
     }
 
     /// Forward pass: `x @ W^T + b`.

@@ -3,29 +3,104 @@
 //! Row-major storage; rows index batch elements, columns index features.
 //! Only the operations the training stack needs are provided — this is not a
 //! general linear-algebra library.
+//!
+//! Every matrix's elements start on a 64-byte cache-line boundary. The
+//! buffer is a plain `Vec<f32>` from the global allocator with up to 15
+//! floats of slack in front, and `start` records where the boundary fell;
+//! every path that allocates (growth, clone, construction) re-derives it
+//! from the new pointer. A row starts on a boundary whenever the column
+//! count is a multiple of 16 (every 128-wide layer and pack), so the
+//! kernels' 16-lane vector loads never straddle two cache lines.
+//! Alignment changes speed only: no kernel reads it, and every fold is
+//! the same at any offset.
+//!
+//! The slack is deliberate. A `Vec` of a 64-byte-aligned element type
+//! would get the boundary from the allocator instead, but glibc serves
+//! over-aligned requests through `posix_memalign`, which does not reuse
+//! the chunks they free, and training frees and reallocates whole
+//! learners (rollback copies, PNN forward caches): that variant raised
+//! the benchmark's `train-tenth` peak RSS from 26.7 to 30.8 MB. Plain
+//! `malloc` and `calloc` keep the allocator's reuse and its untouched
+//! zero pages, for at most 60 bytes of slack per matrix.
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
+/// Floats per 64-byte cache line.
+const LINE: usize = 16;
+
 /// Dense row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Serialize, Deserialize)]
 pub struct Mat {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    /// `start` floats of slack, then the `rows * cols` elements.
+    buf: Vec<f32>,
+    /// Where the first 64-byte boundary of `buf`'s allocation lies (zero
+    /// while nothing is allocated), at most `LINE - 1`.
+    start: usize,
+}
+
+/// The index of the first 64-byte boundary in `buf`'s allocation.
+fn boundary(buf: &[f32]) -> usize {
+    let start = buf.as_ptr().align_offset(64);
+    debug_assert!(start < LINE, "an f32 allocation is 4-byte aligned");
+    start
+}
+
+impl Clone for Mat {
+    /// A copy in its own aligned allocation (a `Vec` clone would keep
+    /// `start` but not the boundary).
+    fn clone(&self) -> Self {
+        let mut m = Mat::EMPTY;
+        m.copy_from(self);
+        m
+    }
+}
+
+impl std::fmt::Debug for Mat {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Mat")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.data())
+            .finish()
+    }
+}
+
+/// Equal shapes and elements; the slack is not compared.
+impl PartialEq for Mat {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && self.data() == other.data()
+    }
 }
 
 impl Mat {
+    /// An empty `0x0` matrix (allocates nothing).
+    const EMPTY: Mat = Mat {
+        rows: 0,
+        cols: 0,
+        buf: Vec::new(),
+        start: 0,
+    };
+
     /// Creates a matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
+        // Zeroed memory from the allocator (`calloc`): pages of a large
+        // matrix that is never written stay out of the resident set.
+        let len = rows * cols;
+        let mut buf = vec![0.0; len + LINE - 1];
+        let start = boundary(&buf);
+        buf.truncate(start + len);
         Mat {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            buf,
+            start,
         }
     }
 
-    /// Creates a matrix from row-major data.
+    /// Creates a matrix from row-major data (copied into aligned storage).
     ///
     /// # Panics
     ///
@@ -37,12 +112,17 @@ impl Mat {
             "data length {} does not match {rows}x{cols}",
             data.len()
         );
-        Mat { rows, cols, data }
+        let mut m = Mat::EMPTY;
+        m.resize(rows, cols);
+        m.data_mut().copy_from_slice(&data);
+        m
     }
 
     /// Creates a 1-row matrix from a slice (a single observation/action).
     pub fn from_row(row: &[f32]) -> Self {
-        Mat::from_vec(1, row.len(), row.to_vec())
+        let mut m = Mat::EMPTY;
+        m.copy_from_row(row);
+        m
     }
 
     /// Number of rows (batch size).
@@ -57,12 +137,12 @@ impl Mat {
 
     /// Immutable view of the raw row-major data.
     pub fn data(&self) -> &[f32] {
-        &self.data
+        &self.buf[self.start..]
     }
 
     /// Mutable view of the raw row-major data.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        &mut self.buf[self.start..]
     }
 
     /// Replaces every non-finite entry (NaN, ±∞) with zero and returns how
@@ -71,7 +151,7 @@ impl Mat {
     /// cannot propagate through a forward or backward pass.
     pub fn sanitize_nonfinite(&mut self) -> usize {
         let mut replaced = 0;
-        for v in &mut self.data {
+        for v in self.data_mut() {
             if !v.is_finite() {
                 *v = 0.0;
                 replaced += 1;
@@ -85,51 +165,65 @@ impl Mat {
     /// call — callers are expected to overwrite every entry (or use
     /// [`Mat::fill`] first). Intended for scratch buffers on hot paths.
     pub fn resize(&mut self, rows: usize, cols: usize) {
+        let (len, new_len) = (self.rows * self.cols, rows * cols);
+        if self.start + new_len > self.buf.capacity() {
+            // Out of room: move the elements to a larger buffer, growing
+            // at least geometrically as `Vec` does, and realign.
+            let mut buf = Vec::with_capacity(new_len.max(2 * self.buf.capacity()) + LINE - 1);
+            let start = boundary(&buf);
+            buf.resize(start, 0.0);
+            buf.extend_from_slice(&self.buf[self.start..self.start + len]);
+            self.buf = buf;
+            self.start = start;
+        }
+        // As `Vec::resize`: kept elements stay, grown ones are zero.
+        self.buf.resize(self.start + new_len, 0.0);
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
     }
 
     /// Sets every element to `v`.
     pub fn fill(&mut self, v: f32) {
-        self.data.iter_mut().for_each(|x| *x = v);
+        self.data_mut().fill(v);
     }
 
     /// Makes `self` an element-wise copy of `other`, reusing the existing
     /// allocation where possible.
     pub fn copy_from(&mut self, other: &Mat) {
         self.resize(other.rows, other.cols);
-        self.data.copy_from_slice(&other.data);
+        self.data_mut().copy_from_slice(other.data());
     }
 
     /// Makes `self` a 1-row copy of `row` (allocation-free [`Mat::from_row`]).
     pub fn copy_from_row(&mut self, row: &[f32]) {
         self.resize(1, row.len());
-        self.data.copy_from_slice(row);
+        self.data_mut().copy_from_slice(row);
     }
 
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c]
+        self.data()[r * self.cols + c]
     }
 
     /// Element mutator.
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
         debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
+        let cols = self.cols;
+        self.data_mut()[r * cols + c] = v;
     }
 
     /// One row as a slice.
     pub fn row(&self, r: usize) -> &[f32] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        &self.data()[r * self.cols..(r + 1) * self.cols]
     }
 
     /// One row as a mutable slice.
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
+        let cols = self.cols;
+        &mut self.data_mut()[r * cols..(r + 1) * cols]
     }
 
     /// `self @ other` written into `out` (resized and overwritten) —
@@ -155,12 +249,12 @@ impl Mat {
         out.resize(self.rows, other.cols);
         out.fill(0.0);
         gemm_acc(
-            Lhs::Rows(&self.data),
+            Lhs::Rows(self.data()),
             self.rows,
             self.cols,
             other.cols,
-            &other.data,
-            &mut out.data,
+            other.data(),
+            out.data_mut(),
         );
     }
 
@@ -191,12 +285,12 @@ impl Mat {
             "matmul_tn_acc accumulator shape"
         );
         gemm_acc(
-            Lhs::Cols(&self.data),
+            Lhs::Cols(self.data()),
             self.cols,
             self.rows,
             other.cols,
-            &other.data,
-            &mut acc.data,
+            other.data(),
+            acc.data_mut(),
         );
     }
 
@@ -214,8 +308,8 @@ impl Mat {
         let mut rb = 0;
         while rb + STRIP <= rows {
             let src: [&[f32]; STRIP] =
-                std::array::from_fn(|r| &self.data[(rb + r) * cols..][..cols]);
-            for (c, dst) in out.data.chunks_exact_mut(rows).enumerate() {
+                std::array::from_fn(|r| &self.data()[(rb + r) * cols..][..cols]);
+            for (c, dst) in out.data_mut().chunks_exact_mut(rows).enumerate() {
                 let dst: &mut [f32; STRIP] = (&mut dst[rb..rb + STRIP])
                     .try_into()
                     .expect("STRIP-wide run");
@@ -225,9 +319,10 @@ impl Mat {
             }
             rb += STRIP;
         }
+        let dst = out.data_mut();
         for r in rb..rows {
             for (c, &v) in self.row(r).iter().enumerate() {
-                out.data[c * rows + r] = v;
+                dst[c * rows + r] = v;
             }
         }
     }
@@ -269,25 +364,33 @@ impl Mat {
         assert_eq!(bias.len(), other.rows, "bias length");
         out.resize(self.rows, other.rows);
         if self.rows < TILE {
-            nt_packed_sweep(self, other_t, bias, out);
+            nt_packed_sweep(
+                self.data(),
+                self.rows,
+                self.cols,
+                other_t.data(),
+                other.rows,
+                bias,
+                out.data_mut(),
+            );
             return;
         }
         for r in 0..self.rows {
             out.row_mut(r).copy_from_slice(bias);
         }
         gemm_acc(
-            Lhs::Rows(&self.data),
+            Lhs::Rows(self.data()),
             self.rows,
             self.cols,
             other.rows,
-            &other_t.data,
-            &mut out.data,
+            other_t.data(),
+            out.data_mut(),
         );
     }
 
     /// Element-wise in-place map.
     pub fn map_inplace<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
-        for v in &mut self.data {
+        for v in self.data_mut() {
             *v = f(*v);
         }
     }
@@ -299,7 +402,7 @@ impl Mat {
     /// Panics on shape mismatch.
     pub fn add_assign(&mut self, other: &Mat) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.data_mut().iter_mut().zip(other.data()) {
             *a += b;
         }
     }
@@ -352,10 +455,11 @@ impl Mat {
 
     /// Mean of all elements (e.g. of a column of losses).
     pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
+        let data = self.data();
+        if data.is_empty() {
             0.0
         } else {
-            self.data.iter().sum::<f32>() / self.data.len() as f32
+            data.iter().sum::<f32>() / data.len() as f32
         }
     }
 }
@@ -364,7 +468,7 @@ impl Mat {
 /// resized on first use.
 impl Default for Mat {
     fn default() -> Self {
-        Mat::zeros(0, 0)
+        Mat::EMPTY
     }
 }
 
@@ -387,10 +491,12 @@ const MR: usize = if WIDE { 6 } else { TILE };
 const NTILE: usize = if WIDE { 64 } else { 32 };
 
 thread_local! {
-    /// The zero-padded remainder strip of [`gemm_acc`]. Thread-local so
-    /// parallel experiment workers never contend; its capacity persists
-    /// across calls, so steady-state padding allocates nothing.
-    static PAD: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The zero-padded remainder strip of [`gemm_acc`], a `Mat` so its
+    /// [`NTILE`]-wide rows start on cache lines like the operands'.
+    /// Thread-local so parallel experiment workers never contend; its
+    /// capacity persists across calls, so steady-state padding allocates
+    /// nothing.
+    static PAD: RefCell<Mat> = const { RefCell::new(Mat::EMPTY) };
 }
 
 /// Widest output [`gemm_acc`] walks in tall [`TALL`]-row tiles — the
@@ -459,10 +565,11 @@ fn gemm_acc(a: Lhs<'_>, m: usize, k: usize, n: usize, b: &[f32], out: &mut [f32]
     PAD.with(|pad| {
         let pad = &mut *pad.borrow_mut();
         if w > 0 {
-            pad.clear();
-            for brow in b.chunks_exact(n) {
-                pad.extend_from_slice(&brow[j_pad..]);
-                pad.resize(pad.len() + w - (n - j_pad), 0.0);
+            pad.resize(k, w);
+            for (dst, brow) in pad.data_mut().chunks_exact_mut(w).zip(b.chunks_exact(n)) {
+                let (real, padding) = dst.split_at_mut(n - j_pad);
+                real.copy_from_slice(&brow[j_pad..]);
+                padding.fill(0.0);
             }
         }
         let g = Gemm {
@@ -471,7 +578,7 @@ fn gemm_acc(a: Lhs<'_>, m: usize, k: usize, n: usize, b: &[f32], out: &mut [f32]
             k,
             n,
             b,
-            pad,
+            pad: pad.data(),
             w,
         };
         let mut i = 0;
@@ -617,29 +724,39 @@ impl Gemm<'_> {
 /// accumulators (four 16-lane vectors) per broadcast input element.
 const STRIP: usize = 64;
 
-/// Small-batch `self @ other^T + bias` against the pre-packed `other^T`
-/// (`k x n`, row-major): each input element is broadcast across a strip
-/// of contiguous packed weights, so every strip lane is its own
-/// ascending-`k` fused chain and the loads are unit-stride. Columns walk
-/// in fixed-width strips of 64, then 4 and 1 (narrow policy heads), each
-/// held in registers. The bias lands after the fold, so outputs are
-/// bit-identical to the tiled path's.
-fn nt_packed_sweep(a: &Mat, other_t: &Mat, bias: &[f32], out: &mut Mat) {
-    let n = other_t.cols;
-    for i in 0..a.rows {
-        let a_row = a.row(i);
-        let out_row = &mut out.data[i * n..(i + 1) * n];
+/// Small-batch `a @ other^T + bias` against the pre-packed `other^T`
+/// (`k x n`, row-major), for row-major `a` (`m x k`) and `out` (`m x n`):
+/// each input element is broadcast across a strip of contiguous packed
+/// weights, so every strip lane is its own ascending-`k` fused chain and
+/// the loads are unit-stride. Columns walk in fixed-width strips of 64,
+/// then 4 and 1 (narrow policy heads), each held in registers. The bias
+/// lands after the fold, so outputs are bit-identical to the tiled path's.
+fn nt_packed_sweep(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    packed: &[f32],
+    n: usize,
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    debug_assert_eq!(a.len(), m * k, "nt_packed_sweep: a is not m x k");
+    debug_assert_eq!(packed.len(), k * n, "nt_packed_sweep: pack is not k x n");
+    debug_assert_eq!(out.len(), m * n, "nt_packed_sweep: out is not m x n");
+    for i in 0..m {
+        let a_row = &a[i * k..][..k];
+        let out_row = &mut out[i * n..][..n];
         let mut j = 0;
         while j + STRIP <= n {
-            sweep_strip::<STRIP>(a_row, &other_t.data, n, j, bias, out_row);
+            sweep_strip::<STRIP>(a_row, packed, n, j, bias, out_row);
             j += STRIP;
         }
         while j + NARROW <= n {
-            sweep_strip::<NARROW>(a_row, &other_t.data, n, j, bias, out_row);
+            sweep_strip::<NARROW>(a_row, packed, n, j, bias, out_row);
             j += NARROW;
         }
         while j < n {
-            sweep_strip::<1>(a_row, &other_t.data, n, j, bias, out_row);
+            sweep_strip::<1>(a_row, packed, n, j, bias, out_row);
             j += 1;
         }
     }
@@ -1095,6 +1212,57 @@ mod tests {
         }
     }
 
+    fn assert_aligned(data: &[f32], what: &str) {
+        assert_eq!(
+            data.as_ptr() as usize % 64,
+            0,
+            "{what}: buffer is not on a cache-line boundary"
+        );
+    }
+
+    /// Every way a matrix comes to exist starts its buffer on a 64-byte
+    /// boundary, and a row of a 16-multiple width does too.
+    #[test]
+    fn every_construction_path_is_cache_line_aligned() {
+        let seq = |n: usize| (0..n).map(|i| i as f32 * 0.25 - 3.0).collect::<Vec<_>>();
+        let from_vec = Mat::from_vec(5, 7, seq(35));
+        let mut grown = Mat::default();
+        let mut copied = Mat::default();
+        let mut transposed = Mat::default();
+        for (rows, cols) in [(1, 3), (2, 60), (40, 128), (3, 1024)] {
+            grown.resize(rows, cols);
+            assert_aligned(grown.data(), &format!("resize to {rows}x{cols}"));
+            let src = Mat::from_vec(rows, cols, seq(rows * cols));
+            copied.copy_from(&src);
+            assert_aligned(copied.data(), &format!("copy_from {rows}x{cols}"));
+            src.transpose_into(&mut transposed);
+            assert_aligned(transposed.data(), &format!("transpose_into {cols}x{rows}"));
+        }
+        assert_aligned(Mat::zeros(3, 5).data(), "zeros");
+        assert_aligned(from_vec.data(), "from_vec");
+        assert_aligned(Mat::from_row(&seq(9)).data(), "from_row");
+        assert_aligned(from_vec.clone().data(), "clone");
+        for r in 0..40 {
+            assert_aligned(grown.row(r % 3), "row of a 1024-wide matrix");
+        }
+
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+        let policy = crate::gaussian::GaussianPolicy::new(60, &[128, 128], 2, &mut rng);
+        let text = crate::checkpoint::encode_policy(&policy);
+        let decoded = crate::checkpoint::decode_policy(&text).expect("round trip");
+        for layer in decoded.trunk().layers() {
+            assert_aligned(layer.w().data(), "decoded weights");
+            layer.forward(&Mat::from_row(&seq(layer.in_dim())));
+            let pack = layer.built_pack().expect("a forward builds the pack");
+            assert_aligned(pack.data(), "lazily built pack");
+            for r in 0..pack.rows() {
+                if pack.cols() % 16 == 0 {
+                    assert_aligned(pack.row(r), "pack row");
+                }
+            }
+        }
+    }
+
     #[test]
     fn sanitize_nonfinite_zeroes_only_bad_entries() {
         let mut m = Mat::from_vec(
@@ -1238,6 +1406,57 @@ mod tests {
                     for c in 0..cols {
                         prop_assert_eq!(t.get(c, r).to_bits(), a.get(r, c).to_bits());
                     }
+                }
+            }
+
+            /// Alignment changes speed only: `gemm_acc` (both left-operand
+            /// layouts) and the single-row sweep give the same bits with
+            /// every operand and the output moved to float offsets 1..15
+            /// as at the cache-line boundary.
+            #[test]
+            fn kernels_are_bit_identical_at_every_float_offset(
+                (m, k, n) in Dims,
+                (sa, sb) in values(),
+            ) {
+                use super::super::{gemm_acc, nt_packed_sweep, Lhs};
+                let a = mat(m, k, &sa);
+                let b = mat(k, n, &sb);
+                let base = mat(m, n, &sb);
+                let bias: Vec<f32> = (0..n).map(|j| sa[j % sa.len()] * 0.5).collect();
+                let sweep_rows = m.min(3);
+                // `src` copied to float `offset` of a fresh aligned buffer.
+                let shifted = |src: &[f32], offset: usize| {
+                    let mut buf = Mat::zeros(1, offset + src.len());
+                    buf.data_mut()[offset..].copy_from_slice(src);
+                    buf
+                };
+                let run = |offset: usize| {
+                    let a = shifted(a.data(), offset);
+                    let a = &a.data()[offset..];
+                    let b = shifted(b.data(), offset);
+                    let b = &b.data()[offset..];
+                    let mut rows = shifted(base.data(), offset);
+                    gemm_acc(Lhs::Rows(a), m, k, n, b, &mut rows.data_mut()[offset..]);
+                    // The same floats read as a `k x m` matrix, transposed.
+                    let mut cols = shifted(base.data(), offset);
+                    gemm_acc(Lhs::Cols(a), m, k, n, b, &mut cols.data_mut()[offset..]);
+                    let mut swept = shifted(&vec![9.9; sweep_rows * n], offset);
+                    nt_packed_sweep(
+                        &a[..sweep_rows * k],
+                        sweep_rows,
+                        k,
+                        b,
+                        n,
+                        &bias,
+                        &mut swept.data_mut()[offset..],
+                    );
+                    [rows, cols, swept].map(|buf| {
+                        buf.data()[offset..].iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    })
+                };
+                let aligned = run(0);
+                for offset in 1..16 {
+                    prop_assert!(run(offset) == aligned, "({m}x{k}x{n}) differs at float offset {offset}");
                 }
             }
 
