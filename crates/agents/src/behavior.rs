@@ -78,8 +78,8 @@ struct ChangeCache {
 
 /// Stateful lane-change planner.
 ///
-/// One instance per episode; call [`BehaviorPlanner::plan`] every control
-/// step to obtain the current local waypoint path.
+/// One instance per episode; call [`BehaviorPlanner::plan_into`] every
+/// control step to obtain the current local waypoint path.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BehaviorPlanner {
     config: BehaviorConfig,
@@ -151,11 +151,13 @@ impl BehaviorPlanner {
     }
 
     /// The lane the planner is currently steering towards.
+    #[cfg(test)]
     pub fn target_lane(&self) -> usize {
         self.target_lane
     }
 
     /// The maneuver in progress.
+    #[cfg(test)]
     pub fn maneuver(&self) -> Maneuver {
         self.maneuver
     }
@@ -191,19 +193,17 @@ impl BehaviorPlanner {
         })
     }
 
-    /// Updates the lane decision and returns the local waypoint plan from
-    /// the ego vehicle's current position.
-    ///
-    /// Allocates a fresh [`Path`] per call; hot loops should hold a reused
-    /// buffer and call [`BehaviorPlanner::plan_into`] instead.
+    /// [`BehaviorPlanner::plan_into`] into a fresh path.
+    #[cfg(test)]
     pub fn plan(&mut self, world: &World) -> Path {
         let mut out = Path::default();
         self.plan_into(world, &mut out);
         out
     }
 
-    /// [`BehaviorPlanner::plan`], writing the waypoints into `out` (cleared
-    /// first). After warmup the call is allocation-free: the waypoint
+    /// Updates the lane decision and writes the local waypoint plan from
+    /// the ego vehicle's current position into `out` (cleared first).
+    /// After warmup the call is allocation-free: the waypoint
     /// buffer, the candidate-lane array, and the wide-berth offset all live
     /// in reused or stack storage.
     pub fn plan_into(&mut self, world: &World, out: &mut Path) {

@@ -131,11 +131,6 @@ impl<P: Policy> E2eAgent<P> {
             action_buf: Vec::new(),
         }
     }
-
-    /// The wrapped policy.
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
 }
 
 impl<P: Policy> Agent for E2eAgent<P> {

@@ -90,11 +90,13 @@ impl ModularAgent {
     }
 
     /// The behaviour planner (exposed for reward shaping and metrics).
+    #[cfg(test)]
     pub fn planner(&self) -> &BehaviorPlanner {
         &self.planner
     }
 
     /// Cross-track error at the most recent [`Agent::act`] call, meters.
+    #[cfg(test)]
     pub fn last_cross_track(&self) -> f64 {
         self.last_cross_track
     }

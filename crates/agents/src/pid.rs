@@ -21,6 +21,7 @@ pub struct PidConfig {
 
 impl PidConfig {
     /// A purely proportional controller.
+    #[cfg(test)]
     pub fn p(kp: f64, limit: f64) -> Self {
         PidConfig {
             kp,

@@ -25,7 +25,7 @@ use drive_agents::Agent;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::linear::Linear;
-use drive_nn::pnn::{PackedPnn, PnnPolicy};
+use drive_nn::pnn::PnnPolicy;
 use drive_sim::batch::WorldBatch;
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::{FeatureConfig, ImuConfig};
@@ -36,6 +36,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -160,7 +161,7 @@ fn steady_state_packed_victim_attacker_and_switcher_are_allocation_free() {
     let victim = GaussianPolicy::new(dim, &[128, 128], 2, &mut rng);
     let camera = GaussianPolicy::new(dim, &[128, 128], 1, &mut rng);
     let imu_policy = GaussianPolicy::new(imu.observation_dim(), &[128, 128], 1, &mut rng);
-    let pnn = PackedPnn::from(random_pnn(victim.clone(), &mut rng));
+    let pnn = Arc::new(random_pnn(victim.clone(), &mut rng));
 
     let mut agents: Vec<(&str, Box<dyn Agent>)> = vec![
         (

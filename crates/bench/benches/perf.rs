@@ -22,8 +22,7 @@ use drive_agents::modular::{ModularAgent, ModularConfig};
 use drive_agents::Agent;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::prelude::{
-    randn_mat, ActScratch, Activation, GaussianPolicy, Linear, Mat, Mlp, PackedPnn, PnnPolicy,
-    Scratch,
+    randn_mat, ActScratch, Activation, GaussianPolicy, Linear, Mat, Mlp, PnnPolicy, Scratch,
 };
 use drive_nn::scratch::BatchActScratch;
 use drive_rl::replay::{Batch, ReplayBuffer, Transition};
@@ -37,7 +36,7 @@ use drive_sim::batch::WorldBatch;
 use drive_sim::geometry::{Obb, Vec2};
 use drive_sim::record::EpisodeRecord;
 use drive_sim::scenario::Scenario;
-use drive_sim::sensors::{FeatureConfig, FeatureExtractor, Imu, ImuConfig, SemanticCamera};
+use drive_sim::sensors::{FeatureConfig, FeatureExtractor, Imu, ImuConfig};
 use drive_sim::vehicle::Actuation;
 use drive_sim::waypoints::Path;
 use drive_sim::world::World;
@@ -98,14 +97,6 @@ fn bench_obb_intersection(c: &mut Criterion) {
     });
 }
 
-fn bench_semantic_camera(c: &mut Criterion) {
-    c.bench_function("semantic_camera_render", |b| {
-        let world = World::new(Scenario::default());
-        let cam = SemanticCamera::default();
-        b.iter(|| black_box(cam.render(&world)));
-    });
-}
-
 fn bench_feature_extraction(c: &mut Criterion) {
     c.bench_function("feature_extraction", |b| {
         let world = World::new(Scenario::default());
@@ -122,7 +113,9 @@ fn bench_imu_window(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(0);
         b.iter(|| {
             imu.record(&world, &mut rng);
-            black_box(imu.window())
+            let mut window = Vec::new();
+            imu.window_into(&mut window);
+            black_box(window)
         });
     });
 }
@@ -221,7 +214,7 @@ fn bench_policy_inference(c: &mut Criterion) {
     // The PNN switcher's hardened column: column 1's hidden layers,
     // column 2 and the laterals, one observation.
     let pnn = random_pnn(policy.clone(), &mut rng);
-    let switcher = SimplexSwitcher::new(PackedPnn::from(pnn), 0.2, 1.0);
+    let switcher = SimplexSwitcher::new(Arc::new(pnn), 0.2, 1.0);
     c.bench_function("pnn_switcher_act_hardened", |b| {
         let mut rng = StdRng::seed_from_u64(0);
         let mut scratch = ActScratch::default();
@@ -690,7 +683,6 @@ fn main() {
     bench_world_step(&mut c);
     bench_full_episode_modular(&mut c);
     bench_obb_intersection(&mut c);
-    bench_semantic_camera(&mut c);
     bench_feature_extraction(&mut c);
     bench_imu_window(&mut c);
     bench_matmul_kernels(&mut c);

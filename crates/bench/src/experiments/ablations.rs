@@ -40,7 +40,6 @@ use drive_metrics::episode::CellSummary;
 use drive_metrics::export::Csv;
 use drive_metrics::report::{fmt_f, fmt_pct, Table};
 use drive_nn::batch::BatchPolicy;
-use drive_nn::pnn::PackedPnn;
 use drive_sim::faults::{FaultInjector, FaultSchedule};
 use std::sync::Arc;
 
@@ -111,7 +110,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
     // Frozen policies, packed once for every arm; agents and per-episode
     // attackers get O(1) clones.
     let victim = BatchPolicy::from(artifacts.victim.clone());
-    let pnn = PackedPnn::from(artifacts.pnn.clone());
+    let pnn = Arc::new(artifacts.pnn.clone());
     let camera_attacker = BatchPolicy::from(artifacts.camera_attacker.clone());
     let imu_attacker = BatchPolicy::from(artifacts.imu_attacker.clone());
 
@@ -359,7 +358,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
     // --- 7. Detector FPR under benign faults vs TPR under attack ---
     // Episodes run one at a time (not through `run_attacked_episodes`)
     // because the detection verdict is read off the agent after each
-    // episode: with latching on, `hardened_fraction() > 0` means the
+    // episode: the switch latches, so `hardened_fraction() > 0` means the
     // detector fired at least once.
     let fault_ns = ns.child("fault-detector");
     let fault_detector_arms = drive_par::par_map(&FAULT_INTENSITIES, |_, &intensity| {

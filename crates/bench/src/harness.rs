@@ -14,11 +14,11 @@ use drive_agents::modular::{ModularAgent, ModularConfig};
 use drive_agents::Agent;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
-use drive_nn::pnn::PackedPnn;
 use drive_sim::faults::{FaultInjector, FaultSchedule};
 use drive_sim::record::EpisodeRecord;
 use drive_sim::scenario::Scenario;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The driving agents evaluated across the figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,7 +65,7 @@ impl AgentKind {
 /// Builds a fresh agent of the given kind.
 ///
 /// Learned agents run on frozen weights ([`BatchPolicy`] and the
-/// switcher's [`PackedPnn`]), wrapped here once per agent. The PNN
+/// switcher's `Arc<PnnPolicy>`), wrapped here once per agent. The PNN
 /// agents' Simplex switcher is told the active `budget` (the paper's
 /// idealized budget-aware switcher).
 pub fn build_agent(
@@ -97,21 +97,13 @@ pub fn build_agent(
             true,
         )),
         AgentKind::PnnSigma02 => Box::new(E2eAgent::new(
-            SimplexSwitcher::new(
-                PackedPnn::from(artifacts.pnn.clone()),
-                0.2,
-                budget.epsilon(),
-            ),
+            SimplexSwitcher::new(Arc::new(artifacts.pnn.clone()), 0.2, budget.epsilon()),
             features,
             seed,
             true,
         )),
         AgentKind::PnnSigma04 => Box::new(E2eAgent::new(
-            SimplexSwitcher::new(
-                PackedPnn::from(artifacts.pnn.clone()),
-                0.4,
-                budget.epsilon(),
-            ),
+            SimplexSwitcher::new(Arc::new(artifacts.pnn.clone()), 0.4, budget.epsilon()),
             features,
             seed,
             true,

@@ -22,7 +22,7 @@ use drive_agents::e2e::Policy;
 use drive_agents::runner::SteerAttacker;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
-use drive_nn::pnn::{PackedPnn, PnnPolicy};
+use drive_nn::pnn::PnnPolicy;
 use drive_nn::scratch::ActScratch;
 use drive_rl::actor::Actor;
 use drive_rl::env::Env;
@@ -34,6 +34,7 @@ use drive_sim::sensors::FeatureConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Configuration of adversarial training (both defenses).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -235,7 +236,7 @@ pub fn train_pnn_defense(
 /// column (large attack). Both columns run through pre-packed weights.
 #[derive(Debug, Clone)]
 pub struct SimplexSwitcher {
-    pnn: PackedPnn,
+    pnn: Arc<PnnPolicy>,
     /// Switching threshold `sigma`.
     pub sigma: f64,
     /// The attack budget the switcher believes is active (idealized
@@ -246,9 +247,9 @@ pub struct SimplexSwitcher {
 
 impl SimplexSwitcher {
     /// Wraps a trained PNN with threshold `sigma`, believing budget
-    /// `epsilon` is active. Pack the PNN once (`PackedPnn::from`) and hand
-    /// each switcher a clone; clones share the pack.
-    pub fn new(pnn: PackedPnn, sigma: f64, epsilon: f64) -> Self {
+    /// `epsilon` is active. Wrap the PNN in one `Arc` and hand each
+    /// switcher a clone; clones share the packed weights.
+    pub fn new(pnn: Arc<PnnPolicy>, sigma: f64, epsilon: f64) -> Self {
         SimplexSwitcher {
             pnn,
             sigma,
@@ -260,19 +261,14 @@ impl SimplexSwitcher {
     pub fn uses_hardened_column(&self) -> bool {
         self.epsilon > self.sigma
     }
-
-    /// The underlying PNN.
-    pub fn pnn(&self) -> &PnnPolicy {
-        self.pnn.pnn()
-    }
 }
 
 impl Policy for SimplexSwitcher {
     fn obs_dim(&self) -> usize {
-        self.pnn().obs_dim()
+        self.pnn.obs_dim()
     }
     fn action_dim(&self) -> usize {
-        self.pnn().action_dim()
+        self.pnn.action_dim()
     }
     fn action_into(
         &self,
@@ -285,7 +281,7 @@ impl Policy for SimplexSwitcher {
         let action = if self.uses_hardened_column() {
             self.pnn.act_with(obs, rng, deterministic, scratch)
         } else {
-            self.pnn.act_base_with(obs, rng, deterministic, scratch)
+            self.pnn.base().act_with(obs, rng, deterministic, scratch)
         };
         out.clear();
         out.extend_from_slice(action);
@@ -333,7 +329,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let dim = FeatureConfig::default().observation_dim();
         let base = GaussianPolicy::new(dim, &[16], 2, &mut rng);
-        let pnn = PackedPnn::from(random_pnn(base.clone(), &mut rng));
+        let pnn = Arc::new(random_pnn(base.clone(), &mut rng));
         let obs = vec![0.1f32; dim];
 
         let low = SimplexSwitcher::new(pnn.clone(), 0.4, 0.2);

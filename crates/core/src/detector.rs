@@ -19,9 +19,8 @@
 //! attack budget, which drives a [`DetectorSimplexAgent`] — the same PNN
 //! switcher, but fed by detection instead of ground truth.
 
-use crate::budget::AttackBudget;
 use drive_agents::Agent;
-use drive_nn::pnn::PackedPnn;
+use drive_nn::pnn::PnnPolicy;
 use drive_nn::scratch::ActScratch;
 use drive_sim::faults::FaultInjector;
 use drive_sim::sensors::{FeatureConfig, FeatureExtractor};
@@ -31,6 +30,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Configuration of the residual-based perturbation detector.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,10 +43,6 @@ pub struct DetectorConfig {
     pub quantile: f64,
     /// Residuals below this are treated as sensor noise.
     pub noise_floor: f64,
-    /// Once the hardened column engages, keep it engaged for the rest of
-    /// the episode. Without latching, a burst attacker can wait out the
-    /// rolling window and strike the fragile base policy again.
-    pub latching: bool,
 }
 
 impl Default for DetectorConfig {
@@ -56,7 +52,6 @@ impl Default for DetectorConfig {
             window: 30,
             quantile: 0.9,
             noise_floor: 0.02,
-            latching: true,
         }
     }
 }
@@ -116,7 +111,7 @@ impl PerturbationDetector {
 /// pre-packed weights.
 #[derive(Debug, Clone)]
 pub struct DetectorSimplexAgent {
-    pnn: PackedPnn,
+    pnn: Arc<PnnPolicy>,
     scratch: ActScratch,
     /// Switching threshold on the detected budget.
     pub sigma: f64,
@@ -128,16 +123,15 @@ pub struct DetectorSimplexAgent {
     hardened_steps: usize,
     total_steps: usize,
     latched: bool,
-    config: DetectorConfig,
     obs_faults: Option<FaultInjector>,
 }
 
 impl DetectorSimplexAgent {
     /// Wraps a trained PNN with threshold `sigma` and a fresh detector.
-    /// Pack the PNN once (`PackedPnn::from`) and hand each agent a clone;
-    /// clones share the pack.
+    /// Wrap the PNN in one `Arc` and hand each agent a clone; clones share
+    /// the packed weights.
     pub fn new(
-        pnn: PackedPnn,
+        pnn: Arc<PnnPolicy>,
         sigma: f64,
         features: FeatureConfig,
         detector: DetectorConfig,
@@ -155,7 +149,6 @@ impl DetectorSimplexAgent {
             hardened_steps: 0,
             total_steps: 0,
             latched: false,
-            config: detector,
             obs_faults: None,
         }
     }
@@ -212,9 +205,12 @@ impl Agent for DetectorSimplexAgent {
             inj.begin_step();
             inj.corrupt_observation(&mut obs);
         }
+        // Once the hardened column engages it stays engaged for the rest
+        // of the episode, so a burst attacker cannot wait out the rolling
+        // window and strike the fragile base policy again.
         let detected = self.detector.estimated_budget() > self.sigma;
         let hardened = detected || self.latched;
-        if detected && self.config.latching {
+        if detected {
             self.latched = true;
         }
         self.total_steps += 1;
@@ -226,24 +222,13 @@ impl Agent for DetectorSimplexAgent {
                 .act_with(&obs, &mut self.rng, true, &mut self.scratch)
         } else {
             self.pnn
-                .act_base_with(&obs, &mut self.rng, true, &mut self.scratch)
+                .base()
+                .act_with(&obs, &mut self.rng, true, &mut self.scratch)
         };
         let actuation = Actuation::new(a[0] as f64, a[1] as f64);
         self.last_command = Some(actuation.steer);
         actuation
     }
-}
-
-/// Ground-truth-budget switching as a policy is provided by
-/// [`crate::defense::SimplexSwitcher`]; this free function estimates how
-/// often a detector-driven switcher would agree with it over one attacked
-/// episode, for diagnostics.
-pub fn detection_agreement(
-    detected: &DetectorSimplexAgent,
-    true_budget: AttackBudget,
-    sigma: f64,
-) -> bool {
-    (detected.estimated_budget() > sigma) == (true_budget.epsilon() > sigma)
 }
 
 #[cfg(test)]
@@ -253,8 +238,17 @@ mod tests {
     use crate::budget::AttackBudget;
     use crate::eval::run_attacked_episode;
     use drive_nn::gaussian::GaussianPolicy;
-    use drive_nn::pnn::PnnPolicy;
     use drive_sim::scenario::Scenario;
+
+    /// Whether the detector-driven switch agrees with the ground-truth
+    /// switch of [`crate::defense::SimplexSwitcher`] at `true_budget`.
+    fn detection_agreement(
+        detected: &DetectorSimplexAgent,
+        true_budget: AttackBudget,
+        sigma: f64,
+    ) -> bool {
+        (detected.estimated_budget() > sigma) == (true_budget.epsilon() > sigma)
+    }
 
     #[test]
     fn residual_recovers_injected_delta_exactly() {
@@ -301,7 +295,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let features = FeatureConfig::default();
         let base = GaussianPolicy::new(features.observation_dim(), &[16], 2, &mut rng);
-        let pnn = PackedPnn::from(PnnPolicy::new(base, &mut rng));
+        let pnn = Arc::new(PnnPolicy::new(base, &mut rng));
         let scenario = Scenario::default();
         let adv = AdvReward::default();
 
@@ -338,7 +332,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let features = FeatureConfig::default();
         let base = GaussianPolicy::new(features.observation_dim(), &[8], 2, &mut rng);
-        let pnn = PackedPnn::from(PnnPolicy::new(base, &mut rng));
+        let pnn = Arc::new(PnnPolicy::new(base, &mut rng));
         // NaN-poisoned observations: the drive-nn input guard must keep
         // the policy output finite and the episode must complete.
         let mut agent = DetectorSimplexAgent::new(pnn, 0.2, features, DetectorConfig::default(), 2)
@@ -355,7 +349,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let features = FeatureConfig::default();
         let base = GaussianPolicy::new(features.observation_dim(), &[8], 2, &mut rng);
-        let pnn = PackedPnn::from(PnnPolicy::new(base, &mut rng));
+        let pnn = Arc::new(PnnPolicy::new(base, &mut rng));
         let agent = DetectorSimplexAgent::new(pnn, 0.2, features, DetectorConfig::default(), 0);
         // Fresh agent estimates 0: agrees with a zero-budget truth.
         assert!(detection_agreement(&agent, AttackBudget::ZERO, 0.2));

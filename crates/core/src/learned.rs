@@ -61,16 +61,6 @@ impl LearnedAttacker {
             obs: Vec::new(),
         }
     }
-
-    /// The current budget.
-    pub fn budget(&self) -> AttackBudget {
-        self.budget
-    }
-
-    /// The wrapped policy.
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
-    }
 }
 
 impl SteerAttacker for LearnedAttacker {

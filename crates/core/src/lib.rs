@@ -32,9 +32,7 @@ pub mod prelude {
         adversarial_finetune, sample_training_budget, train_pnn_defense, DefenseTrainConfig,
         SimplexSwitcher,
     };
-    pub use crate::detector::{
-        detection_agreement, DetectorConfig, DetectorSimplexAgent, PerturbationDetector,
-    };
+    pub use crate::detector::{DetectorConfig, DetectorSimplexAgent, PerturbationDetector};
     pub use crate::eval::{run_attacked_episode, run_attacked_episodes};
     pub use crate::fleet::FleetEval;
     pub use crate::learned::LearnedAttacker;

@@ -1,8 +1,9 @@
 //! End-to-end artifact preparation for the experiment harnesses.
 //!
 //! Training every model of the paper (victim, camera attacker, IMU
-//! attacker, two fine-tuned agents, the PNN) takes tens of minutes on CPU;
-//! this module trains each stage once and caches it as a plain-text
+//! attacker, two fine-tuned agents, the PNN) at the default budgets takes
+//! about 150 s on a 2-vCPU x86-64 host (a full `prepare`); this module
+//! trains each stage once and caches it as a plain-text
 //! checkpoint under an artifacts directory, so every figure harness can
 //! `prepare()` and get the full cast instantly on re-runs.
 

@@ -83,6 +83,7 @@ pub fn mean(samples: &[f64]) -> f64 {
 }
 
 /// Sample standard deviation (0 for fewer than two samples).
+#[cfg(test)]
 pub fn std_dev(samples: &[f64]) -> f64 {
     if samples.len() < 2 {
         return 0.0;

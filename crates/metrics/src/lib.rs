@@ -19,7 +19,7 @@ pub mod windows;
 
 /// Commonly used items re-exported in one place.
 pub mod prelude {
-    pub use crate::agg::{mean, quantile, std_dev, BoxStats};
+    pub use crate::agg::{mean, quantile, BoxStats};
     pub use crate::episode::{
         dominance_threshold, scatter_points, time_to_collision_stats, CellSummary, ScatterPoint,
     };

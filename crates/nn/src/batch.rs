@@ -51,6 +51,7 @@ impl BatchPolicy {
     }
 
     /// The wrapped policy.
+    #[cfg(test)]
     pub fn policy(&self) -> &Arc<GaussianPolicy> {
         &self.policy
     }

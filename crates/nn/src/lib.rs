@@ -48,6 +48,6 @@ pub mod prelude {
     pub use crate::linear::Linear;
     pub use crate::mat::Mat;
     pub use crate::mlp::{Mlp, MlpCache};
-    pub use crate::pnn::{PackedPnn, PnnPolicy, PnnSampleCache};
+    pub use crate::pnn::{PnnPolicy, PnnSampleCache};
     pub use crate::scratch::{ActScratch, BatchActScratch, SampleBackScratch, Scratch};
 }

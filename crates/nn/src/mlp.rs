@@ -42,11 +42,13 @@ impl MlpCache {
     }
 
     /// Post-activation hidden states, one per layer (last entry = output).
+    #[cfg(test)]
     pub fn hidden(&self) -> &[Mat] {
         &self.post
     }
 
     /// The input that produced this cache.
+    #[cfg(test)]
     pub fn input(&self) -> &Mat {
         &self.input
     }

@@ -23,7 +23,6 @@ use crate::mat::Mat;
 use crate::scratch::ActScratch;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Two-column progressive policy with a tanh-Gaussian head on column 2.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -331,56 +330,12 @@ impl PnnPolicy {
     }
 }
 
-/// A frozen [`PnnPolicy`] behind an `Arc`, for single-observation
-/// inference — the Simplex switcher's deployment path. The first act
-/// through any clone packs both columns' layers; clones share the policy
-/// and its packs (O(1)).
-#[derive(Debug, Clone)]
-pub struct PackedPnn {
-    pnn: Arc<PnnPolicy>,
-}
-
-impl From<PnnPolicy> for PackedPnn {
-    fn from(pnn: PnnPolicy) -> Self {
-        PackedPnn { pnn: Arc::new(pnn) }
-    }
-}
-
-impl PackedPnn {
-    /// The wrapped policy.
-    pub fn pnn(&self) -> &PnnPolicy {
-        &self.pnn
-    }
-
-    /// Action of the hardened column 2: [`PnnPolicy::act_with`].
-    pub fn act_with<'s, R: Rng>(
-        &self,
-        obs: &[f32],
-        rng: &mut R,
-        deterministic: bool,
-        s: &'s mut ActScratch,
-    ) -> &'s [f32] {
-        self.pnn.act_with(obs, rng, deterministic, s)
-    }
-
-    /// Action of the frozen base column 1: the base policy's
-    /// [`GaussianPolicy::act_with`].
-    pub fn act_base_with<'s, R: Rng>(
-        &self,
-        obs: &[f32],
-        rng: &mut R,
-        deterministic: bool,
-        s: &'s mut ActScratch,
-    ) -> &'s [f32] {
-        self.pnn.base.act_with(obs, rng, deterministic, s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     /// A PNN whose column and laterals are all fresh random draws from
     /// `rng`, column first: unlike `PnnPolicy::new`'s, its laterals are
@@ -535,13 +490,13 @@ mod tests {
 
     /// The single-observation column-2 act matches the cached forward
     /// pass (`mean_action`, and `sample` with its head) bit for bit in
-    /// both modes, drawing the same RNG stream; the packed wrapper's base
-    /// column matches the base policy's `act_with` likewise, and a
-    /// second packed handle shares the packs the first one built.
+    /// both modes, drawing the same RNG stream; the base column's act
+    /// matches the base policy's `act_with` likewise, and a second `Arc`
+    /// handle shares the packs the first one built.
     #[test]
     fn act_with_matches_cached_forward_and_rng_stream() {
         let pnn = deployed_pnn();
-        let packed = PackedPnn::from(pnn.clone());
+        let packed = Arc::new(pnn.clone());
         let mut s = ActScratch::default();
         let mut plain = ActScratch::default();
         for deterministic in [true, false] {
@@ -563,7 +518,7 @@ mod tests {
                 let want = pnn
                     .base()
                     .act_with(&obs, &mut r1, deterministic, &mut plain);
-                let got = packed.act_base_with(&obs, &mut r2, deterministic, &mut s);
+                let got = packed.base().act_with(&obs, &mut r2, deterministic, &mut s);
                 assert_eq!(
                     bits(got),
                     bits(want),
@@ -573,15 +528,9 @@ mod tests {
             assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "RNG streams diverged");
         }
         let twin = packed.clone();
-        let (column, laterals) = twin.pnn().parts();
+        let (column, laterals) = twin.parts();
         assert!(column.iter().chain(laterals).all(Linear::is_packed));
-        assert!(twin
-            .pnn()
-            .base()
-            .trunk()
-            .layers()
-            .iter()
-            .all(Linear::is_packed));
+        assert!(twin.base().trunk().layers().iter().all(Linear::is_packed));
     }
 
     /// The cached forward pass leaves column 1's output layer alone: the
@@ -602,7 +551,7 @@ mod tests {
     #[test]
     fn nan_observation_acts_like_zeroed_entry_in_both_columns() {
         let pnn = deployed_pnn();
-        let packed = PackedPnn::from(pnn.clone());
+        let packed = Arc::new(pnn.clone());
         let mut s = ActScratch::default();
         let mut rng = StdRng::seed_from_u64(0);
         let mut poisoned = obs_at(3);
@@ -618,7 +567,7 @@ mod tests {
         );
         let base_want = pnn.base().act(&zeroed, &mut rng, true);
         assert_eq!(
-            bits(packed.act_base_with(&poisoned, &mut rng, true, &mut s)),
+            bits(packed.base().act_with(&poisoned, &mut rng, true, &mut s)),
             bits(&base_want)
         );
     }

@@ -28,17 +28,15 @@ pub mod perf;
 pub mod replay;
 pub mod sac;
 pub mod snapshot;
-pub mod stats;
 pub mod train;
 
 /// Commonly used items re-exported in one place.
 pub mod prelude {
     pub use crate::actor::{Actor, ActorSample};
     pub use crate::bc::{clone_policy, BcConfig, Demonstrations};
-    pub use crate::env::{rollout, Env, EnvStep};
+    pub use crate::env::{Env, EnvStep};
     pub use crate::replay::{Batch, ReplayBuffer, Transition};
     pub use crate::sac::{Sac, SacConfig, SacLosses};
     pub use crate::snapshot::TrainSnapshot;
-    pub use crate::stats::{Ema, RunningStats};
     pub use crate::train::{refine, Refined, Schedule, Snapshots};
 }

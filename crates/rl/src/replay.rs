@@ -123,11 +123,9 @@ impl ReplayBuffer {
         }
     }
 
-    /// Samples a uniform mini-batch with replacement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is empty or `batch == 0`.
+    /// [`ReplayBuffer::sample_into`] into a fresh batch: the reference the
+    /// tests hold the reusing path to.
+    #[cfg(test)]
     pub fn sample<R: Rng>(&self, batch: usize, rng: &mut R) -> Batch {
         let mut out = Batch::default();
         self.sample_into(batch, rng, &mut out);
@@ -135,10 +133,8 @@ impl ReplayBuffer {
     }
 
     /// Samples a uniform mini-batch with replacement into a caller-provided
-    /// [`Batch`], reusing its buffers — the allocation-free core of
-    /// [`ReplayBuffer::sample`] for hot training loops (thousands of SAC
-    /// updates per run). Draws the RNG in exactly the same order as
-    /// `sample`, so the two are interchangeable mid-stream.
+    /// [`Batch`], reusing its buffers, so hot training loops (thousands of
+    /// SAC updates per run) sample without allocating.
     ///
     /// # Panics
     ///

@@ -18,17 +18,13 @@
 //!
 //! * [`FaultInjector`] is the stateful core: per-step activation rolls,
 //!   duration counters, a frozen-frame cache, an actuation delay queue.
-//! * [`FaultedFeatureExtractor`], [`FaultedCamera`] and [`FaultedImu`]
-//!   wrap the corresponding sensor with an owned injector.
 //! * Actuation faults are applied by the episode runner (see
 //!   `drive-agents::runner::run_episode_with_faults`), which calls
 //!   [`FaultInjector::begin_step`] once per control step and routes the
 //!   perturbed command through [`FaultInjector::corrupt_actuation`]
 //!   before `World::step`.
 
-use crate::sensors::{randn, FeatureConfig, FeatureExtractor, Imu, ImuConfig, SemanticCamera};
 use crate::vehicle::Actuation;
-use crate::world::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -43,10 +39,12 @@ pub enum FaultKind {
     CameraDropout,
     /// Poisoned observation: a random subset of entries become NaN.
     ObsNan,
-    /// IMU noise burst: Gaussian noise of `magnitude` std added to the
-    /// normalized window.
+    /// IMU noise burst. No IMU read passes through the injector, so it
+    /// only activates and counts; benign schedules keep it so that their
+    /// activation rolls, and hence the RNG stream, stay as they are.
     ImuNoiseBurst,
-    /// IMU bias step: constant `magnitude` offset added to the window.
+    /// IMU bias step; activates and counts only, like
+    /// [`FaultKind::ImuNoiseBurst`].
     ImuBiasStep,
     /// Actuator stuck-at: the command latched at activation is replayed.
     ActuatorStuck,
@@ -276,23 +274,6 @@ impl FaultInjector {
         }
     }
 
-    /// Applies IMU-class faults (noise burst, bias step) to a normalized
-    /// IMU window, in place.
-    pub fn corrupt_imu(&mut self, window: &mut [f32]) {
-        if let Some(spec) = self.active(FaultKind::ImuNoiseBurst) {
-            for v in window.iter_mut() {
-                *v += (spec.magnitude * randn(&mut self.rng)) as f32;
-            }
-            self.stats.corrupted_values += window.len();
-        }
-        if let Some(spec) = self.active(FaultKind::ImuBiasStep) {
-            for v in window.iter_mut() {
-                *v += spec.magnitude as f32;
-            }
-            self.stats.corrupted_values += window.len();
-        }
-    }
-
     /// Applies actuation-class faults (delay, dead-zone, stuck-at) to a
     /// command, returning what the plant actually receives.
     pub fn corrupt_actuation(&mut self, command: Actuation) -> Actuation {
@@ -337,115 +318,12 @@ impl FaultInjector {
     }
 }
 
-/// A [`FeatureExtractor`] whose stacked observations pass through a fault
-/// injector. Drop-in for agents that observe semantic features.
-#[derive(Debug, Clone)]
-pub struct FaultedFeatureExtractor {
-    inner: FeatureExtractor,
-    /// The injector applied to every observation.
-    pub injector: FaultInjector,
-}
-
-impl FaultedFeatureExtractor {
-    /// Wraps an extractor.
-    pub fn new(config: FeatureConfig, injector: FaultInjector) -> Self {
-        Self {
-            inner: FeatureExtractor::new(config),
-            injector,
-        }
-    }
-
-    /// Clears the frame stack and rewinds the injector.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-        self.injector.reset();
-    }
-
-    /// Observes the world, then applies camera-class faults. Advances the
-    /// injector by one step.
-    pub fn observe(&mut self, world: &World) -> Vec<f32> {
-        let mut obs = self.inner.observe(world);
-        self.injector.begin_step();
-        self.injector.corrupt_observation(&mut obs);
-        obs
-    }
-}
-
-/// A [`SemanticCamera`] whose rendered frames pass through a fault
-/// injector.
-#[derive(Debug, Clone)]
-pub struct FaultedCamera {
-    inner: SemanticCamera,
-    /// The injector applied to every frame.
-    pub injector: FaultInjector,
-}
-
-impl FaultedCamera {
-    /// Wraps a camera.
-    pub fn new(camera: SemanticCamera, injector: FaultInjector) -> Self {
-        Self {
-            inner: camera,
-            injector,
-        }
-    }
-
-    /// Renders a frame, then applies camera-class faults. Advances the
-    /// injector by one step.
-    pub fn render(&mut self, world: &World) -> Vec<f32> {
-        let mut frame = self.inner.render(world);
-        self.injector.begin_step();
-        self.injector.corrupt_observation(&mut frame);
-        frame
-    }
-
-    /// Frame dimension of the wrapped camera.
-    pub fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-}
-
-/// An [`Imu`] whose windows pass through a fault injector.
-#[derive(Debug, Clone)]
-pub struct FaultedImu {
-    inner: Imu,
-    /// The injector applied to every window read.
-    pub injector: FaultInjector,
-}
-
-impl FaultedImu {
-    /// Wraps an IMU.
-    pub fn new(config: ImuConfig, injector: FaultInjector) -> Self {
-        Self {
-            inner: Imu::new(config),
-            injector,
-        }
-    }
-
-    /// Clears sample history and rewinds the injector.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-        self.injector.reset();
-    }
-
-    /// Records the current world state (clean — faults corrupt reads, not
-    /// the physical history). Advances the injector by one step.
-    pub fn record<R: Rng>(&mut self, world: &World, rng: &mut R) {
-        self.inner.record(world, rng);
-        self.injector.begin_step();
-    }
-
-    /// The normalized window with IMU-class faults applied.
-    pub fn window(&mut self) -> Vec<f32> {
-        let mut w = self.inner.window();
-        self.injector.corrupt_imu(&mut w);
-        w
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use crate::sensors::{FeatureConfig, FeatureExtractor};
+    use crate::world::World;
 
     fn drive(injector: &mut FaultInjector, steps: usize) -> (Vec<Vec<f32>>, Vec<Actuation>) {
         let mut world = World::new(Scenario::default());
@@ -548,18 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn imu_bias_step_shifts_window() {
-        let mut inj = FaultInjector::new(&FaultSchedule {
-            seed: 0,
-            specs: vec![FaultSpec::new(FaultKind::ImuBiasStep, 0.0, 1, 0.25)],
-        });
-        inj.remaining[0] = 1;
-        let mut w = vec![0.0f32; 16];
-        inj.corrupt_imu(&mut w);
-        assert!(w.iter().all(|v| (*v - 0.25).abs() < 1e-6));
-    }
-
-    #[test]
     fn actuator_stuck_holds_first_command() {
         let mut inj = FaultInjector::new(&FaultSchedule {
             seed: 0,
@@ -599,41 +465,6 @@ mod tests {
         assert_eq!(inj.corrupt_actuation(c(0.2)), c(0.0), "line filling");
         assert_eq!(inj.corrupt_actuation(c(0.3)), c(0.1), "2 steps late");
         assert_eq!(inj.corrupt_actuation(c(0.4)), c(0.2));
-    }
-
-    #[test]
-    fn faulted_wrappers_are_transparent_when_noop() {
-        let mut world = World::new(Scenario::default());
-        let mut plain = FeatureExtractor::new(FeatureConfig::default());
-        let mut wrapped = FaultedFeatureExtractor::new(
-            FeatureConfig::default(),
-            FaultInjector::new(&FaultSchedule::none()),
-        );
-        for _ in 0..10 {
-            assert_eq!(wrapped.observe(&world), plain.observe(&world));
-            world.step(Actuation::new(0.1, 0.5));
-        }
-
-        let mut cam = FaultedCamera::new(
-            SemanticCamera::default(),
-            FaultInjector::new(&FaultSchedule::none()),
-        );
-        assert_eq!(cam.render(&world), SemanticCamera::default().render(&world));
-        assert_eq!(cam.dim(), SemanticCamera::default().dim());
-
-        let mut rng_a = StdRng::seed_from_u64(1);
-        let mut rng_b = StdRng::seed_from_u64(1);
-        let mut imu = Imu::new(ImuConfig::default());
-        let mut fimu = FaultedImu::new(
-            ImuConfig::default(),
-            FaultInjector::new(&FaultSchedule::none()),
-        );
-        for _ in 0..5 {
-            imu.record(&world, &mut rng_a);
-            fimu.record(&world, &mut rng_b);
-            world.step(Actuation::new(0.0, 0.3));
-        }
-        assert_eq!(fimu.window(), imu.window());
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl Vec2 {
         self.x * self.x + self.y * self.y
     }
 
-    /// Distance to another point.
-    pub fn distance(self, other: Vec2) -> f64 {
-        (self - other).norm()
-    }
-
     /// Returns the unit vector in the same direction, or `None` for a
     /// (near-)zero vector.
     pub fn try_normalize(self) -> Option<Vec2> {
@@ -220,6 +215,7 @@ impl Pose {
     }
 
     /// Unit vector pointing 90 degrees left of the heading.
+    #[cfg(test)]
     pub fn left(&self) -> Vec2 {
         self.forward().perp()
     }
@@ -314,6 +310,7 @@ impl Obb {
     }
 
     /// Whether a world-frame point lies inside (or on the edge of) the box.
+    #[cfg(test)]
     pub fn contains(&self, point: Vec2) -> bool {
         let local = (point - self.center).rotate(-self.heading);
         local.x.abs() <= self.half_extents.x && local.y.abs() <= self.half_extents.y

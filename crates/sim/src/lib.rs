@@ -8,7 +8,7 @@
 //! actuation follows the paper's Eq. (1) first-order smoothing, six slower
 //! NPC vehicles to overtake, collision detection with side / rear-end /
 //! barrier classification, and the attacker-relevant sensors (semantic
-//! features / occupancy camera, IMU window).
+//! features, IMU window).
 //!
 //! The simulation is fully deterministic given a scenario and a seed; every
 //! experiment in this repository is reproducible bit-for-bit.
@@ -41,26 +41,19 @@ pub mod world;
 /// Commonly used items re-exported in one place.
 pub mod prelude {
     pub use crate::batch::WorldBatch;
-    pub use crate::faults::{
-        FaultInjector, FaultKind, FaultSchedule, FaultSpec, FaultStats, FaultedCamera,
-        FaultedFeatureExtractor, FaultedImu,
-    };
+    pub use crate::faults::{FaultInjector, FaultKind, FaultSchedule, FaultSpec, FaultStats};
     pub use crate::generate::{
         GeneratedScenario, ScenarioAxes, SpeedMix, TopologyKind, TrafficDensity,
     };
     pub use crate::geometry::{normalize_angle, Obb, Pose, Vec2};
-    pub use crate::npc::{LeadInfo, Npc};
+    pub use crate::npc::Npc;
     pub use crate::record::EpisodeRecord;
     pub use crate::render::{render_strip, RenderConfig};
     pub use crate::road::{Road, RoadTopology};
     pub use crate::scenario::{NpcSpawn, Scenario, ScenarioSpec};
-    pub use crate::sensors::{
-        FeatureConfig, FeatureExtractor, Imu, ImuConfig, SemanticCamera, SemanticClass,
-    };
+    pub use crate::sensors::{FeatureConfig, FeatureExtractor, Imu, ImuConfig};
     pub use crate::vehicle::{Actuation, Vehicle, VehicleParams};
-    pub use crate::waypoints::{
-        lane_change_path, lane_keep_path, route_path, Path, PathProjection, Waypoint,
-    };
+    pub use crate::waypoints::{Path, PathProjection, Waypoint};
     pub use crate::world::{
         classify_contact, CollisionEvent, CollisionKind, RelativeGeometry, StepOutcome,
         Termination, World,

@@ -62,6 +62,7 @@ pub struct Npc {
 }
 
 /// Minimal view of another vehicle used for car-following decisions.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LeadInfo {
     /// Longitudinal position (x) of the lead vehicle's center.
@@ -246,6 +247,7 @@ impl Npc {
     /// The lane this NPC is currently steering for: its assigned lane until
     /// an upcoming merge deadline ([`Road::lane_end_x`]) forces it into the
     /// merge target. On a straight road this is always the assigned lane.
+    #[cfg(test)]
     pub fn active_lane(&self, road: &Road) -> usize {
         match road.lane_end_x(self.lane) {
             Some(end) if self.vehicle.pose.position.x + self.controller.merge_lookahead >= end => {
@@ -262,6 +264,7 @@ impl Npc {
     /// a constant-time-headway rule. When the assigned lane is ending, the
     /// NPC steers for the merge target lane and yields to any vehicle
     /// already alongside there.
+    #[cfg(test)]
     pub fn control(&self, road: &Road, others: &[LeadInfo]) -> Actuation {
         let p = &self.controller;
         let pos = self.vehicle.pose.position;
@@ -300,10 +303,15 @@ impl Npc {
         Actuation::new(steer, thrust)
     }
 
-    /// [`Npc::control`] evaluated against a pre-built [`LeadTable`]
-    /// instead of a per-NPC `others` slice. `own` is this NPC's index in
-    /// the world's NPC list. Bit-identical to the serial scan: same
-    /// expressions in the same order, same tie-breaking (see
+    /// Computes this NPC's actuation-variation command from a pre-built
+    /// [`LeadTable`]; `own` is this NPC's index in the world's NPC list.
+    ///
+    /// The nearest vehicle ahead in the active lane bounds the target
+    /// speed through a constant-time-headway rule. When the assigned lane
+    /// is ending, the NPC steers for the merge target lane and yields to
+    /// any vehicle already alongside there. Bit-identical to the serial
+    /// scan over an `others` slice that the tests keep as the reference:
+    /// same expressions in the same order, same tie-breaking (see
     /// [`LeadTable`]).
     pub fn control_batched(&self, leads: &LeadTable, own: usize) -> Actuation {
         let p = &self.controller;

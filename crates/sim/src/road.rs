@@ -22,6 +22,7 @@
 //!   drivable at `drop_start`; the left barrier tapers in by one lane width
 //!   over `[drop_start, drop_end]`.
 
+#[cfg(test)]
 use crate::geometry::Vec2;
 use serde::{Deserialize, Serialize};
 
@@ -341,6 +342,7 @@ impl Road {
     }
 
     /// Whether the point is on the drivable surface.
+    #[cfg(test)]
     pub fn on_road(&self, p: Vec2) -> bool {
         let (right, left) = self.edge_ys_at(p.x);
         p.y > right && p.y < left && p.x >= 0.0 && p.x <= self.length

@@ -141,6 +141,7 @@ impl Scenario {
     }
 
     /// Episode duration in seconds.
+    #[cfg(test)]
     pub fn duration(&self) -> f64 {
         self.max_steps as f64 * self.dt
     }

@@ -1,6 +1,6 @@
 //! Attacker- and agent-side sensors.
 //!
-//! Three observation sources are modeled, mirroring Sections III-C and IV-C
+//! Two observation sources are modeled, mirroring Sections III-C and IV-C
 //! of the paper:
 //!
 //! * [`FeatureExtractor`] — the compact semantic encoding of what the
@@ -8,9 +8,6 @@
 //!   the lane plus relative kinematics of the nearest NPC vehicles, stacked
 //!   over several frames. This is the policy input used for training (see
 //!   DESIGN.md §1 for the substitution argument).
-//! * [`SemanticCamera`] — a bird's-eye semantic occupancy grid with
-//!   road / barrier / vehicle classes, the grid-shaped analogue of the
-//!   paper's camera, for visualization and consistency testing.
 //! * [`Imu`] — a triaxial-equivalent inertial window (longitudinal
 //!   acceleration + yaw rate, the paper's informative x/z channels) sampled
 //!   at 20 sps over 3.2 s, with Gaussian noise and bias.
@@ -206,108 +203,6 @@ fn extract_frame_into(
     }
 }
 
-/// Semantic classes rendered by the [`SemanticCamera`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SemanticClass {
-    /// Outside the road and its barriers.
-    Offroad,
-    /// Drivable surface.
-    Road,
-    /// Roadside barrier.
-    Barrier,
-    /// Any vehicle footprint (ego or NPC).
-    Vehicle,
-}
-
-impl SemanticClass {
-    /// Normalized intensity used in grid observations.
-    pub fn intensity(self) -> f32 {
-        match self {
-            SemanticClass::Offroad => 0.0,
-            SemanticClass::Road => 1.0 / 3.0,
-            SemanticClass::Barrier => 2.0 / 3.0,
-            SemanticClass::Vehicle => 1.0,
-        }
-    }
-}
-
-/// Bird's-eye semantic occupancy camera centered on the ego vehicle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SemanticCamera {
-    /// Grid columns (longitudinal).
-    pub cols: usize,
-    /// Grid rows (lateral).
-    pub rows: usize,
-    /// Meters ahead of the ego covered by the grid.
-    pub range_ahead: f64,
-    /// Meters behind the ego covered by the grid.
-    pub range_behind: f64,
-    /// Meters to each side of the ego covered by the grid.
-    pub range_side: f64,
-}
-
-impl Default for SemanticCamera {
-    fn default() -> Self {
-        SemanticCamera {
-            cols: 48,
-            rows: 16,
-            range_ahead: 60.0,
-            range_behind: 12.0,
-            range_side: 8.0,
-        }
-    }
-}
-
-impl SemanticCamera {
-    /// Renders the class of each cell, row-major (row 0 = leftmost lateral
-    /// band, column 0 = farthest behind).
-    pub fn render_classes(&self, world: &World) -> Vec<SemanticClass> {
-        let ego = world.ego().pose.position;
-        let road = &world.scenario().road;
-        let obbs: Vec<_> = std::iter::once(world.ego().obb())
-            .chain(world.npcs().iter().map(|n| n.vehicle.obb()))
-            .collect();
-        let mut out = Vec::with_capacity(self.rows * self.cols);
-        for r in 0..self.rows {
-            // Row 0 at +range_side (left), descending.
-            let fy = (r as f64 + 0.5) / self.rows as f64;
-            let y = ego.y + self.range_side - fy * 2.0 * self.range_side;
-            for c in 0..self.cols {
-                let fx = (c as f64 + 0.5) / self.cols as f64;
-                let x = ego.x - self.range_behind + fx * (self.range_ahead + self.range_behind);
-                let p = Vec2::new(x, y);
-                let (right_edge, left_edge) = road.edge_ys_at(x);
-                let class = if obbs.iter().any(|o| o.contains(p)) {
-                    SemanticClass::Vehicle
-                } else if road.on_road(p) {
-                    SemanticClass::Road
-                } else if (y >= left_edge && y <= left_edge + road.barrier_thickness)
-                    || (y <= right_edge && y >= right_edge - road.barrier_thickness)
-                {
-                    SemanticClass::Barrier
-                } else {
-                    SemanticClass::Offroad
-                };
-                out.push(class);
-            }
-        }
-        out
-    }
-
-    /// Renders normalized intensities suitable as a flat NN observation.
-    pub fn render(&self, world: &World) -> Vec<f32> {
-        self.render_classes(world)
-            .into_iter()
-            .map(SemanticClass::intensity)
-            .collect()
-    }
-
-    /// Observation dimensionality of one rendered frame.
-    pub fn dim(&self) -> usize {
-        self.rows * self.cols
-    }
-}
-
 /// Configuration of the [`Imu`] sensor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ImuConfig {
@@ -407,16 +302,17 @@ impl Imu {
         }
     }
 
-    /// The current window flattened to `[ax_0, wz_0, ax_1, wz_1, ...]`,
-    /// normalized to roughly unit scale.
+    /// The current window as a fresh vector; see [`Imu::window_into`].
+    #[cfg(test)]
     pub fn window(&self) -> Vec<f32> {
         let mut out = Vec::new();
         self.window_into(&mut out);
         out
     }
 
-    /// [`Imu::window`], writing into `out` (cleared first) so hot loops can
-    /// reuse one buffer.
+    /// Writes the current window into `out` (cleared first), flattened to
+    /// `[ax_0, wz_0, ax_1, wz_1, ...]` and normalized to roughly unit
+    /// scale.
     pub fn window_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.reserve(self.config.observation_dim());
@@ -505,79 +401,6 @@ mod tests {
         let obs = fx.observe(&world);
         let dim = fx.config().frame_dim();
         assert!(obs[dim..].iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn camera_sees_vehicles_and_road() {
-        let cam = SemanticCamera::default();
-        let world = World::new(Scenario::default());
-        let classes = cam.render_classes(&world);
-        assert_eq!(classes.len(), cam.dim());
-        let vehicles = classes
-            .iter()
-            .filter(|c| **c == SemanticClass::Vehicle)
-            .count();
-        let road = classes
-            .iter()
-            .filter(|c| **c == SemanticClass::Road)
-            .count();
-        assert!(vehicles > 0, "ego + nearby NPCs must be visible");
-        assert!(road > vehicles, "most of the view is road");
-        // The grid spans beyond the road edges, so some cells are off-road.
-        assert!(classes.iter().any(|c| *c != SemanticClass::Road));
-    }
-
-    #[test]
-    fn camera_intensities_match_classes() {
-        let cam = SemanticCamera::default();
-        let world = World::new(Scenario::default());
-        let classes = cam.render_classes(&world);
-        let intensities = cam.render(&world);
-        for (c, i) in classes.iter().zip(&intensities) {
-            assert_eq!(c.intensity(), *i);
-        }
-    }
-
-    #[test]
-    fn camera_grid_consistent_with_features() {
-        // Place a single NPC ahead-left of the ego; the feature vector must
-        // report positive dx and dy, and the camera grid must contain
-        // vehicle cells in the ahead-left quadrant (beyond the ego's own
-        // footprint cells near the center).
-        let s = Scenario {
-            npcs: vec![crate::scenario::NpcSpawn {
-                lane: 2,
-                x: 20.0,
-                speed: 6.0,
-            }],
-            ..Default::default()
-        };
-        let world = World::new(s);
-
-        let fx = FeatureExtractor::new(FeatureConfig::default());
-        let frame = fx.extract_frame(&world);
-        let dx = frame[EGO_FEATURES] as f64 * 50.0;
-        let dy = frame[EGO_FEATURES + 1] as f64 * 10.0;
-        assert!(dx > 10.0, "npc ahead: dx {dx}");
-        assert!(dy > 2.0, "npc left: dy {dy}");
-
-        let cam = SemanticCamera::default();
-        let classes = cam.render_classes(&world);
-        // Grid geometry: row 0 = leftmost band, col 0 = farthest behind.
-        let col_of = |x_rel: f64| {
-            (((x_rel + cam.range_behind) / (cam.range_ahead + cam.range_behind)) * cam.cols as f64)
-                as usize
-        };
-        let row_of = |y_rel: f64| {
-            (((cam.range_side - y_rel) / (2.0 * cam.range_side)) * cam.rows as f64) as usize
-        };
-        let r = row_of(dy);
-        let c = col_of(dx);
-        assert_eq!(
-            classes[r * cam.cols + c],
-            SemanticClass::Vehicle,
-            "grid cell at the feature-reported NPC position must be a vehicle"
-        );
     }
 
     #[test]

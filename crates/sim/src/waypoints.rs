@@ -161,12 +161,8 @@ pub fn quintic_blend(u: f64) -> f64 {
     u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 }
 
-/// Generates a lane-keeping path along `lane`, starting at `x0`, with `n`
-/// samples spaced `spacing` meters apart.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `spacing <= 0`.
+/// [`lane_keep_path_into`] into a fresh path.
+#[cfg(test)]
 pub fn lane_keep_path(
     road: &Road,
     lane: usize,
@@ -180,8 +176,10 @@ pub fn lane_keep_path(
     out
 }
 
-/// [`lane_keep_path`], writing into `out` (cleared first) so the waypoint
-/// buffer can be reused across control steps without reallocating.
+/// Generates a lane-keeping path along `lane`, starting at `x0`, with `n`
+/// samples spaced `spacing` meters apart, into `out` (cleared first) so
+/// the waypoint buffer can be reused across control steps without
+/// reallocating.
 ///
 /// # Panics
 ///
@@ -208,17 +206,9 @@ pub fn lane_keep_path_into(
     }));
 }
 
-/// Generates a lane-change path: starting from lateral position `y0` at
-/// `x0`, blending into the center of `target_lane` over `change_distance`
-/// meters, then continuing straight until `n` samples are produced.
-///
-/// The lateral profile is a quintic blend, so the generated headings are
-/// continuous and settle back to zero.
-///
-/// # Panics
-///
-/// Panics if `n == 0`, `spacing <= 0`, or `change_distance <= 0`.
+/// [`lane_change_path_into`] into a fresh path.
 #[allow(clippy::too_many_arguments)]
+#[cfg(test)]
 pub fn lane_change_path(
     road: &Road,
     y0: f64,
@@ -244,8 +234,14 @@ pub fn lane_change_path(
     out
 }
 
-/// [`lane_change_path`], writing into `out` (cleared first) so the waypoint
-/// buffer can be reused across control steps without reallocating.
+/// Generates a lane-change path: starting from lateral position `y0` at
+/// `x0`, blending into the center of `target_lane` over `change_distance`
+/// meters, then continuing straight until `n` samples are produced. Writes
+/// into `out` (cleared first) so the waypoint buffer can be reused across
+/// control steps without reallocating.
+///
+/// The lateral profile is a quintic blend, so the generated headings are
+/// continuous and settle back to zero.
 ///
 /// # Panics
 ///
@@ -281,74 +277,6 @@ pub fn lane_change_path_into(
             30.0 * u * u * (1.0 - u) * (1.0 - u)
         };
         let slope = dy * dblend * du;
-        Waypoint {
-            position: Vec2::new(x, y),
-            heading: slope.atan(),
-            target_speed: speed,
-        }
-    }));
-}
-
-/// Generates a topology-aware route along `lane`: identical to
-/// [`lane_keep_path`] on lanes that run the whole road, but when `lane`
-/// ends ([`Road::lane_end_x`]) the path blends into the merge target
-/// lane's center over the `merge_lookahead` meters before the deadline.
-///
-/// # Panics
-///
-/// Panics if `n == 0`, `spacing <= 0`, or `merge_lookahead <= 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn route_path(
-    road: &Road,
-    lane: usize,
-    x0: f64,
-    n: usize,
-    spacing: f64,
-    speed: f64,
-    merge_lookahead: f64,
-) -> Path {
-    let mut out = Path::default();
-    route_path_into(road, lane, x0, n, spacing, speed, merge_lookahead, &mut out);
-    out
-}
-
-/// [`route_path`], writing into `out` (cleared first) so the waypoint
-/// buffer can be reused across control steps without reallocating.
-///
-/// # Panics
-///
-/// Panics if `n == 0`, `spacing <= 0`, or `merge_lookahead <= 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn route_path_into(
-    road: &Road,
-    lane: usize,
-    x0: f64,
-    n: usize,
-    spacing: f64,
-    speed: f64,
-    merge_lookahead: f64,
-    out: &mut Path,
-) {
-    assert!(merge_lookahead > 0.0, "merge lookahead must be positive");
-    let Some(end) = road.lane_end_x(lane) else {
-        lane_keep_path_into(road, lane, x0, n, spacing, speed, out);
-        return;
-    };
-    assert!(
-        n > 0 && spacing > 0.0,
-        "need n > 0 samples and positive spacing"
-    );
-    let y0 = road.lane_center_y(lane);
-    let y1 = road.lane_center_y(road.merge_target(lane));
-    let dy = y1 - y0;
-    let blend_start = end - merge_lookahead;
-    out.points.clear();
-    out.points.extend((0..n).map(|i| {
-        let x = x0 + i as f64 * spacing;
-        let u = ((x - blend_start) / merge_lookahead).clamp(0.0, 1.0);
-        let y = y0 + dy * quintic_blend(u);
-        let dblend = 30.0 * u * u * (1.0 - u) * (1.0 - u);
-        let slope = dy * dblend / merge_lookahead;
         Waypoint {
             position: Vec2::new(x, y),
             heading: slope.atan(),
@@ -450,33 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn route_path_on_straight_equals_lane_keep() {
-        let r = road();
-        let keep = lane_keep_path(&r, 1, 5.0, 30, 2.0, 16.0);
-        let route = route_path(&r, 1, 5.0, 30, 2.0, 16.0, 60.0);
-        assert_eq!(keep.waypoints(), route.waypoints());
-    }
-
-    #[test]
-    fn route_path_merges_off_the_ramp() {
-        let r = Road::on_ramp(3, 3.5, 1500.0, 0.0, 250.0, 330.0);
-        let p = route_path(&r, 3, 0.0, 150, 2.0, 10.0, 60.0);
-        let first = p.waypoints().first().unwrap();
-        let last = p.waypoints().last().unwrap();
-        // Starts on the ramp center, ends on lane 0's center, level.
-        assert!((first.position.y - r.lane_center_y(3)).abs() < 1e-12);
-        assert!((last.position.y - r.lane_center_y(0)).abs() < 1e-9);
-        assert!(last.heading.abs() < 1e-9);
-        // The merge completes by the deadline.
-        let at_deadline = p
-            .waypoints()
-            .iter()
-            .find(|w| w.position.x >= 250.0)
-            .unwrap();
-        assert!((at_deadline.position.y - r.lane_center_y(0)).abs() < 1e-9);
-    }
-
-    #[test]
     fn into_builders_match_allocating_builders_and_reuse_capacity() {
         let r = Road::on_ramp(3, 3.5, 1500.0, 0.0, 250.0, 330.0);
         let mut out = Path::default();
@@ -501,11 +402,6 @@ mod tests {
             out.waypoints(),
             lane_change_path(&r, r.lane_center_y(1), 2, 5.0, 30.0, 40, 2.0, 16.0).waypoints()
         );
-        route_path_into(&r, 3, 0.0, 40, 2.0, 10.0, 60.0, &mut out);
-        assert_eq!(
-            out.waypoints(),
-            route_path(&r, 3, 0.0, 40, 2.0, 10.0, 60.0).waypoints()
-        );
         assert_eq!(out.points.capacity(), cap, "reuse must not reallocate");
     }
 
@@ -521,13 +417,5 @@ mod tests {
             assert_eq!(w.heading, b.heading);
             assert_eq!(w.target_speed, b.target_speed);
         }
-    }
-
-    #[test]
-    fn route_path_merges_before_lane_drop() {
-        let r = Road::lane_drop(3, 3.5, 1500.0, 300.0, 380.0);
-        let p = route_path(&r, 2, 200.0, 80, 2.0, 12.0, 60.0);
-        let last = p.waypoints().last().unwrap();
-        assert!((last.position.y - r.lane_center_y(1)).abs() < 1e-9);
     }
 }

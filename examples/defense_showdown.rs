@@ -13,8 +13,8 @@ use ad_action_attacks::attacks::learned::LearnedAttacker;
 use ad_action_attacks::attacks::sensor::AttackerSensor;
 use ad_action_attacks::nn::batch::BatchPolicy;
 use ad_action_attacks::nn::checkpoint;
-use ad_action_attacks::nn::pnn::PackedPnn;
 use ad_action_attacks::prelude::*;
+use std::sync::Arc;
 
 fn summarize(label: &str, records: &[EpisodeRecord]) {
     let s = CellSummary::from_records(records);
@@ -68,7 +68,7 @@ fn main() {
             );
             summarize("pi_ori (undefended)", &records);
 
-            let switcher = SimplexSwitcher::new(PackedPnn::from(pnn), 0.2, budget.epsilon());
+            let switcher = SimplexSwitcher::new(Arc::new(pnn), 0.2, budget.epsilon());
             let mut defended = E2eAgent::new(switcher, features.clone(), 0, true);
             let records = run_attacked_episodes(
                 &mut defended,

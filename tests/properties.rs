@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) of core invariants across the stack.
 
 use ad_action_attacks::prelude::*;
+use ad_action_attacks::sim::waypoints::lane_change_path_into;
 use proptest::prelude::*;
 
 proptest! {
@@ -40,7 +41,8 @@ proptest! {
     #[test]
     fn obb_contains_center(x in -10.0f64..10.0, y in -10.0f64..10.0, h in -3.2f64..3.2) {
         let b = Obb::new(Vec2::new(x, y), 4.0, 2.0, h);
-        prop_assert!(b.contains(b.center));
+        let center = Obb::new(b.center, 1e-6, 1e-6, 0.0);
+        prop_assert!(b.intersects(&center));
         prop_assert!(b.intersects(&b));
     }
 
@@ -146,7 +148,8 @@ proptest! {
             prop_assert!(rb.len() <= cap);
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let batch = rb.sample(7, &mut rng);
+        let mut batch = Batch::default();
+        rb.sample_into(7, &mut rng, &mut batch);
         prop_assert_eq!(batch.len(), 7);
     }
 
@@ -183,52 +186,17 @@ proptest! {
 
     // ---------- road ----------
 
-    /// Every lane's center is on the road and maps back to its own index.
+    /// Every lane's center lies between the barriers and maps back to its
+    /// own index.
     #[test]
     fn lane_centers_consistent(num_lanes in 1usize..6, width in 2.5f64..4.5) {
         let road = Road::new(num_lanes, width, 500.0);
+        let (right, left) = road.edge_ys_at(10.0);
         for lane in 0..num_lanes {
             let y = road.lane_center_y(lane);
             prop_assert_eq!(road.lane_of(y), lane);
-            prop_assert!(road.on_road(Vec2::new(10.0, y)));
+            prop_assert!(right < y && y < left);
             prop_assert!(road.lane_offset(y).abs() < 1e-9);
-        }
-    }
-
-    /// Welford running stats merged from arbitrary splits equal the
-    /// sequential computation.
-    #[test]
-    fn running_stats_merge_invariant(
-        data in prop::collection::vec(-1e3f64..1e3, 1..60),
-        split in 0usize..60,
-    ) {
-        use ad_action_attacks::rl::stats::RunningStats;
-        let split = split.min(data.len());
-        let mut all = RunningStats::new();
-        for &x in &data { all.push(x); }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &data[..split] { a.push(x); }
-        for &x in &data[split..] { b.push(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), all.count());
-        prop_assert!((a.mean() - all.mean()).abs() < 1e-6);
-        prop_assert!((a.variance() - all.variance()).abs() < 1e-4);
-    }
-
-    /// The EMA always stays within the range of its inputs.
-    #[test]
-    fn ema_bounded_by_inputs(
-        alpha in 0.01f64..1.0,
-        xs in prop::collection::vec(-100.0f64..100.0, 1..40),
-    ) {
-        use ad_action_attacks::rl::stats::Ema;
-        let mut ema = Ema::new(alpha);
-        let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        for &x in &xs {
-            let v = ema.push(x);
-            prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
         }
     }
 
@@ -261,7 +229,8 @@ proptest! {
         let road = Road::default();
         let y0 = road.lane_center_y(from_lane);
         let n = (dist / 2.0) as usize + 10;
-        let path = lane_change_path(&road, y0, to_lane, 0.0, dist, n, 2.0, 16.0);
+        let mut path = Path::default();
+        lane_change_path_into(&road, y0, to_lane, 0.0, dist, n, 2.0, 16.0, &mut path);
         let last = path.waypoints().last().unwrap();
         prop_assert!((last.position.y - road.lane_center_y(to_lane)).abs() < 1e-6);
         prop_assert!(last.heading.abs() < 1e-6);
