@@ -251,7 +251,8 @@ mod tests {
     fn refinement_snapshots_do_not_change_results_and_clean_up() {
         // The same training run with and without snapshotting must produce
         // the identical policy (snapshot writes draw no randomness), and a
-        // completed run must remove its snapshot file.
+        // completed run must remove its snapshot file and the directory
+        // that file's write created.
         let scenario = Scenario::default();
         let features = quick_features();
         let dir = std::env::temp_dir().join("drive-agents-victim-snap-test");
@@ -278,6 +279,10 @@ mod tests {
         assert!(
             !snap_path.exists(),
             "completed refinement must remove its snapshot"
+        );
+        assert!(
+            !dir.exists(),
+            "completed refinement must remove the snapshot directory it left empty"
         );
         let obs = drive_nn::mat::Mat::from_row(&vec![0.1; features.observation_dim()]);
         assert_eq!(plain.mean_action(&obs), snapped.mean_action(&obs));

@@ -22,7 +22,7 @@ use drive_agents::modular::{ModularAgent, ModularConfig};
 use drive_agents::Agent;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::prelude::{
-    randn_mat, ActScratch, Activation, GaussianPolicy, Linear, Mat, Mlp, PnnPolicy, Scratch,
+    fill_randn, ActScratch, Activation, GaussianPolicy, Linear, Mat, Mlp, PnnPolicy, Scratch,
 };
 use drive_nn::scratch::BatchActScratch;
 use drive_rl::replay::{Batch, ReplayBuffer, Transition};
@@ -45,6 +45,13 @@ use rand::SeedableRng;
 use repro_bench::journal::RunHeader;
 use repro_bench::{merge, JournalHandle};
 use std::sync::Arc;
+
+/// A `(rows, cols)` matrix of standard normal draws.
+fn randn_mat(rows: usize, cols: usize, rng: &mut StdRng) -> Mat {
+    let mut m = Mat::default();
+    fill_randn(&mut m, rows, cols, rng);
+    m
+}
 
 /// A PNN whose column and laterals are all fresh random draws from
 /// `rng`, column first: unlike `PnnPolicy::new`'s, its laterals are

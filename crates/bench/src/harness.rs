@@ -440,9 +440,15 @@ mod tests {
         (artifacts, config)
     }
 
+    /// Every kind builds and acts in range, and every evaluation agent
+    /// ignores its exploration seed: agents built with two different
+    /// seeds drive equal records on one episode seed, with and without
+    /// a learned attacker.
     #[test]
     fn builds_every_agent_kind() {
         let (artifacts, config) = quick_setup();
+        let budget = AttackBudget::new(0.5);
+        let episode_seed = 17;
         for kind in [
             AgentKind::Modular,
             AgentKind::E2e,
@@ -451,11 +457,43 @@ mod tests {
             AgentKind::PnnSigma02,
             AgentKind::PnnSigma04,
         ] {
-            let mut agent = build_agent(kind, &artifacts, &config, AttackBudget::new(0.5), 0);
+            let mut agent = build_agent(kind, &artifacts, &config, budget, 0);
             let world = drive_sim::world::World::new(config.scenario.clone());
             agent.reset(&world);
             let a = agent.act(&world);
             assert!(a.steer.abs() <= 1.0, "{kind:?}");
+
+            for attacked in [false, true] {
+                let records: Vec<EpisodeRecord> = [1, 2]
+                    .map(|agent_seed| {
+                        let mut agent = build_agent(kind, &artifacts, &config, budget, agent_seed);
+                        let mut attacker = attacked.then(|| {
+                            let sensor = AttackerSensor::new(
+                                SensorKind::Camera,
+                                &config.features,
+                                &config.imu,
+                                episode_seed,
+                            );
+                            let policy = BatchPolicy::from(artifacts.camera_attacker.clone());
+                            LearnedAttacker::new(policy, sensor, budget, episode_seed, true)
+                        });
+                        run_attacked_episode_with_faults(
+                            agent.as_mut(),
+                            attacker
+                                .as_mut()
+                                .map(|a| a as &mut dyn drive_agents::runner::SteerAttacker),
+                            &AdvReward::default(),
+                            &config.scenario,
+                            episode_seed,
+                            None,
+                        )
+                    })
+                    .into();
+                assert_eq!(
+                    records[0], records[1],
+                    "{kind:?} (attacked: {attacked}) depends on its agent seed"
+                );
+            }
         }
     }
 

@@ -5,11 +5,11 @@
 //! per evaluated step, one row each through pre-packed weights.
 //! [`FleetEval`] runs up to `batch` episodes through one [`WorldBatch`],
 //! gathering every live observation into a staging matrix so each policy
-//! runs one GEMM per layer per control step (`drive_nn::batch::BatchPolicy`,
-//! the same frozen-policy type the serial path uses). Slots that finish
-//! are retired immediately and the batch is refilled from the remaining
-//! seed grid, so occupancy stays high even though episodes end at
-//! different steps.
+//! runs one GEMM per layer per control step (`GaussianPolicy::stage` and
+//! `infer_staged` on the borrowed artifact policies, whose layers pack
+//! once and serve every cell). Slots that finish are retired immediately
+//! and the batch is refilled from the remaining seed grid, so occupancy
+//! stays high even though episodes end at different steps.
 //!
 //! Equivalence to the serial path is structural, not approximate:
 //!
@@ -31,7 +31,6 @@ use crate::adv_reward::AdvReward;
 use crate::budget::AttackBudget;
 use crate::sensor::{AttackerSensor, SensorKind};
 use drive_agents::runner::EpisodeTally;
-use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::scratch::BatchActScratch;
 use drive_sim::batch::WorldBatch;
@@ -42,7 +41,6 @@ use drive_sim::vehicle::Actuation;
 use drive_sim::world::World;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One victim/attacker evaluation cell, fleet-steppable.
@@ -134,7 +132,6 @@ impl<'a> FleetEval<'a> {
             "victim obs dim must match feature extractor"
         );
         assert_eq!(self.victim.action_dim(), 2, "driving actions are 2-D");
-        let victim = BatchPolicy::new(Arc::new(self.victim.clone()));
         let attacker = self.attack.and_then(|(policy, kind)| {
             if self.budget.is_zero() {
                 return None;
@@ -149,7 +146,7 @@ impl<'a> FleetEval<'a> {
                 "attack policy obs dim must match its sensor"
             );
             assert_eq!(policy.action_dim(), 1, "attack action is 1-D");
-            Some((BatchPolicy::new(Arc::new(policy.clone())), kind))
+            Some((policy, kind))
         });
 
         let mut results: Vec<Option<EpisodeRecord>> = (0..episodes).map(|_| None).collect();
@@ -184,7 +181,7 @@ impl<'a> FleetEval<'a> {
 
             // Victim head: one staged forward pass over every live slot.
             // A camera attacker stages the same rows.
-            let stage = victim.stage(n, &mut victim_scratch);
+            let stage = self.victim.stage(n, &mut victim_scratch);
             let mut camera_stage = match &attacker {
                 Some((abp, SensorKind::Camera)) => Some(abp.stage(n, &mut attacker_scratch)),
                 _ => None,
@@ -198,7 +195,7 @@ impl<'a> FleetEval<'a> {
                 }
             }
             let t0 = Instant::now();
-            let acts = victim.infer_staged(&mut victim_scratch);
+            let acts = self.victim.infer_staged(&mut victim_scratch);
             drive_sim::perf::record_fleet_infer(t0.elapsed().as_nanos() as u64, n as u64);
             nominals.clear();
             for i in 0..n {

@@ -13,15 +13,16 @@
 //! and [`GaussianPolicy::act_batch_with`] — batching changes throughput,
 //! never numerics.
 //!
-//! Three call styles cover the consumers:
+//! Two call styles cover its consumers:
 //! - [`BatchPolicy::act_with`]: one observation, deterministic or sampled
 //!   (serial evaluation — a drop-in for [`GaussianPolicy::act_with`],
 //!   RNG draws included).
 //! - [`BatchPolicy::act_batch`]: gather from observation slices (the
 //!   serving layer's shape — requests arrive as independent vectors).
-//! - [`BatchPolicy::stage`] + [`BatchPolicy::infer_staged`]: write rows
-//!   directly into the staging matrix (the fleet driver's shape — the
-//!   feature extractor writes each live episode's observation in place).
+//!
+//! The fleet driver borrows the artifact's policy itself and writes rows
+//! straight into its staging matrix ([`GaussianPolicy::stage`] +
+//! [`GaussianPolicy::infer_staged`]).
 
 use crate::gaussian::GaussianPolicy;
 use crate::mat::Mat;
@@ -80,23 +81,6 @@ impl BatchPolicy {
         self.policy.act_with(obs, rng, deterministic, s)
     }
 
-    /// Resizes the scratch's staging matrix to `(batch, obs_dim)` and
-    /// returns it for the caller to fill row by row (contents are
-    /// unspecified until every row is written). Follow with
-    /// [`BatchPolicy::infer_staged`].
-    pub fn stage<'s>(&self, batch: usize, s: &'s mut BatchActScratch) -> &'s mut Mat {
-        s.obs.resize(batch, self.obs_dim());
-        &mut s.obs
-    }
-
-    /// Runs one forward pass over the staged observation rows, returning
-    /// the `(batch, action_dim)` matrix of `tanh(mean)` actions. Row `b`
-    /// is bit-identical to serial `act_with(row_b, .., true, ..)`.
-    pub fn infer_staged<'s>(&self, s: &'s mut BatchActScratch) -> &'s Mat {
-        debug_assert_eq!(s.obs.cols(), self.obs_dim(), "stage() before infer");
-        self.policy.infer_staged(s)
-    }
-
     /// Gather-style batched inference: [`GaussianPolicy::act_batch_with`]
     /// on the shared policy.
     ///
@@ -148,30 +132,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// Writing rows into the staging matrix directly must equal the
-    /// gather-style entry — the fleet driver fills rows in place.
-    #[test]
-    fn staged_entry_matches_gather_entry() {
-        let p = policy();
-        let bp = BatchPolicy::new(p);
-        let mut s1 = BatchActScratch::default();
-        let mut s2 = BatchActScratch::default();
-        let mut rng = StdRng::seed_from_u64(3);
-        for &batch in &[6usize, 1, 17] {
-            let obs: Vec<Vec<f32>> = (0..batch)
-                .map(|_| (0..4).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
-                .collect();
-            let stage = bp.stage(batch, &mut s1);
-            for (b, o) in obs.iter().enumerate() {
-                stage.row_mut(b).copy_from_slice(o);
-            }
-            let staged = bp.infer_staged(&mut s1).clone();
-            let refs: Vec<&[f32]> = obs.iter().map(Vec::as_slice).collect();
-            let gathered = bp.act_batch(&refs, &mut s2);
-            assert_eq!(&staged, gathered);
         }
     }
 

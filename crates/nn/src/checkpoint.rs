@@ -642,9 +642,15 @@ fn verify_and_strip_checksum(raw: String) -> Result<String, CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gaussian::randn_mat;
+    use crate::gaussian::{fill_randn, SampleCache};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn randn_mat(rows: usize, cols: usize, rng: &mut StdRng) -> Mat {
+        let mut m = Mat::default();
+        fill_randn(&mut m, rows, cols, rng);
+        m
+    }
 
     /// A PNN whose column and laterals are all fresh random draws from
     /// `rng`, column first: unlike `PnnPolicy::new`'s, its laterals are
@@ -727,10 +733,10 @@ mod tests {
         let back = decode_policy(&encode_policy(&p))?;
         let obs = Mat::from_vec(3, 6, (0..18).map(|i| (i as f32 * 0.11).sin()).collect());
         assert_eq!(p.mean_action(&obs), back.mean_action(&obs));
-        let noise = randn_mat(3, 2, &mut rng);
-        let s1 = p.sample_with_noise(&obs, noise.clone());
-        let s2 = back.sample_with_noise(&obs, noise);
-        assert_eq!(s1.log_prob(), s2.log_prob());
+        let (mut s1, mut s2) = (SampleCache::default(), SampleCache::default());
+        p.sample_into(&obs, &mut StdRng::seed_from_u64(6), &mut s1);
+        back.sample_into(&obs, &mut StdRng::seed_from_u64(6), &mut s2);
+        assert_eq!(s1.head.log_prob, s2.head.log_prob);
         Ok(())
     }
 

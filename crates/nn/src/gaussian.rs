@@ -4,9 +4,9 @@
 //! `a = tanh(mean + sigma * n)` with `n ~ N(0, I)` (the reparameterization
 //! trick), and log-probabilities include the tanh change-of-variables
 //! correction. The head math is factored out ([`HeadSample`],
-//! [`sample_head`], [`head_backward`]) so both the plain [`GaussianPolicy`]
-//! and the progressive-network policy (see [`crate::pnn`]) share one tested
-//! implementation.
+//! [`sample_head_into`], [`head_backward_into`]) so both the plain
+//! [`GaussianPolicy`] and the progressive-network policy (see
+//! [`crate::pnn`]) share one tested implementation.
 
 use crate::activation::Activation;
 use crate::mat::Mat;
@@ -34,16 +34,8 @@ pub fn randn_f32<R: Rng>(rng: &mut R) -> f32 {
     }
 }
 
-/// Fills a matrix with standard normal noise.
-pub fn randn_mat<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Mat {
-    let mut m = Mat::default();
-    fill_randn(&mut m, rows, cols, rng);
-    m
-}
-
-/// Resizes `m` and refills it with standard normal noise, drawing values
-/// in the same row-major order as [`randn_mat`] (so the two are
-/// interchangeable without perturbing a seeded RNG stream).
+/// Resizes `m` and refills it with standard normal noise, one
+/// [`randn_f32`] draw per element in row-major order.
 pub fn fill_randn<R: Rng>(m: &mut Mat, rows: usize, cols: usize, rng: &mut R) {
     m.resize(rows, cols);
     for v in m.data_mut() {
@@ -71,23 +63,8 @@ pub struct HeadSample {
 
 /// Splits a raw head output `(batch, 2*action_dim)` into mean and clamped
 /// log-std, then computes squashed actions and log-probabilities under the
-/// given noise.
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent.
-pub fn sample_head(raw: &Mat, action_dim: usize, noise: Mat) -> HeadSample {
-    let mut out = HeadSample {
-        noise,
-        ..HeadSample::default()
-    };
-    sample_head_into(raw, action_dim, &mut out);
-    out
-}
-
-/// [`sample_head`] into a reusable [`HeadSample`] whose `noise` field must
-/// already hold the `(batch, action_dim)` reparameterization noise.
-/// Allocation-free once the buffers have warmed up; bit-identical results.
+/// `(batch, action_dim)` reparameterization noise that `out.noise` must
+/// already hold. Allocation-free once the buffers have warmed up.
 ///
 /// # Panics
 ///
@@ -133,8 +110,8 @@ pub fn sample_head_into(raw: &Mat, action_dim: usize, out: &mut HeadSample) {
                 clamped[b * action_dim + i] = true;
             }
         }
-        // One fused pass: squash and accumulate the log-density in the same
-        // ascending-element order as the allocating path.
+        // One fused pass: squash and accumulate the log-density in
+        // ascending element order.
         let lp = &mut log_prob[b];
         for (((a, &m), &ls), &n) in actions
             .row_mut(b)
@@ -153,20 +130,9 @@ pub fn sample_head_into(raw: &Mat, action_dim: usize, out: &mut HeadSample) {
 
 /// Converts gradients on actions (`dL/da`) and log-probabilities
 /// (`dL/dlogp`, per sample) into the gradient with respect to the raw head
-/// output `(mean | log_std)`.
-///
-/// # Panics
-///
-/// Panics on shape mismatches.
-pub fn head_backward(sample: &HeadSample, grad_action: &Mat, grad_logp: &[f32]) -> Mat {
-    let mut grad_raw = Mat::default();
-    head_backward_into(sample, grad_action, grad_logp, &mut grad_raw);
-    grad_raw
-}
-
-/// [`head_backward`] into a reusable `(batch, 2 * action_dim)` buffer,
-/// writing the mean and log-std gradient halves of each row directly —
-/// no `grad_mean`/`grad_ls` temporaries, no `hcat`. Bit-identical results.
+/// output `(mean | log_std)`, written into a reusable
+/// `(batch, 2 * action_dim)` buffer: the mean and log-std halves of each
+/// row directly, with no temporaries.
 ///
 /// # Panics
 ///
@@ -224,15 +190,9 @@ pub struct SampleCache {
     pub head: HeadSample,
 }
 
-impl SampleCache {
-    /// Sampled actions.
-    pub fn actions(&self) -> &Mat {
-        &self.head.actions
-    }
-
-    /// Per-sample log-probabilities.
-    pub fn log_prob(&self) -> &[f32] {
-        &self.head.log_prob
+impl AsRef<HeadSample> for SampleCache {
+    fn as_ref(&self) -> &HeadSample {
+        &self.head
     }
 }
 
@@ -315,18 +275,10 @@ impl GaussianPolicy {
         mean
     }
 
-    /// Samples actions with reparameterization, returning a cache for
-    /// [`GaussianPolicy::backward_sample`].
-    pub fn sample<R: Rng>(&self, obs: &Mat, rng: &mut R) -> SampleCache {
-        let noise = randn_mat(obs.rows(), self.action_dim, rng);
-        self.sample_with_noise(obs, noise)
-    }
-
-    /// [`GaussianPolicy::sample`] into a reusable cache — allocation-free
-    /// once the cache has warmed up. Draws RNG values in exactly the same
-    /// order as `sample` (noise first, row-major), so the two paths are
-    /// interchangeable mid-stream without perturbing seeded runs, and
-    /// computes bit-identical results.
+    /// Samples actions with reparameterization into a reusable cache for
+    /// [`GaussianPolicy::backward_sample_with`]: the `(batch, action_dim)`
+    /// noise is drawn first, row-major, then the trunk runs and the head
+    /// squashes. Allocation-free once the cache has warmed up.
     pub fn sample_into<R: Rng>(&self, obs: &Mat, rng: &mut R, cache: &mut SampleCache) {
         let SampleCache { trunk, head } = cache;
         fill_randn(&mut head.noise, obs.rows(), self.action_dim, rng);
@@ -334,35 +286,11 @@ impl GaussianPolicy {
         sample_head_into(trunk.output(), self.action_dim, head);
     }
 
-    /// Like [`GaussianPolicy::sample`] but with caller-provided noise
-    /// (deterministic tests, finite differencing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `noise` has the wrong shape.
-    pub fn sample_with_noise(&self, obs: &Mat, noise: Mat) -> SampleCache {
-        let trunk = self.trunk.forward_cached(obs);
-        let head = sample_head(trunk.output(), self.action_dim, noise);
-        SampleCache { trunk, head }
-    }
-
     /// Backpropagates `dL/da` (per action element) and `dL/dlogp` (per
-    /// sample) through the sampling path into the trunk parameters.
-    /// Returns the gradient with respect to the observations.
-    pub fn backward_sample(
-        &mut self,
-        cache: &SampleCache,
-        grad_action: &Mat,
-        grad_logp: &[f32],
-    ) -> Mat {
-        let grad_raw = head_backward(&cache.head, grad_action, grad_logp);
-        self.trunk.backward(&cache.trunk, &grad_raw)
-    }
-
-    /// [`GaussianPolicy::backward_sample`] through reusable buffers —
-    /// allocation-free once the scratch has warmed up, with parameter
-    /// gradients accumulating bit-identically. The observation gradient is
-    /// not computed (SAC never uses it).
+    /// sample) through the sampling path of `cache` into the trunk
+    /// parameters, through reusable buffers: allocation-free once the
+    /// scratch has warmed up. The observation gradient is not computed
+    /// (SAC never uses it).
     pub fn backward_sample_with(
         &mut self,
         cache: &SampleCache,
@@ -445,18 +373,30 @@ impl GaussianPolicy {
     ///
     /// Panics if any observation slice is not `obs_dim` long.
     pub fn act_batch_with<'s>(&self, obs: &[&[f32]], s: &'s mut BatchActScratch) -> &'s Mat {
-        s.obs.resize(obs.len(), self.obs_dim());
+        let stage = self.stage(obs.len(), s);
         for (b, o) in obs.iter().enumerate() {
-            s.obs.row_mut(b).copy_from_slice(o);
+            stage.row_mut(b).copy_from_slice(o);
         }
         self.infer_staged(s)
     }
 
+    /// Resizes the scratch's staging matrix to `(batch, obs_dim)` and
+    /// returns it for the caller to fill row by row (contents are
+    /// unspecified until every row is written), for a writer that puts
+    /// each observation in place, as the fleet driver's feature extractor
+    /// does. Follow with [`GaussianPolicy::infer_staged`].
+    pub fn stage<'s>(&self, batch: usize, s: &'s mut BatchActScratch) -> &'s mut Mat {
+        s.obs.resize(batch, self.obs_dim());
+        &mut s.obs
+    }
+
     /// The forward half of [`GaussianPolicy::act_batch_with`], over the
     /// observation rows already staged in `s.obs` (see
-    /// [`crate::batch::BatchPolicy::stage`]): one trunk forward, then
-    /// `tanh(mean)` of every row.
-    pub(crate) fn infer_staged<'s>(&self, s: &'s mut BatchActScratch) -> &'s Mat {
+    /// [`GaussianPolicy::stage`]): one trunk forward, then `tanh(mean)` of
+    /// every row, each bit-identical to serial
+    /// `act_with(row_b, .., true, ..)`.
+    pub fn infer_staged<'s>(&self, s: &'s mut BatchActScratch) -> &'s Mat {
+        debug_assert_eq!(s.obs.cols(), self.obs_dim(), "stage() before infer");
         let BatchActScratch {
             obs,
             trunk,
@@ -478,9 +418,9 @@ impl GaussianPolicy {
 /// (plain and progressive policies): writes `tanh(mean)` into
 /// `action` when `deterministic`, otherwise a sample
 /// `tanh(mean + exp(log_std) * n)` with `log_std` clamped as in
-/// [`sample_head`] and one standard normal draw `n` per action element in
-/// ascending order — the same values and the same RNG stream as
-/// [`sample_head`] over noise drawn before the forward pass.
+/// [`sample_head_into`] and one standard normal draw `n` per action
+/// element in ascending order — the same values and the same RNG stream
+/// as [`sample_head_into`] over noise drawn before the forward pass.
 pub(crate) fn act_head<R: Rng>(
     raw: &[f32],
     action_dim: usize,
@@ -538,8 +478,9 @@ mod tests {
         let p = policy();
         let mut rng = StdRng::seed_from_u64(1);
         let obs = Mat::from_vec(8, 4, (0..32).map(|_| randn_f32(&mut rng) * 3.0).collect());
-        let s = p.sample(&obs, &mut rng);
-        for &a in s.actions().data() {
+        let mut s = SampleCache::default();
+        p.sample_into(&obs, &mut rng, &mut s);
+        for &a in s.head.actions.data() {
             assert!((-1.0..=1.0).contains(&a), "action {a} out of range");
         }
         for &a in p.mean_action(&obs).data() {
@@ -552,38 +493,45 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let p = GaussianPolicy::new(2, &[8], 1, &mut rng);
         let obs = Mat::from_row(&[0.3, -0.2]);
-        let noise = Mat::from_row(&[0.7]);
-        let s = p.sample_with_noise(&obs, noise);
+        let mut s = SampleCache::default();
+        p.sample_into(&obs, &mut StdRng::seed_from_u64(10), &mut s);
+        let n = s.head.noise.get(0, 0);
         let mean = s.head.mean.get(0, 0);
         let ls = s.head.log_std.get(0, 0);
         let sigma = ls.exp();
-        let u = mean + sigma * 0.7;
+        let u = mean + sigma * n;
         let a = u.tanh();
-        let gauss = -0.5 * (0.7f32 * 0.7) - 0.5 * LOG_2PI - ls;
+        let gauss = -0.5 * (n * n) - 0.5 * LOG_2PI - ls;
         let correction = (1.0 - a * a + TANH_EPS).ln();
-        assert!((s.log_prob()[0] - (gauss - correction)).abs() < 1e-5);
-        assert!((s.actions().get(0, 0) - a).abs() < 1e-6);
+        assert!((s.head.log_prob[0] - (gauss - correction)).abs() < 1e-5);
+        assert!((s.head.actions.get(0, 0) - a).abs() < 1e-6);
     }
 
     #[test]
     fn sample_backward_matches_finite_differences() {
         // Loss = sum(actions) + 0.5 * sum(log_prob); verify trunk weight
-        // gradients against finite differences with fixed noise.
+        // gradients against finite differences with fixed noise: every
+        // evaluation re-seeds the noise stream, so each draws the same.
         let mut rng = StdRng::seed_from_u64(2);
         let mut p = GaussianPolicy::new(3, &[8], 2, &mut rng);
         let obs = Mat::from_vec(2, 3, vec![0.1, -0.4, 0.8, -0.2, 0.5, 0.3]);
-        let noise = Mat::from_vec(2, 2, vec![0.3, -0.6, 1.1, 0.2]);
-
-        let loss = |p: &GaussianPolicy| {
-            let s = p.sample_with_noise(&obs, noise.clone());
-            s.actions().data().iter().sum::<f32>() + 0.5 * s.log_prob().iter().sum::<f32>()
+        let sample = |p: &GaussianPolicy, cache: &mut SampleCache| {
+            p.sample_into(&obs, &mut StdRng::seed_from_u64(17), cache);
         };
 
-        let cache = p.sample_with_noise(&obs, noise.clone());
+        let loss = |p: &GaussianPolicy| {
+            let mut s = SampleCache::default();
+            sample(p, &mut s);
+            s.head.actions.data().iter().sum::<f32>() + 0.5 * s.head.log_prob.iter().sum::<f32>()
+        };
+
+        let mut cache = SampleCache::default();
+        sample(&p, &mut cache);
         let grad_action = Mat::from_vec(2, 2, vec![1.0; 4]);
         let grad_logp = vec![0.5f32; 2];
         p.trunk_mut().zero_grad();
-        p.backward_sample(&cache, &grad_action, &grad_logp);
+        let mut scratch = SampleBackScratch::default();
+        p.backward_sample_with(&cache, &grad_action, &grad_logp, &mut scratch);
 
         let eps = 1e-2f32;
         for layer_idx in 0..2 {
@@ -630,10 +578,15 @@ mod tests {
         // Force an absurdly large raw log_std by constructing the head
         // sample directly.
         let raw = Mat::from_row(&[0.0, 99.0]); // mean 0, log_std clamps to MAX
-        let s = sample_head(&raw, 1, Mat::from_row(&[0.5]));
+        let mut s = HeadSample {
+            noise: Mat::from_row(&[0.5]),
+            ..HeadSample::default()
+        };
+        sample_head_into(&raw, 1, &mut s);
         assert_eq!(s.log_std.get(0, 0), LOG_STD_MAX);
         assert!(s.clamped[0]);
-        let g = head_backward(&s, &Mat::from_row(&[1.0]), &[1.0]);
+        let mut g = Mat::default();
+        head_backward_into(&s, &Mat::from_row(&[1.0]), &[1.0], &mut g);
         // Gradient w.r.t. the log_std half must be zeroed.
         assert_eq!(g.get(0, 1), 0.0);
     }
@@ -644,51 +597,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         assert_eq!(p.act(&[0.0; 4], &mut rng, true).len(), 2);
         assert_eq!(p.act(&[0.0; 4], &mut rng, false).len(), 2);
-    }
-
-    /// `sample_into` must be a drop-in for `sample`: bit-identical caches
-    /// AND identical RNG consumption across repeated scratch reuse.
-    #[test]
-    fn sample_into_matches_sample_and_rng_stream() {
-        let p = policy();
-        let mut r1 = StdRng::seed_from_u64(21);
-        let mut r2 = StdRng::seed_from_u64(21);
-        let mut cache = SampleCache::default();
-        for batch in [3usize, 1, 5] {
-            let obs = Mat::from_vec(batch, 4, (0..batch * 4).map(|i| (i as f32).sin()).collect());
-            let alloc = p.sample(&obs, &mut r1);
-            p.sample_into(&obs, &mut r2, &mut cache);
-            assert_eq!(alloc.actions(), cache.actions());
-            assert_eq!(alloc.log_prob(), cache.log_prob());
-            assert_eq!(alloc.head.noise, cache.head.noise);
-            assert_eq!(alloc.head.clamped, cache.head.clamped);
-        }
-        // Both RNGs must have advanced identically.
-        assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
-    }
-
-    /// `backward_sample_with` must accumulate exactly the same parameter
-    /// gradients as the allocating `backward_sample`.
-    #[test]
-    fn backward_sample_with_matches_allocating_backward() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut p1 = GaussianPolicy::new(3, &[8], 2, &mut rng);
-        let mut p2 = p1.clone();
-        let obs = Mat::from_vec(2, 3, vec![0.1, -0.4, 0.8, -0.2, 0.5, 0.3]);
-        let noise = Mat::from_vec(2, 2, vec![0.3, -0.6, 1.1, 0.2]);
-        let cache = p1.sample_with_noise(&obs, noise);
-        let grad_action = Mat::from_vec(2, 2, vec![1.0, -0.5, 0.25, 2.0]);
-        let grad_logp = vec![0.5f32, -1.5];
-        p1.trunk_mut().zero_grad();
-        p2.trunk_mut().zero_grad();
-        p1.backward_sample(&cache, &grad_action, &grad_logp);
-        let mut s = SampleBackScratch::default();
-        p2.backward_sample_with(&cache, &grad_action, &grad_logp, &mut s);
-        // Repeat with the warmed scratch: gradients keep accumulating
-        // identically.
-        p1.backward_sample(&cache, &grad_action, &grad_logp);
-        p2.backward_sample_with(&cache, &grad_action, &grad_logp, &mut s);
-        assert_eq!(p1, p2);
     }
 
     /// Micro-batched inference must equal serial single-observation
@@ -729,12 +637,42 @@ mod tests {
         assert_eq!(acted.rows(), 0);
     }
 
+    /// Writing rows into the staging matrix directly must equal the
+    /// gather-style entry — the fleet driver fills rows in place.
+    #[test]
+    fn staged_entry_matches_gather_entry() {
+        let p = policy();
+        let mut s1 = BatchActScratch::default();
+        let mut s2 = BatchActScratch::default();
+        let mut rng = StdRng::seed_from_u64(3);
+        for &batch in &[6usize, 1, 17] {
+            let obs: Vec<Vec<f32>> = (0..batch)
+                .map(|_| (0..4).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
+                .collect();
+            let stage = p.stage(batch, &mut s1);
+            for (b, o) in obs.iter().enumerate() {
+                stage.row_mut(b).copy_from_slice(o);
+            }
+            let staged = p.infer_staged(&mut s1).clone();
+            let refs: Vec<&[f32]> = obs.iter().map(Vec::as_slice).collect();
+            let gathered = p.act_batch_with(&refs, &mut s2);
+            assert_eq!(&staged, gathered);
+        }
+    }
+
+    /// One seed gives one sample, whether the cache is fresh or was
+    /// warmed on another batch size.
     #[test]
     fn deterministic_sampling_per_seed() {
         let p = policy();
         let obs = Mat::from_row(&[0.1, 0.2, 0.3, 0.4]);
-        let a1 = p.sample(&obs, &mut StdRng::seed_from_u64(7)).head.actions;
-        let a2 = p.sample(&obs, &mut StdRng::seed_from_u64(7)).head.actions;
-        assert_eq!(a1, a2);
+        let mut fresh = SampleCache::default();
+        p.sample_into(&obs, &mut StdRng::seed_from_u64(7), &mut fresh);
+        let mut reused = SampleCache::default();
+        let wide = Mat::from_vec(3, 4, (0..12).map(|i| (i as f32).sin()).collect());
+        p.sample_into(&wide, &mut StdRng::seed_from_u64(8), &mut reused);
+        p.sample_into(&obs, &mut StdRng::seed_from_u64(7), &mut reused);
+        assert_eq!(fresh.head.actions, reused.head.actions);
+        assert_eq!(fresh.head.log_prob, reused.head.log_prob);
     }
 }

@@ -44,7 +44,7 @@ pub mod prelude {
     pub use crate::activation::Activation;
     pub use crate::adam::{Adam, AdamConfig};
     pub use crate::batch::BatchPolicy;
-    pub use crate::gaussian::{fill_randn, randn_f32, randn_mat, GaussianPolicy, SampleCache};
+    pub use crate::gaussian::{fill_randn, randn_f32, GaussianPolicy, SampleCache};
     pub use crate::linear::Linear;
     pub use crate::mat::Mat;
     pub use crate::mlp::{Mlp, MlpCache};

@@ -16,11 +16,11 @@
 //! catastrophic forgetting.
 
 use crate::gaussian::{
-    act_head, head_backward, randn_mat, sample_head, GaussianPolicy, HeadSample,
+    act_head, fill_randn, head_backward_into, sample_head_into, GaussianPolicy, HeadSample,
 };
 use crate::linear::Linear;
 use crate::mat::Mat;
-use crate::scratch::ActScratch;
+use crate::scratch::{ActScratch, SampleBackScratch, Scratch};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -33,39 +33,24 @@ pub struct PnnPolicy {
     action_dim: usize,
 }
 
-/// Forward intermediates of a PNN pass.
-#[derive(Debug, Clone)]
-pub struct PnnCache {
-    input: Mat,
-    /// Column 1's hidden activations (the laterals' inputs).
-    base: Vec<Mat>,
-    post2: Vec<Mat>,
-}
-
-impl PnnCache {
-    /// Raw column-2 output `(mean | log_std)`.
-    pub fn output(&self) -> &Mat {
-        self.post2.last().expect("column is non-empty")
-    }
-}
-
-/// Sample cache pairing the forward intermediates with the head sample.
-#[derive(Debug, Clone)]
+/// Everything needed to backpropagate through one sampled batch of a
+/// [`PnnPolicy`]: the sanitized input, column 1's hidden activations (the
+/// laterals' inputs), column 2's post-activations, one lateral product
+/// buffer and the head sample. Reused across updates, so a warm training
+/// loop allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct PnnSampleCache {
-    forward: PnnCache,
+    input: Mat,
+    base: Vec<Mat>,
+    column: Vec<Mat>,
+    lateral: Mat,
     /// The head sample (actions, log-probs, intermediates).
     pub head: HeadSample,
 }
 
-impl PnnSampleCache {
-    /// Sampled actions.
-    pub fn actions(&self) -> &Mat {
-        &self.head.actions
-    }
-
-    /// Per-sample log-probabilities.
-    pub fn log_prob(&self) -> &[f32] {
-        &self.head.log_prob
+impl AsRef<HeadSample> for PnnSampleCache {
+    fn as_ref(&self) -> &HeadSample {
+        &self.head
     }
 }
 
@@ -158,19 +143,6 @@ impl PnnPolicy {
         self.action_dim
     }
 
-    /// Forward pass through both columns, caching intermediates.
-    ///
-    /// Non-finite observation entries are zeroed once, before either
-    /// column sees them (the same guard as [`crate::mlp::Mlp::forward`]);
-    /// the cache keeps the sanitized input for the backward pass.
-    pub fn forward_cached(&self, obs: &Mat) -> PnnCache {
-        let mut input = obs.clone();
-        input.sanitize_nonfinite();
-        let (mut base, mut post2) = (Vec::new(), Vec::new());
-        self.forward_into(&input, &mut base, &mut post2, &mut Mat::default());
-        PnnCache { input, base, post2 }
-    }
-
     /// The one forward pass of both columns, from the sanitized input `x`:
     /// column 1's hidden activations into `base` (its output layer only
     /// serves column 1's own action and is skipped), then column 2's
@@ -201,62 +173,82 @@ impl PnnPolicy {
         }
     }
 
-    /// Raw column-2 output without caching.
-    pub fn forward(&self, obs: &Mat) -> Mat {
-        let mut cache = self.forward_cached(obs);
-        cache.post2.pop().expect("column is non-empty")
-    }
-
-    /// Deterministic action `tanh(mean)`.
+    /// Deterministic action `tanh(mean)` for a batch of observations,
+    /// with the same non-finite input guard as [`PnnPolicy::sample_into`].
     pub fn mean_action(&self, obs: &Mat) -> Mat {
-        let raw = self.forward_cached(obs);
-        let (mut mean, _) = raw.output().split_cols(self.action_dim);
+        let mut x = obs.clone();
+        x.sanitize_nonfinite();
+        let (mut base, mut column) = (Vec::new(), Vec::new());
+        self.forward_into(&x, &mut base, &mut column, &mut Mat::default());
+        let raw = column.last().expect("column is non-empty");
+        let (mut mean, _) = raw.split_cols(self.action_dim);
         mean.map_inplace(f32::tanh);
         mean
     }
 
-    /// Samples actions with reparameterization.
-    pub fn sample<R: Rng>(&self, obs: &Mat, rng: &mut R) -> PnnSampleCache {
-        let noise = randn_mat(obs.rows(), self.action_dim, rng);
-        self.sample_with_noise(obs, noise)
-    }
-
-    /// Samples with caller-provided noise.
-    pub fn sample_with_noise(&self, obs: &Mat, noise: Mat) -> PnnSampleCache {
-        let forward = self.forward_cached(obs);
-        let head = sample_head(forward.output(), self.action_dim, noise);
-        PnnSampleCache { forward, head }
+    /// Samples actions with reparameterization into a reusable cache for
+    /// [`PnnPolicy::backward_sample_with`]: the `(batch, action_dim)`
+    /// noise is drawn first, row-major, then non-finite observation
+    /// entries are zeroed once, before either column sees them (the same
+    /// guard as [`crate::mlp::Mlp::forward`]), and both columns run.
+    /// Allocation-free once the cache has warmed up.
+    pub fn sample_into<R: Rng>(&self, obs: &Mat, rng: &mut R, cache: &mut PnnSampleCache) {
+        let PnnSampleCache {
+            input,
+            base,
+            column,
+            lateral,
+            head,
+        } = cache;
+        fill_randn(&mut head.noise, obs.rows(), self.action_dim, rng);
+        input.copy_from(obs);
+        input.sanitize_nonfinite();
+        self.forward_into(input, base, column, lateral);
+        let raw = column.last().expect("column is non-empty");
+        sample_head_into(raw, self.action_dim, head);
     }
 
     /// Backpropagates action / log-prob gradients into the **trainable**
-    /// parameters (column 2 and laterals). The base column is frozen: no
-    /// gradients are accumulated there.
-    pub fn backward_sample(
+    /// parameters (column 2 and laterals) through the scratch's ping-pong
+    /// pair; allocation-free once the scratch has warmed up. The base
+    /// column is frozen: no gradients are accumulated there, and the
+    /// observations take none either.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` was not filled by this network's
+    /// [`PnnPolicy::sample_into`].
+    pub fn backward_sample_with(
         &mut self,
         cache: &PnnSampleCache,
         grad_action: &Mat,
         grad_logp: &[f32],
+        s: &mut SampleBackScratch,
     ) {
-        let grad_raw = head_backward(&cache.head, grad_action, grad_logp);
-        self.backward_raw(&cache.forward, &grad_raw);
-    }
-
-    /// Backpropagates a gradient on the raw column-2 output.
-    pub fn backward_raw(&mut self, cache: &PnnCache, grad_out: &Mat) {
         let n = self.column.len();
-        assert_eq!(cache.post2.len(), n, "cache/column depth mismatch");
-        let mut g = grad_out.clone();
+        assert_eq!(cache.column.len(), n, "cache/column depth mismatch");
+        let Scratch { a, b } = &mut s.trunk;
+        head_backward_into(&cache.head, grad_action, grad_logp, a);
+        let mut cur_is_a = true;
         for i in (0..n).rev() {
-            let act = self.base.trunk().activation(i);
-            g = act.backward(&cache.post2[i], &g);
+            let (g, next) = if cur_is_a {
+                (&mut *a, &mut *b)
+            } else {
+                (&mut *b, &mut *a)
+            };
+            self.base
+                .trunk()
+                .activation(i)
+                .backward_inplace(&cache.column[i], g);
             if i >= 1 {
                 // Lateral branch: gradient into the adapter parameters only;
                 // the base column is frozen, so nothing flows past it.
-                self.laterals[i - 1].accumulate_grads(&cache.base[i - 1], &g);
-                g = self.column[i].backward(&cache.post2[i - 1], &g);
+                self.laterals[i - 1].accumulate_grads(&cache.base[i - 1], g);
+                self.column[i].accumulate_grads(&cache.column[i - 1], g);
+                self.column[i].input_grad_into(g, next);
+                cur_is_a = !cur_is_a;
             } else {
-                // The observations take no gradient.
-                self.column[0].accumulate_grads(&cache.input, &g);
+                self.column[0].accumulate_grads(&cache.input, g);
             }
         }
     }
@@ -302,8 +294,8 @@ impl PnnPolicy {
     /// Allocation-free [`PnnPolicy::act`] through the scratch's reusable
     /// buffers: `tanh(mean)` of column 2 when `deterministic`, otherwise a
     /// sample. Bit-identical to [`PnnPolicy::mean_action`] and
-    /// [`PnnPolicy::sample`] on the 1-row observation, with the same RNG
-    /// draws.
+    /// [`PnnPolicy::sample_into`] on the 1-row observation, with the same
+    /// RNG draws.
     pub fn act_with<'s, R: Rng>(
         &self,
         obs: &[f32],
@@ -322,7 +314,7 @@ impl PnnPolicy {
         x.copy_from_row(obs);
         x.sanitize_nonfinite();
         self.forward_into(x, hidden, column, lateral);
-        // `sample` draws its noise before the forward pass; the forward
+        // `sample_into` draws its noise before the forward pass; the forward
         // draws nothing, so drawing in the head is the same stream.
         let raw = column.last().expect("column is non-empty");
         act_head(raw.row(0), self.action_dim, rng, deterministic, action);
@@ -333,6 +325,7 @@ impl PnnPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gaussian::SampleCache;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -366,11 +359,12 @@ mod tests {
         let obs = Mat::from_vec(3, 5, (0..15).map(|i| (i as f32) * 0.1 - 0.7).collect());
         assert_eq!(pnn.mean_action(&obs), b.mean_action(&obs));
         // Same noise → same sample.
-        let noise = randn_mat(3, 2, &mut rng);
-        let s1 = pnn.sample_with_noise(&obs, noise.clone());
-        let s2 = b.sample_with_noise(&obs, noise);
-        assert_eq!(s1.actions(), s2.actions());
-        assert_eq!(s1.log_prob(), s2.log_prob());
+        let mut s1 = PnnSampleCache::default();
+        pnn.sample_into(&obs, &mut StdRng::seed_from_u64(2), &mut s1);
+        let mut s2 = SampleCache::default();
+        b.sample_into(&obs, &mut StdRng::seed_from_u64(2), &mut s2);
+        assert_eq!(s1.head.actions, s2.head.actions);
+        assert_eq!(s1.head.log_prob, s2.head.log_prob);
     }
 
     #[test]
@@ -390,17 +384,17 @@ mod tests {
         let obs = Mat::from_vec(4, 5, (0..20).map(|i| (i as f32 * 0.07).sin()).collect());
         // A few gradient steps pushing actions toward +1.
         let mut adam = crate::adam::Adam::with_lr(0.01);
+        let (mut s, mut scratch) = (PnnSampleCache::default(), SampleBackScratch::default());
         for _ in 0..20 {
-            let noise = randn_mat(4, 2, &mut rng);
-            let s = pnn.sample_with_noise(&obs, noise);
+            pnn.sample_into(&obs, &mut rng, &mut s);
             let mut ga = Mat::zeros(4, 2);
             for b_ in 0..4 {
                 for i in 0..2 {
-                    ga.set(b_, i, s.actions().get(b_, i) - 1.0);
+                    ga.set(b_, i, s.head.actions.get(b_, i) - 1.0);
                 }
             }
             pnn.zero_grad();
-            pnn.backward_sample(&s, &ga, &[0.0; 4]);
+            pnn.backward_sample_with(&s, &ga, &[0.0; 4], &mut scratch);
             adam.step(|f| pnn.visit_params(f));
         }
         // Base column weights unchanged.
@@ -416,13 +410,24 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut pnn = random_pnn(b, &mut rng);
         let obs = Mat::from_vec(2, 5, (0..10).map(|i| (i as f32 * 0.3).cos()).collect());
-        // Loss = sum of raw outputs.
-        let cache = pnn.forward_cached(&obs);
-        let grad_out = Mat::from_vec(2, 4, vec![1.0; 8]);
+        // Loss = sum(actions) + 0.5 * sum(log_prob), with fixed noise:
+        // every evaluation re-seeds the noise stream, so each draws the
+        // same.
+        let sample = |p: &PnnPolicy, cache: &mut PnnSampleCache| {
+            p.sample_into(&obs, &mut StdRng::seed_from_u64(17), cache);
+        };
+        let mut cache = PnnSampleCache::default();
+        sample(&pnn, &mut cache);
+        let grad_action = Mat::from_vec(2, 2, vec![1.0; 4]);
         pnn.zero_grad();
-        pnn.backward_raw(&cache, &grad_out);
+        let mut scratch = SampleBackScratch::default();
+        pnn.backward_sample_with(&cache, &grad_action, &[0.5; 2], &mut scratch);
 
-        let loss = |p: &PnnPolicy| p.forward_cached(&obs).output().data().iter().sum::<f32>();
+        let loss = |p: &PnnPolicy| {
+            let mut s = PnnSampleCache::default();
+            sample(p, &mut s);
+            s.head.actions.data().iter().sum::<f32>() + 0.5 * s.head.log_prob.iter().sum::<f32>()
+        };
         let eps = 1e-2f32;
         // Column weight check.
         for layer_idx in [0usize, 2] {
@@ -488,8 +493,8 @@ mod tests {
         a.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The single-observation column-2 act matches the cached forward
-    /// pass (`mean_action`, and `sample` with its head) bit for bit in
+    /// The single-observation column-2 act matches the batch paths
+    /// (`mean_action`, and `sample_into` with its head) bit for bit in
     /// both modes, drawing the same RNG stream; the base column's act
     /// matches the base policy's `act_with` likewise, and a second `Arc`
     /// handle shares the packs the first one built.
@@ -499,6 +504,7 @@ mod tests {
         let packed = Arc::new(pnn.clone());
         let mut s = ActScratch::default();
         let mut plain = ActScratch::default();
+        let mut sampled = PnnSampleCache::default();
         for deterministic in [true, false] {
             let (mut r1, mut r2) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
             for step in 0..6 {
@@ -507,7 +513,8 @@ mod tests {
                 let want = if deterministic {
                     pnn.mean_action(&m)
                 } else {
-                    pnn.sample(&m, &mut r1).head.actions
+                    pnn.sample_into(&m, &mut r1, &mut sampled);
+                    sampled.head.actions.clone()
                 };
                 let got = packed.act_with(&obs, &mut r2, deterministic, &mut s);
                 assert_eq!(
@@ -533,12 +540,14 @@ mod tests {
         assert!(twin.base().trunk().layers().iter().all(Linear::is_packed));
     }
 
-    /// The cached forward pass leaves column 1's output layer alone: the
-    /// laterals read only its hidden activations.
+    /// Sampling leaves column 1's output layer alone: the laterals read
+    /// only its hidden activations.
     #[test]
-    fn forward_cached_skips_the_base_output_layer() {
+    fn sample_into_skips_the_base_output_layer() {
         let pnn = deployed_pnn();
-        let cache = pnn.forward_cached(&Mat::from_row(&obs_at(1)));
+        let mut cache = PnnSampleCache::default();
+        let mut rng = StdRng::seed_from_u64(1);
+        pnn.sample_into(&Mat::from_row(&obs_at(1)), &mut rng, &mut cache);
         assert_eq!(cache.base.len(), 2);
         let layers = pnn.base().trunk().layers();
         assert!(layers[..2].iter().all(Linear::is_packed));

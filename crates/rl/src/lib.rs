@@ -32,7 +32,7 @@ pub mod train;
 
 /// Commonly used items re-exported in one place.
 pub mod prelude {
-    pub use crate::actor::{Actor, ActorSample};
+    pub use crate::actor::Actor;
     pub use crate::bc::{clone_policy, BcConfig, Demonstrations};
     pub use crate::env::{Env, EnvStep};
     pub use crate::replay::{Batch, ReplayBuffer, Transition};

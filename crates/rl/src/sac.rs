@@ -5,12 +5,12 @@
 //! end-to-end driving agent (Section III-C) and the adversarial attack
 //! policies (Section IV).
 
-use crate::actor::{Actor, ActorSample};
+use crate::actor::Actor;
 use crate::replay::{Batch, ReplayBuffer};
 use drive_nn::activation::Activation;
 use drive_nn::adam::Adam;
 use drive_nn::checkpoint::{self, CheckpointError, Reader};
-use drive_nn::gaussian::GaussianPolicy;
+use drive_nn::gaussian::{GaussianPolicy, HeadSample};
 use drive_nn::mat::Mat;
 use drive_nn::mlp::{Mlp, MlpCache};
 use drive_nn::scratch::{SampleBackScratch, Scratch};
@@ -78,12 +78,12 @@ pub struct SacLosses {
 /// update needs, warmed up on the first call and reused afterwards so the
 /// hot training loop performs zero heap allocations. Pure workspace:
 /// carries no learned state, so cloning a learner clones only capacity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct UpdateScratch<S> {
     /// Policy sample at `next_obs` (critic targets).
-    next_sample: Option<S>,
+    next_sample: S,
     /// Policy sample at `obs` (actor objective).
-    pi_sample: Option<S>,
+    pi_sample: S,
     next_in: Mat,
     critic_in: Mat,
     actor_in: Mat,
@@ -104,38 +104,6 @@ struct UpdateScratch<S> {
     bw1: Scratch,
     bw2: Scratch,
     actor_bw: SampleBackScratch,
-}
-
-// Manual impl: `derive(Default)` would demand `S: Default`, which actor
-// sample caches don't all provide (the `Option` slots default to `None`
-// regardless).
-impl<S> Default for UpdateScratch<S> {
-    fn default() -> Self {
-        UpdateScratch {
-            next_sample: None,
-            pi_sample: None,
-            next_in: Mat::default(),
-            critic_in: Mat::default(),
-            actor_in: Mat::default(),
-            targets: Vec::new(),
-            tgt1: Scratch::default(),
-            tgt2: Scratch::default(),
-            c1: MlpCache::default(),
-            c2: MlpCache::default(),
-            a1: MlpCache::default(),
-            a2: MlpCache::default(),
-            g1: Mat::default(),
-            g2: Mat::default(),
-            pick1: Mat::default(),
-            pick2: Mat::default(),
-            grad_action: Mat::default(),
-            grad_action2: Mat::default(),
-            grad_logp: Vec::new(),
-            bw1: Scratch::default(),
-            bw2: Scratch::default(),
-            actor_bw: SampleBackScratch::default(),
-        }
-    }
 }
 
 /// A soft actor-critic learner, generic over the actor architecture
@@ -342,11 +310,6 @@ impl<A: Actor> Sac<A> {
         self.action_dim
     }
 
-    /// Acts on a single observation (stochastic unless `deterministic`).
-    pub fn act(&self, obs: &[f32], rng: &mut StdRng, deterministic: bool) -> Vec<f32> {
-        self.actor.act(obs, rng, deterministic)
-    }
-
     /// Performs one gradient update from a replay sample.
     ///
     /// # Panics
@@ -413,8 +376,8 @@ impl<A: Actor> Sac<A> {
         // ------- Critic update -------
         // Target actions and values from the *current* policy at next_obs.
         self.actor.sample_into(&batch.next_obs, rng, next_sample);
-        let next = next_sample.as_ref().expect("sample_into fills the slot");
-        batch.next_obs.hcat_into(next.actions(), next_in);
+        let next: &HeadSample = next_sample.as_ref();
+        batch.next_obs.hcat_into(&next.actions, next_in);
         let q1t = self.q1_target.forward_with(next_in, tgt1);
         let q2t = self.q2_target.forward_with(next_in, tgt2);
         // Fused target pass: min-Q, entropy bonus, and Bellman backup in
@@ -424,7 +387,7 @@ impl<A: Actor> Sac<A> {
             q1t.data()
                 .iter()
                 .zip(q2t.data())
-                .zip(next.log_prob())
+                .zip(&next.log_prob)
                 .zip(&batch.rewards)
                 .zip(&batch.terminals)
                 .map(|((((&v1, &v2), &lp), &r), &t)| {
@@ -469,8 +432,8 @@ impl<A: Actor> Sac<A> {
         // During the critic warm-up (actor_delay) only diagnostics are
         // computed; actor and temperature stay frozen.
         self.actor.sample_into(&batch.obs, rng, pi_sample);
-        let pi = pi_sample.as_ref().expect("sample_into fills the slot");
-        batch.obs.hcat_into(pi.actions(), actor_in);
+        let pi: &HeadSample = pi_sample.as_ref();
+        batch.obs.hcat_into(&pi.actions, actor_in);
         self.q1.forward_cached_into(actor_in, a1);
         self.q2.forward_cached_into(actor_in, a2);
         // Per-sample, gradient flows through the smaller critic
@@ -487,7 +450,7 @@ impl<A: Actor> Sac<A> {
             .zip(a2.output().data())
             .zip(pick1.data_mut())
             .zip(pick2.data_mut())
-            .zip(pi.log_prob())
+            .zip(&pi.log_prob)
         {
             let qmin = v1.min(v2);
             actor_loss += (alpha * lp - qmin) / nf;
@@ -497,7 +460,7 @@ impl<A: Actor> Sac<A> {
                 *p2 = -1.0 / nf;
             }
         }
-        let mean_logp = pi.log_prob().iter().sum::<f32>() / nf;
+        let mean_logp = pi.log_prob.iter().sum::<f32>() / nf;
         if !actor_frozen {
             // The critics' input gradients in the action columns only:
             // the actor objective does not train the critics, and nothing
@@ -511,7 +474,7 @@ impl<A: Actor> Sac<A> {
             grad_logp.resize(n, alpha / nf);
             self.actor.zero_grad();
             self.actor
-                .backward_sample_with(pi, grad_action, grad_logp, actor_bw);
+                .backward_sample_with(pi_sample, grad_action, grad_logp, actor_bw);
             self.opt_actor.step(|f| self.actor.visit_params(f));
 
             // ------- Temperature update -------
@@ -558,7 +521,7 @@ mod tests {
         assert_eq!(sac.obs_dim(), 1);
         assert_eq!(sac.action_dim(), 1);
         assert!((sac.alpha() - 0.1).abs() < 1e-6);
-        let a = sac.act(&[0.5], &mut rng, true);
+        let a = sac.actor.act(&[0.5], &mut rng, true);
         assert_eq!(a.len(), 1);
     }
 
@@ -610,7 +573,7 @@ mod tests {
             let action = if step < 200 {
                 vec![rng.gen_range(-1.0f32..1.0)]
             } else {
-                sac.act(&obs, &mut rng, false)
+                sac.actor.act(&obs, &mut rng, false)
             };
             let s = env.step(&action);
             rb.push(Transition {
@@ -635,7 +598,7 @@ mod tests {
         for es in 100..105 {
             let (r, _) = rollout(
                 &mut env,
-                |o| sac.act(o, &mut StdRng::seed_from_u64(0), true),
+                |o| sac.actor.act(o, &mut StdRng::seed_from_u64(0), true),
                 es,
             );
             total += r;
@@ -775,8 +738,8 @@ mod tests {
         let mut d1 = StdRng::seed_from_u64(0);
         let mut d2 = StdRng::seed_from_u64(0);
         assert_eq!(
-            sac.act(&[0.4], &mut d1, true),
-            back.act(&[0.4], &mut d2, true)
+            sac.actor.act(&[0.4], &mut d1, true),
+            back.actor.act(&[0.4], &mut d2, true)
         );
     }
 

@@ -93,9 +93,10 @@ fn losses_healthy(l: &SacLosses) -> bool {
 ///
 /// With [`Schedule::snapshots`] set, the loop writes a [`TrainSnapshot`] at
 /// episode boundaries and, on the next call, resumes from a snapshot of the
-/// same setup; the snapshot file is removed once the run completes. An
-/// unreadable, stale-format or foreign snapshot is ignored with one stderr
-/// note and the run starts fresh.
+/// same setup; the snapshot file is removed once the run completes, and
+/// its directory too when that is left empty. An unreadable, stale-format
+/// or foreign snapshot is ignored with one stderr note and the run starts
+/// fresh.
 pub fn refine<A, E>(
     sac: Sac<A>,
     env: &mut E,
@@ -220,6 +221,11 @@ where
     }
     if let Some(s) = snapshots {
         let _ = std::fs::remove_file(s.path);
+        // `save_to_file` may have created the snapshot's directory; drop
+        // it too when nothing else is left in it.
+        if let Some(dir) = s.path.parent() {
+            let _ = std::fs::remove_dir(dir);
+        }
     }
     Refined {
         actor: st.best.map_or(st.sac.actor, |(actor, _)| actor),
@@ -560,6 +566,9 @@ mod tests {
             // old formats carry a valid checksum and fail on their header.
             let truncated = (1..8).map(|k| raw[..raw.len() * k / 8].to_string());
             for bad in truncated {
+                // Each completed run below also removes the emptied
+                // directory.
+                std::fs::create_dir_all(&dir).unwrap();
                 std::fs::write(&path, &bad).unwrap();
                 assert!(TrainSnapshot::<GaussianPolicy>::load(&path, config, hash).is_err());
                 assert_eq!(fresh, digest(&run(&mut PointEnv::new(), &snapped)));

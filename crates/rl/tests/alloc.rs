@@ -1,6 +1,6 @@
-//! Regression test: `Sac::update_batch` and the behaviour-cloning step
-//! `Cloner::step` perform zero heap allocations once their persistent
-//! scratches have warmed up.
+//! Regression test: `Sac::update_batch` (with a Gaussian or a PNN actor)
+//! and the behaviour-cloning step `Cloner::step` perform zero heap
+//! allocations once their persistent scratches have warmed up.
 //!
 //! The whole point of `UpdateScratch`, the `Cloner` buffers (and the
 //! `_into`/`_with` kernel variants under them) is that steady-state
@@ -10,6 +10,8 @@
 //! measurement.
 
 use drive_nn::gaussian::GaussianPolicy;
+use drive_nn::pnn::PnnPolicy;
+use drive_rl::actor::Actor;
 use drive_rl::bc::{BcConfig, Cloner, Demonstrations};
 use drive_rl::replay::{Batch, ReplayBuffer, Transition};
 use drive_rl::sac::{Sac, SacConfig};
@@ -49,24 +51,21 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Warms a learner of the given shape up on one fixed batch, then asserts
-/// that ten more `update_batch` calls allocate nothing.
-fn assert_update_batch_allocation_free(
-    obs_dim: usize,
-    action_dim: usize,
-    hidden: &[usize],
-    batch_size: usize,
-) {
-    let mut rng = StdRng::seed_from_u64(42);
-    // actor_delay 0 so the very first update already exercises the actor
-    // and temperature paths (warming the Adam moment buffers too).
-    let cfg = SacConfig {
+/// SAC settings for the allocation tests: `actor_delay` 0 so the very
+/// first update already exercises the actor and temperature paths
+/// (warming the Adam moment buffers too).
+fn config(batch_size: usize) -> SacConfig {
+    SacConfig {
         batch_size,
         actor_delay: 0,
         ..SacConfig::default()
-    };
-    let mut sac = Sac::new(obs_dim, action_dim, hidden, cfg, &mut rng);
+    }
+}
 
+/// Warms `sac` up on one fixed batch, then asserts that ten more
+/// `update_batch` calls allocate nothing.
+fn assert_update_batch_allocation_free<A: Actor>(mut sac: Sac<A>, rng: &mut StdRng) {
+    let (obs_dim, action_dim) = (sac.obs_dim(), sac.action_dim());
     let mut rb = ReplayBuffer::new(256, obs_dim, action_dim);
     for _ in 0..128 {
         let obs: Vec<f32> = (0..obs_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -84,32 +83,46 @@ fn assert_update_batch_allocation_free(
     }
     // One fixed batch: the invariant under test is update_batch itself,
     // not replay sampling.
+    let batch_size = sac.config().batch_size;
     let mut batch = Batch::default();
-    rb.sample_into(cfg.batch_size, &mut rng, &mut batch);
+    rb.sample_into(batch_size, rng, &mut batch);
 
     // Warm-up: first call sizes every scratch buffer and lazily creates
     // the Adam moment vectors; a second call catches stragglers.
-    sac.update_batch(&batch, &mut rng);
-    sac.update_batch(&batch, &mut rng);
+    sac.update_batch(&batch, rng);
+    sac.update_batch(&batch, rng);
 
     let before = allocs();
     for _ in 0..10 {
-        let losses = sac.update_batch(&batch, &mut rng);
+        let losses = sac.update_batch(&batch, rng);
         assert!(losses.q1_loss.is_finite());
     }
     let after = allocs();
     assert_eq!(
         after - before,
         0,
-        "Sac::update_batch ({obs_dim} obs, {action_dim} actions, {hidden:?}, batch \
-         {batch_size}) allocated {} times across 10 warmed-up calls",
+        "Sac::update_batch ({obs_dim} obs, {action_dim} actions, {}, batch {batch_size}) \
+         allocated {} times across 10 warmed-up calls",
+        std::any::type_name::<A>(),
         after - before
     );
 }
 
+/// A plain Gaussian learner of the given shape.
+fn assert_gaussian_allocation_free(
+    obs_dim: usize,
+    action_dim: usize,
+    hidden: &[usize],
+    batch_size: usize,
+) {
+    let mut rng = StdRng::seed_from_u64(42);
+    let sac = Sac::new(obs_dim, action_dim, hidden, config(batch_size), &mut rng);
+    assert_update_batch_allocation_free(sac, &mut rng);
+}
+
 #[test]
 fn update_batch_is_allocation_free_after_warmup() {
-    assert_update_batch_allocation_free(6, 2, &[16, 16], 32);
+    assert_gaussian_allocation_free(6, 2, &[16, 16], 32);
 }
 
 /// The victim's training shape: every kernel path a `train-tenth` update
@@ -118,14 +131,26 @@ fn update_batch_is_allocation_free_after_warmup() {
 /// heads and the bias-gradient buffer — allocates nothing once warm.
 #[test]
 fn victim_shape_update_is_allocation_free() {
-    assert_update_batch_allocation_free(60, 2, &[128, 128], 128);
+    assert_gaussian_allocation_free(60, 2, &[128, 128], 128);
 }
 
 /// The steering attacker's shape: 1 action, so a 2-wide policy head and
 /// a 61-wide critic input.
 #[test]
 fn attacker_shape_update_is_allocation_free() {
-    assert_update_batch_allocation_free(60, 1, &[128, 128], 128);
+    assert_gaussian_allocation_free(60, 1, &[128, 128], 128);
+}
+
+/// The deployed PNN defense's shape: a second column with laterals over
+/// the victim's [128, 128] trunk, trained at batch 128. Its sample cache
+/// and backward workspace are reused like the Gaussian's.
+#[test]
+fn pnn_shape_update_is_allocation_free() {
+    let mut rng = StdRng::seed_from_u64(42);
+    let base = GaussianPolicy::new(60, &[128, 128], 2, &mut rng);
+    let pnn = PnnPolicy::new(base, &mut rng);
+    let sac = Sac::with_actor(pnn, &[128, 128], config(128), &mut rng);
+    assert_update_batch_allocation_free(sac, &mut rng);
 }
 
 /// Behaviour cloning at the victim's training shape (60 obs, 2 actions,

@@ -163,11 +163,12 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let policy = GaussianPolicy::new(4, &[8], 2, &mut rng);
         let m = Mat::from_row(&obs);
-        let s = policy.sample(&m, &mut rng);
-        for &a in s.actions().data() {
+        let mut s = ad_action_attacks::nn::gaussian::SampleCache::default();
+        policy.sample_into(&m, &mut rng, &mut s);
+        for &a in s.head.actions.data() {
             prop_assert!((-1.0..=1.0).contains(&a));
         }
-        for &lp in s.log_prob() {
+        for &lp in &s.head.log_prob {
             prop_assert!(lp.is_finite());
         }
     }
