@@ -693,9 +693,9 @@ mod tests {
             assert_eq!(a.target_lane(), b.target_lane());
             assert_eq!(a.maneuver(), b.maneuver());
             if step == 0 {
-                cap = buf.len();
+                cap = buf.waypoints().len();
             } else {
-                assert_eq!(buf.len(), cap, "horizon is fixed");
+                assert_eq!(buf.waypoints().len(), cap, "horizon is fixed");
             }
             let proj = path.project(world.ego().pose.position, world.ego().pose.heading);
             let steer = (-0.4 * proj.cross_track - 1.5 * proj.heading_error).clamp(-1.0, 1.0);

@@ -77,6 +77,7 @@ impl SafetyController {
     }
 
     /// The configuration in use.
+    #[cfg(test)]
     pub fn config(&self) -> &SafetyConfig {
         &self.config
     }

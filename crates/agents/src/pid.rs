@@ -51,11 +51,6 @@ impl Pid {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &PidConfig {
-        &self.config
-    }
-
     /// Resets integral and derivative memory (call at episode start).
     pub fn reset(&mut self) {
         self.integral = 0.0;

@@ -30,7 +30,7 @@ fn main() {
             .expect("fresh outputs match their manifest");
         eprintln!(
             "[figures] {} in {:.1}s ({:.0} steps/s)",
-            outcome.name,
+            exp.name(),
             outcome.sample.wall_secs,
             outcome.sample.steps_per_sec()
         );

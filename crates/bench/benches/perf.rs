@@ -325,7 +325,7 @@ fn bench_planner_plan(c: &mut Criterion) {
         planner.plan_into(&world, &mut out);
         b.iter(|| {
             planner.plan_into(&world, &mut out);
-            black_box(out.len())
+            black_box(out.waypoints().len())
         });
     });
 }

@@ -224,8 +224,6 @@ impl Registry {
 /// The outcome of one [`execute`] call.
 #[derive(Debug, Clone)]
 pub struct EngineRun {
-    /// Registry name of the experiment that ran.
-    pub name: &'static str,
     /// The printable report.
     pub report: String,
     /// Wall-clock + throughput sample for the run.
@@ -267,7 +265,6 @@ pub fn execute(exp: &dyn Experiment, ctx: &RunContext) -> std::io::Result<Engine
                         m.outputs.len()
                     );
                     return Ok(EngineRun {
-                        name: exp.name(),
                         report: format!(
                             "[resume] {} already complete — outputs verified, skipping\n",
                             exp.name()
@@ -362,7 +359,6 @@ pub fn execute(exp: &dyn Experiment, ctx: &RunContext) -> std::io::Result<Engine
     };
 
     Ok(EngineRun {
-        name: exp.name(),
         report: out.report,
         sample,
         manifest,

@@ -31,6 +31,7 @@ pub struct BaselineResult {
 
 impl BaselineResult {
     /// The cell for an agent, if present.
+    #[cfg(test)]
     pub fn cell(&self, agent: AgentKind) -> Option<&BaselineCell> {
         self.cells.iter().find(|c| c.agent == agent)
     }

@@ -19,7 +19,6 @@ use drive_metrics::episode::{
 use drive_metrics::export::Csv;
 use drive_metrics::report::{fmt_f, Table};
 use drive_seed::SeedTree;
-use drive_sim::record::EpisodeRecord;
 use std::sync::Arc;
 
 /// Per-agent series of the Fig. 5 sweep.
@@ -27,8 +26,6 @@ use std::sync::Arc;
 pub struct Fig5Series {
     /// Which agent was attacked.
     pub agent: AgentKind,
-    /// All episode records of the sweep.
-    pub records: Vec<EpisodeRecord>,
     /// Scatter points (one per episode).
     pub points: Vec<ScatterPoint>,
     /// Effort level above which successful attacks dominate (≥50 %).
@@ -137,7 +134,6 @@ pub fn sweep_agent(agent: AgentKind, ctx: &RunContext, seeds: &SeedTree) -> Fig5
         low_effort_deviation: mean(&low),
         time_to_collision: time_to_collision_stats(&records),
         mean_duty_cycle: mean(&duty),
-        records,
         points,
     }
 }

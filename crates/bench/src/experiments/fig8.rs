@@ -32,13 +32,6 @@ pub struct Fig8Result {
     pub series: Vec<Fig8Series>,
 }
 
-impl Fig8Result {
-    /// The series for an agent, if present.
-    pub fn series(&self, agent: AgentKind) -> Option<&Fig8Series> {
-        self.series.iter().find(|s| s.agent == agent)
-    }
-}
-
 /// Builds Fig. 8 from the Fig. 5 and Fig. 7 sweeps (no new episodes).
 pub fn derive(fig5: &Fig5Result, fig7: &Fig7Result) -> Fig8Result {
     let mut series = Vec::new();

@@ -1235,17 +1235,14 @@ impl JournalHandle {
         let leases = &self.shared.leases;
         let path = leases.path(key);
         let dead_incarnation = !held.contains(&key) && leases.is_ours(key);
-        if !dead_incarnation {
-            // A lease that vanished meanwhile was released by its owner.
-            let age = std::fs::metadata(&path)
-                .ok()?
-                .modified()
-                .ok()?
-                .elapsed()
-                .ok()?;
-            if age <= self.ttl {
-                return None;
-            }
+        let stale = |lease: &Path| {
+            let modified = std::fs::metadata(lease).and_then(|m| m.modified());
+            let age = modified.ok().and_then(|t| t.elapsed().ok());
+            age.is_some_and(|age| age > self.ttl)
+        };
+        // A lease that vanished meanwhile was released by its owner.
+        if !dead_incarnation && !stale(&path) {
+            return None;
         }
         let tomb = leases
             .dir
@@ -1253,8 +1250,19 @@ impl JournalHandle {
         // Failure means another taker won the rename.
         std::fs::rename(&path, &tomb).ok()?;
         let prev_owner = Leases::owner_of(&tomb).unwrap_or_else(|| "(unreadable)".to_string());
+        // The rename took whatever lease sits at `path` now. If a faster
+        // taker already replaced the abandoned one with its own fresh
+        // claim, that claim is live: put it back, heartbeat and all.
+        let taken = if dead_incarnation {
+            prev_owner == self.owner()
+        } else {
+            stale(&tomb)
+        };
+        if !taken {
+            let _ = std::fs::hard_link(&tomb, &path);
+        }
         let _ = std::fs::remove_file(&tomb);
-        Some(prev_owner)
+        taken.then_some(prev_owner)
     }
 
     /// Journals a completed cell synchronously, as a one-cell batch
@@ -1374,6 +1382,17 @@ mod tests {
         dir.join("leases").join(format!("cell-{key:016x}.lease"))
     }
 
+    /// Backdates the heartbeat (mtime) of `key`'s lease by `age`, as a
+    /// stalled owner's would read after that long without a renewal.
+    fn age_lease(dir: &Path, key: u64, age: Duration) {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(lease(dir, key))
+            .unwrap()
+            .set_modified(std::time::SystemTime::now() - age)
+            .unwrap();
+    }
+
     #[test]
     fn frames_round_trip_and_stop_at_torn_tail() {
         let payloads = ["run 1 2 3 4", "cell a b 4 fig5/x", "exp ff baseline"];
@@ -1399,6 +1418,7 @@ mod tests {
 
     #[test]
     fn create_resume_round_trips_cells_and_experiments() {
+        let _latch = latch_lock();
         let dir = temp("repro-bench-journal-roundtrip");
         let j = JournalHandle::create(&dir, header()).unwrap();
         let recs = records(4);
@@ -1456,6 +1476,7 @@ mod tests {
 
     #[test]
     fn resume_reconciles_progress_csv_against_the_wal() {
+        let _latch = latch_lock();
         let dir = temp("repro-bench-journal-reconcile");
         let j = JournalHandle::create(&dir, header()).unwrap();
         j.store_cell(1, "cell-a", 4, &records(4)).unwrap();
@@ -1524,6 +1545,7 @@ mod tests {
 
     #[test]
     fn tampered_sidecar_degrades_to_recompute() {
+        let _latch = latch_lock();
         let dir = temp("repro-bench-journal-tamper");
         let j = JournalHandle::create(&dir, header()).unwrap();
         j.store_cell(7, "x", 4, &records(4)).unwrap();
@@ -1600,6 +1622,7 @@ mod tests {
 
     #[test]
     fn first_worker_computes_second_loads() {
+        let _latch = latch_lock();
         let dir = temp("repro-shard-basic");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
@@ -1713,6 +1736,7 @@ mod tests {
     /// lands, that handle loads the very records the first one returned.
     #[test]
     fn second_handle_waits_for_the_first_handles_publish() {
+        let _latch = latch_lock();
         let dir = temp("repro-journal-pending-second-handle");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
@@ -1745,6 +1769,7 @@ mod tests {
     /// still queued.
     #[test]
     fn pending_cell_is_waited_on_in_process_and_drop_publishes_it() {
+        let _latch = latch_lock();
         let dir = temp("repro-journal-pending-reuse");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         a.pause_publisher(true);
@@ -1772,6 +1797,7 @@ mod tests {
     /// never precedes the records of the cells computed before it.
     #[test]
     fn experiment_record_follows_its_pending_cells() {
+        let _latch = latch_lock();
         let dir = temp("repro-journal-exp-after-cells");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         a.pause_publisher(true);
@@ -1859,6 +1885,7 @@ mod tests {
     /// fresh one (a live owner about to release it) alone.
     #[test]
     fn loader_reaps_stale_lease_of_published_cell() {
+        let _latch = latch_lock();
         let dir = temp("repro-shard-reap");
         let dead = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
@@ -1867,12 +1894,7 @@ mod tests {
             let label = format!("cell-{key}");
             assert!(dead.try_acquire(key, &label));
             dead.store_cell(key, &label, 4, &records(4)).unwrap();
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(lease(&dir, key))
-                .unwrap()
-                .set_modified(std::time::SystemTime::now() - age)
-                .unwrap();
+            age_lease(&dir, key, age);
 
             let got = b.run_cell(key, &label, 4, || unreachable!("must load, not compute"));
             assert_eq!(got, records(4));
@@ -1886,6 +1908,7 @@ mod tests {
     /// behind: it waits until the heartbeat goes stale, then reaps it.
     #[test]
     fn completing_loader_waits_out_fresh_lease_of_published_cell() {
+        let _latch = latch_lock();
         let dir = temp("repro-shard-reap-wait");
         let ttl = Duration::from_millis(100);
         let dead = worker(&dir, "wa", DEFAULT_TTL);
@@ -1901,6 +1924,7 @@ mod tests {
 
     #[test]
     fn unclean_cells_do_not_publish() {
+        let _latch = latch_lock();
         let dir = temp("repro-shard-unclean");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let recs = records(4);
@@ -1918,17 +1942,16 @@ mod tests {
     #[test]
     fn stale_heartbeat_is_stolen_fresh_is_not() {
         let dir = temp("repro-shard-steal");
-        let ttl = Duration::from_millis(100);
-        // A's own heartbeat period (TTL/10 = 3 s) outlasts the test: to B,
-        // whose TTL is 100 ms, A is a stalled owner.
+        // Both heartbeat periods (TTL/10 = 3 s) outlast the test, so only
+        // `age_lease` ages a lease.
         let a = worker(&dir, "wa", DEFAULT_TTL);
-        let b = worker(&dir, "wb", ttl);
+        let b = worker(&dir, "wb", DEFAULT_TTL);
         // A claims and then "dies" (no heartbeat, never releases).
         assert!(a.try_acquire(11, "cell-11"));
         // Fresh heartbeat: B cannot steal yet.
         assert!(!b.try_acquire(11, "cell-11"));
         // Age the heartbeat past the TTL and B steals.
-        std::thread::sleep(Duration::from_millis(150));
+        age_lease(&dir, 11, 2 * DEFAULT_TTL);
         assert!(
             b.try_acquire(11, "cell-11"),
             "stale lease must be stealable"
@@ -1948,12 +1971,12 @@ mod tests {
     #[test]
     fn heartbeat_renewal_prevents_stealing() {
         let dir = temp("repro-shard-heartbeat");
-        let ttl = Duration::from_millis(120);
-        let a = worker(&dir, "wa", ttl);
-        let b = worker(&dir, "wb", ttl);
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        let b = worker(&dir, "wb", DEFAULT_TTL);
         assert!(a.try_acquire(13, "cell-13"));
         for _ in 0..4 {
-            std::thread::sleep(Duration::from_millis(60));
+            // A stalls past the TTL, then its heartbeat renews the lease.
+            age_lease(&dir, 13, 2 * DEFAULT_TTL);
             a.renew_held();
             assert!(
                 !b.try_acquire(13, "cell-13"),
@@ -1965,11 +1988,12 @@ mod tests {
     #[test]
     fn steal_race_has_exactly_one_winner() {
         let dir = temp("repro-shard-steal-race");
-        // A's heartbeat period (3 s) outlasts the test; the thieves' TTL
-        // is 50 ms.
+        // Every heartbeat period (3 s) outlasts the test. The victim's lease
+        // is aged past the thieves' TTL; the winner's new lease is fresh, so
+        // a loser whose rename took it puts it back.
         let a = worker(&dir, "wa", DEFAULT_TTL);
         assert!(a.try_acquire(17, "cell-17"));
-        std::thread::sleep(Duration::from_millis(80));
+        age_lease(&dir, 17, 2 * DEFAULT_TTL);
         // Two stealers race the same stale lease; the exclusive link + the tombstone
         // rename guarantee exactly one winner per round.
         let dir2 = dir.clone();
@@ -1978,7 +2002,7 @@ mod tests {
                 .map(|i| {
                     let dir = dir2.clone();
                     scope.spawn(move || {
-                        let s = worker(&dir, &format!("thief{i}"), Duration::from_millis(50));
+                        let s = worker(&dir, &format!("thief{i}"), DEFAULT_TTL);
                         s.try_acquire(17, "cell-17")
                     })
                 })
@@ -2024,6 +2048,7 @@ mod tests {
 
     #[test]
     fn opportunistic_sweep_defers_busy_cells_and_computes_free_ones() {
+        let _latch = latch_lock();
         let dir = temp("repro-shard-opportunistic");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
@@ -2047,8 +2072,9 @@ mod tests {
         a.release(31);
     }
 
-    /// Serializes the tests that set the process-wide shutdown latch, so
-    /// one never unwinds the other's cells.
+    /// Serializes the tests that set the process-wide shutdown latch with
+    /// every test that runs cells, so a latch set by one never unwinds
+    /// another's cells.
     fn latch_lock() -> std::sync::MutexGuard<'static, ()> {
         static LATCH: Mutex<()> = Mutex::new(());
         LATCH.lock().unwrap_or_else(|e| e.into_inner())

@@ -35,8 +35,6 @@ pub enum ServeMode {
 /// Parsed `serve` / `loadgen` command line.
 #[derive(Debug, Clone)]
 pub struct ServeCliArgs {
-    /// Simulator or real server.
-    pub mode: ServeMode,
     /// Master seed (policy weights, arrivals, faults, observations).
     pub seed: u64,
     /// Total requests to fire.
@@ -68,9 +66,8 @@ pub struct ServeCliArgs {
 }
 
 impl ServeCliArgs {
-    fn new(mode: ServeMode) -> Self {
+    fn new() -> Self {
         ServeCliArgs {
-            mode,
             seed: 42,
             requests: 400,
             qps: 1_000,
@@ -126,7 +123,7 @@ fn parse_num<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T
 ///
 /// [`ServeCliError`] with exit code 2 on unknown flags or bad values.
 pub fn parse(mode: ServeMode, args: &[String]) -> Result<ServeCliArgs, ServeCliError> {
-    let mut out = ServeCliArgs::new(mode);
+    let mut out = ServeCliArgs::new();
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {

@@ -172,6 +172,7 @@ impl DetectorSimplexAgent {
     }
 
     /// Current budget estimate.
+    #[cfg(test)]
     pub fn estimated_budget(&self) -> f64 {
         self.detector.estimated_budget()
     }

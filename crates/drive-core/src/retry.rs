@@ -106,6 +106,7 @@ pub struct Attempt<T> {
     /// The operation's result.
     pub value: T,
     /// Attempts consumed.
+    #[cfg(test)]
     pub attempts: usize,
 }
 
@@ -155,6 +156,7 @@ pub fn run<T, E>(
             Ok(value) => {
                 return Ok(Attempt {
                     value,
+                    #[cfg(test)]
                     attempts: attempt + 1,
                 })
             }

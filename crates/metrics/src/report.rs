@@ -35,11 +35,13 @@ impl Table {
     }
 
     /// Number of data rows.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// Whether the table has no data rows.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }

@@ -16,14 +16,15 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation element-wise, returning a new matrix.
+    #[cfg(test)]
     pub fn forward(self, x: &Mat) -> Mat {
         let mut y = x.clone();
         self.apply_inplace(&mut y);
         y
     }
 
-    /// Applies the activation element-wise in place (allocation-free
-    /// [`Activation::forward`] for scratch-buffer pipelines).
+    /// Applies the activation element-wise in place (allocation-free, for
+    /// scratch-buffer pipelines).
     pub fn apply_inplace(self, x: &mut Mat) {
         match self {
             Activation::Relu => x.map_inplace(|v| v.max(0.0)),
@@ -37,6 +38,7 @@ impl Activation {
     ///
     /// Both ReLU and tanh derivatives are expressible from the output alone,
     /// which saves caching inputs.
+    #[cfg(test)]
     pub fn backward(self, y: &Mat, grad_out: &Mat) -> Mat {
         let mut g = grad_out.clone();
         self.backward_inplace(y, &mut g);
@@ -45,7 +47,7 @@ impl Activation {
 
     /// In-place chain-rule backward: scales the upstream gradient `grad`
     /// by the activation derivative evaluated from the output `y`
-    /// (allocation-free [`Activation::backward`]).
+    /// (allocation-free).
     ///
     /// # Panics
     ///

@@ -62,6 +62,7 @@ impl Adam {
     }
 
     /// Number of update steps taken.
+    #[cfg(test)]
     pub fn steps(&self) -> u64 {
         self.t
     }

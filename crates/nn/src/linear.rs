@@ -14,8 +14,8 @@ thread_local! {
 
 /// A dense layer computing `y = x @ W^T + b`.
 ///
-/// Gradients accumulate into `grad_w` / `grad_b` across
-/// [`Linear::backward`] calls until [`Linear::zero_grad`] is called, matching
+/// Gradients accumulate into `grad_w` / `grad_b` across backward passes
+/// until [`Linear::zero_grad`] is called, matching
 /// the usual deep-learning training loop.
 ///
 /// The layer owns `W^T`, its *pack*: the layout every forward pass
@@ -149,14 +149,15 @@ impl Linear {
     /// # Panics
     ///
     /// Panics if `x.cols() != in_dim()`.
+    #[cfg(test)]
     pub fn forward(&self, x: &Mat) -> Mat {
         let mut y = Mat::default();
         self.forward_into(x, &mut y);
         y
     }
 
-    /// Forward pass into a reusable output buffer (allocation-free
-    /// [`Linear::forward`] once the buffer and the pack have warmed up):
+    /// Forward pass into a reusable output buffer (allocation-free once
+    /// the buffer and the pack have warmed up):
     /// one bias-fused product against the pack — the broadcast sweep for
     /// fewer than [`crate::mat::TILE`] rows, the register-tiled GEMM above.
     ///
@@ -170,6 +171,7 @@ impl Linear {
     /// Backward pass. `x` must be the input that produced `grad_out`'s
     /// forward pass. Accumulates parameter gradients and returns the
     /// gradient with respect to the input.
+    #[cfg(test)]
     pub fn backward(&mut self, x: &Mat, grad_out: &Mat) -> Mat {
         let mut grad_in = Mat::default();
         self.backward_into(x, grad_out, &mut grad_in);
@@ -179,6 +181,7 @@ impl Linear {
     /// Backward pass writing the input gradient into a reusable buffer:
     /// accumulates the weight and bias gradients, then writes
     /// `grad_in = grad_out @ W`.
+    #[cfg(test)]
     pub fn backward_into(&mut self, x: &Mat, grad_out: &Mat, grad_in: &mut Mat) {
         self.accumulate_grads(x, grad_out);
         self.input_grad_into(grad_out, grad_in);
@@ -257,6 +260,7 @@ impl Linear {
     /// # Panics
     ///
     /// Panics on shape mismatch.
+    #[cfg(test)]
     pub fn copy_params_from(&mut self, other: &Linear) {
         assert_eq!(self.w.rows(), other.w.rows());
         assert_eq!(self.w.cols(), other.w.cols());

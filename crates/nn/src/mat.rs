@@ -454,6 +454,7 @@ impl Mat {
     }
 
     /// Mean of all elements (e.g. of a column of losses).
+    #[cfg(test)]
     pub fn mean(&self) -> f32 {
         let data = self.data();
         if data.is_empty() {

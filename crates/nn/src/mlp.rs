@@ -353,6 +353,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics on any shape mismatch.
+    #[cfg(test)]
     pub fn copy_params_from(&mut self, other: &Mlp) {
         assert_eq!(self.layers.len(), other.layers.len());
         for (a, b) in self.layers.iter_mut().zip(&other.layers) {

@@ -274,6 +274,7 @@ impl PnnPolicy {
     }
 
     /// Number of trainable parameters.
+    #[cfg(test)]
     pub fn param_count(&self) -> usize {
         self.column.iter().map(Linear::param_count).sum::<usize>()
             + self.laterals.iter().map(Linear::param_count).sum::<usize>()
@@ -285,13 +286,14 @@ impl PnnPolicy {
     }
 
     /// Convenience: act on a single observation through column 2.
+    #[cfg(test)]
     pub fn act<R: Rng>(&self, obs: &[f32], rng: &mut R, deterministic: bool) -> Vec<f32> {
         let mut s = ActScratch::default();
         self.act_with(obs, rng, deterministic, &mut s);
         s.action
     }
 
-    /// Allocation-free [`PnnPolicy::act`] through the scratch's reusable
+    /// One action for one observation, through the scratch's reusable
     /// buffers: `tanh(mean)` of column 2 when `deterministic`, otherwise a
     /// sample. Bit-identical to [`PnnPolicy::mean_action`] and
     /// [`PnnPolicy::sample_into`] on the 1-row observation, with the same

@@ -114,6 +114,7 @@ impl Executor {
     }
 
     /// [`par_map`] pinned to this executor's worker count.
+    #[cfg(test)]
     pub fn par_map<I, R, F>(&self, items: &[I], f: F) -> Vec<R>
     where
         I: Sync,

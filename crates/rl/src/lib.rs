@@ -18,7 +18,7 @@
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let sac = Sac::new(4, 2, &[32, 32], SacConfig::default(), &mut rng);
-//! assert_eq!(sac.action_dim(), 2);
+//! assert_eq!(sac.actor.action_dim(), 2);
 //! ```
 
 pub mod actor;

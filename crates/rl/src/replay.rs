@@ -102,6 +102,7 @@ impl ReplayBuffer {
     }
 
     /// Maximum number of transitions retained.
+    #[cfg(test)]
     pub fn capacity(&self) -> usize {
         self.capacity
     }

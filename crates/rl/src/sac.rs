@@ -123,7 +123,6 @@ pub struct Sac<A: Actor = GaussianPolicy> {
     log_alpha: Vec<f32>,
     target_entropy: f32,
     config: SacConfig,
-    obs_dim: usize,
     action_dim: usize,
     updates: usize,
     /// Reusable mini-batch buffers for [`Sac::update`] — pure workspace,
@@ -242,7 +241,6 @@ impl<A: Actor> Sac<A> {
             log_alpha: vec![log_alpha],
             target_entropy,
             config,
-            obs_dim,
             action_dim,
             updates,
             batch_scratch: Batch::default(),
@@ -282,7 +280,6 @@ impl<A: Actor> Sac<A> {
             log_alpha: vec![config.init_alpha.max(1e-6).ln()],
             target_entropy,
             config,
-            obs_dim,
             action_dim,
             updates: 0,
             batch_scratch: Batch::default(),
@@ -298,16 +295,6 @@ impl<A: Actor> Sac<A> {
     /// The configuration in use.
     pub fn config(&self) -> &SacConfig {
         &self.config
-    }
-
-    /// Observation dimensionality.
-    pub fn obs_dim(&self) -> usize {
-        self.obs_dim
-    }
-
-    /// Action dimensionality.
-    pub fn action_dim(&self) -> usize {
-        self.action_dim
     }
 
     /// Performs one gradient update from a replay sample.
@@ -327,6 +314,7 @@ impl<A: Actor> Sac<A> {
     }
 
     /// Number of gradient updates performed.
+    #[cfg(test)]
     pub fn updates(&self) -> usize {
         self.updates
     }
@@ -518,8 +506,8 @@ mod tests {
     fn construction_shapes() {
         let mut rng = StdRng::seed_from_u64(0);
         let sac = learner(&mut rng);
-        assert_eq!(sac.obs_dim(), 1);
-        assert_eq!(sac.action_dim(), 1);
+        assert_eq!(sac.actor.obs_dim(), 1);
+        assert_eq!(sac.actor.action_dim(), 1);
         assert!((sac.alpha() - 0.1).abs() < 1e-6);
         let a = sac.actor.act(&[0.5], &mut rng, true);
         assert_eq!(a.len(), 1);

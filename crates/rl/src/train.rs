@@ -68,6 +68,7 @@ pub struct Refined<A> {
     /// The best-evaluating actor (the final one when selection is off).
     pub actor: A,
     /// Times the loss watchdog rolled the learner back.
+    #[cfg(test)]
     pub rollbacks: usize,
 }
 
@@ -229,6 +230,7 @@ where
     }
     Refined {
         actor: st.best.map_or(st.sac.actor, |(actor, _)| actor),
+        #[cfg(test)]
         rollbacks: st.rollbacks,
     }
 }

@@ -65,7 +65,7 @@ fn config(batch_size: usize) -> SacConfig {
 /// Warms `sac` up on one fixed batch, then asserts that ten more
 /// `update_batch` calls allocate nothing.
 fn assert_update_batch_allocation_free<A: Actor>(mut sac: Sac<A>, rng: &mut StdRng) {
-    let (obs_dim, action_dim) = (sac.obs_dim(), sac.action_dim());
+    let (obs_dim, action_dim) = (sac.actor.obs_dim(), sac.actor.action_dim());
     let mut rb = ReplayBuffer::new(256, obs_dim, action_dim);
     for _ in 0..128 {
         let obs: Vec<f32> = (0..obs_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();

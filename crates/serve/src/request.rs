@@ -14,8 +14,6 @@ use drive_sim::vehicle::Actuation;
 /// deterministic simulator, `Instant`-relative in the threaded server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
-    /// Client-assigned identifier (unique per run).
-    pub id: u64,
     /// The stacked observation frame.
     pub obs: Vec<f32>,
     /// When the request entered the queue, µs.
@@ -283,7 +281,6 @@ mod tests {
     #[test]
     fn expiry_saturates() {
         let r = Request {
-            id: 0,
             obs: vec![],
             enqueued_at_us: u64::MAX - 5,
             deadline_us: 100,

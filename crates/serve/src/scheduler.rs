@@ -286,9 +286,7 @@ mod tests {
     fn requests(enqueued: &[u64]) -> Vec<Request> {
         enqueued
             .iter()
-            .enumerate()
-            .map(|(i, &at)| Request {
-                id: i as u64,
+            .map(|&at| Request {
                 obs: Vec::new(),
                 enqueued_at_us: at,
                 deadline_us: DEADLINE_US,

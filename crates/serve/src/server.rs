@@ -30,7 +30,7 @@ use crate::scheduler::{Dispatch, Scheduler};
 use drive_nn::gaussian::GaussianPolicy;
 use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -98,7 +98,6 @@ struct Shared {
     config: ServeConfig,
     queue: BoundedQueue<QueuedRequest>,
     epoch: Instant,
-    next_id: AtomicU64,
     sched: Mutex<Scheduler>,
     detector: Mutex<DetectorStream>,
     closing: AtomicBool,
@@ -244,7 +243,6 @@ impl ServerHandle {
         let slot = Arc::new(ResponseSlot::new());
         let queued = QueuedRequest {
             req: Request {
-                id: shared.next_id.fetch_add(1, Ordering::Relaxed),
                 obs,
                 enqueued_at_us,
                 deadline_us: shared.config.deadline_us,
@@ -306,7 +304,6 @@ impl Server {
             queue: BoundedQueue::new(config.queue_capacity),
             sched: Mutex::new(sched),
             closing: AtomicBool::new(false),
-            next_id: AtomicU64::new(0),
             epoch: Instant::now(),
             config,
         });

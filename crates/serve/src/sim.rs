@@ -195,7 +195,6 @@ pub fn run_sim(policy: &Arc<GaussianPolicy>, config: &SimConfig) -> ServeReport 
                 });
             } else {
                 queue.push_back(Request {
-                    id: next_arr as u64,
                     obs: gen_obs(next_arr as u64, $realized),
                     enqueued_at_us: at,
                     deadline_us: config.serve.deadline_us,

@@ -232,11 +232,6 @@ impl FaultInjector {
             .map(|(s, _)| *s)
     }
 
-    /// True when no spec can ever activate (all rates zero).
-    pub fn is_noop(&self) -> bool {
-        self.specs.iter().all(|s| s.rate <= 0.0)
-    }
-
     /// What the injector has done so far this episode.
     pub fn stats(&self) -> &FaultStats {
         &self.stats

@@ -26,9 +26,6 @@ pub struct Vec2 {
 }
 
 impl Vec2 {
-    /// The zero vector.
-    pub const ZERO: Vec2 = Vec2 { x: 0.0, y: 0.0 };
-
     /// Creates a vector from components.
     pub const fn new(x: f64, y: f64) -> Self {
         Vec2 { x, y }
@@ -283,7 +280,7 @@ impl Obb {
     ///
     /// ```
     /// use drive_sim::geometry::{Obb, Vec2};
-    /// let a = Obb::new(Vec2::ZERO, 4.0, 2.0, 0.0);
+    /// let a = Obb::new(Vec2::default(), 4.0, 2.0, 0.0);
     /// let b = Obb::new(Vec2::new(3.0, 0.0), 4.0, 2.0, 0.0);
     /// assert!(a.intersects(&b));
     /// let c = Obb::new(Vec2::new(10.0, 0.0), 4.0, 2.0, 0.0);
@@ -360,8 +357,8 @@ mod tests {
 
     #[test]
     fn vec2_normalize() {
-        assert_eq!(Vec2::ZERO.try_normalize(), None);
-        assert_eq!(Vec2::ZERO.normalize_or_x(), Vec2::new(1.0, 0.0));
+        assert_eq!(Vec2::default().try_normalize(), None);
+        assert_eq!(Vec2::default().normalize_or_x(), Vec2::new(1.0, 0.0));
         let n = Vec2::new(0.0, -3.0).try_normalize().unwrap();
         assert!((n.y + 1.0).abs() < 1e-12);
     }
@@ -402,7 +399,7 @@ mod tests {
     #[test]
     fn obb_intersection_rotated() {
         // Diamond overlapping a square only because of rotation.
-        let a = Obb::new(Vec2::ZERO, 2.0, 2.0, 0.0);
+        let a = Obb::new(Vec2::default(), 2.0, 2.0, 0.0);
         let b = Obb::new(Vec2::new(1.9, 0.0), 2.0, 2.0, FRAC_PI_4);
         assert!(a.intersects(&b));
         // Moved away along x, no longer overlapping.
@@ -412,7 +409,7 @@ mod tests {
 
     #[test]
     fn obb_contains_point() {
-        let b = Obb::new(Vec2::ZERO, 4.0, 2.0, FRAC_PI_2);
+        let b = Obb::new(Vec2::default(), 4.0, 2.0, FRAC_PI_2);
         // Rotated 90 degrees: length is now along y.
         assert!(b.contains(Vec2::new(0.0, 1.9)));
         assert!(!b.contains(Vec2::new(1.9, 0.0)));
@@ -420,7 +417,7 @@ mod tests {
 
     #[test]
     fn obb_penetration_depth_monotone() {
-        let a = Obb::new(Vec2::ZERO, 4.0, 2.0, 0.0);
+        let a = Obb::new(Vec2::default(), 4.0, 2.0, 0.0);
         let close = Obb::new(Vec2::new(3.0, 0.0), 4.0, 2.0, 0.0);
         let closer = Obb::new(Vec2::new(2.0, 0.0), 4.0, 2.0, 0.0);
         let p1 = a.penetration(&close).unwrap();
@@ -441,6 +438,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "OBB dimensions must be positive")]
     fn obb_rejects_zero_size() {
-        let _ = Obb::new(Vec2::ZERO, 0.0, 1.0, 0.0);
+        let _ = Obb::new(Vec2::default(), 0.0, 1.0, 0.0);
     }
 }

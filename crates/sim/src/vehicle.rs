@@ -108,8 +108,6 @@ impl VehicleParams {
 pub struct InertialSample {
     /// Longitudinal (body-frame x) acceleration, m/s^2.
     pub accel_lon: f64,
-    /// Lateral (body-frame y) acceleration, m/s^2.
-    pub accel_lat: f64,
     /// Yaw rate, rad/s.
     pub yaw_rate: f64,
 }
@@ -225,7 +223,6 @@ impl Vehicle {
 
             self.inertial.push(InertialSample {
                 accel_lon: realized_accel,
-                accel_lat: self.speed * yaw_rate,
                 yaw_rate,
             });
         }

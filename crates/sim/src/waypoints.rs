@@ -31,8 +31,6 @@ pub struct PathProjection {
     pub cross_track: f64,
     /// Heading error `query_heading - path_heading`, radians in `[-pi, pi)`.
     pub heading_error: f64,
-    /// Target speed at the nearest waypoint.
-    pub target_speed: f64,
 }
 
 /// A polyline of waypoints, ordered by increasing longitudinal position.
@@ -47,6 +45,7 @@ impl Path {
     /// # Panics
     ///
     /// Panics if `points` is empty.
+    #[cfg(test)]
     pub fn new(points: Vec<Waypoint>) -> Self {
         assert!(
             !points.is_empty(),
@@ -58,16 +57,6 @@ impl Path {
     /// The waypoints in order.
     pub fn waypoints(&self) -> &[Waypoint] {
         &self.points
-    }
-
-    /// Number of waypoints.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the path has no waypoints (never true for a constructed path).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Projects a pose onto the path.
@@ -115,7 +104,6 @@ impl Path {
             index,
             cross_track,
             heading_error: angle_diff(heading, w.heading),
-            target_speed: w.target_speed,
         }
     }
 
@@ -138,7 +126,7 @@ impl Path {
 
     /// Replaces this path's waypoints with a copy of `other`'s, reusing
     /// the existing buffer. Allocation-free once the buffer has grown to
-    /// `other.len()`.
+    /// as many waypoints as `other` holds.
     pub fn copy_from(&mut self, other: &Path) {
         self.points.clear();
         self.points.extend_from_slice(&other.points);
@@ -311,7 +299,7 @@ mod tests {
     fn lane_keep_path_stays_on_center() {
         let r = road();
         let p = lane_keep_path(&r, 1, 0.0, 20, 2.0, 16.0);
-        assert_eq!(p.len(), 20);
+        assert_eq!(p.waypoints().len(), 20);
         for w in p.waypoints() {
             assert!((w.position.y - r.lane_center_y(1)).abs() < 1e-12);
             assert_eq!(w.heading, 0.0);

@@ -32,7 +32,7 @@ proptest! {
         l1 in 0.5f64..6.0, w1 in 0.5f64..3.0,
         l2 in 0.5f64..6.0, w2 in 0.5f64..3.0,
     ) {
-        let a = Obb::new(Vec2::ZERO, l1, w1, h1);
+        let a = Obb::new(Vec2::default(), l1, w1, h1);
         let b = Obb::new(Vec2::new(x, y), l2, w2, h2);
         prop_assert_eq!(a.intersects(&b), b.intersects(&a));
     }
