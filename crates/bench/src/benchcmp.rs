@@ -305,14 +305,12 @@ mod tests {
 
     #[test]
     fn compares_files_on_disk() {
-        let dir = std::env::temp_dir().join("repro-bench-benchcmp-test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::test_dir::TestDir::new("repro-bench-benchcmp-test");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("base.json"), doc(&[("a", 100.0)])).unwrap();
         std::fs::write(dir.join("cur.json"), doc(&[("a", 101.0)])).unwrap();
         let cmp = compare_files(&dir.join("cur.json"), &dir.join("base.json"), 1.5).unwrap();
         assert!(cmp.passed());
         assert!(compare_files(&dir.join("missing.json"), &dir.join("base.json"), 1.5).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -726,8 +726,7 @@ mod tests {
 
     #[test]
     fn bench_compare_cmd_gates_on_the_tolerance() {
-        let dir = std::env::temp_dir().join("repro-bench-cli-benchcmp-test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::test_dir::TestDir::new("repro-bench-cli-benchcmp-test");
         std::fs::create_dir_all(&dir).unwrap();
         let doc = |median: f64| {
             format!(
@@ -750,6 +749,5 @@ mod tests {
 
         args.bench_compare = Some(dir.join("nonexistent.json"));
         assert!(run(&args).is_err(), "unreadable input must fail the gate");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -425,7 +425,7 @@ mod tests {
         // A context over dummy borrows is awkward; test the memo through a
         // real quick pipeline at the integration level (tests/golden.rs).
         // Here: the seed namespace helper.
-        let dir = std::env::temp_dir().join("repro-bench-engine-memo-test");
+        let dir = crate::test_dir::TestDir::new("repro-bench-engine-memo-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = attack_core::pipeline::prepare(&config);
         let ctx = RunContext::new(&artifacts, &config, Scale::smoke());

@@ -624,7 +624,7 @@ mod tests {
 
     #[test]
     fn smoke_ablations_run() {
-        let dir = std::env::temp_dir().join("repro-bench-ablations-test");
+        let dir = crate::test_dir::TestDir::new("repro-bench-ablations-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         let ctx = RunContext::new(&artifacts, &config, Scale::smoke());

@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn smoke_baseline_runs_both_agents() {
-        let dir = std::env::temp_dir().join("repro-bench-baseline-test");
+        let dir = crate::test_dir::TestDir::new("repro-bench-baseline-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         let ctx = RunContext::new(&artifacts, &config, Scale::smoke());

@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn smoke_fig4_produces_full_grid() {
-        let dir = std::env::temp_dir().join("repro-bench-fig4-test");
+        let dir = crate::test_dir::TestDir::new("repro-bench-fig4-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         let ctx = RunContext::new(&artifacts, &config, Scale::smoke());

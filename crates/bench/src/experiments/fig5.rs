@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn smoke_fig5_sweeps_both_agents() {
-        let dir = std::env::temp_dir().join("repro-bench-fig5-test");
+        let dir = crate::test_dir::TestDir::new("repro-bench-fig5-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         let ctx = RunContext::new(&artifacts, &config, Scale::smoke());

@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn smoke_fig6_covers_lineup_and_budgets() {
-        let dir = std::env::temp_dir().join("repro-bench-fig6-test");
+        let dir = crate::test_dir::TestDir::new("repro-bench-fig6-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         let ctx = RunContext::new(&artifacts, &config, Scale::smoke());

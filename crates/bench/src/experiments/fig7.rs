@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn smoke_fig7_sweeps_enhanced_agents() {
-        let dir = std::env::temp_dir().join("repro-bench-fig7-test");
+        let dir = crate::test_dir::TestDir::new("repro-bench-fig7-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         let ctx = RunContext::new(&artifacts, &config, Scale::smoke());

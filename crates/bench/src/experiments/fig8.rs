@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn smoke_fig8_builds_from_sweeps() {
-        let dir = std::env::temp_dir().join("repro-bench-fig8-test");
+        let dir = crate::test_dir::TestDir::new("repro-bench-fig8-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         let ctx = RunContext::new(&artifacts, &config, Scale::smoke());

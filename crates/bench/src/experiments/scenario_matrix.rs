@@ -430,7 +430,7 @@ mod tests {
     /// summary per cell and a coherent CSV pair.
     #[test]
     fn smoke_matrix_runs_full_grid() {
-        let dir = std::env::temp_dir().join("repro-bench-scenario-matrix-test");
+        let dir = crate::test_dir::TestDir::new("repro-bench-scenario-matrix-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         let ctx = RunContext::new(&artifacts, &config, Scale::smoke());

@@ -433,8 +433,10 @@ mod tests {
     use super::*;
     use attack_core::pipeline::prepare;
 
-    fn quick_setup() -> (Artifacts, PipelineConfig) {
-        let dir = std::env::temp_dir().join("repro-bench-harness-test");
+    /// Quick artifacts trained for the test `name`. They are used from
+    /// memory: the directory they were saved to is removed on return.
+    fn quick_setup(name: &str) -> (Artifacts, PipelineConfig) {
+        let dir = crate::test_dir::TestDir::new(&format!("repro-bench-harness-{name}"));
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         (artifacts, config)
@@ -446,7 +448,7 @@ mod tests {
     /// a learned attacker.
     #[test]
     fn builds_every_agent_kind() {
-        let (artifacts, config) = quick_setup();
+        let (artifacts, config) = quick_setup("builds_every_agent_kind");
         let budget = AttackBudget::new(0.5);
         let episode_seed = 17;
         for kind in [
@@ -499,7 +501,7 @@ mod tests {
 
     #[test]
     fn attacked_records_nominal_vs_attacked() {
-        let (artifacts, config) = quick_setup();
+        let (artifacts, config) = quick_setup("attacked_records_nominal_vs_attacked");
         let ctx = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
         let seeds = ctx.seeds.child("harness-test");
         let nominal = attacked_records(
@@ -541,7 +543,7 @@ mod tests {
     /// kinds must keep working (silently staying serial).
     #[test]
     fn fleet_context_matches_serial_records() {
-        let (artifacts, config) = quick_setup();
+        let (artifacts, config) = quick_setup("fleet_context_matches_serial_records");
         let serial_ctx = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
         let mut fleet_ctx = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
         fleet_ctx.fleet = Some(3);
@@ -580,7 +582,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "attack policy obs dim must match its sensor")]
     fn fleet_panic_is_a_hard_failure_in_tests() {
-        let (artifacts, config) = quick_setup();
+        let (artifacts, config) = quick_setup("fleet_panic_is_a_hard_failure_in_tests");
         let mut ctx = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
         ctx.fleet = Some(2);
         let seeds = ctx.seeds.child("fleet-panic-test");
@@ -602,9 +604,8 @@ mod tests {
     #[test]
     fn scenario_override_keys_and_fleet_parity() {
         use drive_sim::scenario::ScenarioSpec;
-        let (artifacts, config) = quick_setup();
-        let dir = std::env::temp_dir().join("repro-bench-scn-key-test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let (artifacts, config) = quick_setup("scenario_override_keys_and_fleet_parity");
+        let dir = crate::test_dir::TestDir::new("repro-bench-scn-key-test");
         let base = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
         let journal = std::sync::Arc::new(
             crate::journal::JournalHandle::create(&dir, base.run_header()).unwrap(),

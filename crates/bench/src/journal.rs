@@ -1338,6 +1338,7 @@ impl std::fmt::Debug for JournalHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
 
     fn header() -> RunHeader {
         RunHeader {
@@ -1357,12 +1358,6 @@ mod tests {
                 ..EpisodeRecord::default()
             })
             .collect()
-    }
-
-    fn temp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
     }
 
     fn solo(dir: &Path) -> PathBuf {
@@ -1419,7 +1414,7 @@ mod tests {
     #[test]
     fn create_resume_round_trips_cells_and_experiments() {
         let _latch = latch_lock();
-        let dir = temp("repro-bench-journal-roundtrip");
+        let dir = TestDir::new("repro-bench-journal-roundtrip");
         let j = JournalHandle::create(&dir, header()).unwrap();
         let recs = records(4);
         j.store_cell(42, "fig5/pi_ori/camera/0.5", 4, &recs)
@@ -1444,12 +1439,11 @@ mod tests {
         // progress.csv survives with one row per event plus the header.
         let progress = std::fs::read_to_string(solo(&dir).join("progress.csv")).unwrap();
         assert_eq!(progress.lines().count(), 4);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_truncates_torn_tail_and_recovers_the_prefix() {
-        let dir = temp("repro-bench-journal-torn");
+        let dir = TestDir::new("repro-bench-journal-torn");
         let j = JournalHandle::create(&dir, header()).unwrap();
         j.store_cell(1, "a", 4, &records(4)).unwrap();
         j.store_cell(2, "b", 4, &records(4)).unwrap();
@@ -1471,13 +1465,12 @@ mod tests {
         drop(j);
         let j = JournalHandle::resume(&dir, header()).unwrap();
         assert_eq!(j.cell_count(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_reconciles_progress_csv_against_the_wal() {
         let _latch = latch_lock();
-        let dir = temp("repro-bench-journal-reconcile");
+        let dir = TestDir::new("repro-bench-journal-reconcile");
         let j = JournalHandle::create(&dir, header()).unwrap();
         j.store_cell(1, "cell-a", 4, &records(4)).unwrap();
         j.store_cell(2, "cell-b", 4, &records(4)).unwrap();
@@ -1508,12 +1501,11 @@ mod tests {
         let appended = std::fs::read_to_string(&progress_path).unwrap();
         assert_eq!(appended.lines().count(), 5);
         assert!(appended.lines().last().unwrap().starts_with("cell,cell-d"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_refuses_a_different_run_and_bad_magic() {
-        let dir = temp("repro-bench-journal-incompat");
+        let dir = TestDir::new("repro-bench-journal-incompat");
         let j = JournalHandle::create(&dir, header()).unwrap();
         drop(j);
         let other = RunHeader {
@@ -1531,22 +1523,20 @@ mod tests {
             JournalHandle::resume(&dir, header()),
             Err(JournalError::Corrupt(_))
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_on_an_empty_dir_is_a_fresh_journal() {
-        let dir = temp("repro-bench-journal-fresh");
+        let dir = TestDir::new("repro-bench-journal-fresh");
         let j = JournalHandle::resume(&dir, header()).unwrap();
         assert_eq!(j.cell_count(), 0);
         assert!(solo(&dir).join("wal.bin").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn tampered_sidecar_degrades_to_recompute() {
         let _latch = latch_lock();
-        let dir = temp("repro-bench-journal-tamper");
+        let dir = TestDir::new("repro-bench-journal-tamper");
         let j = JournalHandle::create(&dir, header()).unwrap();
         j.store_cell(7, "x", 4, &records(4)).unwrap();
         let sidecar = dir
@@ -1569,19 +1559,17 @@ mod tests {
         assert!(computed.get(), "a v1 sidecar is recomputed");
         assert_eq!(got, records(1));
         assert_eq!(j.load_cell(7, 1), Some(records(1)), "republished as v2");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn create_discards_a_previous_journal() {
-        let dir = temp("repro-bench-journal-recreate");
+        let dir = TestDir::new("repro-bench-journal-recreate");
         let j = JournalHandle::create(&dir, header()).unwrap();
         j.store_cell(1, "a", 4, &records(4)).unwrap();
         drop(j);
         let j = JournalHandle::create(&dir, header()).unwrap();
         assert_eq!(j.cell_count(), 0);
         assert!(j.load_cell(1, 4).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1601,7 +1589,7 @@ mod tests {
 
     #[test]
     fn shard_header_write_once_then_verify() {
-        let dir = temp("repro-shard-header");
+        let dir = TestDir::new("repro-shard-header");
         let h = ShardHeader {
             run: header(),
             selection: vec!["fig4".into()],
@@ -1623,7 +1611,7 @@ mod tests {
     #[test]
     fn first_worker_computes_second_loads() {
         let _latch = latch_lock();
-        let dir = temp("repro-shard-basic");
+        let dir = TestDir::new("repro-shard-basic");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
         let recs = records(4);
@@ -1650,7 +1638,7 @@ mod tests {
     /// still loads.
     #[test]
     fn sidecar_of_a_later_joiner_loads() {
-        let dir = temp("repro-journal-late-joiner");
+        let dir = TestDir::new("repro-journal-late-joiner");
         let early = worker(&dir, "early", DEFAULT_TTL);
         assert!(early.load_cell(5, 4).is_none());
         let late = worker(&dir, "late", DEFAULT_TTL);
@@ -1664,7 +1652,7 @@ mod tests {
     /// TTL; a lease another thread of this process holds is not taken.
     #[test]
     fn restarted_worker_reclaims_its_own_dead_lease_at_once() {
-        let dir = temp("repro-journal-reclaim");
+        let dir = TestDir::new("repro-journal-reclaim");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         assert!(a.try_acquire(19, "cell-19"));
         drop(a); // killed: the lease stays behind with a fresh heartbeat
@@ -1692,7 +1680,7 @@ mod tests {
     /// the last holder of the shared state once it exits.
     #[test]
     fn dropped_handle_joins_its_background_thread() {
-        let dir = temp("repro-journal-heartbeat-drop");
+        let dir = TestDir::new("repro-journal-heartbeat-drop");
         let j = worker(&dir, "wa", DEFAULT_TTL);
         let shared = Arc::downgrade(&j.shared);
         assert_eq!(shared.strong_count(), 2, "handle + background thread");
@@ -1737,7 +1725,7 @@ mod tests {
     #[test]
     fn second_handle_waits_for_the_first_handles_publish() {
         let _latch = latch_lock();
-        let dir = temp("repro-journal-pending-second-handle");
+        let dir = TestDir::new("repro-journal-pending-second-handle");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
         a.pause_publisher(true);
@@ -1770,7 +1758,7 @@ mod tests {
     #[test]
     fn pending_cell_is_waited_on_in_process_and_drop_publishes_it() {
         let _latch = latch_lock();
-        let dir = temp("repro-journal-pending-reuse");
+        let dir = TestDir::new("repro-journal-pending-reuse");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         a.pause_publisher(true);
         a.run_cell(43, "cell-43", 4, || (records(4), true));
@@ -1798,7 +1786,7 @@ mod tests {
     #[test]
     fn experiment_record_follows_its_pending_cells() {
         let _latch = latch_lock();
-        let dir = temp("repro-journal-exp-after-cells");
+        let dir = TestDir::new("repro-journal-exp-after-cells");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         a.pause_publisher(true);
         a.run_cell(61, "cell-61", 4, || (records(4), true));
@@ -1823,7 +1811,7 @@ mod tests {
     #[test]
     fn sigterm_drain_publishes_pending_cells_before_releasing_leases() {
         let _latch = latch_lock();
-        let dir = temp("repro-journal-drain-order");
+        let dir = TestDir::new("repro-journal-drain-order");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         a.pause_publisher(true);
         for key in [51, 52] {
@@ -1886,7 +1874,7 @@ mod tests {
     #[test]
     fn loader_reaps_stale_lease_of_published_cell() {
         let _latch = latch_lock();
-        let dir = temp("repro-shard-reap");
+        let dir = TestDir::new("repro-shard-reap");
         let dead = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
         b.set_opportunistic(true);
@@ -1909,7 +1897,7 @@ mod tests {
     #[test]
     fn completing_loader_waits_out_fresh_lease_of_published_cell() {
         let _latch = latch_lock();
-        let dir = temp("repro-shard-reap-wait");
+        let dir = TestDir::new("repro-shard-reap-wait");
         let ttl = Duration::from_millis(100);
         let dead = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", ttl);
@@ -1925,7 +1913,7 @@ mod tests {
     #[test]
     fn unclean_cells_do_not_publish() {
         let _latch = latch_lock();
-        let dir = temp("repro-shard-unclean");
+        let dir = TestDir::new("repro-shard-unclean");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let recs = records(4);
         let _ = a.run_cell(9, "cell-9", 4, move || (recs, false));
@@ -1941,7 +1929,7 @@ mod tests {
 
     #[test]
     fn stale_heartbeat_is_stolen_fresh_is_not() {
-        let dir = temp("repro-shard-steal");
+        let dir = TestDir::new("repro-shard-steal");
         // Both heartbeat periods (TTL/10 = 3 s) outlast the test, so only
         // `age_lease` ages a lease.
         let a = worker(&dir, "wa", DEFAULT_TTL);
@@ -1970,7 +1958,7 @@ mod tests {
 
     #[test]
     fn heartbeat_renewal_prevents_stealing() {
-        let dir = temp("repro-shard-heartbeat");
+        let dir = TestDir::new("repro-shard-heartbeat");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
         assert!(a.try_acquire(13, "cell-13"));
@@ -1987,7 +1975,7 @@ mod tests {
 
     #[test]
     fn steal_race_has_exactly_one_winner() {
-        let dir = temp("repro-shard-steal-race");
+        let dir = TestDir::new("repro-shard-steal-race");
         // Every heartbeat period (3 s) outlasts the test. The victim's lease
         // is aged past the thieves' TTL; the winner's new lease is fresh, so
         // a loser whose rename took it puts it back.
@@ -1996,7 +1984,7 @@ mod tests {
         age_lease(&dir, 17, 2 * DEFAULT_TTL);
         // Two stealers race the same stale lease; the exclusive link + the tombstone
         // rename guarantee exactly one winner per round.
-        let dir2 = dir.clone();
+        let dir2 = dir.to_path_buf();
         let winners: Vec<bool> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..2)
                 .map(|i| {
@@ -2021,7 +2009,7 @@ mod tests {
     /// many seeded rounds.
     #[test]
     fn contending_workers_never_double_acquire() {
-        let dir = temp("repro-shard-contention-prop");
+        let dir = TestDir::new("repro-shard-contention-prop");
         const WORKERS: usize = 6;
         const ROUNDS: u64 = 25;
         for round in 0..ROUNDS {
@@ -2029,7 +2017,7 @@ mod tests {
             let acquired: Vec<bool> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..WORKERS)
                     .map(|i| {
-                        let dir = dir.clone();
+                        let dir = dir.to_path_buf();
                         scope.spawn(move || {
                             let s = worker(&dir, &format!("w{i}"), DEFAULT_TTL);
                             s.try_acquire(key, "prop-cell")
@@ -2049,7 +2037,7 @@ mod tests {
     #[test]
     fn opportunistic_sweep_defers_busy_cells_and_computes_free_ones() {
         let _latch = latch_lock();
-        let dir = temp("repro-shard-opportunistic");
+        let dir = TestDir::new("repro-shard-opportunistic");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
         assert!(a.try_acquire(31, "cell-31"));
@@ -2083,7 +2071,7 @@ mod tests {
     #[test]
     fn shutdown_latch_releases_held_leases_via_run_cell() {
         let _latch = latch_lock();
-        let dir = temp("repro-shard-shutdown");
+        let dir = TestDir::new("repro-shard-shutdown");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         // A cell whose compute latches shutdown mid-flight: the unwind
         // must release the lease on the way out.

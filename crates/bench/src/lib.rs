@@ -27,6 +27,8 @@ pub mod perf;
 pub mod resilience;
 pub mod servecli;
 pub mod shard;
+#[cfg(test)]
+mod test_dir;
 
 pub use benchcmp::{compare_files, BenchDelta, BenchStatus, Comparison};
 pub use engine::{execute, EngineRun, Experiment, ExperimentOutput, Registry, RunContext};

@@ -285,8 +285,7 @@ mod tests {
 
     #[test]
     fn write_load_verify_detects_corruption() {
-        let dir = std::env::temp_dir().join("repro-bench-manifest-test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::test_dir::TestDir::new("repro-bench-manifest-test");
         std::fs::create_dir_all(&dir).unwrap();
         let payload = b"x,y\n1,2\n";
         std::fs::write(dir.join("out.csv"), payload).unwrap();
@@ -313,6 +312,5 @@ mod tests {
         // Missing file.
         std::fs::remove_file(dir.join("out.csv")).unwrap();
         assert!(loaded.verify(&dir).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -378,11 +378,11 @@ fn find_conflicts(scan: &ShardScan) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::journal::{JournalHandle, DEFAULT_TTL};
+    use crate::test_dir::TestDir;
     use drive_sim::record::encode_records;
 
-    fn temp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(name);
-        let _ = std::fs::remove_dir_all(&dir);
+    fn temp(name: &str) -> TestDir {
+        let dir = TestDir::new(name);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

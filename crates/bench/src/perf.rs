@@ -258,11 +258,10 @@ mod tests {
         assert!(json.contains("\\\"quoted\\\""));
         // Exactly one trailing comma between the two phase objects.
         assert_eq!(json.matches("},\n").count(), 1);
-        let dir = std::env::temp_dir().join("repro-bench-perf-test");
+        let dir = crate::test_dir::TestDir::new("repro-bench-perf-test");
         let path = dir.join("perf.json");
         r.write_to(&path).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), json);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -510,8 +510,7 @@ mod tests {
 
     #[test]
     fn sim_latency_artifact_is_written() {
-        let dir = std::env::temp_dir().join("repro-bench-servecli-test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::test_dir::TestDir::new("repro-bench-servecli-test");
         let path = dir.join("latency.json");
         let args = parse(
             ServeMode::Sim,
@@ -530,6 +529,5 @@ mod tests {
             "{body}"
         );
         assert!(body.contains("\"p99_us\""), "{body}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,14 +12,18 @@ use repro_bench::experiments::{baseline, fig4};
 use repro_bench::harness::Scale;
 use repro_bench::manifest::Manifest;
 use std::fs;
-use std::path::PathBuf;
 use std::sync::OnceLock;
+
+#[path = "../src/test_dir.rs"]
+mod test_dir;
+use test_dir::TestDir;
 
 /// One quick-trained artifact set shared by every test in this file.
 fn setup() -> (&'static Artifacts, &'static PipelineConfig) {
     static SETUP: OnceLock<(Artifacts, PipelineConfig)> = OnceLock::new();
     let (a, c) = SETUP.get_or_init(|| {
-        let dir = std::env::temp_dir().join("repro-bench-golden-test");
+        // Used from memory: the saved copy is removed on return.
+        let dir = TestDir::new("repro-bench-golden-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         (artifacts, config)
@@ -27,10 +31,8 @@ fn setup() -> (&'static Artifacts, &'static PipelineConfig) {
     (a, c)
 }
 
-fn out_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("repro-bench-golden-{name}"));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+fn out_dir(name: &str) -> TestDir {
+    TestDir::new(&format!("repro-bench-golden-{name}"))
 }
 
 #[test]
@@ -58,7 +60,7 @@ fn engine_dispatch_matches_direct_module_run() {
     // Engine path: dispatch through the registry with a CSV sink.
     let dir = out_dir("dispatch");
     let mut ctx = RunContext::new(artifacts, config, Scale::smoke());
-    ctx.csv_dir = Some(dir.clone());
+    ctx.csv_dir = Some(dir.to_path_buf());
     for name in ["baseline", "fig4"] {
         let exp = Registry::find(name).expect("registered");
         engine::execute(exp, &ctx).expect("engine run");
@@ -80,7 +82,7 @@ fn manifest_round_trips_and_checksums_match_outputs() {
     let (artifacts, config) = setup();
     let dir = out_dir("manifest");
     let mut ctx = RunContext::new(artifacts, config, Scale::smoke());
-    ctx.csv_dir = Some(dir.clone());
+    ctx.csv_dir = Some(dir.to_path_buf());
 
     let exp = Registry::find("baseline").expect("registered");
     let run = engine::execute(exp, &ctx).expect("engine run");

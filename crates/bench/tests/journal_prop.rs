@@ -28,7 +28,7 @@ fn body_with_offsets(count: usize) -> (Vec<u8>, Vec<usize>) {
 }
 
 fn temp(name: &str, tag: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("{name}-{tag}"));
+    let dir = std::env::temp_dir().join(format!("{name}-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

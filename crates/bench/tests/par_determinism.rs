@@ -13,12 +13,17 @@ use repro_bench::harness::Scale;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
+#[path = "../src/test_dir.rs"]
+mod test_dir;
+use test_dir::TestDir;
+
 static SETUP: OnceLock<(Artifacts, PipelineConfig)> = OnceLock::new();
 static CSV_CACHE: OnceLock<Mutex<HashMap<usize, String>>> = OnceLock::new();
 
 fn setup() -> &'static (Artifacts, PipelineConfig) {
     SETUP.get_or_init(|| {
-        let dir = std::env::temp_dir().join("repro-bench-par-determinism-test");
+        // Used from memory: the saved copy is removed on return.
+        let dir = TestDir::new("repro-bench-par-determinism-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         (artifacts, config)

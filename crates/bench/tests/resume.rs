@@ -14,19 +14,26 @@ use repro_bench::engine::{self, Registry, RunContext};
 use repro_bench::harness::Scale;
 use repro_bench::journal::{scan_frames, JournalHandle, MAGIC, SOLO_WORKER};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::sync::{Arc, OnceLock};
 
 mod common;
 use common::assert_outputs_match;
+#[path = "../src/test_dir.rs"]
+mod test_dir;
+use test_dir::TestDir;
 
 /// One quick-trained artifact cache shared by every test in this file and
 /// by every subprocess (they load it instead of retraining).
 fn setup() -> (&'static Artifacts, &'static PipelineConfig) {
     static SETUP: OnceLock<(Artifacts, PipelineConfig)> = OnceLock::new();
     let (a, c) = SETUP.get_or_init(|| {
-        let dir = std::env::temp_dir().join("repro-bench-resume-artifacts");
+        // Subprocesses load it, so it outlives every test: one per
+        // process, left in cargo's scratch for integration tests (under
+        // `target/`, which `cargo clean` removes).
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("resume-artifacts-{}", std::process::id()));
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         (artifacts, config)
@@ -34,10 +41,8 @@ fn setup() -> (&'static Artifacts, &'static PipelineConfig) {
     (a, c)
 }
 
-fn out_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("repro-bench-resume-{name}"));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+fn out_dir(name: &str) -> TestDir {
+    TestDir::new(&format!("repro-bench-resume-{name}"))
 }
 
 /// The full `--all` run against the shared artifacts. Paper evaluation
@@ -238,7 +243,7 @@ fn engine_skips_verified_experiments_and_replays_cells_on_resume() {
     let journal_dir = dir.join("journal");
 
     let mut ctx = RunContext::new(artifacts, config, Scale::smoke());
-    ctx.csv_dir = Some(dir.clone());
+    ctx.csv_dir = Some(dir.to_path_buf());
     let header = ctx.run_header();
     ctx.journal = Some(Arc::new(
         JournalHandle::create(&journal_dir, header).unwrap(),
@@ -257,7 +262,7 @@ fn engine_skips_verified_experiments_and_replays_cells_on_resume() {
     // Resume 1: the experiment is journaled and its manifest verifies, so
     // the engine skips it without touching the outputs.
     let mut ctx = RunContext::new(artifacts, config, Scale::smoke());
-    ctx.csv_dir = Some(dir.clone());
+    ctx.csv_dir = Some(dir.to_path_buf());
     ctx.journal = Some(Arc::new(
         JournalHandle::resume(&journal_dir, header).unwrap(),
     ));
@@ -275,7 +280,7 @@ fn engine_skips_verified_experiments_and_replays_cells_on_resume() {
     // sidecar, and the regenerated CSV is byte-identical.
     fs::remove_file(&csv_path).unwrap();
     let mut ctx = RunContext::new(artifacts, config, Scale::smoke());
-    ctx.csv_dir = Some(dir.clone());
+    ctx.csv_dir = Some(dir.to_path_buf());
     let journal = Arc::new(JournalHandle::resume(&journal_dir, header).unwrap());
     let cells_before = journal.cell_count();
     ctx.journal = Some(journal.clone());

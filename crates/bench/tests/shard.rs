@@ -22,13 +22,20 @@ use std::sync::OnceLock;
 
 mod common;
 use common::assert_outputs_match;
+#[path = "../src/test_dir.rs"]
+mod test_dir;
+use test_dir::TestDir;
 
 /// One quick-trained artifact cache shared by every test in this file and
 /// by every worker subprocess (they load it instead of retraining).
 fn setup() -> (&'static Artifacts, &'static PipelineConfig) {
     static SETUP: OnceLock<(Artifacts, PipelineConfig)> = OnceLock::new();
     let (a, c) = SETUP.get_or_init(|| {
-        let dir = std::env::temp_dir().join("repro-bench-shard-artifacts");
+        // Subprocesses load it, so it outlives every test: one per
+        // process, left in cargo's scratch for integration tests (under
+        // `target/`, which `cargo clean` removes).
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("shard-artifacts-{}", std::process::id()));
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         (artifacts, config)
@@ -36,10 +43,8 @@ fn setup() -> (&'static Artifacts, &'static PipelineConfig) {
     (a, c)
 }
 
-fn out_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("repro-bench-shard-{name}"));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+fn out_dir(name: &str) -> TestDir {
+    TestDir::new(&format!("repro-bench-shard-{name}"))
 }
 
 fn base_cmd() -> Command {
@@ -257,20 +262,30 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
         "conflict report names the cell key:\n{stderr}"
     );
 
-    // Remove the injected sidecar AND the victim's real one: now the
-    // cell is missing entirely, and the merge must say which one.
-    fs::remove_file(
-        shared
-            .join("cells")
-            .join(format!("cell-{victim_key}-evil.ckpt")),
-    )
-    .unwrap();
-    fs::remove_file(&cells[0]).unwrap();
+    // Remove the injected sidecar AND every real one of the victim's
+    // cell: now the cell is missing entirely, and the merge must say
+    // which one. A cell can carry two sidecars with one digest (a worker
+    // that lost its lease renewal, and the thief that recomputed the
+    // cell), which the merge accepts, so removing one is not enough.
+    let prefix = format!("cell-{victim_key}-");
+    let mut removed: Vec<String> = fs::read_dir(shared.join("cells"))
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with(&prefix) && n.ends_with(".ckpt"))
+        .collect();
+    removed.sort();
+    for name in &removed {
+        fs::remove_file(shared.join("cells").join(name)).unwrap();
+    }
     let missing_out = out_dir("km-missing-merged");
     let output = merge_cmd(&shared, &missing_out)
         .stderr(Stdio::piped())
         .output()
         .expect("spawn missing merge");
+    if output.status.success() {
+        eprintln!("removed sidecars of cell {victim_key}: {removed:?}");
+    }
     assert!(
         !output.status.success(),
         "merge must fail on a missing cell"

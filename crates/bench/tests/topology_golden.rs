@@ -16,11 +16,16 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
+#[path = "../src/test_dir.rs"]
+mod test_dir;
+use test_dir::TestDir;
+
 /// One quick-trained artifact set shared by both runs.
 fn setup() -> (&'static Artifacts, &'static PipelineConfig) {
     static SETUP: OnceLock<(Artifacts, PipelineConfig)> = OnceLock::new();
     let (a, c) = SETUP.get_or_init(|| {
-        let dir = std::env::temp_dir().join("repro-bench-topology-golden-test");
+        // Used from memory: the saved copy is removed on return.
+        let dir = TestDir::new("repro-bench-topology-golden-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         (artifacts, config)
@@ -28,10 +33,8 @@ fn setup() -> (&'static Artifacts, &'static PipelineConfig) {
     (a, c)
 }
 
-fn out_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("repro-bench-topology-golden-{name}"));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+fn out_dir(name: &str) -> TestDir {
+    TestDir::new(&format!("repro-bench-topology-golden-{name}"))
 }
 
 fn fixture() -> String {
@@ -44,7 +47,7 @@ fn fig4_csv(fleet: Option<usize>, dir_tag: &str) -> String {
     let (artifacts, config) = setup();
     let dir = out_dir(dir_tag);
     let mut ctx = RunContext::new(artifacts, config, Scale::smoke());
-    ctx.csv_dir = Some(dir.clone());
+    ctx.csv_dir = Some(dir.to_path_buf());
     ctx.fleet = fleet;
     let exp = Registry::find("fig4").expect("registered");
     engine::execute(exp, &ctx).expect("engine run");

@@ -14,7 +14,7 @@ use drive_agents::training::{train_victim, VictimTrainConfig};
 use drive_agents::Agent;
 use drive_nn::batch::BatchPolicy;
 use drive_nn::checkpoint::{
-    decode_pnn, decode_policy, encode_pnn, encode_policy, load_from_file, save_to_file,
+    decode_pnn, decode_policy, encode_pnn_into, encode_policy_into, load_from_file, save_with,
     CheckpointError,
 };
 use drive_nn::gaussian::GaussianPolicy;
@@ -22,6 +22,7 @@ use drive_nn::pnn::PnnPolicy;
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::{FeatureConfig, ImuConfig};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Every trainable of the paper, ready for evaluation.
@@ -150,11 +151,12 @@ fn load_cached<T>(
 
 /// The artifact at `path`, trained (and saved) when it does not load. A
 /// missing file trains quietly; any other load failure is reported with
-/// its path and error first, since retraining overwrites the file.
+/// its path and error first, since retraining overwrites the file. The
+/// save streams `encode`'s text to disk.
 fn cached<T>(
     path: &Path,
     decode: impl Fn(&str) -> Result<T, CheckpointError>,
-    encode: impl Fn(&T) -> String,
+    encode: impl Fn(&mut dyn fmt::Write, &T) -> fmt::Result,
     train: impl FnOnce() -> T,
 ) -> T {
     match load_cached(path, decode) {
@@ -172,7 +174,7 @@ fn cached<T>(
         path.display(),
         t0.elapsed().as_secs_f64()
     );
-    if let Err(e) = save_to_file(path, &encode(&v)) {
+    if let Err(e) = save_with(path, |out| encode(out, &v)) {
         eprintln!("[pipeline] warning: could not save {}: {e}", path.display());
     }
     v
@@ -183,7 +185,7 @@ pub fn prepare(config: &PipelineConfig) -> Artifacts {
     let dir = &config.dir;
     let policy_cache = |name: &str, train: &mut dyn FnMut() -> GaussianPolicy| {
         let mut train = Some(train);
-        cached(&dir.join(name), decode_policy, encode_policy, || {
+        cached(&dir.join(name), decode_policy, encode_policy_into, || {
             (train.take().expect("train called once"))()
         })
     };
@@ -239,7 +241,7 @@ pub fn prepare(config: &PipelineConfig) -> Artifacts {
     let pnn = cached(
         &dir.join("pnn_defense.ckpt"),
         decode_pnn,
-        encode_pnn,
+        encode_pnn_into,
         || {
             train_pnn_defense(
                 &victim,
@@ -265,10 +267,17 @@ pub fn prepare(config: &PipelineConfig) -> Artifacts {
 mod tests {
     use super::*;
 
+    /// A directory of this test process alone: concurrent runs of the
+    /// suite do not share it.
+    fn temp(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn quick_pipeline_round_trips_through_cache() {
-        let dir = std::env::temp_dir().join("attack-core-pipeline-test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp("attack-core-pipeline-test");
         let config = PipelineConfig::quick(&dir);
         let a1 = prepare(&config);
         // Second call loads from cache: identical weights.
@@ -292,8 +301,7 @@ mod tests {
     /// (and so retrained), never loaded; a missing one is just absent.
     #[test]
     fn flipped_byte_in_a_cached_checkpoint_reports_corrupt() {
-        let dir = std::env::temp_dir().join("attack-core-pipeline-corrupt-test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp("attack-core-pipeline-corrupt-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
         let path = dir.join("victim_e2e.ckpt");

@@ -220,7 +220,8 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("drive-metrics-csv-test");
+        let dir =
+            std::env::temp_dir().join(format!("drive-metrics-csv-test-{}", std::process::id()));
         let path = dir.join("t.csv");
         let mut c = Csv::new(["v"]);
         c.row(["1"]);
@@ -245,7 +246,8 @@ mod tests {
 
     #[test]
     fn sink_flushes_each_row_and_create_truncates() {
-        let dir = std::env::temp_dir().join("drive-metrics-sink-test");
+        let dir =
+            std::env::temp_dir().join(format!("drive-metrics-sink-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("progress.csv");
         let mut sink = CsvSink::create(&path, ["step", "label"]).unwrap();
@@ -268,9 +270,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "expected 2")]
     fn sink_wrong_arity_panics() {
-        let dir = std::env::temp_dir().join("drive-metrics-sink-arity-test");
+        let dir = std::env::temp_dir().join(format!(
+            "drive-metrics-sink-arity-test-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let mut sink = CsvSink::create(dir.join("p.csv"), ["a", "b"]).unwrap();
+        // The open sink outlives its directory; the test ends in a panic,
+        // so it cleans up first.
+        let _ = std::fs::remove_dir_all(&dir);
         let _ = sink.row(["only-one"]);
     }
 }

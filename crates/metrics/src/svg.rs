@@ -484,7 +484,8 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("drive-metrics-svg-test");
+        let dir =
+            std::env::temp_dir().join(format!("drive-metrics-svg-test-{}", std::process::id()));
         let path = dir.join("t.svg");
         write_svg(&path, "<svg></svg>").unwrap();
         assert!(std::fs::read_to_string(&path).unwrap().contains("svg"));

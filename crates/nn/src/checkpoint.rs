@@ -14,8 +14,8 @@ use crate::mlp::Mlp;
 use crate::pnn::PnnPolicy;
 use std::error::Error;
 use std::fmt;
-use std::fmt::Write as _;
 use std::fs;
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Errors produced when parsing a checkpoint.
@@ -190,27 +190,32 @@ impl<'a> Reader<'a> {
 /// Writes a whitespace-separated `f32` block in the format [`Reader::floats`]
 /// reads back. Rust's shortest round-trip `{}` formatting guarantees the
 /// parsed values are bit-identical to the originals.
-pub fn encode_floats(buf: &mut String, values: &[f32]) {
+///
+/// Every encoder writes into a `dyn fmt::Write`: a `String`, or the
+/// streamed file of [`save_with`]. Their only error is the one `out`
+/// returns.
+pub fn encode_floats(out: &mut dyn fmt::Write, values: &[f32]) -> fmt::Result {
     for chunk in values.chunks(16) {
         let mut first = true;
         for v in chunk {
             if !first {
-                buf.push(' ');
+                out.write_char(' ')?;
             }
-            let _ = write!(buf, "{v}");
+            write!(out, "{v}")?;
             first = false;
         }
-        buf.push('\n');
+        out.write_char('\n')?;
     }
     if values.is_empty() {
-        buf.push('\n');
+        out.write_char('\n')?;
     }
+    Ok(())
 }
 
-fn encode_linear(buf: &mut String, l: &Linear) {
-    buf.push_str(&format!("linear {} {}\n", l.out_dim(), l.in_dim()));
-    encode_floats(buf, l.w().data());
-    encode_floats(buf, &l.b);
+fn encode_linear(out: &mut dyn fmt::Write, l: &Linear) -> fmt::Result {
+    writeln!(out, "linear {} {}", l.out_dim(), l.in_dim())?;
+    encode_floats(out, l.w().data())?;
+    encode_floats(out, &l.b)
 }
 
 fn decode_linear(r: &mut Reader<'_>) -> Result<Linear, CheckpointError> {
@@ -251,13 +256,14 @@ fn act_from_name(s: &str) -> Result<Activation, CheckpointError> {
     }
 }
 
-/// Appends an [`Mlp`] section to a larger checkpoint buffer.
-pub fn encode_mlp_into(buf: &mut String, net: &Mlp) {
-    buf.push_str(&format!("mlp {}\n", net.num_layers()));
+/// Writes an [`Mlp`] section of a larger checkpoint.
+pub fn encode_mlp_into(out: &mut dyn fmt::Write, net: &Mlp) -> fmt::Result {
+    writeln!(out, "mlp {}", net.num_layers())?;
     for (i, l) in net.layers().iter().enumerate() {
-        buf.push_str(&format!("act {}\n", act_name(net.activation(i))));
-        encode_linear(buf, l);
+        writeln!(out, "act {}", act_name(net.activation(i)))?;
+        encode_linear(out, l)?;
     }
+    Ok(())
 }
 
 /// Parses one [`Mlp`] section from a reader positioned at its `mlp` tag.
@@ -287,14 +293,15 @@ pub fn decode_mlp_from(r: &mut Reader<'_>) -> Result<Mlp, CheckpointError> {
 /// Serializes a [`GaussianPolicy`].
 pub fn encode_policy(p: &GaussianPolicy) -> String {
     let mut buf = String::new();
-    encode_policy_into(&mut buf, p);
+    // Writing into a `String` cannot fail.
+    let _ = encode_policy_into(&mut buf, p);
     buf
 }
 
-/// Appends a [`GaussianPolicy`] section to a larger checkpoint buffer.
-pub fn encode_policy_into(buf: &mut String, p: &GaussianPolicy) {
-    buf.push_str(&format!("policy {}\n", p.action_dim()));
-    encode_mlp_into(buf, p.trunk());
+/// Writes a [`GaussianPolicy`] section of a larger checkpoint.
+pub fn encode_policy_into(out: &mut dyn fmt::Write, p: &GaussianPolicy) -> fmt::Result {
+    writeln!(out, "policy {}", p.action_dim())?;
+    encode_mlp_into(out, p.trunk())
 }
 
 /// Parses a [`GaussianPolicy`].
@@ -327,27 +334,29 @@ pub fn decode_policy_from(r: &mut Reader<'_>) -> Result<GaussianPolicy, Checkpoi
 /// Version tag of the Adam optimizer section.
 const ADAM_VERSION: &str = "v1";
 
-/// Appends an [`Adam`](crate::adam::Adam) optimizer section — step counter,
-/// hyper-parameters, and both moment buffers — to a checkpoint buffer.
+/// Writes an [`Adam`](crate::adam::Adam) optimizer section — step counter,
+/// hyper-parameters, and both moment buffers — of a checkpoint.
 /// Together with the network sections this lets a training snapshot resume
 /// optimization bit-exactly.
-pub fn encode_adam_into(buf: &mut String, opt: &crate::adam::Adam) {
+pub fn encode_adam_into(out: &mut dyn fmt::Write, opt: &crate::adam::Adam) -> fmt::Result {
     let (t, m, v) = opt.state();
     let c = opt.config;
-    buf.push_str(&format!(
-        "adam {ADAM_VERSION} {t} {} {} {} {} {} {}\n",
+    writeln!(
+        out,
+        "adam {ADAM_VERSION} {t} {} {} {} {} {} {}",
         m.len(),
         c.lr,
         c.beta1,
         c.beta2,
         c.eps,
         c.grad_clip
-    ));
+    )?;
     for (ms, vs) in m.iter().zip(v) {
-        buf.push_str(&format!("slice {}\n", ms.len()));
-        encode_floats(buf, ms);
-        encode_floats(buf, vs);
+        writeln!(out, "slice {}", ms.len())?;
+        encode_floats(out, ms)?;
+        encode_floats(out, vs)?;
     }
+    Ok(())
 }
 
 /// Parses one [`Adam`](crate::adam::Adam) section from a reader positioned
@@ -411,23 +420,25 @@ pub fn decode_adam_from(r: &mut Reader<'_>) -> Result<crate::adam::Adam, Checkpo
 /// Serializes a [`PnnPolicy`].
 pub fn encode_pnn(p: &PnnPolicy) -> String {
     let mut buf = String::new();
-    encode_pnn_into(&mut buf, p);
+    // Writing into a `String` cannot fail.
+    let _ = encode_pnn_into(&mut buf, p);
     buf
 }
 
-/// Appends a [`PnnPolicy`] section to a larger checkpoint buffer.
-pub fn encode_pnn_into(buf: &mut String, p: &PnnPolicy) {
-    buf.push_str(&format!("pnn {}\n", p.action_dim()));
-    encode_policy_into(buf, p.base());
+/// Writes a [`PnnPolicy`] section of a larger checkpoint.
+pub fn encode_pnn_into(out: &mut dyn fmt::Write, p: &PnnPolicy) -> fmt::Result {
+    writeln!(out, "pnn {}", p.action_dim())?;
+    encode_policy_into(out, p.base())?;
     let (column, laterals) = p.parts();
-    buf.push_str(&format!("column {}\n", column.len()));
+    writeln!(out, "column {}", column.len())?;
     for l in column {
-        encode_linear(buf, l);
+        encode_linear(out, l)?;
     }
-    buf.push_str(&format!("laterals {}\n", laterals.len()));
+    writeln!(out, "laterals {}", laterals.len())?;
     for l in laterals {
-        encode_linear(buf, l);
+        encode_linear(out, l)?;
     }
+    Ok(())
 }
 
 /// Parses a [`PnnPolicy`].
@@ -485,7 +496,7 @@ pub fn decode_pnn_from(r: &mut Reader<'_>) -> Result<PnnPolicy, CheckpointError>
 /// FNV-1a 64-bit hash — the integrity checksum appended to saved files.
 /// The same hash drive-seed exposes workspace-wide (run manifests use it
 /// too), so checksums printed anywhere are comparable.
-use drive_seed::fnv1a_64 as fnv1a64;
+use drive_seed::{fnv1a_64 as fnv1a64, fnv1a_64_extend};
 
 /// Prefix of the integrity line appended by [`save_to_file`].
 const CHECKSUM_TAG: &str = "checksum ";
@@ -512,7 +523,19 @@ pub fn sync_dir(dir: impl AsRef<Path>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Writes checkpoint text to a file, creating parent directories.
+/// Writes checkpoint text to a file, creating parent directories: the
+/// [`save_with`] of a text already built.
+///
+/// # Errors
+///
+/// Propagates I/O errors.
+pub fn save_to_file(path: impl AsRef<Path>, text: &str) -> Result<(), CheckpointError> {
+    save_with(path, |out| out.write_str(text))
+}
+
+/// Writes the checkpoint text `encode` produces to a file, creating parent
+/// directories. The text streams to disk as it is encoded, so a save holds
+/// a fixed-size buffer, not the file.
 ///
 /// The write is atomic and durable: a sibling temp file is synced, renamed
 /// into place, and the parent directory is fsynced, so a crash at any point
@@ -524,12 +547,15 @@ pub fn sync_dir(dir: impl AsRef<Path>) -> std::io::Result<()> {
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn save_to_file(path: impl AsRef<Path>, text: &str) -> Result<(), CheckpointError> {
+pub fn save_with(
+    path: impl AsRef<Path>,
+    encode: impl FnOnce(&mut dyn fmt::Write) -> fmt::Result,
+) -> Result<(), CheckpointError> {
     let path = path.as_ref();
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    let staged = stage(path, text)?;
+    let staged = stage_with(path, encode)?;
     if let Err(e) = staged.file.sync_data() {
         let _ = fs::remove_file(&staged.path);
         return Err(CheckpointError::Io(e));
@@ -572,17 +598,15 @@ pub struct Staged {
 /// Propagates I/O errors; a temporary that could not be written whole is
 /// removed.
 pub fn stage(path: &Path, text: &str) -> Result<Staged, CheckpointError> {
-    // The body is written as is, then the checksum line: a large body
-    // (a training snapshot) is never copied.
-    let owned;
-    let body = if text.ends_with('\n') {
-        text
-    } else {
-        owned = format!("{text}\n");
-        &owned
-    };
-    let checksum = fnv1a64(body.as_bytes());
-    let checksum_line = format!("{CHECKSUM_TAG}{checksum:016x}\n");
+    stage_with(path, |out| out.write_str(text))
+}
+
+/// The first half of [`save_with`]: [`stage`] for the text `encode`
+/// produces.
+fn stage_with(
+    path: &Path,
+    encode: impl FnOnce(&mut dyn fmt::Write) -> fmt::Result,
+) -> Result<Staged, CheckpointError> {
     let file_name = path.file_name().ok_or_else(|| {
         CheckpointError::Io(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
@@ -590,21 +614,76 @@ pub fn stage(path: &Path, text: &str) -> Result<Staged, CheckpointError> {
         ))
     })?;
     let tmp = path.with_file_name(format!("{}.tmp", file_name.to_string_lossy()));
-    use std::io::Write as _;
-    let mut file = fs::File::create(&tmp)?;
-    if let Err(e) = file
-        .write_all(body.as_bytes())
-        .and_then(|()| file.write_all(checksum_line.as_bytes()))
-    {
-        drop(file);
-        let _ = fs::remove_file(&tmp);
-        return Err(CheckpointError::Io(e));
+    let file = fs::File::create(&tmp)?;
+    match write_checksummed(file, encode) {
+        Ok((file, checksum)) => Ok(Staged {
+            path: tmp,
+            file,
+            checksum,
+        }),
+        Err(e) => {
+            let _ = fs::remove_file(&tmp);
+            Err(CheckpointError::Io(e))
+        }
     }
-    Ok(Staged {
-        path: tmp,
-        file,
-        checksum,
-    })
+}
+
+/// Where [`save_with`] streams a checkpoint's text: through a buffer into
+/// the file, folding each byte into the checksum on the way.
+struct Sink {
+    out: BufWriter<fs::File>,
+    /// FNV-1a of the text so far.
+    hash: u64,
+    /// Whether the text so far ends with a newline.
+    ends_line: bool,
+    /// The I/O error behind a failed write, which `fmt::Error` cannot
+    /// carry.
+    err: Option<std::io::Error>,
+}
+
+impl fmt::Write for Sink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if s.is_empty() {
+            return Ok(());
+        }
+        self.hash = fnv1a_64_extend(self.hash, s.as_bytes());
+        self.ends_line = s.ends_with('\n');
+        self.out.write_all(s.as_bytes()).map_err(|e| {
+            self.err = Some(e);
+            fmt::Error
+        })
+    }
+}
+
+/// Writes the text `encode` produces to `file`, a newline if the text
+/// does not end with one, and then the `checksum` line of the
+/// newline-terminated text. Returns the flushed file and the checksum.
+fn write_checksummed(
+    file: fs::File,
+    encode: impl FnOnce(&mut dyn fmt::Write) -> fmt::Result,
+) -> std::io::Result<(fs::File, u64)> {
+    let mut sink = Sink {
+        out: BufWriter::new(file),
+        hash: fnv1a64(&[]),
+        ends_line: false,
+        err: None,
+    };
+    let encoded = encode(&mut sink).and_then(|()| {
+        if sink.ends_line {
+            Ok(())
+        } else {
+            fmt::Write::write_char(&mut sink, '\n')
+        }
+    });
+    if encoded.is_err() {
+        return Err(sink
+            .err
+            .unwrap_or_else(|| std::io::Error::other("checkpoint text failed to format")));
+    }
+    let checksum = sink.hash;
+    writeln!(sink.out, "{CHECKSUM_TAG}{checksum:016x}")?;
+    let file = sink.out.into_inner().map_err(|e| e.into_error())?;
+    Ok((file, checksum))
 }
 
 /// Reads checkpoint text from a file, verifying and stripping the trailing
@@ -619,7 +698,10 @@ pub fn load_from_file(path: impl AsRef<Path>) -> Result<String, CheckpointError>
     verify_and_strip_checksum(fs::read_to_string(path)?)
 }
 
-fn verify_and_strip_checksum(raw: String) -> Result<String, CheckpointError> {
+/// The body of `raw` when its checksum line verifies, cut from `raw` in
+/// place (a large snapshot is not held twice); `raw` as it is when it has
+/// no checksum line.
+fn verify_and_strip_checksum(mut raw: String) -> Result<String, CheckpointError> {
     let trimmed = raw.trim_end_matches('\n');
     let (body_end, last_line) = match trimmed.rfind('\n') {
         Some(idx) => (idx + 1, &trimmed[idx + 1..]),
@@ -631,12 +713,12 @@ fn verify_and_strip_checksum(raw: String) -> Result<String, CheckpointError> {
     };
     let expected = u64::from_str_radix(hex.trim(), 16)
         .map_err(|_| parse_err(format!("unreadable checksum line '{last_line}'")))?;
-    let body = &raw[..body_end];
-    let found = fnv1a64(body.as_bytes());
+    let found = fnv1a64(&raw.as_bytes()[..body_end]);
     if found != expected {
         return Err(CheckpointError::Corrupt { expected, found });
     }
-    Ok(body.to_string())
+    raw.truncate(body_end);
+    Ok(raw)
 }
 
 #[cfg(test)]
@@ -670,8 +752,16 @@ mod tests {
 
     fn encode_mlp(net: &Mlp) -> String {
         let mut buf = String::new();
-        encode_mlp_into(&mut buf, net);
+        encode_mlp_into(&mut buf, net).unwrap();
         buf
+    }
+
+    /// A directory of this test process alone: concurrent runs of the
+    /// suite do not share it.
+    fn temp(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     fn decode_mlp(text: &str) -> Result<Mlp, CheckpointError> {
@@ -757,7 +847,7 @@ mod tests {
     fn file_round_trip() -> Result<(), CheckpointError> {
         let mut rng = StdRng::seed_from_u64(4);
         let p = GaussianPolicy::new(3, &[8], 1, &mut rng);
-        let dir = std::env::temp_dir().join("drive-nn-test");
+        let dir = temp("drive-nn-test");
         let path = dir.join("policy.ckpt");
         save_to_file(&path, &encode_policy(&p))?;
         let text = load_from_file(&path)?;
@@ -768,9 +858,54 @@ mod tests {
         Ok(())
     }
 
+    /// Saved text, streamed or whole, is on disk as the newline-terminated
+    /// text and its checksum line; loading returns that text.
+    #[test]
+    fn load_returns_the_saved_body() -> Result<(), CheckpointError> {
+        let dir = temp("drive-nn-body-test");
+        let path = dir.join("net.ckpt");
+        for text in ["mlp 0\nlinear 1 1", "mlp 0\nlinear 1 1\n", ""] {
+            let body = if text.ends_with('\n') {
+                text.to_string()
+            } else {
+                format!("{text}\n")
+            };
+            let expected = format!("{body}{CHECKSUM_TAG}{:016x}\n", fnv1a64(body.as_bytes()));
+            save_to_file(&path, text)?;
+            assert_eq!(std::fs::read_to_string(&path)?, expected, "{text:?}");
+            assert_eq!(load_from_file(&path)?, body, "{text:?}");
+            // The same text written in pieces saves the same bytes.
+            save_with(&path, |out| {
+                text.split_inclusive(' ')
+                    .try_for_each(|piece| out.write_str(piece))
+            })?;
+            assert_eq!(std::fs::read_to_string(&path)?, expected, "{text:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        Ok(())
+    }
+
+    /// An encoder that fails leaves the previous checkpoint in place and
+    /// no temporary behind.
+    #[test]
+    fn failed_encode_keeps_the_old_file() -> Result<(), CheckpointError> {
+        let dir = temp("drive-nn-failed-encode-test");
+        let path = dir.join("net.ckpt");
+        save_to_file(&path, "old\n")?;
+        let failed = save_with(&path, |out| {
+            out.write_str("new, cut short\n")?;
+            Err(fmt::Error)
+        });
+        assert!(matches!(failed, Err(CheckpointError::Io(_))), "{failed:?}");
+        assert!(!path.with_file_name("net.ckpt.tmp").exists());
+        assert_eq!(load_from_file(&path)?, "old\n");
+        let _ = std::fs::remove_dir_all(&dir);
+        Ok(())
+    }
+
     #[test]
     fn saved_file_carries_verified_checksum() -> Result<(), CheckpointError> {
-        let dir = std::env::temp_dir().join("drive-nn-checksum-test");
+        let dir = temp("drive-nn-checksum-test");
         let path = dir.join("net.ckpt");
         let mut rng = StdRng::seed_from_u64(6);
         let net = Mlp::new(&[2, 4, 1], Activation::Relu, Activation::Identity, &mut rng);
@@ -805,7 +940,7 @@ mod tests {
 
     #[test]
     fn legacy_file_without_checksum_still_loads() -> Result<(), CheckpointError> {
-        let dir = std::env::temp_dir().join("drive-nn-legacy-test");
+        let dir = temp("drive-nn-legacy-test");
         std::fs::create_dir_all(&dir)?;
         let path = dir.join("legacy.ckpt");
         let mut rng = StdRng::seed_from_u64(7);
@@ -830,7 +965,7 @@ mod tests {
             opt.step(|f| f(&mut pa, &mut g));
         }
         let mut buf = String::new();
-        encode_adam_into(&mut buf, &opt);
+        encode_adam_into(&mut buf, &opt).unwrap();
         let mut r = Reader::new(&buf);
         let mut back = decode_adam_from(&mut r)?;
         assert_eq!(back.steps(), opt.steps());
@@ -853,7 +988,7 @@ mod tests {
         let mut g = vec![0.5f32];
         opt.step(|f| f(&mut p, &mut g));
         let mut buf = String::new();
-        encode_adam_into(&mut buf, &opt);
+        encode_adam_into(&mut buf, &opt).unwrap();
         let tampered = buf.replacen("adam v1", "adam v0", 1);
         let mut r = Reader::new(&tampered);
         match decode_adam_from(&mut r) {
@@ -871,8 +1006,7 @@ mod tests {
         // completed, and the result loadable. (The dir-fsync itself cannot
         // be observed without crashing the kernel; this pins the code path
         // and that it succeeds on a freshly created directory chain.)
-        let dir = std::env::temp_dir().join("drive-nn-durable-test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp("drive-nn-durable-test");
         let path = dir.join("deep").join("nested").join("net.ckpt");
         let mut rng = StdRng::seed_from_u64(8);
         let net = Mlp::new(&[2, 3, 1], Activation::Tanh, Activation::Identity, &mut rng);

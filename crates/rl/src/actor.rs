@@ -14,6 +14,7 @@ use drive_nn::mat::Mat;
 use drive_nn::pnn::{PnnPolicy, PnnSampleCache};
 use drive_nn::scratch::{ActScratch, SampleBackScratch};
 use rand::rngs::StdRng;
+use std::fmt;
 
 /// A trainable stochastic policy.
 pub trait Actor {
@@ -51,8 +52,8 @@ pub trait Actor {
         deterministic: bool,
         scratch: &'s mut ActScratch,
     ) -> &'s [f32];
-    /// Appends the weights as a checkpoint section (training snapshots).
-    fn encode_into(&self, buf: &mut String);
+    /// Writes the weights as a checkpoint section (training snapshots).
+    fn encode_into(&self, out: &mut dyn fmt::Write) -> fmt::Result;
     /// Parses one section written by [`Actor::encode_into`].
     ///
     /// # Errors
@@ -99,8 +100,8 @@ impl Actor for GaussianPolicy {
     ) -> &'s [f32] {
         GaussianPolicy::act_with(self, obs, rng, deterministic, scratch)
     }
-    fn encode_into(&self, buf: &mut String) {
-        checkpoint::encode_policy_into(buf, self);
+    fn encode_into(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        checkpoint::encode_policy_into(out, self)
     }
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         checkpoint::decode_policy_from(r)
@@ -143,8 +144,8 @@ impl Actor for PnnPolicy {
     ) -> &'s [f32] {
         PnnPolicy::act_with(self, obs, rng, deterministic, scratch)
     }
-    fn encode_into(&self, buf: &mut String) {
-        checkpoint::encode_pnn_into(buf, self);
+    fn encode_into(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        checkpoint::encode_pnn_into(out, self)
     }
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         checkpoint::decode_pnn_from(r)

@@ -3,6 +3,7 @@
 use drive_nn::checkpoint::{encode_floats, CheckpointError, Reader};
 use drive_nn::mat::Mat;
 use rand::Rng;
+use std::fmt;
 
 /// Version tag of the replay-buffer checkpoint section.
 const REPLAY_VERSION: &str = "v1";
@@ -160,29 +161,27 @@ impl ReplayBuffer {
         }
     }
 
-    /// Appends the buffer — capacity, shapes, write cursor, and every
+    /// Writes the buffer — capacity, shapes, write cursor, and every
     /// stored transition — as a versioned checkpoint section. A restored
     /// buffer evicts and samples exactly like the original, which training
     /// snapshots rely on for deterministic resume.
-    pub fn encode_into(&self, buf: &mut String) {
-        buf.push_str(&format!(
-            "replay {REPLAY_VERSION} {} {} {} {} {}\n",
+    pub fn encode_into(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        writeln!(
+            out,
+            "replay {REPLAY_VERSION} {} {} {} {} {}",
             self.capacity,
             self.obs_dim,
             self.action_dim,
             self.storage.len(),
             self.next
-        ));
+        )?;
         for t in &self.storage {
-            buf.push_str(&format!(
-                "t {} {}\n",
-                t.reward,
-                if t.terminal { 1 } else { 0 }
-            ));
-            encode_floats(buf, &t.obs);
-            encode_floats(buf, &t.action);
-            encode_floats(buf, &t.next_obs);
+            writeln!(out, "t {} {}", t.reward, if t.terminal { 1 } else { 0 })?;
+            encode_floats(out, &t.obs)?;
+            encode_floats(out, &t.action)?;
+            encode_floats(out, &t.next_obs)?;
         }
+        Ok(())
     }
 
     /// Parses one buffer section from a reader positioned at its `replay`
@@ -349,7 +348,7 @@ mod tests {
             rb.push(t);
         }
         let mut buf = String::new();
-        rb.encode_into(&mut buf);
+        rb.encode_into(&mut buf).unwrap();
         let mut r = Reader::new(&buf);
         let mut back = ReplayBuffer::decode_from(&mut r).expect("round trip");
         assert_eq!(back.capacity(), rb.capacity());
@@ -374,7 +373,7 @@ mod tests {
         let mut rb = ReplayBuffer::new(4, 2, 1);
         rb.push(tr(1.0));
         let mut buf = String::new();
-        rb.encode_into(&mut buf);
+        rb.encode_into(&mut buf).unwrap();
         let tampered = buf.replacen("replay v1", "replay v0", 1);
         let mut r = Reader::new(&tampered);
         match ReplayBuffer::decode_from(&mut r) {
@@ -391,7 +390,7 @@ mod tests {
         let mut rb = ReplayBuffer::new(4, 2, 1);
         rb.push(tr(1.0));
         let mut buf = String::new();
-        rb.encode_into(&mut buf);
+        rb.encode_into(&mut buf).unwrap();
         // len > capacity must be refused before reading transitions.
         let bad = buf.replacen("replay v1 4 2 1 1 0", "replay v1 4 2 1 9 0", 1);
         let mut r = Reader::new(&bad);

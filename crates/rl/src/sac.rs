@@ -16,6 +16,7 @@ use drive_nn::mlp::{Mlp, MlpCache};
 use drive_nn::scratch::{SampleBackScratch, Scratch};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// SAC hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -151,25 +152,26 @@ impl Sac<GaussianPolicy> {
 }
 
 impl<A: Actor> Sac<A> {
-    /// Appends the learner's full state — actor, both critics and targets,
+    /// Writes the learner's full state — actor, both critics and targets,
     /// all four optimizers, the entropy temperature, and the update counter
     /// — as a versioned checkpoint section. The scratch workspaces carry no
     /// learned state and are rebuilt lazily, so a decoded learner continues
     /// training bit-exactly.
-    pub fn encode_state_into(&self, buf: &mut String) {
-        buf.push_str(&format!(
-            "sac-state {SAC_STATE_VERSION} {} {} {}\n",
+    pub fn encode_state_into(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        writeln!(
+            out,
+            "sac-state {SAC_STATE_VERSION} {} {} {}",
             self.updates, self.target_entropy, self.log_alpha[0]
-        ));
-        self.actor.encode_into(buf);
-        checkpoint::encode_mlp_into(buf, &self.q1);
-        checkpoint::encode_mlp_into(buf, &self.q2);
-        checkpoint::encode_mlp_into(buf, &self.q1_target);
-        checkpoint::encode_mlp_into(buf, &self.q2_target);
-        checkpoint::encode_adam_into(buf, &self.opt_actor);
-        checkpoint::encode_adam_into(buf, &self.opt_q1);
-        checkpoint::encode_adam_into(buf, &self.opt_q2);
-        checkpoint::encode_adam_into(buf, &self.opt_alpha);
+        )?;
+        self.actor.encode_into(out)?;
+        checkpoint::encode_mlp_into(out, &self.q1)?;
+        checkpoint::encode_mlp_into(out, &self.q2)?;
+        checkpoint::encode_mlp_into(out, &self.q1_target)?;
+        checkpoint::encode_mlp_into(out, &self.q2_target)?;
+        checkpoint::encode_adam_into(out, &self.opt_actor)?;
+        checkpoint::encode_adam_into(out, &self.opt_q1)?;
+        checkpoint::encode_adam_into(out, &self.opt_q2)?;
+        checkpoint::encode_adam_into(out, &self.opt_alpha)
     }
 
     /// Parses one learner section from a reader positioned at its
@@ -710,7 +712,7 @@ mod tests {
             sac.update(&rb, &mut rng);
         }
         let mut buf = String::new();
-        sac.encode_state_into(&mut buf);
+        sac.encode_state_into(&mut buf).unwrap();
         let mut r = Reader::new(&buf);
         let mut back: Sac = Sac::decode_state_from(&mut r, *sac.config()).expect("round trip");
         assert_eq!(back.updates(), sac.updates());
@@ -736,7 +738,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let sac = Sac::new(1, 1, &[8], SacConfig::default(), &mut rng);
         let mut buf = String::new();
-        sac.encode_state_into(&mut buf);
+        sac.encode_state_into(&mut buf).unwrap();
         let tampered = buf.replacen("sac-state v1", "sac-state v9", 1);
         let mut r = Reader::new(&tampered);
         match Sac::<GaussianPolicy>::decode_state_from(&mut r, SacConfig::default()) {

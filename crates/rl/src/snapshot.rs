@@ -6,8 +6,8 @@
 //! buffer and the RNG stream *position* ([`StreamPos`]). It is taken at
 //! episode boundaries, so the environment re-derives from the episode
 //! seed. Files use the drive-nn checkpoint grammar (tagged text sections,
-//! trailing checksum, atomic durable writes via
-//! [`checkpoint::save_to_file`]); a torn, stale-format or foreign snapshot
+//! trailing checksum, atomic durable writes streamed to disk by
+//! [`checkpoint::save_with`]); a torn, stale-format or foreign snapshot
 //! loads as a typed [`CheckpointError`].
 
 use crate::actor::Actor;
@@ -15,6 +15,7 @@ use crate::replay::ReplayBuffer;
 use crate::sac::{Sac, SacConfig};
 use drive_nn::checkpoint::{self, CheckpointError, Reader};
 use drive_seed::StreamPos;
+use std::fmt;
 use std::path::Path;
 
 /// Version tag of the training-snapshot file format. `v1` files (and the
@@ -49,9 +50,11 @@ pub struct TrainSnapshot<A: Actor> {
 }
 
 impl<A: Actor> TrainSnapshot<A> {
-    /// Serializes the snapshot to checkpoint text.
-    pub fn encode(&self) -> String {
-        let mut buf = format!(
+    /// Writes the snapshot as checkpoint text; `checkpoint::save_with(path,
+    /// |out| snap.encode(out))` streams it to a file.
+    pub fn encode(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write!(
+            out,
             "train-snapshot {SNAPSHOT_VERSION}\nmeta {} {} {:016x} {} {}\nrng {}\n",
             self.step,
             self.episode_seed,
@@ -59,24 +62,23 @@ impl<A: Actor> TrainSnapshot<A> {
             self.healthy_updates,
             self.rollbacks,
             self.rng.to_hex()
-        );
+        )?;
         match &self.best {
             Some((actor, score)) => {
-                buf.push_str(&format!("best 1 {score}\n"));
-                actor.encode_into(&mut buf);
+                writeln!(out, "best 1 {score}")?;
+                actor.encode_into(out)?;
             }
-            None => buf.push_str("best 0\n"),
+            None => out.write_str("best 0\n")?,
         }
-        self.sac.encode_state_into(&mut buf);
+        self.sac.encode_state_into(out)?;
         match &self.last_good {
             Some(sac) => {
-                buf.push_str("last_good 1\n");
-                sac.encode_state_into(&mut buf);
+                out.write_str("last_good 1\n")?;
+                sac.encode_state_into(out)?;
             }
-            None => buf.push_str("last_good 0\n"),
+            None => out.write_str("last_good 0\n")?,
         }
-        self.buffer.encode_into(&mut buf);
-        buf
+        self.buffer.encode_into(out)
     }
 
     /// Parses a snapshot. The SAC hyper-parameters are supplied by the
@@ -216,11 +218,17 @@ mod tests {
         (snap, config)
     }
 
+    fn text(snap: &TrainSnapshot<GaussianPolicy>) -> String {
+        let mut buf = String::new();
+        snap.encode(&mut buf).unwrap();
+        buf
+    }
+
     #[test]
     fn encode_decode_round_trips_every_field() {
         let (snap, config) = sample_snapshot();
-        let text = snap.encode();
-        let back = TrainSnapshot::<GaussianPolicy>::decode(&text, config).expect("round trip");
+        let encoded = text(&snap);
+        let back = TrainSnapshot::<GaussianPolicy>::decode(&encoded, config).expect("round trip");
         assert_eq!(back.step, snap.step);
         assert_eq!(back.episode_seed, snap.episode_seed);
         assert_eq!(back.config_hash, snap.config_hash);
@@ -231,23 +239,24 @@ mod tests {
         assert!(back.last_good.is_some());
         assert_eq!(back.buffer.len(), snap.buffer.len());
         // The text form is canonical: re-encoding reproduces it exactly.
-        assert_eq!(back.encode(), text);
+        assert_eq!(text(&back), encoded);
         let bare = TrainSnapshot {
             best: None,
             last_good: None,
             ..snap
         };
-        let back = TrainSnapshot::<GaussianPolicy>::decode(&bare.encode(), config).expect("bare");
+        let back = TrainSnapshot::<GaussianPolicy>::decode(&text(&bare), config).expect("bare");
         assert!(back.best.is_none() && back.last_good.is_none());
     }
 
     #[test]
     fn save_load_round_trips_with_checksum() {
         let (snap, config) = sample_snapshot();
-        let dir = std::env::temp_dir().join("drive-rl-snapshot-test");
+        let dir =
+            std::env::temp_dir().join(format!("drive-rl-snapshot-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("train.snap");
-        checkpoint::save_to_file(&path, &snap.encode()).expect("save");
+        checkpoint::save_with(&path, |out| snap.encode(out)).expect("save");
         let back =
             TrainSnapshot::<GaussianPolicy>::load(&path, config, snap.config_hash).expect("load");
         assert_eq!(back.step, snap.step);
@@ -269,9 +278,7 @@ mod tests {
     #[test]
     fn version_mismatch_is_typed() {
         let (snap, config) = sample_snapshot();
-        let text = snap
-            .encode()
-            .replacen("train-snapshot v2", "train-snapshot v1", 1);
+        let text = text(&snap).replacen("train-snapshot v2", "train-snapshot v1", 1);
         match TrainSnapshot::<GaussianPolicy>::decode(&text, config) {
             Err(CheckpointError::Version { found, .. }) => assert_eq!(found, "v1"),
             other => panic!("expected Version error, got {other:?}"),

@@ -210,7 +210,8 @@ where
             if done < steps && done - last_snapshot >= s.every.max(1) {
                 st.step = done;
                 st.rng = StreamPos::capture(&rng);
-                match checkpoint::save_to_file(s.path, &st.encode()) {
+                // Streamed to disk: the snapshot's text is never held whole.
+                match checkpoint::save_with(s.path, |out| st.encode(out)) {
                     Ok(()) => last_snapshot = done,
                     Err(e) => eprintln!(
                         "[train] {stage}: snapshot write to {} failed: {e}",
@@ -222,7 +223,7 @@ where
     }
     if let Some(s) = snapshots {
         let _ = std::fs::remove_file(s.path);
-        // `save_to_file` may have created the snapshot's directory; drop
+        // `save_with` may have created the snapshot's directory; drop
         // it too when nothing else is left in it.
         if let Some(dir) = s.path.parent() {
             let _ = std::fs::remove_dir(dir);
@@ -490,8 +491,10 @@ mod tests {
         assert!(outcome.is_err(), "the kill must interrupt training");
     }
 
+    /// A directory of this test process alone: concurrent runs of the
+    /// suite do not share it.
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(name);
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -1,6 +1,7 @@
 //! Regression test: `Sac::update_batch` (with a Gaussian or a PNN actor)
 //! and the behaviour-cloning step `Cloner::step` perform zero heap
-//! allocations once their persistent scratches have warmed up.
+//! allocations once their persistent scratches have warmed up, and saving
+//! a training snapshot takes a heap that does not grow with its file.
 //!
 //! The whole point of `UpdateScratch`, the `Cloner` buffers (and the
 //! `_into`/`_with` kernel variants under them) is that steady-state
@@ -9,12 +10,15 @@
 //! counters are thread-local, so other test threads can't pollute the
 //! measurement.
 
+use drive_nn::checkpoint;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::pnn::PnnPolicy;
 use drive_rl::actor::Actor;
 use drive_rl::bc::{BcConfig, Cloner, Demonstrations};
 use drive_rl::replay::{Batch, ReplayBuffer, Transition};
 use drive_rl::sac::{Sac, SacConfig};
+use drive_rl::snapshot::TrainSnapshot;
+use drive_seed::StreamPos;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -22,24 +26,41 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated on this thread minus bytes freed on it.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The high-water mark of `LIVE` since the last `reset_peak`.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// System allocator wrapper counting allocation events on this thread.
-/// Only `alloc`/`realloc` count — frees are irrelevant to the invariant.
+/// Moves this thread's live heap bytes by `delta`, raising the peak.
+fn track(delta: i64) {
+    let live = LIVE.with(|l| {
+        l.set(l.get() + delta);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
+}
+
+/// System allocator wrapper counting allocation events and live bytes on
+/// this thread. Only `alloc`/`realloc` count as events — frees matter to
+/// the live bytes alone.
 struct CountingAlloc;
 
-// SAFETY: defers entirely to `System`; the bookkeeping around it is a
-// thread-local counter bump with no allocation of its own.
+// SAFETY: defers entirely to `System`; the bookkeeping around it is
+// thread-local counter bumps with no allocation of their own.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        track(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        track(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -49,6 +70,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Restarts this thread's high-water mark at its live bytes, which it
+/// returns.
+fn reset_peak() -> i64 {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(live));
+    live
+}
+
+fn peak() -> i64 {
+    PEAK.with(Cell::get)
 }
 
 /// SAC settings for the allocation tests: `actor_delay` 0 so the very
@@ -184,4 +217,69 @@ fn bc_step_is_allocation_free_after_warmup() {
         "Cloner::step allocated {} times across 10 warmed-up steps",
         after - before
     );
+}
+
+/// Saving a training snapshot at the victim's shapes (60 obs, 2 actions,
+/// [128, 128], a 10 000-transition replay) streams its text to disk: the
+/// save raises the thread's heap high-water mark by a fixed bound, not by
+/// the megabytes of the file, and writes the same bytes as encoding the
+/// text whole and appending its checksum line.
+#[test]
+fn snapshot_save_heap_does_not_grow_with_the_file() {
+    /// The most heap one save may add: the write buffer and paths, far
+    /// below the text's size.
+    const BOUND: i64 = 256 * 1024;
+    let mut rng = StdRng::seed_from_u64(11);
+    let sac = Sac::new(60, 2, &[128, 128], config(128), &mut rng);
+    let mut buffer = ReplayBuffer::new(20_000, 60, 2);
+    let mut draw = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
+    for i in 0..10_000 {
+        buffer.push(Transition {
+            obs: draw(60),
+            action: draw(2),
+            reward: draw(1)[0],
+            next_obs: draw(60),
+            terminal: i % 97 == 0,
+        });
+    }
+    let snap = TrainSnapshot {
+        step: 10_000,
+        episode_seed: 3,
+        config_hash: 0x0123_4567_89ab_cdef,
+        rng: StreamPos::capture(&StdRng::seed_from_u64(5)),
+        healthy_updates: 40,
+        rollbacks: 0,
+        best: Some((sac.actor.clone(), 12.5)),
+        sac: sac.clone(),
+        last_good: Some(sac),
+        buffer,
+    };
+    let dir = std::env::temp_dir().join(format!("drive-rl-alloc-snapshot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("victim_sac.snap");
+
+    let before = reset_peak();
+    checkpoint::save_with(&path, |out| snap.encode(out)).expect("save");
+    let rise = peak() - before;
+
+    let mut text = String::new();
+    snap.encode(&mut text).expect("encode");
+    assert!(
+        text.len() > 4 << 20,
+        "the snapshot text is {} bytes",
+        text.len()
+    );
+    assert!(
+        rise < BOUND,
+        "saving a {}-byte snapshot raised the heap high-water mark by {rise} bytes",
+        text.len()
+    );
+    assert!(text.ends_with('\n'));
+    let expected = format!(
+        "{text}checksum {:016x}\n",
+        drive_seed::fnv1a_64(text.as_bytes())
+    );
+    let on_disk = std::fs::read(&path).expect("read back");
+    assert!(on_disk == expected.as_bytes(), "the saved bytes differ");
+    std::fs::remove_dir_all(&dir).expect("clean up");
 }

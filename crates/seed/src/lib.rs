@@ -58,8 +58,12 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// The FNV-1a 64-bit offset basis: the hash of no bytes.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// [`fnv1a_64`] continued over more bytes: `fnv1a_64_extend(fnv1a_64(a), b)`
+/// equals the hash of `a` followed by `b`, so a writer can hash text in
+/// the pieces it produces it in.
 #[inline]
-fn fnv1a_64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+#[must_use]
+pub fn fnv1a_64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -213,6 +217,10 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(
+            fnv1a_64_extend(fnv1a_64(b"foo"), b"bar"),
+            fnv1a_64(b"foobar")
+        );
     }
 
     #[test]

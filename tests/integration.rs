@@ -124,7 +124,10 @@ fn checkpoint_round_trip_preserves_behavior() {
     let mut rng = StdRng::seed_from_u64(9);
     let policy = GaussianPolicy::new(features.observation_dim(), &[32, 32], 2, &mut rng);
 
-    let dir = std::env::temp_dir().join("ad-action-attacks-integration");
+    let dir = std::env::temp_dir().join(format!(
+        "ad-action-attacks-integration-{}",
+        std::process::id()
+    ));
     let path = dir.join("policy.ckpt");
     checkpoint::save_to_file(&path, &checkpoint::encode_policy(&policy)).unwrap();
     let loaded = checkpoint::decode_policy(&checkpoint::load_from_file(&path).unwrap()).unwrap();
