@@ -71,10 +71,17 @@ impl EpisodeTally {
     }
 
     /// The finished record, with the world's non-finite command count and
-    /// the episode's cumulative adversarial reward.
+    /// the episode's cumulative adversarial reward. Its per-step vectors
+    /// are copied into allocations of exactly their length: a finished
+    /// record is kept for the rest of its cell, and the growth slack of a
+    /// short episode (175 steps in a 256-slot vector) would stay with it.
+    /// `shrink_to_fit` in place leaves the freed tails scattered through
+    /// the heap instead.
     pub fn finish(mut self, world: &World, adv_return: f64) -> EpisodeRecord {
         self.record.nonfinite_actions = world.nonfinite_action_count();
         self.record.adv_return = adv_return;
+        self.record.deviation = self.record.deviation.as_slice().to_vec();
+        self.record.perturbation = self.record.perturbation.as_slice().to_vec();
         self.record
     }
 }
@@ -188,6 +195,18 @@ mod tests {
         assert!(rec.nominal_return > 100.0, "return {}", rec.nominal_return);
         assert_eq!(rec.attack_start, None);
         assert_eq!(rec.attack_effort(), 0.0);
+    }
+
+    /// A finished record's per-step vectors hold no growth slack: a
+    /// default-scenario episode is not a power-of-two number of steps.
+    #[test]
+    fn finished_record_vectors_are_exactly_sized() {
+        let mut agent = ModularAgent::new(ModularConfig::default(), 1);
+        let rec = run_episode(&mut agent, &Scenario::default(), 42, None, |_, _, _| {});
+        assert!(!rec.steps.is_power_of_two(), "{} steps", rec.steps);
+        assert_eq!(rec.deviation.len(), rec.steps);
+        assert_eq!(rec.deviation.capacity(), rec.deviation.len());
+        assert_eq!(rec.perturbation.capacity(), rec.perturbation.len());
     }
 
     #[test]

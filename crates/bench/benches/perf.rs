@@ -481,8 +481,8 @@ fn control_phase_rows() -> Vec<BenchResult> {
 }
 
 /// The run directory's per-cell coordination overhead: one exclusive
-/// lease claim (checksummed claim file + hard link + progress row)
-/// followed by the owner-checked release (read-back + unlink). Every journaled cell,
+/// lease claim (touch of the worker's claim file + hard link + progress
+/// row) followed by the owner-checked release (read-back + unlink). Every journaled cell,
 /// single-process or sharded, pays this on top of its compute, so it must
 /// stay orders of magnitude below the cheapest cell.
 fn bench_lease_claim(c: &mut Criterion) {
@@ -508,9 +508,10 @@ fn bench_lease_claim(c: &mut Criterion) {
 }
 
 /// Merge-scale pseudo-row: wall time of `merge::verify_shard` over a
-/// 432-cell shard (the scenario-matrix grid size) — every sidecar's
-/// checkpoint checksum re-verified, records decoded, canonical digests
-/// compared for conflicts. This is the fixed verification cost a
+/// 432-cell shard (the scenario-matrix grid size) — every journaled
+/// cell read back from the cell log at its WAL offset, its checksum
+/// re-verified, records decoded, canonical digests compared for
+/// conflicts. This is the fixed verification cost a
 /// `repro_bench merge` pays before assembling outputs; the shard is
 /// built once through the real lease/publish path and the row reports
 /// the median of several verification sweeps.

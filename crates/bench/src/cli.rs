@@ -415,7 +415,7 @@ pub fn run(args: &CliArgs) -> Result<(), CliError> {
     } else if let Some(run_dir) = csv_dir.as_ref().or(args.svg.as_ref()) {
         let journal_dir = run_dir.join("journal");
         if args.resume.is_none() {
-            // A fresh run owns the directory: stale sidecars from an older,
+            // A fresh run owns the directory: stale cells from an older,
             // differently configured run must not survive.
             let _ = std::fs::remove_dir_all(&journal_dir);
         }

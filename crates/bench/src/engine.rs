@@ -90,7 +90,7 @@ pub struct RunContext<'a> {
     pub svg_dir: Option<PathBuf>,
     /// Crash-safety journal ([`crate::journal`]): this process's worker in
     /// a run directory. When set, every grid cell goes through the lease
-    /// protocol — load a published sidecar, claim-and-compute-and-publish,
+    /// protocol — load a published cell, claim-and-compute-and-publish,
     /// or wait — completed experiments are logged as they finish, and
     /// already-completed experiments (with verified manifests) are skipped.
     /// `None` (the default) runs without crash safety.
@@ -102,7 +102,7 @@ pub struct RunContext<'a> {
     pub fleet: Option<usize>,
     /// Load-only replay used by `repro_bench merge` ([`crate::merge`]):
     /// when set (and no journal is), every cell loads from the merged run
-    /// directory's verified sidecars instead of simulating.
+    /// directory's verified cells instead of simulating.
     pub replay: Option<Arc<crate::merge::Replay>>,
     cache: Mutex<HashMap<&'static str, Arc<dyn Any + Send + Sync>>>,
 }

@@ -110,7 +110,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
     // Frozen policies, packed once for every arm; agents and per-episode
     // attackers get O(1) clones.
     let victim = BatchPolicy::from(artifacts.victim.clone());
-    let pnn = Arc::new(artifacts.pnn.clone());
+    let pnn = Arc::clone(&artifacts.pnn);
     let camera_attacker = BatchPolicy::from(artifacts.camera_attacker.clone());
     let imu_attacker = BatchPolicy::from(artifacts.imu_attacker.clone());
 

@@ -97,13 +97,13 @@ pub fn build_agent(
             true,
         )),
         AgentKind::PnnSigma02 => Box::new(E2eAgent::new(
-            SimplexSwitcher::new(Arc::new(artifacts.pnn.clone()), 0.2, budget.epsilon()),
+            SimplexSwitcher::new(Arc::clone(&artifacts.pnn), 0.2, budget.epsilon()),
             features,
             seed,
             true,
         )),
         AgentKind::PnnSigma04 => Box::new(E2eAgent::new(
-            SimplexSwitcher::new(Arc::new(artifacts.pnn.clone()), 0.4, budget.epsilon()),
+            SimplexSwitcher::new(Arc::clone(&artifacts.pnn), 0.4, budget.epsilon()),
             features,
             seed,
             true,
@@ -236,7 +236,7 @@ pub fn attacked_records_in(
         .as_bytes(),
     );
     // Crash safety: a journaled cell, single-process or sharded, loads a
-    // published sidecar, or is computed under a lease and published, or
+    // published cell, or is computed under a lease and published, or
     // waits for its current owner. The journal owns its own shutdown safe
     // points.
     if let Some(journal) = &ctx.journal {
@@ -291,7 +291,7 @@ pub fn fleet_fallbacks() -> u64 {
 /// The compute body of one cell: fleet fast path (with a counted serial
 /// fallback on panic; a hard failure under `cfg(test)`) or the hardened
 /// serial executor. Returns the records plus a clean flag (`true` when
-/// every episode succeeded), which gates sidecar publication.
+/// every episode succeeded), which gates the cell's publication.
 #[allow(clippy::too_many_arguments)]
 fn compute_cell(
     kind: AgentKind,

@@ -6,76 +6,89 @@
 //! same worker. Any number of `repro_bench shard <dir>` processes join
 //! one directory under distinct worker ids ([`crate::shard`]), and
 //! `repro_bench merge` ([`crate::merge`]) assembles their results. All of
-//! them share one layout:
+//! them share one layout, with no file per cell:
 //!
 //! * `shard.header` — the immutable run header ([`ShardHeader`]: seed,
 //!   config hash, scale, experiment selection), written once via atomic
 //!   rename. Every worker verifies it before touching anything else, so
 //!   two differently configured runs can never interleave in one
 //!   directory.
-//! * `leases/cell-<key>.lease` — one claim per in-flight cell, taken by
-//!   atomically and exclusively creating the file (a hard link that fails
-//!   if the lease exists). The body carries the owner id and an FNV
-//!   checksum; the file mtime is the owner's heartbeat, renewed by the
-//!   worker's background thread while the worker runs.
-//! * `cells/cell-<key>-<owner>.ckpt` — completed, checksummed episode
-//!   sidecars (`records v2` text, every float as its bit pattern in hex,
-//!   then a `checksum` line), owner-tagged so the merge can attribute
-//!   (and cross-check) every result.
-//! * `workers/<owner>/wal.bin` — the worker's write-ahead log of completed
-//!   cells and experiments (format below); `workers/<owner>/progress.csv`
-//!   — its flush-per-row event log for humans watching a long run.
+//! * `leases/cell-<key>.lease` — one claim per in-flight cell: a hard link
+//!   to the claiming worker's claim file, which `link(2)` creates only if
+//!   the lease does not exist.
+//! * `workers/<owner>/cells.log` — the worker's append-only cell log:
+//!   every cell it computed, back to back, each as its `records v2` text
+//!   (every float as its bit pattern in hex) followed by a `checksum`
+//!   line, the FNV-1a of that text.
+//! * `workers/<owner>/wal.bin` — the worker's write-ahead log of published
+//!   cells (with each one's place in `cells.log`) and completed
+//!   experiments (format below).
+//! * `workers/<owner>/claim` — the body every lease of the worker shares
+//!   (`lease - <owner>` and a `sum` line, its FNV-1a). Its mtime is the
+//!   heartbeat of all the worker's leases, renewed by the worker's
+//!   background thread while it holds any.
+//! * `workers/<owner>/progress.csv` — the worker's flush-per-row event log
+//!   for humans watching a long run.
 //!
-//! Every grid cell goes through [`JournalHandle::run_cell`]: load a
-//! published sidecar if any worker already finished the cell, otherwise
-//! claim its lease and compute and publish it, otherwise wait for the
-//! current owner. Because every cell is a pure function of its seed
-//! namespace, a resumed or sharded run produces byte-identical outputs to
-//! an uninterrupted one.
+//! Every grid cell goes through [`JournalHandle::run_cell`]: load the
+//! published cell if any worker already finished it, otherwise claim its
+//! lease and compute and publish it, otherwise wait for the current
+//! owner. Because every cell is a pure function of its seed namespace, a
+//! resumed or sharded run produces byte-identical outputs to an
+//! uninterrupted one.
+//!
+//! A worker finds its own cells through an in-memory index of its WAL,
+//! rebuilt on (re)joining. It finds a peer's by reading the part of the
+//! peer's WAL it has not read yet; either way the text is read at its
+//! recorded place in the owner's `cells.log` and must hash to the
+//! recorded digest, or the cell is recomputed. A directory written by the
+//! older layout (one file per cell, WAL magic `RBJRNL1`, header
+//! `shard-v1`) is refused with [`JournalError::Incompatible`].
 //!
 //! ## Crash safety and work stealing
 //!
-//! Sidecars are written via atomic rename, so there are no partials on
-//! disk, and a WAL record is appended only after its sidecar is durable
-//! (see *Publishing*).
-//! On (re)joining, the worker's WAL is scanned and a torn or corrupt tail
+//! A WAL record is appended only after its cell's text is durable (see
+//! *Publishing*), so a journaled cell always has its bytes. On
+//! (re)joining, the worker's WAL is scanned and a torn or corrupt tail
 //! (the record being appended when the process was killed) is truncated
-//! away. A worker that reaches a cell someone else holds waits on a
-//! seeded, jittered backoff ([`RetryPolicy::lease_contention`]); once the
-//! lease's heartbeat is older than the TTL, the waiter *steals* it: the
-//! lease is atomically renamed to a per-taker tombstone (of two racing
-//! takers, one `rename` wins), removed, and re-claimed exclusively. A
-//! lease that carries this worker's own id but is not held by this
-//! process belongs to a dead incarnation of the worker, and is reclaimed
-//! at once. A SIGKILL therefore costs latency, never correctness. If a
-//! slow owner was merely stalled and publishes too, both sidecars carry
-//! the same checksum (cells are deterministic); differing checksums are a
-//! hard merge error naming both owners.
+//! away, and so is the part of `cells.log` after the last journaled cell:
+//! cells a kill left without their WAL records are recomputed. A worker
+//! that reaches a cell someone else holds waits on a seeded, jittered
+//! backoff ([`RetryPolicy::lease_contention`]); once the lease's
+//! heartbeat is older than the TTL, the waiter *steals* it: the lease is
+//! atomically renamed to a per-taker tombstone (of two racing takers, one
+//! `rename` wins), removed, and re-claimed exclusively. A lease that
+//! carries this worker's own id but is not held by this process belongs
+//! to a dead incarnation of the worker, and is reclaimed at once. Each
+//! incarnation writes a new claim file, so its claims never renew the
+//! leases of a dead one. A SIGKILL therefore costs latency, never
+//! correctness. If a slow owner was merely stalled and publishes too,
+//! both copies carry the same digest (cells are deterministic); differing
+//! digests are a hard merge error naming both owners.
 //!
 //! ## Publishing
 //!
 //! A compute thread never waits on the disk for a clean cell: `run_cell`
-//! encodes the records, writes them (with their one FNV hash as the
-//! `checksum` line) to the sidecar's temporary without syncing, queues
-//! the cell for the worker's one background thread (the same thread that
+//! streams the records' text and its `checksum` line to the end of the
+//! worker's cell log under the log's lock, through the checkpoint writer's
+//! 8 KiB hashing buffer ([`drive_nn::checkpoint::write_checksummed`]), so
+//! no cell's text is ever held whole. It queues the cell's place in the
+//! log for the worker's one background thread (the same thread that
 //! renews the leases) and returns the records at once. The cell's lease
 //! stays held until the cell is durable. The thread group-commits
 //! whatever is queued, in this order:
 //!
-//! 1. each sidecar temporary `fdatasync`ed;
-//! 2. every temporary renamed into place, then one `cells/` fsync;
-//! 3. one WAL write carrying every record's frame (the sidecar's hash is
-//!    the record's digest), then one `fdatasync`;
-//! 4. the progress rows, then the lease releases.
+//! 1. one `fdatasync` of `cells.log`;
+//! 2. one WAL write carrying every cell's record, then one `fdatasync`;
+//! 3. the in-memory index and the progress rows, then the lease releases.
 //!
-//! So "sidecar durable → WAL record → lease released" holds per cell,
-//! and a batch of *n* cells costs *n* + 2 syncs instead of 3*n*. Renewals
-//! run between sidecar writes, so a large batch never outlasts a
-//! heartbeat period. At most `MAX_QUEUED` (32) cells wait; a compute thread
-//! that finds the queue full waits for room. The queue holds file handles,
-//! not record text, so publishing off the compute threads costs no memory.
-//! A key requested again while it is queued or being committed waits for
-//! that publish in process and then loads, never recomputes.
+//! So "cell text durable → WAL record → lease released" holds per cell,
+//! and a batch of any size costs two syncs. At most `MAX_QUEUED` (32)
+//! cells wait; a compute thread that finds the queue full waits for
+//! room. The queue holds places in the log, not record text, so
+//! publishing off the compute threads costs no memory. A key requested
+//! again while it is queued or being committed waits for that publish in
+//! process and then loads, never recomputes.
 //!
 //! Everything that reports or builds on the journal's contents first
 //! waits for the queue to drain (a *flush*): [`JournalHandle::record_experiment`]
@@ -94,26 +107,32 @@
 //!
 //! * `run <seed:016x> <config:016x> <box> <scatter>` — the run header
 //!   (always the first record).
-//! * `cell <key:016x> <digest:016x> <episodes> <label>` — one published
-//!   cell; `digest` is the FNV-1a of the sidecar's record text, the value
-//!   its `checksum` line records.
+//! * `cell <key:016x> <digest:016x> <episodes> <offset> <len> <label>` —
+//!   one published cell: its text is the `len` bytes at byte `offset` of
+//!   the worker's `cells.log`, `checksum` line included, and `digest` is
+//!   the FNV-1a of the record text, the value that line records. When a
+//!   key has two records (a copy that failed to load, recomputed), the
+//!   later one counts.
 //! * `exp <manifest_fnv:016x> <name>` — one completed experiment.
 
 use drive_core::retry::RetryPolicy;
 use drive_core::shutdown;
 use drive_metrics::export::CsvSink;
-use drive_nn::checkpoint::Staged;
 use drive_seed::fnv1a_64;
-use drive_sim::record::{decode_records, encode_records, EpisodeRecord};
-use std::collections::{BTreeMap, HashSet};
-use std::io::Write as _;
+use drive_sim::record::{decode_records, write_records, EpisodeRecord};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Magic bytes at the start of every WAL file.
-pub const MAGIC: &[u8] = b"RBJRNL1\n";
+pub const MAGIC: &[u8] = b"RBJRNL2\n";
+
+/// The WAL magic of the older layout, one file per cell: such a
+/// directory is refused as incompatible, never misread.
+const OLD_MAGIC: &[u8] = b"RBJRNL1\n";
 
 /// Bytes of frame overhead per record (length prefix + checksum).
 const FRAME_HEADER: usize = 4 + 8;
@@ -125,7 +144,20 @@ pub const DEFAULT_TTL: Duration = Duration::from_secs(30);
 pub const SOLO_WORKER: &str = "solo";
 
 /// First line of the shared `shard.header` file.
-const HEADER_MAGIC: &str = "shard-v1";
+const HEADER_MAGIC: &str = "shard-v2";
+
+/// First line of the `shard.header` of the older, file-per-cell layout.
+const OLD_HEADER_MAGIC: &str = "shard-v1";
+
+/// The error for a run directory (or one of its files at `path`) that the
+/// older, file-per-cell layout wrote.
+fn older_layout(path: &Path) -> JournalError {
+    JournalError::Incompatible(format!(
+        "{} was written by an older build (one file per cell); \
+         start a fresh run directory",
+        path.display()
+    ))
+}
 
 /// Errors from joining a run directory or appending to a worker's WAL.
 #[derive(Debug)]
@@ -331,6 +363,9 @@ impl ShardHeader {
                 format!("cannot read {}: {e}", path.display()),
             ))
         })?;
+        if text.lines().next() == Some(OLD_HEADER_MAGIC) {
+            return Err(older_layout(&path));
+        }
         ShardHeader::decode(&text)
             .map_err(|e| JournalError::Corrupt(format!("{}: {e}", path.display())))
     }
@@ -374,6 +409,25 @@ pub fn scan_frames(body: &[u8]) -> (Vec<String>, usize) {
     (records, pos)
 }
 
+/// The frames of the WAL at `path`, whose bytes are `bytes`: everything
+/// after [`MAGIC`].
+///
+/// # Errors
+///
+/// [`JournalError::Incompatible`] for a WAL of the older layout,
+/// [`JournalError::Corrupt`] for any other file without the magic.
+pub(crate) fn wal_body<'a>(bytes: &'a [u8], path: &Path) -> Result<&'a [u8], JournalError> {
+    if bytes.starts_with(OLD_MAGIC) {
+        return Err(older_layout(path));
+    }
+    bytes.strip_prefix(MAGIC).ok_or_else(|| {
+        JournalError::Corrupt(format!(
+            "{} does not start with the journal magic",
+            path.display()
+        ))
+    })
+}
+
 /// Whether `owner` is safe to embed in file names.
 pub fn valid_owner(owner: &str) -> bool {
     !owner.is_empty()
@@ -383,17 +437,43 @@ pub fn valid_owner(owner: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
 }
 
-/// One worker's lease table: the `leases/` directory and the claims this
-/// process holds in it. Every claim, renewal and release happens under the
-/// `held` lock, so "this worker's id but not in `held`" reliably means a
-/// dead incarnation's lease.
+/// One worker's lease table: the `leases/` directory, this worker's claim
+/// file and the claims this process holds. Every claim, renewal and
+/// release happens under the `held` lock, so "this worker's id but not in
+/// `held`" reliably means a dead incarnation's lease.
 struct Leases {
     dir: PathBuf,
     owner: String,
+    /// `workers/<owner>/claim`, the body of every lease this process
+    /// takes: each lease is a hard link to it, so its mtime is the
+    /// heartbeat of all of them.
+    claim: PathBuf,
+    /// The claim file, open to set its mtime.
+    claim_file: std::fs::File,
     held: Mutex<HashSet<u64>>,
 }
 
 impl Leases {
+    /// Writes this process's claim file into `worker_dir` as a new file
+    /// (temporary + rename), so the leases a dead incarnation linked to
+    /// the old one keep their own, aging heartbeat.
+    fn open(dir: PathBuf, worker_dir: &Path, owner: &str) -> std::io::Result<Leases> {
+        let body = format!("lease - {owner}\n");
+        let sum = fnv1a_64(body.as_bytes());
+        let claim = worker_dir.join("claim");
+        let tmp = worker_dir.join("claim.tmp");
+        let mut claim_file = std::fs::File::create(&tmp)?;
+        claim_file.write_all(format!("{body}sum {sum:016x}\n").as_bytes())?;
+        std::fs::rename(&tmp, &claim)?;
+        Ok(Leases {
+            dir,
+            owner: owner.to_string(),
+            claim,
+            claim_file,
+            held: Mutex::new(HashSet::new()),
+        })
+    }
+
     fn path(&self, key: u64) -> PathBuf {
         self.dir.join(format!("cell-{key:016x}.lease"))
     }
@@ -413,24 +493,23 @@ impl Leases {
         Self::owner_of(&self.path(key)).as_deref() == Some(self.owner.as_str())
     }
 
-    /// Atomically creates `key`'s lease; `false` when it exists. The body is
-    /// written to this worker's private claim file and hard-linked into
-    /// place: `link(2)` fails if the lease exists (the exclusive arbiter),
-    /// and a lease never appears without its owner id, even when the
-    /// claimant is killed mid-claim — so a restarted worker always
-    /// recognises its own dead leases. A lease is not synced to disk: it
-    /// only coordinates live processes, and after a host crash every lease
-    /// is abandoned anyway.
+    /// Sets the heartbeat of every lease this process holds to now.
+    fn touch(&self) {
+        let _ = self.claim_file.set_modified(std::time::SystemTime::now());
+    }
+
+    /// Atomically creates `key`'s lease; `false` when it exists. The lease
+    /// is a hard link to this worker's claim file: `link(2)` fails if the
+    /// lease exists (the exclusive arbiter), and a lease never appears
+    /// without its owner id, so a restarted worker always recognises its
+    /// own dead leases. The claim file is touched first: after a spell of
+    /// holding no lease (no renewals) its mtime is old, and a lease linked
+    /// to it would read as stale the moment it appeared. A lease is not
+    /// synced to disk: it only coordinates live processes, and after a
+    /// host crash every lease is abandoned anyway.
     fn create(&self, key: u64) -> bool {
-        let body = format!("lease {key:016x} {}\n", self.owner);
-        let sum = fnv1a_64(body.as_bytes());
-        let claim = self
-            .dir
-            .join(format!("cell-{key:016x}.claim-{}", self.owner));
-        let linked = std::fs::write(&claim, format!("{body}sum {sum:016x}\n"))
-            .and_then(|()| std::fs::hard_link(&claim, self.path(key)));
-        let _ = std::fs::remove_file(&claim);
-        match linked {
+        self.touch();
+        match std::fs::hard_link(&self.claim, self.path(key)) {
             Ok(()) => true,
             Err(e) => {
                 if e.kind() != std::io::ErrorKind::AlreadyExists {
@@ -444,19 +523,15 @@ impl Leases {
         }
     }
 
-    /// One heartbeat pass: bump the mtime of every held lease. A lease
-    /// stolen out from under us belongs to the thief now: stop renewing
-    /// it, and never unlink it.
+    /// One heartbeat pass: forget the leases stolen out from under us
+    /// (they belong to the thief now, and are never unlinked by us), then
+    /// renew the rest with one touch of the claim file they all link to.
     fn renew(&self) {
-        self.held.lock().expect("held lock").retain(|&key| {
-            let ours = self.is_ours(key);
-            if ours {
-                if let Ok(file) = std::fs::OpenOptions::new().write(true).open(self.path(key)) {
-                    let _ = file.set_modified(std::time::SystemTime::now());
-                }
-            }
-            ours
-        });
+        let mut held = self.held.lock().expect("held lock");
+        held.retain(|&key| self.is_ours(key));
+        if !held.is_empty() {
+            self.touch();
+        }
     }
 
     /// Releases `key` if this worker still owns it (a thief may have
@@ -473,9 +548,88 @@ impl Leases {
 
 const PROGRESS_HEADERS: [&str; 4] = ["event", "cell", "episodes", "detail"];
 
+/// Where one published cell's text sits in its worker's `cells.log`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CellRef {
+    /// Byte offset of the text in the log.
+    pub(crate) offset: u64,
+    /// Bytes of the text, its `checksum` line included.
+    pub(crate) len: u64,
+    /// FNV-1a of the record text: the value its `checksum` line records.
+    pub(crate) digest: u64,
+    /// Episodes the text holds.
+    pub(crate) episodes: usize,
+}
+
+/// The WAL payload of a published cell (see *WAL format*).
+fn cell_payload(key: u64, at: &CellRef, label: &str) -> String {
+    format!(
+        "cell {key:016x} {:016x} {} {} {} {label}",
+        at.digest, at.episodes, at.offset, at.len
+    )
+}
+
+/// Parses a WAL payload written by [`cell_payload`] into its key, place
+/// and label; `None` for every other record.
+pub(crate) fn parse_cell(payload: &str) -> Option<(u64, CellRef, &str)> {
+    let mut parts = payload.splitn(7, ' ');
+    if parts.next()? != "cell" {
+        return None;
+    }
+    let key = u64::from_str_radix(parts.next()?, 16).ok()?;
+    let at = CellRef {
+        digest: u64::from_str_radix(parts.next()?, 16).ok()?,
+        episodes: parts.next()?.parse().ok()?,
+        offset: parts.next()?.parse().ok()?,
+        len: parts.next()?.parse().ok()?,
+    };
+    Some((key, at, parts.next().unwrap_or("")))
+}
+
+/// Reads the cell at `at` from a worker's cell log and verifies it: the
+/// bytes lie inside the log, end with a `checksum` line they hash to, that
+/// checksum is the journaled digest, and they decode to the journaled
+/// number of episodes. The reader must have `log` to itself (it seeks).
+pub(crate) fn read_cell(
+    mut log: &std::fs::File,
+    at: &CellRef,
+) -> Result<Vec<EpisodeRecord>, String> {
+    let size = log.metadata().map_err(|e| e.to_string())?.len();
+    if at.offset.checked_add(at.len).is_none_or(|end| end > size) {
+        return Err(format!(
+            "bytes {}..+{} lie past the end of the {size}-byte log",
+            at.offset, at.len
+        ));
+    }
+    let mut bytes = vec![0u8; at.len as usize];
+    log.seek(SeekFrom::Start(at.offset))
+        .and_then(|_| log.read_exact(&mut bytes))
+        .map_err(|e| e.to_string())?;
+    let text = String::from_utf8(bytes).map_err(|_| "the text is not UTF-8".to_string())?;
+    let (text, checksum) =
+        drive_nn::checkpoint::verify_checksummed(text).map_err(|e| e.to_string())?;
+    if checksum != at.digest {
+        return Err(format!(
+            "the text hashes to {checksum:016x}, the WAL records {:016x}",
+            at.digest
+        ));
+    }
+    let records = decode_records(&text).map_err(|e| e.to_string())?;
+    if records.len() != at.episodes {
+        return Err(format!(
+            "{} episode(s), the WAL records {}",
+            records.len(),
+            at.episodes
+        ));
+    }
+    Ok(records)
+}
+
 /// A worker's index recovered from its WAL, and its progress log.
 struct WorkerLog {
-    cells: HashSet<u64>,
+    /// Every cell in the WAL, by key; a later record of a key replaces an
+    /// earlier one.
+    cells: HashMap<u64, CellRef>,
     experiments: HashSet<String>,
     progress: CsvSink,
     counts: BTreeMap<&'static str, u64>,
@@ -508,13 +662,7 @@ impl WorkerLog {
             }
             Err(e) => return Err(e.into()),
         };
-        if !bytes.starts_with(MAGIC) {
-            return Err(JournalError::Corrupt(format!(
-                "{} does not start with the journal magic",
-                path.display()
-            )));
-        }
-        let (records, valid_len) = scan_frames(&bytes[MAGIC.len()..]);
+        let (records, valid_len) = scan_frames(wal_body(&bytes, &path)?);
         let Some(header_line) = records.first() else {
             return Err(JournalError::Corrupt(format!(
                 "{} has no run header record",
@@ -533,26 +681,23 @@ impl WorkerLog {
         // log restarts from the recovered WAL records rather than
         // appending after whatever tail the kill left behind.
         let mut progress = CsvSink::create(worker_dir.join("progress.csv"), PROGRESS_HEADERS)?;
-        let mut cells = HashSet::new();
+        let mut cells = HashMap::new();
         let mut experiments = HashSet::new();
         for line in &records[1..] {
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            match parts.first() {
-                Some(&"cell") if parts.len() >= 4 => {
-                    let Ok(key) = u64::from_str_radix(parts[1], 16) else {
-                        continue; // checksummed but unparseable: skip
-                    };
-                    cells.insert(key);
-                    let label = parts[4..].join(" ");
-                    let _ = progress.row(["cell", &label, parts[3], parts[2]]);
-                }
-                Some(&"exp") if parts.len() >= 3 => {
-                    let name = parts[2..].join(" ");
-                    let _ = progress.row(["experiment", &name, "-", parts[1]]);
-                    experiments.insert(name);
-                }
-                _ => {} // unknown record kind: forward compatibility
+            if let Some((key, at, label)) = parse_cell(line) {
+                cells.insert(key, at);
+                let digest = format!("{:016x}", at.digest);
+                let _ = progress.row(["cell", label, &at.episodes.to_string(), &digest]);
+                continue;
             }
+            let parts: Vec<&str> = line.split_whitespace().collect();
+            if parts.first() == Some(&"exp") && parts.len() >= 3 {
+                let name = parts[2..].join(" ");
+                let _ = progress.row(["experiment", &name, "-", parts[1]]);
+                experiments.insert(name);
+            }
+            // Anything else: an unknown record kind, kept for forward
+            // compatibility.
         }
         // Truncate the torn tail so appends start on a frame boundary.
         let keep = MAGIC.len() + valid_len;
@@ -582,6 +727,125 @@ impl WorkerLog {
     }
 }
 
+/// A worker's append-only `cells.log`: every cell it computed, each one's
+/// record text followed by its `checksum` line, back to back.
+struct CellLog {
+    /// Open for reading and appending: an append lands at the end
+    /// wherever a read left the cursor.
+    file: std::fs::File,
+    /// Where the next cell's text starts.
+    end: u64,
+}
+
+impl CellLog {
+    /// Opens `worker_dir`'s cell log (creating it if absent) and truncates
+    /// it after the last journaled cell of `cells`: what follows is cells
+    /// a kill left without their WAL records, which a resume recomputes.
+    fn open(worker_dir: &Path, cells: &HashMap<u64, CellRef>) -> std::io::Result<CellLog> {
+        let path = worker_dir.join("cells.log");
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(&path)?;
+        let journaled = cells
+            .values()
+            .map(|at| at.offset.saturating_add(at.len))
+            .max();
+        let size = file.metadata()?.len();
+        let end = journaled.unwrap_or(0).min(size);
+        if end < size {
+            eprintln!(
+                "[resume] truncating {} unjournaled byte(s) from {}",
+                size - end,
+                path.display()
+            );
+            file.set_len(end)?;
+        }
+        Ok(CellLog { file, end })
+    }
+
+    /// Streams `records`' text and its `checksum` line to the end of the
+    /// log, unsynced, and returns where they landed.
+    fn append(&mut self, records: &[EpisodeRecord]) -> std::io::Result<CellRef> {
+        let offset = self.end;
+        match drive_nn::checkpoint::write_checksummed(&self.file, |out| write_records(out, records))
+        {
+            Ok(written) => {
+                self.end += written.len;
+                Ok(CellRef {
+                    offset,
+                    len: written.len,
+                    digest: written.checksum,
+                    episodes: records.len(),
+                })
+            }
+            Err(e) => {
+                // Cut the partial text away so the next cell starts at
+                // `end`. Should that fail too, the next cell's bytes are
+                // not where its record says, and loading it recomputes.
+                let _ = self.file.set_len(offset);
+                Err(e)
+            }
+        }
+    }
+}
+
+/// What this worker has read of a peer's WAL: the bytes consumed so far
+/// and the cells they index, so each lookup reads only what the peer
+/// appended since the last one.
+#[derive(Default)]
+struct PeerLog {
+    wal: Option<std::fs::File>,
+    log: Option<std::fs::File>,
+    /// Bytes of the WAL consumed, its magic included: always a frame
+    /// boundary.
+    read: u64,
+    cells: HashMap<u64, CellRef>,
+}
+
+impl PeerLog {
+    /// Indexes the frames appended to the peer's WAL in `dir` since the
+    /// last call. A missing WAL, or one of another layout, indexes nothing.
+    fn refresh(&mut self, dir: &Path) {
+        if self.wal.is_none() {
+            self.wal = std::fs::File::open(dir.join("wal.bin")).ok();
+        }
+        let Some(mut wal) = self.wal.as_ref() else {
+            return;
+        };
+        let mut tail = Vec::new();
+        if wal.seek(SeekFrom::Start(self.read)).is_err() || wal.read_to_end(&mut tail).is_err() {
+            return;
+        }
+        let mut body = tail.as_slice();
+        if self.read == 0 {
+            let Some(rest) = body.strip_prefix(MAGIC) else {
+                return;
+            };
+            body = rest;
+            self.read = MAGIC.len() as u64;
+        }
+        let (records, valid) = scan_frames(body);
+        for record in &records {
+            if let Some((key, at, _)) = parse_cell(record) {
+                self.cells.insert(key, at);
+            }
+        }
+        self.read += valid as u64;
+    }
+
+    /// The peer's published records of `key`, verified, when it has them.
+    fn load(&mut self, dir: &Path, key: u64, episodes: usize) -> Option<Vec<EpisodeRecord>> {
+        self.refresh(dir);
+        let at = *self.cells.get(&key).filter(|at| at.episodes == episodes)?;
+        if self.log.is_none() {
+            self.log = std::fs::File::open(dir.join("cells.log")).ok();
+        }
+        read_cell(self.log.as_ref()?, &at).ok()
+    }
+}
+
 /// Appends `payloads` to the WAL as one write of all their frames, then
 /// one `fdatasync`.
 fn append_frames<'a>(
@@ -598,18 +862,16 @@ fn append_frames<'a>(
 }
 
 /// Most cells one worker queues for publication before
-/// [`JournalHandle::run_cell`] waits for the publisher. A queued cell is
-/// its written, unsynced sidecar temporary and that file's open handle,
-/// so the bound limits open files and unsynced data, not memory.
+/// [`JournalHandle::run_cell`] waits for the publisher: the bound on cell
+/// text written to the log but not yet synced.
 const MAX_QUEUED: usize = 32;
 
-/// One completed cell on its way to disk: its sidecar is written to the
-/// temporary, not yet synced or renamed into place.
+/// One completed cell on its way to disk: its text is in the cell log,
+/// not yet synced or journaled.
 struct Publication {
     key: u64,
     label: String,
-    episodes: usize,
-    sidecar: Staged,
+    at: CellRef,
     /// Whether this worker holds the cell's lease, to be released once the
     /// cell is durable.
     release: bool,
@@ -652,76 +914,48 @@ struct Shared {
     /// The WAL, positioned at its end. Appends serialize here, so an
     /// `fdatasync` never holds up the progress log.
     wal: Mutex<std::fs::File>,
+    /// This worker's cell log. Appends and reads of its cells serialize
+    /// here.
+    cells: Mutex<CellLog>,
+    /// The cell log once more, for the publisher's `fdatasync`, which so
+    /// never holds up an append.
+    cells_sync: std::fs::File,
     log: Mutex<WorkerLog>,
+    /// The peers' WALs read so far, by worker id.
+    peers: Mutex<BTreeMap<String, PeerLog>>,
     outbox: Mutex<Outbox>,
     /// Signalled on every change to `outbox`.
     changed: Condvar,
 }
 
 impl Shared {
-    fn sidecar_path(&self, key: u64, owner: &str) -> PathBuf {
-        self.dir
-            .join("cells")
-            .join(format!("cell-{key:016x}-{owner}.ckpt"))
-    }
-
     /// Publishes `batch` as one group commit, then releases the leases it
     /// carries (published or not: a failed publish costs a recomputation,
-    /// never correctness). `between_writes` runs after each sidecar sync.
-    fn publish(
-        &self,
-        batch: &[Publication],
-        between_writes: &mut dyn FnMut(),
-    ) -> std::io::Result<()> {
-        let committed = self.commit(batch, between_writes);
+    /// never correctness).
+    fn publish(&self, batch: &[Publication]) -> std::io::Result<()> {
+        let committed = self.commit(batch);
         for p in batch.iter().filter(|p| p.release) {
             self.leases.release(p.key);
         }
         committed
     }
 
-    /// Makes `batch` durable in crash-safe order: each sidecar temporary
-    /// synced, all renamed into place, one `cells/` fsync; then one WAL
-    /// append carrying every record; then the progress rows. A crash
-    /// anywhere leaves each cell either journaled with its sidecar on
-    /// disk, or not journaled at all.
-    fn commit(
-        &self,
-        batch: &[Publication],
-        between_writes: &mut dyn FnMut(),
-    ) -> std::io::Result<()> {
-        let mut sidecars = || -> std::io::Result<()> {
-            for p in batch {
-                p.sidecar.file.sync_data()?;
-                between_writes();
-            }
-            for p in batch {
-                let path = self.sidecar_path(p.key, &self.leases.owner);
-                std::fs::rename(&p.sidecar.path, path)?;
-            }
-            drive_nn::checkpoint::sync_dir(self.dir.join("cells"))
-        };
-        if let Err(e) = sidecars() {
-            for p in batch {
-                let _ = std::fs::remove_file(&p.sidecar.path);
-            }
-            return Err(e);
-        }
+    /// Makes `batch` durable in crash-safe order: one `fdatasync` of the
+    /// cell log, then one WAL append carrying every record, then the
+    /// index and the progress rows. A crash anywhere leaves each cell
+    /// either journaled with its text on disk, or not journaled at all.
+    fn commit(&self, batch: &[Publication]) -> std::io::Result<()> {
+        self.cells_sync.sync_data()?;
         let records: Vec<String> = batch
             .iter()
-            .map(|p| {
-                format!(
-                    "cell {:016x} {:016x} {} {}",
-                    p.key, p.sidecar.checksum, p.episodes, p.label
-                )
-            })
+            .map(|p| cell_payload(p.key, &p.at, &p.label))
             .collect();
         append_frames(&self.wal, records.iter().map(String::as_str))?;
         let mut log = self.log.lock().expect("journal lock");
         for p in batch {
-            log.cells.insert(p.key);
-            let digest = format!("{:016x}", p.sidecar.checksum);
-            log.row("cell", &p.label, &p.episodes.to_string(), &digest);
+            log.cells.insert(p.key, p.at);
+            let digest = format!("{:016x}", p.at.digest);
+            log.row("cell", &p.label, &p.at.episodes.to_string(), &digest);
         }
         Ok(())
     }
@@ -754,23 +988,18 @@ impl Shared {
     }
 
     /// The background thread's loop: renews the held leases every `period`
-    /// and group-commits whatever the compute threads queued, renewing
-    /// between sidecar writes so a large batch never starves the
-    /// heartbeat.
+    /// and group-commits whatever the compute threads queued.
     fn run_publisher(&self, period: Duration) {
-        let renew_at = std::cell::Cell::new(Instant::now() + period);
-        let mut renew_if_due = || {
-            if Instant::now() >= renew_at.get() {
+        let mut renew_at = Instant::now() + period;
+        while let Some(batch) = self.next_batch(renew_at) {
+            if Instant::now() >= renew_at {
                 self.leases.renew();
-                renew_at.set(Instant::now() + period);
+                renew_at = Instant::now() + period;
             }
-        };
-        while let Some(batch) = self.next_batch(renew_at.get()) {
-            renew_if_due();
             if batch.is_empty() {
                 continue;
             }
-            if let Err(e) = self.publish(&batch, &mut renew_if_due) {
+            if let Err(e) = self.publish(&batch) {
                 let labels: Vec<&str> = batch.iter().map(|p| p.label.as_str()).collect();
                 eprintln!(
                     "warning: worker {} could not publish cell(s) {}: {e}",
@@ -833,13 +1062,14 @@ impl Drop for LeaseGuard<'_> {
 impl JournalHandle {
     /// Joins the run directory `dir` as worker `worker`: publishes or
     /// verifies `header`, re-opens the worker's WAL (torn tail truncated)
-    /// and starts the background thread.
+    /// and cell log (cut after the last journaled cell), writes its claim
+    /// file and starts the background thread.
     ///
     /// # Errors
     ///
     /// [`JournalError::Incompatible`] when the directory belongs to a
-    /// different run, [`JournalError::Corrupt`] for a bad header or WAL
-    /// magic, [`JournalError::Io`] for filesystem failures and invalid
+    /// different run or was written in the older file-per-cell layout,
+    /// [`JournalError::Corrupt`] for a bad header or WAL magic, [`JournalError::Io`] for filesystem failures and invalid
     /// worker ids.
     pub fn join(
         dir: impl Into<PathBuf>,
@@ -856,18 +1086,17 @@ impl JournalHandle {
         let dir = dir.into();
         header.write_or_verify(&dir)?;
         std::fs::create_dir_all(dir.join("leases"))?;
-        std::fs::create_dir_all(dir.join("cells"))?;
         let worker_dir = dir.join("workers").join(worker);
         std::fs::create_dir_all(&worker_dir)?;
         let (wal, log) = WorkerLog::open(&worker_dir, &header.run)?;
+        let cells = CellLog::open(&worker_dir, &log.cells)?;
         let shared = Arc::new(Shared {
-            leases: Leases {
-                dir: dir.join("leases"),
-                owner: worker.to_string(),
-                held: Mutex::new(HashSet::new()),
-            },
+            leases: Leases::open(dir.join("leases"), &worker_dir, worker)?,
             wal: Mutex::new(wal),
+            cells_sync: cells.file.try_clone()?,
+            cells: Mutex::new(cells),
             log: Mutex::new(log),
+            peers: Mutex::new(BTreeMap::new()),
             outbox: Mutex::new(Outbox::default()),
             changed: Condvar::new(),
             dir,
@@ -979,7 +1208,7 @@ impl JournalHandle {
     /// are skipped with placeholder records, so workers divide the grid
     /// ~evenly and compute in parallel; the pass's aggregate output is
     /// discarded), then a **completing** pass in which every cell loads
-    /// from a published sidecar, is computed under a fresh claim, or is
+    /// from a published cell, is computed under a fresh claim, or is
     /// block-waited on (steals included) until its owner publishes. A
     /// single-process run is only the completing pass.
     pub fn set_opportunistic(&self, on: bool) {
@@ -1015,8 +1244,8 @@ impl JournalHandle {
         self.log().row(event, cell, "-", detail);
     }
 
-    /// Runs one grid cell under the lease protocol: load a published
-    /// sidecar if any worker already finished it, otherwise claim the
+    /// Runs one grid cell under the lease protocol: load the published
+    /// cell if any worker already finished it, otherwise claim the
     /// cell (stealing an abandoned claim if needed) and compute it,
     /// otherwise wait out the current owner on the jittered backoff — or,
     /// in an opportunistic sweep (see
@@ -1024,7 +1253,7 @@ impl JournalHandle {
     /// immediately so the worker moves on to unclaimed work. `compute`
     /// returns the records plus a clean flag; only clean, complete cells
     /// publish (a cell with retried-out episodes is partial and must be
-    /// recomputed), so placeholders can never leak into a sidecar. A
+    /// recomputed), so placeholders can never leak into the journal. A
     /// clean cell is handed to the background thread, which publishes it
     /// and then releases its lease; the records return at once.
     pub fn run_cell(
@@ -1055,16 +1284,15 @@ impl JournalHandle {
                 let guard = LeaseGuard { journal: self, key };
                 let (records, clean) = compute();
                 if clean && records.len() == episodes {
-                    match self.stage(key, &records) {
-                        Ok(sidecar) => {
+                    match self.append(&records) {
+                        Ok(at) => {
                             // The publisher owns the lease from here and
                             // releases it once the cell is durable.
                             std::mem::forget(guard);
                             self.enqueue(Publication {
                                 key,
                                 label: label.to_string(),
-                                episodes,
-                                sidecar,
+                                at,
                                 release: true,
                             });
                         }
@@ -1101,11 +1329,13 @@ impl JournalHandle {
         }
     }
 
-    /// Writes `records`' sidecar text to its temporary, unsynced.
-    fn stage(&self, key: u64, records: &[EpisodeRecord]) -> std::io::Result<Staged> {
-        let path = self.shared.sidecar_path(key, self.owner());
-        drive_nn::checkpoint::stage(&path, &encode_records(records))
-            .map_err(|e| std::io::Error::other(e.to_string()))
+    /// Appends `records`' text to this worker's cell log, unsynced.
+    fn append(&self, records: &[EpisodeRecord]) -> std::io::Result<CellRef> {
+        self.shared
+            .cells
+            .lock()
+            .expect("cell log lock")
+            .append(records)
     }
 
     /// Queues `p` for the publisher, waiting while the queue is full.
@@ -1137,7 +1367,7 @@ impl JournalHandle {
 
     /// Clears the lease of a published cell. An owner killed between
     /// publishing and releasing leaves its lease behind, and nobody would
-    /// ever steal it: every later visitor loads the sidecar instead. An
+    /// ever steal it: every later visitor loads the cell instead. An
     /// abandoned lease is taken through the tombstone arbiter (see
     /// [`JournalHandle::take_abandoned`]), never unlinked outright. A live
     /// one is left alone in an opportunistic sweep; the completing sweep
@@ -1164,32 +1394,37 @@ impl JournalHandle {
         }
     }
 
-    /// Loads a published sidecar for `key`, whoever computed it, by exact
-    /// path: this worker's own first, then each worker's under `workers/`
-    /// (re-listed on every call, so workers that joined later count).
-    /// The checkpoint checksum is verified, the records decoded, and the
-    /// episode count checked; every failure — absent, corrupt, another
-    /// record format version, or a different cell shape — degrades to
-    /// `None`, i.e. recomputing. A cell this process is still publishing
-    /// is waited for, so it loads as soon as its batch lands.
+    /// Loads the published records of `key`, whoever computed them: this
+    /// worker's own from its in-memory index, then each peer's under
+    /// `workers/` (re-listed on every call, so workers that joined later
+    /// count) from the part of its WAL not read before. The text is read
+    /// at its recorded place in the worker's cell log and verified against
+    /// the journaled digest and episode count; every failure — absent,
+    /// corrupt, another record format version, or a different cell shape
+    /// — degrades to `None`, i.e. recomputing. A cell this process is
+    /// still publishing is waited for, so it loads as soon as its batch
+    /// lands.
     pub fn load_cell(&self, key: u64, episodes: usize) -> Option<Vec<EpisodeRecord>> {
         self.await_published(key);
-        let load = |owner: &str| {
-            let path = self.shared.sidecar_path(key, owner);
-            let text = drive_nn::checkpoint::load_from_file(path).ok()?;
-            decode_records(&text)
-                .ok()
-                .filter(|records| records.len() == episodes)
-        };
-        if let Some(records) = load(self.owner()) {
-            return Some(records);
+        let own = self.log().cells.get(&key).copied();
+        if let Some(at) = own.filter(|at| at.episodes == episodes) {
+            let cells = self.shared.cells.lock().expect("cell log lock");
+            if let Ok(records) = read_cell(&cells.file, &at) {
+                return Some(records);
+            }
         }
-        std::fs::read_dir(self.shared.dir.join("workers"))
+        let workers = self.shared.dir.join("workers");
+        let peers: Vec<String> = std::fs::read_dir(&workers)
             .ok()?
             .flatten()
             .filter_map(|entry| entry.file_name().into_string().ok())
             .filter(|owner| owner != self.owner())
-            .find_map(|owner| load(&owner))
+            .collect();
+        let mut logs = self.shared.peers.lock().expect("peers lock");
+        peers.into_iter().find_map(|owner| {
+            let dir = workers.join(&owner);
+            logs.entry(owner).or_default().load(&dir, key, episodes)
+        })
     }
 
     /// Tries to claim `key`: exclusive create first, then taking an
@@ -1266,14 +1501,15 @@ impl JournalHandle {
     }
 
     /// Journals a completed cell synchronously, as a one-cell batch
-    /// through the publisher's commit: the owner-tagged sidecar durably,
-    /// then the WAL record (sidecar-first ordering, so a journaled cell
+    /// through the publisher's commit: its text appended to the cell log
+    /// and synced, then the WAL record (text first, so a journaled cell
     /// always has its data), then a progress row. A lease on the cell is
     /// left as it is.
     ///
     /// # Errors
     ///
-    /// Propagates sidecar/WAL write failures; the caller warns and
+    /// `InvalidInput` when `records` does not hold `episodes` episodes;
+    /// propagates log/WAL write failures, on which the caller warns and
     /// continues.
     pub fn store_cell(
         &self,
@@ -1282,14 +1518,19 @@ impl JournalHandle {
         episodes: usize,
         records: &[EpisodeRecord],
     ) -> std::io::Result<()> {
+        if records.len() != episodes {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{} record(s) for a {episodes}-episode cell", records.len()),
+            ));
+        }
         let cell = Publication {
             key,
             label: label.to_string(),
-            episodes,
-            sidecar: self.stage(key, records)?,
+            at: self.append(records)?,
             release: false,
         };
-        self.shared.publish(&[cell], &mut || {})
+        self.shared.publish(&[cell])
     }
 
     /// Releases `key` if this worker still owns it (a thief may have
@@ -1456,9 +1697,17 @@ mod tests {
         bytes.extend_from_slice(&encode_frame("cell 000000000000000")[..7]);
         std::fs::write(&wal, &bytes).unwrap();
 
+        let log = solo(&dir).join("cells.log");
+        let two_cells = std::fs::metadata(&log).unwrap().len();
         let j = JournalHandle::resume(&dir, header()).unwrap();
         assert_eq!(j.cell_count(), 1, "torn second cell is dropped");
         assert!(j.load_cell(1, 4).is_some());
+        assert!(j.load_cell(2, 4).is_none());
+        assert_eq!(
+            std::fs::metadata(&log).unwrap().len(),
+            two_cells / 2,
+            "the log is cut after the last journaled cell"
+        );
         // The tail was truncated: a fresh append lands on a frame boundary
         // and survives the next resume.
         j.store_cell(3, "c", 4, &records(4)).unwrap();
@@ -1533,32 +1782,150 @@ mod tests {
         assert!(solo(&dir).join("wal.bin").exists());
     }
 
+    /// Appends `text` and its `checksum` line to `owner`'s cell log and
+    /// journals it under `key` in the WAL, as if that worker had published
+    /// it: a forged cell for the crash-point tests. Returns its place.
+    fn forge_cell(dir: &Path, owner: &str, key: u64, text: &str, episodes: usize) -> CellRef {
+        let worker = dir.join("workers").join(owner);
+        let log = std::fs::OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(worker.join("cells.log"))
+            .unwrap();
+        let offset = log.metadata().unwrap().len();
+        let written =
+            drive_nn::checkpoint::write_checksummed(&log, |out| out.write_str(text)).unwrap();
+        let at = CellRef {
+            offset,
+            len: written.len,
+            digest: written.checksum,
+            episodes,
+        };
+        let mut wal = std::fs::OpenOptions::new()
+            .append(true)
+            .open(worker.join("wal.bin"))
+            .unwrap();
+        wal.write_all(&encode_frame(&cell_payload(key, &at, "forged")))
+            .unwrap();
+        at
+    }
+
+    /// A WAL record whose bytes are gone or altered, or hold an older
+    /// records format, loads as `None`, and `run_cell` recomputes and
+    /// re-journals the cell over it.
     #[test]
-    fn tampered_sidecar_degrades_to_recompute() {
+    fn tampered_cell_degrades_to_recompute() {
         let _latch = latch_lock();
         let dir = TestDir::new("repro-bench-journal-tamper");
         let j = JournalHandle::create(&dir, header()).unwrap();
         j.store_cell(7, "x", 4, &records(4)).unwrap();
-        let sidecar = dir
-            .join("cells")
-            .join(format!("cell-{:016x}-{SOLO_WORKER}.ckpt", 7));
-        // Deleting the sidecar: journaled but unreadable -> None.
-        std::fs::remove_file(&sidecar).unwrap();
-        assert!(j.load_cell(7, 4).is_none());
-        // A checksummed sidecar an older build wrote in `records v1`
-        // does not load, and `run_cell` recomputes the cell over it.
+        j.store_cell(8, "y", 4, &records(4)).unwrap();
+        drop(j);
+        let log = solo(&dir).join("cells.log");
+        let mut bytes = std::fs::read(&log).unwrap();
+        // Cell 7's text altered: its bytes no longer hash to the digest.
+        bytes[20] ^= 0x01;
+        std::fs::write(&log, &bytes).unwrap();
+        // A record pointing past the end of the log.
+        let past = CellRef {
+            offset: bytes.len() as u64,
+            len: 100,
+            digest: 0,
+            episodes: 4,
+        };
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(solo(&dir).join("wal.bin"))
+            .unwrap()
+            .write_all(&encode_frame(&cell_payload(9, &past, "z")))
+            .unwrap();
+        // A checksummed `records v1` text, as an older build wrote it.
         let v1 = "records v1 1\nrec 4 0.1 0 0 0 0\nterm none\ncoll none\n\
                   astart none\ndev 0\npert 0\n";
-        drive_nn::checkpoint::save_to_file(&sidecar, v1).unwrap();
-        assert!(j.load_cell(7, 1).is_none());
+        forge_cell(&dir, SOLO_WORKER, 10, v1, 1);
+
+        let j = JournalHandle::resume(&dir, header()).unwrap();
+        assert!(j.load_cell(7, 4).is_none(), "altered bytes");
+        assert_eq!(j.load_cell(8, 4), Some(records(4)), "its neighbour loads");
+        assert!(j.load_cell(9, 4).is_none(), "past the end of the log");
+        assert!(j.load_cell(10, 1).is_none(), "records v1");
+        for (key, n) in [(7, 4), (9, 4), (10, 1)] {
+            let computed = std::cell::Cell::new(false);
+            let got = j.run_cell(key, "again", n, || {
+                computed.set(true);
+                (records(n), true)
+            });
+            assert!(computed.get(), "cell {key} is recomputed");
+            assert_eq!(got, records(n));
+            assert_eq!(j.load_cell(key, n), Some(records(n)), "republished");
+        }
+        drop(j);
+        let j = JournalHandle::resume(&dir, header()).unwrap();
+        for (key, n) in [(7, 4), (8, 4), (9, 4), (10, 1)] {
+            assert_eq!(
+                j.load_cell(key, n),
+                Some(records(n)),
+                "the later record counts"
+            );
+        }
+    }
+
+    /// Crash point after a cell's text reached the log but before its WAL
+    /// record: the resume cuts the text away and recomputes the cell.
+    #[test]
+    fn cell_in_the_log_without_a_wal_record_is_recomputed() {
+        let _latch = latch_lock();
+        let dir = TestDir::new("repro-bench-journal-unjournaled");
+        let j = JournalHandle::create(&dir, header()).unwrap();
+        j.store_cell(1, "a", 4, &records(4)).unwrap();
+        drop(j);
+        let log = solo(&dir).join("cells.log");
+        let journaled = std::fs::metadata(&log).unwrap().len();
+        let file = std::fs::OpenOptions::new().append(true).open(&log).unwrap();
+        drive_nn::checkpoint::write_checksummed(&file, |out| write_records(out, &records(4)))
+            .unwrap();
+        drop(file);
+
+        let j = JournalHandle::resume(&dir, header()).unwrap();
+        assert_eq!(std::fs::metadata(&log).unwrap().len(), journaled);
+        assert_eq!(j.cell_count(), 1);
         let computed = std::cell::Cell::new(false);
-        let got = j.run_cell(7, "x", 1, || {
+        j.run_cell(2, "b", 4, || {
             computed.set(true);
-            (records(1), true)
+            (records(4), true)
         });
-        assert!(computed.get(), "a v1 sidecar is recomputed");
-        assert_eq!(got, records(1));
-        assert_eq!(j.load_cell(7, 1), Some(records(1)), "republished as v2");
+        assert!(computed.get(), "the unjournaled cell is recomputed");
+        assert_eq!(j.cell_count(), 2);
+        assert_eq!(j.load_cell(1, 4), Some(records(4)));
+        assert_eq!(j.load_cell(2, 4), Some(records(4)));
+    }
+
+    /// A directory the older file-per-cell layout wrote is refused with
+    /// the typed error, whether its header or a worker's WAL gives it away.
+    #[test]
+    fn older_layout_is_incompatible() {
+        let dir = TestDir::new("repro-bench-journal-old-layout");
+        drop(JournalHandle::create(&dir, header()).unwrap());
+        let wal = solo(&dir).join("wal.bin");
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes[..MAGIC.len()].copy_from_slice(OLD_MAGIC);
+        std::fs::write(&wal, bytes).unwrap();
+        let err = JournalHandle::resume(&dir, header()).unwrap_err();
+        assert!(matches!(err, JournalError::Incompatible(_)), "{err}");
+        assert!(err.to_string().contains("older build"), "{err}");
+
+        let path = dir.join("shard.header");
+        let old =
+            std::fs::read_to_string(&path)
+                .unwrap()
+                .replacen(HEADER_MAGIC, OLD_HEADER_MAGIC, 1);
+        std::fs::write(&path, old).unwrap();
+        let err = JournalHandle::resume(&dir, header()).unwrap_err();
+        assert!(matches!(err, JournalError::Incompatible(_)), "{err}");
+        assert!(matches!(
+            ShardHeader::load(&dir),
+            Err(JournalError::Incompatible(_))
+        ));
     }
 
     #[test]
@@ -1622,7 +1989,7 @@ mod tests {
         assert_eq!(a.held_count(), 0, "lease released after publish");
         assert!(!lease(&dir, 7).exists());
 
-        // Worker B never computes: the published sidecar satisfies it.
+        // Worker B never computes: the published cell satisfies it.
         let loaded = b.run_cell(7, "cell-7", 4, || unreachable!("must load, not compute"));
         assert_eq!(loaded, expected);
         assert_eq!(b.event_count("loaded"), 1);
@@ -1633,11 +2000,11 @@ mod tests {
         assert_eq!(got3.len(), 3);
     }
 
-    /// Lookups go by exact path over the workers listed at lookup time: a
-    /// sidecar published by a worker that joined after this one opened
-    /// still loads.
+    /// Lookups go over the workers listed at lookup time: a cell published
+    /// by a worker that joined after this one opened still loads, and so
+    /// does one its WAL journals after this worker last read it.
     #[test]
-    fn sidecar_of_a_later_joiner_loads() {
+    fn cell_of_a_later_joiner_loads() {
         let dir = TestDir::new("repro-journal-late-joiner");
         let early = worker(&dir, "early", DEFAULT_TTL);
         assert!(early.load_cell(5, 4).is_none());
@@ -1645,6 +2012,17 @@ mod tests {
         late.store_cell(5, "cell-5", 4, &records(4)).unwrap();
         assert_eq!(early.load_cell(5, 4), Some(records(4)));
         assert!(early.load_cell(5, 3).is_none(), "episode-count mismatch");
+        assert!(early.load_cell(6, 2).is_none());
+        late.store_cell(6, "cell-6", 2, &records(2)).unwrap();
+        assert_eq!(early.load_cell(6, 2), Some(records(2)));
+        // A peer's cell whose bytes were altered does not load.
+        let log = dir.join("workers").join("late").join("cells.log");
+        let mut bytes = std::fs::read(&log).unwrap();
+        let last = bytes.len() - 40;
+        bytes[last] ^= 0x01;
+        std::fs::write(&log, bytes).unwrap();
+        assert!(early.load_cell(6, 2).is_none());
+        assert_eq!(early.load_cell(5, 4), Some(records(4)));
     }
 
     /// A worker re-opened under the same id takes over the fresh lease its
@@ -1667,13 +2045,83 @@ mod tests {
         assert!(!other.try_acquire(19, "cell-19"));
         b.release(19);
         assert!(!lease(&dir, 19).exists());
-        // A claim file left by a kill before its link never blocks a claim.
-        std::fs::write(
-            dir.join("leases").join("cell-000000000000001d.claim-wa"),
-            "lea",
-        )
-        .unwrap();
-        assert!(b.try_acquire(29, "cell-29"));
+    }
+
+    /// A restarted worker links its leases to a new claim file, so its
+    /// claims do not renew the leases its dead incarnation left behind:
+    /// those still go stale, and a peer steals them.
+    #[test]
+    fn restarted_worker_does_not_renew_its_dead_incarnations_leases() {
+        let dir = TestDir::new("repro-journal-reclaim-fresh-claim");
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        assert!(a.try_acquire(27, "cell-27"));
+        drop(a);
+        age_lease(&dir, 27, 2 * DEFAULT_TTL);
+        let b = worker(&dir, "wa", DEFAULT_TTL);
+        assert!(b.try_acquire(28, "cell-28"));
+        b.renew_held();
+        let other = worker(&dir, "wb", DEFAULT_TTL);
+        assert!(!other.try_acquire(28, "cell-28"), "a live claim");
+        assert!(other.try_acquire(27, "cell-27"), "the dead lease is stale");
+        assert_eq!(other.event_count("stolen"), 1);
+    }
+
+    /// A worker that held no lease for longer than the TTL (so nothing
+    /// renewed its claim file) still takes fresh leases: a new claim is
+    /// never stealable the moment it appears.
+    #[test]
+    fn claim_after_an_idle_spell_is_not_stealable() {
+        let dir = TestDir::new("repro-journal-idle-claim");
+        let a = worker(&dir, "wa", DEFAULT_TTL);
+        let b = worker(&dir, "wb", DEFAULT_TTL);
+        assert!(a.try_acquire(33, "cell-33"));
+        a.release(33);
+        std::fs::File::options()
+            .write(true)
+            .open(dir.join("workers").join("wa").join("claim"))
+            .unwrap()
+            .set_modified(std::time::SystemTime::now() - 2 * DEFAULT_TTL)
+            .unwrap();
+        assert!(a.try_acquire(34, "cell-34"));
+        assert!(!b.try_acquire(34, "cell-34"), "a fresh claim is live");
+        assert_eq!(b.event_count("stolen"), 0);
+    }
+
+    /// A journaled run leaves no file per cell: `leases/` ends empty and
+    /// each worker directory holds its four files and nothing else.
+    #[test]
+    fn journaled_cells_leave_no_per_cell_files() {
+        let _latch = latch_lock();
+        let dir = TestDir::new("repro-journal-layout");
+        for owner in ["wa", "wb"] {
+            let w = worker(&dir, owner, DEFAULT_TTL);
+            for key in 0..20 {
+                w.run_cell(key, &format!("cell-{key}"), 3, || (records(3), true));
+            }
+            w.release_all();
+        }
+        let names = |path: PathBuf| -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(path)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(names(dir.join("leases")), Vec::<String>::new());
+        assert_eq!(
+            names(dir.to_path_buf()),
+            ["leases", "shard.header", "workers"]
+        );
+        assert_eq!(names(dir.join("workers")), ["wa", "wb"]);
+        for owner in ["wa", "wb"] {
+            assert_eq!(
+                names(dir.join("workers").join(owner)),
+                ["cells.log", "claim", "progress.csv", "wal.bin"]
+            );
+        }
+        assert_eq!(wal_cells(&dir, "wa").len(), 20);
+        assert!(wal_cells(&dir, "wb").is_empty(), "wb loaded every cell");
     }
 
     /// Dropping a handle stops and joins its background thread, which is
@@ -1719,7 +2167,7 @@ mod tests {
     }
 
     /// While a cell waits for the publisher it is invisible to every other
-    /// worker: its lease is held and no sidecar exists, so a second handle
+    /// worker: its lease is held and no WAL journals it, so a second handle
     /// on the directory can neither claim nor load it. Once the publish
     /// lands, that handle loads the very records the first one returned.
     #[test]
@@ -1824,35 +2272,35 @@ mod tests {
             assert!(!drain.is_finished(), "the drain waits for the publish");
             assert!(held());
             assert!(wal_cells(&dir, "wa").is_empty());
-            // Hold the WAL append back: the sidecars land first, and the
-            // leases stay held until the WAL records land too. (Observed
-            // with the lock held, asserted once it is released, so a
-            // failure cannot strand the drain.)
+            // Hold the WAL append back: the publisher takes the batch and
+            // syncs the log, and the leases stay held until the WAL
+            // records land too. (Observed with the lock held, asserted
+            // once it is released, so a failure cannot strand the drain.)
             let wal = a.shared.wal.lock().unwrap();
             a.pause_publisher(false);
-            let sidecars = [51, 52].map(|key| a.shared.sidecar_path(key, "wa"));
-            let landed = || sidecars.iter().all(|p| p.exists());
+            let taken = || a.outbox().publishing.len() == 2;
             let t0 = std::time::Instant::now();
-            while !landed() && t0.elapsed() < Duration::from_secs(10) {
+            while !taken() && t0.elapsed() < Duration::from_secs(10) {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            let observed = (landed(), held(), wal_cells(&dir, "wa").is_empty());
+            let observed = (taken(), held(), wal_cells(&dir, "wa").is_empty());
             drop(wal);
             drain.join().unwrap();
             assert_eq!(
                 observed,
                 (true, true, true),
-                "(sidecars landed, leases held, no WAL record) while the WAL append waits"
+                "(batch taken, leases held, no WAL record) while the WAL append waits"
             );
         });
         let journaled = wal_cells(&dir, "wa");
         assert_eq!(journaled.len(), 2);
-        for (key, digest) in &journaled {
-            let key = u64::from_str_radix(key, 16).unwrap();
+        let log = std::fs::File::open(dir.join("workers").join("wa").join("cells.log")).unwrap();
+        for record in wal_records(&dir, "wa") {
+            let Some((key, at, _)) = parse_cell(&record) else {
+                continue;
+            };
             assert!(!lease(&dir, key).exists());
-            let sidecar = a.shared.sidecar_path(key, "wa");
-            let text = drive_nn::checkpoint::load_from_file(sidecar).unwrap();
-            assert_eq!(&format!("{:016x}", fnv1a_64(text.as_bytes())), digest);
+            assert_eq!(read_cell(&log, &at), Ok(records(4)), "cell {key}");
         }
 
         // The shutdown safe point flushes before it unwinds.
@@ -1867,8 +2315,8 @@ mod tests {
         assert!(!lease(&dir, 53).exists());
     }
 
-    /// Crash point between publish and the lease release: the sidecar is
-    /// on disk but the dead owner's lease is not. A loader reaps that lease
+    /// Crash point between publish and the lease release: the cell is
+    /// journaled but the dead owner's lease is still there. A loader reaps that lease
     /// once its heartbeat is stale, and an opportunistic loader leaves a
     /// fresh one (a live owner about to release it) alone.
     #[test]

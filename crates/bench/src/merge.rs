@@ -2,14 +2,17 @@
 //!
 //! The merge is the read side of [`crate::journal`]: it never simulates.
 //! It (1) loads the run header and re-derives the run parameters, (2)
-//! verifies the checkpoint checksum of **every** published sidecar, (3)
-//! groups sidecars by cell key — two sidecars for one key with the same
-//! record digest are a benign duplicate (cells are deterministic; a
-//! stalled worker and its thief both finishing is expected), while
-//! *different* digests are a hard error naming both owners, (4) replays
-//! the real experiment grid straight from the verified sidecars in a
-//! strict probe pass that enumerates any cell no worker published
-//! (nonzero exit, every gap listed), and (5) replays once more with output
+//! reads **every** cell each worker's WAL journals from that worker's
+//! cell log and verifies it (inside the log, hashing to its `checksum`
+//! line and to the journaled digest, decoding to the journaled episode
+//! count; a failure is an error naming the worker), (3) groups the cells
+//! by key — two copies of one key with the same record digest are a
+//! benign duplicate (cells are deterministic; a stalled worker and its
+//! thief both finishing is expected), while *different* digests are a
+//! hard error naming both owners, (4) replays the real experiment grid
+//! straight from the verified cells in a strict probe pass that
+//! enumerates any cell no worker published (nonzero exit, every gap
+//! listed), and (5) replays once more with output
 //! sinks attached, producing CSVs, SVGs, and manifests **byte-identical**
 //! to an uninterrupted single-process run — cell ordering is defined by
 //! the grid and the seed namespace, not by which worker finished first.
@@ -19,18 +22,18 @@
 use crate::cli::{CliArgs, CliError};
 use crate::engine::{self, Registry, RunContext};
 use crate::harness::Scale;
-use crate::journal::{scan_frames, RunHeader, ShardHeader, MAGIC};
-use drive_seed::fnv1a_64;
-use drive_sim::record::{decode_records, EpisodeRecord};
+use crate::journal::{
+    parse_cell, read_cell, scan_frames, wal_body, JournalError, RunHeader, ShardHeader,
+};
+use drive_sim::record::EpisodeRecord;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// One verified, decoded sidecar from the run directory's `cells/` area.
+/// One worker's verified, decoded copy of a cell.
 #[derive(Debug)]
-struct Sidecar {
+struct Published {
     owner: String,
-    file: String,
     digest: u64,
     records: Vec<EpisodeRecord>,
 }
@@ -38,17 +41,17 @@ struct Sidecar {
 /// Everything scanned out of a run directory.
 #[derive(Debug, Default)]
 struct ShardScan {
-    /// Verified sidecars grouped by cell key (insertion order: sorted
-    /// directory listing, so reports are deterministic).
-    cells: BTreeMap<u64, Vec<Sidecar>>,
-    /// Cell labels/episode counts recovered from the per-worker WALs.
-    labels: BTreeMap<u64, (String, usize)>,
-    /// Worker ids that contributed a WAL.
+    /// Verified copies grouped by cell key (in worker-id order, so
+    /// reports are deterministic).
+    cells: BTreeMap<u64, Vec<Published>>,
+    /// Cell labels recovered from the per-worker WALs.
+    labels: BTreeMap<u64, String>,
+    /// Worker ids that journaled at least one cell.
     workers: Vec<String>,
 }
 
 /// The merge's load-only replay source: the records of every verified
-/// sidecar, by cell key. Installed as
+/// cell, by cell key. Installed as
 /// [`RunContext::replay`](crate::engine::RunContext), it serves every
 /// cell of the grid without simulating, and records the cells it cannot
 /// serve, so one cheap pass over the real experiment grid enumerates
@@ -60,8 +63,8 @@ pub struct Replay {
 }
 
 impl Replay {
-    /// The published records of cell `key`. A cell with no sidecar (or
-    /// one of a different episode count) has its `label` recorded as
+    /// The published records of cell `key`. A cell nobody published (or
+    /// published with a different episode count) has its `label` recorded as
     /// missing and replays as default-filled episodes, which keeps
     /// downstream aggregation well-formed.
     pub fn load(&self, key: u64, label: &str, episodes: usize) -> Vec<EpisodeRecord> {
@@ -148,9 +151,9 @@ pub fn main(args: &[String]) -> i32 {
 ///
 /// # Errors
 ///
-/// [`CliError::Resume`] for every integrity failure — unreadable or
-/// mismatching header, corrupt sidecar, conflicting sidecars, missing
-/// cells — and [`CliError::Io`] for output-sink failures. All exit
+/// [`CliError::Resume`] for every integrity failure — unreadable,
+/// mismatching or older-layout header, a journaled cell whose text is
+/// missing or corrupt, conflicting copies of a cell, missing cells — and [`CliError::Io`] for output-sink failures. All exit
 /// nonzero through [`crate::cli::exit_code`].
 pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
     let header = ShardHeader::load(&parsed.dir).map_err(|e| CliError::Resume(e.to_string()))?;
@@ -178,7 +181,7 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
         })
         .collect::<Result<_, _>>()?;
 
-    let scan = scan_shard(&parsed.dir).map_err(CliError::Resume)?;
+    let scan = scan_shard(&parsed.dir).map_err(|e| CliError::Resume(e.to_string()))?;
     let conflicts = find_conflicts(&scan);
     if !conflicts.is_empty() {
         return Err(CliError::Resume(format!(
@@ -189,7 +192,7 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
     }
     let duplicates: usize = scan.cells.values().map(|s| s.len() - 1).sum();
     eprintln!(
-        "[merge] {} verified sidecar cell(s) from {} worker(s) ({} benign duplicate(s))",
+        "[merge] {} verified cell(s) from {} worker(s) ({} benign duplicate(s))",
         scan.cells.len(),
         scan.workers.len(),
         duplicates
@@ -199,13 +202,14 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
         cells: scan
             .cells
             .into_iter()
-            .map(|(key, mut sidecars)| (key, sidecars.swap_remove(0).records))
+            .map(|(key, mut copies)| (key, copies.swap_remove(0).records))
             .collect(),
         missing: Mutex::new(Vec::new()),
     });
 
     // Probe pass: replay the real grid with no sinks. Any cell the
-    // sidecars cannot serve is a gap some worker still owes the run.
+    // published cells cannot serve is a gap some worker still owes the
+    // run.
     let artifacts = attack_core::pipeline::prepare(&config);
     let mut probe = RunContext::new(&artifacts, &config, scale);
     probe.replay = Some(Arc::clone(&replay));
@@ -217,14 +221,14 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
     let missing = std::mem::take(&mut *replay.missing.lock().expect("missing-cells lock"));
     if !missing.is_empty() {
         return Err(CliError::Resume(format!(
-            "{} cell(s) have no published sidecar — the shard is incomplete:\n  {}",
+            "{} cell(s) were never published — the shard is incomplete:\n  {}",
             missing.len(),
             missing.join("\n  ")
         )));
     }
 
     // Final pass: replay once more with sinks attached. Fresh context
-    // (fresh memo), same sidecars; every cell loads, so the outputs are
+    // (fresh memo), same cells; every cell loads, so the outputs are
     // byte-identical to a single-process run.
     std::fs::create_dir_all(&parsed.out)?;
     let mut ctx = RunContext::new(&artifacts, &config, scale);
@@ -248,28 +252,43 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Scans, checksum-verifies, and conflict-checks a shard directory,
-/// returning the number of distinct cells found. This is the pure
-/// verification half of [`run_merge`] — no experiments are replayed —
-/// exposed for the `shard_merge_432cells` bench pseudo-row, which gates
-/// the per-sidecar verification cost at merge scale.
-pub fn verify_shard(dir: &Path) -> Result<usize, String> {
+/// Scans, verifies, and conflict-checks a shard directory, returning the
+/// number of distinct cells found. This is the pure verification half of
+/// [`run_merge`] — no experiments are replayed — exposed for the
+/// `shard_merge_432cells` bench pseudo-row, which gates the per-cell
+/// verification cost at merge scale.
+///
+/// # Errors
+///
+/// As [`scan_shard`], and [`JournalError::Corrupt`] listing every cell
+/// whose copies disagree.
+pub fn verify_shard(dir: &Path) -> Result<usize, JournalError> {
     let scan = scan_shard(dir)?;
     let conflicts = find_conflicts(&scan);
     if !conflicts.is_empty() {
-        return Err(conflicts.join("\n"));
+        return Err(JournalError::Corrupt(format!(
+            "{} conflicting cell(s):\n{}",
+            conflicts.len(),
+            conflicts.join("\n")
+        )));
     }
     Ok(scan.cells.len())
 }
 
-/// Scans and verifies a shard directory: every sidecar's checkpoint
-/// checksum and record encoding, plus the per-worker WAL metadata.
-fn scan_shard(dir: &Path) -> Result<ShardScan, String> {
+/// Scans and verifies a run directory: every cell each worker's WAL
+/// journals is read from the worker's `cells.log` and verified. When a
+/// WAL journals one key twice (a cell whose first copy failed to load and
+/// was recomputed), the later record counts, as it does on resume.
+///
+/// # Errors
+///
+/// [`JournalError::Incompatible`] for a WAL of the older layout,
+/// [`JournalError::Corrupt`] for a WAL without the journal magic, or
+/// naming the worker for a journaled cell that fails verification, and when no
+/// worker published anything; [`JournalError::Io`] when a WAL cannot be
+/// read.
+fn scan_shard(dir: &Path) -> Result<ShardScan, JournalError> {
     let mut scan = ShardScan::default();
-
-    // Per-worker WALs: cell labels for conflict reports. A missing or torn
-    // WAL only loses labels, never results — the sidecars are the ground
-    // truth.
     let workers_dir = dir.join("workers");
     let mut worker_dirs: Vec<PathBuf> = match std::fs::read_dir(&workers_dir) {
         Ok(entries) => entries.flatten().map(|e| e.path()).collect(),
@@ -277,93 +296,72 @@ fn scan_shard(dir: &Path) -> Result<ShardScan, String> {
     };
     worker_dirs.sort();
     for worker_dir in worker_dirs {
-        let Ok(bytes) = std::fs::read(worker_dir.join("wal.bin")) else {
-            continue;
-        };
-        if !bytes.starts_with(MAGIC) {
-            continue;
-        }
-        let (records, _) = scan_frames(&bytes[MAGIC.len()..]);
-        for line in records.iter().skip(1) {
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            if parts.len() >= 5 && parts[0] == "cell" {
-                let (Ok(key), Ok(episodes)) =
-                    (u64::from_str_radix(parts[1], 16), parts[3].parse::<usize>())
-                else {
-                    continue;
-                };
-                scan.labels
-                    .entry(key)
-                    .or_insert_with(|| (parts[4..].join(" "), episodes));
-            }
-        }
-        if let Some(name) = worker_dir.file_name() {
-            scan.workers.push(name.to_string_lossy().into_owned());
-        }
-    }
-
-    let cells_dir = dir.join("cells");
-    let mut entries: Vec<PathBuf> = match std::fs::read_dir(&cells_dir) {
-        Ok(entries) => entries.flatten().map(|e| e.path()).collect(),
-        Err(e) => return Err(format!("cannot read {}: {e}", cells_dir.display())),
-    };
-    entries.sort();
-    for path in entries {
-        let name = path
+        let owner = worker_dir
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        // `save_to_file` temporaries and stray files are not sidecars.
-        let Some(stem) = name
-            .strip_prefix("cell-")
-            .and_then(|s| s.strip_suffix(".ckpt"))
-        else {
-            continue;
+        let wal_path = worker_dir.join("wal.bin");
+        let bytes = match std::fs::read(&wal_path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e.into()),
         };
-        let Some((key_hex, owner)) = stem.split_once('-') else {
+        let (records, _) = scan_frames(wal_body(&bytes, &wal_path)?);
+        let mut index = BTreeMap::new();
+        for record in &records {
+            if let Some((key, at, label)) = parse_cell(record) {
+                index.insert(key, (at, label.to_string()));
+            }
+        }
+        if index.is_empty() {
             continue;
-        };
-        let Ok(key) = u64::from_str_radix(key_hex, 16) else {
-            continue;
-        };
-        // Every sidecar must verify: its own checkpoint checksum first,
-        // then a well-formed record encoding. An atomic-rename publish
-        // never leaves partials, so failures here mean real corruption.
-        let text = drive_nn::checkpoint::load_from_file(&path)
-            .map_err(|e| format!("sidecar {} fails verification: {e}", path.display()))?;
-        let records = decode_records(&text)
-            .map_err(|e| format!("sidecar {} does not decode: {e}", path.display()))?;
-        // The digest the publisher journals: the hash of the sidecar's
-        // text, which `records v2` makes a function of the records' bits.
-        let digest = fnv1a_64(text.as_bytes());
-        scan.cells.entry(key).or_default().push(Sidecar {
-            owner: owner.to_string(),
-            file: name,
-            digest,
-            records,
-        });
+        }
+        let log_path = worker_dir.join("cells.log");
+        let log = std::fs::File::open(&log_path).map_err(|e| {
+            JournalError::Corrupt(format!(
+                "worker {owner}: cannot open {}: {e}",
+                log_path.display()
+            ))
+        })?;
+        for (key, (at, label)) in index {
+            let records = read_cell(&log, &at).map_err(|e| {
+                JournalError::Corrupt(format!(
+                    "worker {owner}: cell {key:016x} [{label}] fails verification: {e}"
+                ))
+            })?;
+            scan.labels.entry(key).or_insert(label);
+            scan.cells.entry(key).or_default().push(Published {
+                owner: owner.clone(),
+                digest: at.digest,
+                records,
+            });
+        }
+        scan.workers.push(owner);
     }
     if scan.cells.is_empty() {
-        return Err(format!("no published sidecars in {}", cells_dir.display()));
+        return Err(JournalError::Corrupt(format!(
+            "no published cells under {}",
+            workers_dir.display()
+        )));
     }
     Ok(scan)
 }
 
-/// Conflict report: for every key whose sidecars disagree on the record
+/// Conflict report: for every key whose copies disagree on the record
 /// digest, one line naming each owner and digest.
 fn find_conflicts(scan: &ShardScan) -> Vec<String> {
     let mut out = Vec::new();
-    for (key, sidecars) in &scan.cells {
-        let first = sidecars[0].digest;
-        if sidecars.iter().any(|s| s.digest != first) {
-            let detail: Vec<String> = sidecars
+    for (key, copies) in &scan.cells {
+        let first = copies[0].digest;
+        if copies.iter().any(|c| c.digest != first) {
+            let detail: Vec<String> = copies
                 .iter()
-                .map(|s| format!("{} (owner {}, digest {:016x})", s.file, s.owner, s.digest))
+                .map(|c| format!("owner {} (digest {:016x})", c.owner, c.digest))
                 .collect();
             let label = scan
                 .labels
                 .get(key)
-                .map(|(label, _)| label.as_str())
+                .map(String::as_str)
                 .unwrap_or("(unlabeled)");
             out.push(format!(
                 "cell {key:016x} [{label}]: {}",
@@ -379,7 +377,6 @@ mod tests {
     use super::*;
     use crate::journal::{JournalHandle, DEFAULT_TTL};
     use crate::test_dir::TestDir;
-    use drive_sim::record::encode_records;
 
     fn temp(name: &str) -> TestDir {
         let dir = TestDir::new(name);
@@ -418,44 +415,48 @@ mod tests {
         assert_eq!(got.len(), n);
     }
 
+    /// Journals `recs` as cell `key` of worker `owner` directly, as a
+    /// worker that computed it without loading a peer's copy would.
+    fn store(dir: &Path, owner: &str, key: u64, recs: &[EpisodeRecord]) {
+        let header = ShardHeader {
+            run: header(),
+            selection: Vec::new(),
+        };
+        JournalHandle::join(dir, &header, owner, DEFAULT_TTL)
+            .unwrap()
+            .store_cell(key, &format!("cell-{key}"), recs.len(), recs)
+            .unwrap();
+    }
+
     #[test]
-    fn scan_collects_labels_and_verified_sidecars() {
+    fn scan_collects_labels_and_verified_cells() {
         let dir = temp("repro-merge-scan");
         publish(&dir, "w1", 1, &records(1));
         publish(&dir, "w2", 2, &records(2));
         // A stalled w2 that finished cell 1 after w1's thief did would
-        // publish an identical sidecar: benign duplicate. (Through
-        // `run_cell` it would just load w1's result, so write the
-        // sidecar directly, as the slow worker's publish path does.)
-        drive_nn::checkpoint::save_to_file(
-            dir.join("cells")
-                .join(format!("cell-{:016x}-w2.ckpt", 1u64)),
-            &encode_records(&records(1)),
-        )
-        .unwrap();
+        // publish an identical copy: benign duplicate. (Through
+        // `run_cell` it would just load w1's result, so store it
+        // directly, as the slow worker's publish path does.)
+        store(&dir, "w2", 1, &records(1));
 
         let scan = scan_shard(&dir).unwrap();
         assert_eq!(scan.cells.len(), 2);
         assert_eq!(scan.cells[&1].len(), 2, "duplicate kept for audit");
         assert_eq!(scan.cells[&1][0].digest, scan.cells[&1][1].digest);
+        assert_eq!(scan.cells[&2][0].records, records(2));
         assert_eq!(scan.workers, ["w1", "w2"]);
-        assert_eq!(scan.labels[&1].0, "cell-1");
+        assert_eq!(scan.labels[&1], "cell-1");
         assert!(find_conflicts(&scan).is_empty());
+        assert_eq!(verify_shard(&dir).unwrap(), 2);
     }
 
     #[test]
-    fn conflicting_sidecars_name_both_owners() {
+    fn conflicting_copies_name_both_owners() {
         let dir = temp("repro-merge-conflict");
         publish(&dir, "w1", 5, &records(1));
-        // An injected sidecar with different records for the same key —
-        // exactly what a nondeterminism bug (or tampering) would produce.
-        let evil = encode_records(&records(9));
-        drive_nn::checkpoint::save_to_file(
-            dir.join("cells")
-                .join(format!("cell-{:016x}-evil.ckpt", 5u64)),
-            &evil,
-        )
-        .unwrap();
+        // A copy with different records for the same key — exactly what
+        // a nondeterminism bug (or tampering) would produce.
+        store(&dir, "evil", 5, &records(9));
 
         let scan = scan_shard(&dir).unwrap();
         let conflicts = find_conflicts(&scan);
@@ -467,21 +468,56 @@ mod tests {
             "label from WAL: {}",
             conflicts[0]
         );
+        let err = verify_shard(&dir).unwrap_err();
+        assert!(matches!(err, JournalError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("conflicting"), "{err}");
     }
 
+    /// A journaled cell whose bytes were altered, or whose record points
+    /// past the end of the log, is a typed error naming the worker.
     #[test]
-    fn corrupt_sidecar_fails_the_scan() {
+    fn corrupt_cell_fails_the_scan_naming_the_worker() {
         let dir = temp("repro-merge-corrupt");
         publish(&dir, "w1", 3, &records(1));
-        let path = dir
-            .join("cells")
-            .join(format!("cell-{:016x}-w1.ckpt", 3u64));
-        let mut bytes = std::fs::read(&path).unwrap();
+        publish(&dir, "w2", 4, &records(2));
+        let log = dir.join("workers").join("w2").join("cells.log");
+        let original = std::fs::read(&log).unwrap();
+        let mut bytes = original.clone();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x55;
-        std::fs::write(&path, bytes).unwrap();
+        std::fs::write(&log, &bytes).unwrap();
         let err = scan_shard(&dir).unwrap_err();
-        assert!(err.contains("fails verification"), "{err}");
+        assert!(matches!(err, JournalError::Corrupt(_)), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("worker w2") && msg.contains("fails verification"),
+            "{msg}"
+        );
+
+        std::fs::write(&log, &original[..original.len() - 1]).unwrap();
+        let msg = scan_shard(&dir).unwrap_err().to_string();
+        assert!(
+            msg.contains("worker w2") && msg.contains("past the end"),
+            "{msg}"
+        );
+        std::fs::write(&log, &original).unwrap();
+        assert_eq!(verify_shard(&dir).unwrap(), 2);
+    }
+
+    /// A run directory of the older file-per-cell layout is refused as
+    /// incompatible.
+    #[test]
+    fn older_layout_is_incompatible() {
+        let dir = temp("repro-merge-old-layout");
+        publish(&dir, "w1", 3, &records(1));
+        let wal = dir.join("workers").join("w1").join("wal.bin");
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes[..8].copy_from_slice(b"RBJRNL1\n");
+        std::fs::write(&wal, bytes).unwrap();
+        assert!(matches!(
+            scan_shard(&dir),
+            Err(JournalError::Incompatible(_))
+        ));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Any number of `repro_bench shard <dir>` workers (potentially on
 //! different machines, via a shared directory) join one run directory
 //! ([`crate::journal`]) under distinct worker ids, race to claim grid
-//! cells, compute them and publish checksummed sidecars; then
-//! `repro_bench merge <dir>` ([`crate::merge`]) assembles CSVs and
+//! cells, compute them and publish them to their checksummed cell logs;
+//! then `repro_bench merge <dir>` ([`crate::merge`]) assembles CSVs and
 //! manifests byte-identical to a single-process golden run, because every
 //! cell is a pure function of its seed namespace and output ordering is
 //! defined by the grid, not by completion time.

@@ -3,6 +3,7 @@
 //! only once it has made observable progress, so every kill lands
 //! mid-flight no matter how fast the host runs the grid.
 
+use repro_bench::journal::{scan_frames, MAGIC};
 use repro_bench::manifest::Manifest;
 use std::fs;
 use std::os::unix::process::ExitStatusExt;
@@ -38,24 +39,31 @@ pub fn assert_outputs_match(golden: &Path, other: &Path) {
     }
 }
 
-/// Number of cell sidecars (`*.ckpt`) in `cells`: a journal's
-/// `journal/cells/` or a shard's published `cells/`. Zero before the run
-/// has created the directory.
-pub fn cell_count(cells: &Path) -> usize {
-    fs::read_dir(cells)
-        .map(|entries| {
-            entries
-                .flatten()
-                .filter(|e| e.path().extension().is_some_and(|x| x == "ckpt"))
-                .count()
+/// Number of `cell` records in the WALs of every worker of the run
+/// directory `dir` (a journal's `<csv-dir>/journal/` or a shard's shared
+/// directory): the cells journaled so far, duplicates across workers
+/// included. Zero before the run has created a WAL; a torn final frame is
+/// no record.
+pub fn cell_count(dir: &Path) -> usize {
+    let Ok(workers) = fs::read_dir(dir.join("workers")) else {
+        return 0;
+    };
+    workers
+        .flatten()
+        .filter_map(|worker| fs::read(worker.path().join("wal.bin")).ok())
+        .filter_map(|wal| {
+            let body = wal.strip_prefix(MAGIC)?;
+            let (records, _) = scan_frames(body);
+            Some(records.iter().filter(|r| r.starts_with("cell ")).count())
         })
-        .unwrap_or(0)
+        .sum()
 }
 
-/// Polls until `cells` holds at least `target` sidecars (`Ok`) or every
-/// process in `children` has exited (`Err`, with the last exit status).
-/// Finished processes stay in `children` for the caller to reap.
-pub fn await_cells(children: &mut [Child], cells: &Path, target: usize) -> Result<(), ExitStatus> {
+/// Polls until the run directory `dir` has journaled at least `target`
+/// cells (`Ok`) or every process in `children` has exited (`Err`, with
+/// the last exit status). Finished processes stay in `children` for the
+/// caller to reap.
+pub fn await_cells(children: &mut [Child], dir: &Path, target: usize) -> Result<(), ExitStatus> {
     loop {
         let mut last = None;
         let mut running = false;
@@ -68,7 +76,7 @@ pub fn await_cells(children: &mut [Child], cells: &Path, target: usize) -> Resul
         if !running {
             return Err(last.expect("at least one child"));
         }
-        if cell_count(cells) >= target {
+        if cell_count(dir) >= target {
             return Ok(());
         }
         std::thread::sleep(Duration::from_millis(2));

@@ -88,7 +88,7 @@ fn killed_and_resumed_run_matches_golden_byte_for_byte() {
     // trigger on progress, not on timers, so each one lands mid-flight
     // however fast the host runs the grid.
     let killed = out_dir("killed");
-    let cells = killed.join("journal").join("cells");
+    let journal = killed.join("journal");
     let mut kills = 0;
     let mut attempts = 0;
     let mut lcg: u64 = 0x5eed_cafe_f00d_beef;
@@ -101,14 +101,14 @@ fn killed_and_resumed_run_matches_golden_byte_for_byte() {
         lcg = lcg
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        let target = common::cell_count(&cells) + 1 + (lcg >> 33) as usize % 3;
+        let target = common::cell_count(&journal) + 1 + (lcg >> 33) as usize % 3;
         let mut child = [run_cmd(&killed, attempts > 1).spawn().expect("spawn")];
-        let progressed = common::await_cells(&mut child, &cells, target).is_ok();
+        let progressed = common::await_cells(&mut child, &journal, target).is_ok();
         // Finishing before the kill is only acceptable once three genuine
         // kills have already happened.
         if progressed && common::kill_and_reap(&mut child[0]) {
             kills += 1;
-            assert_journaled_cells_have_sidecars(&killed.join("journal"));
+            assert_journaled_cells_are_in_the_log(&journal);
         } else {
             let status = child[0].wait().expect("reap");
             assert!(status.success(), "early completion failed: {status}");
@@ -136,11 +136,15 @@ fn killed_and_resumed_run_matches_golden_byte_for_byte() {
 }
 
 /// The durability order a SIGKILL must not break: every `cell` record in
-/// the killed worker's WAL has a sidecar on disk that verifies and hashes
-/// to the record's digest, because a sidecar is durable before its record
-/// is written. (A torn final frame is no record: the scan stops there.)
-fn assert_journaled_cells_have_sidecars(journal: &Path) {
-    let wal = fs::read(journal.join("workers").join(SOLO_WORKER).join("wal.bin")).unwrap();
+/// the killed worker's WAL (`cell <key> <digest> <episodes> <offset>
+/// <len> <label>`) points at bytes of its `cells.log` that end with a
+/// `checksum` line, hash to the record's digest and decode to its episode
+/// count, because the log is synced before the record is written. (A torn
+/// final frame is no record: the scan stops there.)
+fn assert_journaled_cells_are_in_the_log(journal: &Path) {
+    let worker = journal.join("workers").join(SOLO_WORKER);
+    let wal = fs::read(worker.join("wal.bin")).unwrap();
+    let log = fs::read(worker.join("cells.log")).unwrap();
     assert!(wal.starts_with(MAGIC), "the WAL keeps its magic");
     let (records, _) = scan_frames(&wal[MAGIC.len()..]);
     for record in &records[1..] {
@@ -148,19 +152,23 @@ fn assert_journaled_cells_have_sidecars(journal: &Path) {
         if parts[0] != "cell" {
             continue;
         }
-        let sidecar = journal
-            .join("cells")
-            .join(format!("cell-{}-{SOLO_WORKER}.ckpt", parts[1]));
-        let text = drive_nn::checkpoint::load_from_file(&sidecar)
-            .unwrap_or_else(|e| panic!("journaled cell {}: {e}", parts[1]));
+        let offset: usize = parts[4].parse().unwrap();
+        let len: usize = parts[5].parse().unwrap();
+        let bytes = log
+            .get(offset..offset + len)
+            .unwrap_or_else(|| panic!("journaled cell {}: past the end of the log", parts[1]));
+        let text = std::str::from_utf8(bytes).unwrap();
+        let body = text
+            .strip_suffix(&format!("checksum {}\n", parts[2]))
+            .unwrap_or_else(|| panic!("journaled cell {}: no checksum line", parts[1]));
         assert_eq!(
-            format!("{:016x}", drive_seed::fnv1a_64(text.as_bytes())),
+            format!("{:016x}", drive_seed::fnv1a_64(body.as_bytes())),
             parts[2],
-            "journaled cell {}: the sidecar hashes to the WAL digest",
+            "journaled cell {}: the log bytes hash to the WAL digest",
             parts[1]
         );
         let episodes: usize = parts[3].parse().unwrap();
-        let decoded = drive_sim::record::decode_records(&text).unwrap();
+        let decoded = drive_sim::record::decode_records(body).unwrap();
         assert_eq!(decoded.len(), episodes, "journaled cell {}", parts[1]);
     }
 }
@@ -192,17 +200,17 @@ fn sigterm_drains_gracefully_and_resume_completes_byte_identical() {
 
     // SIGTERM once the run has journaled a new cell since spawn.
     let interrupted = out_dir("term-interrupted");
-    let cells = interrupted.join("journal").join("cells");
+    let journal = interrupted.join("journal");
     let mut landed = false;
     let mut attempts = 0;
     while !landed {
         attempts += 1;
         assert!(attempts <= 8, "could not land a mid-run SIGTERM in 8 tries");
-        let target = common::cell_count(&cells) + 1;
+        let target = common::cell_count(&journal) + 1;
         let mut cmd = run_cmd(&interrupted, attempts > 1);
         cmd.stderr(Stdio::piped());
         let mut child = [cmd.spawn().expect("spawn")];
-        let progressed = common::await_cells(&mut child, &cells, target).is_ok();
+        let progressed = common::await_cells(&mut child, &journal, target).is_ok();
         let [child] = child;
         if progressed {
             sigterm(&child);
@@ -276,8 +284,8 @@ fn engine_skips_verified_experiments_and_replays_cells_on_resume() {
     drop(ctx);
 
     // Resume 2: delete the CSV — manifest verification fails, the
-    // experiment re-runs, but every cell replays from its journaled
-    // sidecar, and the regenerated CSV is byte-identical.
+    // experiment re-runs, but every cell replays from the journal, and
+    // the regenerated CSV is byte-identical.
     fs::remove_file(&csv_path).unwrap();
     let mut ctx = RunContext::new(artifacts, config, Scale::smoke());
     ctx.csv_dir = Some(dir.to_path_buf());

@@ -5,8 +5,8 @@
 //! points; killed workers are replaced, stale leases are stolen, and
 //! `repro_bench merge` must assemble CSVs/manifests byte-identical to an
 //! uninterrupted single-process golden run. The merge must also exit
-//! nonzero on an injected conflicting sidecar (naming both owners) and on
-//! a deleted (missing) cell. A two-worker fig4 run checks that the merge
+//! nonzero on a forged worker whose copy of a cell differs (naming that
+//! owner) and on a cell no WAL journals (missing). A two-worker fig4 run checks that the merge
 //! rebuilds figure SVGs byte-identical too, and a single-process
 //! journaled fig4 run merges the same way. A separate test covers the
 //! polite path: SIGTERM drains a worker at a cell boundary, exits 130,
@@ -15,6 +15,7 @@
 #![cfg(unix)]
 
 use attack_core::pipeline::{prepare, Artifacts, PipelineConfig};
+use repro_bench::journal::{encode_frame, scan_frames, MAGIC, SOLO_WORKER};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -116,7 +117,6 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
     // trigger on progress, not on timers, so they land mid-flight however
     // fast the host runs the grid.
     let shared = out_dir("km-shared");
-    let cells = shared.join("cells");
     let mut fleet: Vec<Child> = Vec::new();
     let mut spawned = 0usize;
     let mut kills = 0usize;
@@ -132,7 +132,7 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
         lcg = lcg
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        let target = common::cell_count(&cells) + 1 + (lcg >> 33) as usize % 3;
+        let target = common::cell_count(&shared) + 1 + (lcg >> 33) as usize % 3;
         while fleet.len() < 4 {
             spawned += 1;
             fleet.push(
@@ -141,7 +141,7 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
                     .expect("spawn worker"),
             );
         }
-        let _ = common::await_cells(&mut fleet, &cells, target);
+        let _ = common::await_cells(&mut fleet, &shared, target);
         // Reap finished workers first: an exit 0 proves its completing
         // pass saw every cell published.
         let mut alive = Vec::new();
@@ -212,37 +212,47 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
         .join("progress.csv")
         .exists());
 
-    // Injected conflict: a valid sidecar for an existing key but with
-    // different records (another cell's), under a new owner. The merge
-    // must refuse, naming both owners.
-    let cells: Vec<PathBuf> = {
-        let mut v: Vec<PathBuf> = fs::read_dir(shared.join("cells"))
-            .unwrap()
-            .flatten()
-            .map(|e| e.path())
-            .collect();
-        v.sort();
-        v
-    };
-    assert!(cells.len() >= 2, "kill-matrix run published sidecars");
-    let victim_name = cells[0].file_name().unwrap().to_string_lossy().into_owned();
-    let victim_key = &victim_name["cell-".len().."cell-".len() + 16];
-    let donor = cells
-        .iter()
-        .find(|p| {
-            !p.file_name()
-                .unwrap()
-                .to_string_lossy()
-                .contains(victim_key)
+    // Injected conflict: a forged worker `evil` whose WAL journals an
+    // existing cell with another cell's (valid, checksummed) text. The
+    // merge must refuse, naming the forged owner.
+    let workers = shared.join("workers");
+    let (source, records) = fs::read_dir(&workers)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .map(|owner| {
+            let records = wal_records(&workers.join(&owner));
+            (owner, records)
         })
-        .expect("a sidecar for a different cell");
+        .filter(|(_, records)| records.iter().filter(|r| r.starts_with("cell ")).count() >= 2)
+        .min_by(|a, b| a.0.cmp(&b.0))
+        .expect("a worker that journaled two cells");
+    let cell_records: Vec<Vec<&str>> = records
+        .iter()
+        .filter(|r| r.starts_with("cell "))
+        .map(|r| r.splitn(7, ' ').collect())
+        .collect();
+    let victim = &cell_records[0];
+    let victim_key = victim[1].to_string();
+    let donor = cell_records
+        .iter()
+        .find(|r| r[1] != victim[1])
+        .expect("a record of a different cell");
+    assert_ne!(donor[2], victim[2], "two cells with one digest");
+    let evil = workers.join("evil");
+    fs::create_dir_all(&evil).unwrap();
     fs::copy(
-        donor,
-        shared
-            .join("cells")
-            .join(format!("cell-{victim_key}-evil.ckpt")),
+        workers.join(&source).join("cells.log"),
+        evil.join("cells.log"),
     )
     .unwrap();
+    let forged = [
+        records[0].clone(),
+        [&["cell", victim[1]][..], &donor[2..6], &victim[6..]]
+            .concat()
+            .join(" "),
+    ];
+    write_wal(&evil, forged.iter().map(String::as_str));
     let conflict_out = out_dir("km-conflict-merged");
     let output = merge_cmd(&shared, &conflict_out)
         .stderr(Stdio::piped())
@@ -250,7 +260,7 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
         .expect("spawn conflict merge");
     assert!(
         !output.status.success(),
-        "merge must fail on a conflicting sidecar"
+        "merge must fail on a conflicting copy"
     );
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
@@ -258,25 +268,30 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
         "conflict report names the injected owner:\n{stderr}"
     );
     assert!(
-        stderr.contains(victim_key),
+        stderr.contains(&victim_key),
         "conflict report names the cell key:\n{stderr}"
     );
 
-    // Remove the injected sidecar AND every real one of the victim's
-    // cell: now the cell is missing entirely, and the merge must say
-    // which one. A cell can carry two sidecars with one digest (a worker
-    // that lost its lease renewal, and the thief that recomputed the
-    // cell), which the merge accepts, so removing one is not enough.
-    let prefix = format!("cell-{victim_key}-");
-    let mut removed: Vec<String> = fs::read_dir(shared.join("cells"))
-        .unwrap()
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with(&prefix) && n.ends_with(".ckpt"))
-        .collect();
-    removed.sort();
-    for name in &removed {
-        fs::remove_file(shared.join("cells").join(name)).unwrap();
+    // Remove the forged worker AND every record of the victim's cell from
+    // every WAL: now the cell is missing entirely, and the merge must say
+    // which one. A cell can be journaled by two workers with one digest
+    // (a worker that lost its lease renewal, and the thief that
+    // recomputed the cell), which the merge accepts, so dropping one
+    // record is not enough.
+    fs::remove_dir_all(&evil).unwrap();
+    let mut dropped = Vec::new();
+    for entry in fs::read_dir(&workers).unwrap().flatten() {
+        let records = wal_records(&entry.path());
+        let victim_prefix = format!("cell {victim_key} ");
+        let kept: Vec<&str> = records
+            .iter()
+            .map(String::as_str)
+            .filter(|r| !r.starts_with(&victim_prefix))
+            .collect();
+        if kept.len() < records.len() {
+            dropped.push(entry.file_name().to_string_lossy().into_owned());
+            write_wal(&entry.path(), kept);
+        }
     }
     let missing_out = out_dir("km-missing-merged");
     let output = merge_cmd(&shared, &missing_out)
@@ -284,7 +299,7 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
         .output()
         .expect("spawn missing merge");
     if output.status.success() {
-        eprintln!("removed sidecars of cell {victim_key}: {removed:?}");
+        eprintln!("dropped the records of cell {victim_key} from {dropped:?}");
     }
     assert!(
         !output.status.success(),
@@ -292,9 +307,32 @@ fn kill_matrix_four_workers_merge_matches_single_process_golden() {
     );
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
-        stderr.contains("no published sidecar"),
+        stderr.contains("never published"),
         "missing-cell report:\n{stderr}"
     );
+}
+
+/// Every record of the WAL in `worker` (the run header first); none when
+/// the worker was killed before its WAL was in place.
+fn wal_records(worker: &Path) -> Vec<String> {
+    let Ok(bytes) = fs::read(worker.join("wal.bin")) else {
+        return Vec::new();
+    };
+    assert!(
+        bytes.starts_with(MAGIC),
+        "{}: no WAL magic",
+        worker.display()
+    );
+    scan_frames(&bytes[MAGIC.len()..]).0
+}
+
+/// Writes `records` as the WAL in `worker`.
+fn write_wal<'a>(worker: &Path, records: impl IntoIterator<Item = &'a str>) {
+    let mut bytes = MAGIC.to_vec();
+    for record in records {
+        bytes.extend_from_slice(&encode_frame(record));
+    }
+    fs::write(worker.join("wal.bin"), bytes).unwrap();
 }
 
 /// `merge` rebuilds figure SVGs, not just CSVs, byte-identical to a
@@ -400,6 +438,24 @@ fn single_process_journal_merges_like_a_shard() {
         "merge of a single-process journal: {status}"
     );
     assert_outputs_match(&run, &merged);
+
+    // The run left no file per cell: no lease, and the worker directory
+    // holds its log, WAL, progress log and claim file only.
+    let names = |dir: PathBuf| -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let journal = run.join("journal");
+    assert_eq!(names(journal.join("leases")), Vec::<String>::new());
+    assert_eq!(
+        names(journal.join("workers").join(SOLO_WORKER)),
+        ["cells.log", "claim", "progress.csv", "wal.bin"]
+    );
 }
 
 /// Sends a real SIGTERM (std's `Child::kill` is SIGKILL on unix).
@@ -419,14 +475,13 @@ fn sigterm(child: &Child) {
 fn sigterm_drains_shard_worker_and_releases_leases() {
     setup();
     let shared = out_dir("term-shared");
-    let cells = shared.join("cells");
     let mut landed = false;
     let mut attempts = 0;
     while !landed {
         attempts += 1;
         assert!(attempts <= 8, "could not land a mid-run SIGTERM in 8 tries");
         // SIGTERM once the worker has published a new cell since spawn.
-        let target = common::cell_count(&cells) + 1;
+        let target = common::cell_count(&shared) + 1;
         // Long TTL: released leases must come from the drain hook, not
         // from TTL expiry.
         let (_, config) = setup();
@@ -443,7 +498,7 @@ fn sigterm_drains_shard_worker_and_releases_leases() {
             .arg(&config.dir)
             .stderr(Stdio::piped());
         let mut child = [cmd.spawn().expect("spawn worker")];
-        let progressed = common::await_cells(&mut child, &cells, target).is_ok();
+        let progressed = common::await_cells(&mut child, &shared, target).is_ok();
         let [child] = child;
         if progressed {
             sigterm(&child);
@@ -474,7 +529,7 @@ fn sigterm_drains_shard_worker_and_releases_leases() {
         "drain hook releases every held lease on SIGTERM: {leases:?}"
     );
 
-    // A successor worker completes the run from the published sidecars.
+    // A successor worker completes the run from the published cells.
     let status = worker_cmd(&shared, "w-successor")
         .status()
         .expect("spawn successor");

@@ -24,6 +24,7 @@ use drive_sim::sensors::{FeatureConfig, ImuConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Every trainable of the paper, ready for evaluation.
 #[derive(Debug, Clone)]
@@ -38,8 +39,10 @@ pub struct Artifacts {
     pub adv_rho_small: GaussianPolicy,
     /// Fine-tuned agent with `rho = 1/2`.
     pub adv_rho_half: GaussianPolicy,
-    /// The PNN (one set of weights serves both switcher thresholds).
-    pub pnn: PnnPolicy,
+    /// The PNN (one set of weights serves both switcher thresholds),
+    /// frozen and shared: every switcher holds this one copy, packs
+    /// included.
+    pub pnn: Arc<PnnPolicy>,
 }
 
 /// Configuration of the full pipeline.
@@ -259,7 +262,7 @@ pub fn prepare(config: &PipelineConfig) -> Artifacts {
         imu_attacker,
         adv_rho_small,
         adv_rho_half,
-        pnn,
+        pnn: Arc::new(pnn),
     }
 }
 

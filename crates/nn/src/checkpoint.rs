@@ -15,8 +15,8 @@ use crate::pnn::PnnPolicy;
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io::{BufWriter, Write as _};
-use std::path::{Path, PathBuf};
+use std::io::{BufWriter, Write};
+use std::path::Path;
 
 /// Errors produced when parsing a checkpoint.
 #[derive(Debug)]
@@ -546,7 +546,8 @@ pub fn save_to_file(path: impl AsRef<Path>, text: &str) -> Result<(), Checkpoint
 ///
 /// # Errors
 ///
-/// Propagates I/O errors.
+/// Propagates I/O errors; a temporary that could not be written whole is
+/// removed, which leaves the old file in place.
 pub fn save_with(
     path: impl AsRef<Path>,
     encode: impl FnOnce(&mut dyn fmt::Write) -> fmt::Result,
@@ -555,12 +556,21 @@ pub fn save_with(
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    let staged = stage_with(path, encode)?;
-    if let Err(e) = staged.file.sync_data() {
-        let _ = fs::remove_file(&staged.path);
+    let file_name = path.file_name().ok_or_else(|| {
+        CheckpointError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "checkpoint path has no file name",
+        ))
+    })?;
+    let tmp = path.with_file_name(format!("{}.tmp", file_name.to_string_lossy()));
+    let written = fs::File::create(&tmp)
+        .and_then(|file| write_checksummed(file, encode))
+        .and_then(|written| written.out.sync_data());
+    if let Err(e) = written {
+        let _ = fs::remove_file(&tmp);
         return Err(CheckpointError::Io(e));
     }
-    fs::rename(&staged.path, path)?;
+    fs::rename(&tmp, path)?;
     if let Some(parent) = path.parent() {
         // A bare file name has an empty parent; the entry lives in the
         // current directory.
@@ -574,66 +584,26 @@ pub fn save_with(
     Ok(())
 }
 
-/// A checkpoint written to its temporary sibling but not yet synced or
-/// renamed into place (see [`stage`]).
+/// A checksummed text as [`write_checksummed`] left it.
 #[derive(Debug)]
-pub struct Staged {
-    /// The temporary, `<name>.tmp` next to the final path.
-    pub path: PathBuf,
-    /// The temporary, still open: `sync_data` on it makes the text
-    /// durable.
-    pub file: fs::File,
-    /// The FNV-1a hash of the newline-terminated text, as the checksum
+pub struct Checksummed<W> {
+    /// The writer the text went to, flushed.
+    pub out: W,
+    /// The FNV-1a hash of the newline-terminated text, as the `checksum`
     /// line records it.
     pub checksum: u64,
+    /// Bytes written, the `checksum` line included.
+    pub len: u64,
 }
 
-/// The first half of [`save_to_file`]: writes `text` and its `checksum`
-/// line to `path`'s temporary sibling, unsynced. A caller that publishes
-/// several files syncs each temporary, renames each into place, and then
-/// syncs their directory once.
-///
-/// # Errors
-///
-/// Propagates I/O errors; a temporary that could not be written whole is
-/// removed.
-pub fn stage(path: &Path, text: &str) -> Result<Staged, CheckpointError> {
-    stage_with(path, |out| out.write_str(text))
-}
-
-/// The first half of [`save_with`]: [`stage`] for the text `encode`
-/// produces.
-fn stage_with(
-    path: &Path,
-    encode: impl FnOnce(&mut dyn fmt::Write) -> fmt::Result,
-) -> Result<Staged, CheckpointError> {
-    let file_name = path.file_name().ok_or_else(|| {
-        CheckpointError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "checkpoint path has no file name",
-        ))
-    })?;
-    let tmp = path.with_file_name(format!("{}.tmp", file_name.to_string_lossy()));
-    let file = fs::File::create(&tmp)?;
-    match write_checksummed(file, encode) {
-        Ok((file, checksum)) => Ok(Staged {
-            path: tmp,
-            file,
-            checksum,
-        }),
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(CheckpointError::Io(e))
-        }
-    }
-}
-
-/// Where [`save_with`] streams a checkpoint's text: through a buffer into
-/// the file, folding each byte into the checksum on the way.
-struct Sink {
-    out: BufWriter<fs::File>,
+/// Where [`write_checksummed`] streams a text: through an 8 KiB buffer
+/// into the writer, folding each byte into the checksum on the way.
+struct Sink<W: Write> {
+    out: BufWriter<W>,
     /// FNV-1a of the text so far.
     hash: u64,
+    /// Bytes of the text so far.
+    len: u64,
     /// Whether the text so far ends with a newline.
     ends_line: bool,
     /// The I/O error behind a failed write, which `fmt::Error` cannot
@@ -641,12 +611,13 @@ struct Sink {
     err: Option<std::io::Error>,
 }
 
-impl fmt::Write for Sink {
+impl<W: Write> fmt::Write for Sink<W> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
         if s.is_empty() {
             return Ok(());
         }
         self.hash = fnv1a_64_extend(self.hash, s.as_bytes());
+        self.len += s.len() as u64;
         self.ends_line = s.ends_with('\n');
         self.out.write_all(s.as_bytes()).map_err(|e| {
             self.err = Some(e);
@@ -655,16 +626,23 @@ impl fmt::Write for Sink {
     }
 }
 
-/// Writes the text `encode` produces to `file`, a newline if the text
-/// does not end with one, and then the `checksum` line of the
-/// newline-terminated text. Returns the flushed file and the checksum.
-fn write_checksummed(
-    file: fs::File,
+/// Writes the text `encode` produces to `out`, a newline if the text does
+/// not end with one, and then the `checksum` line of the
+/// newline-terminated text: the body of every checkpoint file, and of each
+/// cell in a bench journal's cell log. The text streams through a
+/// fixed-size buffer, so it is never held whole.
+///
+/// # Errors
+///
+/// Propagates write errors; what reached `out` before one is left there.
+pub fn write_checksummed<W: Write>(
+    out: W,
     encode: impl FnOnce(&mut dyn fmt::Write) -> fmt::Result,
-) -> std::io::Result<(fs::File, u64)> {
+) -> std::io::Result<Checksummed<W>> {
     let mut sink = Sink {
-        out: BufWriter::new(file),
+        out: BufWriter::with_capacity(8 * 1024, out),
         hash: fnv1a64(&[]),
+        len: 0,
         ends_line: false,
         err: None,
     };
@@ -681,9 +659,14 @@ fn write_checksummed(
             .unwrap_or_else(|| std::io::Error::other("checkpoint text failed to format")));
     }
     let checksum = sink.hash;
-    writeln!(sink.out, "{CHECKSUM_TAG}{checksum:016x}")?;
-    let file = sink.out.into_inner().map_err(|e| e.into_error())?;
-    Ok((file, checksum))
+    let line = format!("{CHECKSUM_TAG}{checksum:016x}\n");
+    sink.out.write_all(line.as_bytes())?;
+    let out = sink.out.into_inner().map_err(|e| e.into_error())?;
+    Ok(Checksummed {
+        out,
+        checksum,
+        len: sink.len + line.len() as u64,
+    })
 }
 
 /// Reads checkpoint text from a file, verifying and stripping the trailing
@@ -695,30 +678,46 @@ fn write_checksummed(
 /// Propagates I/O errors; returns [`CheckpointError::Corrupt`] when the
 /// recorded checksum does not match the contents.
 pub fn load_from_file(path: impl AsRef<Path>) -> Result<String, CheckpointError> {
-    verify_and_strip_checksum(fs::read_to_string(path)?)
+    let raw = fs::read_to_string(path)?;
+    if checksum_line(&raw).is_none() {
+        // Legacy checkpoint without an integrity line.
+        return Ok(raw);
+    }
+    verify_checksummed(raw).map(|(body, _)| body)
 }
 
-/// The body of `raw` when its checksum line verifies, cut from `raw` in
-/// place (a large snapshot is not held twice); `raw` as it is when it has
-/// no checksum line.
-fn verify_and_strip_checksum(mut raw: String) -> Result<String, CheckpointError> {
+/// Where the trailing `checksum` line of `raw` starts, and its hex digits
+/// (`None` when the last line is not a checksum line).
+fn checksum_line(raw: &str) -> Option<(usize, &str)> {
     let trimmed = raw.trim_end_matches('\n');
     let (body_end, last_line) = match trimmed.rfind('\n') {
         Some(idx) => (idx + 1, &trimmed[idx + 1..]),
         None => (0, trimmed),
     };
-    let Some(hex) = last_line.strip_prefix(CHECKSUM_TAG) else {
-        // Legacy checkpoint without an integrity line.
-        return Ok(raw);
-    };
+    last_line
+        .strip_prefix(CHECKSUM_TAG)
+        .map(|hex| (body_end, hex))
+}
+
+/// Verifies a text [`write_checksummed`] wrote and returns its body, cut
+/// from `raw` in place (a large snapshot is not held twice), with the
+/// checksum it verified against.
+///
+/// # Errors
+///
+/// [`CheckpointError::Parse`] when `raw` has no readable `checksum` line,
+/// [`CheckpointError::Corrupt`] when the body does not hash to it.
+pub fn verify_checksummed(mut raw: String) -> Result<(String, u64), CheckpointError> {
+    let (body_end, hex) =
+        checksum_line(&raw).ok_or_else(|| parse_err("missing checksum line".to_string()))?;
     let expected = u64::from_str_radix(hex.trim(), 16)
-        .map_err(|_| parse_err(format!("unreadable checksum line '{last_line}'")))?;
+        .map_err(|_| parse_err(format!("unreadable checksum line '{CHECKSUM_TAG}{hex}'")))?;
     let found = fnv1a64(&raw.as_bytes()[..body_end]);
     if found != expected {
         return Err(CheckpointError::Corrupt { expected, found });
     }
     raw.truncate(body_end);
-    Ok(raw)
+    Ok((raw, expected))
 }
 
 #[cfg(test)]
@@ -758,7 +757,7 @@ mod tests {
 
     /// A directory of this test process alone: concurrent runs of the
     /// suite do not share it.
-    fn temp(name: &str) -> PathBuf {
+    fn temp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir

@@ -8,7 +8,7 @@
 
 use crate::world::{CollisionEvent, CollisionKind, Termination};
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Perturbations below this magnitude do not count as the start of an
 /// attack attempt (learned policies emit tiny non-zero means even when
@@ -119,7 +119,7 @@ impl EpisodeRecord {
     }
 }
 
-/// Version tag of the [`encode_records`] text format.
+/// Version tag of the [`write_records`] text format.
 const RECORDS_VERSION: &str = "v2";
 
 /// Why a records block failed to decode.
@@ -215,7 +215,9 @@ fn parse_f64(tok: &str) -> Option<f64> {
     u64::from_str_radix(tok, 16).ok().map(f64::from_bits)
 }
 
-fn write_f64s(buf: &mut String, values: &[f64]) {
+/// Appends `values` to `buf`, eight to a line, spilling full chunks to
+/// `out`.
+fn write_f64s(buf: &mut String, values: &[f64], out: &mut dyn fmt::Write) -> fmt::Result {
     for chunk in values.chunks(8) {
         for (i, &v) in chunk.iter().enumerate() {
             if i > 0 {
@@ -224,7 +226,9 @@ fn write_f64s(buf: &mut String, values: &[f64]) {
             push_f64(buf, v);
         }
         buf.push('\n');
+        spill(buf, out)?;
     }
+    Ok(())
 }
 
 /// Line cursor over the record text (drive-sim keeps its codec
@@ -283,18 +287,30 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Serializes a slice of records to a versioned plain-text block that
-/// [`decode_records`] parses back bit-identically — the payload format of
-/// the bench journal's per-cell sidecar files, so a resumed run replays
-/// exactly the records the killed run computed. Every `f64` is written as
-/// its bit pattern in hex, so the text is a function of the bits alone.
-pub fn encode_records(records: &[EpisodeRecord]) -> String {
-    // About 17 bytes per float plus a few short lines per record.
-    let floats: usize = records
-        .iter()
-        .map(|r| r.deviation.len() + r.perturbation.len())
-        .sum();
-    let mut buf = String::with_capacity(17 * floats + 128 * records.len() + 32);
+/// Bytes of encoded text [`write_records`] gathers before it hands them on.
+const CHUNK: usize = 4096;
+
+/// Hands `buf` to `out` once it holds at least [`CHUNK`] bytes.
+fn spill(buf: &mut String, out: &mut dyn fmt::Write) -> fmt::Result {
+    if buf.len() >= CHUNK {
+        out.write_str(buf)?;
+        buf.clear();
+    }
+    Ok(())
+}
+
+/// Writes a slice of records to `out` as a versioned plain-text block that
+/// [`decode_records`] parses back bit-identically — the text of each cell
+/// in the bench journal's cell log, so a resumed run replays exactly the
+/// records the killed run computed. Every `f64` is written as its bit
+/// pattern in hex, so the text is a function of the bits alone. The text
+/// reaches `out` in chunks of about 4 KiB and is never held whole.
+///
+/// # Errors
+///
+/// Propagates `out`'s write errors.
+pub fn write_records(out: &mut dyn fmt::Write, records: &[EpisodeRecord]) -> fmt::Result {
+    let mut buf = String::with_capacity(CHUNK + 256);
     let _ = writeln!(buf, "records {RECORDS_VERSION} {}", records.len());
     for r in records {
         let _ = write!(buf, "rec {} ", r.steps);
@@ -324,22 +340,25 @@ pub fn encode_records(records: &[EpisodeRecord]) -> String {
         }
         match r.attack_start {
             None => buf.push_str("astart none\n"),
-            Some(s) => buf.push_str(&format!("astart {s}\n")),
+            Some(s) => {
+                let _ = writeln!(buf, "astart {s}");
+            }
         }
         let _ = writeln!(buf, "dev {}", r.deviation.len());
-        write_f64s(&mut buf, &r.deviation);
+        write_f64s(&mut buf, &r.deviation, out)?;
         let _ = writeln!(buf, "pert {}", r.perturbation.len());
-        write_f64s(&mut buf, &r.perturbation);
+        write_f64s(&mut buf, &r.perturbation, out)?;
+        spill(&mut buf, out)?;
     }
-    buf
+    out.write_str(&buf)
 }
 
-/// Parses text produced by [`encode_records`].
+/// Parses text produced by [`write_records`].
 ///
 /// # Errors
 ///
 /// [`RecordsError::Version`] for a block of another format version (an
-/// older build's `v1` sidecar, say), [`RecordsError::Malformed`] for any
+/// older build's `v1` text, say), [`RecordsError::Malformed`] for any
 /// structural defect; the caller (the bench journal) treats either as
 /// "recompute this cell".
 pub fn decode_records(text: &str) -> Result<Vec<EpisodeRecord>, RecordsError> {
@@ -438,6 +457,41 @@ fn decode_record(c: &mut Cursor<'_>) -> Result<EpisodeRecord, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The whole text [`write_records`] writes for `records`.
+    fn encode_records(records: &[EpisodeRecord]) -> String {
+        let mut text = String::new();
+        write_records(&mut text, records).unwrap();
+        text
+    }
+
+    /// A long episode reaches the writer in chunks of about [`CHUNK`]
+    /// bytes, never as one piece, and the chunks join to the same text.
+    #[test]
+    fn long_records_stream_in_chunks() {
+        struct Chunks(Vec<String>);
+        impl fmt::Write for Chunks {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.push(s.to_string());
+                Ok(())
+            }
+        }
+        let records = vec![
+            EpisodeRecord {
+                deviation: (0..2000).map(|i| i as f64 * 0.25).collect(),
+                perturbation: vec![-1.5; 2000],
+                ..rec()
+            };
+            3
+        ];
+        let mut chunks = Chunks(Vec::new());
+        write_records(&mut chunks, &records).unwrap();
+        assert!(chunks.0.len() > 10, "{} chunk(s)", chunks.0.len());
+        let longest = chunks.0.iter().map(String::len).max().unwrap();
+        assert!(longest < CHUNK + 256, "a {longest}-byte chunk");
+        assert_eq!(chunks.0.concat(), encode_records(&records));
+        assert_eq!(decode_records(&chunks.0.concat()).unwrap(), records);
+    }
 
     fn rec() -> EpisodeRecord {
         EpisodeRecord {
@@ -578,7 +632,7 @@ mod tests {
         assert!(text.contains("\ndev 11\n7ff8000000000001 fff00000deadbeef"));
     }
 
-    /// A sidecar an older build wrote in `v1` (decimal floats) is refused
+    /// A cell an older build wrote in `v1` (decimal floats) is refused
     /// with the typed version error, never misread or panicked on.
     #[test]
     fn v1_text_gets_the_typed_version_error() {
