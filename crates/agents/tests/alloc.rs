@@ -9,6 +9,8 @@
 //! - Serial evaluation through pre-packed weights: the packed victim's
 //!   act, the learned attackers' deltas, and both columns of the PNN
 //!   switcher.
+//! - Fleet inference: staged batched inference through both PNN columns,
+//!   as the live-row count shrinks and grows back.
 //!
 //! A counting `#[global_allocator]` wrapping the system allocator makes
 //! that an invariant instead of a benchmark hope; the counters are
@@ -26,6 +28,7 @@ use drive_nn::batch::BatchPolicy;
 use drive_nn::gaussian::GaussianPolicy;
 use drive_nn::linear::Linear;
 use drive_nn::pnn::PnnPolicy;
+use drive_nn::scratch::BatchActScratch;
 use drive_sim::batch::WorldBatch;
 use drive_sim::scenario::Scenario;
 use drive_sim::sensors::{FeatureConfig, ImuConfig};
@@ -246,4 +249,40 @@ fn steady_state_packed_victim_attacker_and_switcher_are_allocation_free() {
     for (name, grew) in names.zip(grew) {
         assert_eq!(grew, 0, "{name} allocated {grew} times across 10 steps");
     }
+}
+
+#[test]
+fn steady_state_staged_pnn_inference_is_allocation_free() {
+    let dim = FeatureConfig::default().observation_dim();
+    let mut rng = StdRng::seed_from_u64(0xA110C);
+    let victim = GaussianPolicy::new(dim, &[128, 128], 2, &mut rng);
+    let pnn = random_pnn(victim, &mut rng);
+    let obs: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
+    let (mut hardened, mut base) = (BatchActScratch::default(), BatchActScratch::default());
+    // One fleet step per column over `rows` live slots.
+    let mut step = |rows: usize| {
+        let stage = pnn.stage(rows, &mut hardened);
+        for r in 0..rows {
+            stage.row_mut(r).copy_from_slice(&obs);
+        }
+        let a = pnn.infer_staged(&mut hardened).get(rows - 1, 0);
+        let stage = pnn.base().stage(rows, &mut base);
+        for r in 0..rows {
+            stage.row_mut(r).copy_from_slice(&obs);
+        }
+        a + pnn.base().infer_staged(&mut base).get(rows - 1, 1)
+    };
+    // Warm-up at the largest batch sizes every buffer; the measured steps
+    // retire slots down to one and refill them.
+    for rows in [64, 1, 64] {
+        step(rows);
+    }
+    let before = allocs();
+    let mut sum = 0.0;
+    for rows in [64, 63, 17, 1, 40, 64] {
+        sum += step(rows);
+    }
+    let grew = allocs() - before;
+    assert!(sum.is_finite());
+    assert_eq!(grew, 0, "staged PNN inference allocated {grew} times");
 }

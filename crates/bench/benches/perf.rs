@@ -14,7 +14,7 @@
 use attack_core::adv_reward::AdvReward;
 use attack_core::budget::AttackBudget;
 use attack_core::defense::SimplexSwitcher;
-use attack_core::fleet::FleetEval;
+use attack_core::fleet::{FleetEval, FleetVictim};
 use criterion::{black_box, BenchResult, Criterion};
 use drive_agents::behavior::{BehaviorConfig, BehaviorPlanner};
 use drive_agents::e2e::Policy;
@@ -386,7 +386,7 @@ fn fleet_rows() -> Vec<BenchResult> {
     let dim = FeatureConfig::default().observation_dim();
     let victim = GaussianPolicy::new(dim, &[128, 128], 2, &mut rng);
     let eval = FleetEval {
-        victim: &victim,
+        victim: FleetVictim::Gaussian(&victim),
         features: FeatureConfig::default(),
         attack: None,
         imu: ImuConfig::default(),

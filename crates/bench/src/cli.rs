@@ -21,9 +21,11 @@
 //! * `--no-journal` — disable the journal (it is on whenever a CSV or SVG
 //!   directory is set)
 //! * `--artifacts <dir>` — checkpoint directory (default `artifacts/`)
-//! * `--fleet <n>` — route fleet-capable evaluation cells through the
-//!   batched [`WorldBatch`](drive_sim::batch::WorldBatch) engine with `n`
-//!   episodes in lockstep (byte-identical to the serial engine)
+//! * `--fleet <n>` — step `n` episodes of each fleet-capable evaluation
+//!   cell in lockstep through the batched
+//!   [`WorldBatch`](drive_sim::batch::WorldBatch) engine (default
+//!   [`FLEET_BATCH`](crate::engine::FLEET_BATCH)); `--fleet 0` runs every
+//!   cell on the serial engine. Both are byte-identical.
 //! * `--perf-json <path>` — write per-phase throughput as JSON
 //! * `validate-manifest <path>` — re-check a manifest's file checksums
 //! * `bench-compare <current.json>` — diff a fresh `PERF_JSON` export from
@@ -69,7 +71,8 @@ pub struct CliArgs {
     pub artifacts: Option<PathBuf>,
     /// Perf-report JSON path.
     pub perf_json: Option<PathBuf>,
-    /// Fleet batch size (`None` = serial evaluation).
+    /// `--fleet` batch size: `None` when not given (the context's
+    /// default), `Some(0)` for serial evaluation.
     pub fleet: Option<usize>,
     /// Manifest to validate instead of running experiments.
     pub validate_manifest: Option<PathBuf>,
@@ -179,6 +182,14 @@ pub fn exit_code(err: &CliError) -> i32 {
 }
 
 impl CliArgs {
+    /// Applies `--fleet` to a run context: a batch size replaces the
+    /// context's default, and `--fleet 0` selects the serial engine.
+    pub(crate) fn apply_fleet(&self, ctx: &mut RunContext) {
+        if let Some(batch) = self.fleet {
+            ctx.fleet = (batch > 0).then_some(batch);
+        }
+    }
+
     /// Parses an argument list (without the program name).
     ///
     /// # Errors
@@ -233,9 +244,6 @@ impl CliArgs {
                     let batch: usize = raw
                         .parse()
                         .map_err(|_| CliError::InvalidValue("--fleet".to_string(), raw.clone()))?;
-                    if batch == 0 {
-                        return Err(CliError::InvalidValue("--fleet".to_string(), raw.clone()));
-                    }
                     out.fleet = Some(batch);
                 }
                 "validate-manifest" => {
@@ -449,9 +457,12 @@ pub fn run(args: &CliArgs) -> Result<(), CliError> {
     ctx.csv_dir = csv_dir;
     ctx.svg_dir = args.svg.clone();
     ctx.journal = journal;
-    ctx.fleet = args.fleet;
-    if let Some(batch) = args.fleet {
-        eprintln!("[fleet] batched evaluation: {batch} episodes in lockstep");
+    args.apply_fleet(&mut ctx);
+    if args.fleet.is_some() {
+        match ctx.fleet {
+            Some(batch) => eprintln!("[fleet] batched evaluation: {batch} episodes in lockstep"),
+            None => eprintln!("[fleet] serial evaluation"),
+        }
     }
     // The run directory a graceful interruption can be resumed from (only
     // meaningful while a journal is recording).
@@ -702,8 +713,10 @@ mod tests {
         let args = parse(&["--all", "--fleet", "64"]);
         assert_eq!(args.fleet, Some(64));
         assert!(parse(&["--all"]).fleet.is_none());
+        // `--fleet 0` selects the serial engine.
+        assert_eq!(parse(&["--all", "--fleet", "0"]).fleet, Some(0));
 
-        for bad in [&["--fleet", "0"][..], &["--fleet", "x"]] {
+        for bad in [&["--fleet", "-1"][..], &["--fleet", "x"]] {
             let argv: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             let err = CliArgs::parse(&argv).expect_err(&argv.join(" "));
             assert!(matches!(err, CliError::InvalidValue(..)), "{err:?}");

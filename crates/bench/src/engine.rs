@@ -66,6 +66,10 @@ pub trait Experiment: Sync {
     fn run(&self, ctx: &RunContext) -> ExperimentOutput;
 }
 
+/// The default lockstep fleet batch ([`RunContext::fleet`]): episodes in
+/// flight per evaluation cell.
+pub const FLEET_BATCH: usize = 64;
+
 /// Shared state for one engine invocation: artifacts, scale, seeds,
 /// executor, and output sinks.
 ///
@@ -95,10 +99,16 @@ pub struct RunContext<'a> {
     /// already-completed experiments (with verified manifests) are skipped.
     /// `None` (the default) runs without crash safety.
     pub journal: Option<Arc<crate::journal::JournalHandle>>,
-    /// Lockstep fleet batch size for
-    /// [`attacked_records`](crate::harness::attacked_records) cells whose
-    /// victim/attacker pairing is fleet-steppable. `None` (the default)
-    /// keeps every cell on the serial path.
+    /// Lockstep fleet batch size: how many episodes of one evaluation
+    /// cell step together through [`attack_core::fleet::FleetEval`]. Every
+    /// cell whose victim is a frozen policy with a per-cell decision (the
+    /// end-to-end agents and the PNN switchers of
+    /// [`attacked_records`](crate::harness::attacked_records), and
+    /// ablation arms 2, 3, 4's idealized switcher and 5) takes that path;
+    /// the modular agent, the detector and state-space agents, the oracle
+    /// arm and faulted cells stay serial. Defaults to
+    /// `Some(`[`FLEET_BATCH`]`)`; `None` runs every cell on the serial
+    /// path. Both give byte-identical records.
     pub fleet: Option<usize>,
     /// Load-only replay used by `repro_bench merge` ([`crate::merge`]):
     /// when set (and no journal is), every cell loads from the merged run
@@ -109,7 +119,8 @@ pub struct RunContext<'a> {
 
 impl<'a> RunContext<'a> {
     /// A context with default knobs: seeds rooted at `scale.seed`, the
-    /// ambient worker count, no output sinks.
+    /// ambient worker count, no output sinks, and the lockstep fleet at
+    /// [`FLEET_BATCH`].
     pub fn new(artifacts: &'a Artifacts, config: &'a PipelineConfig, scale: Scale) -> Self {
         RunContext {
             artifacts,
@@ -120,7 +131,7 @@ impl<'a> RunContext<'a> {
             csv_dir: None,
             svg_dir: None,
             journal: None,
-            fleet: None,
+            fleet: Some(FLEET_BATCH),
             replay: None,
             cache: Mutex::new(HashMap::new()),
         }

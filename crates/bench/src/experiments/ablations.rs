@@ -25,22 +25,27 @@
 //!    attackers, across the context's fault intensities.
 
 use crate::engine::{Experiment, ExperimentOutput, RunContext};
-use crate::harness::{attacked_records, AgentKind};
+use crate::harness::{attacked_records, run_fleet, AgentKind};
 use attack_core::adv_reward::AdvReward;
 use attack_core::budget::AttackBudget;
 use attack_core::defense::SimplexSwitcher;
 use attack_core::detector::{DetectorConfig, DetectorSimplexAgent};
 use attack_core::eval::{run_attacked_episode_with_faults, run_attacked_episodes};
+use attack_core::fleet::{FleetEval, FleetVictim};
 use attack_core::learned::LearnedAttacker;
 use attack_core::oracle::OracleAttacker;
 use attack_core::sensor::{AttackerSensor, SensorKind};
 use attack_core::state_attack::{StateAttackConfig, StateAttackedAgent};
 use drive_agents::e2e::E2eAgent;
+use drive_agents::Agent;
 use drive_metrics::episode::CellSummary;
 use drive_metrics::export::Csv;
 use drive_metrics::report::{fmt_f, fmt_pct, Table};
 use drive_nn::batch::BatchPolicy;
 use drive_sim::faults::{FaultInjector, FaultSchedule};
+use drive_sim::record::EpisodeRecord;
+use drive_sim::scenario::Scenario;
+use drive_sim::sensors::ImuConfig;
 use std::sync::Arc;
 
 /// Result of one ablation arm.
@@ -100,6 +105,69 @@ pub fn run(ctx: &RunContext) -> Arc<AblationResult> {
     ctx.memo("ablations", || compute(ctx))
 }
 
+/// One attacked arm whose victim is a frozen policy with a per-cell
+/// decision: `victim` against the learned attacker on `sensor` at
+/// `budget`, in `scenario`, with `imu` as the IMU attacker's sensor.
+struct FrozenArm<'a> {
+    victim: FleetVictim<'a>,
+    sensor: SensorKind,
+    imu: ImuConfig,
+    budget: AttackBudget,
+    scenario: &'a Scenario,
+}
+
+impl FrozenArm<'_> {
+    /// Runs the arm's episodes on the seed grid `base_seed + e`: through
+    /// the lockstep fleet when the context has one, else (or when the
+    /// fleet cell panicked) serially, with `agent` as the victim and a
+    /// fresh learned attacker per episode. Both give byte-identical
+    /// records.
+    fn records(
+        &self,
+        ctx: &RunContext,
+        base_seed: u64,
+        label: &str,
+        agent: impl FnOnce() -> Box<dyn Agent>,
+    ) -> Vec<EpisodeRecord> {
+        let (artifacts, features) = (ctx.artifacts, &ctx.config.features);
+        let attacker = match self.sensor {
+            SensorKind::Camera => &artifacts.camera_attacker,
+            SensorKind::Imu => &artifacts.imu_attacker,
+        };
+        let eval = FleetEval {
+            victim: self.victim,
+            features: features.clone(),
+            attack: Some((attacker, self.sensor)),
+            imu: self.imu.clone(),
+            budget: self.budget,
+            adv: AdvReward::default(),
+            scenario: self.scenario.clone(),
+        };
+        let episodes = ctx.scale.box_episodes;
+        ctx.fleet
+            .and_then(|batch| run_fleet(&eval, episodes, base_seed, batch, label))
+            .unwrap_or_else(|| {
+                // One frozen copy per cell, sharing the artifact's packs;
+                // each episode's attacker gets an O(1) clone.
+                let policy = BatchPolicy::from(attacker);
+                run_attacked_episodes(
+                    agent().as_mut(),
+                    |seed| {
+                        (!self.budget.is_zero()).then(|| {
+                            let sensor =
+                                AttackerSensor::new(self.sensor, features, &self.imu, seed);
+                            LearnedAttacker::new(policy.clone(), sensor, self.budget, seed, true)
+                        })
+                    },
+                    &eval.adv,
+                    self.scenario,
+                    episodes,
+                    base_seed,
+                )
+            })
+    }
+}
+
 fn compute(ctx: &RunContext) -> AblationResult {
     let artifacts = ctx.artifacts;
     let config = ctx.config;
@@ -107,17 +175,15 @@ fn compute(ctx: &RunContext) -> AblationResult {
     let adv = AdvReward::default();
     let budget = AttackBudget::new(1.0);
     let episodes = ctx.scale.box_episodes;
-    // Frozen policies, packed once for every arm; agents and per-episode
-    // attackers get O(1) clones.
-    let victim = BatchPolicy::from(artifacts.victim.clone());
     let pnn = Arc::clone(&artifacts.pnn);
-    let camera_attacker = BatchPolicy::from(artifacts.camera_attacker.clone());
-    let imu_attacker = BatchPolicy::from(artifacts.imu_attacker.clone());
+    // The victim of a serial cell: a frozen copy sharing the artifact's
+    // packs.
+    let victim_policy = || BatchPolicy::from(&artifacts.victim);
 
     // --- 1. Oracle vs learned camera attacker ---
     let mut attacker_arms = Vec::new();
     {
-        let mut agent = E2eAgent::new(victim.clone(), config.features.clone(), 1, true);
+        let mut agent = E2eAgent::new(victim_policy(), config.features.clone(), 1, true);
         let records = run_attacked_episodes(
             &mut agent,
             |_| Some(OracleAttacker::new(budget)),
@@ -154,30 +220,21 @@ fn compute(ctx: &RunContext) -> AblationResult {
     let switcher_seed = ns.child("switcher").seed();
     let sigmas = [0.0, 0.2, 0.4, 0.6];
     let switcher_arms = drive_par::par_map(&sigmas, |_, &sigma| {
-        let mut agent = E2eAgent::new(
-            SimplexSwitcher::new(pnn.clone(), sigma, sweep_budget.epsilon()),
-            config.features.clone(),
-            2,
-            true,
-        );
-        let records = run_attacked_episodes(
-            &mut agent,
-            |seed| {
-                Some(LearnedAttacker::new(
-                    camera_attacker.clone(),
-                    AttackerSensor::camera(config.features.clone()),
-                    sweep_budget,
-                    seed,
-                    true,
-                ))
-            },
-            &adv,
-            &config.scenario,
-            episodes,
-            switcher_seed,
-        );
+        let eps = sweep_budget.epsilon();
+        let arm = FrozenArm {
+            victim: SimplexSwitcher::column(&pnn, sigma, eps),
+            sensor: SensorKind::Camera,
+            imu: config.imu.clone(),
+            budget: sweep_budget,
+            scenario: &config.scenario,
+        };
+        let label = format!("sigma={sigma:.1}");
+        let records = arm.records(ctx, switcher_seed, &label, || {
+            let switcher = SimplexSwitcher::new(pnn.clone(), sigma, eps);
+            Box::new(E2eAgent::new(switcher, config.features.clone(), 2, true))
+        });
         AblationCell {
-            label: format!("sigma={sigma:.1}"),
+            label,
             summary: CellSummary::from_records(&records),
         }
     });
@@ -186,28 +243,27 @@ fn compute(ctx: &RunContext) -> AblationResult {
     let imu_noise_seed = ns.child("imu-noise").seed();
     let noise_mults = [0.0, 1.0, 4.0, 10.0];
     let imu_noise_arms = drive_par::par_map(&noise_mults, |_, &mult| {
-        let mut imu_cfg = config.imu.clone();
-        imu_cfg.accel_noise_std *= mult;
-        imu_cfg.gyro_noise_std *= mult;
-        let mut agent = E2eAgent::new(victim.clone(), config.features.clone(), 3, true);
-        let records = run_attacked_episodes(
-            &mut agent,
-            |seed| {
-                Some(LearnedAttacker::new(
-                    imu_attacker.clone(),
-                    AttackerSensor::imu(imu_cfg.clone(), seed),
-                    budget,
-                    seed,
-                    true,
-                ))
-            },
-            &adv,
-            &config.scenario,
-            episodes,
-            imu_noise_seed,
-        );
+        let mut imu = config.imu.clone();
+        imu.accel_noise_std *= mult;
+        imu.gyro_noise_std *= mult;
+        let arm = FrozenArm {
+            victim: FleetVictim::Gaussian(&artifacts.victim),
+            sensor: SensorKind::Imu,
+            imu,
+            budget,
+            scenario: &config.scenario,
+        };
+        let label = format!("noise x{mult:.0}");
+        let records = arm.records(ctx, imu_noise_seed, &label, || {
+            Box::new(E2eAgent::new(
+                victim_policy(),
+                config.features.clone(),
+                3,
+                true,
+            ))
+        });
         AblationCell {
-            label: format!("noise x{mult:.0}"),
+            label,
             summary: CellSummary::from_records(&records),
         }
     });
@@ -219,6 +275,7 @@ fn compute(ctx: &RunContext) -> AblationResult {
     let detector_eps = [0.0, 0.5, 1.0];
     let detector_pairs = drive_par::par_map(&detector_eps, |_, &eps| {
         let b = AttackBudget::new(eps);
+        let camera_attacker = BatchPolicy::from(&artifacts.camera_attacker);
         let attack = |seed: u64| {
             (!b.is_zero()).then(|| {
                 LearnedAttacker::new(
@@ -230,22 +287,20 @@ fn compute(ctx: &RunContext) -> AblationResult {
                 )
             })
         };
-        let mut ideal = E2eAgent::new(
-            SimplexSwitcher::new(pnn.clone(), 0.2, eps),
-            config.features.clone(),
-            4,
-            true,
-        );
-        let records = run_attacked_episodes(
-            &mut ideal,
-            attack,
-            &adv,
-            &config.scenario,
-            episodes,
-            detector_seed,
-        );
+        let arm = FrozenArm {
+            victim: SimplexSwitcher::column(&pnn, 0.2, eps),
+            sensor: SensorKind::Camera,
+            imu: config.imu.clone(),
+            budget: b,
+            scenario: &config.scenario,
+        };
+        let label = format!("ideal switcher eps={eps:.1}");
+        let records = arm.records(ctx, detector_seed, &label, || {
+            let switcher = SimplexSwitcher::new(pnn.clone(), 0.2, eps);
+            Box::new(E2eAgent::new(switcher, config.features.clone(), 4, true))
+        });
         let ideal_cell = AblationCell {
-            label: format!("ideal switcher eps={eps:.1}"),
+            label,
             summary: CellSummary::from_records(&records),
         };
 
@@ -284,23 +339,21 @@ fn compute(ctx: &RunContext) -> AblationResult {
         ("two-lane", drive_sim::scenario::Scenario::two_lane()),
     ];
     let transfer_arms = drive_par::par_map(&scenarios, |_, (label, scenario)| {
-        let mut agent = E2eAgent::new(victim.clone(), config.features.clone(), 5, true);
-        let records = run_attacked_episodes(
-            &mut agent,
-            |seed| {
-                Some(LearnedAttacker::new(
-                    camera_attacker.clone(),
-                    AttackerSensor::camera(config.features.clone()),
-                    budget,
-                    seed,
-                    true,
-                ))
-            },
-            &adv,
+        let arm = FrozenArm {
+            victim: FleetVictim::Gaussian(&artifacts.victim),
+            sensor: SensorKind::Camera,
+            imu: config.imu.clone(),
+            budget,
             scenario,
-            episodes,
-            transfer_seed,
-        );
+        };
+        let records = arm.records(ctx, transfer_seed, label, || {
+            Box::new(E2eAgent::new(
+                victim_policy(),
+                config.features.clone(),
+                5,
+                true,
+            ))
+        });
         AblationCell {
             label: label.to_string(),
             summary: CellSummary::from_records(&records),
@@ -361,6 +414,8 @@ fn compute(ctx: &RunContext) -> AblationResult {
     // episode: the switch latches, so `hardened_fraction() > 0` means the
     // detector fired at least once.
     let fault_ns = ns.child("fault-detector");
+    let camera_attacker = BatchPolicy::from(&artifacts.camera_attacker);
+    let imu_attacker = BatchPolicy::from(&artifacts.imu_attacker);
     let fault_detector_arms = drive_par::par_map(&FAULT_INTENSITIES, |_, &intensity| {
         let arm = fault_ns.child(format!("{intensity:.1}"));
         let schedule = FaultSchedule::benign(intensity, arm.child("schedule").seed());
@@ -624,6 +679,7 @@ mod tests {
 
     #[test]
     fn smoke_ablations_run() {
+        let _cells = crate::test_latch::run_cells();
         let dir = crate::test_dir::TestDir::new("repro-bench-ablations-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);
@@ -661,5 +717,24 @@ mod tests {
         // CSV exports cover every arm.
         assert_eq!(result.to_csv().len(), 2 + 4 + 4 + 6 + 4 + 4);
         assert_eq!(result.fault_detector_csv().len(), 3);
+    }
+
+    /// Arms 2, 3, 4's idealized switcher and 5 step through the fleet
+    /// when the context has one, on the serial loops' seed grids: at batch
+    /// 1, at batch 3 (slots refill mid-cell) and at the default batch,
+    /// every arm of every section equals the serial run's to the last bit
+    /// of its summary.
+    #[test]
+    fn fleet_arms_match_serial() {
+        let _cells = crate::test_latch::run_cells();
+        let (artifacts, config) = crate::harness::parity_artifacts("ablation-arms");
+        let mut serial = RunContext::new(&artifacts, &config, Scale::smoke());
+        serial.fleet = None;
+        let want = format!("{:?}", compute(&serial));
+        for batch in [1, 3, crate::engine::FLEET_BATCH] {
+            let mut ctx = RunContext::new(&artifacts, &config, Scale::smoke());
+            ctx.fleet = Some(batch);
+            assert_eq!(format!("{:?}", compute(&ctx)), want, "batch {batch}");
+        }
     }
 }

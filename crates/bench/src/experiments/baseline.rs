@@ -146,6 +146,7 @@ mod tests {
 
     #[test]
     fn smoke_baseline_runs_both_agents() {
+        let _cells = crate::test_latch::run_cells();
         let dir = crate::test_dir::TestDir::new("repro-bench-baseline-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);

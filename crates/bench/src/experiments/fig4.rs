@@ -279,6 +279,7 @@ mod tests {
 
     #[test]
     fn smoke_fig4_produces_full_grid() {
+        let _cells = crate::test_latch::run_cells();
         let dir = crate::test_dir::TestDir::new("repro-bench-fig4-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);

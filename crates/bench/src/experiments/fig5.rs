@@ -226,6 +226,7 @@ mod tests {
 
     #[test]
     fn smoke_fig5_sweeps_both_agents() {
+        let _cells = crate::test_latch::run_cells();
         let dir = crate::test_dir::TestDir::new("repro-bench-fig5-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);

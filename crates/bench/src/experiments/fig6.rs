@@ -205,6 +205,7 @@ mod tests {
 
     #[test]
     fn smoke_fig6_covers_lineup_and_budgets() {
+        let _cells = crate::test_latch::run_cells();
         let dir = crate::test_dir::TestDir::new("repro-bench-fig6-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);

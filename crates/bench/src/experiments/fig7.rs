@@ -160,6 +160,7 @@ mod tests {
 
     #[test]
     fn smoke_fig7_sweeps_enhanced_agents() {
+        let _cells = crate::test_latch::run_cells();
         let dir = crate::test_dir::TestDir::new("repro-bench-fig7-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);

@@ -176,6 +176,7 @@ mod tests {
 
     #[test]
     fn smoke_fig8_builds_from_sweeps() {
+        let _cells = crate::test_latch::run_cells();
         let dir = crate::test_dir::TestDir::new("repro-bench-fig8-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);

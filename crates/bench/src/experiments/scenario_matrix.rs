@@ -430,6 +430,7 @@ mod tests {
     /// summary per cell and a coherent CSV pair.
     #[test]
     fn smoke_matrix_runs_full_grid() {
+        let _cells = crate::test_latch::run_cells();
         let dir = crate::test_dir::TestDir::new("repro-bench-scenario-matrix-test");
         let config = PipelineConfig::quick(&dir);
         let artifacts = prepare(&config);

@@ -6,6 +6,7 @@ use attack_core::adv_reward::AdvReward;
 use attack_core::budget::AttackBudget;
 use attack_core::defense::SimplexSwitcher;
 use attack_core::eval::run_attacked_episode_with_faults;
+use attack_core::fleet::{FleetEval, FleetVictim};
 use attack_core::learned::LearnedAttacker;
 use attack_core::pipeline::{Artifacts, PipelineConfig};
 use attack_core::sensor::{AttackerSensor, SensorKind};
@@ -49,6 +50,16 @@ impl AgentKind {
         ]
     }
 
+    /// The Simplex threshold `sigma` of a PNN agent's switcher; `None`
+    /// for agents without one.
+    fn switcher_sigma(&self) -> Option<f64> {
+        match self {
+            AgentKind::PnnSigma02 => Some(0.2),
+            AgentKind::PnnSigma04 => Some(0.4),
+            _ => None,
+        }
+    }
+
     /// Paper-style display name.
     pub fn label(&self) -> &'static str {
         match self {
@@ -79,31 +90,29 @@ pub fn build_agent(
     match kind {
         AgentKind::Modular => Box::new(ModularAgent::new(ModularConfig::default(), 1)),
         AgentKind::E2e => Box::new(E2eAgent::new(
-            BatchPolicy::from(artifacts.victim.clone()),
+            BatchPolicy::from(&artifacts.victim),
             features,
             seed,
             true,
         )),
         AgentKind::AdvRhoSmall => Box::new(E2eAgent::new(
-            BatchPolicy::from(artifacts.adv_rho_small.clone()),
+            BatchPolicy::from(&artifacts.adv_rho_small),
             features,
             seed,
             true,
         )),
         AgentKind::AdvRhoHalf => Box::new(E2eAgent::new(
-            BatchPolicy::from(artifacts.adv_rho_half.clone()),
+            BatchPolicy::from(&artifacts.adv_rho_half),
             features,
             seed,
             true,
         )),
-        AgentKind::PnnSigma02 => Box::new(E2eAgent::new(
-            SimplexSwitcher::new(Arc::clone(&artifacts.pnn), 0.2, budget.epsilon()),
-            features,
-            seed,
-            true,
-        )),
-        AgentKind::PnnSigma04 => Box::new(E2eAgent::new(
-            SimplexSwitcher::new(Arc::clone(&artifacts.pnn), 0.4, budget.epsilon()),
+        AgentKind::PnnSigma02 | AgentKind::PnnSigma04 => Box::new(E2eAgent::new(
+            SimplexSwitcher::new(
+                Arc::clone(&artifacts.pnn),
+                kind.switcher_sigma().expect("PNN agents have a switcher"),
+                budget.epsilon(),
+            ),
             features,
             seed,
             true,
@@ -111,16 +120,25 @@ pub fn build_agent(
     }
 }
 
-/// The victim policy for fleet stepping, when `kind` is a plain
-/// `GaussianPolicy` driver. Simplex/PNN and modular agents carry per-step
-/// branching state that does not batch — they return `None` and stay on
-/// the serial path.
-fn fleet_victim(kind: AgentKind, artifacts: &Artifacts) -> Option<&GaussianPolicy> {
+/// The frozen policy the fleet steps for `kind` under `budget`: the
+/// learned agent's own policy, or for a PNN agent the column its
+/// switcher acts through at this budget. `None` for the modular agent,
+/// whose planner branches per step.
+fn fleet_victim(
+    kind: AgentKind,
+    artifacts: &Artifacts,
+    budget: AttackBudget,
+) -> Option<FleetVictim<'_>> {
     match kind {
-        AgentKind::E2e => Some(&artifacts.victim),
-        AgentKind::AdvRhoSmall => Some(&artifacts.adv_rho_small),
-        AgentKind::AdvRhoHalf => Some(&artifacts.adv_rho_half),
-        AgentKind::Modular | AgentKind::PnnSigma02 | AgentKind::PnnSigma04 => None,
+        AgentKind::Modular => None,
+        AgentKind::E2e => Some(FleetVictim::Gaussian(&artifacts.victim)),
+        AgentKind::AdvRhoSmall => Some(FleetVictim::Gaussian(&artifacts.adv_rho_small)),
+        AgentKind::AdvRhoHalf => Some(FleetVictim::Gaussian(&artifacts.adv_rho_half)),
+        AgentKind::PnnSigma02 | AgentKind::PnnSigma04 => Some(SimplexSwitcher::column(
+            &artifacts.pnn,
+            kind.switcher_sigma().expect("PNN agents have a switcher"),
+            budget.epsilon(),
+        )),
     }
 }
 
@@ -196,7 +214,7 @@ pub fn attacked_records_in(
     // see `attack_core::fleet`). Faulted cells carry per-step injector
     // state that does not batch, so they stay on the serial path.
     let fleet_routable = ctx.fleet.is_some()
-        && fleet_victim(kind, ctx.artifacts).is_some()
+        && fleet_victim(kind, ctx.artifacts, budget).is_some()
         && !cell.is_some_and(|c| c.has_faults());
     // Scenario-override cells key on the scenario's content hash (and its
     // fault schedule); the default scenario keeps the tagless legacy key.
@@ -288,9 +306,40 @@ pub fn fleet_fallbacks() -> u64 {
     FLEET_FALLBACKS.load(Ordering::Relaxed)
 }
 
+/// Runs one cell through the lockstep fleet, `batch` episodes in flight,
+/// on the seed grid `base_seed + e`. A panicking fleet cell returns
+/// `None` for the caller to recompute on the serial path, whose
+/// per-episode retry can isolate the bad episode; the fallback is counted
+/// ([`fleet_fallbacks`]) and reported. Under `cfg(test)` the panic is a
+/// hard failure instead, as a fleet panic is a defect the serial retry
+/// would hide from tests.
+pub(crate) fn run_fleet(
+    eval: &FleetEval<'_>,
+    episodes: usize,
+    base_seed: u64,
+    batch: usize,
+    cell_label: &str,
+) -> Option<Vec<EpisodeRecord>> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        eval.run(episodes, base_seed, batch)
+    })) {
+        Ok(records) => Some(records),
+        Err(payload) => {
+            // The graceful-shutdown sentinel must reach the top-level
+            // driver, not the serial fallback.
+            if payload.is::<drive_core::shutdown::ShutdownRequested>() || cfg!(test) {
+                std::panic::resume_unwind(payload);
+            }
+            FLEET_FALLBACKS.fetch_add(1, Ordering::Relaxed);
+            eprintln!("warning: fleet cell {cell_label} panicked; retrying on the serial path");
+            None
+        }
+    }
+}
+
 /// The compute body of one cell: fleet fast path (with a counted serial
-/// fallback on panic; a hard failure under `cfg(test)`) or the hardened
-/// serial executor. Returns the records plus a clean flag (`true` when
+/// fallback on panic; see [`run_fleet`]) or the hardened serial
+/// executor. Returns the records plus a clean flag (`true` when
 /// every episode succeeded), which gates the cell's publication.
 #[allow(clippy::too_many_arguments)]
 fn compute_cell(
@@ -309,17 +358,12 @@ fn compute_cell(
     let scenario = cell.map_or(&config.scenario, |c| c.scenario);
     let fault_schedule = cell.and_then(|c| c.faults.filter(|f| !f.is_noop()));
     let adv = AdvReward::default();
-    // Fleet fast path: plain-GaussianPolicy victims batch across episodes
-    // (one GEMM per layer per lockstep step), byte-identical to the serial
-    // loop below; a panicking fleet cell falls back to the serial path,
-    // whose per-episode retry machinery can isolate the bad episode.
+    // Fleet fast path: frozen victims batch across episodes (one GEMM
+    // per layer per lockstep step), byte-identical to the serial loop
+    // below, which a panicking fleet cell falls back to.
     if fleet_routable {
-        let (batch, victim) = (
-            ctx.fleet.expect("fleet_routable checked"),
-            fleet_victim(kind, artifacts).expect("fleet_routable checked"),
-        );
-        let eval = attack_core::fleet::FleetEval {
-            victim,
+        let eval = FleetEval {
+            victim: fleet_victim(kind, artifacts, budget).expect("fleet_routable checked"),
             features: config.features.clone(),
             attack,
             imu: config.imu.clone(),
@@ -327,33 +371,20 @@ fn compute_cell(
             adv: AdvReward::default(),
             scenario: scenario.clone(),
         };
-        let base_seed = seeds.child("episodes").seed();
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eval.run(episodes, base_seed, batch)
-        })) {
-            Ok(records) => return (records, true),
-            Err(payload) => {
-                // The graceful-shutdown sentinel must reach the top-level
-                // driver, not the serial fallback.
-                if payload.is::<drive_core::shutdown::ShutdownRequested>() {
-                    std::panic::resume_unwind(payload);
-                }
-                // A fleet panic is a defect the serial retry would hide
-                // from tests; in a run it is counted and reported.
-                if cfg!(test) {
-                    std::panic::resume_unwind(payload);
-                }
-                FLEET_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                eprintln!("warning: fleet cell {cell_label} panicked; retrying on the serial path");
-            }
+        let (batch, base_seed) = (
+            ctx.fleet.expect("fleet_routable checked"),
+            seeds.child("episodes").seed(),
+        );
+        if let Some(records) = run_fleet(&eval, episodes, base_seed, batch, cell_label) {
+            return (records, true);
         }
     }
     let mut agent = build_agent(kind, artifacts, config, budget, seeds.child("agent").seed());
-    // The attacker is packed once per cell; each episode gets an O(1)
-    // clone.
+    // One frozen copy of the attacker per cell, sharing the artifact's
+    // packs; each episode gets an O(1) clone.
     let attack = attack
         .filter(|_| !budget.is_zero())
-        .map(|(policy, sensor_kind)| (BatchPolicy::from(policy.clone()), sensor_kind));
+        .map(|(policy, sensor_kind)| (BatchPolicy::from(policy), sensor_kind));
     // Episodes run behind per-episode panic isolation: one panicking
     // episode is retried with a fresh seed instead of aborting the whole
     // figure run. First attempts use `base + e` off the cell's episode
@@ -388,6 +419,41 @@ fn compute_cell(
     }
     let clean = failures.is_empty();
     (records, clean)
+}
+
+/// Quick-trained artifacts for the test `name`, with the PNN's column 2
+/// and laterals and both attackers redrawn at random. Quick training
+/// barely moves them, and a fleet-vs-serial test needs a hardened column
+/// that differs from the base column and attackers whose deltas follow
+/// their observations. Used from memory: the directory they were saved
+/// to is removed on return.
+#[cfg(test)]
+pub(crate) fn parity_artifacts(name: &str) -> (Artifacts, PipelineConfig) {
+    use drive_nn::linear::Linear;
+    use rand::SeedableRng;
+    let dir = crate::test_dir::TestDir::new(&format!("repro-bench-parity-{name}"));
+    let config = PipelineConfig::quick(&dir);
+    let mut artifacts = attack_core::pipeline::prepare(&config);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let base = artifacts.victim.clone();
+    let layers = base.trunk().layers();
+    let column = layers
+        .iter()
+        .map(|l| Linear::new(l.in_dim(), l.out_dim(), &mut rng))
+        .collect();
+    let laterals = layers
+        .windows(2)
+        .map(|w| Linear::new(w[0].out_dim(), w[1].out_dim(), &mut rng))
+        .collect();
+    artifacts.pnn = Arc::new(
+        drive_nn::pnn::PnnPolicy::from_parts(base, column, laterals)
+            .expect("shapes follow the base"),
+    );
+    let features = config.features.observation_dim();
+    artifacts.camera_attacker = GaussianPolicy::new(features, &[32], 1, &mut rng);
+    let imu = config.imu.observation_dim();
+    artifacts.imu_attacker = GaussianPolicy::new(imu, &[32], 1, &mut rng);
+    (artifacts, config)
 }
 
 /// Experiment scale: the paper's episode counts (the default) or a fast
@@ -442,67 +508,99 @@ mod tests {
         (artifacts, config)
     }
 
-    /// Every kind builds and acts in range, and every evaluation agent
-    /// ignores its exploration seed: agents built with two different
-    /// seeds drive equal records on one episode seed, with and without
-    /// a learned attacker.
+    const ALL_KINDS: [AgentKind; 6] = [
+        AgentKind::Modular,
+        AgentKind::E2e,
+        AgentKind::AdvRhoSmall,
+        AgentKind::AdvRhoHalf,
+        AgentKind::PnnSigma02,
+        AgentKind::PnnSigma04,
+    ];
+
+    /// A context on the serial engine.
+    fn serial_context<'a>(
+        artifacts: &'a Artifacts,
+        config: &'a PipelineConfig,
+    ) -> crate::engine::RunContext<'a> {
+        let mut ctx = crate::engine::RunContext::new(artifacts, config, Scale::smoke());
+        ctx.fleet = None;
+        ctx
+    }
+
+    /// Every kind builds and acts in range.
     #[test]
     fn builds_every_agent_kind() {
+        let _cells = crate::test_latch::run_cells();
         let (artifacts, config) = quick_setup("builds_every_agent_kind");
         let budget = AttackBudget::new(0.5);
-        let episode_seed = 17;
-        for kind in [
-            AgentKind::Modular,
-            AgentKind::E2e,
-            AgentKind::AdvRhoSmall,
-            AgentKind::AdvRhoHalf,
-            AgentKind::PnnSigma02,
-            AgentKind::PnnSigma04,
-        ] {
+        for kind in ALL_KINDS {
             let mut agent = build_agent(kind, &artifacts, &config, budget, 0);
             let world = drive_sim::world::World::new(config.scenario.clone());
             agent.reset(&world);
             let a = agent.act(&world);
             assert!(a.steer.abs() <= 1.0, "{kind:?}");
+        }
+    }
 
+    /// Evaluation agents act deterministically, which the fleet relies on:
+    /// it has no agent seed. Serial agents built with two different
+    /// exploration seeds drive equal records on one episode seed grid,
+    /// with and without a learned attacker, on both sides of a PNN
+    /// switcher's threshold; and for every kind the fleet steps, its
+    /// records equal theirs.
+    #[test]
+    fn evaluation_agents_act_deterministically() {
+        let _cells = crate::test_latch::run_cells();
+        let (artifacts, config) = parity_artifacts("evaluation_agents_act_deterministically");
+        let (episodes, base_seed) = (3, 17);
+        for (kind, eps) in ALL_KINDS
+            .into_iter()
+            .flat_map(|kind| [0.2, 0.5].map(|eps| (kind, eps)))
+        {
+            let budget = AttackBudget::new(eps);
             for attacked in [false, true] {
-                let records: Vec<EpisodeRecord> = [1, 2]
-                    .map(|agent_seed| {
-                        let mut agent = build_agent(kind, &artifacts, &config, budget, agent_seed);
-                        let mut attacker = attacked.then(|| {
-                            let sensor = AttackerSensor::new(
-                                SensorKind::Camera,
-                                &config.features,
-                                &config.imu,
-                                episode_seed,
-                            );
-                            let policy = BatchPolicy::from(artifacts.camera_attacker.clone());
-                            LearnedAttacker::new(policy, sensor, budget, episode_seed, true)
-                        });
-                        run_attacked_episode_with_faults(
-                            agent.as_mut(),
-                            attacker
-                                .as_mut()
-                                .map(|a| a as &mut dyn drive_agents::runner::SteerAttacker),
-                            &AdvReward::default(),
-                            &config.scenario,
-                            episode_seed,
-                            None,
-                        )
-                    })
-                    .into();
-                assert_eq!(
-                    records[0], records[1],
-                    "{kind:?} (attacked: {attacked}) depends on its agent seed"
-                );
+                let attack = attacked.then_some((&artifacts.camera_attacker, SensorKind::Camera));
+                let records: [Vec<EpisodeRecord>; 2] = [1, 2].map(|agent_seed| {
+                    let mut agent = build_agent(kind, &artifacts, &config, budget, agent_seed);
+                    let policy = BatchPolicy::from(artifacts.camera_attacker.clone());
+                    attack_core::eval::run_attacked_episodes(
+                        agent.as_mut(),
+                        |seed| {
+                            attacked.then(|| {
+                                let sensor = AttackerSensor::camera(config.features.clone());
+                                LearnedAttacker::new(policy.clone(), sensor, budget, seed, true)
+                            })
+                        },
+                        &AdvReward::default(),
+                        &config.scenario,
+                        episodes,
+                        base_seed,
+                    )
+                });
+                let case = format!("{kind:?} at eps {eps} (attacked: {attacked})");
+                assert_eq!(records[0], records[1], "{case} depends on its agent seed");
+                if let Some(victim) = fleet_victim(kind, &artifacts, budget) {
+                    let fleet = FleetEval {
+                        victim,
+                        features: config.features.clone(),
+                        attack,
+                        imu: config.imu.clone(),
+                        budget,
+                        adv: AdvReward::default(),
+                        scenario: config.scenario.clone(),
+                    }
+                    .run(episodes, base_seed, 2);
+                    assert_eq!(fleet, records[0], "{case}: fleet and serial differ");
+                }
             }
         }
     }
 
     #[test]
     fn attacked_records_nominal_vs_attacked() {
+        let _cells = crate::test_latch::run_cells();
         let (artifacts, config) = quick_setup("attacked_records_nominal_vs_attacked");
-        let ctx = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
+        let ctx = serial_context(&artifacts, &config);
         let seeds = ctx.seeds.child("harness-test");
         let nominal = attacked_records(
             AgentKind::Modular,
@@ -543,8 +641,9 @@ mod tests {
     /// kinds must keep working (silently staying serial).
     #[test]
     fn fleet_context_matches_serial_records() {
+        let _cells = crate::test_latch::run_cells();
         let (artifacts, config) = quick_setup("fleet_context_matches_serial_records");
-        let serial_ctx = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
+        let serial_ctx = serial_context(&artifacts, &config);
         let mut fleet_ctx = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
         fleet_ctx.fleet = Some(3);
         let seeds = serial_ctx.seeds.child("fleet-test");
@@ -577,11 +676,51 @@ mod tests {
         assert_eq!(fleet, serial);
     }
 
+    /// PNN cells take the fleet on both switcher columns: through the
+    /// frozen base column at `eps <= sigma` and through the hardened
+    /// column above it. Their records equal the serial switcher's byte
+    /// for byte at batch 1, at batch 3 (slots refill mid-cell) and at a
+    /// batch above the episode count.
+    #[test]
+    fn pnn_cells_match_serial_on_both_columns() {
+        let _cells = crate::test_latch::run_cells();
+        let (artifacts, config) = parity_artifacts("pnn_cells_match_serial_on_both_columns");
+        let serial_ctx = serial_context(&artifacts, &config);
+        let seeds = serial_ctx.seeds.child("pnn-fleet-test");
+        let camera = Some((&artifacts.camera_attacker, SensorKind::Camera));
+        let imu = Some((&artifacts.imu_attacker, SensorKind::Imu));
+        let cases = [
+            (AgentKind::PnnSigma02, 0.0, camera, false),
+            (AgentKind::PnnSigma02, 0.2, camera, false),
+            (AgentKind::PnnSigma02, 0.5, camera, true),
+            (AgentKind::PnnSigma04, 0.4, imu, false),
+            (AgentKind::PnnSigma04, 1.0, imu, true),
+        ];
+        for (kind, eps, attack, hardened) in cases {
+            let budget = AttackBudget::new(eps);
+            let column = fleet_victim(kind, &artifacts, budget).expect("PNN cells batch");
+            assert_eq!(
+                matches!(column, FleetVictim::Pnn(_)),
+                hardened,
+                "{kind:?} at eps {eps}"
+            );
+            let serial = attacked_records(kind, attack, budget, &serial_ctx, 4, &seeds);
+            for batch in [1, 3, 64] {
+                let mut fleet_ctx =
+                    crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
+                fleet_ctx.fleet = Some(batch);
+                let fleet = attacked_records(kind, attack, budget, &fleet_ctx, 4, &seeds);
+                assert_eq!(fleet, serial, "{kind:?} at eps {eps}, batch {batch}");
+            }
+        }
+    }
+
     /// Under test a panicking fleet cell is a hard failure: the fleet's
     /// own panic reaches the caller instead of a silent serial retry.
     #[test]
     #[should_panic(expected = "attack policy obs dim must match its sensor")]
     fn fleet_panic_is_a_hard_failure_in_tests() {
+        let _cells = crate::test_latch::run_cells();
         let (artifacts, config) = quick_setup("fleet_panic_is_a_hard_failure_in_tests");
         let mut ctx = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
         ctx.fleet = Some(2);
@@ -603,6 +742,7 @@ mod tests {
     /// between the serial and fleet paths.
     #[test]
     fn scenario_override_keys_and_fleet_parity() {
+        let _cells = crate::test_latch::run_cells();
         use drive_sim::scenario::ScenarioSpec;
         let (artifacts, config) = quick_setup("scenario_override_keys_and_fleet_parity");
         let dir = crate::test_dir::TestDir::new("repro-bench-scn-key-test");
@@ -610,7 +750,7 @@ mod tests {
         let journal = std::sync::Arc::new(
             crate::journal::JournalHandle::create(&dir, base.run_header()).unwrap(),
         );
-        let mut ctx = crate::engine::RunContext::new(&artifacts, &config, Scale::smoke());
+        let mut ctx = serial_context(&artifacts, &config);
         ctx.journal = Some(journal.clone());
         let seeds = ctx.seeds.child("scn-test");
         let default_records =

@@ -1654,7 +1654,7 @@ mod tests {
 
     #[test]
     fn create_resume_round_trips_cells_and_experiments() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-bench-journal-roundtrip");
         let j = JournalHandle::create(&dir, header()).unwrap();
         let recs = records(4);
@@ -1718,7 +1718,7 @@ mod tests {
 
     #[test]
     fn resume_reconciles_progress_csv_against_the_wal() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-bench-journal-reconcile");
         let j = JournalHandle::create(&dir, header()).unwrap();
         j.store_cell(1, "cell-a", 4, &records(4)).unwrap();
@@ -1815,7 +1815,7 @@ mod tests {
     /// re-journals the cell over it.
     #[test]
     fn tampered_cell_degrades_to_recompute() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-bench-journal-tamper");
         let j = JournalHandle::create(&dir, header()).unwrap();
         j.store_cell(7, "x", 4, &records(4)).unwrap();
@@ -1874,7 +1874,7 @@ mod tests {
     /// record: the resume cuts the text away and recomputes the cell.
     #[test]
     fn cell_in_the_log_without_a_wal_record_is_recomputed() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-bench-journal-unjournaled");
         let j = JournalHandle::create(&dir, header()).unwrap();
         j.store_cell(1, "a", 4, &records(4)).unwrap();
@@ -1977,7 +1977,7 @@ mod tests {
 
     #[test]
     fn first_worker_computes_second_loads() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-shard-basic");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
@@ -2091,7 +2091,7 @@ mod tests {
     /// each worker directory holds its four files and nothing else.
     #[test]
     fn journaled_cells_leave_no_per_cell_files() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-journal-layout");
         for owner in ["wa", "wb"] {
             let w = worker(&dir, owner, DEFAULT_TTL);
@@ -2172,7 +2172,7 @@ mod tests {
     /// lands, that handle loads the very records the first one returned.
     #[test]
     fn second_handle_waits_for_the_first_handles_publish() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-journal-pending-second-handle");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
@@ -2205,7 +2205,7 @@ mod tests {
     /// still queued.
     #[test]
     fn pending_cell_is_waited_on_in_process_and_drop_publishes_it() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-journal-pending-reuse");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         a.pause_publisher(true);
@@ -2233,7 +2233,7 @@ mod tests {
     /// never precedes the records of the cells computed before it.
     #[test]
     fn experiment_record_follows_its_pending_cells() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-journal-exp-after-cells");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         a.pause_publisher(true);
@@ -2258,7 +2258,7 @@ mod tests {
     /// cell is neither on disk nor in the WAL.
     #[test]
     fn sigterm_drain_publishes_pending_cells_before_releasing_leases() {
-        let _latch = latch_lock();
+        let _latch = crate::test_latch::set_latch();
         let dir = TestDir::new("repro-journal-drain-order");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         a.pause_publisher(true);
@@ -2321,7 +2321,7 @@ mod tests {
     /// fresh one (a live owner about to release it) alone.
     #[test]
     fn loader_reaps_stale_lease_of_published_cell() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-shard-reap");
         let dead = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
@@ -2344,7 +2344,7 @@ mod tests {
     /// behind: it waits until the heartbeat goes stale, then reaps it.
     #[test]
     fn completing_loader_waits_out_fresh_lease_of_published_cell() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-shard-reap-wait");
         let ttl = Duration::from_millis(100);
         let dead = worker(&dir, "wa", DEFAULT_TTL);
@@ -2360,7 +2360,7 @@ mod tests {
 
     #[test]
     fn unclean_cells_do_not_publish() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-shard-unclean");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let recs = records(4);
@@ -2484,7 +2484,7 @@ mod tests {
 
     #[test]
     fn opportunistic_sweep_defers_busy_cells_and_computes_free_ones() {
-        let _latch = latch_lock();
+        let _cells = crate::test_latch::run_cells();
         let dir = TestDir::new("repro-shard-opportunistic");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         let b = worker(&dir, "wb", DEFAULT_TTL);
@@ -2508,17 +2508,9 @@ mod tests {
         a.release(31);
     }
 
-    /// Serializes the tests that set the process-wide shutdown latch with
-    /// every test that runs cells, so a latch set by one never unwinds
-    /// another's cells.
-    fn latch_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LATCH: Mutex<()> = Mutex::new(());
-        LATCH.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn shutdown_latch_releases_held_leases_via_run_cell() {
-        let _latch = latch_lock();
+        let _latch = crate::test_latch::set_latch();
         let dir = TestDir::new("repro-shard-shutdown");
         let a = worker(&dir, "wa", DEFAULT_TTL);
         // A cell whose compute latches shutdown mid-flight: the unwind

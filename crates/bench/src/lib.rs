@@ -29,6 +29,8 @@ pub mod servecli;
 pub mod shard;
 #[cfg(test)]
 mod test_dir;
+#[cfg(test)]
+mod test_latch;
 
 pub use benchcmp::{compare_files, BenchDelta, BenchStatus, Comparison};
 pub use engine::{execute, EngineRun, Experiment, ExperimentOutput, Registry, RunContext};

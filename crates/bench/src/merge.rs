@@ -213,7 +213,7 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
     let artifacts = attack_core::pipeline::prepare(&config);
     let mut probe = RunContext::new(&artifacts, &config, scale);
     probe.replay = Some(Arc::clone(&replay));
-    probe.fleet = parsed.cli.fleet;
+    parsed.cli.apply_fleet(&mut probe);
     for exp in &experiments {
         let _ = exp.run(&probe);
     }
@@ -235,7 +235,7 @@ pub fn run_merge(parsed: &MergeCli) -> Result<(), CliError> {
     ctx.replay = Some(replay);
     ctx.csv_dir = Some(parsed.out.clone());
     ctx.svg_dir = Some(parsed.out.clone());
-    ctx.fleet = parsed.cli.fleet;
+    parsed.cli.apply_fleet(&mut ctx);
     for exp in &experiments {
         let outcome = engine::execute(*exp, &ctx)?;
         println!("{}", outcome.report);
@@ -411,6 +411,7 @@ mod tests {
         let worker = JournalHandle::join(dir, &header, owner, DEFAULT_TTL).unwrap();
         let recs = recs.to_vec();
         let n = recs.len();
+        let _cells = crate::test_latch::run_cells();
         let got = worker.run_cell(key, &format!("cell-{key}"), n, move || (recs, true));
         assert_eq!(got.len(), n);
     }

@@ -160,7 +160,7 @@ pub fn run_worker(
         for exp in experiments {
             let mut ctx = RunContext::new(&artifacts, &config, scale);
             ctx.journal = Some(Arc::clone(&journal));
-            ctx.fleet = parsed.cli.fleet;
+            parsed.cli.apply_fleet(&mut ctx);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(&ctx)));
             match outcome {
                 Ok(_) => eprintln!(

@@ -15,6 +15,7 @@
 //!   paper).
 
 use crate::budget::AttackBudget;
+use crate::fleet::FleetVictim;
 use crate::learned::LearnedAttacker;
 use crate::sensor::AttackerSensor;
 use drive_agents::driving_env::DrivingEnv;
@@ -257,9 +258,16 @@ impl SimplexSwitcher {
         }
     }
 
-    /// Whether the hardened column is active.
-    pub fn uses_hardened_column(&self) -> bool {
-        self.epsilon > self.sigma
+    /// The column a switcher with threshold `sigma` acts through while
+    /// it believes budget `epsilon` is active: the hardened column when
+    /// `epsilon > sigma`, the frozen base column otherwise. The choice is
+    /// fixed for a whole evaluation cell, so the fleet steps it too.
+    pub fn column(pnn: &PnnPolicy, sigma: f64, epsilon: f64) -> FleetVictim<'_> {
+        if epsilon > sigma {
+            FleetVictim::Pnn(pnn)
+        } else {
+            FleetVictim::Gaussian(pnn.base())
+        }
     }
 }
 
@@ -278,10 +286,9 @@ impl Policy for SimplexSwitcher {
         scratch: &mut ActScratch,
         out: &mut Vec<f32>,
     ) {
-        let action = if self.uses_hardened_column() {
-            self.pnn.act_with(obs, rng, deterministic, scratch)
-        } else {
-            self.pnn.base().act_with(obs, rng, deterministic, scratch)
+        let action = match Self::column(&self.pnn, self.sigma, self.epsilon) {
+            FleetVictim::Pnn(pnn) => pnn.act_with(obs, rng, deterministic, scratch),
+            FleetVictim::Gaussian(base) => base.act_with(obs, rng, deterministic, scratch),
         };
         out.clear();
         out.extend_from_slice(action);
@@ -333,13 +340,23 @@ mod tests {
         let obs = vec![0.1f32; dim];
 
         let low = SimplexSwitcher::new(pnn.clone(), 0.4, 0.2);
-        assert!(!low.uses_hardened_column());
+        assert!(matches!(
+            SimplexSwitcher::column(&pnn, 0.4, 0.2),
+            FleetVictim::Gaussian(p) if std::ptr::eq(p, pnn.base())
+        ));
+        assert!(matches!(
+            SimplexSwitcher::column(&pnn, 0.4, 0.4),
+            FleetVictim::Gaussian(_)
+        ));
         let a_low = low.action(&obs, &mut StdRng::seed_from_u64(0), true);
         let a_base = base.act(&obs, &mut StdRng::seed_from_u64(0), true);
         assert_eq!(a_low, a_base, "below threshold the base column acts");
 
+        assert!(matches!(
+            SimplexSwitcher::column(&pnn, 0.4, 0.8),
+            FleetVictim::Pnn(p) if std::ptr::eq(p, &*pnn)
+        ));
         let high = SimplexSwitcher::new(pnn, 0.4, 0.8);
-        assert!(high.uses_hardened_column());
         let a_high = high.action(&obs, &mut StdRng::seed_from_u64(0), true);
         assert_ne!(a_high, a_base, "above threshold the hardened column acts");
     }

@@ -5,11 +5,19 @@
 //! per evaluated step, one row each through pre-packed weights.
 //! [`FleetEval`] runs up to `batch` episodes through one [`WorldBatch`],
 //! gathering every live observation into a staging matrix so each policy
-//! runs one GEMM per layer per control step (`GaussianPolicy::stage` and
-//! `infer_staged` on the borrowed artifact policies, whose layers pack
-//! once and serve every cell). Slots that finish are retired immediately
-//! and the batch is refilled from the remaining seed grid, so occupancy
-//! stays high even though episodes end at different steps.
+//! runs one GEMM per layer per control step (`stage` and `infer_staged`
+//! on the borrowed artifact policies, whose layers pack once and serve
+//! every cell). Slots that finish are retired immediately and the batch
+//! is refilled from the remaining seed grid, so occupancy stays high even
+//! though episodes end at different steps.
+//!
+//! The victim is any frozen policy whose per-step decision is fixed for
+//! the cell ([`FleetVictim`]): the end-to-end agent and its fine-tuned
+//! variants, and the PNN behind its idealized Simplex switcher, whose
+//! column is a function of the cell's `(sigma, epsilon)` alone
+//! ([`crate::defense::SimplexSwitcher::column`]). Agents that branch per
+//! step (the modular planner, the detector-driven switcher, the
+//! state-space attacker) stay on the serial path.
 //!
 //! Equivalence to the serial path is structural, not approximate:
 //!
@@ -21,7 +29,9 @@
 //!   [`FeatureConfig`] and per-episode history, so its observation rows
 //!   are the victim's, staged once for both policies;
 //! * deterministic batched inference is bit-identical to serial
-//!   `act_with` (tested in `drive-nn` and `drive-serve`);
+//!   `act_with`, for both PNN columns too (tested in `drive-nn` and
+//!   `drive-serve`), and evaluation agents act deterministically, so the
+//!   serial agent's exploration seed draws nothing;
 //! * the batch steps each world through the serial engine verbatim.
 //!
 //! So a fleet cell produces byte-identical [`EpisodeRecord`]s to the
@@ -32,6 +42,8 @@ use crate::budget::AttackBudget;
 use crate::sensor::{AttackerSensor, SensorKind};
 use drive_agents::runner::EpisodeTally;
 use drive_nn::gaussian::GaussianPolicy;
+use drive_nn::mat::Mat;
+use drive_nn::pnn::PnnPolicy;
 use drive_nn::scratch::BatchActScratch;
 use drive_sim::batch::WorldBatch;
 use drive_sim::record::EpisodeRecord;
@@ -43,17 +55,53 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// One victim/attacker evaluation cell, fleet-steppable.
-///
-/// Covers the plain-`GaussianPolicy` victims (the end-to-end agent and
-/// its fine-tuned variants) with an optional learned camera/IMU attacker
-/// — exactly the pairings of the Fig. 4 sweep. Simplex/PNN defenses and
-/// the modular agent hold per-step branching state that does not batch;
-/// they stay on the serial path.
+/// A frozen victim policy the fleet steps, acting `tanh(mean)`.
+#[derive(Debug, Clone, Copy)]
+pub enum FleetVictim<'a> {
+    /// A plain policy: the end-to-end agent, a fine-tuned variant, or the
+    /// PNN's frozen base column.
+    Gaussian(&'a GaussianPolicy),
+    /// The PNN's hardened column (column 2, reading column 1 through the
+    /// laterals).
+    Pnn(&'a PnnPolicy),
+}
+
+impl FleetVictim<'_> {
+    fn obs_dim(&self) -> usize {
+        match self {
+            FleetVictim::Gaussian(p) => p.obs_dim(),
+            FleetVictim::Pnn(p) => p.obs_dim(),
+        }
+    }
+
+    fn action_dim(&self) -> usize {
+        match self {
+            FleetVictim::Gaussian(p) => p.action_dim(),
+            FleetVictim::Pnn(p) => p.action_dim(),
+        }
+    }
+
+    fn stage<'s>(&self, batch: usize, s: &'s mut BatchActScratch) -> &'s mut Mat {
+        match self {
+            FleetVictim::Gaussian(p) => p.stage(batch, s),
+            FleetVictim::Pnn(p) => p.stage(batch, s),
+        }
+    }
+
+    fn infer_staged<'s>(&self, s: &'s mut BatchActScratch) -> &'s Mat {
+        match self {
+            FleetVictim::Gaussian(p) => p.infer_staged(s),
+            FleetVictim::Pnn(p) => p.infer_staged(s),
+        }
+    }
+}
+
+/// One victim/attacker evaluation cell, fleet-steppable: a frozen
+/// [`FleetVictim`] with an optional learned camera/IMU attacker.
 #[derive(Debug, Clone)]
 pub struct FleetEval<'a> {
     /// Frozen victim policy (60-d observation, 2-d actuation).
-    pub victim: &'a GaussianPolicy,
+    pub victim: FleetVictim<'a>,
     /// Victim feature-extractor configuration.
     pub features: FeatureConfig,
     /// Learned attacker policy and its sensor kind, if attacking.
@@ -293,8 +341,18 @@ mod tests {
         base_seed: u64,
     ) -> Vec<EpisodeRecord> {
         let mut agent = E2eAgent::new(victim.clone(), FeatureConfig::default(), 0, true);
+        serial_records_of(&mut agent, attack, budget, episodes, base_seed)
+    }
+
+    fn serial_records_of(
+        agent: &mut dyn drive_agents::Agent,
+        attack: Option<(&GaussianPolicy, SensorKind)>,
+        budget: AttackBudget,
+        episodes: usize,
+        base_seed: u64,
+    ) -> Vec<EpisodeRecord> {
         run_attacked_episodes(
-            &mut agent,
+            agent,
             |seed| {
                 attack.and_then(|(policy, kind)| {
                     if budget.is_zero() {
@@ -328,7 +386,7 @@ mod tests {
         budget: AttackBudget,
     ) -> FleetEval<'a> {
         FleetEval {
-            victim,
+            victim: FleetVictim::Gaussian(victim),
             features: FeatureConfig::default(),
             attack,
             imu: ImuConfig::default(),
@@ -361,6 +419,48 @@ mod tests {
                     fleet, serial,
                     "fleet(batch={batch}) diverged from serial (budget {budget})"
                 );
+            }
+        }
+    }
+
+    /// A trained-looking PNN over [`victim`]: random column and laterals,
+    /// so the hardened column differs from the base.
+    fn pnn() -> PnnPolicy {
+        let base = victim();
+        let mut rng = StdRng::seed_from_u64(53);
+        let layers = base.trunk().layers();
+        let column = layers
+            .iter()
+            .map(|l| drive_nn::linear::Linear::new(l.in_dim(), l.out_dim(), &mut rng))
+            .collect();
+        let laterals = layers
+            .windows(2)
+            .map(|w| drive_nn::linear::Linear::new(w[0].out_dim(), w[1].out_dim(), &mut rng))
+            .collect();
+        PnnPolicy::from_parts(base, column, laterals).expect("shapes follow the base")
+    }
+
+    /// The switcher's column, stepped by the fleet, reproduces the serial
+    /// Simplex agent byte for byte on both columns, attacked and not.
+    #[test]
+    fn fleet_pnn_columns_match_serial_switcher() {
+        let pnn = std::sync::Arc::new(pnn());
+        let cam = camera_attacker();
+        for (sigma, eps) in [(0.2, 0.0), (0.4, 0.4), (0.2, 0.5), (0.0, 1.0)] {
+            let budget = AttackBudget::new(eps);
+            let column = crate::defense::SimplexSwitcher::column(&pnn, sigma, eps);
+            assert_eq!(matches!(column, FleetVictim::Pnn(_)), eps > sigma);
+            let attack = Some((&cam, SensorKind::Camera));
+            let switcher = crate::defense::SimplexSwitcher::new(pnn.clone(), sigma, eps);
+            let mut agent = E2eAgent::new(switcher, FeatureConfig::default(), 0, true);
+            let serial = serial_records_of(&mut agent, attack, budget, 4, 7_000);
+            for batch in [1usize, 3, 4] {
+                let fleet = FleetEval {
+                    victim: column,
+                    ..fleet_eval(pnn.base(), attack, budget)
+                }
+                .run(4, 7_000, batch);
+                assert_eq!(fleet, serial, "sigma {sigma} eps {eps} batch {batch}");
             }
         }
     }

@@ -287,9 +287,14 @@ mod tests {
         let a2 = prepare(&config);
         let obs = drive_nn::mat::Mat::from_row(&vec![0.1f32; config.features.observation_dim()]);
         assert_eq!(a1.victim.mean_action(&obs), a2.victim.mean_action(&obs));
+        let staged = |p: &drive_nn::pnn::PnnPolicy| {
+            let mut s = drive_nn::scratch::BatchActScratch::default();
+            p.stage(obs.rows(), &mut s).copy_from(&obs);
+            p.infer_staged(&mut s).clone()
+        };
         assert_eq!(
-            a1.pnn.mean_action(&obs),
-            a2.pnn.mean_action(&obs),
+            staged(&a1.pnn),
+            staged(&a2.pnn),
             "pnn must round trip through its checkpoint"
         );
         assert_eq!(a1.imu_attacker.obs_dim(), config.imu.observation_dim());

@@ -45,6 +45,14 @@ impl From<GaussianPolicy> for BatchPolicy {
     }
 }
 
+/// A frozen copy of a borrowed policy that shares its built packs: a
+/// per-cell handle on an artifact that is already packed packs nothing.
+impl From<&GaussianPolicy> for BatchPolicy {
+    fn from(policy: &GaussianPolicy) -> Self {
+        BatchPolicy::new(Arc::new(policy.clone_frozen()))
+    }
+}
+
 impl BatchPolicy {
     /// Wraps a shared policy; its layers pack on the first forward.
     pub fn new(policy: Arc<GaussianPolicy>) -> Self {

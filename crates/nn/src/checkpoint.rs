@@ -836,7 +836,12 @@ mod tests {
         let pnn = random_pnn(base, &mut rng);
         let back = decode_pnn(&encode_pnn(&pnn))?;
         let obs = Mat::from_vec(2, 4, (0..8).map(|i| (i as f32 * 0.2).cos()).collect());
-        assert_eq!(pnn.mean_action(&obs), back.mean_action(&obs));
+        let staged = |p: &PnnPolicy| {
+            let mut s = crate::scratch::BatchActScratch::default();
+            p.stage(obs.rows(), &mut s).copy_from(&obs);
+            p.infer_staged(&mut s).clone()
+        };
+        assert_eq!(staged(&pnn), staged(&back));
         // Base column preserved too.
         assert_eq!(pnn.base().mean_action(&obs), back.base().mean_action(&obs));
         Ok(())

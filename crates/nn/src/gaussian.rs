@@ -247,6 +247,15 @@ impl GaussianPolicy {
         Ok(GaussianPolicy { trunk, action_dim })
     }
 
+    /// A copy for frozen use whose layers share the built packs (see
+    /// `Linear::clone_frozen`).
+    pub(crate) fn clone_frozen(&self) -> GaussianPolicy {
+        GaussianPolicy {
+            trunk: self.trunk.clone_frozen(),
+            action_dim: self.action_dim,
+        }
+    }
+
     /// Observation dimensionality.
     pub fn obs_dim(&self) -> usize {
         self.trunk.in_dim()
@@ -401,16 +410,25 @@ impl GaussianPolicy {
             obs,
             trunk,
             actions,
+            ..
         } = s;
         let raw = self.trunk.forward_with(obs, trunk);
-        actions.resize(raw.rows(), self.action_dim);
-        for b in 0..raw.rows() {
-            let mean = &raw.row(b)[..self.action_dim];
-            for (a, m) in actions.row_mut(b).iter_mut().zip(mean) {
-                *a = m.tanh();
-            }
-        }
+        tanh_mean_into(raw, self.action_dim, actions);
         actions
+    }
+}
+
+/// The batched deterministic head behind every `infer_staged` (plain and
+/// progressive policies): `actions` becomes the `(rows, action_dim)`
+/// matrix of `tanh(mean)` over the raw head rows, each element the same
+/// `tanh` [`act_head`] takes of it.
+pub(crate) fn tanh_mean_into(raw: &Mat, action_dim: usize, actions: &mut Mat) {
+    actions.resize(raw.rows(), action_dim);
+    for b in 0..raw.rows() {
+        let mean = &raw.row(b)[..action_dim];
+        for (a, m) in actions.row_mut(b).iter_mut().zip(mean) {
+            *a = m.tanh();
+        }
     }
 }
 

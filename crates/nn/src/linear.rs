@@ -4,7 +4,7 @@ use crate::mat::Mat;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 thread_local! {
     /// Column-sum buffer behind [`Linear::accumulate_grads`]; its capacity
@@ -23,8 +23,10 @@ thread_local! {
 /// (through `&self`, so a frozen network behind an `Arc` packs once for
 /// all its users) and every `&mut` method that changes `W` rewrites an
 /// existing pack in place, so a warm training loop never allocates one.
-/// Clones and decoded layers start unpacked, and equality and serde
-/// ignore the pack — it is a pure function of `W`.
+/// Clones and decoded layers start unpacked; a frozen copy
+/// ([`Linear::clone_frozen`]) shares its source's pack until either side
+/// changes its weights. Equality and serde ignore the pack — it is a
+/// pure function of `W`.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Linear {
     /// Weights, shape `(out, in)`. Private so that no write can leave the
@@ -36,9 +38,10 @@ pub struct Linear {
     pub grad_w: Mat,
     /// Accumulated bias gradients, length `out`.
     pub grad_b: Vec<f32>,
-    /// `w` transposed, `(in, out)`, once a forward pass has needed it.
+    /// `w` transposed, `(in, out)`, once a forward pass has needed it;
+    /// shared with frozen copies that have not changed their weights.
     #[serde(skip)]
-    pack: OnceLock<Mat>,
+    pack: OnceLock<Arc<Mat>>,
 }
 
 impl Clone for Linear {
@@ -115,27 +118,48 @@ impl Linear {
         self.refresh_pack();
     }
 
+    /// A copy for frozen use: a clone that shares the pack, if one is
+    /// built, so the copy packs nothing anew. (A training snapshot keeps
+    /// the plain clone: the live side's next update would leave it
+    /// holding a pack nothing forwards through.)
+    pub(crate) fn clone_frozen(&self) -> Self {
+        let copy = self.clone();
+        if let Some(pack) = self.pack.get() {
+            let _ = copy.pack.set(Arc::clone(pack));
+        }
+        copy
+    }
+
     /// The pack, built on first use.
     fn pack(&self) -> &Mat {
         self.pack.get_or_init(|| {
             let mut t = Mat::default();
             self.w.transpose_into(&mut t);
-            t
+            Arc::new(t)
         })
     }
 
-    /// Rewrites an existing pack from the current weights, in place; an
-    /// unpacked layer stays unpacked.
+    /// Rewrites an existing pack from the current weights, in place when
+    /// this layer holds the only handle, else into a pack of its own (the
+    /// frozen copies sharing the old one keep it); an unpacked layer stays
+    /// unpacked.
     fn refresh_pack(&mut self) {
-        if let Some(t) = self.pack.get_mut() {
-            self.w.transpose_into(t);
+        if let Some(shared) = self.pack.get_mut() {
+            match Arc::get_mut(shared) {
+                Some(t) => self.w.transpose_into(t),
+                None => {
+                    let mut t = Mat::default();
+                    self.w.transpose_into(&mut t);
+                    *shared = Arc::new(t);
+                }
+            }
         }
     }
 
     /// The pack, if a forward pass has built it.
     #[cfg(test)]
     pub(crate) fn built_pack(&self) -> Option<&Mat> {
-        self.pack.get()
+        self.pack.get().map(|p| &**p)
     }
 
     /// Whether a forward pass has built the pack.
@@ -451,6 +475,21 @@ mod tests {
             assert!(!twin.is_packed(), "clones start unpacked");
             assert_eq!(twin, l, "equality ignores the pack");
             check(&twin, "clone");
+            let mut frozen = l.clone_frozen();
+            assert!(
+                std::ptr::eq(frozen.built_pack().unwrap(), l.built_pack().unwrap()),
+                "a frozen copy shares the pack"
+            );
+            check(&frozen, "clone_frozen");
+            // A write to either side un-shares: each pack follows its own
+            // weights.
+            frozen.edit_w(|w| w.set(0, 0, -0.5));
+            check(&frozen, "edit_w of a frozen copy");
+            check(&l, "edit_w of its frozen copy");
+            assert!(!std::ptr::eq(
+                frozen.built_pack().unwrap(),
+                l.built_pack().unwrap()
+            ));
             let decoded = Linear::from_parts(l.w.clone(), l.b.clone());
             assert!(!decoded.is_packed(), "decoded layers start unpacked");
             check(&decoded, "from_parts");

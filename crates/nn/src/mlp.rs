@@ -55,6 +55,15 @@ impl MlpCache {
 }
 
 impl Mlp {
+    /// A copy for frozen use whose layers share the built packs (see
+    /// [`Linear::clone_frozen`]).
+    pub(crate) fn clone_frozen(&self) -> Mlp {
+        Mlp {
+            layers: self.layers.iter().map(Linear::clone_frozen).collect(),
+            acts: self.acts.clone(),
+        }
+    }
+
     /// Builds an MLP from layer sizes, e.g. `[obs, 128, 128, out]`.
     ///
     /// Hidden layers use `hidden_act`; the final layer uses `out_act`.

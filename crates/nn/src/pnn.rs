@@ -16,11 +16,12 @@
 //! catastrophic forgetting.
 
 use crate::gaussian::{
-    act_head, fill_randn, head_backward_into, sample_head_into, GaussianPolicy, HeadSample,
+    act_head, fill_randn, head_backward_into, sample_head_into, tanh_mean_into, GaussianPolicy,
+    HeadSample,
 };
 use crate::linear::Linear;
 use crate::mat::Mat;
-use crate::scratch::{ActScratch, SampleBackScratch, Scratch};
+use crate::scratch::{ActScratch, BatchActScratch, SampleBackScratch, Scratch};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -173,17 +174,39 @@ impl PnnPolicy {
         }
     }
 
-    /// Deterministic action `tanh(mean)` for a batch of observations,
-    /// with the same non-finite input guard as [`PnnPolicy::sample_into`].
-    pub fn mean_action(&self, obs: &Mat) -> Mat {
-        let mut x = obs.clone();
-        x.sanitize_nonfinite();
-        let (mut base, mut column) = (Vec::new(), Vec::new());
-        self.forward_into(&x, &mut base, &mut column, &mut Mat::default());
+    /// Resizes the scratch's staging matrix to `(batch, obs_dim)` and
+    /// returns it for the caller to fill row by row (contents are
+    /// unspecified until every row is written), as
+    /// [`GaussianPolicy::stage`] does. Follow with
+    /// [`PnnPolicy::infer_staged`].
+    pub fn stage<'s>(&self, batch: usize, s: &'s mut BatchActScratch) -> &'s mut Mat {
+        s.obs.resize(batch, self.obs_dim());
+        &mut s.obs
+    }
+
+    /// Deterministic batched inference through column 2 over the rows
+    /// staged in `s` (see [`PnnPolicy::stage`]): non-finite entries are
+    /// zeroed in place, both columns run one forward pass over every row,
+    /// and the result is the `(batch, action_dim)` matrix of `tanh(mean)`.
+    /// Row `b` is bit-identical to serial `act_with(row_b, .., true, ..)`,
+    /// since the kernels accumulate each output element the same way at
+    /// any row count. Allocation-free once the scratch has warmed to the
+    /// largest batch seen.
+    pub fn infer_staged<'s>(&self, s: &'s mut BatchActScratch) -> &'s Mat {
+        debug_assert_eq!(s.obs.cols(), self.obs_dim(), "stage() before infer");
+        let BatchActScratch {
+            obs,
+            actions,
+            hidden,
+            column,
+            lateral,
+            ..
+        } = s;
+        obs.sanitize_nonfinite();
+        self.forward_into(obs, hidden, column, lateral);
         let raw = column.last().expect("column is non-empty");
-        let (mut mean, _) = raw.split_cols(self.action_dim);
-        mean.map_inplace(f32::tanh);
-        mean
+        tanh_mean_into(raw, self.action_dim, actions);
+        actions
     }
 
     /// Samples actions with reparameterization into a reusable cache for
@@ -295,7 +318,7 @@ impl PnnPolicy {
 
     /// One action for one observation, through the scratch's reusable
     /// buffers: `tanh(mean)` of column 2 when `deterministic`, otherwise a
-    /// sample. Bit-identical to [`PnnPolicy::mean_action`] and
+    /// sample. Bit-identical to [`PnnPolicy::infer_staged`] and
     /// [`PnnPolicy::sample_into`] on the 1-row observation, with the same
     /// RNG draws.
     pub fn act_with<'s, R: Rng>(
@@ -348,6 +371,14 @@ mod tests {
         PnnPolicy::from_parts(base, column, laterals).expect("shapes follow the base")
     }
 
+    /// Column 2's deterministic `tanh(mean)` for every row of `obs`,
+    /// through the staged batch path.
+    fn staged(pnn: &PnnPolicy, obs: &Mat) -> Mat {
+        let mut s = BatchActScratch::default();
+        pnn.stage(obs.rows(), &mut s).copy_from(obs);
+        pnn.infer_staged(&mut s).clone()
+    }
+
     fn base() -> GaussianPolicy {
         let mut rng = StdRng::seed_from_u64(21);
         GaussianPolicy::new(5, &[12, 12], 2, &mut rng)
@@ -359,7 +390,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let pnn = PnnPolicy::new(b.clone(), &mut rng);
         let obs = Mat::from_vec(3, 5, (0..15).map(|i| (i as f32) * 0.1 - 0.7).collect());
-        assert_eq!(pnn.mean_action(&obs), b.mean_action(&obs));
+        assert_eq!(staged(&pnn, &obs), b.mean_action(&obs));
         // Same noise → same sample.
         let mut s1 = PnnSampleCache::default();
         pnn.sample_into(&obs, &mut StdRng::seed_from_u64(2), &mut s1);
@@ -375,7 +406,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let pnn = random_pnn(b.clone(), &mut rng);
         let obs = Mat::from_vec(1, 5, vec![0.1; 5]);
-        assert_ne!(pnn.mean_action(&obs), b.mean_action(&obs));
+        assert_ne!(staged(&pnn, &obs), b.mean_action(&obs));
     }
 
     #[test]
@@ -403,7 +434,7 @@ mod tests {
         let b_obs = Mat::from_row(&[0.2, 0.1, -0.3, 0.4, 0.0]);
         assert_eq!(pnn.base().mean_action(&b_obs), b.mean_action(&b_obs));
         // Column 2 has moved.
-        assert_ne!(pnn.mean_action(&b_obs), b.mean_action(&b_obs));
+        assert_ne!(staged(&pnn, &b_obs), b.mean_action(&b_obs));
     }
 
     #[test]
@@ -496,7 +527,7 @@ mod tests {
     }
 
     /// The single-observation column-2 act matches the batch paths
-    /// (`mean_action`, and `sample_into` with its head) bit for bit in
+    /// (`infer_staged`, and `sample_into` with its head) bit for bit in
     /// both modes, drawing the same RNG stream; the base column's act
     /// matches the base policy's `act_with` likewise, and a second `Arc`
     /// handle shares the packs the first one built.
@@ -513,7 +544,7 @@ mod tests {
                 let obs = obs_at(step);
                 let m = Mat::from_row(&obs);
                 let want = if deterministic {
-                    pnn.mean_action(&m)
+                    staged(&pnn, &m)
                 } else {
                     pnn.sample_into(&m, &mut r1, &mut sampled);
                     sampled.head.actions.clone()
@@ -540,6 +571,42 @@ mod tests {
         let (column, laterals) = twin.parts();
         assert!(column.iter().chain(laterals).all(Linear::is_packed));
         assert!(twin.base().trunk().layers().iter().all(Linear::is_packed));
+    }
+
+    /// Every row of staged inference equals the serial deterministic
+    /// `act_with` of that row bit for bit, non-finite entries included,
+    /// at batch sizes that grow and shrink through one reused scratch,
+    /// and the staged rows need not be sanitized by the caller.
+    #[test]
+    fn infer_staged_rows_match_serial_act_with() {
+        let pnn = Arc::new(deployed_pnn());
+        let mut batch = BatchActScratch::default();
+        let mut serial = ActScratch::default();
+        let mut rng = StdRng::seed_from_u64(3);
+        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mut step = 0;
+        for rows in [1usize, 5, 64, 3, 64, 1] {
+            let obs: Vec<Vec<f32>> = (0..rows)
+                .map(|r| {
+                    step += 1;
+                    let mut o = obs_at(step);
+                    if r % 2 == 1 {
+                        o[(step * 7) % 60] = poison[step % poison.len()];
+                    }
+                    o
+                })
+                .collect();
+            let stage = pnn.stage(rows, &mut batch);
+            for (r, o) in obs.iter().enumerate() {
+                stage.row_mut(r).copy_from_slice(o);
+            }
+            let got = pnn.infer_staged(&mut batch).clone();
+            assert_eq!((got.rows(), got.cols()), (rows, 2));
+            for (r, o) in obs.iter().enumerate() {
+                let want = pnn.act_with(o, &mut rng, true, &mut serial);
+                assert_eq!(bits(got.row(r)), bits(want), "batch {rows} row {r}");
+            }
+        }
     }
 
     /// Sampling leaves column 1's output layer alone: the laterals read

@@ -50,13 +50,19 @@ pub struct ActScratch {
 /// Workspace for a micro-batched deterministic `act` call: the
 /// `(batch, obs_dim)` stacked observation matrix, the trunk's ping-pong
 /// buffers, and the `(batch, action_dim)` action output (see
-/// `GaussianPolicy::act_batch_with`). Reused across batches of varying
-/// size without reallocation once warmed to the largest batch seen.
+/// `GaussianPolicy::act_batch_with`). A progressive policy keeps its
+/// per-layer activations and one lateral product here instead of the
+/// ping-pong pair, as in [`ActScratch`] (see `PnnPolicy::infer_staged`).
+/// Reused across batches of varying size without reallocation once
+/// warmed to the largest batch seen.
 #[derive(Debug, Clone, Default)]
 pub struct BatchActScratch {
     pub(crate) obs: Mat,
     pub(crate) trunk: Scratch,
     pub(crate) actions: Mat,
+    pub(crate) hidden: Vec<Mat>,
+    pub(crate) column: Vec<Mat>,
+    pub(crate) lateral: Mat,
 }
 
 /// Workspace for a policy backward pass through a sampled head: the

@@ -96,10 +96,6 @@ const UNCALLED_ALLOWED: &[(&str, &str)] = &[
         "deterministic batch action: the test and inspection API across crates",
     ),
     (
-        "pnn::PnnPolicy::mean_action",
-        "deterministic batch action: the test and inspection API across crates",
-    ),
-    (
         "bc::Demonstrations::sample_batch",
         "the reference the fast BC batch path is tested against, across crates",
     ),
